@@ -36,6 +36,7 @@ __all__ = [
     "Expression",
     "FUNCTIONS",
     "parse",
+    "as_expr",
     "evaluate",
     "differentiate",
     "depends_on",
@@ -174,6 +175,11 @@ def parse(source: str) -> Expression:
     if p.pos != len(p.src):
         raise ParseError(f"unexpected character {p.src[p.pos]!r}", p.pos)
     return e
+
+
+def as_expr(e: Union[str, Expression]) -> Expression:
+    """Parse ``e`` when it is source text; return an expression tree as is."""
+    return parse(e) if isinstance(e, str) else e
 
 
 def _power_value(base: float, expo: float) -> float:

@@ -1,4 +1,5 @@
-"""Grid solution containers, the warm-started sweep, and CSV serialization."""
+"""Grid solution containers, the warm-started sweep with its root choice,
+and CSV serialization."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError, DomainError
+from .numerics import SolverConfig, locate_roots
 
 __all__ = [
     "Status",
@@ -15,6 +17,7 @@ __all__ = [
     "ActionField",
     "check_axis",
     "sweep",
+    "pick_root",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -107,6 +110,36 @@ def sweep(point_solver: PointSolver, n1: int, n2: int, threads: int = 0):
         for i in range(n1):
             run_row(i)
     return q, status
+
+
+def pick_root(
+    g: Callable[[float], float],
+    lo: float,
+    hi: float,
+    cfg: SolverConfig,
+    warm: Optional[float],
+) -> tuple[Optional[float], Status]:
+    """Scan ``g`` over [lo, hi] and choose one grid point's root and status.
+
+    Several roots resolve to the one nearest ``warm`` (continuation) with
+    status ``multi_root``; a ``g`` that vanishes at every scan sample keeps
+    the warm value (or the range midpoint when cold).  Domain and
+    convergence failures never raise, they mark the point ``domain_fail``.
+    """
+    try:
+        scan = locate_roots(g, lo, hi, cfg)
+    except (DomainError, ConvergenceError):
+        return None, Status.DOMAIN_FAIL
+    if scan.n_valid == 0:
+        return None, Status.DOMAIN_FAIL
+    ref = warm if warm is not None else 0.5 * (lo + hi)
+    if scan.degenerate:
+        return ref, Status.MULTI_ROOT
+    if not scan.roots:
+        return None, Status.NO_ROOT
+    if len(scan.roots) == 1:
+        return scan.roots[0], Status.RESOLVED
+    return min(scan.roots, key=lambda r: (abs(r - ref), r)), Status.MULTI_ROOT
 
 
 def _fmt(v: Optional[float]) -> str:

@@ -18,6 +18,11 @@ Points are admissible when q - V(x') stays above a configurable margin
 along the whole quadrature segment; the branch sign sigma is global and
 never switched at turning points.  Setting dq = 0 instead gives the
 separation-of-variables solution :func:`separation_action`.
+
+Time enters g only additively, and the clipped scan range depends on x
+alone, so :func:`solve_grid` computes the scan samples once per x row and
+every point of the row reuses them; only the root refinement runs per
+point.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expr
-from .errors import ConvergenceError, DomainError
-from .fields import ActionField, Status, check_axis, sweep
-from .numerics import SolverConfig, integrate_adaptive, locate_roots
+from .errors import DomainError
+from .fields import ActionField, Status, check_axis, pick_root, sweep
+from .numerics import SolverConfig, integrate_adaptive, scan_abscissae
 
 __all__ = [
     "HJProblem",
@@ -43,10 +48,6 @@ __all__ = [
     "solve_grid",
     "separation_action",
 ]
-
-
-def _as_expr(e) -> expr.Expression:
-    return expr.parse(e) if isinstance(e, str) else e
 
 
 @dataclass
@@ -73,9 +74,9 @@ class HJProblem:
     _g_prime: expr.Expression = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.kinetic = _as_expr(self.kinetic)
-        self.potential = _as_expr(self.potential)
-        self.generator = _as_expr(self.generator)
+        self.kinetic = expr.as_expr(self.kinetic)
+        self.potential = expr.as_expr(self.potential)
+        self.generator = expr.as_expr(self.generator)
         if self.sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
         if self.eps_adm is not None and not self.eps_adm > 0:
@@ -180,8 +181,8 @@ def constraint(
     of a central q-difference of the correction integrand); the two agree
     analytically and the direct path exists for that equivalence check.
     """
-    g_slope = prob.generator_slope_at(q)
     if direct:
+        g_slope = prob.generator_slope_at(q)
         h = 1e-6 * (1.0 + abs(q))
 
         def dq_integrand(s):
@@ -192,22 +193,61 @@ def constraint(
 
         integral = integrate_adaptive(dq_integrand, prob.x0, x, cfg.quad_tol)
         return integral + g_slope - t - x * momentum_partials(prob, x, q)[1]
+    return _combine(_constraint_terms(prob, x, q, cfg), t)
+
+
+def _constraint_terms(prob: HJProblem, x: float, q: float, cfg: SolverConfig):
+    """The t-free pieces (G'(q), integral of dp/dq, x0 dp/dq(x0, q)) of g."""
+    g_slope = prob.generator_slope_at(q)
     integral = integrate_adaptive(
         lambda s: _dp_dq(prob, s, q), prob.x0, x, cfg.quad_tol
     )
     base = prob.x0 * _dp_dq(prob, prob.x0, q)
+    return g_slope, integral, base
+
+
+def _combine(terms, t: float) -> float:
+    # left to right with t second: the rounding, so every root, depends on it
+    g_slope, integral, base = terms
     return g_slope - t - integral - base
 
 
 def _potential_ceiling(prob: HJProblem, x: float) -> float:
     """Max of V over the quadrature segment, sampled on a fixed fine grid."""
-    lo, hi = min(prob.x0, x), max(prob.x0, x)
-    n = 32
     vmax = -math.inf
-    for i in range(n + 1):
-        s = hi if i == n else lo + (hi - lo) * i / n
+    for s in scan_abscissae(min(prob.x0, x), max(prob.x0, x), 32):
         vmax = max(vmax, prob._v_fn(s))
     return vmax
+
+
+def _scan_floor(prob: HJProblem, ceiling: float, q_lo: float) -> float:
+    """Lower end of the scan range: q_lo clipped above the potential ceiling."""
+    margin = prob.eps_adm if prob.eps_adm is not None else 1e-9 * (1.0 + abs(ceiling))
+    # doubled margin plus an ulp-scale pad keeps every scan sample strictly
+    # admissible at the potential's maximum despite rounding
+    return max(q_lo, ceiling + 2.0 * margin + 4e-15 * (1.0 + abs(ceiling)))
+
+
+def _scan_table(
+    prob: HJProblem, x: float, ceiling: float, q_lo: float, q_hi: float, cfg: SolverConfig
+) -> Optional[dict]:
+    """:func:`_constraint_terms` at each scan abscissa of one x row.
+
+    The abscissae are those :func:`solve_point` scans for this ``ceiling``;
+    ``None`` when the clipped range is empty.  A sample that raises
+    :class:`DomainError` is stored as ``None``, so every point reading the
+    table skips it as the scan would.
+    """
+    lo = _scan_floor(prob, ceiling, q_lo)
+    if not lo < q_hi:
+        return None
+    table: dict[float, Optional[tuple[float, float, float]]] = {}
+    for q in scan_abscissae(lo, q_hi, cfg.scan_points):
+        try:
+            table[q] = _constraint_terms(prob, x, q, cfg)
+        except DomainError:
+            table[q] = None
+    return table
 
 
 def solve_point(
@@ -219,12 +259,15 @@ def solve_point(
     cfg: SolverConfig,
     warm: Optional[float] = None,
     _ceiling: Optional[float] = None,
+    _table: Optional[dict] = None,
 ):
     """Locate the constraint root at one (x, t) point.
 
     The scan range is first clipped above the potential ceiling plus the
     admissibility margin; an empty clipped range is a domain failure.
-    Continuation semantics match the first-order PDE solver.
+    Continuation semantics match the first-order PDE solver.  ``_table``
+    holds this x row's :func:`_scan_table` over the same clipped range;
+    g reads its scan samples from there instead of recomputing them.
     """
     if not q_lo < q_hi:
         raise ValueError("solve_point requires q_lo < q_hi")
@@ -232,32 +275,20 @@ def solve_point(
         ceiling = _potential_ceiling(prob, x) if _ceiling is None else _ceiling
     except DomainError:
         return None, Status.DOMAIN_FAIL
-    margin = prob.eps_adm if prob.eps_adm is not None else 1e-9 * (1.0 + abs(ceiling))
-    # doubled margin plus an ulp-scale pad keeps every scan sample strictly
-    # admissible at the potential's maximum despite rounding
-    lo = max(q_lo, ceiling + 2.0 * margin + 4e-15 * (1.0 + abs(ceiling)))
+    lo = _scan_floor(prob, ceiling, q_lo)
     if not lo < q_hi:
         return None, Status.DOMAIN_FAIL
+    table = _table or {}
 
     def g(q):
-        return constraint(prob, x, t, q, cfg)
+        if q not in table:
+            return constraint(prob, x, t, q, cfg)
+        terms = table[q]
+        if terms is None:
+            raise DomainError("scan sample outside the domain", where=q)
+        return _combine(terms, t)
 
-    try:
-        scan = locate_roots(g, lo, q_hi, cfg)
-    except (DomainError, ConvergenceError):
-        return None, Status.DOMAIN_FAIL
-    if scan.n_valid == 0:
-        return None, Status.DOMAIN_FAIL
-    if scan.degenerate:
-        q = warm if warm is not None else 0.5 * (lo + q_hi)
-        return q, Status.MULTI_ROOT
-    if not scan.roots:
-        return None, Status.NO_ROOT
-    if len(scan.roots) == 1:
-        return scan.roots[0], Status.RESOLVED
-    ref = warm if warm is not None else 0.5 * (lo + q_hi)
-    q = min(scan.roots, key=lambda r: (abs(r - ref), r))
-    return q, Status.MULTI_ROOT
+    return pick_root(g, lo, q_hi, cfg, warm)
 
 
 def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfig) -> float:
@@ -283,11 +314,18 @@ def solve_grid(
             ceilings.append(_potential_ceiling(prob, x))
         except DomainError:
             ceilings.append(None)
+    # built before the sweep starts, so sweep threads only read the tables
+    tables = [
+        None if c is None else _scan_table(prob, x, c, q_lo, q_hi, cfg)
+        for x, c in zip(xs, ceilings)
+    ]
 
     def point(i, j, warm):
         if ceilings[i] is None:
             return None, Status.DOMAIN_FAIL
-        return solve_point(prob, xs[i], ts[j], q_lo, q_hi, cfg, warm, _ceiling=ceilings[i])
+        return solve_point(
+            prob, xs[i], ts[j], q_lo, q_hi, cfg, warm, _ceiling=ceilings[i], _table=tables[i]
+        )
 
     q, status = sweep(point, len(xs), len(ts), threads)
     value: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]

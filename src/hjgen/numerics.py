@@ -22,6 +22,7 @@ __all__ = [
     "scan_brackets",
     "solve_bracketed",
     "locate_roots",
+    "scan_abscissae",
     "central_difference",
 ]
 
@@ -147,11 +148,22 @@ def integrate_adaptive(
     return sum(p.value for p in done) + sum(p.value for _, _, p in heap)
 
 
+def scan_abscissae(lo: float, hi: float, n: int) -> list[float]:
+    """The n+1 equispaced points of [lo, hi] the bracket scan samples.
+
+    The last point is ``hi`` exactly, so callers that tabulate a function
+    on the scan grid get the very floats the scan passes in.
+    """
+    span = hi - lo
+    points = [lo + span * i / n for i in range(n)]
+    points.append(hi)
+    return points
+
+
 def _scan_samples(g, lo, hi, n):
     """Sample g at n+1 equispaced points, dropping domain failures and NaNs."""
     samples = []
-    for i in range(n + 1):
-        x = hi if i == n else lo + (hi - lo) * i / n
+    for x in scan_abscissae(lo, hi, n):
         try:
             v = g(x)
         except DomainError:

@@ -26,17 +26,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expr
-from .errors import ConvergenceError, DomainError
-from .fields import SolutionField, Status, check_axis, sweep
-from .numerics import SolverConfig, locate_roots
+from .errors import DomainError
+from .fields import SolutionField, Status, check_axis, pick_root, sweep
+from .numerics import SolverConfig
 
 __all__ = ["KINDS", "PQProblem", "constraint", "solve_point", "solution_value", "solve_grid"]
 
 KINDS = ("explicit", "scaled_x", "scaled_y")
-
-
-def _as_expr(e) -> expr.Expression:
-    return expr.parse(e) if isinstance(e, str) else e
 
 
 @dataclass
@@ -96,15 +92,19 @@ class PQProblem:
 
     @classmethod
     def explicit(cls, f_of_q, phi) -> "PQProblem":
-        return cls("explicit", f_of_q=_as_expr(f_of_q), phi=_as_expr(phi))
+        return cls("explicit", f_of_q=expr.as_expr(f_of_q), phi=expr.as_expr(phi))
 
     @classmethod
     def scaled_x(cls, scale, gfun, phi) -> "PQProblem":
-        return cls("scaled_x", scale=_as_expr(scale), gfun=_as_expr(gfun), phi=_as_expr(phi))
+        return cls(
+            "scaled_x", scale=expr.as_expr(scale), gfun=expr.as_expr(gfun), phi=expr.as_expr(phi)
+        )
 
     @classmethod
     def scaled_y(cls, scale, gfun, phi) -> "PQProblem":
-        return cls("scaled_y", scale=_as_expr(scale), gfun=_as_expr(gfun), phi=_as_expr(phi))
+        return cls(
+            "scaled_y", scale=expr.as_expr(scale), gfun=expr.as_expr(gfun), phi=expr.as_expr(phi)
+        )
 
     def ratio_at(self, v: float) -> float:
         """H = x/f(x) (scaled_x) or y/h(y) (scaled_y); DomainError on zero scale."""
@@ -135,19 +135,6 @@ def solution_value(prob: PQProblem, x: float, y: float, q: float) -> float:
     return x * q + prob._g_fn(q) * prob._ratio_fn(y) - prob._phi_fn(q)
 
 
-def _select_root(scan, warm, q_lo, q_hi):
-    if scan.degenerate:
-        q = warm if warm is not None else 0.5 * (q_lo + q_hi)
-        return q, Status.MULTI_ROOT
-    if not scan.roots:
-        return None, Status.NO_ROOT
-    if len(scan.roots) == 1:
-        return scan.roots[0], Status.RESOLVED
-    ref = warm if warm is not None else 0.5 * (q_lo + q_hi)
-    q = min(scan.roots, key=lambda r: (abs(r - ref), r))
-    return q, Status.MULTI_ROOT
-
-
 def solve_point(
     prob: PQProblem,
     x: float,
@@ -170,13 +157,7 @@ def solve_point(
     def g(q):
         return constraint(prob, x, y, q)
 
-    try:
-        scan = locate_roots(g, q_lo, q_hi, cfg)
-    except (DomainError, ConvergenceError):
-        return None, Status.DOMAIN_FAIL
-    if scan.n_valid == 0:
-        return None, Status.DOMAIN_FAIL
-    return _select_root(scan, warm, q_lo, q_hi)
+    return pick_root(g, q_lo, q_hi, cfg, warm)
 
 
 def solve_grid(

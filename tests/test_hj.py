@@ -1,12 +1,14 @@
+import collections
 import math
 import random
+import sys
 
 import pytest
 
 from hjgen import hj
 from hjgen.errors import DomainError
 from hjgen.fields import Status
-from hjgen.numerics import SolverConfig, central_difference
+from hjgen.numerics import SolverConfig, central_difference, scan_abscissae
 from hjgen.verify import finite_diff_partials
 
 CFG = SolverConfig(root_tol=1e-12, resid_tol=1e-12, quad_tol=1e-10, scan_points=16)
@@ -14,6 +16,9 @@ CFG = SolverConfig(root_tol=1e-12, resid_tol=1e-12, quad_tol=1e-10, scan_points=
 FREE = hj.HJProblem("1", "0", "q", sigma=1, x0=0.0)
 OSC = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0, eps_adm=1e-3)
 OSC_G0 = hj.HJProblem("1", "x^2", "0", sigma=1, x0=0.0)
+# a bump of width 0.02 that the 33-point ceiling scan undersamples on some
+# rows, so scan samples just above the sampled ceiling raise DomainError
+BUMP = hj.HJProblem("1", "exp(-((x - 0.61)/0.02)^2)", "q^2/2", sigma=1, x0=0.0, eps_adm=1e-3)
 
 
 def axis(lo, hi, n):
@@ -258,11 +263,100 @@ def test_base_point_choice_changes_member_not_validity():
 
 
 def test_solve_grid_threaded_bitwise_identical():
-    serial = hj.solve_grid(FREE, axis(0.5, 2.0, 9), axis(0.0, 0.5, 9), (0.01, 20.0), CFG)
-    threaded = hj.solve_grid(
-        FREE, axis(0.5, 2.0, 9), axis(0.0, 0.5, 9), (0.01, 20.0), CFG, threads=3
-    )
-    assert serial.q == threaded.q
-    assert serial.value == threaded.value
-    assert serial.p == threaded.p
-    assert serial.status == threaded.status
+    for prob, xs, ts, q_range in (
+        (FREE, axis(0.5, 2.0, 9), axis(0.0, 0.5, 9), (0.01, 20.0)),
+        (OSC, axis(0.15, 0.45, 9), axis(0.2, 0.5, 9), (0.05, 6.0)),
+    ):
+        serial = hj.solve_grid(prob, xs, ts, q_range, CFG)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads' reads of the row tables
+        try:
+            threaded = hj.solve_grid(prob, xs, ts, q_range, CFG, threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial.q == threaded.q
+        assert serial.value == threaded.value
+        assert serial.p == threaded.p
+        assert serial.status == threaded.status
+
+
+def point_loop(prob, xs, ts, q_range, cfg):
+    """solve_point at every point with the sweep's warm starts, no row tables."""
+    q = [[None] * len(ts) for _ in xs]
+    status = [[None] * len(ts) for _ in xs]
+    for i, x in enumerate(xs):
+        warm = q[i - 1][0] if i > 0 else None
+        q[i][0], status[i][0] = hj.solve_point(prob, x, ts[0], *q_range, cfg, warm)
+    for i, x in enumerate(xs):
+        for j in range(1, len(ts)):
+            q[i][j], status[i][j] = hj.solve_point(prob, x, ts[j], *q_range, cfg, q[i][j - 1])
+    return q, status
+
+
+def row_tables(prob, xs, q_range, cfg):
+    return [
+        hj._scan_table(prob, x, hj._potential_ceiling(prob, x), *q_range, cfg) for x in xs
+    ]
+
+
+@pytest.mark.parametrize(
+    "prob, xs, ts, q_range",
+    [
+        (FREE, axis(0.5, 2.0, 7), axis(0.0, 0.5, 9), (0.01, 20.0)),
+        (OSC, axis(0.15, 0.45, 7), axis(0.2, 0.5, 9), (0.05, 6.0)),
+        # rows with x^2 above q_max clip to an empty scan range
+        (OSC_G0, axis(0.3, 0.9, 7), axis(0.0, 0.4, 5), (0.01, 0.5)),
+        (BUMP, axis(0.7, 1.1, 9), axis(0.2, 0.45, 6), (0.05, 6.0)),
+    ],
+    ids=["free_particle", "harmonic", "clipped_rows", "failing_scan_samples"],
+)
+def test_solve_grid_matches_point_loop_bitwise(prob, xs, ts, q_range):
+    field = hj.solve_grid(prob, xs, ts, q_range, CFG)
+    q, status = point_loop(prob, xs, ts, q_range, CFG)
+    assert field.q == q
+    assert field.status == status
+    assert any(s is not Status.DOMAIN_FAIL for row in status for s in row)
+
+
+def test_grid_cases_reach_clipped_rows_and_failing_samples():
+    # the two edge cases of the loop comparison above really occur
+    clipped = row_tables(OSC_G0, axis(0.3, 0.9, 7), (0.01, 0.5), CFG)
+    assert None in clipped and any(t is not None for t in clipped)
+    bumpy = row_tables(BUMP, axis(0.7, 1.1, 9), (0.05, 6.0), CFG)
+    assert any(None in t.values() for t in bumpy)
+    assert all(any(v is not None for v in t.values()) for t in bumpy)
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 9])
+def test_scan_samples_evaluated_once_per_row(monkeypatch, n_t):
+    xs, q_range = axis(0.15, 0.45, 5), (0.05, 6.0)
+    quads = collections.Counter()  # (upper limit, q) of every dp/dq quadrature
+    open_quads = []
+    real_quad, real_dp_dq = hj.integrate_adaptive, hj._dp_dq
+
+    def counting_quad(f, x0, x1, tol):
+        open_quads.append(set())
+        try:
+            return real_quad(f, x0, x1, tol)
+        finally:
+            qs = open_quads.pop()
+            assert len(qs) <= 1
+            quads.update((x1, q) for q in qs)
+
+    def recording_dp_dq(prob, s, q):
+        if open_quads:
+            open_quads[-1].add(q)
+        return real_dp_dq(prob, s, q)
+
+    monkeypatch.setattr(hj, "integrate_adaptive", counting_quad)
+    monkeypatch.setattr(hj, "_dp_dq", recording_dp_dq)
+    field = hj.solve_grid(OSC, xs, axis(0.2, 0.5, n_t) if n_t > 1 else [0.3], q_range, CFG)
+    assert field.resolved_fraction() == 1.0
+    scanned = 0
+    for x in xs:
+        lo = hj._scan_floor(OSC, hj._potential_ceiling(OSC, x), q_range[0])
+        for q in scan_abscissae(lo, q_range[1], CFG.scan_points):
+            assert quads[(x, q)] == 1
+            scanned += 1
+    assert scanned == len(xs) * (CFG.scan_points + 1)
+    assert sum(quads.values()) > scanned  # the refinement still runs per point

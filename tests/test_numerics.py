@@ -10,6 +10,7 @@ from hjgen.numerics import (
     central_difference,
     integrate_adaptive,
     locate_roots,
+    scan_abscissae,
     scan_brackets,
     solve_bracketed,
 )
@@ -119,6 +120,17 @@ def test_scan_empty_result_is_fine():
 
 def _bracket_for(g, lo, hi):
     return Bracket(lo, hi, g(lo), g(hi))
+
+
+def test_scan_abscissae_match_the_inline_formula_bitwise():
+    # the formula the scan used inline; row tables rely on the same floats
+    rng = random.Random(5)
+    for _ in range(2000):
+        lo = rng.uniform(-50.0, 50.0)
+        hi = lo + rng.choice((1e-9, 1e-3, 1.0, 37.0)) * rng.random() + 1e-12
+        n = rng.randint(2, 80)
+        ref = [hi if i == n else lo + (hi - lo) * i / n for i in range(n + 1)]
+        assert scan_abscissae(lo, hi, n) == ref
 
 
 def test_solve_quadratic():

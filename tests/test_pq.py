@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hjgen import pq
+from hjgen import expr, pq
 from hjgen.fields import Status
 from hjgen.numerics import SolverConfig, central_difference
 from hjgen.verify import finite_diff_partials
@@ -17,18 +17,18 @@ def axis(lo, hi, n):
 
 def test_problem_field_validation():
     with pytest.raises(ValueError):
-        pq.PQProblem("weird", phi=pq._as_expr("q"))
+        pq.PQProblem("weird", phi=expr.as_expr("q"))
     with pytest.raises(ValueError):
-        pq.PQProblem("explicit", phi=pq._as_expr("q"))  # missing f_of_q
+        pq.PQProblem("explicit", phi=expr.as_expr("q"))  # missing f_of_q
     with pytest.raises(ValueError):
         pq.PQProblem(
             "explicit",
-            f_of_q=pq._as_expr("q"),
-            phi=pq._as_expr("q"),
-            gfun=pq._as_expr("q"),
+            f_of_q=expr.as_expr("q"),
+            phi=expr.as_expr("q"),
+            gfun=expr.as_expr("q"),
         )
     with pytest.raises(ValueError):
-        pq.PQProblem("scaled_x", scale=pq._as_expr("x"), phi=pq._as_expr("q"))
+        pq.PQProblem("scaled_x", scale=expr.as_expr("x"), phi=expr.as_expr("q"))
 
 
 def test_constraint_linear_case():

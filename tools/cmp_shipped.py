@@ -1,0 +1,82 @@
+"""Check that two source trees solve the shipped configs to identical bytes.
+
+Usage::
+
+    python3 tools/cmp_shipped.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that each hold an ``hjgen`` package
+(a checkout's ``src``).  For each tree this runs ``python3 -m hjgen solve``
+on every config in ``configs/`` next to this script, serially, in a fresh
+temporary directory, and then compares every file the solves wrote (field
+CSVs and reports) and each solve's exit code and standard output.  Exit
+status: 0 when everything is byte-identical, 1 when anything differs, 2 on
+bad arguments.  Uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def solve_all(src: Path, configs: list[Path], work: Path) -> dict[str, bytes]:
+    """Solve each config with the package under ``src``; name -> output bytes."""
+    for cfg in configs:
+        shutil.copy(cfg, work / cfg.name)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("HJGEN_THREADS", None)
+    out: dict[str, bytes] = {}
+    for cfg in configs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hjgen", "solve", cfg.name],
+            cwd=work, env=env, capture_output=True, check=False,
+        )
+        out[f"{cfg.name}: exit code"] = str(proc.returncode).encode()
+        out[f"{cfg.name}: stdout"] = proc.stdout
+        if proc.returncode not in (0, 1):
+            sys.stderr.write(proc.stderr.decode(errors="replace"))
+    for path in sorted(work.iterdir()):
+        if path.suffix != ".cfg":
+            out[path.name] = path.read_bytes()
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    trees = [Path(a).resolve() for a in argv]
+    for tree in trees:
+        if not (tree / "hjgen" / "__init__.py").is_file():
+            print(f"error: {tree} holds no hjgen package", file=sys.stderr)
+            return 2
+    configs = sorted(CONFIGS.glob("*.cfg"))
+    if not configs:
+        print(f"error: no configs in {CONFIGS}", file=sys.stderr)
+        return 2
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, tree in enumerate(trees):
+            work = Path(tmp) / str(k)
+            work.mkdir()
+            results.append(solve_all(tree, configs, work))
+    old, new = results
+    differ = 0
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) == new.get(name):
+            print(f"same    {name}")
+        else:
+            differ += 1
+            print(f"DIFFERS {name}")
+    print(f"{len(configs)} configs, {differ} outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
