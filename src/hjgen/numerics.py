@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -205,44 +206,70 @@ def scan_brackets(
 def solve_bracketed(
     g: Callable[[float], float], br: Bracket, cfg: SolverConfig
 ) -> float:
-    """Safeguarded bisection/secant hybrid; never leaves the bracket.
+    """Brent's method (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4, "zeroin"); never leaves the bracket.
 
-    Stops when |g| <= resid_tol or the enclosure narrows to root_tol.
-    Raises :class:`ConvergenceError` carrying the last bracket when the
-    iteration budget runs out.
+    Each step tries inverse quadratic interpolation through the last three
+    iterates, or a secant step when only two are distinct, and bisects
+    instead whenever that step would leave the enclosure or would not be
+    shorter than half the step before last.  Returns at once when
+    |g| <= resid_tol, at an end of ``br`` or at an iterate, or when the
+    sign-change enclosure [b, c] around the estimate b has narrowed to
+    ``root_tol + 4 eps |b|``.  Raises :class:`ConvergenceError` carrying
+    that enclosure when ``cfg.max_iter`` evaluations of ``g`` have not
+    isolated the root.
     """
-    a, b = br.lo, br.hi
-    ga, gb = br.g_lo, br.g_hi
-    if abs(ga) <= cfg.resid_tol:
-        return a
-    if abs(gb) <= cfg.resid_tol:
-        return b
-    bisect_next = False
+    if abs(br.g_lo) <= cfg.resid_tol:
+        return br.lo
+    if abs(br.g_hi) <= cfg.resid_tol:
+        return br.hi
+    eps = sys.float_info.epsilon
+    # b: best estimate; c: the opposite-signed end of the enclosure [b, c];
+    # a: the previous b.  d is the last step and e the one before it.
+    a, fa = br.lo, br.g_lo
+    b, fb = br.hi, br.g_hi
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(cfg.max_iter):
-        width = b - a
-        if width <= cfg.root_tol:
-            return a if abs(ga) <= abs(gb) else b
-        mid = a + 0.5 * width
-        if bisect_next or gb == ga:
-            s = mid
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb = c, fc
+            c, fc = a, fa
+        tol = 2.0 * eps * abs(b) + 0.5 * cfg.root_tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:  # inverse quadratic interpolation
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            s = b - gb * (b - a) / (gb - ga)
-            if not a < s < b:
-                s = mid
-        if not a < s < b:  # interval no longer splittable in floats
-            return a if abs(ga) <= abs(gb) else b
-        gs = g(s)
-        if abs(gs) <= cfg.resid_tol:
-            return s
-        if (ga < 0.0) != (gs < 0.0):
-            b, gb = s, gs
-        else:
-            a, ga = s, gs
-        # force a bisection whenever the secant step failed to halve the span
-        bisect_next = (b - a) > 0.5 * width
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = g(b)
+        if abs(fb) <= cfg.resid_tol:
+            return b
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
     raise ConvergenceError(
         f"root not isolated after {cfg.max_iter} iterations",
-        bracket=Bracket(a, b, ga, gb),
+        bracket=Bracket(b, c, fb, fc) if b < c else Bracket(c, b, fc, fb),
     )
 
 

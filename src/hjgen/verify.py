@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import expr
 from .errors import DomainError, EmptyReportError
 from .hj import HJProblem
 from .pq import PQProblem
@@ -104,10 +103,7 @@ def _residual_fn(problem) -> Callable[[float, float, float, float], float]:
     if isinstance(problem, HJProblem):
 
         def hj_residual(x, t, d1, d2):
-            b = {"x": x}
-            a = expr.evaluate(problem.kinetic, b)
-            v = expr.evaluate(problem.potential, b)
-            return a * d1 * d1 + v - d2
+            return problem._a_fn(x) * d1 * d1 + problem._v_fn(x) - d2
 
         return hj_residual
     if not isinstance(problem, PQProblem):
@@ -115,18 +111,18 @@ def _residual_fn(problem) -> Callable[[float, float, float, float], float]:
     if problem.kind == "explicit":
 
         def explicit_residual(x, y, d1, d2):
-            return d1 - expr.evaluate(problem.f_of_q, {"q": d2})
+            return d1 - problem._f_fn(d2)
 
         return explicit_residual
     if problem.kind == "scaled_x":
 
         def scaled_x_residual(x, y, d1, d2):
-            return d1 - problem.ratio_slope_at(x) * expr.evaluate(problem.gfun, {"q": d2})
+            return d1 - problem.ratio_slope_at(x) * problem._g_fn(d2)
 
         return scaled_x_residual
 
     def scaled_y_residual(x, y, d1, d2):
-        return d2 - expr.evaluate(problem.gfun, {"p": d1}) * problem.ratio_slope_at(y)
+        return d2 - problem._g_fn(d1) * problem.ratio_slope_at(y)
 
     return scaled_y_residual
 

@@ -1,8 +1,13 @@
 import math
+import pathlib
 import random
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hjgen.config import load_config
 from hjgen.errors import ConvergenceError, DomainError
 from hjgen.numerics import (
     Bracket,
@@ -182,6 +187,77 @@ def test_solve_budget_exhaustion_carries_bracket():
         solve_bracketed(g, _bracket_for(g, 0.0, 2.0), cfg)
     assert err.value.bracket is not None
     assert 0.0 <= err.value.bracket.lo < err.value.bracket.hi <= 2.0
+
+
+def test_solve_free_particle_evaluations_per_bracket():
+    # g(q) = G'(q) - t - x/(2 sqrt q) in closed form, over every scan bracket
+    # of free_particle.cfg's grid and q range; a regula-falsi refiner, whose
+    # stale end forces a bisection every other step, averages 15.7 (max 31)
+    run = load_config(
+        str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "free_particle.cfg")
+    )
+    cfg = run.solver
+    q_lo, q_hi = run.q_range
+    counts = []
+    for x in run.axis1:
+        for t in run.axis2:
+            g = lambda q, x=x, t=t: 1.0 - t - x / (2.0 * math.sqrt(q))
+            for br in scan_brackets(g, q_lo, q_hi, cfg.scan_points):
+                calls = [0]
+
+                def counted(q, g=g):
+                    calls[0] += 1
+                    return g(q)
+
+                got = solve_bracketed(counted, br, cfg)
+                exact = x * x / (4.0 * (1.0 - t) ** 2)
+                assert got == pytest.approx(exact, abs=1e-9)
+                counts.append(calls[0])
+    assert len(counts) == len(run.axis1) * len(run.axis2)
+    assert sum(counts) / len(counts) <= 8.0
+    assert max(counts) <= 12
+
+
+@st.composite
+def _bracketed_functions(draw):
+    """(kind, g, sign, lo, hi): sign * g increases through one sign change in [lo, hi]."""
+    kind = draw(st.sampled_from(("monotone", "flat_tailed", "step")))
+    lo = draw(st.floats(-100.0, 100.0))
+    hi = lo + draw(st.floats(1e-6, 10.0))
+    root = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    if kind == "monotone":
+        slope = draw(st.floats(1e-3, 1e3))
+        cubic = draw(st.floats(0.0, 10.0))
+        base = lambda q: slope * (q - root) + cubic * (q - root) ** 3
+    elif kind == "flat_tailed":
+        height = draw(st.floats(1e-3, 1e3))
+        steep = draw(st.floats(1e-2, 1e4))
+        base = lambda q: height * math.tanh(steep * (q - root))
+    else:
+        below = draw(st.floats(1e-6, 1e6))
+        above = draw(st.floats(1e-6, 1e6))
+        base = lambda q: -below if q < root else above
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    return kind, (lambda q: sign * base(q)), sign, lo, hi
+
+
+@settings(deadline=None, database=None)
+@given(_bracketed_functions())
+def test_solve_property_inside_bracket_at_a_sign_change(case):
+    kind, g, sign, lo, hi = case
+    g_lo, g_hi = g(lo), g(hi)
+    assume(g_lo * g_hi <= 0.0)  # false when the drawn root rounds onto an end
+    cfg = SolverConfig()  # default max_iter: a step must still finish
+    got = solve_bracketed(g, Bracket(lo, hi, g_lo, g_hi), cfg)
+    assert lo <= got <= hi
+    if abs(g(got)) <= cfg.resid_tol:
+        assert kind != "step"  # every step value is far above resid_tol
+        return
+    # the stop rule: a sign change within root_tol + 4 eps |got|, plus rounding
+    reach = cfg.root_tol + 5.0 * sys.float_info.epsilon * abs(got)
+    left = sign * g(max(lo, got - reach))
+    right = sign * g(min(hi, got + reach))
+    assert left <= 0.0 <= right
 
 
 def test_locate_roots_dedupes_sample_hits():

@@ -8,18 +8,23 @@ OLD_SRC and NEW_SRC are directories that each hold an ``hjgen`` package
 (a checkout's ``src``).  For each tree this runs ``python3 -m hjgen solve``
 on every config in ``configs/`` next to this script, serially, in a fresh
 temporary directory, and then compares every file the solves wrote (field
-CSVs and reports) and each solve's exit code and standard output.  Exit
-status: 0 when everything is byte-identical, 1 when anything differs, 2 on
-bad arguments.  Uses only the standard library.
+CSVs and reports) and each solve's exit code and standard output.  For a
+field CSV that differs it also prints each numeric column's largest
+absolute change and every status change between the trees.  Exit status:
+0 when everything is byte-identical, 1 when anything differs, 2 on bad
+arguments.  Uses only the standard library.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -45,6 +50,37 @@ def solve_all(src: Path, configs: list[Path], work: Path) -> dict[str, bytes]:
         if path.suffix != ".cfg":
             out[path.name] = path.read_bytes()
     return out
+
+
+def field_drift(old: bytes, new: bytes) -> list[str]:
+    """Max |new - old| per numeric column of two field CSVs, and status changes.
+
+    Rows are matched by position; an empty cell (a point without a value)
+    is left out of its column's maximum.
+    """
+    rows_old = list(csv.reader(io.StringIO(old.decode())))
+    rows_new = list(csv.reader(io.StringIO(new.decode())))
+    head = rows_old[0]
+    if head != rows_new[0] or len(rows_old) != len(rows_new):
+        return [
+            f"layout differs: {len(rows_old) - 1} rows of {','.join(head)} vs "
+            f"{len(rows_new) - 1} rows of {','.join(rows_new[0])}"
+        ]
+    status = head.index("status")
+    numeric = [k for k in range(len(head)) if k != status]
+    drift = dict.fromkeys(numeric, 0.0)
+    moves: Counter[tuple[str, str]] = Counter()
+    for a, b in zip(rows_old[1:], rows_new[1:]):
+        if a[status] != b[status]:
+            moves[a[status], b[status]] += 1
+        for k in numeric:
+            if a[k] and b[k]:
+                drift[k] = max(drift[k], abs(float(b[k]) - float(a[k])))
+    changes = ", ".join(f"{was} -> {now}: {n}" for (was, now), n in sorted(moves.items()))
+    return [
+        "max |diff|: " + ", ".join(f"{head[k]} {drift[k]:.3g}" for k in numeric),
+        "status changes: " + (changes or "none"),
+    ]
 
 
 def main(argv: list[str]) -> int:
@@ -74,6 +110,9 @@ def main(argv: list[str]) -> int:
         else:
             differ += 1
             print(f"DIFFERS {name}")
+            if name.endswith(".csv") and name in old and name in new:
+                for line in field_drift(old[name], new[name]):
+                    print(f"        {line}")
     print(f"{len(configs)} configs, {differ} outputs differ")
     return 1 if differ else 0
 
