@@ -139,7 +139,7 @@ def _oracle_fn(name: str, params: dict[str, str], field):
 
         return free
     if name == "harmonic":
-        gexpr = expr.parse(params.pop("G", "0"))
+        g_fn = expr.compile_function(expr.parse(params.pop("G", "0")), ("q",))
         lookup = {}
         for i, x in enumerate(field.axis1):
             for j, t in enumerate(field.axis2):
@@ -152,7 +152,7 @@ def _oracle_fn(name: str, params: dict[str, str], field):
                 q * t
                 + 0.5 * x * math.sqrt(q - x * x)
                 + 0.5 * q * math.asin(x / math.sqrt(q))
-                - expr.evaluate(gexpr, {"q": q})
+                - g_fn(q)
             )
 
         return harmonic

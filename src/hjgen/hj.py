@@ -23,6 +23,16 @@ Time enters g only additively, and the clipped scan range depends on x
 alone, so :func:`solve_grid` computes the scan samples once per x row and
 every point of the row reuses them; only the root refinement runs per
 point.
+
+Both integrals over [x0, x], of dp/dq in g and of x' dp/dx in F, use
+nested tanh-sinh quadrature (Takahasi & Mori, 1974; see
+:mod:`hjgen.numerics`), whose nodes crowd toward the segment's ends, where
+dp/dq has its inverse-square-root layer near a turning point.  Both
+integrands are (c0 - q c1) / sqrt(q - V(x')) with q-free c0 and c1, so each
+x row keeps one node table (:class:`_RowTable`) holding those coefficients
+and V at every node, and a quadrature at any q is one weighted sum per
+level.  A quadrature that does not converge marks its point
+``domain_fail``, like a domain error.
 """
 
 from __future__ import annotations
@@ -32,9 +42,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expr
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .fields import ActionField, Status, check_axis, pick_root, sweep
-from .numerics import SolverConfig, integrate_adaptive, scan_abscissae
+from .numerics import (
+    SolverConfig,
+    integrate_adaptive,
+    scan_abscissae,
+    tanh_sinh,
+    tanh_sinh_nodes,
+)
 
 __all__ = [
     "HJProblem",
@@ -105,11 +121,13 @@ class HJProblem:
 
 
 def _coefficients(prob: HJProblem, x: float):
-    """a, V and the admissible gap pieces at one abscissa."""
+    """a and V at one abscissa; a must be positive and both finite."""
     a = prob._a_fn(x)
-    if a <= 0.0:
-        raise DomainError(f"kinetic coefficient {a!r} is not positive", where=x)
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"kinetic coefficient {a!r} is not positive and finite", where=x)
     v = prob._v_fn(x)
+    if not math.isfinite(v):
+        raise DomainError(f"potential {v!r} is not finite", where=x)
     return a, v
 
 
@@ -147,7 +165,7 @@ def momentum_partials(prob: HJProblem, x: float, q: float) -> tuple[float, float
 
 
 def _dp_dq(prob: HJProblem, x: float, q: float) -> float:
-    # momentum q-slope only; the constraint quadrature samples this a lot
+    # momentum q-slope at one abscissa: the constraint's base-point term
     a, v = _coefficients(prob, x)
     gap = _gap(prob, x, q, v)
     return prob.sigma / (2.0 * math.sqrt(a * gap))
@@ -158,12 +176,101 @@ def correction_integrand(prob: HJProblem, x: float, q: float) -> float:
     return x * momentum_partials(prob, x, q)[0]
 
 
-def correction_term(prob: HJProblem, x: float, q: float, cfg: SolverConfig) -> float:
-    """F(x, q): quadrature of the correction integrand from x0, plus G(q)."""
-    integral = integrate_adaptive(
-        lambda s: correction_integrand(prob, s, q), prob.x0, x, cfg.quad_tol
-    )
-    return integral + prob.generator_at(q)
+class _RowTable:
+    """Tanh-sinh node data of one x row's quadrature segment [x0, x].
+
+    The panels and levels are those :func:`tanh_sinh` visits on the
+    segment; each (panel, level) is filled on first use and then serves
+    every q of the row, so a quadrature is one weighted sum per level.
+    With node weight w, the dp/dq integral sums c / sqrt(q - V) with
+    c = sigma w / (2 sqrt(a)), and the correction integrand s dp/dx sums
+    (alpha - q beta) / sqrt(q - V) with
+    alpha = sigma w s (a'V - aV') / (2 a sqrt(a)) and
+    beta = sigma w s a' / (2 a sqrt(a)).  Nodes with equal V are merged by
+    summing their coefficients, which is exact; a flat potential leaves
+    one term per level.  Admissibility is checked once per level against
+    the level's largest V.
+    """
+
+    __slots__ = ("prob", "x", "lo", "hi", "sign", "_dq", "_dx")
+
+    def __init__(self, prob: HJProblem, x: float):
+        self.prob = prob
+        self.x = x
+        self.lo, self.hi = min(prob.x0, x), max(prob.x0, x)
+        self.sign = 1.0 if x >= prob.x0 else -1.0
+        # (panel lo, panel hi, level) -> (max V, its abscissa, merged terms)
+        self._dq: dict = {}
+        self._dx: dict = {}
+
+    def dp_dq_integral(self, q: float, tol: float) -> float:
+        """Integral of dp/dq(s, q) over s from x0 to x."""
+        return self._integral(q, tol, False)
+
+    def correction_integral(self, q: float, tol: float) -> float:
+        """Integral of the correction integrand s dp/dx(s, q) from x0 to x."""
+        return self._integral(q, tol, True)
+
+    def _integral(self, q: float, tol: float, correction: bool) -> float:
+        if self.lo == self.hi:
+            return 0.0
+        margin = self.prob.margin(q)
+        cache, build = (self._dx, self._dx_level) if correction else (self._dq, self._dq_level)
+        sqrt = math.sqrt
+
+        def level_sum(lo, hi, level):
+            key = (lo, hi, level)
+            data = cache.get(key)
+            if data is None:
+                # setdefault: a level built twice by racing threads is identical
+                data = cache.setdefault(key, build(lo, hi, level))
+            vmax, where, terms = data
+            if q - vmax < margin:
+                raise DomainError("momentum argument below admissibility margin", where=where)
+            if correction:
+                return sum([(al - q * be) / sqrt(q - v) for v, al, be in terms])
+            return sum([c / sqrt(q - v) for v, c in terms])
+
+        return self.sign * tanh_sinh(level_sum, self.lo, self.hi, tol)
+
+    def _dq_level(self, lo: float, hi: float, level: int):
+        prob = self.prob
+        merged: dict[float, float] = {}
+        vmax, where = -math.inf, lo
+        for s, w in tanh_sinh_nodes(lo, hi, level):
+            av, v = _coefficients(prob, s)
+            if v > vmax:
+                vmax, where = v, s
+            merged[v] = merged.get(v, 0.0) + 0.5 * prob.sigma * w / math.sqrt(av)
+        return vmax, where, tuple(merged.items())
+
+    def _dx_level(self, lo: float, hi: float, level: int):
+        prob = self.prob
+        merged: dict[float, list[float]] = {}
+        vmax, where = -math.inf, lo
+        for s, w in tanh_sinh_nodes(lo, hi, level):
+            av, v = _coefficients(prob, s)
+            a_p, v_p = prob._ap_fn(s), prob._vp_fn(s)
+            if not (math.isfinite(a_p) and math.isfinite(v_p)):
+                raise DomainError("non-finite coefficient slope", where=s)
+            if v > vmax:
+                vmax, where = v, s
+            k = 0.5 * prob.sigma * w * s / (av * math.sqrt(av))
+            terms = merged.setdefault(v, [0.0, 0.0])
+            terms[0] += k * (a_p * v - av * v_p)
+            terms[1] += k * a_p
+        return vmax, where, tuple((v, al, be) for v, (al, be) in merged.items())
+
+
+def correction_term(
+    prob: HJProblem, x: float, q: float, cfg: SolverConfig, _row: Optional[_RowTable] = None
+) -> float:
+    """F(x, q): quadrature of the correction integrand from x0, plus G(q).
+
+    ``_row`` is the x row's :class:`_RowTable`; a fresh one is used without it.
+    """
+    row = _RowTable(prob, x) if _row is None else _row
+    return row.correction_integral(q, cfg.quad_tol) + prob.generator_at(q)
 
 
 def constraint(
@@ -196,12 +303,13 @@ def constraint(
     return _combine(_constraint_terms(prob, x, q, cfg), t)
 
 
-def _constraint_terms(prob: HJProblem, x: float, q: float, cfg: SolverConfig):
+def _constraint_terms(
+    prob: HJProblem, x: float, q: float, cfg: SolverConfig, row: Optional[_RowTable] = None
+):
     """The t-free pieces (G'(q), integral of dp/dq, x0 dp/dq(x0, q)) of g."""
     g_slope = prob.generator_slope_at(q)
-    integral = integrate_adaptive(
-        lambda s: _dp_dq(prob, s, q), prob.x0, x, cfg.quad_tol
-    )
+    row = _RowTable(prob, x) if row is None else row
+    integral = row.dp_dq_integral(q, cfg.quad_tol)
     base = prob.x0 * _dp_dq(prob, prob.x0, q)
     return g_slope, integral, base
 
@@ -229,23 +337,30 @@ def _scan_floor(prob: HJProblem, ceiling: float, q_lo: float) -> float:
 
 
 def _scan_table(
-    prob: HJProblem, x: float, ceiling: float, q_lo: float, q_hi: float, cfg: SolverConfig
+    prob: HJProblem,
+    x: float,
+    ceiling: float,
+    q_lo: float,
+    q_hi: float,
+    cfg: SolverConfig,
+    row: Optional[_RowTable] = None,
 ) -> Optional[dict]:
     """:func:`_constraint_terms` at each scan abscissa of one x row.
 
     The abscissae are those :func:`solve_point` scans for this ``ceiling``;
     ``None`` when the clipped range is empty.  A sample that raises
-    :class:`DomainError` is stored as ``None``, so every point reading the
-    table skips it as the scan would.
+    :class:`DomainError` or :class:`ConvergenceError` is stored as ``None``,
+    so every point reading the table skips it as the scan would.
     """
     lo = _scan_floor(prob, ceiling, q_lo)
     if not lo < q_hi:
         return None
+    row = _RowTable(prob, x) if row is None else row
     table: dict[float, Optional[tuple[float, float, float]]] = {}
     for q in scan_abscissae(lo, q_hi, cfg.scan_points):
         try:
-            table[q] = _constraint_terms(prob, x, q, cfg)
-        except DomainError:
+            table[q] = _constraint_terms(prob, x, q, cfg, row)
+        except (DomainError, ConvergenceError):
             table[q] = None
     return table
 
@@ -260,6 +375,7 @@ def solve_point(
     warm: Optional[float] = None,
     _ceiling: Optional[float] = None,
     _table: Optional[dict] = None,
+    _row: Optional[_RowTable] = None,
 ):
     """Locate the constraint root at one (x, t) point.
 
@@ -268,6 +384,8 @@ def solve_point(
     Continuation semantics match the first-order PDE solver.  ``_table``
     holds this x row's :func:`_scan_table` over the same clipped range;
     g reads its scan samples from there instead of recomputing them.
+    ``_row`` is the row's :class:`_RowTable`; without it the point gets a
+    fresh one.
     """
     if not q_lo < q_hi:
         raise ValueError("solve_point requires q_lo < q_hi")
@@ -279,10 +397,11 @@ def solve_point(
     if not lo < q_hi:
         return None, Status.DOMAIN_FAIL
     table = _table or {}
+    row = _RowTable(prob, x) if _row is None else _row
 
     def g(q):
         if q not in table:
-            return constraint(prob, x, t, q, cfg)
+            return _combine(_constraint_terms(prob, x, q, cfg, row), t)
         terms = table[q]
         if terms is None:
             raise DomainError("scan sample outside the domain", where=q)
@@ -291,9 +410,16 @@ def solve_point(
     return pick_root(g, lo, q_hi, cfg, warm)
 
 
-def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfig) -> float:
+def action_value(
+    prob: HJProblem,
+    x: float,
+    t: float,
+    q: float,
+    cfg: SolverConfig,
+    _row: Optional[_RowTable] = None,
+) -> float:
     """S = x p(x, q) + q t - F(x, q) at the resolved root q."""
-    return x * momentum(prob, x, q) + q * t - correction_term(prob, x, q, cfg)
+    return x * momentum(prob, x, q) + q * t - correction_term(prob, x, q, cfg, _row)
 
 
 def solve_grid(
@@ -314,17 +440,19 @@ def solve_grid(
             ceilings.append(_potential_ceiling(prob, x))
         except DomainError:
             ceilings.append(None)
+    rows = [_RowTable(prob, x) for x in xs]
     # built before the sweep starts, so sweep threads only read the tables
     tables = [
-        None if c is None else _scan_table(prob, x, c, q_lo, q_hi, cfg)
-        for x, c in zip(xs, ceilings)
+        None if c is None else _scan_table(prob, x, c, q_lo, q_hi, cfg, row)
+        for x, c, row in zip(xs, ceilings, rows)
     ]
 
     def point(i, j, warm):
         if ceilings[i] is None:
             return None, Status.DOMAIN_FAIL
         return solve_point(
-            prob, xs[i], ts[j], q_lo, q_hi, cfg, warm, _ceiling=ceilings[i], _table=tables[i]
+            prob, xs[i], ts[j], q_lo, q_hi, cfg, warm,
+            _ceiling=ceilings[i], _table=tables[i], _row=rows[i],
         )
 
     q, status = sweep(point, len(xs), len(ts), threads)
@@ -335,9 +463,9 @@ def solve_grid(
             if q[i][j] is None:
                 continue
             try:
-                value[i][j] = action_value(prob, xs[i], ts[j], q[i][j], cfg)
+                value[i][j] = action_value(prob, xs[i], ts[j], q[i][j], cfg, rows[i])
                 p[i][j] = momentum(prob, xs[i], q[i][j])
-            except DomainError:
+            except (DomainError, ConvergenceError):
                 q[i][j] = None
                 value[i][j] = None
                 p[i][j] = None

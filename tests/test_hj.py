@@ -6,9 +6,15 @@ import sys
 import pytest
 
 from hjgen import hj
-from hjgen.errors import DomainError
+from hjgen.errors import ConvergenceError, DomainError
 from hjgen.fields import Status
-from hjgen.numerics import SolverConfig, central_difference, scan_abscissae
+from hjgen.numerics import (
+    SolverConfig,
+    central_difference,
+    integrate_adaptive,
+    scan_abscissae,
+    tanh_sinh_nodes,
+)
 from hjgen.verify import finite_diff_partials
 
 CFG = SolverConfig(root_tol=1e-12, resid_tol=1e-12, quad_tol=1e-10, scan_points=16)
@@ -330,26 +336,14 @@ def test_grid_cases_reach_clipped_rows_and_failing_samples():
 @pytest.mark.parametrize("n_t", [1, 2, 9])
 def test_scan_samples_evaluated_once_per_row(monkeypatch, n_t):
     xs, q_range = axis(0.15, 0.45, 5), (0.05, 6.0)
-    quads = collections.Counter()  # (upper limit, q) of every dp/dq quadrature
-    open_quads = []
-    real_quad, real_dp_dq = hj.integrate_adaptive, hj._dp_dq
+    quads = collections.Counter()  # (row x, q) of every dp/dq integral
+    real_integral = hj._RowTable.dp_dq_integral
 
-    def counting_quad(f, x0, x1, tol):
-        open_quads.append(set())
-        try:
-            return real_quad(f, x0, x1, tol)
-        finally:
-            qs = open_quads.pop()
-            assert len(qs) <= 1
-            quads.update((x1, q) for q in qs)
+    def counting_integral(row, q, tol):
+        quads[(row.x, q)] += 1
+        return real_integral(row, q, tol)
 
-    def recording_dp_dq(prob, s, q):
-        if open_quads:
-            open_quads[-1].add(q)
-        return real_dp_dq(prob, s, q)
-
-    monkeypatch.setattr(hj, "integrate_adaptive", counting_quad)
-    monkeypatch.setattr(hj, "_dp_dq", recording_dp_dq)
+    monkeypatch.setattr(hj._RowTable, "dp_dq_integral", counting_integral)
     field = hj.solve_grid(OSC, xs, axis(0.2, 0.5, n_t) if n_t > 1 else [0.3], q_range, CFG)
     assert field.resolved_fraction() == 1.0
     scanned = 0
@@ -360,3 +354,69 @@ def test_scan_samples_evaluated_once_per_row(monkeypatch, n_t):
             scanned += 1
     assert scanned == len(xs) * (CFG.scan_points + 1)
     assert sum(quads.values()) > scanned  # the refinement still runs per point
+
+
+def test_bump_roots_below_its_peak_are_not_resolved():
+    # q below the bump's peak V = 1 makes q - V negative on part of the
+    # segment; quadrature nodes that miss the peak must not resolve such a root
+    field = hj.solve_grid(BUMP, [0.95, 1.0], axis(0.2, 0.5, 9), (0.05, 6.0), CFG)
+    for row_q, row_status in zip(field.q, field.status):
+        for q, status in zip(row_q, row_status):
+            assert status is not Status.RESOLVED or q >= 1.0 + BUMP.eps_adm
+
+
+@pytest.mark.parametrize(
+    "prob, x, q",
+    [(OSC_G0, 0.9, 0.81 + 2e-9), (OSC, 0.45, 1.3), (FREE, 1.7, 0.4), (OSC, -0.6, 2.0)],
+    ids=["oscillator_layer", "oscillator", "free_particle", "x_below_x0"],
+)
+def test_row_table_matches_integrate_adaptive(prob, x, q):
+    row = hj._RowTable(prob, x)
+    want = integrate_adaptive(lambda s: hj._dp_dq(prob, s, q), prob.x0, x, CFG.quad_tol)
+    assert abs(row.dp_dq_integral(q, CFG.quad_tol) - want) <= 1e-13
+    want = integrate_adaptive(
+        lambda s: hj.correction_integrand(prob, s, q), prob.x0, x, CFG.quad_tol
+    )
+    assert abs(row.correction_integral(q, CFG.quad_tol) - want) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "prob, x, distinct",
+    [(FREE, 1.3, lambda n: 1), (hj.HJProblem("1", "x^2", "q", x0=-0.5), 0.5, lambda n: (n + 1) // 2)],
+    ids=["flat", "even"],
+)
+def test_row_table_merges_equal_potential_nodes_exactly(prob, x, distinct):
+    # V is constant (flat) or even on a segment symmetric about 0 (even)
+    row = hj._RowTable(prob, x)
+    q = 2.0
+    row.dp_dq_integral(q, CFG.quad_tol)
+    row.correction_integral(q, CFG.quad_tol)
+    for cache, integrand, value in (
+        (row._dq, hj._dp_dq, lambda terms: sum(c / math.sqrt(q - v) for v, c in terms)),
+        (
+            row._dx,
+            hj.correction_integrand,
+            lambda terms: sum((al - q * be) / math.sqrt(q - v) for v, al, be in terms),
+        ),
+    ):
+        assert len(cache) >= 2
+        for (lo, hi, level), (vmax, _, terms) in cache.items():
+            nodes = tanh_sinh_nodes(lo, hi, level)
+            assert len(terms) == distinct(len(nodes))
+            assert vmax == max(prob._v_fn(s) for s, _ in nodes)
+            unmerged = math.fsum(w * integrand(prob, s, q) for s, w in nodes)
+            assert value(terms) == pytest.approx(unmerged, rel=1e-15, abs=1e-300)
+
+
+def test_quadrature_convergence_failure_is_a_domain_failure(monkeypatch):
+    def give_up(row, q, tol):
+        raise ConvergenceError("quadrature not converged")
+
+    xs, ts = axis(0.15, 0.45, 3), axis(0.2, 0.5, 3)
+    monkeypatch.setattr(hj._RowTable, "correction_integral", give_up)
+    field = hj.solve_grid(OSC, xs, ts, (0.05, 6.0), CFG)
+    assert all(s is Status.DOMAIN_FAIL for row in field.status for s in row)
+    assert field.q == field.value == field.p == [[None] * 3] * 3
+    monkeypatch.setattr(hj._RowTable, "dp_dq_integral", give_up)
+    table = hj._scan_table(OSC, 0.3, hj._potential_ceiling(OSC, 0.3), 0.05, 6.0, CFG)
+    assert len(table) == CFG.scan_points + 1 and set(table.values()) == {None}

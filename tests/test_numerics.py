@@ -88,6 +88,18 @@ def test_integrate_endpoint_layer():
     assert got == pytest.approx(exact, abs=1e-8)
 
 
+def test_integrate_interior_kink():
+    # tanh-sinh alone converges only algebraically across the kink and stops
+    # at its level cap 2.4e-8 off; halving the unconverged panel isolates it
+    got = integrate_adaptive(lambda s: abs(s - 1.0 / 3.0), 0.0, 1.0, 1e-10)
+    assert got == pytest.approx(5.0 / 18.0, abs=1e-9)
+
+
+def test_integrate_non_integrable_raises_convergence_error():
+    with pytest.raises(ConvergenceError):
+        integrate_adaptive(lambda s: 1.0 / abs(s - 1.0 / 3.0), 0.0, 1.0, 1e-10)
+
+
 def test_scan_single_bracket():
     brs = scan_brackets(lambda q: q * q - 4.0, 0.0, 3.0, 30)
     assert len(brs) == 1
