@@ -472,9 +472,10 @@ def compile_function(e: Expression, params: tuple[str, ...]):
     """Compile ``e`` into a plain Python function of ``params``.
 
     The result evaluates like :func:`evaluate` with those bindings,
-    converting out-of-domain math errors to :class:`DomainError`; it exists
-    for hot loops where tree walking is too slow.  Every variable of ``e``
-    must appear in ``params``.
+    converting out-of-domain math errors to :class:`DomainError` with
+    :func:`evaluate`'s message, which only the error path re-runs it for;
+    it exists for hot loops where tree walking is too slow.  Every variable
+    of ``e`` must appear in ``params``.
     """
     missing = variables(e) - set(params)
     if missing:
@@ -489,9 +490,24 @@ def compile_function(e: Expression, params: tuple[str, ...]):
         try:
             return raw(*values)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(str(exc)) from None
+            raise DomainError(_domain_message(e, params, values, exc)) from None
 
     return call
+
+
+def _domain_message(e: Expression, params, values, exc: Exception) -> str:
+    """:func:`evaluate`'s message for a compiled closure's math error.
+
+    It names the operation and its argument; ``str(exc)`` when the tree
+    walker does not raise a :class:`DomainError` at the same bindings.
+    """
+    try:
+        evaluate(e, dict(zip(params, values)))
+    except DomainError as err:
+        return str(err)
+    except (ValueError, ArithmeticError):
+        pass
+    return str(exc)
 
 
 _PREC_ADD = 1

@@ -1,5 +1,15 @@
-"""Grid solution containers, the warm-started sweep with its root choice,
-and CSV serialization."""
+"""Grid solution containers, the continuation sweep, the line root solver,
+and CSV serialization.
+
+Every solver's root condition is additive in the grid's second axis (or,
+for scaled_y problems, its first), so a grid line is one t-free function
+inverted at many targets.  :class:`RootLine` scans that function once per
+line and finds each target's brackets from the stored samples;
+:func:`sweep` walks the grid with warm starts and feeds each point a root
+predicted from its row's earlier roots, which :func:`_refine` probes
+before Brent's method (Brent 1973, see :mod:`hjgen.numerics`) finishes
+the bracket.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +19,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from .numerics import SolverConfig, locate_roots
+from .numerics import Bracket, SolverConfig, bracket_pairs, scan_abscissae, solve_bracketed
 
 __all__ = [
     "Status",
@@ -17,7 +27,7 @@ __all__ = [
     "ActionField",
     "check_axis",
     "sweep",
-    "pick_root",
+    "RootLine",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -81,27 +91,75 @@ class ActionField(_Field2D):
     p: list[list[Optional[float]]]
 
 
-PointSolver = Callable[[int, int, Optional[float]], tuple[Optional[float], Status]]
+PointSolver = Callable[
+    [int, int, Optional[float], Optional[tuple[float, float]]],
+    tuple[Optional[float], Status, Optional[float]],
+]
 
 
-def sweep(point_solver: PointSolver, n1: int, n2: int, threads: int = 0):
-    """Row-major warm-started sweep over an n1 x n2 grid.
+_HISTORY = 4  # roots a line's predictor extrapolates through
 
-    Each point is warm-started from its left neighbour; first-column points
-    from the point in the previous row; the origin runs cold.  Column 0 is
-    computed serially, after which rows are mutually independent, so with
-    ``threads > 1`` rows run in a thread pool without changing any
-    warm-start input -- the output is identical to the serial sweep.
+
+def _predict(history, coord: float) -> Optional[tuple[float, float]]:
+    """Extrapolate the earlier roots of a sweep line to ``coord``.
+
+    ``history`` holds up to ``_HISTORY`` (coordinate, root, slope of g at
+    the root) triples, oldest first; the prediction is the Lagrange
+    polynomial through all of them (constant up to cubic), paired with the
+    latest slope.  ``None`` without history.
     """
+    if not history:
+        return None
+    guess = 0.0
+    for k, (ck, rk, _) in enumerate(history):
+        weight = 1.0
+        for m, (cm, _, _) in enumerate(history):
+            if m != k:
+                weight *= (coord - cm) / (ck - cm)
+        guess += weight * rk
+    return guess, history[-1][2]
+
+
+def _extend(history, coord: float, root: Optional[float], slope: Optional[float]) -> None:
+    # a point without a refined root breaks the line's continuation
+    if root is None or slope is None:
+        history.clear()
+        return
+    history.append((coord, root, slope))
+    del history[:-_HISTORY]
+
+
+def sweep(solve: PointSolver, axis1, axis2, threads: int = 0):
+    """Row-major continuation sweep over the axis1 x axis2 grid.
+
+    ``solve(i, j, warm, guess)`` returns ``(root, status, slope)``.  Each
+    point is warm-started from its left neighbour, first-column points
+    from the point in the previous row, and the origin runs cold.  ``guess``
+    is ``(predicted root, slope of g)`` extrapolated from the earlier roots
+    of the same sweep row (of column 0 for first-column points), or
+    ``None``.  Column 0 is computed serially, after which rows are
+    mutually independent and each row's history is its own, so with
+    ``threads > 1`` rows run in a thread pool without changing any input
+    of any point -- the output is identical to the serial sweep.
+    """
+    n1, n2 = len(axis1), len(axis2)
     q: list[list[Optional[float]]] = [[None] * n2 for _ in range(n1)]
     status = [[Status.NO_ROOT] * n2 for _ in range(n1)]
+    rows: list[list] = [[] for _ in range(n1)]
+    column: list = []
     for i in range(n1):
         warm = q[i - 1][0] if i > 0 else None
-        q[i][0], status[i][0] = point_solver(i, 0, warm)
+        q[i][0], status[i][0], slope = solve(i, 0, warm, _predict(column, axis1[i]))
+        _extend(column, axis1[i], q[i][0], slope)
+        _extend(rows[i], axis2[0], q[i][0], slope)
 
     def run_row(i: int):
+        history = rows[i]
         for j in range(1, n2):
-            q[i][j], status[i][j] = point_solver(i, j, q[i][j - 1])
+            q[i][j], status[i][j], slope = solve(
+                i, j, q[i][j - 1], _predict(history, axis2[j])
+            )
+            _extend(history, axis2[j], q[i][j], slope)
 
     if threads and threads > 1 and n1 > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -112,34 +170,143 @@ def sweep(point_solver: PointSolver, n1: int, n2: int, threads: int = 0):
     return q, status
 
 
-def pick_root(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: SolverConfig,
-    warm: Optional[float],
-) -> tuple[Optional[float], Status]:
-    """Scan ``g`` over [lo, hi] and choose one grid point's root and status.
+class RootLine:
+    """One grid line's root condition, inverted at many targets.
 
-    Several roots resolve to the one nearest ``warm`` (continuation) with
-    status ``multi_root``; a ``g`` that vanishes at every scan sample keeps
-    the warm value (or the range midpoint when cold).  Domain and
-    convergence failures never raise, they mark the point ``domain_fail``.
+    Along a grid line every solver's condition is
+    g(q) = combine(terms(q), target): ``terms`` is the line's t-free part,
+    a tuple of floats, and the target (t, y or x) enters only through
+    ``combine``.  The scan samples' terms are computed once, at
+    construction, over ``scan_points`` equal intervals of [lo, hi]; a
+    sample that raises :class:`DomainError` or :class:`ConvergenceError`
+    is left out.  :meth:`solve` then finds a target's brackets from the
+    stored terms alone, so g runs only in the refinement.  The object is
+    not changed by :meth:`solve`, so threads may share it.
     """
-    try:
-        scan = locate_roots(g, lo, hi, cfg)
-    except (DomainError, ConvergenceError):
-        return None, Status.DOMAIN_FAIL
-    if scan.n_valid == 0:
-        return None, Status.DOMAIN_FAIL
-    ref = warm if warm is not None else 0.5 * (lo + hi)
-    if scan.degenerate:
-        return ref, Status.MULTI_ROOT
-    if not scan.roots:
-        return None, Status.NO_ROOT
-    if len(scan.roots) == 1:
-        return scan.roots[0], Status.RESOLVED
-    return min(scan.roots, key=lambda r: (abs(r - ref), r)), Status.MULTI_ROOT
+
+    __slots__ = ("terms", "combine", "lo", "hi", "cfg", "samples")
+
+    def __init__(self, terms, combine, lo: float, hi: float, cfg: SolverConfig):
+        if not lo < hi:
+            raise ValueError("a root line requires lo < hi")
+        self.terms = terms
+        self.combine = combine
+        self.lo, self.hi, self.cfg = lo, hi, cfg
+        self.samples = []
+        for q in scan_abscissae(lo, hi, cfg.scan_points):
+            try:
+                self.samples.append((q, terms(q)))
+            except (DomainError, ConvergenceError):
+                pass
+
+    def scan(self, target: float) -> list[tuple[float, float]]:
+        """(q, g(q)) at the scan samples, in order, from the stored terms.
+
+        A sample whose g is NaN is left out, like one that raised.
+        """
+        combine = self.combine
+        out = []
+        for q, terms in self.samples:
+            v = combine(terms, target)
+            if v == v:
+                out.append((q, v))
+        return out
+
+    def solve(self, target: float, warm: Optional[float] = None, guess=None):
+        """Root and status at one target, and the slope of g at the root.
+
+        Several roots resolve to the one nearest ``warm`` (continuation)
+        with status ``multi_root``; a g that vanishes at every scan sample
+        keeps the warm value (or the range midpoint when cold).  Domain and
+        convergence failures never raise, they mark the point
+        ``domain_fail``.  ``guess`` = (predicted root, slope of g there)
+        only narrows the bracket holding the prediction before Brent's
+        method refines it (:func:`_refine`); the slope is ``None`` when no
+        bracket was refined.
+        """
+        cfg, combine = self.cfg, self.combine
+        samples = self.scan(target)
+        if not samples:
+            return None, Status.DOMAIN_FAIL, None
+        ref = warm if warm is not None else 0.5 * (self.lo + self.hi)
+        if all(abs(v) <= cfg.resid_tol for _, v in samples):
+            return ref, Status.MULTI_ROOT, None
+        brackets = bracket_pairs(samples)
+        if not brackets:
+            return None, Status.NO_ROOT, None
+        line_terms = self.terms
+
+        def g(q):
+            return combine(line_terms(q), target)
+
+        try:
+            found = sorted((_refine(g, br, guess, cfg) for br in brackets), key=lambda r: r[0])
+        except (DomainError, ConvergenceError):
+            return None, Status.DOMAIN_FAIL, None
+        unique = [found[0]]
+        for r in found[1:]:
+            if abs(r[0] - unique[-1][0]) > 10.0 * cfg.root_tol * (1.0 + abs(unique[-1][0])):
+                unique.append(r)
+        if len(unique) == 1:
+            return unique[0][0], Status.RESOLVED, unique[0][1]
+        root, slope = min(unique, key=lambda r: (abs(r[0] - ref), r[0]))
+        return root, Status.MULTI_ROOT, slope
+
+
+# the straddle probe aims this far past the predicted root's Newton step
+_OVERSHOOT = 0.1
+
+
+def _refine(g, br: Bracket, guess, cfg: SolverConfig) -> tuple[float, Optional[float]]:
+    """Brent's method on ``br``, after up to two probes; (root, slope of g).
+
+    With a predicted root p strictly inside ``br``, g is probed at p, then
+    at the Newton step from p with the guessed slope, lengthened by
+    ``_OVERSHOOT`` so that it lands past the root; each probe that keeps a
+    sign change replaces an end of the enclosure.  Brent's method then runs
+    on the tightest enclosure, so the probes change how fast the root is
+    found, never which root.  A probe that raises or is NaN is dropped.
+    The slope is the secant through the last two evaluations that lie
+    apart by at least sqrt(eps) relative, the bracket's ends included.
+    """
+    seen = [(br.lo, br.g_lo), (br.hi, br.g_hi)]
+
+    def traced(q):
+        v = g(q)
+        seen.append((q, v))
+        return v
+
+    if guess is not None and abs(br.g_lo) > cfg.resid_tol and abs(br.g_hi) > cfg.resid_tol:
+        p, slope = guess
+        for _ in range(2):
+            if not br.lo < p < br.hi:
+                break
+            try:
+                v = traced(p)
+            except (DomainError, ConvergenceError):
+                break
+            if v != v:
+                break
+            if abs(v) <= cfg.resid_tol:
+                return p, _slope(seen)
+            if (v < 0.0) == (br.g_lo < 0.0):
+                br = Bracket(p, br.hi, v, br.g_hi)
+            else:
+                br = Bracket(br.lo, p, br.g_lo, v)
+            if not slope:
+                break
+            p -= (1.0 + _OVERSHOOT) * v / slope
+    root = solve_bracketed(traced, br, cfg)
+    return root, _slope(seen)
+
+
+def _slope(seen) -> Optional[float]:
+    # closer than about sqrt(eps) relative, rounding would dominate the secant
+    q1, v1 = seen[-1]
+    for q2, v2 in reversed(seen[:-1]):
+        if abs(q1 - q2) >= 1.5e-8 * (1.0 + abs(q1)):
+            return (v1 - v2) / (q1 - q2)
+    return None
 
 
 def _fmt(v: Optional[float]) -> str:

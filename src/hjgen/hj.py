@@ -20,9 +20,13 @@ never switched at turning points.  Setting dq = 0 instead gives the
 separation-of-variables solution :func:`separation_action`.
 
 Time enters g only additively, and the clipped scan range depends on x
-alone, so :func:`solve_grid` computes the scan samples once per x row and
-every point of the row reuses them; only the root refinement runs per
-point.
+alone, so each x row is one t-free root condition inverted at every t of
+the row (:class:`~hjgen.fields.RootLine`): :func:`solve_grid` computes the
+row's scan samples once, each point finds its brackets from them without
+evaluating g, and g runs only to refine a bracket.  The refinement starts
+from a root predicted by extrapolating the row's earlier roots along t
+and probed from both sides, and Brent's method finishes it; most points of
+the shipped configs take three quadratures.
 
 Both integrals over [x0, x], of dp/dq in g and of x' dp/dx in F, use
 nested tanh-sinh quadrature (Takahasi & Mori, 1974; see
@@ -43,7 +47,7 @@ from typing import Optional
 
 from . import expr
 from .errors import ConvergenceError, DomainError
-from .fields import ActionField, Status, check_axis, pick_root, sweep
+from .fields import ActionField, RootLine, Status, check_axis, sweep
 from .numerics import (
     SolverConfig,
     integrate_adaptive,
@@ -107,6 +111,7 @@ class HJProblem:
         self._vp_fn = expr.compile_function(self._v_prime, ("x",))
         self._g_fn = expr.compile_function(self.generator, ("q",))
         self._gp_fn = expr.compile_function(self._g_prime, ("q",))
+        self._x0_coefficients: Optional[tuple[float, float]] = None
 
     def margin(self, q: float) -> float:
         if self.eps_adm is not None:
@@ -164,9 +169,22 @@ def momentum_partials(prob: HJProblem, x: float, q: float) -> tuple[float, float
     return dp_dx, dp_dq
 
 
-def _dp_dq(prob: HJProblem, x: float, q: float) -> float:
-    # momentum q-slope at one abscissa: the constraint's base-point term
-    a, v = _coefficients(prob, x)
+def _base_coefficients(prob: HJProblem) -> tuple[float, float]:
+    """a and V at x0, computed on first use and kept for the problem.
+
+    A failure is not kept: its :class:`DomainError` is raised again at
+    every use, when a constraint is evaluated, never at construction.
+    """
+    coefficients = prob._x0_coefficients
+    if coefficients is None:
+        # racing threads may both compute it; they store the same pair
+        coefficients = prob._x0_coefficients = _coefficients(prob, prob.x0)
+    return coefficients
+
+
+def _dp_dq(prob: HJProblem, x: float, q: float, coefficients=None) -> float:
+    # momentum q-slope at one abscissa, from a and V there when given
+    a, v = _coefficients(prob, x) if coefficients is None else coefficients
     gap = _gap(prob, x, q, v)
     return prob.sigma / (2.0 * math.sqrt(a * gap))
 
@@ -310,7 +328,7 @@ def _constraint_terms(
     g_slope = prob.generator_slope_at(q)
     row = _RowTable(prob, x) if row is None else row
     integral = row.dp_dq_integral(q, cfg.quad_tol)
-    base = prob.x0 * _dp_dq(prob, prob.x0, q)
+    base = prob.x0 * _dp_dq(prob, prob.x0, q, _base_coefficients(prob))
     return g_slope, integral, base
 
 
@@ -336,33 +354,30 @@ def _scan_floor(prob: HJProblem, ceiling: float, q_lo: float) -> float:
     return max(q_lo, ceiling + 2.0 * margin + 4e-15 * (1.0 + abs(ceiling)))
 
 
-def _scan_table(
+def _root_line(
     prob: HJProblem,
     x: float,
-    ceiling: float,
     q_lo: float,
     q_hi: float,
     cfg: SolverConfig,
     row: Optional[_RowTable] = None,
-) -> Optional[dict]:
-    """:func:`_constraint_terms` at each scan abscissa of one x row.
+) -> Optional[RootLine]:
+    """The x row's root condition over its clipped scan range.
 
-    The abscissae are those :func:`solve_point` scans for this ``ceiling``;
-    ``None`` when the clipped range is empty.  A sample that raises
-    :class:`DomainError` or :class:`ConvergenceError` is stored as ``None``,
-    so every point reading the table skips it as the scan would.
+    The range [q_lo, q_hi] is clipped above the potential ceiling plus the
+    admissibility margin; ``None`` (a domain failure of every point of the
+    row) when the clipped range is empty or the ceiling raises.  ``row`` is
+    the row's :class:`_RowTable`; a fresh one is used without it.
     """
+    try:
+        ceiling = _potential_ceiling(prob, x)
+    except DomainError:
+        return None
     lo = _scan_floor(prob, ceiling, q_lo)
     if not lo < q_hi:
         return None
     row = _RowTable(prob, x) if row is None else row
-    table: dict[float, Optional[tuple[float, float, float]]] = {}
-    for q in scan_abscissae(lo, q_hi, cfg.scan_points):
-        try:
-            table[q] = _constraint_terms(prob, x, q, cfg, row)
-        except (DomainError, ConvergenceError):
-            table[q] = None
-    return table
+    return RootLine(lambda q: _constraint_terms(prob, x, q, cfg, row), _combine, lo, q_hi, cfg)
 
 
 def solve_point(
@@ -373,41 +388,20 @@ def solve_point(
     q_hi: float,
     cfg: SolverConfig,
     warm: Optional[float] = None,
-    _ceiling: Optional[float] = None,
-    _table: Optional[dict] = None,
-    _row: Optional[_RowTable] = None,
 ):
     """Locate the constraint root at one (x, t) point.
 
-    The scan range is first clipped above the potential ceiling plus the
-    admissibility margin; an empty clipped range is a domain failure.
-    Continuation semantics match the first-order PDE solver.  ``_table``
-    holds this x row's :func:`_scan_table` over the same clipped range;
-    g reads its scan samples from there instead of recomputing them.
-    ``_row`` is the row's :class:`_RowTable`; without it the point gets a
-    fresh one.
+    A one-target :class:`~hjgen.fields.RootLine` over the clipped scan
+    range, without a continuation predictor; an empty clipped range is a
+    domain failure.  Continuation semantics match the first-order PDE
+    solver.
     """
     if not q_lo < q_hi:
         raise ValueError("solve_point requires q_lo < q_hi")
-    try:
-        ceiling = _potential_ceiling(prob, x) if _ceiling is None else _ceiling
-    except DomainError:
+    line = _root_line(prob, x, q_lo, q_hi, cfg)
+    if line is None:
         return None, Status.DOMAIN_FAIL
-    lo = _scan_floor(prob, ceiling, q_lo)
-    if not lo < q_hi:
-        return None, Status.DOMAIN_FAIL
-    table = _table or {}
-    row = _RowTable(prob, x) if _row is None else _row
-
-    def g(q):
-        if q not in table:
-            return _combine(_constraint_terms(prob, x, q, cfg, row), t)
-        terms = table[q]
-        if terms is None:
-            raise DomainError("scan sample outside the domain", where=q)
-        return _combine(terms, t)
-
-    return pick_root(g, lo, q_hi, cfg, warm)
+    return line.solve(t, warm)[:2]
 
 
 def action_value(
@@ -434,28 +428,18 @@ def solve_grid(
     xs = check_axis(x_grid)
     ts = check_axis(t_grid)
     q_lo, q_hi = q_range
-    ceilings: list[Optional[float]] = []
-    for x in xs:
-        try:
-            ceilings.append(_potential_ceiling(prob, x))
-        except DomainError:
-            ceilings.append(None)
+    if not q_lo < q_hi:
+        raise ValueError("solve_grid requires q_lo < q_hi")
     rows = [_RowTable(prob, x) for x in xs]
-    # built before the sweep starts, so sweep threads only read the tables
-    tables = [
-        None if c is None else _scan_table(prob, x, c, q_lo, q_hi, cfg, row)
-        for x, c, row in zip(xs, ceilings, rows)
-    ]
+    # built before the sweep starts, so sweep threads only read the lines
+    lines = [_root_line(prob, x, q_lo, q_hi, cfg, row) for x, row in zip(xs, rows)]
 
-    def point(i, j, warm):
-        if ceilings[i] is None:
-            return None, Status.DOMAIN_FAIL
-        return solve_point(
-            prob, xs[i], ts[j], q_lo, q_hi, cfg, warm,
-            _ceiling=ceilings[i], _table=tables[i], _row=rows[i],
-        )
+    def point(i, j, warm, guess):
+        if lines[i] is None:
+            return None, Status.DOMAIN_FAIL, None
+        return lines[i].solve(ts[j], warm, guess)
 
-    q, status = sweep(point, len(xs), len(ts), threads)
+    q, status = sweep(point, xs, ts, threads)
     value: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     p: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     for i in range(len(xs)):

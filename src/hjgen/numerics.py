@@ -2,7 +2,9 @@
 
 All operations are pure.  Functions passed in may raise
 :class:`~hjgen.errors.DomainError` at points outside their domain; the
-bracket scan skips such samples, the quadrature propagates them.
+quadrature propagates it.  The bracket scan itself lives in
+:class:`hjgen.fields.RootLine`, which samples at :func:`scan_abscissae`
+and pairs the samples with :func:`bracket_pairs`.
 
 Quadrature is nested tanh-sinh (H. Takahasi and M. Mori, "Double
 exponential formulas for numerical integration", Publ. RIMS 9, 1974):
@@ -29,13 +31,11 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "Bracket",
     "SolverConfig",
-    "RootScan",
     "integrate_adaptive",
     "tanh_sinh",
     "tanh_sinh_nodes",
-    "scan_brackets",
+    "bracket_pairs",
     "solve_bracketed",
-    "locate_roots",
     "scan_abscissae",
     "central_difference",
 ]
@@ -203,26 +203,8 @@ def scan_abscissae(lo: float, hi: float, n: int) -> list[float]:
     return points
 
 
-def _scan_samples(g, lo, hi, n):
-    """Sample g at n+1 equispaced points, dropping failed samples and NaNs.
-
-    A sample fails when g raises :class:`DomainError`, or
-    :class:`ConvergenceError` from a quadrature inside it.
-    """
-    samples = []
-    for x in scan_abscissae(lo, hi, n):
-        try:
-            v = g(x)
-        except (DomainError, ConvergenceError):
-            continue
-        if math.isnan(v):
-            continue
-        samples.append((x, v))
-    return samples
-
-
-def _bracket_pairs(samples) -> list[Bracket]:
-    """Adjacent sample pairs enclosing a sign change.
+def bracket_pairs(samples) -> list[Bracket]:
+    """Adjacent (abscissa, value) sample pairs enclosing a sign change.
 
     A zero exactly at a sample closes the pair on its left (or opens the
     very first pair), so a root hit by the scan grid is reported once.
@@ -236,17 +218,6 @@ def _bracket_pairs(samples) -> list[Bracket]:
         elif v1 == 0.0 and v2 != 0.0 and k == 0:
             out.append(Bracket(x1, x2, v1, v2))
     return out
-
-
-def scan_brackets(
-    g: Callable[[float], float], lo: float, hi: float, n: int
-) -> list[Bracket]:
-    """Every adjacent surviving sample pair with a sign change, in order."""
-    if not lo < hi:
-        raise ValueError("scan requires lo < hi")
-    if n < 2:
-        raise ValueError("scan requires n >= 2")
-    return _bracket_pairs(_scan_samples(g, lo, hi, n))
 
 
 def solve_bracketed(
@@ -317,37 +288,6 @@ def solve_bracketed(
         f"root not isolated after {cfg.max_iter} iterations",
         bracket=Bracket(b, c, fb, fc) if b < c else Bracket(c, b, fc, fb),
     )
-
-
-@dataclass(frozen=True)
-class RootScan:
-    """Outcome of a scan-and-refine pass over one axis interval."""
-
-    roots: tuple[float, ...]
-    degenerate: bool  # constraint vanished (within resid_tol) at every sample
-    n_valid: int  # samples that evaluated successfully
-
-
-def locate_roots(
-    g: Callable[[float], float], lo: float, hi: float, cfg: SolverConfig
-) -> RootScan:
-    """Scan [lo, hi], refine every sign change, and deduplicate the roots."""
-    samples = _scan_samples(g, lo, hi, cfg.scan_points)
-    if not samples:
-        return RootScan((), False, 0)
-    if all(abs(v) <= cfg.resid_tol for _, v in samples):
-        return RootScan((), True, len(samples))
-    roots: list[float] = []
-    for br in _bracket_pairs(samples):
-        roots.append(solve_bracketed(g, br, cfg))
-    if not roots:
-        return RootScan((), False, len(samples))
-    roots.sort()
-    unique = [roots[0]]
-    for r in roots[1:]:
-        if abs(r - unique[-1]) > 10.0 * cfg.root_tol * (1.0 + abs(unique[-1])):
-            unique.append(r)
-    return RootScan(tuple(unique), False, len(samples))
 
 
 def central_difference(f: Callable[[float], float], x: float, h: float) -> float:

@@ -18,6 +18,12 @@ One global sign convention is used throughout: the constraint returned by
 :func:`solution_value` with respect to the root variable, so solving it is
 a stationarity condition and the PDE identities u_x, u_y follow wherever a
 root is found.
+
+Each condition is additive in one axis: explicit and scaled_x conditions
+are h_x(q) + y, scaled_y conditions h_y(p) + x.  :func:`solve_grid`
+therefore solves each x row (each y column for scaled_y) as one
+:class:`~hjgen.fields.RootLine`, whose scan samples are computed once per
+line; points then evaluate the condition only to refine their brackets.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Optional
 
 from . import expr
 from .errors import DomainError
-from .fields import SolutionField, Status, check_axis, pick_root, sweep
+from .fields import RootLine, SolutionField, Status, check_axis, sweep
 from .numerics import SolverConfig
 
 __all__ = ["KINDS", "PQProblem", "constraint", "solve_point", "solution_value", "solve_grid"]
@@ -114,16 +120,37 @@ class PQProblem:
         return self._ratiop_fn(v)
 
 
+def _line_terms(prob: PQProblem, v: float):
+    """The t-free terms of the root condition on one grid line, as a function of q.
+
+    The line is x = v (y = v for scaled_y problems); the other coordinate
+    is the target that :func:`_combine` adds.
+    """
+    if prob.kind == "explicit":
+        return lambda q: (v * prob._fp_fn(q), prob._phip_fn(q))
+    if prob.kind == "scaled_x":
+        return lambda q: (prob._ratio_fn(v) * prob._gp_fn(q), prob._phip_fn(q))
+    return lambda q: (prob._gp_fn(q) * prob._ratio_fn(v), prob._phip_fn(q))
+
+
+def _combine(terms, target: float) -> float:
+    # the shipped operand order: slope term + target - phi'(q)
+    slope_term, phi_slope = terms
+    return slope_term + target - phi_slope
+
+
+def _line(prob: PQProblem, x: float, y: float):
+    """(line coordinate, target) of the point (x, y)."""
+    return (y, x) if prob.kind == "scaled_y" else (x, y)
+
+
 def constraint(prob: PQProblem, x: float, y: float, q: float) -> float:
     """Root condition at (x, y); equals d(solution_value)/dq analytically.
 
     For scaled_y problems ``q`` is the momentum-like root variable p.
     """
-    if prob.kind == "explicit":
-        return x * prob._fp_fn(q) + y - prob._phip_fn(q)
-    if prob.kind == "scaled_x":
-        return prob._ratio_fn(x) * prob._gp_fn(q) + y - prob._phip_fn(q)
-    return prob._gp_fn(q) * prob._ratio_fn(y) + x - prob._phip_fn(q)
+    v, target = _line(prob, x, y)
+    return _combine(_line_terms(prob, v)(q), target)
 
 
 def solution_value(prob: PQProblem, x: float, y: float, q: float) -> float:
@@ -146,18 +173,17 @@ def solve_point(
 ):
     """Locate the constraint root at one grid point.
 
-    Returns ``(root, status)``.  Several roots resolve to the one nearest
-    ``warm`` (continuation) with status ``multi_root``; a constraint that
-    vanishes identically over the scan keeps the warm value (or the range
-    midpoint when cold).  Domain failures never raise, they mark the point.
+    Returns ``(root, status)`` from a one-target
+    :class:`~hjgen.fields.RootLine`, without a continuation predictor.
+    Several roots resolve to the one nearest ``warm`` (continuation) with
+    status ``multi_root``; a constraint that vanishes identically over the
+    scan keeps the warm value (or the range midpoint when cold).  Domain
+    failures never raise, they mark the point.
     """
     if not q_lo < q_hi:
         raise ValueError("solve_point requires q_lo < q_hi")
-
-    def g(q):
-        return constraint(prob, x, y, q)
-
-    return pick_root(g, q_lo, q_hi, cfg, warm)
+    v, target = _line(prob, x, y)
+    return RootLine(_line_terms(prob, v), _combine, q_lo, q_hi, cfg).solve(target, warm)[:2]
 
 
 def solve_grid(
@@ -168,15 +194,25 @@ def solve_grid(
     cfg: SolverConfig,
     threads: int = 0,
 ) -> SolutionField:
-    """Warm-started row-major sweep of :func:`solve_point` over the grid."""
+    """Continuation sweep over the grid, one :class:`~hjgen.fields.RootLine` per line.
+
+    The lines are the x rows, or the y columns for scaled_y problems; each
+    line's scan samples are computed once, before the sweep.
+    """
     xs = check_axis(x_grid)
     ys = check_axis(y_grid)
     q_lo, q_hi = q_range
+    by_column = prob.kind == "scaled_y"
+    lines = [
+        RootLine(_line_terms(prob, v), _combine, q_lo, q_hi, cfg) for v in (ys if by_column else xs)
+    ]
 
-    def point(i, j, warm):
-        return solve_point(prob, xs[i], ys[j], q_lo, q_hi, cfg, warm)
+    def point(i, j, warm, guess):
+        if by_column:
+            return lines[j].solve(xs[i], warm, guess)
+        return lines[i].solve(ys[j], warm, guess)
 
-    q, status = sweep(point, len(xs), len(ys), threads)
+    q, status = sweep(point, xs, ys, threads)
     value: list[list[Optional[float]]] = [[None] * len(ys) for _ in xs]
     for i in range(len(xs)):
         for j in range(len(ys)):

@@ -201,6 +201,42 @@ max_residual = 1e-3
     ) == 1
 
 
+def test_oracle_domain_error_names_the_operation(tmp_path, capsys):
+    # G = ln(q - 0.5) leaves its domain at the field's roots below q = 0.5;
+    # the compiled generator must report the operation and its argument
+    cfg = tmp_path / "osc.cfg"
+    field = tmp_path / "osc.csv"
+    cfg.write_text(
+        """
+[problem]
+type = hj
+a = "1"
+V = "x^2"
+G = "q^2/2"
+eps_adm = 1e-3
+
+[grid]
+x = 0.15:0.45:5
+t = 0.2:0.5:5
+
+[solver]
+scan_points = 16
+q_min = 0.05
+q_max = 6
+
+[output]
+field = {field}
+max_residual = 1e-3
+""".format(field=field)
+    )
+    assert main(["solve", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "harmonic", str(field), "--param", "G=ln(q-0.5)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ln argument -0.")
+    assert err.rstrip().endswith("must be positive")
+
+
 def test_oracle_separation_matches_free_particle_closed_form(tmp_path):
     # build a field whose S column holds the separated solution x + t
     field = tmp_path / "sep.csv"

@@ -233,6 +233,20 @@ def test_compiled_function_matches_evaluate():
                 assert got == want
 
 
+def test_compiled_domain_error_names_the_operation():
+    fn = expr.compile_function(expr.parse("ln(q - 0.5)"), ("q",))
+    with pytest.raises(DomainError) as err:
+        fn(0.25)
+    assert str(err.value) == "ln argument -0.25 must be positive"
+    with pytest.raises(DomainError) as err:
+        expr.compile_function(expr.parse("1/(x - 2)"), ("x",))(2.0)
+    assert str(err.value) == "division by zero"
+    # the tree walker raises no DomainError for sin(inf): the math message stays
+    with pytest.raises(DomainError) as err:
+        expr.compile_function(expr.parse("sin(x)"), ("x",))(math.inf)
+    assert str(err.value) == "math domain error"
+
+
 def test_compiled_function_rejects_unbound():
     with pytest.raises(EvalError):
         expr.compile_function(expr.parse("x + z"), ("x",))

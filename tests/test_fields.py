@@ -1,8 +1,13 @@
-import pytest
+import math
 
-from hjgen.errors import ConfigError
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hjgen.errors import ConfigError, ConvergenceError, DomainError
 from hjgen.fields import (
     ActionField,
+    RootLine,
     SolutionField,
     Status,
     check_axis,
@@ -10,6 +15,7 @@ from hjgen.fields import (
     sweep,
     write_field_csv,
 )
+from hjgen.numerics import SolverConfig, bracket_pairs, scan_abscissae, solve_bracketed
 
 
 def test_check_axis():
@@ -112,11 +118,11 @@ def test_read_rejects_incomplete_grid(tmp_path):
 def _sweep_orders(threads):
     calls = []
 
-    def solver(i, j, warm):
+    def solver(i, j, warm, guess):
         calls.append((i, j, warm))
-        return 10.0 * i + j, Status.RESOLVED
+        return 10.0 * i + j, Status.RESOLVED, 1.0
 
-    q, status = sweep(solver, 3, 4, threads)
+    q, status = sweep(solver, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], threads)
     return q, status, calls
 
 
@@ -134,3 +140,112 @@ def test_sweep_threaded_matches_serial():
     serial = _sweep_orders(0)[0]
     threaded = _sweep_orders(4)[0]
     assert serial == threaded
+
+
+def test_sweep_guesses_extrapolate_each_row():
+    # roots linear in both coordinates, so any prediction from two or more
+    # earlier roots of the same sweep line is exact
+    guesses = {}
+
+    def solver(i, j, warm, guess):
+        guesses[(i, j)] = guess
+        if (i, j) == (1, 1):
+            return None, Status.NO_ROOT, None
+        return 2.0 * i + 3.0 * j, Status.RESOLVED, 0.5 + i
+
+    sweep(solver, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0])
+    assert guesses[(0, 0)] is None  # the origin has no history
+    assert guesses[(2, 0)] == (4.0, 1.5)  # down column 0
+    assert guesses[(0, 1)] == (0.0, 0.5)  # one earlier root: held constant
+    assert guesses[(2, 4)] == (16.0, 2.5)  # cubic through the last four
+    assert guesses[(1, 2)] is None  # a point without a root breaks the line
+    assert guesses[(1, 3)] == (8.0, 1.5)
+
+
+def reference_point(g, lo, hi, cfg, warm):
+    """One point solved on its own: the scan, then Brent's method from every
+    coarse bracket, with the line solver's status rules."""
+    samples = []
+    for q in scan_abscissae(lo, hi, cfg.scan_points):
+        try:
+            v = g(q)
+        except (DomainError, ConvergenceError):
+            continue
+        if not math.isnan(v):
+            samples.append((q, v))
+    if not samples:
+        return None, Status.DOMAIN_FAIL
+    ref = warm if warm is not None else 0.5 * (lo + hi)
+    if all(abs(v) <= cfg.resid_tol for _, v in samples):
+        return ref, Status.MULTI_ROOT
+    try:
+        roots = sorted(solve_bracketed(g, br, cfg) for br in bracket_pairs(samples))
+    except (DomainError, ConvergenceError):
+        return None, Status.DOMAIN_FAIL
+    if not roots:
+        return None, Status.NO_ROOT
+    unique = [roots[0]]
+    for r in roots[1:]:
+        if abs(r - unique[-1]) > 10.0 * cfg.root_tol * (1.0 + abs(unique[-1])):
+            unique.append(r)
+    if len(unique) == 1:
+        return unique[0], Status.RESOLVED
+    return min(unique, key=lambda r: (abs(r - ref), r)), Status.MULTI_ROOT
+
+
+@st.composite
+def _lines(draw):
+    """(h, lo, hi, scan_points, targets): a t-free h and a sorted target axis."""
+    lo = draw(st.floats(-5.0, 5.0))
+    hi = lo + draw(st.floats(0.5, 10.0))
+    mid = 0.5 * (lo + hi)
+    if draw(st.booleans()):  # monotone
+        a = draw(st.floats(0.1, 10.0))
+        b = draw(st.floats(0.0, 3.0))
+        c = draw(st.floats(0.0, 5.0))
+        d = draw(st.floats(0.1, 5.0))
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        h = lambda q: sign * (a * (q - mid) + b * (q - mid) ** 3 + c * math.tanh(d * (q - mid)))
+        periods = 0.5
+    else:  # a tilted wave with up to three periods on [lo, hi]
+        amp = draw(st.floats(0.5, 5.0))
+        periods = draw(st.floats(0.2, 3.0))
+        k = 2.0 * math.pi * periods / (hi - lo)
+        phase = draw(st.floats(0.0, 2.0 * math.pi))
+        tilt = draw(st.floats(-1.0, 1.0))
+        h = lambda q: amp * math.sin(k * (q - lo) + phase) + tilt * (q - lo)
+    n = draw(st.integers(max(4, math.ceil(8 * periods)), 48))
+    values = [h(q) for q in scan_abscissae(lo, hi, 4 * n)]
+    t_lo, t_hi = min(values) - 0.5, max(values) + 0.5
+    if draw(st.booleans()):  # an evenly spaced axis, as on a grid
+        m = draw(st.integers(1, 40))
+        targets = [t_lo + (t_hi - t_lo) * j / m for j in range(m + 1)]
+    else:
+        targets = sorted(set(draw(st.lists(st.floats(t_lo, t_hi), min_size=1, max_size=25))))
+    return h, lo, hi, n, targets
+
+
+@settings(deadline=None, database=None)
+@given(_lines())
+def test_line_solver_matches_point_reference(case):
+    h, lo, hi, n, targets = case
+    cfg = SolverConfig(scan_points=n)
+    line = RootLine(lambda q: (h(q),), lambda terms, t: terms[0] - t, lo, hi, cfg)
+    q, status = sweep(lambda i, j, warm, guess: line.solve(targets[j], warm, guess),
+                      [0.0], targets)
+    warm = None
+    for j, t in enumerate(targets):
+        g = lambda v, t=t: h(v) - t
+        want, want_status = reference_point(g, lo, hi, cfg, warm)
+        # conditioning: one sign change per coarse bracket, and a slope that
+        # turns the resid_tol stop into a root error far below 1e-10
+        for br in bracket_pairs([(v, g(v)) for v in scan_abscissae(lo, hi, n)]):
+            fine = [g(v) for v in scan_abscissae(br.lo, br.hi, 64)]
+            assume(sum(1 for a, b in zip(fine, fine[1:]) if a * b < 0.0) <= 1)
+        if want is not None:
+            assume(abs(h(want + 1e-7) - h(want - 1e-7)) >= 0.1 * 2e-7)
+        assert status[0][j] is want_status
+        assert (q[0][j] is None) == (want is None)
+        if want is not None:
+            assert abs(q[0][j] - want) <= 1e-10
+        warm = want

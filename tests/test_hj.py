@@ -1,11 +1,13 @@
 import collections
 import math
+import pathlib
 import random
 import sys
 
 import pytest
 
 from hjgen import hj
+from hjgen.config import load_config
 from hjgen.errors import ConvergenceError, DomainError
 from hjgen.fields import Status
 from hjgen.numerics import (
@@ -18,6 +20,7 @@ from hjgen.numerics import (
 from hjgen.verify import finite_diff_partials
 
 CFG = SolverConfig(root_tol=1e-12, resid_tol=1e-12, quad_tol=1e-10, scan_points=16)
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 FREE = hj.HJProblem("1", "0", "q", sigma=1, x0=0.0)
 OSC = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0, eps_adm=1e-3)
@@ -120,6 +123,29 @@ def test_constraint_oscillator_root_relation():
     for _ in range(500):
         ref = 0.5 + 0.5 * math.asin(1.0 / math.sqrt(ref))
     assert q == pytest.approx(ref, abs=1e-9)
+
+
+def test_base_point_coefficients_once_per_problem(monkeypatch):
+    prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.2)
+    calls = collections.Counter()
+    real = hj._coefficients
+
+    def counting(p, x):
+        calls[x] += 1
+        return real(p, x)
+
+    monkeypatch.setattr(hj, "_coefficients", counting)
+    row = hj._RowTable(prob, 0.7)
+    first = hj._constraint_terms(prob, 0.7, 2.0, CFG, row)  # fills the row's levels
+    calls.clear()
+    for _ in range(3):  # the same q reuses those levels: no node is evaluated
+        assert hj._constraint_terms(prob, 0.7, 2.0, CFG, row) == first
+    assert calls[0.2] == 0  # nor a and V at x0 for the base-point term
+    # a(x0) = 0: construction succeeds, every evaluation raises
+    bad = hj.HJProblem("x", "0", "q", sigma=1, x0=0.0)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            hj.constraint(bad, 1.0, 0.0, 2.0, CFG)
 
 
 def test_constraint_at_base_point_is_time_independent_of_x():
@@ -287,7 +313,8 @@ def test_solve_grid_threaded_bitwise_identical():
 
 
 def point_loop(prob, xs, ts, q_range, cfg):
-    """solve_point at every point with the sweep's warm starts, no row tables."""
+    """solve_point at every point with the sweep's warm starts: a scan and
+    Brent's method from the coarse bracket, no row tables, no predictor."""
     q = [[None] * len(ts) for _ in xs]
     status = [[None] * len(ts) for _ in xs]
     for i, x in enumerate(xs):
@@ -299,10 +326,8 @@ def point_loop(prob, xs, ts, q_range, cfg):
     return q, status
 
 
-def row_tables(prob, xs, q_range, cfg):
-    return [
-        hj._scan_table(prob, x, hj._potential_ceiling(prob, x), *q_range, cfg) for x in xs
-    ]
+def root_lines(prob, xs, q_range, cfg):
+    return [hj._root_line(prob, x, *q_range, cfg) for x in xs]
 
 
 @pytest.mark.parametrize(
@@ -317,20 +342,26 @@ def row_tables(prob, xs, q_range, cfg):
     ids=["free_particle", "harmonic", "clipped_rows", "failing_scan_samples"],
 )
 def test_solve_grid_matches_point_loop_bitwise(prob, xs, ts, q_range):
+    # the grid's continuation predictor moves where Brent's method stops
+    # inside the same tolerance, so roots agree to the 1e-10 drift gate, not
+    # bitwise; the statuses must agree exactly
     field = hj.solve_grid(prob, xs, ts, q_range, CFG)
     q, status = point_loop(prob, xs, ts, q_range, CFG)
-    assert field.q == q
     assert field.status == status
+    for got_row, want_row in zip(field.q, q):
+        for got, want in zip(got_row, want_row):
+            assert (got is None) == (want is None)
+            assert got is None or abs(got - want) <= 1e-10
     assert any(s is not Status.DOMAIN_FAIL for row in status for s in row)
 
 
 def test_grid_cases_reach_clipped_rows_and_failing_samples():
     # the two edge cases of the loop comparison above really occur
-    clipped = row_tables(OSC_G0, axis(0.3, 0.9, 7), (0.01, 0.5), CFG)
-    assert None in clipped and any(t is not None for t in clipped)
-    bumpy = row_tables(BUMP, axis(0.7, 1.1, 9), (0.05, 6.0), CFG)
-    assert any(None in t.values() for t in bumpy)
-    assert all(any(v is not None for v in t.values()) for t in bumpy)
+    clipped = root_lines(OSC_G0, axis(0.3, 0.9, 7), (0.01, 0.5), CFG)
+    assert None in clipped and any(line is not None for line in clipped)
+    bumpy = root_lines(BUMP, axis(0.7, 1.1, 9), (0.05, 6.0), CFG)
+    assert any(len(line.samples) < CFG.scan_points + 1 for line in bumpy)
+    assert all(line.samples for line in bumpy)
 
 
 @pytest.mark.parametrize("n_t", [1, 2, 9])
@@ -418,5 +449,24 @@ def test_quadrature_convergence_failure_is_a_domain_failure(monkeypatch):
     assert all(s is Status.DOMAIN_FAIL for row in field.status for s in row)
     assert field.q == field.value == field.p == [[None] * 3] * 3
     monkeypatch.setattr(hj._RowTable, "dp_dq_integral", give_up)
-    table = hj._scan_table(OSC, 0.3, hj._potential_ceiling(OSC, 0.3), 0.05, 6.0, CFG)
-    assert len(table) == CFG.scan_points + 1 and set(table.values()) == {None}
+    line = hj._root_line(OSC, 0.3, 0.05, 6.0, CFG)
+    assert line.samples == []
+    assert line.solve(0.3)[:2] == (None, Status.DOMAIN_FAIL)
+
+
+@pytest.mark.parametrize("name, bound", [("free_particle", 4.5), ("harmonic", 3.7)])
+def test_shipped_config_quadratures_per_point(monkeypatch, name, bound):
+    # dp/dq quadratures per grid point, the row's scan samples included;
+    # solving each point from its coarse brackets takes 7.04 and 4.49
+    run = load_config(str(CONFIGS / f"{name}.cfg"))
+    quads = [0]
+    real_integral = hj._RowTable.dp_dq_integral
+
+    def counting_integral(row, q, tol):
+        quads[0] += 1
+        return real_integral(row, q, tol)
+
+    monkeypatch.setattr(hj._RowTable, "dp_dq_integral", counting_integral)
+    field = hj.solve_grid(run.problem, run.axis1, run.axis2, run.q_range, run.solver)
+    assert field.resolved_fraction() == 1.0
+    assert quads[0] / (len(run.axis1) * len(run.axis2)) <= bound

@@ -9,16 +9,29 @@ from hypothesis import strategies as st
 
 from hjgen.config import load_config
 from hjgen.errors import ConvergenceError, DomainError
+from hjgen.fields import RootLine, Status
 from hjgen.numerics import (
     Bracket,
     SolverConfig,
+    bracket_pairs,
     central_difference,
     integrate_adaptive,
-    locate_roots,
     scan_abscissae,
-    scan_brackets,
     solve_bracketed,
 )
+
+
+def root_line(g, lo, hi, n):
+    """A line whose root condition at target 0 is g itself."""
+    return RootLine(
+        lambda q: (g(q),), lambda terms, target: terms[0] - target, lo, hi,
+        SolverConfig(scan_points=n),
+    )
+
+
+def scan_brackets(g, lo, hi, n):
+    """The sign-change brackets a line scan of g over [lo, hi] finds."""
+    return bracket_pairs(root_line(g, lo, hi, n).scan(0.0))
 
 
 def test_config_validation():
@@ -272,25 +285,26 @@ def test_solve_property_inside_bracket_at_a_sign_change(case):
     assert left <= 0.0 <= right
 
 
-def test_locate_roots_dedupes_sample_hits():
+def test_root_line_dedupes_sample_hits():
     # root exactly on a scan sample shows up in two adjacent brackets
-    cfg = SolverConfig(scan_points=10)
-    scan = locate_roots(lambda q: q - 0.5, 0.0, 1.0, cfg)
-    assert not scan.degenerate
-    assert len(scan.roots) == 1
-    assert scan.roots[0] == pytest.approx(0.5, abs=1e-12)
+    q, status, _ = root_line(lambda q: q - 0.5, 0.0, 1.0, 10).solve(0.0)
+    assert status is Status.RESOLVED
+    assert q == pytest.approx(0.5, abs=1e-12)
+    # a touching root: the sample at 0.5 sits within resid_tol above zero
+    # between two negative ones, so both brackets return it
+    q, status, _ = root_line(lambda q: 1e-13 - (q - 0.5) ** 2, 0.0, 1.0, 10).solve(0.0)
+    assert status is Status.RESOLVED and q == 0.5
 
 
-def test_locate_roots_degenerate_and_empty():
-    cfg = SolverConfig(scan_points=8)
-    scan = locate_roots(lambda q: 0.0, 0.0, 1.0, cfg)
-    assert scan.degenerate and scan.roots == ()
+def test_root_line_degenerate_and_empty():
+    q, status, _ = root_line(lambda q: 0.0, 0.0, 1.0, 8).solve(0.0, warm=0.25)
+    assert status is Status.MULTI_ROOT and q == 0.25
 
     def nowhere(q):
         raise DomainError("nope")
 
-    scan = locate_roots(nowhere, 0.0, 1.0, cfg)
-    assert scan.n_valid == 0
+    line = root_line(nowhere, 0.0, 1.0, 8)
+    assert line.samples == [] and line.solve(0.0)[:2] == (None, Status.DOMAIN_FAIL)
 
 
 def test_central_difference():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -228,3 +229,26 @@ def test_solve_grid_threaded_bitwise_identical():
     assert serial.q == threaded.q
     assert serial.value == threaded.value
     assert serial.status == threaded.status
+
+
+def test_scaled_y_column_lines_shared_by_row_threads():
+    # scaled_y lines are y columns, read by every row's thread at once; the
+    # field matches the serial sweep bitwise and each point's own solve
+    # (scan plus Brent's method from the coarse bracket) to 1e-10
+    prob = pq.PQProblem.scaled_y("1 + y^2", "p^2", "p^2/2")
+    xs, ys = axis(0.5, 1.0, 13), axis(0.0, 0.2, 11)
+    serial = pq.solve_grid(prob, xs, ys, (0.0, 25.0), CFG)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = pq.solve_grid(prob, xs, ys, (0.0, 25.0), CFG, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial.q == threaded.q and serial.status == threaded.status
+    assert serial.resolved_fraction() == 1.0
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            warm = serial.q[i][j - 1] if j else (serial.q[i - 1][0] if i else None)
+            q, status = pq.solve_point(prob, x, y, 0.0, 25.0, CFG, warm)
+            assert status is serial.status[i][j]
+            assert abs(q - serial.q[i][j]) <= 1e-10

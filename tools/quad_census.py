@@ -1,4 +1,5 @@
-"""Count tanh-sinh levels and nodes per quadrature on the shipped configs.
+"""Count root-condition evaluations per grid point, and tanh-sinh levels
+and nodes per quadrature, on the shipped configs.
 
 Usage::
 
@@ -8,9 +9,24 @@ SRC is a directory holding an ``hjgen`` package (default: the ``src`` of
 this checkout).  The script solves every config in ``configs/`` in-process,
 serially, in a fresh temporary directory, and then evaluates the
 criterion-06 separated field (``hj.separation_action`` for a = 1, V = x^2,
-E = 1 on 81 x 41 points of [0.1, 0.8] x [0, 0.4]).  For each run it prints,
-per quadrature path, how many quadratures ran and how they ended, the level
-at which they stopped, and the tanh-sinh nodes each visited:
+E = 1 on 81 x 41 points of [0.1, 0.8] x [0, 0.4]).
+
+For each solve it first prints the mean number of root-condition
+evaluations per grid point (for the Hamilton-Jacobi configs, dp/dq
+quadratures) split by stage:
+
+- ``scan``: the bracket scan's samples;
+- ``probes``: evaluations at a predicted root before Brent's method
+  (``fields._refine``; 0 in a tree without it);
+- ``brent``: evaluations inside ``numerics.solve_bracketed``;
+
+and the brackets refined per point (``_refine`` calls, or
+``solve_bracketed`` calls without it).  An evaluation is one call of
+``hj._RowTable.dp_dq_integral`` inside ``hj.solve_grid``, or of the problem's
+compiled phi' inside ``pq.solve_grid``; scan is the total less the
+refinement.  Then, for each run, it prints, per quadrature path, how many
+quadratures ran and how they ended, the level at which they stopped, and
+the tanh-sinh nodes each visited:
 
 - ``constraint``: the dp/dq integral of the HJ root condition, summed over
   an x row's node table (``hj._RowTable.dp_dq_integral``);
@@ -137,14 +153,103 @@ def installed(census, hj, numerics):
             setattr(obj, name, fn)
 
 
+class RootCensus:
+    """Root-condition evaluations by stage, and brackets, over one solve."""
+
+    def __init__(self):
+        self.points = self.total = self.refine = self.brent = 0
+        self.brackets = self.refined = 0  # solve_bracketed and _refine calls
+
+    def report(self):
+        if not self.points:
+            return "  roots: no grid solved"
+        n = self.points
+        probes = self.refine - self.brent if self.refine else 0
+        scan = self.total - (self.refine or self.brent)
+        return (
+            f"  roots: {n:,} points; evaluations/point {self.total / n:.3f} "
+            f"(scan {scan / n:.3f}, probes {probes / n:.3f}, brent {self.brent / n:.3f}); "
+            f"brackets/point {(self.refined or self.brackets) / n:.3f}"
+        )
+
+
+@contextlib.contextmanager
+def counting_roots(census, modules):
+    """Wrap the solvers' grid entry points, their root condition and refiners."""
+    hj, pq, fields = modules["hj"], modules["pq"], modules["fields"]
+    active = [False]
+    patches = []
+
+    def counted(g, attr):
+        def inner(*args):
+            setattr(census, attr, getattr(census, attr) + 1)
+            return g(*args)
+
+        return inner
+
+    def solve_grid(real):
+        def traced(prob, *args, **kwargs):
+            real_phip = getattr(prob, "_phip_fn", None)  # pq problems only
+            if real_phip is not None:
+                prob._phip_fn = counted(real_phip, "total")
+            active[0] = True
+            try:
+                field = real(prob, *args, **kwargs)
+            finally:
+                active[0] = False
+                if real_phip is not None:
+                    prob._phip_fn = real_phip
+            n1, n2 = field.shape
+            census.points += n1 * n2
+            return field
+
+        return traced
+
+    real_integral = hj._RowTable.dp_dq_integral
+
+    def dp_dq_integral(row, q, tol):
+        if active[0]:
+            census.total += 1
+        return real_integral(row, q, tol)
+
+    real_brent = modules["numerics"].solve_bracketed
+
+    def solve_bracketed(g, br, cfg):
+        census.brackets += 1
+        return real_brent(counted(g, "brent"), br, cfg)
+
+    patches.append((hj, "solve_grid", solve_grid(hj.solve_grid)))
+    patches.append((pq, "solve_grid", solve_grid(pq.solve_grid)))
+    patches.append((hj._RowTable, "dp_dq_integral", dp_dq_integral))
+    for mod in modules.values():
+        if getattr(mod, "solve_bracketed", None) is real_brent:
+            patches.append((mod, "solve_bracketed", solve_bracketed))
+    real_refine = getattr(fields, "_refine", None)
+    if real_refine is not None:
+        def refine(g, br, guess, cfg):
+            census.refined += 1
+            return real_refine(counted(g, "refine"), br, guess, cfg)
+
+        patches.append((fields, "_refine", refine))
+    saved = [(obj, name, getattr(obj, name)) for obj, name, _ in patches]
+    for obj, name, fn in patches:
+        setattr(obj, name, fn)
+    try:
+        yield
+    finally:
+        for obj, name, fn in reversed(saved):
+            setattr(obj, name, fn)
+
+
 def main(argv):
     if len(argv) > 2:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         return 2
     src = Path(argv[1]).resolve() if len(argv) == 2 else ROOT / "src"
     sys.path.insert(0, str(src))
-    from hjgen import cli, hj, numerics
+    from hjgen import cli, fields, hj, numerics, pq
 
+    modules = {"hj": hj, "pq": pq, "fields": fields, "numerics": numerics}
     configs = sorted((ROOT / "configs").glob("*.cfg"))
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -152,9 +257,12 @@ def main(argv):
         try:
             for cfg in configs:
                 census = Census(numerics)
-                with installed(census, hj, numerics), contextlib.redirect_stdout(io.StringIO()):
+                roots = RootCensus()
+                with installed(census, hj, numerics), counting_roots(roots, modules), \
+                        contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main(["solve", str(cfg)])
                 print(census.report(f"{cfg.name} (solve exit {code})"))
+                print(roots.report())
         finally:
             os.chdir(cwd)
     census = Census(numerics)
