@@ -17,7 +17,9 @@ integration-by-parts form that only ever integrates dp/dq:
 Points are admissible when q - V(x') stays above a configurable margin
 along the whole quadrature segment; the branch sign sigma is global and
 never switched at turning points.  Setting dq = 0 instead gives the
-separation-of-variables solution :func:`separation_action`.
+separation-of-variables solution :func:`separation_action`,
+S = integral of sqrt((E - V)/a) from x0 to x plus E t, in which t enters
+only through E t.
 
 Time enters g only additively, and the clipped scan range depends on x
 alone, so each x row is one t-free root condition inverted at every t of
@@ -28,14 +30,18 @@ from a root predicted by extrapolating the row's earlier roots along t
 and probed from both sides, and Brent's method finishes it; most points of
 the shipped configs take three quadratures.
 
-Both integrals over [x0, x], of dp/dq in g and of x' dp/dx in F, use
-nested tanh-sinh quadrature (Takahasi & Mori, 1974; see
-:mod:`hjgen.numerics`), whose nodes crowd toward the segment's ends, where
-dp/dq has its inverse-square-root layer near a turning point.  Both
-integrands are (c0 - q c1) / sqrt(q - V(x')) with q-free c0 and c1, so each
-x row keeps one node table (:class:`_RowTable`) holding those coefficients
-and V at every node, and a quadrature at any q is one weighted sum per
-level.  A quadrature that does not converge marks its point
+The integrals over [x0, x], of dp/dq in g, of x' dp/dx in F and of the
+separated momentum, use nested tanh-sinh quadrature (Takahasi & Mori,
+1974; see :mod:`hjgen.numerics`), whose nodes crowd toward the segment's
+ends, where dp/dq has its inverse-square-root layer near a turning point.
+The first two integrands are (c0 - q c1) / sqrt(q - V(x')) with q-free c0
+and c1, and the third is 2 sigma c sqrt(E - V(x')) with the dp/dq
+coefficient c, so each x row keeps one node table (:class:`_RowTable`)
+holding those coefficients and V at every node, and a quadrature at any q
+is one weighted sum per level.  The separated integral is t-free, so the
+table keeps its value per energy: one quadrature serves the whole x row,
+and the problem keeps its last table (:func:`_row_table`) for the next
+call on the same x.  A quadrature that does not converge marks its point
 ``domain_fail``, like a domain error.
 """
 
@@ -112,6 +118,7 @@ class HJProblem:
         self._g_fn = expr.compile_function(self.generator, ("q",))
         self._gp_fn = expr.compile_function(self._g_prime, ("q",))
         self._x0_coefficients: Optional[tuple[float, float]] = None
+        self._last_row: Optional[_RowTable] = None  # see _row_table
 
     def margin(self, q: float) -> float:
         if self.eps_adm is not None:
@@ -201,8 +208,9 @@ class _RowTable:
     segment; each (panel, level) is filled on first use and then serves
     every q of the row, so a quadrature is one weighted sum per level.
     With node weight w, the dp/dq integral sums c / sqrt(q - V) with
-    c = sigma w / (2 sqrt(a)), and the correction integrand s dp/dx sums
-    (alpha - q beta) / sqrt(q - V) with
+    c = sigma w / (2 sqrt(a)), the separated integrand sqrt((E - V)/a)
+    sums 2 sigma c sqrt(E - V) over the same terms, and the correction
+    integrand s dp/dx sums (alpha - q beta) / sqrt(q - V) with
     alpha = sigma w s (a'V - aV') / (2 a sqrt(a)) and
     beta = sigma w s a' / (2 a sqrt(a)).  Nodes with equal V are merged by
     summing their coefficients, which is exact; a flat potential leaves
@@ -210,7 +218,7 @@ class _RowTable:
     the level's largest V.
     """
 
-    __slots__ = ("prob", "x", "lo", "hi", "sign", "_dq", "_dx")
+    __slots__ = ("prob", "x", "lo", "hi", "sign", "_dq", "_dx", "_separation")
 
     def __init__(self, prob: HJProblem, x: float):
         self.prob = prob
@@ -220,19 +228,34 @@ class _RowTable:
         # (panel lo, panel hi, level) -> (max V, its abscissa, merged terms)
         self._dq: dict = {}
         self._dx: dict = {}
+        self._separation: dict = {}  # (energy, tol) -> separated integral
 
     def dp_dq_integral(self, q: float, tol: float) -> float:
         """Integral of dp/dq(s, q) over s from x0 to x."""
-        return self._integral(q, tol, False)
+        return self._integral(q, tol, "slope")
 
     def correction_integral(self, q: float, tol: float) -> float:
         """Integral of the correction integrand s dp/dx(s, q) from x0 to x."""
-        return self._integral(q, tol, True)
+        return self._integral(q, tol, "correction")
 
-    def _integral(self, q: float, tol: float, correction: bool) -> float:
+    def separation_integral(self, energy: float, tol: float) -> float:
+        """Integral of sqrt((E - V(s))/a(s)) over s from x0 to x.
+
+        It does not depend on t, so the value is kept per (energy, tol) and
+        every later call for them returns it without a quadrature.
+        """
+        key = (energy, tol)
+        value = self._separation.get(key)
+        if value is None:
+            # setdefault: a value computed twice by racing threads is identical
+            value = self._separation.setdefault(key, self._integral(energy, tol, "separation"))
+        return value
+
+    def _integral(self, q: float, tol: float, kind: str) -> float:
         if self.lo == self.hi:
             return 0.0
         margin = self.prob.margin(q)
+        slope, correction = kind == "slope", kind == "correction"
         cache, build = (self._dx, self._dx_level) if correction else (self._dq, self._dq_level)
         sqrt = math.sqrt
 
@@ -245,9 +268,14 @@ class _RowTable:
             vmax, where, terms = data
             if q - vmax < margin:
                 raise DomainError("momentum argument below admissibility margin", where=where)
+            if slope:
+                return sum([c / sqrt(q - v) for v, c in terms])
             if correction:
                 return sum([(al - q * be) / sqrt(q - v) for v, al, be in terms])
-            return sum([c / sqrt(q - v) for v, c in terms])
+            total = 2.0 * self.prob.sigma * sum([c * sqrt(q - v) for v, c in terms])
+            if not math.isfinite(total):
+                raise DomainError("non-finite integrand value", where=where)
+            return total
 
         return self.sign * tanh_sinh(level_sum, self.lo, self.hi, tol)
 
@@ -457,6 +485,19 @@ def solve_grid(
     return ActionField(xs, ts, q, value, status, p)
 
 
+def _row_table(prob: HJProblem, x: float) -> _RowTable:
+    """The problem's last row table when it is for ``x``, else a new one kept in its place.
+
+    One slot, not a table per x: callers that loop t inside x share one
+    table per row, and a finished row is freed when the next one starts.
+    """
+    row = prob._last_row
+    if row is None or row.x != x:
+        # racing threads may replace each other's table; each uses the one it holds
+        row = prob._last_row = _RowTable(prob, x)
+    return row
+
+
 def separation_action(
     prob: HJProblem, energy: float, x: float, t: float, cfg: SolverConfig
 ) -> float:
@@ -464,12 +505,10 @@ def separation_action(
 
     This is the dq = 0 member of the family, with the constant ``energy``
     in place of the root q; the same admissibility margin applies along the
-    quadrature segment.
+    quadrature segment, checked per tanh-sinh level against its largest V,
+    so a :class:`DomainError` names that level's max-V node.  The integral
+    is the x row's :meth:`_RowTable.separation_integral`, one quadrature
+    per (x, energy) however many t the row holds, when the calls for one x
+    come together.
     """
-
-    def integrand(s):
-        a, v = _coefficients(prob, s)
-        gap = _gap(prob, s, energy, v)
-        return math.sqrt(gap / a)
-
-    return integrate_adaptive(integrand, prob.x0, x, cfg.quad_tol) + energy * t
+    return _row_table(prob, x).separation_integral(energy, cfg.quad_tol) + energy * t

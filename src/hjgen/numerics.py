@@ -16,6 +16,11 @@ the new nodes; :func:`tanh_sinh` runs the levels and the stop rule,
 :func:`tanh_sinh_nodes` gives a level's nodes on one panel, so a caller
 can tabulate them and evaluate many integrands over one segment as
 weighted sums.  The node tables are built on first use, not at import.
+Every integral the Hamilton-Jacobi solver and the separated solution take
+is such a table sum (:class:`hjgen.hj._RowTable`); :func:`integrate_adaptive`,
+on a callable integrand, now serves only the direct form of
+:func:`hjgen.hj.constraint` (``direct=True``, an equivalence check) and the
+public API.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import math
 import pathlib
 import random
 import sys
+import threading
 
 import pytest
 
@@ -197,8 +198,109 @@ def test_separation_action_values():
 
 
 def test_separation_action_admissibility():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as info:
         hj.separation_action(OSC_G0, 0.5, 0.9, 0.0, CFG)  # E - V < 0 on the path
+    # the failing level's largest-V node, as on the dp/dq path
+    where = info.value.where
+    assert 0.0 <= where <= 0.9
+    assert 0.5 - OSC_G0._v_fn(where) < OSC_G0.margin(0.5)
+    for energy in (math.nan, math.inf):  # a non-finite integrand is a domain error
+        with pytest.raises(DomainError):
+            hj.separation_action(OSC_G0, energy, 0.5, 0.0, CFG)
+
+
+def separated_reference(prob, energy, x, t, tol):
+    """The separated action from a callable quadrature of sqrt((E - V)/a)."""
+
+    def integrand(s):
+        a, v = hj._coefficients(prob, s)
+        return math.sqrt(hj._gap(prob, s, energy, v) / a)
+
+    return integrate_adaptive(integrand, prob.x0, x, tol) + energy * t
+
+
+@pytest.mark.parametrize(
+    "prob, energy, x",
+    [
+        (OSC_G0, 1.0, 0.8),
+        (hj.HJProblem("1", "x^2", "0", sigma=-1), 1.0, 0.8),
+        (OSC_G0, 1.0, -0.7),
+        (hj.HJProblem("1 + x^2", "sin(x)", "0", x0=0.2), 2.0, 1.5),
+        (hj.HJProblem("1 + x^2", "sin(x)", "0", x0=0.2), 2.0, -1.0),
+        (hj.HJProblem("2", "0.3", "0", x0=-0.4), 1.0, 1.1),
+    ],
+    ids=["oscillator", "negative_branch", "x_below_x0", "varying_a", "varying_a_below_x0", "flat"],
+)
+def test_separation_action_matches_callable_quadrature(prob, energy, x):
+    for t in (0.0, 0.3, -0.45):
+        want = separated_reference(prob, energy, x, t, CFG.quad_tol)
+        assert abs(hj.separation_action(prob, energy, x, t, CFG) - want) <= 1e-13
+        assert hj.separation_action(prob, energy, prob.x0, t, CFG) == energy * t
+
+
+def test_separation_action_one_quadrature_per_row(monkeypatch):
+    prob = hj.HJProblem("1", "x^2", "0", sigma=1, x0=0.0)
+    levels = collections.Counter()  # (row x, panel lo, panel hi, level) built
+    quads = [0]
+    real_level, real_tanh_sinh = hj._RowTable._dq_level, hj.tanh_sinh
+
+    def counting_level(row, lo, hi, level):
+        levels[(row.x, lo, hi, level)] += 1
+        return real_level(row, lo, hi, level)
+
+    def counting_tanh_sinh(*args):
+        quads[0] += 1
+        return real_tanh_sinh(*args)
+
+    monkeypatch.setattr(hj._RowTable, "_dq_level", counting_level)
+    monkeypatch.setattr(hj, "tanh_sinh", counting_tanh_sinh)
+    ts = axis(0.0, 0.4, 41)
+    values = [hj.separation_action(prob, 1.0, 0.7, t, CFG) for t in ts]
+    assert quads[0] == 1
+    assert len(levels) >= 2 and set(levels.values()) == {1}
+    assert values == [values[0] + 1.0 * t for t in ts]
+    # the kept value is per (energy, tol): another of either is a new quadrature
+    coarse = SolverConfig(quad_tol=1e-4)
+    assert hj.separation_action(prob, 1.0, 0.7, 0.0, coarse) != values[0]
+    assert hj.separation_action(prob, 2.0, 0.7, 0.0, CFG) != values[0]
+    assert quads[0] == 3
+
+
+def separated_rows(prob, xs, ts):
+    return {(x, t): hj.separation_action(prob, 1.0, x, t, CFG) for x in xs for t in ts}
+
+
+def test_separation_action_independent_of_call_order():
+    xs, ts = axis(0.1, 0.8, 5), axis(0.0, 0.4, 7)
+    by_row = separated_rows(hj.HJProblem("1", "x^2", "0"), xs, ts)
+    prob = hj.HJProblem("1", "x^2", "0")
+    # x1, x2, x1, ...: every call replaces the problem's kept row table
+    interleaved = {(x, t): hj.separation_action(prob, 1.0, x, t, CFG) for t in ts for x in xs}
+    assert interleaved == by_row
+
+
+def test_separation_action_threads_bitwise_serial():
+    xs, ts = axis(0.1, 0.8, 6), axis(0.0, 0.4, 9)
+    serial = separated_rows(hj.HJProblem("1", "x^2", "0"), xs, ts)
+    shared = hj.HJProblem("1", "x^2", "0")
+    parts = []
+
+    def work(k):
+        parts.append(separated_rows(shared, xs[k::3], ts))
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads' swaps of the kept row table
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(parts) == 3
+    assert {key: v for part in parts for key, v in part.items()} == serial
 
 
 def test_solve_grid_free_particle_matches_closed_form():

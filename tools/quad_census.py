@@ -9,7 +9,7 @@ SRC is a directory holding an ``hjgen`` package (default: the ``src`` of
 this checkout).  The script solves every config in ``configs/`` in-process,
 serially, in a fresh temporary directory, and then evaluates the
 criterion-06 separated field (``hj.separation_action`` for a = 1, V = x^2,
-E = 1 on 81 x 41 points of [0.1, 0.8] x [0, 0.4]).
+E = 1 on 81 x 41 points of [0.1, 0.8] x [0, 0.4], t looping inside x).
 
 For each solve it first prints the mean number of root-condition
 evaluations per grid point (for the Hamilton-Jacobi configs, dp/dq
@@ -32,14 +32,20 @@ the tanh-sinh nodes each visited:
   an x row's node table (``hj._RowTable.dp_dq_integral``);
 - ``action``: the correction integral of the action, over the same table
   (``hj._RowTable.correction_integral``);
+- ``separation``: the separated integral of sqrt((E - V)/a), over the same
+  table (``hj._RowTable.separation_integral``);
 - ``generic``: ``numerics.integrate_adaptive`` on a callable integrand.
 
 A node of the table paths is one tanh-sinh abscissa whatever the number of
 merged terms it ended up in; those paths also print the mean number of
-merged terms a quadrature summed, which is what it costs per q.  A
-quadrature whose panel did not converge by level 6 is halved and reported
-as ``split``.  Only the standard library is used; the package is wrapped
-from outside while the script runs.
+merged terms a quadrature summed, which is what it costs per q.  The
+``separation`` path also prints how many calls it served in all, since a
+row keeps its t-free value and answers every later call of the row without
+a quadrature.  A quadrature whose panel did not converge by level 6 is
+halved and reported as ``split``.  On a tree whose row table has no
+``separation_integral`` the separated field counts under ``generic``.  Only
+the standard library is used; the package is wrapped from outside while
+the script runs.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PATHS = ("constraint", "action", "generic")
+PATHS = ("constraint", "action", "separation", "generic")
 
 
 class Census:
@@ -65,6 +71,7 @@ class Census:
         self.levels = {p: Counter() for p in PATHS}
         self.nodes = {p: Counter() for p in PATHS}
         self.terms = Counter()  # merged terms summed, per table path
+        self.calls = Counter()  # calls of each table path's integral
 
     def record(self, path, visited, outcome, terms):
         self.outcomes[path][outcome] += 1
@@ -77,13 +84,16 @@ class Census:
         lines = [title]
         for path in PATHS:
             total = sum(self.outcomes[path].values())
+            served = ""
+            if path == "separation" and self.calls[path]:
+                served = f"; {self.calls[path] - total:,} of {self.calls[path]:,} calls ran no quadrature"
             if not total:
-                lines.append(f"  {path}: 0 quadratures")
+                lines.append(f"  {path}: 0 quadratures{served}")
                 continue
             ends = ", ".join(f"{k} {n:,}" for k, n in sorted(self.outcomes[path].items()))
             nodes = self.nodes[path]
             mean = sum(k * n for k, n in nodes.items()) / total
-            lines.append(f"  {path}: {total:,} quadratures ({ends})")
+            lines.append(f"  {path}: {total:,} quadratures ({ends}){served}")
             lines.append("    stop level: " + _histogram(self.levels[path], total))
             lines.append(
                 f"    nodes/quad: mean {mean:.2f}, max {max(nodes)}; "
@@ -131,6 +141,7 @@ def installed(census, hj, numerics):
 
     def table_path(real, path, cache_name):
         def traced(row, q, tol):
+            census.calls[path] += 1
             state["path"], state["cache"] = path, getattr(row, cache_name)
             return real(row, q, tol)
 
@@ -141,8 +152,11 @@ def installed(census, hj, numerics):
     for name, path, cache in (
         ("dp_dq_integral", "constraint", "_dq"),
         ("correction_integral", "action", "_dx"),
+        ("separation_integral", "separation", "_dq"),
     ):
-        patches.append((hj._RowTable, name, table_path(getattr(hj._RowTable, name), path, cache)))
+        real = getattr(hj._RowTable, name, None)  # no separation_integral in older trees
+        if real is not None:
+            patches.append((hj._RowTable, name, table_path(real, path, cache)))
     saved = [(obj, name, getattr(obj, name)) for obj, name, _ in patches]
     for obj, name, fn in patches:
         setattr(obj, name, fn)
