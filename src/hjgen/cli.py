@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 numeric-quality failure, 2 input/config failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import random
@@ -230,7 +231,12 @@ def _cmd_diffcheck(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process.
+
+    Parsing leaves it unchanged, so every call of :func:`main` shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="hjgen",
         description="General-solution solver for first-order PDEs and the 1-D Hamilton-Jacobi equation",
@@ -263,9 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

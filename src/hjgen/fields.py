@@ -9,6 +9,12 @@ line and finds each target's brackets from the stored samples;
 predicted from its row's earlier roots, which :func:`_refine` probes
 before Brent's method (Brent 1973, see :mod:`hjgen.numerics`) finishes
 the bracket.
+
+The CSV kernels work on whole columns: :func:`write_field_csv` formats one
+grid row at a time, and :func:`read_field_csv` parses bounded blocks of
+lines, transposed into columns, and checks the layout column by column.
+Only a file that fails those checks is read again line by line, by
+:func:`_raise_first_error`, to name its first bad line.
 """
 
 from __future__ import annotations
@@ -73,10 +79,7 @@ class _Field2D:
 
     def resolved_fraction(self) -> float:
         n1, n2 = self.shape
-        hits = sum(
-            1 for i in range(n1) for j in range(n2) if self.status[i][j] is Status.RESOLVED
-        )
-        return hits / (n1 * n2)
+        return sum(row.count(Status.RESOLVED) for row in self.status) / (n1 * n2)
 
 
 @dataclass
@@ -309,34 +312,113 @@ def _slope(seen) -> Optional[float]:
     return None
 
 
-def _fmt(v: Optional[float]) -> str:
-    return "" if v is None else format(v, ".17g")
+_ACTION_HEADER = "x,t,q,S,p,status"
+_SOLUTION_HEADER = "x,y,q,u,status"
+_STATUS = {s.value: s for s in Status}
+_PRESENT = frozenset((Status.RESOLVED.value, Status.MULTI_ROOT.value))
+_BLOCK = 512  # lines parsed per block, which bounds the split strings held at once
 
 
 def write_field_csv(field: _Field2D, path: str) -> None:
-    """Write a field in the fixed CSV schema, floats at 17 significant digits."""
-    n1, n2 = field.shape
-    lines = []
-    if isinstance(field, ActionField):
-        lines.append("x,t,q,S,p,status")
-        for i in range(n1):
-            for j in range(n2):
-                lines.append(
-                    f"{_fmt(field.axis1[i])},{_fmt(field.axis2[j])},"
-                    f"{_fmt(field.q[i][j])},{_fmt(field.value[i][j])},"
-                    f"{_fmt(field.p[i][j])},{field.status[i][j].value}"
-                )
-    else:
-        lines.append("x,y,q,u,status")
-        for i in range(n1):
-            for j in range(n2):
-                lines.append(
-                    f"{_fmt(field.axis1[i])},{_fmt(field.axis2[j])},"
-                    f"{_fmt(field.q[i][j])},{_fmt(field.value[i][j])},"
-                    f"{field.status[i][j].value}"
-                )
+    """Write a field in the fixed CSV schema, floats at 17 significant digits.
+
+    One grid row is formatted at a time, column by column, and joined into
+    its lines.
+    """
+    is_action = isinstance(field, ActionField)
+    n2 = len(field.axis2)
+    axis2 = [format(v, ".17g") for v in field.axis2]
+    grids = (field.q, field.value, field.p) if is_action else (field.q, field.value)
+    chunks = [_ACTION_HEADER if is_action else _SOLUTION_HEADER]
+    for i, x in enumerate(field.axis1):
+        cols = [[format(x, ".17g")] * n2, axis2]
+        cols += [["" if v is None else format(v, ".17g") for v in grid[i]] for grid in grids]
+        cols.append(field.status[i])  # a Status is a str whose text is its value
+        chunks.append("\n".join(map(",".join, zip(*cols))))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(chunks))
+        fh.write("\n")
+
+
+def read_field_csv(path: str):
+    """Load a field CSV produced by :func:`write_field_csv`.
+
+    Validates the schema, the row-major grid layout and the presence rule
+    (numeric cells filled exactly for resolved / multi_root rows).  The
+    lines are parsed in blocks of at most ``_BLOCK``, each transposed into
+    columns and checked column by column; when any check fails,
+    :func:`_raise_first_error` rereads the lines one by one to name the
+    first bad one.
+    """
+    with open(path, "r") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ConfigError("empty field file", 1)
+    header = lines[0].strip()
+    if header == _ACTION_HEADER:
+        is_action = True
+    elif header == _SOLUTION_HEADER:
+        is_action = False
+    else:
+        raise ConfigError(f"unrecognized field header {header!r}", 1)
+    field = _parse_field(lines, is_action)
+    if field is None:
+        _raise_first_error(lines, is_action)
+    return field
+
+
+def _parse_field(lines, is_action: bool):
+    """The field the data lines describe, or ``None`` when any line or the grid is bad."""
+    ncols = 6 if is_action else 5
+    a1: list[float] = []
+    a2: list[float] = []
+    grids: list[list[Optional[float]]] = [[] for _ in range(ncols - 3)]
+    status: list[Status] = []
+    for start in range(1, len(lines), _BLOCK):
+        rows = [raw.split(",") for raw in lines[start : start + _BLOCK] if raw.strip()]
+        if not rows:
+            continue
+        if any(len(r) != ncols for r in rows):
+            return None
+        cols = list(zip(*rows))
+        if list(map(_PRESENT.__contains__, cols[-1])) != list(map(all, zip(cols[2], cols[3]))):
+            return None
+        try:
+            a1 += _axis_floats(cols[0])
+            a2 += _axis_floats(cols[1])
+            for grid, col in zip(grids, cols[2:]):
+                grid += [float(c) if c else None for c in col]
+            status += map(_STATUS.__getitem__, cols[-1])
+        except (ValueError, KeyError):
+            return None
+    if not a1:
+        return None
+    # row-major order: axis 1 repeats each value n2 times, axis 2 cycles n1 times
+    n2 = a1.count(a1[0])
+    n1, rest = divmod(len(a1), n2)
+    try:
+        ax1 = check_axis(a1[::n2])
+        ax2 = check_axis(a2[:n2])
+    except ValueError:
+        return None
+    if rest or ax1[0] != ax1[0] or ax2[0] != ax2[0]:
+        return None  # a one-point axis may hold a NaN, which the list comparisons would pass
+    if a1 != [v for v in ax1 for _ in range(n2)] or a2 != list(ax2) * n1:
+        return None
+
+    def by_row(column):
+        return [column[k : k + n2] for k in range(0, len(column), n2)]
+
+    q, value = by_row(grids[0]), by_row(grids[1])
+    if is_action:
+        return ActionField(ax1, ax2, q, value, by_row(status), by_row(grids[2]))
+    return SolutionField(ax1, ax2, q, value, by_row(status))
+
+
+def _axis_floats(col) -> list[float]:
+    # an axis column repeats a few distinct strings, so each is parsed once
+    floats = {c: float(c) for c in set(col)}
+    return list(map(floats.__getitem__, col))
 
 
 def _parse_float(token: str, line: int, what: str) -> Optional[float]:
@@ -348,23 +430,13 @@ def _parse_float(token: str, line: int, what: str) -> Optional[float]:
         raise ConfigError(f"bad {what} value {token!r}", line) from None
 
 
-def read_field_csv(path: str):
-    """Load a field CSV produced by :func:`write_field_csv`.
+def _raise_first_error(lines, is_action: bool) -> None:
+    """Raise the :class:`ConfigError` of the first bad line of a field CSV.
 
-    Validates the schema, the row-major grid layout and the presence rule
-    (numeric cells filled exactly for resolved / multi_root rows).
+    Reads the data lines one at a time, in order, so the error names the
+    line where a reader going line by line would stop; runs only after
+    :func:`_parse_field` has rejected the lines, and never builds a field.
     """
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ConfigError("empty field file", 1)
-    header = lines[0].strip()
-    if header == "x,t,q,S,p,status":
-        is_action = True
-    elif header == "x,y,q,u,status":
-        is_action = False
-    else:
-        raise ConfigError(f"unrecognized field header {header!r}", 1)
     ncols = 6 if is_action else 5
     rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -381,43 +453,32 @@ def read_field_csv(path: str):
             raise ConfigError("axis cells must not be empty", lineno)
         qv = _parse_float(parts[2], lineno, "root")
         val = _parse_float(parts[3], lineno, "value")
-        pv = _parse_float(parts[4], lineno, "momentum") if is_action else None
-        try:
-            st = Status(parts[-1])
-        except ValueError:
-            raise ConfigError(f"unknown status {parts[-1]!r}", lineno) from None
+        if is_action:
+            _parse_float(parts[4], lineno, "momentum")
+        st = _STATUS.get(parts[-1])
+        if st is None:
+            raise ConfigError(f"unknown status {parts[-1]!r}", lineno)
         present = st in (Status.RESOLVED, Status.MULTI_ROOT)
         if present != (qv is not None and val is not None):
             raise ConfigError(f"cell presence inconsistent with status {st.value!r}", lineno)
-        rows.append((a1, a2, qv, val, pv, st))
+        rows.append((a1, a2))
     if not rows:
         raise ConfigError("field file has no data rows", 2)
     axis1: list[float] = []
-    for a1, *_ in rows:
+    for a1, _ in rows:
         if not axis1 or axis1[-1] != a1:
             axis1.append(a1)
     n1 = len(axis1)
     if len(rows) % n1 != 0:
         raise ConfigError("row count does not form a complete grid", len(lines))
     n2 = len(rows) // n1
-    axis2 = [r[1] for r in rows[:n2]]
     try:
         ax1 = check_axis(axis1)
-        ax2 = check_axis(axis2)
+        ax2 = check_axis([a2 for _, a2 in rows[:n2]])
     except ValueError as exc:
         raise ConfigError(str(exc), 2) from None
-    q = [[None] * n2 for _ in range(n1)]
-    value = [[None] * n2 for _ in range(n1)]
-    p = [[None] * n2 for _ in range(n1)]
-    status = [[Status.NO_ROOT] * n2 for _ in range(n1)]
-    for k, (a1, a2, qv, val, pv, st) in enumerate(rows):
+    for k, (a1, a2) in enumerate(rows):
         i, j = divmod(k, n2)
         if a1 != ax1[i] or a2 != ax2[j]:
             raise ConfigError("rows are not in row-major grid order", k + 2)
-        q[i][j] = qv
-        value[i][j] = val
-        p[i][j] = pv
-        status[i][j] = st
-    if is_action:
-        return ActionField(ax1, ax2, q, value, status, p)
-    return SolutionField(ax1, ax2, q, value, status)
+    raise AssertionError("the line validator accepts a field the block parser rejected")

@@ -313,9 +313,10 @@ def correction_term(
 ) -> float:
     """F(x, q): quadrature of the correction integrand from x0, plus G(q).
 
-    ``_row`` is the x row's :class:`_RowTable`; a fresh one is used without it.
+    ``_row`` is the x row's :class:`_RowTable`; the problem's
+    :func:`_row_table` is used without it.
     """
-    row = _RowTable(prob, x) if _row is None else _row
+    row = _row_table(prob, x) if _row is None else _row
     return row.correction_integral(q, cfg.quad_tol) + prob.generator_at(q)
 
 
@@ -354,7 +355,7 @@ def _constraint_terms(
 ):
     """The t-free pieces (G'(q), integral of dp/dq, x0 dp/dq(x0, q)) of g."""
     g_slope = prob.generator_slope_at(q)
-    row = _RowTable(prob, x) if row is None else row
+    row = _row_table(prob, x) if row is None else row
     integral = row.dp_dq_integral(q, cfg.quad_tol)
     base = prob.x0 * _dp_dq(prob, prob.x0, q, _base_coefficients(prob))
     return g_slope, integral, base
@@ -395,7 +396,8 @@ def _root_line(
     The range [q_lo, q_hi] is clipped above the potential ceiling plus the
     admissibility margin; ``None`` (a domain failure of every point of the
     row) when the clipped range is empty or the ceiling raises.  ``row`` is
-    the row's :class:`_RowTable`; a fresh one is used without it.
+    the row's :class:`_RowTable`; the problem's :func:`_row_table` is used
+    without it.
     """
     try:
         ceiling = _potential_ceiling(prob, x)
@@ -404,7 +406,7 @@ def _root_line(
     lo = _scan_floor(prob, ceiling, q_lo)
     if not lo < q_hi:
         return None
-    row = _RowTable(prob, x) if row is None else row
+    row = _row_table(prob, x) if row is None else row
     return RootLine(lambda q: _constraint_terms(prob, x, q, cfg, row), _combine, lo, q_hi, cfg)
 
 

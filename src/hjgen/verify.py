@@ -7,6 +7,11 @@ Comp. 51, 1988) so uneven axes work.  The band of ``k`` points along each
 edge and points whose stencil meets a missing value are excluded.  At sixth
 order the truncation error sits below the solver tolerances on the shipped
 grids, so a report's ``max_abs`` measures the PDE residual of the field.
+
+The differences are taken a grid row at a time (:func:`_row_partials`),
+summing each derivative node by node in the order a point-by-point sum
+would, so every value is the same to the bit; the residual's x-only parts
+(a(x) and V(x) for Hamilton-Jacobi fields) are evaluated once per row.
 """
 
 from __future__ import annotations
@@ -62,25 +67,33 @@ def _axis_weights(axis, k: int) -> list:
     ]
 
 
-def _partials(field, i: int, j: int, w1, w2) -> Optional[tuple[float, float]]:
-    # centred differences at (i, j), whose stencils (w1 on axis 1, w2 on
-    # axis 2) include the point itself; None when a stencil node has no value
+def _row_partials(value, i: int, w1, w2, lo: int, hi: int):
+    """Centred differences (d1, d2) at columns lo..hi-1 of row i, as two lists.
+
+    ``w1`` holds the axis-1 weights of row i (2k1 + 1 nodes), ``w2`` the
+    axis-2 weights transposed: ``w2[m]`` lists node m's weight at every
+    column.  Each derivative is summed node by node from 0.0, so every
+    value equals the per-point sum in node order.  ``d1`` is ``None`` at a
+    column whose stencil meets a missing value.
+    """
     k1 = len(w1) // 2
     k2 = len(w2) // 2
-    value = field.value
-    row = value[i]
-    d1 = 0.0
-    for m, w in enumerate(w1):
-        f = value[i - k1 + m][j]
-        if f is None:
-            return None
-        d1 += w * f
-    d2 = 0.0
-    for m, w in enumerate(w2):
-        f = row[j - k2 + m]
-        if f is None:
-            return None
-        d2 += w * f
+    n = hi - lo
+    cols = [r[lo:hi] for r in value[i - k1 : i + k1 + 1]]
+    row = value[i][lo - k2 : hi + k2]
+    holes = None in row or any(None in c for c in cols)
+    if holes:
+        dead = [None in c or None in row[j : j + 2 * k2 + 1] for j, c in enumerate(zip(*cols))]
+        cols = [[0.0 if f is None else f for f in c] for c in cols]
+        row = [0.0 if f is None else f for f in row]
+    d1 = [0.0] * n
+    for w, c in zip(w1, cols):
+        d1 = [a + w * f for a, f in zip(d1, c)]
+    d2 = [0.0] * n
+    for m, ws in enumerate(w2):
+        d2 = [a + w * f for a, w, f in zip(d2, ws, row[m : m + n])]
+    if holes:
+        d1 = [None if bad else d for d, bad in zip(d1, dead)]
     return d1, d2
 
 
@@ -96,35 +109,37 @@ def finite_diff_partials(field, i: int, j: int) -> Optional[tuple[float, float]]
         return None
     w1 = _first_derivative_weights(field.axis1[i], field.axis1[i - 1 : i + 2])
     w2 = _first_derivative_weights(field.axis2[j], field.axis2[j - 1 : j + 2])
-    return _partials(field, i, j, w1, w2)
+    d1, d2 = _row_partials(field.value, i, w1, [(w,) for w in w2], j, j + 1)
+    return None if d1[0] is None else (d1[0], d2[0])
 
 
-def _residual_fn(problem) -> Callable[[float, float, float, float], float]:
+def _residual_fn(problem) -> Callable[[float], Callable[[float, float, float], float]]:
+    """The residual as ``row_fn(x) -> point_fn(y, d1, d2)``.
+
+    Whatever depends on x alone is evaluated once per row, by ``row_fn``.
+    """
     if isinstance(problem, HJProblem):
 
-        def hj_residual(x, t, d1, d2):
-            return problem._a_fn(x) * d1 * d1 + problem._v_fn(x) - d2
+        def hj_row(x):
+            a = problem._a_fn(x)
+            v = problem._v_fn(x)
+            return lambda t, d1, d2: a * d1 * d1 + v - d2
 
-        return hj_residual
+        return hj_row
     if not isinstance(problem, PQProblem):
         raise TypeError(f"unsupported problem type {type(problem)!r}")
     if problem.kind == "explicit":
-
-        def explicit_residual(x, y, d1, d2):
-            return d1 - problem._f_fn(d2)
-
-        return explicit_residual
+        f_fn = problem._f_fn
+        return lambda x: lambda y, d1, d2: d1 - f_fn(d2)
+    g_fn = problem._g_fn
     if problem.kind == "scaled_x":
 
-        def scaled_x_residual(x, y, d1, d2):
-            return d1 - problem.ratio_slope_at(x) * problem._g_fn(d2)
+        def scaled_x_row(x):
+            slope = problem.ratio_slope_at(x)
+            return lambda y, d1, d2: d1 - slope * g_fn(d2)
 
-        return scaled_x_residual
-
-    def scaled_y_residual(x, y, d1, d2):
-        return d2 - problem._g_fn(d1) * problem.ratio_slope_at(y)
-
-    return scaled_y_residual
+        return scaled_x_row
+    return lambda x: lambda y, d1, d2: d2 - g_fn(d1) * problem.ratio_slope_at(y)
 
 
 def residual_report(problem, field) -> ResidualReport:
@@ -135,30 +150,35 @@ def residual_report(problem, field) -> ResidualReport:
     explicit, with the scale-ratio slope folded in for the scaled kinds).
     d1 and d2 are sixth-order centred differences (``2k + 1`` nodes per
     axis, ``k = min(3, (n - 1) // 2)``, so fewer on axes shorter than 7
-    points); the ``k`` points nearest each edge, points without a value,
-    points whose stencil meets a missing value and points where the
-    residual raises a domain error are excluded.
+    points), computed a grid row at a time; the ``k`` points nearest each
+    edge, points without a value, points whose stencil meets a missing
+    value and points where the residual raises a domain error are excluded
+    (a row whose x-only part raises excludes all its points).
     """
     n1, n2 = field.shape
     if n1 < 3 or n2 < 3:
         raise ValueError("residual_report needs at least 3 points per axis")
-    fn = _residual_fn(problem)
+    row_fn = _residual_fn(problem)
     k1 = min(3, (n1 - 1) // 2)
     k2 = min(3, (n2 - 1) // 2)
     weights1 = _axis_weights(field.axis1, k1)
-    weights2 = _axis_weights(field.axis2, k2)
+    w2 = list(zip(*_axis_weights(field.axis2, k2)[k2 : n2 - k2]))
+    ys = field.axis2[k2 : n2 - k2]
     worst = (0, 0)
     max_abs = -1.0
     total = 0.0
     count = 0
     for i in range(k1, n1 - k1):
-        w1 = weights1[i]
-        for j in range(k2, n2 - k2):
-            ds = _partials(field, i, j, w1, weights2[j])
-            if ds is None:
+        d1s, d2s = _row_partials(field.value, i, weights1[i], w2, k2, n2 - k2)
+        try:
+            point_fn = row_fn(field.axis1[i])
+        except DomainError:
+            continue
+        for j, y, d1, d2 in zip(range(k2, n2 - k2), ys, d1s, d2s):
+            if d1 is None:
                 continue
             try:
-                r = abs(fn(field.axis1[i], field.axis2[j], ds[0], ds[1]))
+                r = abs(point_fn(y, d1, d2))
             except DomainError:
                 continue
             count += 1

@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import pytest
 
+from hjgen import cli
 from hjgen.cli import main
 from hjgen.fields import read_field_csv
 
@@ -299,10 +303,32 @@ def test_unknown_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point():
-    import subprocess
-    import sys
 
+def test_parser_is_built_once_and_shared_by_calls(free_run, capsys):
+    # each call in one process answers as a fresh process does; an oracle
+    # call after one with an unknown --param must not see that parameter
+    cfg, field_path, _, _ = free_run
+    calls = [
+        ["verify", str(cfg)],  # missing argument: exit 2
+        ["verify", str(cfg), str(field_path)],
+        ["oracle", "free_particle", str(field_path), "--param", "z=1"],
+        ["oracle", "free_particle", str(field_path), "--param", "a=1", "--param", "C=1"],
+    ]
+    cli._parser.cache_clear()
+    shared = []
+    for argv in calls:
+        code = main(argv)
+        shared.append((code, capsys.readouterr().out))
+    assert cli._parser.cache_info().misses == 1
+    fresh = [
+        subprocess.run([sys.executable, "-m", "hjgen", *argv], capture_output=True, text=True)
+        for argv in calls
+    ]
+    assert shared == [(proc.returncode, proc.stdout) for proc in fresh]
+    assert [code for code, _ in shared] == [2, 0, 2, 0]
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hjgen", "diffcheck", "q^2/2", "q", "--n", "20"],
         capture_output=True,

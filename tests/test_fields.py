@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import assume, given, settings
@@ -113,6 +115,165 @@ def test_read_rejects_incomplete_grid(tmp_path):
     )
     with pytest.raises(ConfigError):
         read_field_csv(str(path))
+
+
+
+GOOD = ["x,y,q,u,status", "0,0,1,2,resolved", "0,1,1,2,resolved", "1,0,,,no_root", "1,1,3,4,multi_root"]
+GOOD_ACTION = ["x,t,q,S,p,status", "0,0,1,2,5,resolved", "0,1,1,2,,resolved"]
+
+
+def _edit(lines, line, text):
+    # the lines of a file, with its 1-based line ``line`` replaced (text None: removed)
+    out = list(lines)
+    if text is None:
+        del out[line - 1]
+    else:
+        out[line - 1] = text
+    return out
+
+
+def _big(n1=40, n2=40):
+    return ["x,y,q,u,status"] + [f"{i},{j},{i + j},1.5,resolved" for i in range(n1) for j in range(n2)]
+
+
+# (file lines, message, line) for each class of malformed field file
+MALFORMED = {
+    "empty file": ([], "empty field file", 1),
+    "unknown header": (["a,b,c"], "unrecognized field header 'a,b,c'", 1),
+    "header only": (["x,y,q,u,status", ""], "field file has no data rows", 2),
+    "truncated row": (_edit(GOOD, 3, "0,1,1"), "expected 5 columns, found 3", 3),
+    "extra column": (_edit(GOOD, 3, "0,1,1,2,resolved,7"), "expected 5 columns, found 6", 3),
+    "bad axis 1": (_edit(GOOD, 3, "0x,1,1,2,resolved"), "bad axis value '0x'", 3),
+    "bad axis 2": (_edit(GOOD, 3, "0,1y,1,2,resolved"), "bad axis value '1y'", 3),
+    "bad root": (_edit(GOOD, 3, "0,1,1..2,2,resolved"), "bad root value '1..2'", 3),
+    "bad value": (_edit(GOOD, 3, "0,1,1, 2 x,resolved"), "bad value value ' 2 x'", 3),
+    "bad momentum": (_edit(GOOD_ACTION, 3, "0,1,1,2,p,resolved"), "bad momentum value 'p'", 3),
+    "empty axis 1": (_edit(GOOD, 4, ",0,,,no_root"), "axis cells must not be empty", 4),
+    "empty axis 2": (_edit(GOOD, 4, "1,,,,no_root"), "axis cells must not be empty", 4),
+    "bad axis 2 before empty axis 1": (_edit(GOOD, 4, ",z,,,no_root"), "bad axis value 'z'", 4),
+    "unknown status": (_edit(GOOD, 5, "1,1,3,4,solved"), "unknown status 'solved'", 5),
+    "status with a space": (_edit(GOOD, 5, "1,1,3,4,resolved "), "unknown status 'resolved '", 5),
+    "presence, resolved": (
+        _edit(GOOD, 2, "0,0,,2,resolved"), "cell presence inconsistent with status 'resolved'", 2
+    ),
+    "presence, no_root": (
+        _edit(GOOD, 4, "1,0,1,2,no_root"), "cell presence inconsistent with status 'no_root'", 4
+    ),
+    "incomplete grid": (GOOD[:4], "row count does not form a complete grid", 4),
+    "incomplete grid, trailing blanks": (
+        GOOD[:4] + ["", ""], "row count does not form a complete grid", 6
+    ),
+    "decreasing axis 1": (
+        [GOOD[0], "1,0,1,2,resolved", "1,1,1,2,resolved", "0,0,1,2,resolved", "0,1,1,2,resolved"],
+        "axis values must be strictly increasing",
+        2,
+    ),
+    "decreasing axis 2": (
+        [GOOD[0], "0,1,1,2,resolved", "0,0,1,2,resolved"], "axis values must be strictly increasing", 2
+    ),
+    "out-of-order rows": (
+        [GOOD[0], "0,0,1,2,resolved", "0,1,1,2,resolved", "1,1,1,2,resolved", "1,0,1,2,resolved"],
+        "rows are not in row-major grid order",
+        4,
+    ),
+    # the grid order error counts data rows, not lines, so blank lines do not move it
+    "out-of-order rows after a blank": (
+        [GOOD[0], "", "0,0,1,2,resolved", "0,1,1,2,resolved", "1,1,1,2,resolved", "1,0,1,2,resolved"],
+        "rows are not in row-major grid order",
+        4,
+    ),
+    "lone NaN axis": ([GOOD[0], "nan,0,1,2,resolved"], "rows are not in row-major grid order", 2),
+    "first bad line wins": (
+        _edit(_edit(GOOD, 3, "0,1,1,2,solved"), 4, "1,0"), "unknown status 'solved'", 3
+    ),
+    "line errors before grid errors": (
+        _edit(GOOD[:4], 3, "0,1,1,2,solved"), "unknown status 'solved'", 3
+    ),
+    "bad float in a later block": (_edit(_big(), 1300, "32,19,x,1.5,resolved"), "bad root value 'x'", 1300),
+    "presence in a later block": (
+        _edit(_big(), 1599, "39,37,,1.5,resolved"),
+        "cell presence inconsistent with status 'resolved'",
+        1599,
+    ),
+    "out-of-order rows in a later block": (
+        _edit(_edit(_big(), 1300, "32,20,52,1.5,resolved"), 1301, "32,19,51,1.5,resolved"),
+        "rows are not in row-major grid order",
+        1300,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_read_names_the_first_bad_line(tmp_path, case):
+    lines, message, line = MALFORMED[case]
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(f"{raw}\n" for raw in lines))
+    with pytest.raises(ConfigError) as err:
+        read_field_csv(str(path))
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+
+def test_read_skips_blank_lines_between_rows(tmp_path):
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text("\n".join(GOOD) + "\n")
+    spaced.write_text("\n".join(GOOD[:3] + ["", "  ", "\t"] + GOOD[3:] + [""]) + "\n")
+    big, big_spaced = tmp_path / "big.csv", tmp_path / "big_spaced.csv"
+    rows = _big(30, 30)
+    big.write_text("\n".join(rows) + "\n")
+    big_spaced.write_text("\n".join(r for raw in rows for r in (raw, "")) + "\n")
+    assert read_field_csv(str(spaced)) == read_field_csv(str(plain))
+    assert read_field_csv(str(big_spaced)) == read_field_csv(str(big))
+
+
+def _floats():
+    # 17-digit, tiny, subnormal, negative and signed-zero values, and infinities
+    return st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from([0.1, 1 / 3, -2 / 7, 5e-324, -5e-324, 2.2250738585072014e-308, -0.0]),
+    )
+
+
+@st.composite
+def _fields(draw):
+    n1, n2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    ax1 = sorted(draw(st.lists(finite, min_size=n1, max_size=n1, unique=True)))
+    ax2 = sorted(draw(st.lists(finite, min_size=n2, max_size=n2, unique=True)))
+    status = [[draw(st.sampled_from(Status)) for _ in ax2] for _ in ax1]
+
+    def cells(present_only):
+        # values at resolved / multi_root points; elsewhere None, or, for the
+        # momentum column, which has no presence rule, a value or None
+        return [
+            [
+                draw(_floats())
+                if s in (Status.RESOLVED, Status.MULTI_ROOT)
+                or (not present_only and draw(st.booleans()))
+                else None
+                for s in row
+            ]
+            for row in status
+        ]
+
+    q, value = cells(True), cells(True)
+    if draw(st.booleans()):
+        return ActionField(tuple(ax1), tuple(ax2), q, value, status, cells(False))
+    return SolutionField(tuple(ax1), tuple(ax2), q, value, status)
+
+
+@settings(deadline=None, database=None)
+@given(_fields())
+def test_csv_round_trip_property(field):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = os.path.join(tmp, "f.csv"), os.path.join(tmp, "g.csv")
+        write_field_csv(field, path)
+        back = read_field_csv(path)
+        write_field_csv(back, again)
+        with open(path, "rb") as fa, open(again, "rb") as fb:
+            assert fa.read() == fb.read()
+    assert type(back) is type(field)
+    assert back == field
+    assert all(s is t for a, b in zip(back.status, field.status) for s, t in zip(a, b))
 
 
 def _sweep_orders(threads):

@@ -266,6 +266,30 @@ def test_separation_action_one_quadrature_per_row(monkeypatch):
     assert quads[0] == 3
 
 
+def test_calls_without_a_row_share_the_problem_row_table(monkeypatch):
+    # constraint and action_value at many t of one x build each tanh-sinh
+    # level of the row once, and agree bitwise with a fresh table per call
+    prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0)
+    x, q = 0.7, 2.0
+    ts = axis(0.0, 0.4, 41)
+    want_g = [hj._combine(hj._constraint_terms(prob, x, q, CFG, hj._RowTable(prob, x)), t) for t in ts]
+    want_s = [hj.action_value(prob, x, t, q, CFG, hj._RowTable(prob, x)) for t in ts]
+    builds = collections.Counter()  # (kind, panel lo, panel hi, level) built
+    for kind in ("_dq_level", "_dx_level"):
+        real = getattr(hj._RowTable, kind)
+
+        def counting(row, lo, hi, level, kind=kind, real=real):
+            builds[(kind, lo, hi, level)] += 1
+            return real(row, lo, hi, level)
+
+        monkeypatch.setattr(hj._RowTable, kind, counting)
+    assert [hj.constraint(prob, x, t, q, CFG) for t in ts] == want_g
+    assert [hj.action_value(prob, x, t, q, CFG) for t in ts] == want_s
+    assert set(builds.values()) == {1}
+    assert {kind for kind, *_ in builds} == {"_dq_level", "_dx_level"}
+    assert len(builds) <= 10  # a fresh table per call builds 4 levels of each kind per call
+
+
 def separated_rows(prob, xs, ts):
     return {(x, t): hj.separation_action(prob, 1.0, x, t, CFG) for x in xs for t in ts}
 

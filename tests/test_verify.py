@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 
 from hjgen import hj, pq, verify
-from hjgen.errors import EmptyReportError
+from hjgen.errors import DomainError, EmptyReportError
 from hjgen.fields import ActionField, SolutionField, Status
 
 
@@ -181,3 +182,120 @@ def test_residual_report_skips_out_of_branch_points():
         field.value[3][j] = -10.0  # poison one row; neighbours now difference badly
     rep = verify.residual_report(prob, field)
     assert rep.max_abs >= 0.0
+
+
+def _reference_partials(field, i, j, w1, w2):
+    # one point's centred differences, summed node by node; None at a hole
+    k1, k2 = len(w1) // 2, len(w2) // 2
+    d1 = 0.0
+    for m, w in enumerate(w1):
+        f = field.value[i - k1 + m][j]
+        if f is None:
+            return None
+        d1 += w * f
+    d2 = 0.0
+    for m, w in enumerate(w2):
+        f = field.value[i][j - k2 + m]
+        if f is None:
+            return None
+        d2 += w * f
+    return d1, d2
+
+
+def _reference_residual(problem, x, y, d1, d2):
+    if isinstance(problem, hj.HJProblem):
+        return problem._a_fn(x) * d1 * d1 + problem._v_fn(x) - d2
+    if problem.kind == "explicit":
+        return d1 - problem._f_fn(d2)
+    if problem.kind == "scaled_x":
+        return d1 - problem.ratio_slope_at(x) * problem._g_fn(d2)
+    return d2 - problem._g_fn(d1) * problem.ratio_slope_at(y)
+
+
+def residual_reference(problem, field):
+    """The residual report computed one point at a time."""
+    n1, n2 = field.shape
+    k1, k2 = min(3, (n1 - 1) // 2), min(3, (n2 - 1) // 2)
+    weights1 = verify._axis_weights(field.axis1, k1)
+    weights2 = verify._axis_weights(field.axis2, k2)
+    worst, max_abs, total, count = (0, 0), -1.0, 0.0, 0
+    for i in range(k1, n1 - k1):
+        for j in range(k2, n2 - k2):
+            ds = _reference_partials(field, i, j, weights1[i], weights2[j])
+            if ds is None:
+                continue
+            try:
+                r = abs(_reference_residual(problem, field.axis1[i], field.axis2[j], *ds))
+            except DomainError:
+                continue
+            count += 1
+            total += r
+            if r > max_abs:
+                max_abs, worst = r, (i, j)
+    if count == 0:
+        raise EmptyReportError("no usable interior point for a residual report")
+    h_used = max(
+        max(b - a for a, b in zip(field.axis1, field.axis1[1:])),
+        max(b - a for a, b in zip(field.axis2, field.axis2[1:])),
+    )
+    return verify.ResidualReport(max_abs, total / count, worst, field.resolved_fraction(), h_used)
+
+
+def _random_field(seed, xs, ys, holes):
+    # smooth values plus noise, with a share ``holes`` of the points missing
+    rng = random.Random(seed)
+    u = [[math.sin(x + 2 * y) + 0.3 * x * y + 1e-3 * rng.random() for y in ys] for x in xs]
+    st = [[Status.RESOLVED] * len(ys) for _ in xs]
+    for i in range(len(xs)):
+        for j in range(len(ys)):
+            if rng.random() < holes:
+                u[i][j] = None
+                st[i][j] = rng.choice([Status.NO_ROOT, Status.DOMAIN_FAIL])
+    q = [[None if v is None else 1.0 for v in row] for row in u]
+    return SolutionField(tuple(xs), tuple(ys), q, u, st)
+
+
+RESIDUAL_PROBLEMS = {
+    "hj": hj.HJProblem("1", "x^2", "q", sigma=1, x0=0.0),
+    "hj, a(x) raises at x = 0.5": hj.HJProblem("1/(x - 0.5)", "0", "q", sigma=1, x0=0.0),
+    "hj, V(x) raises below x = 0.3": hj.HJProblem("1", "sqrt(x - 0.3)", "q", sigma=1, x0=0.0),
+    "explicit": pq.PQProblem.explicit("2*q - 1", "q^2/2"),
+    "explicit, f raises at negative d2": pq.PQProblem.explicit("sqrt(q)", "q"),
+    "scaled_x, slope raises at x = 0.5": pq.PQProblem.scaled_x("x - 0.5", "q^2", "q"),
+    "scaled_y, slope raises at y = 0.5": pq.PQProblem.scaled_y("y - 0.5", "ln(p)", "p"),
+}
+RESIDUAL_GRIDS = {
+    "even 11 x 9": (axis(0, 1, 11), axis(0, 1, 9)),
+    "uneven": (UNEVEN, tuple(v * 0.9 + 0.05 for v in UNEVEN)),
+    "short axes": (axis(0, 1, 5), (0.0, 0.5, 0.6, 1.0)),
+    "three points": ((0.0, 0.5, 1.0), axis(0, 1, 7)),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(RESIDUAL_GRIDS))
+@pytest.mark.parametrize("problem", sorted(RESIDUAL_PROBLEMS))
+def test_residual_report_equals_point_by_point_reference(problem, grid):
+    prob = RESIDUAL_PROBLEMS[problem]
+    xs, ys = RESIDUAL_GRIDS[grid]
+    for seed, holes in enumerate((0.0, 0.02, 0.1, 0.3)):
+        field = _random_field(seed, xs, ys, holes)
+        try:
+            want = residual_reference(prob, field)
+        except EmptyReportError:
+            with pytest.raises(EmptyReportError):
+                verify.residual_report(prob, field)
+            continue
+        assert verify.residual_report(prob, field) == want
+
+
+def test_finite_diff_partials_equal_point_by_point_reference():
+    xs, ys = UNEVEN, axis(0, 1, 6)
+    field = _random_field(7, xs, ys, 0.15)
+    for i in range(len(xs)):
+        for j in range(len(ys)):
+            want = None
+            if 0 < i < len(xs) - 1 and 0 < j < len(ys) - 1:
+                w1 = verify._first_derivative_weights(xs[i], xs[i - 1 : i + 2])
+                w2 = verify._first_derivative_weights(ys[j], ys[j - 1 : j + 2])
+                want = _reference_partials(field, i, j, w1, w2)
+            assert verify.finite_diff_partials(field, i, j) == want

@@ -7,9 +7,13 @@ Usage::
 OLD_SRC and NEW_SRC are directories that each hold an ``hjgen`` package
 (a checkout's ``src``).  For each tree this runs ``python3 -m hjgen solve``
 on every config in ``configs/`` next to this script, serially, in a fresh
-temporary directory, and then compares every file the solves wrote (field
-CSVs and reports) and each solve's exit code and standard output.  For a
-field CSV that differs it also prints each numeric column's largest
+temporary directory.  Then, in the same directory and with the same tree,
+it reads the fields back: ``hjgen verify`` of each config on the field CSV
+its solve wrote (``<config name>_field.csv``), and ``hjgen oracle
+free_particle`` and ``harmonic`` on those configs' CSVs with the
+parameters the benchmark passes.  It compares every file the solves wrote
+(field CSVs and reports) and each command's exit code and standard output.
+For a field CSV that differs it also prints each numeric column's largest
 absolute change and every status change between the trees.  Exit status:
 0 when everything is byte-identical, 1 when anything differs, 2 on bad
 arguments.  Uses only the standard library.
@@ -28,24 +32,37 @@ from collections import Counter
 from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ORACLES = {  # oracle name -> its --param arguments, as perfbench passes them
+    "free_particle": ["--param", "a=1", "--param", "C=1"],
+    "harmonic": ["--param", "G=q^2/2"],
+}
 
 
 def solve_all(src: Path, configs: list[Path], work: Path) -> dict[str, bytes]:
-    """Solve each config with the package under ``src``; name -> output bytes."""
+    """Solve, verify and check against the oracles each config with the
+    package under ``src``; name -> output bytes."""
     for cfg in configs:
         shutil.copy(cfg, work / cfg.name)
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("HJGEN_THREADS", None)
     out: dict[str, bytes] = {}
-    for cfg in configs:
+
+    def run(name: str, args: list[str]) -> None:
         proc = subprocess.run(
-            [sys.executable, "-m", "hjgen", "solve", cfg.name],
+            [sys.executable, "-m", "hjgen", *args],
             cwd=work, env=env, capture_output=True, check=False,
         )
-        out[f"{cfg.name}: exit code"] = str(proc.returncode).encode()
-        out[f"{cfg.name}: stdout"] = proc.stdout
+        out[f"{name}: exit code"] = str(proc.returncode).encode()
+        out[f"{name}: stdout"] = proc.stdout
         if proc.returncode not in (0, 1):
             sys.stderr.write(proc.stderr.decode(errors="replace"))
+
+    for cfg in configs:
+        run(cfg.name, ["solve", cfg.name])
+    for cfg in configs:
+        run(f"verify {cfg.name}", ["verify", cfg.name, f"{cfg.stem}_field.csv"])
+    for name, params in ORACLES.items():
+        run(f"oracle {name}", ["oracle", name, f"{name}_field.csv", *params])
     for path in sorted(work.iterdir()):
         if path.suffix != ".cfg":
             out[path.name] = path.read_bytes()
