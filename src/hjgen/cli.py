@@ -8,7 +8,6 @@ Subcommands::
     hjgen diffcheck <expr> <var> [--n --seed]  symbolic vs finite-difference
 
 Exit codes: 0 success, 1 numeric-quality failure, 2 input/config failure.
-``HJGEN_THREADS`` caps solver parallelism (0 = serial).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import random
 import sys
 
@@ -32,19 +30,9 @@ __all__ = ["main", "entrypoint"]
 ORACLES = ("free_particle", "harmonic", "separation")
 
 
-def _threads() -> int:
-    raw = os.environ.get("HJGEN_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"HJGEN_THREADS must be an integer, got {raw!r}") from None
-    return max(n, 0)
-
-
-def _solve_field(cfg: RunConfig, threads: int):
-    if cfg.is_hj:
-        return hj.solve_grid(cfg.problem, cfg.axis1, cfg.axis2, cfg.q_range, cfg.solver, threads)
-    return pq.solve_grid(cfg.problem, cfg.axis1, cfg.axis2, cfg.q_range, cfg.solver, threads)
+def _solve_field(cfg: RunConfig):
+    solver = hj if cfg.is_hj else pq
+    return solver.solve_grid(cfg.problem, cfg.axis1, cfg.axis2, cfg.q_range, cfg.solver)
 
 
 def _report_text(cfg: RunConfig, field, report: ResidualReport | None) -> tuple[str, bool]:
@@ -96,7 +84,7 @@ def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     if cfg.field_path is None:
         raise ConfigError("[output] must name a field CSV path for solve")
-    field = _solve_field(cfg, _threads())
+    field = _solve_field(cfg)
     write_field_csv(field, cfg.field_path)
     return _emit_report(cfg, field, write_file=True)
 

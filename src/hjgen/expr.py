@@ -14,8 +14,8 @@ one of the supported single-argument functions; any other identifier is a
 variable, bound only at evaluation time.
 
 Trees are immutable after parsing; :func:`evaluate` and
-:func:`differentiate` are pure, so expressions can be shared freely across
-threads.
+:func:`differentiate` are pure, so expressions can be shared freely, also
+by concurrent callers.
 """
 
 from __future__ import annotations

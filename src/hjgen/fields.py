@@ -19,7 +19,6 @@ Only a file that fails those checks is read again line by line, by
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -132,7 +131,7 @@ def _extend(history, coord: float, root: Optional[float], slope: Optional[float]
     del history[:-_HISTORY]
 
 
-def sweep(solve: PointSolver, axis1, axis2, threads: int = 0):
+def sweep(solve: PointSolver, axis1, axis2):
     """Row-major continuation sweep over the axis1 x axis2 grid.
 
     ``solve(i, j, warm, guess)`` returns ``(root, status, slope)``.  Each
@@ -140,36 +139,23 @@ def sweep(solve: PointSolver, axis1, axis2, threads: int = 0):
     from the point in the previous row, and the origin runs cold.  ``guess``
     is ``(predicted root, slope of g)`` extrapolated from the earlier roots
     of the same sweep row (of column 0 for first-column points), or
-    ``None``.  Column 0 is computed serially, after which rows are
-    mutually independent and each row's history is its own, so with
-    ``threads > 1`` rows run in a thread pool without changing any input
-    of any point -- the output is identical to the serial sweep.
+    ``None``.
     """
     n1, n2 = len(axis1), len(axis2)
     q: list[list[Optional[float]]] = [[None] * n2 for _ in range(n1)]
     status = [[Status.NO_ROOT] * n2 for _ in range(n1)]
-    rows: list[list] = [[] for _ in range(n1)]
     column: list = []
     for i in range(n1):
         warm = q[i - 1][0] if i > 0 else None
         q[i][0], status[i][0], slope = solve(i, 0, warm, _predict(column, axis1[i]))
         _extend(column, axis1[i], q[i][0], slope)
-        _extend(rows[i], axis2[0], q[i][0], slope)
-
-    def run_row(i: int):
-        history = rows[i]
+        history: list = []
+        _extend(history, axis2[0], q[i][0], slope)
         for j in range(1, n2):
             q[i][j], status[i][j], slope = solve(
                 i, j, q[i][j - 1], _predict(history, axis2[j])
             )
             _extend(history, axis2[j], q[i][j], slope)
-
-    if threads and threads > 1 and n1 > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_row, range(n1)))
-    else:
-        for i in range(n1):
-            run_row(i)
     return q, status
 
 
@@ -183,8 +169,8 @@ class RootLine:
     construction, over ``scan_points`` equal intervals of [lo, hi]; a
     sample that raises :class:`DomainError` or :class:`ConvergenceError`
     is left out.  :meth:`solve` then finds a target's brackets from the
-    stored terms alone, so g runs only in the refinement.  The object is
-    not changed by :meth:`solve`, so threads may share it.
+    stored terms alone, so g runs only in the refinement.  :meth:`solve`
+    does not change the object.
     """
 
     __slots__ = ("terms", "combine", "lo", "hi", "cfg", "samples")
@@ -461,11 +447,11 @@ def _raise_first_error(lines, is_action: bool) -> None:
         present = st in (Status.RESOLVED, Status.MULTI_ROOT)
         if present != (qv is not None and val is not None):
             raise ConfigError(f"cell presence inconsistent with status {st.value!r}", lineno)
-        rows.append((a1, a2))
+        rows.append((lineno, a1, a2))
     if not rows:
         raise ConfigError("field file has no data rows", 2)
     axis1: list[float] = []
-    for a1, _ in rows:
+    for _, a1, _ in rows:
         if not axis1 or axis1[-1] != a1:
             axis1.append(a1)
     n1 = len(axis1)
@@ -474,11 +460,11 @@ def _raise_first_error(lines, is_action: bool) -> None:
     n2 = len(rows) // n1
     try:
         ax1 = check_axis(axis1)
-        ax2 = check_axis([a2 for _, a2 in rows[:n2]])
+        ax2 = check_axis([a2 for _, _, a2 in rows[:n2]])
     except ValueError as exc:
         raise ConfigError(str(exc), 2) from None
-    for k, (a1, a2) in enumerate(rows):
+    for k, (lineno, a1, a2) in enumerate(rows):
         i, j = divmod(k, n2)
         if a1 != ax1[i] or a2 != ax2[j]:
-            raise ConfigError("rows are not in row-major grid order", k + 2)
+            raise ConfigError("rows are not in row-major grid order", lineno)
     raise AssertionError("the line validator accepts a field the block parser rejected")

@@ -184,7 +184,6 @@ def _base_coefficients(prob: HJProblem) -> tuple[float, float]:
     """
     coefficients = prob._x0_coefficients
     if coefficients is None:
-        # racing threads may both compute it; they store the same pair
         coefficients = prob._x0_coefficients = _coefficients(prob, prob.x0)
     return coefficients
 
@@ -247,8 +246,7 @@ class _RowTable:
         key = (energy, tol)
         value = self._separation.get(key)
         if value is None:
-            # setdefault: a value computed twice by racing threads is identical
-            value = self._separation.setdefault(key, self._integral(energy, tol, "separation"))
+            value = self._separation[key] = self._integral(energy, tol, "separation")
         return value
 
     def _integral(self, q: float, tol: float, kind: str) -> float:
@@ -263,8 +261,7 @@ class _RowTable:
             key = (lo, hi, level)
             data = cache.get(key)
             if data is None:
-                # setdefault: a level built twice by racing threads is identical
-                data = cache.setdefault(key, build(lo, hi, level))
+                data = cache[key] = build(lo, hi, level)
             vmax, where, terms = data
             if q - vmax < margin:
                 raise DomainError("momentum argument below admissibility margin", where=where)
@@ -292,7 +289,7 @@ class _RowTable:
 
     def _dx_level(self, lo: float, hi: float, level: int):
         prob = self.prob
-        merged: dict[float, list[float]] = {}
+        merged: dict[float, tuple[float, float]] = {}
         vmax, where = -math.inf, lo
         for s, w in tanh_sinh_nodes(lo, hi, level):
             av, v = _coefficients(prob, s)
@@ -302,22 +299,14 @@ class _RowTable:
             if v > vmax:
                 vmax, where = v, s
             k = 0.5 * prob.sigma * w * s / (av * math.sqrt(av))
-            terms = merged.setdefault(v, [0.0, 0.0])
-            terms[0] += k * (a_p * v - av * v_p)
-            terms[1] += k * a_p
+            al, be = merged.get(v, (0.0, 0.0))
+            merged[v] = (al + k * (a_p * v - av * v_p), be + k * a_p)
         return vmax, where, tuple((v, al, be) for v, (al, be) in merged.items())
 
 
-def correction_term(
-    prob: HJProblem, x: float, q: float, cfg: SolverConfig, _row: Optional[_RowTable] = None
-) -> float:
-    """F(x, q): quadrature of the correction integrand from x0, plus G(q).
-
-    ``_row`` is the x row's :class:`_RowTable`; the problem's
-    :func:`_row_table` is used without it.
-    """
-    row = _row_table(prob, x) if _row is None else _row
-    return row.correction_integral(q, cfg.quad_tol) + prob.generator_at(q)
+def correction_term(prob: HJProblem, x: float, q: float, cfg: SolverConfig) -> float:
+    """F(x, q): quadrature of the correction integrand from x0, plus G(q)."""
+    return _row_table(prob, x).correction_integral(q, cfg.quad_tol) + prob.generator_at(q)
 
 
 def constraint(
@@ -347,15 +336,12 @@ def constraint(
 
         integral = integrate_adaptive(dq_integrand, prob.x0, x, cfg.quad_tol)
         return integral + g_slope - t - x * momentum_partials(prob, x, q)[1]
-    return _combine(_constraint_terms(prob, x, q, cfg), t)
+    return _combine(_constraint_terms(prob, _row_table(prob, x), q, cfg), t)
 
 
-def _constraint_terms(
-    prob: HJProblem, x: float, q: float, cfg: SolverConfig, row: Optional[_RowTable] = None
-):
-    """The t-free pieces (G'(q), integral of dp/dq, x0 dp/dq(x0, q)) of g."""
+def _constraint_terms(prob: HJProblem, row: _RowTable, q: float, cfg: SolverConfig):
+    """The t-free pieces (G'(q), integral of dp/dq, x0 dp/dq(x0, q)) of g on ``row``."""
     g_slope = prob.generator_slope_at(q)
-    row = _row_table(prob, x) if row is None else row
     integral = row.dp_dq_integral(q, cfg.quad_tol)
     base = prob.x0 * _dp_dq(prob, prob.x0, q, _base_coefficients(prob))
     return g_slope, integral, base
@@ -384,20 +370,14 @@ def _scan_floor(prob: HJProblem, ceiling: float, q_lo: float) -> float:
 
 
 def _root_line(
-    prob: HJProblem,
-    x: float,
-    q_lo: float,
-    q_hi: float,
-    cfg: SolverConfig,
-    row: Optional[_RowTable] = None,
+    prob: HJProblem, x: float, q_lo: float, q_hi: float, cfg: SolverConfig
 ) -> Optional[RootLine]:
     """The x row's root condition over its clipped scan range.
 
     The range [q_lo, q_hi] is clipped above the potential ceiling plus the
     admissibility margin; ``None`` (a domain failure of every point of the
-    row) when the clipped range is empty or the ceiling raises.  ``row`` is
-    the row's :class:`_RowTable`; the problem's :func:`_row_table` is used
-    without it.
+    row) when the clipped range is empty or the ceiling raises.  The line
+    keeps the row's :class:`_RowTable` from :func:`_row_table`.
     """
     try:
         ceiling = _potential_ceiling(prob, x)
@@ -406,8 +386,8 @@ def _root_line(
     lo = _scan_floor(prob, ceiling, q_lo)
     if not lo < q_hi:
         return None
-    row = _row_table(prob, x) if row is None else row
-    return RootLine(lambda q: _constraint_terms(prob, x, q, cfg, row), _combine, lo, q_hi, cfg)
+    row = _row_table(prob, x)
+    return RootLine(lambda q: _constraint_terms(prob, row, q, cfg), _combine, lo, q_hi, cfg)
 
 
 def solve_point(
@@ -434,16 +414,9 @@ def solve_point(
     return line.solve(t, warm)[:2]
 
 
-def action_value(
-    prob: HJProblem,
-    x: float,
-    t: float,
-    q: float,
-    cfg: SolverConfig,
-    _row: Optional[_RowTable] = None,
-) -> float:
+def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfig) -> float:
     """S = x p(x, q) + q t - F(x, q) at the resolved root q."""
-    return x * momentum(prob, x, q) + q * t - correction_term(prob, x, q, cfg, _row)
+    return x * momentum(prob, x, q) + q * t - correction_term(prob, x, q, cfg)
 
 
 def solve_grid(
@@ -452,7 +425,6 @@ def solve_grid(
     t_grid,
     q_range: tuple[float, float],
     cfg: SolverConfig,
-    threads: int = 0,
 ) -> ActionField:
     """Warm-started sweep producing the action field S, roots q and momenta p."""
     xs = check_axis(x_grid)
@@ -460,16 +432,14 @@ def solve_grid(
     q_lo, q_hi = q_range
     if not q_lo < q_hi:
         raise ValueError("solve_grid requires q_lo < q_hi")
-    rows = [_RowTable(prob, x) for x in xs]
-    # built before the sweep starts, so sweep threads only read the lines
-    lines = [_root_line(prob, x, q_lo, q_hi, cfg, row) for x, row in zip(xs, rows)]
+    lines = [_root_line(prob, x, q_lo, q_hi, cfg) for x in xs]
 
     def point(i, j, warm, guess):
         if lines[i] is None:
             return None, Status.DOMAIN_FAIL, None
         return lines[i].solve(ts[j], warm, guess)
 
-    q, status = sweep(point, xs, ts, threads)
+    q, status = sweep(point, xs, ts)
     value: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     p: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     for i in range(len(xs)):
@@ -477,7 +447,7 @@ def solve_grid(
             if q[i][j] is None:
                 continue
             try:
-                value[i][j] = action_value(prob, xs[i], ts[j], q[i][j], cfg, rows[i])
+                value[i][j] = action_value(prob, xs[i], ts[j], q[i][j], cfg)
                 p[i][j] = momentum(prob, xs[i], q[i][j])
             except (DomainError, ConvergenceError):
                 q[i][j] = None
@@ -495,7 +465,6 @@ def _row_table(prob: HJProblem, x: float) -> _RowTable:
     """
     row = prob._last_row
     if row is None or row.x != x:
-        # racing threads may replace each other's table; each uses the one it holds
         row = prob._last_row = _RowTable(prob, x)
     return row
 

@@ -192,7 +192,6 @@ def solve_grid(
     y_grid,
     q_range: tuple[float, float],
     cfg: SolverConfig,
-    threads: int = 0,
 ) -> SolutionField:
     """Continuation sweep over the grid, one :class:`~hjgen.fields.RootLine` per line.
 
@@ -212,7 +211,7 @@ def solve_grid(
             return lines[j].solve(xs[i], warm, guess)
         return lines[i].solve(ys[j], warm, guess)
 
-    q, status = sweep(point, xs, ys, threads)
+    q, status = sweep(point, xs, ys)
     value: list[list[Optional[float]]] = [[None] * len(ys) for _ in xs]
     for i in range(len(xs)):
         for j in range(len(ys)):

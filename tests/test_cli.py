@@ -81,15 +81,12 @@ def test_solve_free_particle_end_to_end(free_run):
     assert worst <= 1e-8
 
 
-def test_solve_is_deterministic_and_thread_safe(free_run, tmp_path, monkeypatch):
+def test_solve_is_deterministic(free_run):
     _, field_path, _, code = free_run
     assert code == 0
     first = field_path.read_bytes()
     assert main(["solve", str(free_run[0])]) == 0
     assert field_path.read_bytes() == first  # identical config, identical bytes
-    monkeypatch.setenv("HJGEN_THREADS", "4")
-    assert main(["solve", str(free_run[0])]) == 0
-    assert field_path.read_bytes() == first  # parallelism cannot change output
 
 
 def test_solve_bad_expression_exits_2(tmp_path, capsys):

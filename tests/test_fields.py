@@ -176,11 +176,11 @@ MALFORMED = {
         "rows are not in row-major grid order",
         4,
     ),
-    # the grid order error counts data rows, not lines, so blank lines do not move it
+    # the grid order error names the bad row's own line, so a blank line before it counts
     "out-of-order rows after a blank": (
         [GOOD[0], "", "0,0,1,2,resolved", "0,1,1,2,resolved", "1,1,1,2,resolved", "1,0,1,2,resolved"],
         "rows are not in row-major grid order",
-        4,
+        5,
     ),
     "lone NaN axis": ([GOOD[0], "nan,0,1,2,resolved"], "rows are not in row-major grid order", 2),
     "first bad line wins": (
@@ -276,31 +276,21 @@ def test_csv_round_trip_property(field):
     assert all(s is t for a, b in zip(back.status, field.status) for s, t in zip(a, b))
 
 
-def _sweep_orders(threads):
+def test_sweep_warm_start_wiring():
     calls = []
 
     def solver(i, j, warm, guess):
         calls.append((i, j, warm))
         return 10.0 * i + j, Status.RESOLVED, 1.0
 
-    q, status = sweep(solver, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], threads)
-    return q, status, calls
-
-
-def test_sweep_warm_start_wiring():
-    q, status, calls = _sweep_orders(0)
+    q, status = sweep(solver, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
+    assert [(i, j) for i, j, _ in calls] == [(i, j) for i in range(3) for j in range(4)]
     warm = {(i, j): w for i, j, w in calls}
     assert warm[(0, 0)] is None  # origin runs cold
     assert warm[(1, 0)] == q[0][0]  # first column from the previous row
     assert warm[(2, 0)] == q[1][0]
     assert warm[(1, 2)] == q[1][1]  # everything else from the left neighbour
     assert all(status[i][j] is Status.RESOLVED for i in range(3) for j in range(4))
-
-
-def test_sweep_threaded_matches_serial():
-    serial = _sweep_orders(0)[0]
-    threaded = _sweep_orders(4)[0]
-    assert serial == threaded
 
 
 def test_sweep_guesses_extrapolate_each_row():

@@ -2,8 +2,6 @@ import collections
 import math
 import pathlib
 import random
-import sys
-import threading
 
 import pytest
 
@@ -137,10 +135,10 @@ def test_base_point_coefficients_once_per_problem(monkeypatch):
 
     monkeypatch.setattr(hj, "_coefficients", counting)
     row = hj._RowTable(prob, 0.7)
-    first = hj._constraint_terms(prob, 0.7, 2.0, CFG, row)  # fills the row's levels
+    first = hj._constraint_terms(prob, row, 2.0, CFG)  # fills the row's levels
     calls.clear()
     for _ in range(3):  # the same q reuses those levels: no node is evaluated
-        assert hj._constraint_terms(prob, 0.7, 2.0, CFG, row) == first
+        assert hj._constraint_terms(prob, row, 2.0, CFG) == first
     assert calls[0.2] == 0  # nor a and V at x0 for the base-point term
     # a(x0) = 0: construction succeeds, every evaluation raises
     bad = hj.HJProblem("x", "0", "q", sigma=1, x0=0.0)
@@ -272,8 +270,13 @@ def test_calls_without_a_row_share_the_problem_row_table(monkeypatch):
     prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0)
     x, q = 0.7, 2.0
     ts = axis(0.0, 0.4, 41)
-    want_g = [hj._combine(hj._constraint_terms(prob, x, q, CFG, hj._RowTable(prob, x)), t) for t in ts]
-    want_s = [hj.action_value(prob, x, t, q, CFG, hj._RowTable(prob, x)) for t in ts]
+    want_g = [hj._combine(hj._constraint_terms(prob, hj._RowTable(prob, x), q, CFG), t) for t in ts]
+    want_s = [
+        x * hj.momentum(prob, x, q)
+        + q * t
+        - (hj._RowTable(prob, x).correction_integral(q, CFG.quad_tol) + prob.generator_at(q))
+        for t in ts
+    ]
     builds = collections.Counter()  # (kind, panel lo, panel hi, level) built
     for kind in ("_dq_level", "_dx_level"):
         real = getattr(hj._RowTable, kind)
@@ -301,30 +304,6 @@ def test_separation_action_independent_of_call_order():
     # x1, x2, x1, ...: every call replaces the problem's kept row table
     interleaved = {(x, t): hj.separation_action(prob, 1.0, x, t, CFG) for t in ts for x in xs}
     assert interleaved == by_row
-
-
-def test_separation_action_threads_bitwise_serial():
-    xs, ts = axis(0.1, 0.8, 6), axis(0.0, 0.4, 9)
-    serial = separated_rows(hj.HJProblem("1", "x^2", "0"), xs, ts)
-    shared = hj.HJProblem("1", "x^2", "0")
-    parts = []
-
-    def work(k):
-        parts.append(separated_rows(shared, xs[k::3], ts))
-
-    workers = [threading.Thread(target=work, args=(k,)) for k in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the threads' swaps of the kept row table
-    try:
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert len(parts) == 3
-    assert {key: v for part in parts for key, v in part.items()} == serial
 
 
 def test_solve_grid_free_particle_matches_closed_form():
@@ -418,24 +397,6 @@ def test_base_point_choice_changes_member_not_validity():
         for i in range(5)
         for j in range(5)
     )
-
-
-def test_solve_grid_threaded_bitwise_identical():
-    for prob, xs, ts, q_range in (
-        (FREE, axis(0.5, 2.0, 9), axis(0.0, 0.5, 9), (0.01, 20.0)),
-        (OSC, axis(0.15, 0.45, 9), axis(0.2, 0.5, 9), (0.05, 6.0)),
-    ):
-        serial = hj.solve_grid(prob, xs, ts, q_range, CFG)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the threads' reads of the row tables
-        try:
-            threaded = hj.solve_grid(prob, xs, ts, q_range, CFG, threads=3)
-        finally:
-            sys.setswitchinterval(interval)
-        assert serial.q == threaded.q
-        assert serial.value == threaded.value
-        assert serial.p == threaded.p
-        assert serial.status == threaded.status
 
 
 def point_loop(prob, xs, ts, q_range, cfg):

@@ -44,7 +44,6 @@ def solve_all(src: Path, configs: list[Path], work: Path) -> dict[str, bytes]:
     for cfg in configs:
         shutil.copy(cfg, work / cfg.name)
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("HJGEN_THREADS", None)
     out: dict[str, bytes] = {}
 
     def run(name: str, args: list[str]) -> None:
