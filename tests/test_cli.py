@@ -89,6 +89,23 @@ def test_solve_is_deterministic(free_run):
     assert field_path.read_bytes() == first  # identical config, identical bytes
 
 
+def test_solve_unaffected_by_other_solves_in_the_process(free_run, tmp_path):
+    # a pq solve and a second hj grid in between leave no state that moves
+    # the first config's output
+    _, field_path, _, code = free_run
+    assert code == 0
+    first = field_path.read_bytes()
+    pq_cfg = tmp_path / "lin.cfg"
+    pq_cfg.write_text(SMALL_LINEAR.format(field=tmp_path / "f.csv", report=tmp_path / "r.txt"))
+    assert main(["solve", str(pq_cfg)]) == 0
+    other = tmp_path / "other.cfg"
+    text = SMALL_FREE.format(field=tmp_path / "g.csv", report=tmp_path / "s.txt")
+    other.write_text(text.replace("x = 0.5:2.0:21", "x = 0.7:1.9:13"))
+    assert main(["solve", str(other)]) == 0
+    assert main(["solve", str(free_run[0])]) == 0
+    assert field_path.read_bytes() == first
+
+
 def test_solve_bad_expression_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     text = SMALL_FREE.format(field=tmp_path / "f.csv", report=tmp_path / "r.txt")

@@ -293,6 +293,21 @@ def test_sweep_warm_start_wiring():
     assert all(status[i][j] is Status.RESOLVED for i in range(3) for j in range(4))
 
 
+def test_sweep_rows_independent_of_later_rows():
+    # each result depends on its warm start and guess, so a row that read a
+    # later row would differ between the prefix sweeps and the full one
+    def solver(i, j, warm, guess):
+        pred = guess[0] if guess else 0.0
+        return (warm or 0.0) + 0.5 * pred + i - j, Status.RESOLVED, 1.0 + j
+
+    axis1, axis2 = [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0]
+    q, status = sweep(solver, axis1, axis2)
+    for k in range(1, len(axis1)):
+        q_k, status_k = sweep(solver, axis1[:k], axis2)
+        assert q_k == q[:k]
+        assert status_k == status[:k]
+
+
 def test_sweep_guesses_extrapolate_each_row():
     # roots linear in both coordinates, so any prediction from two or more
     # earlier roots of the same sweep line is exact

@@ -399,6 +399,26 @@ def test_base_point_choice_changes_member_not_validity():
     )
 
 
+def test_solve_grid_independent_of_the_row_table_slot():
+    # the problem's kept row table may hold another x, or the grid's own x
+    # with levels filled at other q; the field is the same to the bit
+    for args, xs, ts, q_range in (
+        (("1", "0", "q"), axis(0.5, 2.0, 9), axis(0.0, 0.5, 9), (0.01, 20.0)),
+        (("1", "x^2", "q^2/2"), axis(0.15, 0.45, 9), axis(0.2, 0.5, 9), (0.05, 6.0)),
+    ):
+        fresh = hj.solve_grid(hj.HJProblem(*args, eps_adm=1e-3), xs, ts, q_range, CFG)
+        used = hj.HJProblem(*args, eps_adm=1e-3)
+        hj.solve_grid(used, xs[1::2], ts[::3], q_range, CFG)
+        for q in (0.5, 1.5, 3.0):
+            hj.action_value(used, xs[0], 0.3, q, CFG)
+        hj.solve_point(used, xs[0], ts[4], *q_range, CFG)
+        field = hj.solve_grid(used, xs, ts, q_range, CFG)
+        assert field.q == fresh.q
+        assert field.value == fresh.value
+        assert field.p == fresh.p
+        assert field.status == fresh.status
+
+
 def point_loop(prob, xs, ts, q_range, cfg):
     """solve_point at every point with the sweep's warm starts: a scan and
     Brent's method from the coarse bracket, no row tables, no predictor."""

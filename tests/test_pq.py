@@ -219,6 +219,24 @@ def test_phi_shift_gauge():
             assert f2.value[i][j] == pytest.approx(f1.value[i][j] - 5.0, abs=1e-12)
 
 
+def test_solve_grid_independent_of_earlier_solves():
+    # a problem that has solved other grids gives a fresh problem's field bitwise
+    for args, xs, ys, q_range in (
+        (("explicit", "sqrt(q)", "q"), axis(0.5, 1.5, 9), axis(0.0, 0.5, 9), (1e-3, 10.0)),
+        (("scaled_y", "1 + y^2", "p^2", "p^2/2"), axis(0.5, 1.0, 9), axis(0.0, 0.2, 7), (0.0, 25.0)),
+    ):
+        kind, *exprs = args
+        fresh = pq.solve_grid(getattr(pq.PQProblem, kind)(*exprs), xs, ys, q_range, CFG)
+        used = getattr(pq.PQProblem, kind)(*exprs)
+        pq.solve_grid(used, xs[::2], ys[1::2], q_range, CFG)
+        pq.solve_grid(used, ys, xs, q_range, CFG)
+        field = pq.solve_grid(used, xs, ys, q_range, CFG)
+        assert field.resolved_fraction() == 1.0
+        assert field.q == fresh.q
+        assert field.value == fresh.value
+        assert field.status == fresh.status
+
+
 def test_scaled_y_column_lines_match_point_solves():
     # scaled_y lines are y columns, each read by every row of the sweep; the
     # field matches each point's own solve (scan plus Brent's method from
