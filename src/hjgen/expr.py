@@ -15,14 +15,16 @@ variable, bound only at evaluation time.
 
 Trees are immutable after parsing; :func:`evaluate` and
 :func:`differentiate` are pure, so expressions can be shared freely, also
-by concurrent callers.
+by concurrent callers.  :func:`evaluate` runs :func:`compile_function`'s code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Mapping, Union
 
 from .errors import DomainError, EvalError, ParseError
@@ -145,8 +147,11 @@ class _Parser:
             return e
         m = _NUMBER.match(self.src, self.pos)
         if m:
+            value = float(m.group(0))
+            if value == math.inf:
+                raise ParseError(f"number {m.group(0)!r} overflows to infinity", self.pos)
             self.pos = m.end()
-            return Num(float(m.group(0)))
+            return Num(value)
         m = _IDENT.match(self.src, self.pos)
         if m:
             name = m.group(0)
@@ -193,75 +198,24 @@ def _power_value(base: float, expo: float) -> float:
         raise DomainError("overflow in power") from None
 
 
-def _call_value(func: str, a: float) -> float:
-    if func == "sin":
-        return math.sin(a)
-    if func == "cos":
-        return math.cos(a)
-    if func == "tan":
-        return math.tan(a)
-    if func == "asin":
-        if not -1.0 <= a <= 1.0:
-            raise DomainError(f"asin argument {a!r} outside [-1, 1]")
-        return math.asin(a)
-    if func == "acos":
-        if not -1.0 <= a <= 1.0:
-            raise DomainError(f"acos argument {a!r} outside [-1, 1]")
-        return math.acos(a)
-    if func == "atan":
-        return math.atan(a)
-    if func == "exp":
-        try:
-            return math.exp(a)
-        except OverflowError:
-            raise DomainError("overflow in exp") from None
-    if func == "ln":
-        if a <= 0.0:
-            raise DomainError(f"ln argument {a!r} must be positive")
-        return math.log(a)
-    if func == "sqrt":
-        if a < 0.0:
-            raise DomainError(f"sqrt argument {a!r} is negative")
-        return math.sqrt(a)
-    if func == "abs":
-        return abs(a)
-    raise EvalError(f"unknown function {func!r}")
-
-
 def evaluate(e: Expression, bindings: Mapping[str, float]) -> float:
     """Evaluate ``e`` with every variable bound in ``bindings``.
 
-    Out-of-domain arguments (negative sqrt/ln, |asin| > 1, division by
-    zero, negative base with fractional exponent) raise
-    :class:`DomainError` rather than producing a silent NaN.
+    Runs the closure :func:`compile_function` builds, cached by emitted
+    source (not by tree: ``Num(0.0) == Num(-0.0)``), so it returns and raises
+    what compiled closures do.  Out-of-domain arguments (negative sqrt/ln,
+    |asin| > 1, division by zero, negative base with fractional exponent,
+    overflow) and other math errors, such as ``sin(inf)``, raise
+    :class:`DomainError` rather than producing a silent NaN.  What ``math``
+    accepts keeps its value: ``asin``/``acos`` of NaN are NaN, and ``^`` with
+    an infinite or NaN operand is ``math.pow``'s (``0^(-inf)`` is inf).
     """
-    match e:
-        case Num(value=v):
-            return v
-        case Var(name=name):
-            try:
-                return bindings[name]
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
-        case Neg(arg=a):
-            return -evaluate(a, bindings)
-        case BinOp(op=op, left=left, right=right):
-            lv = evaluate(left, bindings)
-            rv = evaluate(right, bindings)
-            if op == "+":
-                return lv + rv
-            if op == "-":
-                return lv - rv
-            if op == "*":
-                return lv * rv
-            if op == "/":
-                if rv == 0.0:
-                    raise DomainError("division by zero")
-                return lv / rv
-            return _power_value(lv, rv)
-        case Call(func=func, arg=arg):
-            return _call_value(func, evaluate(arg, bindings))
-    raise TypeError(f"not an expression node: {e!r}")
+    params = tuple(sorted(variables(e)))
+    try:
+        values = [bindings[p] for p in params]
+    except KeyError as exc:
+        raise EvalError(f"unbound variable {exc.args[0]!r}") from None
+    return _cached_function(_emit(e), params)(*values)
 
 
 def depends_on(e: Expression, var: str) -> bool:
@@ -435,17 +389,36 @@ def differentiate(e: Expression, var: str) -> Expression:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-_COMPILED_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "asin": math.asin,
-    "acos": math.acos,
-    "atan": math.atan,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
+def _exp(a: float) -> float:
+    try:
+        return math.exp(a)
+    except OverflowError:
+        raise DomainError("overflow in exp") from None
+
+
+def _checked(fn, admits, message: str):
+    """``fn`` behind an argument check; ``message % a`` names a rejected ``a``."""
+    def checked(a: float) -> float:
+        if not admits(a):
+            raise DomainError(message % (a,))
+        return fn(a)
+
+    return checked
+
+
+# What the emitted names call.  The fast build runs math directly; the
+# checked build, run only to word a fast build's math error, checks each
+# argument first (NaN fails only asin's and acos's checks).
+_FAST = {f"_{f}": getattr(math, f) for f in FUNCTIONS if f not in ("ln", "abs")}
+_FAST.update(_ln=math.log, _abs=abs, _pow=math.pow)
+_CHECKED = {
+    **_FAST,
+    "_asin": _checked(math.asin, lambda a: -1.0 <= a <= 1.0, "asin argument %r outside [-1, 1]"),
+    "_acos": _checked(math.acos, lambda a: -1.0 <= a <= 1.0, "acos argument %r outside [-1, 1]"),
+    "_ln": _checked(math.log, lambda a: not a <= 0.0, "ln argument %r must be positive"),
+    "_sqrt": _checked(math.sqrt, lambda a: not a < 0.0, "sqrt argument %r is negative"),
+    "_exp": _exp,
+    "_pow": _power_value,
 }
 
 
@@ -460,7 +433,7 @@ def _emit(e: Expression) -> str:
         case BinOp(op=op, left=left, right=right):
             if op == "^":
                 # math.pow keeps the principal real branch and raises
-                # ValueError outside it, matching evaluate()
+                # ValueError outside it
                 return f"_pow({_emit(left)}, {_emit(right)})"
             return f"({_emit(left)} {op} {_emit(right)})"
         case Call(func=func, arg=arg):
@@ -471,43 +444,45 @@ def _emit(e: Expression) -> str:
 def compile_function(e: Expression, params: tuple[str, ...]):
     """Compile ``e`` into a plain Python function of ``params``.
 
-    The result evaluates like :func:`evaluate` with those bindings,
-    converting out-of-domain math errors to :class:`DomainError` with
-    :func:`evaluate`'s message, which only the error path re-runs it for;
-    it exists for hot loops where tree walking is too slow.  Every variable
-    of ``e`` must appear in ``params``.
+    Every variable of ``e`` must appear in ``params``.  A math error
+    (ValueError, OverflowError, ZeroDivisionError) is raised as
+    :class:`DomainError` naming the operation and its argument, e.g.
+    ``ln argument -0.25 must be positive`` or ``division by zero``; math's
+    own message when no argument check applies, as for ``sin(inf)``.
     """
     missing = variables(e) - set(params)
     if missing:
         raise EvalError(f"unbound variable {sorted(missing)[0]!r}")
-    args = ", ".join(f"v_{p}" for p in params)
-    ns = {"_pow": math.pow}
-    ns.update({f"_{name}": fn for name, fn in _COMPILED_FUNCS.items()})
-    exec(f"def _compiled({args}):\n    return {_emit(e)}", ns)
+    return _function(_emit(e), params)
+
+
+def _function(body: str, params: tuple[str, ...]):
+    ns = dict(_FAST)
+    exec(f"def _compiled({', '.join(f'v_{p}' for p in params)}):\n    return {body}", ns)
     raw = ns["_compiled"]
+    checked = FunctionType(raw.__code__, _CHECKED)
 
     def call(*values: float) -> float:
         try:
             return raw(*values)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(_domain_message(e, params, values, exc)) from None
+            message = str(exc)
+        # the checked build fails wherever the fast one does, at or before
+        # the same operation; math's message stands when it has none
+        try:
+            checked(*values)
+        except DomainError as err:
+            message = str(err)
+        except ZeroDivisionError:
+            message = "division by zero"
+        except (ValueError, ArithmeticError):
+            pass
+        raise DomainError(message)
 
     return call
 
 
-def _domain_message(e: Expression, params, values, exc: Exception) -> str:
-    """:func:`evaluate`'s message for a compiled closure's math error.
-
-    It names the operation and its argument; ``str(exc)`` when the tree
-    walker does not raise a :class:`DomainError` at the same bindings.
-    """
-    try:
-        evaluate(e, dict(zip(params, values)))
-    except DomainError as err:
-        return str(err)
-    except (ValueError, ArithmeticError):
-        pass
-    return str(exc)
+_cached_function = functools.lru_cache(maxsize=256)(_function)
 
 
 _PREC_ADD = 1

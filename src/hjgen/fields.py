@@ -450,21 +450,22 @@ def _raise_first_error(lines, is_action: bool) -> None:
         rows.append((lineno, a1, a2))
     if not rows:
         raise ConfigError("field file has no data rows", 2)
-    axis1: list[float] = []
-    for _, a1, _ in rows:
-        if not axis1 or axis1[-1] != a1:
-            axis1.append(a1)
+    axis1: list[tuple[int, float]] = []  # (line, value) where axis 1 takes a new value
+    for lineno, a1, _ in rows:
+        if not axis1 or axis1[-1][1] != a1:
+            axis1.append((lineno, a1))
     n1 = len(axis1)
     if len(rows) % n1 != 0:
         raise ConfigError("row count does not form a complete grid", len(lines))
     n2 = len(rows) // n1
-    try:
-        ax1 = check_axis(axis1)
-        ax2 = check_axis([a2 for _, _, a2 in rows[:n2]])
-    except ValueError as exc:
-        raise ConfigError(str(exc), 2) from None
+    axis2 = [(lineno, a2) for lineno, _, a2 in rows[:n2]]
+    broken = [
+        line for axis in (axis1, axis2) for (_, a), (line, b) in zip(axis, axis[1:]) if not a < b
+    ]
+    if broken:
+        raise ConfigError("axis values must be strictly increasing", min(broken))
     for k, (lineno, a1, a2) in enumerate(rows):
         i, j = divmod(k, n2)
-        if a1 != ax1[i] or a2 != ax2[j]:
+        if a1 != axis1[i][1] or a2 != axis2[j][1]:
             raise ConfigError("rows are not in row-major grid order", lineno)
     raise AssertionError("the line validator accepts a field the block parser rejected")

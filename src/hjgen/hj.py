@@ -143,17 +143,21 @@ def _coefficients(prob: HJProblem, x: float):
     return a, v
 
 
-def _gap(prob: HJProblem, x: float, q: float, v: float) -> float:
+def _momentum_gap(prob: HJProblem, x: float, q: float, coefficients=None):
+    """(a, V, q - V) at one abscissa, once q - V clears the admissibility margin.
+
+    a and V come from ``coefficients`` when given, else from the problem.
+    """
+    a, v = _coefficients(prob, x) if coefficients is None else coefficients
     gap = q - v
     if gap < prob.margin(q):
         raise DomainError("momentum argument below admissibility margin", where=x)
-    return gap
+    return a, v, gap
 
 
 def momentum(prob: HJProblem, x: float, q: float) -> float:
     """p(x, q) = sigma * sqrt((q - V(x)) / a(x))."""
-    a, v = _coefficients(prob, x)
-    gap = _gap(prob, x, q, v)
+    a, _, gap = _momentum_gap(prob, x, q)
     return prob.sigma * math.sqrt(gap / a)
 
 
@@ -166,8 +170,7 @@ def momentum_partials(prob: HJProblem, x: float, q: float) -> tuple[float, float
     with a' and V' taken symbolically, so accuracy is limited only by the
     caller's quadrature / root tolerances.
     """
-    a, v = _coefficients(prob, x)
-    gap = _gap(prob, x, q, v)
+    a, v, gap = _momentum_gap(prob, x, q)
     a_p = prob._ap_fn(x)
     v_p = prob._vp_fn(x)
     root = math.sqrt(a * gap)
@@ -186,13 +189,6 @@ def _base_coefficients(prob: HJProblem) -> tuple[float, float]:
     if coefficients is None:
         coefficients = prob._x0_coefficients = _coefficients(prob, prob.x0)
     return coefficients
-
-
-def _dp_dq(prob: HJProblem, x: float, q: float, coefficients=None) -> float:
-    # momentum q-slope at one abscissa, from a and V there when given
-    a, v = _coefficients(prob, x) if coefficients is None else coefficients
-    gap = _gap(prob, x, q, v)
-    return prob.sigma / (2.0 * math.sqrt(a * gap))
 
 
 def correction_integrand(prob: HJProblem, x: float, q: float) -> float:
@@ -343,7 +339,8 @@ def _constraint_terms(prob: HJProblem, row: _RowTable, q: float, cfg: SolverConf
     """The t-free pieces (G'(q), integral of dp/dq, x0 dp/dq(x0, q)) of g on ``row``."""
     g_slope = prob.generator_slope_at(q)
     integral = row.dp_dq_integral(q, cfg.quad_tol)
-    base = prob.x0 * _dp_dq(prob, prob.x0, q, _base_coefficients(prob))
+    a, _, gap = _momentum_gap(prob, prob.x0, q, _base_coefficients(prob))
+    base = prob.x0 * (prob.sigma / (2.0 * math.sqrt(a * gap)))
     return g_slope, integral, base
 
 

@@ -307,6 +307,13 @@ def test_diffcheck_passes(expr, var):
     assert main(["diffcheck", expr, var]) == 0
 
 
+def test_diffcheck_skips_samples_where_math_raises(capsys):
+    # exp(exp(x)*10)^2 overflows to inf above x ~ 3.57, where sin raises:
+    # those samples are skipped, not an input failure
+    assert main(["diffcheck", "sin(exp(exp(x)*10)*exp(exp(x)*10))", "x", "--n", "20"]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
 def test_diffcheck_narrow_domain_exits_2(capsys):
     assert main(["diffcheck", "sqrt(q - 3.999)", "q", "--n", "100"]) == 2
     assert "in-domain" in capsys.readouterr().err

@@ -94,6 +94,15 @@ def test_bad_expression_names_key_and_position():
     assert "'V'" in msg and "position 2" in msg
 
 
+def test_overflowing_literal_is_a_config_error():
+    # 1e999 is not a number; it used to reach the solver as a NameError
+    text = HJ_TEXT.replace('V = "x^2"', 'V = "x*1e999"')
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    msg = str(err.value)
+    assert "'V'" in msg and "position 2" in msg and "1e999" in msg
+
+
 def test_unknown_key_reports_line():
     text = HJ_TEXT.replace("x0 = 0.25", "x9 = 0.25")
     with pytest.raises(ConfigError) as err:

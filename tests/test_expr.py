@@ -1,12 +1,117 @@
 import math
 import random
+import re
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjgen import expr
 from hjgen.errors import DomainError, EvalError, ParseError
-from hjgen.expr import BinOp, Call, Num, Var
+from hjgen.expr import BinOp, Call, Neg, Num, Var
 from hjgen.numerics import central_difference
+
+
+def _reference_power(base, expo):
+    if base < 0.0 and expo != math.floor(expo):
+        raise DomainError(f"negative base {base!r} with non-integer exponent {expo!r}")
+    if base == 0.0 and expo < 0.0:
+        raise DomainError("zero base with negative exponent")
+    try:
+        return math.pow(base, expo)
+    except OverflowError:
+        raise DomainError("overflow in power") from None
+
+
+def _reference_call(func, a):
+    if func == "asin":
+        if not -1.0 <= a <= 1.0:
+            raise DomainError(f"asin argument {a!r} outside [-1, 1]")
+        return math.asin(a)
+    if func == "acos":
+        if not -1.0 <= a <= 1.0:
+            raise DomainError(f"acos argument {a!r} outside [-1, 1]")
+        return math.acos(a)
+    if func == "exp":
+        try:
+            return math.exp(a)
+        except OverflowError:
+            raise DomainError("overflow in exp") from None
+    if func == "ln":
+        if a <= 0.0:
+            raise DomainError(f"ln argument {a!r} must be positive")
+        return math.log(a)
+    if func == "sqrt":
+        if a < 0.0:
+            raise DomainError(f"sqrt argument {a!r} is negative")
+        return math.sqrt(a)
+    return _PLAIN[func](a)
+
+
+_PLAIN = {f: getattr(math, f) for f in ("sin", "cos", "tan", "asin", "acos", "atan", "exp", "sqrt")}
+_PLAIN.update(ln=math.log, abs=abs)
+
+
+def _reference(e, bindings, checked=True):
+    """Tree-walking evaluation, the reference for compiled closures.
+
+    With ``checked`` (the default) this is the walker that ``expr.evaluate``
+    was before it ran compiled code: it checks arguments and raises
+    :class:`DomainError` with the messages compiled closures give.  Without,
+    it applies the plain operators, ``math.pow`` and ``math`` functions, as
+    a compiled closure does before any error.
+    """
+    match e:
+        case Num(value=v):
+            return v
+        case Var(name=name):
+            try:
+                return bindings[name]
+            except KeyError:
+                raise EvalError(f"unbound variable {name!r}") from None
+        case Neg(arg=a):
+            return -_reference(a, bindings, checked)
+        case BinOp(op=op, left=left, right=right):
+            lv = _reference(left, bindings, checked)
+            rv = _reference(right, bindings, checked)
+            if op == "+":
+                return lv + rv
+            if op == "-":
+                return lv - rv
+            if op == "*":
+                return lv * rv
+            if op == "/":
+                if checked and rv == 0.0:
+                    raise DomainError("division by zero")
+                return lv / rv
+            return _reference_power(lv, rv) if checked else math.pow(lv, rv)
+        case Call(func=func, arg=arg):
+            a = _reference(arg, bindings, checked)
+            return _reference_call(func, a) if checked else _PLAIN[func](a)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _outcome(f):
+    """What calling ``f`` gives: its value's bits (any NaN alike) or its error."""
+    try:
+        v = f()
+    except DomainError as err:
+        return ("DomainError", str(err))
+    except (ValueError, ArithmeticError) as err:
+        return ("math error", str(err))
+    return ("value", "nan" if math.isnan(v) else struct.pack("<d", v))
+
+
+def _compiled_outcome(e, bindings):
+    """What a compiled closure gives, by the reference walker: the plain
+    walk's value, or on its math error a DomainError with the checked
+    walk's message, or math's own when that walk raises no DomainError."""
+    plain = _outcome(lambda: _reference(e, bindings, checked=False))
+    if plain[0] == "value":
+        return plain
+    checked = _outcome(lambda: _reference(e, bindings))
+    return checked if checked[0] == "DomainError" else ("DomainError", plain[1])
 
 
 def test_parse_quotient_of_power():
@@ -221,7 +326,7 @@ def test_compiled_function_matches_evaluate():
         for _ in range(10):
             point = {"x": rng.uniform(-3.0, 3.0), "q": rng.uniform(-3.0, 3.0)}
             try:
-                want = expr.evaluate(e, point)
+                want = _reference(e, point)
             except DomainError:
                 with pytest.raises(DomainError):
                     fn(point["x"], point["q"])
@@ -241,10 +346,73 @@ def test_compiled_domain_error_names_the_operation():
     with pytest.raises(DomainError) as err:
         expr.compile_function(expr.parse("1/(x - 2)"), ("x",))(2.0)
     assert str(err.value) == "division by zero"
-    # the tree walker raises no DomainError for sin(inf): the math message stays
     with pytest.raises(DomainError) as err:
         expr.compile_function(expr.parse("sin(x)"), ("x",))(math.inf)
     assert str(err.value) == "math domain error"
+
+
+def test_evaluate_gives_the_compiled_semantics():
+    # math's own error is a DomainError, not a ValueError escaping
+    with pytest.raises(DomainError) as err:
+        expr.evaluate(expr.parse("sin(x)"), {"x": math.inf})
+    assert str(err.value) == "math domain error"
+    # what math accepts keeps its value
+    for src in ("asin(x)", "acos(x)"):
+        assert math.isnan(expr.evaluate(expr.parse(src), {"x": math.nan}))
+    assert expr.evaluate(expr.parse("0^x"), {"x": -math.inf}) == math.inf
+
+
+def test_parse_rejects_overflowing_literal():
+    with pytest.raises(ParseError) as err:
+        expr.parse("x*1e999")
+    assert err.value.position == 2
+    assert "1e999" in str(err.value)
+    assert expr.parse("1e308 + 1e-999") == BinOp("+", Num(1e308), Num(0.0))
+
+
+_LEAVES = st.one_of(
+    st.builds(Num, st.floats(allow_nan=False, allow_infinity=False)),
+    st.sampled_from([Var("x"), Var("q")]),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(expr.FUNCTIONS), sub),
+    ),
+    max_leaves=12,
+)
+
+# where the walker rejected what math accepts: asin/acos of NaN, and ^ with
+# an infinite operand (the exponent in "zero base with negative exponent")
+_ACCEPTED_BY_MATH = re.compile(r"(asin|acos) argument nan |negative base -inf |zero base with")
+
+
+@settings(deadline=None, database=None, max_examples=400)
+@given(e=_TREES, x=st.floats(), q=st.floats())
+def test_compiled_and_evaluate_match_the_reference(e, x, q):
+    point = {"x": x, "q": q}
+    want = _compiled_outcome(e, point)
+    assert _outcome(lambda: expr.compile_function(e, ("x", "q"))(x, q)) == want
+    got = _outcome(lambda: expr.evaluate(e, point))
+    assert got == want
+    walker = _outcome(lambda: _reference(e, point))
+    if walker[0] == "math error":
+        return  # math's error escaped the walker; evaluate raises DomainError or keeps math's value
+    if got != walker:
+        assert (walker[0], got[0]) == ("DomainError", "value")
+        assert _ACCEPTED_BY_MATH.match(walker[1]), walker[1]
+
+
+@settings(deadline=None, database=None, max_examples=400)
+@given(e=_TREES, x=st.floats(), q=st.floats())
+def test_to_string_reparses_to_the_same_string_and_values(e, x, q):
+    text = expr.to_string(e)
+    back = expr.parse(text)
+    assert expr.to_string(back) == text
+    point = {"x": x, "q": q}
+    assert _outcome(lambda: expr.evaluate(back, point)) == _outcome(lambda: expr.evaluate(e, point))
 
 
 def test_compiled_function_rejects_unbound():

@@ -163,13 +163,19 @@ MALFORMED = {
     "incomplete grid, trailing blanks": (
         GOOD[:4] + ["", ""], "row count does not form a complete grid", 6
     ),
+    # an axis error names the line whose axis value fails to increase
     "decreasing axis 1": (
         [GOOD[0], "1,0,1,2,resolved", "1,1,1,2,resolved", "0,0,1,2,resolved", "0,1,1,2,resolved"],
         "axis values must be strictly increasing",
-        2,
+        4,
     ),
     "decreasing axis 2": (
-        [GOOD[0], "0,1,1,2,resolved", "0,0,1,2,resolved"], "axis values must be strictly increasing", 2
+        [GOOD[0], "0,1,1,2,resolved", "0,0,1,2,resolved"], "axis values must be strictly increasing", 3
+    ),
+    "decreasing axis 1 after a blank": (
+        [GOOD[0], "", "1,0,1,2,resolved", "1,1,1,2,resolved", "0,0,1,2,resolved", "0,1,1,2,resolved"],
+        "axis values must be strictly increasing",
+        5,
     ),
     "out-of-order rows": (
         [GOOD[0], "0,0,1,2,resolved", "0,1,1,2,resolved", "1,1,1,2,resolved", "1,0,1,2,resolved"],

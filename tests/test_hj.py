@@ -211,8 +211,7 @@ def separated_reference(prob, energy, x, t, tol):
     """The separated action from a callable quadrature of sqrt((E - V)/a)."""
 
     def integrand(s):
-        a, v = hj._coefficients(prob, s)
-        return math.sqrt(hj._gap(prob, s, energy, v) / a)
+        return prob.sigma * hj.momentum(prob, s, energy)
 
     return integrate_adaptive(integrand, prob.x0, x, tol) + energy * t
 
@@ -510,7 +509,7 @@ def test_bump_roots_below_its_peak_are_not_resolved():
 )
 def test_row_table_matches_integrate_adaptive(prob, x, q):
     row = hj._RowTable(prob, x)
-    want = integrate_adaptive(lambda s: hj._dp_dq(prob, s, q), prob.x0, x, CFG.quad_tol)
+    want = integrate_adaptive(lambda s: hj.momentum_partials(prob, s, q)[1], prob.x0, x, CFG.quad_tol)
     assert abs(row.dp_dq_integral(q, CFG.quad_tol) - want) <= 1e-13
     want = integrate_adaptive(
         lambda s: hj.correction_integrand(prob, s, q), prob.x0, x, CFG.quad_tol
@@ -530,7 +529,11 @@ def test_row_table_merges_equal_potential_nodes_exactly(prob, x, distinct):
     row.dp_dq_integral(q, CFG.quad_tol)
     row.correction_integral(q, CFG.quad_tol)
     for cache, integrand, value in (
-        (row._dq, hj._dp_dq, lambda terms: sum(c / math.sqrt(q - v) for v, c in terms)),
+        (
+            row._dq,
+            lambda prob, s, q: hj.momentum_partials(prob, s, q)[1],
+            lambda terms: sum(c / math.sqrt(q - v) for v, c in terms),
+        ),
         (
             row._dx,
             hj.correction_integrand,

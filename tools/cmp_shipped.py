@@ -11,8 +11,11 @@ temporary directory.  Then, in the same directory and with the same tree,
 it reads the fields back: ``hjgen verify`` of each config on the field CSV
 its solve wrote (``<config name>_field.csv``), and ``hjgen oracle
 free_particle`` and ``harmonic`` on those configs' CSVs with the
-parameters the benchmark passes.  It compares every file the solves wrote
-(field CSVs and reports) and each command's exit code and standard output.
+parameters the benchmark passes.  Last it runs ``hjgen diffcheck`` on the
+README's example and on each distinct quoted expression of the configs,
+against x and against q.  It compares every file the solves wrote (field
+CSVs and reports) and each command's exit code, standard output and
+standard error.
 For a field CSV that differs it also prints each numeric column's largest
 absolute change and every status change between the trees.  Exit status:
 0 when everything is byte-identical, 1 when anything differs, 2 on bad
@@ -24,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -36,11 +40,19 @@ ORACLES = {  # oracle name -> its --param arguments, as perfbench passes them
     "free_particle": ["--param", "a=1", "--param", "C=1"],
     "harmonic": ["--param", "G=q^2/2"],
 }
+README_DIFFCHECK = ["asin(x/sqrt(q))", "q", "--n", "200", "--seed", "7"]
+
+
+def diffchecks(configs: list[Path]) -> list[list[str]]:
+    """``hjgen diffcheck`` arguments: the README example, then each distinct
+    quoted expression of ``configs`` against x and against q."""
+    exprs = {m.group(1) for cfg in configs for m in re.finditer(r'"([^"]*)"', cfg.read_text())}
+    return [README_DIFFCHECK] + [[e, var] for e in sorted(exprs) for var in ("x", "q")]
 
 
 def solve_all(src: Path, configs: list[Path], work: Path) -> dict[str, bytes]:
-    """Solve, verify and check against the oracles each config with the
-    package under ``src``; name -> output bytes."""
+    """Solve, verify and check against the oracles each config, and run
+    diffcheck, with the package under ``src``; name -> output bytes."""
     for cfg in configs:
         shutil.copy(cfg, work / cfg.name)
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -53,6 +65,7 @@ def solve_all(src: Path, configs: list[Path], work: Path) -> dict[str, bytes]:
         )
         out[f"{name}: exit code"] = str(proc.returncode).encode()
         out[f"{name}: stdout"] = proc.stdout
+        out[f"{name}: stderr"] = proc.stderr
         if proc.returncode not in (0, 1):
             sys.stderr.write(proc.stderr.decode(errors="replace"))
 
@@ -62,6 +75,8 @@ def solve_all(src: Path, configs: list[Path], work: Path) -> dict[str, bytes]:
         run(f"verify {cfg.name}", ["verify", cfg.name, f"{cfg.stem}_field.csv"])
     for name, params in ORACLES.items():
         run(f"oracle {name}", ["oracle", name, f"{name}_field.csv", *params])
+    for args in diffchecks(configs):
+        run(f"diffcheck {' '.join(args)}", ["diffcheck", *args])
     for path in sorted(work.iterdir()):
         if path.suffix != ".cfg":
             out[path.name] = path.read_bytes()
