@@ -410,7 +410,7 @@ def _checked(fn, admits, message: str):
 # checked build, run only to word a fast build's math error, checks each
 # argument first (NaN fails only asin's and acos's checks).
 _FAST = {f"_{f}": getattr(math, f) for f in FUNCTIONS if f not in ("ln", "abs")}
-_FAST.update(_ln=math.log, _abs=abs, _pow=math.pow)
+_FAST.update(_ln=math.log, _abs=abs, _pow=math.pow, _inf=math.inf, _nan=math.nan)
 _CHECKED = {
     **_FAST,
     "_asin": _checked(math.asin, lambda a: -1.0 <= a <= 1.0, "asin argument %r outside [-1, 1]"),
@@ -423,22 +423,51 @@ _CHECKED = {
 
 
 def _emit(e: Expression) -> str:
+    """Python source for ``e``, with only the parentheses Python needs.
+
+    Python ranks ``+ -``, ``* /`` and unary minus as the grammar does
+    (:func:`_prec`), ``^`` and the functions are emitted as calls, and an
+    operand is parenthesised exactly where :func:`to_string` parenthesises
+    it, so the source parses back to ``e``'s own tree and compiles to the
+    bytecode of the fully parenthesised form.  A non-finite literal is the
+    namespace name ``_inf`` or ``_nan``, negated when its sign bit is set.
+    """
     match e:
         case Num(value=v):
-            return repr(v)
+            if math.isfinite(v):
+                return repr(v)
+            name = "_inf" if v == v else "_nan"
+            return f"-{name}" if math.copysign(1.0, v) < 0 else name
         case Var(name=name):
             return f"v_{name}"
         case Neg(arg=a):
-            return f"(-{_emit(a)})"
+            return f"-{_operand(a, _prec(a) < _PREC_NEG)}"
+        case BinOp(op="^", left=left, right=right):
+            # math.pow keeps the principal real branch and raises
+            # ValueError outside it
+            return f"_pow({_emit(left)}, {_emit(right)})"
         case BinOp(op=op, left=left, right=right):
-            if op == "^":
-                # math.pow keeps the principal real branch and raises
-                # ValueError outside it
-                return f"_pow({_emit(left)}, {_emit(right)})"
-            return f"({_emit(left)} {op} {_emit(right)})"
+            p = _prec(e)
+            return f"{_operand(left, _prec(left) < p)} {op} {_operand(right, _prec(right) <= p)}"
         case Call(func=func, arg=arg):
             return f"_{func}({_emit(arg)})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _operand(e: Expression, wrap: bool) -> str:
+    return f"({_emit(e)})" if wrap else _emit(e)
+
+
+def _nesting(source: str) -> int:
+    """The deepest parenthesis nesting in ``source``."""
+    depth = deepest = 0
+    for ch in source:
+        if ch == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ")":
+            depth -= 1
+    return deepest
 
 
 def compile_function(e: Expression, params: tuple[str, ...]):
@@ -448,7 +477,9 @@ def compile_function(e: Expression, params: tuple[str, ...]):
     (ValueError, OverflowError, ZeroDivisionError) is raised as
     :class:`DomainError` naming the operation and its argument, e.g.
     ``ln argument -0.25 must be positive`` or ``division by zero``; math's
-    own message when no argument check applies, as for ``sin(inf)``.
+    own message when no argument check applies, as for ``sin(inf)``.  An
+    expression whose calls and parentheses nest deeper than Python's
+    compiler accepts raises :class:`ParseError` naming the depth.
     """
     missing = variables(e) - set(params)
     if missing:
@@ -458,7 +489,15 @@ def compile_function(e: Expression, params: tuple[str, ...]):
 
 def _function(body: str, params: tuple[str, ...]):
     ns = dict(_FAST)
-    exec(f"def _compiled({', '.join(f'v_{p}' for p in params)}):\n    return {body}", ns)
+    try:
+        exec(f"def _compiled({', '.join(f'v_{p}' for p in params)}):\n    return {body}", ns)
+    except SyntaxError:
+        # the emitted source is always valid, so only its nesting can fail
+        raise ParseError(
+            f"expression nests calls and parentheses {_nesting(body)} deep, "
+            "past the Python compiler's limit",
+            0,
+        ) from None
     raw = ns["_compiled"]
     checked = FunctionType(raw.__code__, _CHECKED)
 

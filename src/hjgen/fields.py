@@ -4,11 +4,14 @@ and CSV serialization.
 Every solver's root condition is additive in the grid's second axis (or,
 for scaled_y problems, its first), so a grid line is one t-free function
 inverted at many targets.  :class:`RootLine` scans that function once per
-line and finds each target's brackets from the stored samples;
-:func:`sweep` walks the grid with warm starts and feeds each point a root
-predicted from its row's earlier roots, which :func:`_refine` probes
-before Brent's method (Brent 1973, see :mod:`hjgen.numerics`) finishes
-the bracket.
+line and splits the samples' t-free levels into monotone runs, so a
+target's brackets come from a bisection of each run, with the condition
+combined only at the two samples of each crossing; a target within
+rounding of a sample's level takes the full scan instead.  :func:`sweep`
+walks the grid with warm starts and feeds each point a root predicted
+from its row's earlier roots, with Lagrange weights built once per axis,
+which :func:`_refine` probes before Brent's method (Brent 1973, see
+:mod:`hjgen.numerics`) finishes the bracket.
 
 The CSV kernels work on whole columns: :func:`write_field_csv` formats one
 grid row at a time, and :func:`read_field_csv` parses bounded blocks of
@@ -19,6 +22,9 @@ Only a file that fails those checks is read again line by line, by
 
 from __future__ import annotations
 
+import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -102,32 +108,53 @@ PointSolver = Callable[
 _HISTORY = 4  # roots a line's predictor extrapolates through
 
 
-def _predict(history, coord: float) -> Optional[tuple[float, float]]:
-    """Extrapolate the earlier roots of a sweep line to ``coord``.
+def _lagrange_weights(axis) -> list[list[tuple[float, ...]]]:
+    """``table[j][n]``: the Lagrange weights at ``axis[j]`` through ``axis[j - n : j]``.
 
-    ``history`` holds up to ``_HISTORY`` (coordinate, root, slope of g at
-    the root) triples, oldest first; the prediction is the Lagrange
-    polynomial through all of them (constant up to cubic), paired with the
-    latest slope.  ``None`` without history.
+    A sweep line's history is always its last n <= ``_HISTORY`` consecutive
+    points, since a point without a root clears it (:func:`_extend`), so
+    the weights depend only on (j, n) and are built once per axis.
+    """
+    table = []
+    for j, coord in enumerate(axis):
+        by_n = [()]
+        for n in range(1, min(j, _HISTORY) + 1):
+            nodes = axis[j - n : j]
+            weights = []
+            for k, ck in enumerate(nodes):
+                weight = 1.0
+                for m, cm in enumerate(nodes):
+                    if m != k:
+                        weight *= (coord - cm) / (ck - cm)
+                weights.append(weight)
+            by_n.append(tuple(weights))
+        table.append(by_n)
+    return table
+
+
+def _predict(history, weights) -> Optional[tuple[float, float]]:
+    """Extrapolate the earlier roots of a sweep line to the next point.
+
+    ``history`` holds up to ``_HISTORY`` (root, slope of g at the root)
+    pairs, oldest first, and ``weights`` the Lagrange weights of their
+    points at the next one (:func:`_lagrange_weights`); the prediction is
+    the polynomial through all of them (constant up to cubic), paired with
+    the latest slope.  ``None`` without history.
     """
     if not history:
         return None
     guess = 0.0
-    for k, (ck, rk, _) in enumerate(history):
-        weight = 1.0
-        for m, (cm, _, _) in enumerate(history):
-            if m != k:
-                weight *= (coord - cm) / (ck - cm)
-        guess += weight * rk
-    return guess, history[-1][2]
+    for weight, (root, _) in zip(weights, history):
+        guess += weight * root
+    return guess, history[-1][1]
 
 
-def _extend(history, coord: float, root: Optional[float], slope: Optional[float]) -> None:
+def _extend(history, root: Optional[float], slope: Optional[float]) -> None:
     # a point without a refined root breaks the line's continuation
     if root is None or slope is None:
         history.clear()
         return
-    history.append((coord, root, slope))
+    history.append((root, slope))
     del history[:-_HISTORY]
 
 
@@ -142,20 +169,21 @@ def sweep(solve: PointSolver, axis1, axis2):
     ``None``.
     """
     n1, n2 = len(axis1), len(axis2)
+    weights1, weights2 = _lagrange_weights(axis1), _lagrange_weights(axis2)
     q: list[list[Optional[float]]] = [[None] * n2 for _ in range(n1)]
     status = [[Status.NO_ROOT] * n2 for _ in range(n1)]
     column: list = []
     for i in range(n1):
         warm = q[i - 1][0] if i > 0 else None
-        q[i][0], status[i][0], slope = solve(i, 0, warm, _predict(column, axis1[i]))
-        _extend(column, axis1[i], q[i][0], slope)
+        guess = _predict(column, weights1[i][len(column)])
+        q[i][0], status[i][0], slope = solve(i, 0, warm, guess)
+        _extend(column, q[i][0], slope)
         history: list = []
-        _extend(history, axis2[0], q[i][0], slope)
+        _extend(history, q[i][0], slope)
         for j in range(1, n2):
-            q[i][j], status[i][j], slope = solve(
-                i, j, q[i][j - 1], _predict(history, axis2[j])
-            )
-            _extend(history, axis2[j], q[i][j], slope)
+            guess = _predict(history, weights2[j][len(history)])
+            q[i][j], status[i][j], slope = solve(i, j, q[i][j - 1], guess)
+            _extend(history, q[i][j], slope)
     return q, status
 
 
@@ -164,20 +192,31 @@ class RootLine:
 
     Along a grid line every solver's condition is
     g(q) = combine(terms(q), target): ``terms`` is the line's t-free part,
-    a tuple of floats, and the target (t, y or x) enters only through
-    ``combine``.  The scan samples' terms are computed once, at
+    a tuple of floats, and ``combine`` sums the terms and the target (t, y
+    or x), left to right in a fixed order, the target with the sign
+    ``sense`` (+1 or -1).  The scan samples' terms are computed once, at
     construction, over ``scan_points`` equal intervals of [lo, hi]; a
     sample that raises :class:`DomainError` or :class:`ConvergenceError`
     is left out.  :meth:`solve` then finds a target's brackets from the
     stored terms alone, so g runs only in the refinement.  :meth:`solve`
     does not change the object.
+
+    Each sample's t-free level h_k = -sense * combine(terms_k, 0.0) is the
+    target at which its g vanishes, up to rounding.  The levels are split
+    into monotone runs (adjacent runs share their turning sample, and a
+    flat step stays in the run it extends), and :meth:`brackets` finds a
+    target's crossing of each run by bisection, so a target costs
+    O(runs * log n) comparisons and two ``combine`` calls per bracket, not
+    a ``combine`` per sample.
     """
 
-    __slots__ = ("terms", "combine", "lo", "hi", "cfg", "samples")
+    __slots__ = ("terms", "combine", "lo", "hi", "cfg", "samples", "_runs", "_span", "_mass", "_c")
 
-    def __init__(self, terms, combine, lo: float, hi: float, cfg: SolverConfig):
+    def __init__(self, terms, combine, sense: int, lo: float, hi: float, cfg: SolverConfig):
         if not lo < hi:
             raise ValueError("a root line requires lo < hi")
+        if sense not in (1, -1):
+            raise ValueError("sense must be +1 or -1")
         self.terms = terms
         self.combine = combine
         self.lo, self.hi, self.cfg = lo, hi, cfg
@@ -187,6 +226,17 @@ class RootLine:
                 self.samples.append((q, terms(q)))
             except (DomainError, ConvergenceError):
                 pass
+        self._runs = None  # no bisection: every target takes the full scan
+        if not self.samples:
+            return
+        levels = [-sense * combine(t, 0.0) for _, t in self.samples]
+        mass = max(sum(map(abs, t)) for _, t in self.samples)
+        if not (math.isfinite(mass) and all(map(math.isfinite, levels))):
+            return
+        self._mass = mass
+        self._span = max(levels) - min(levels)
+        self._c = (len(self.samples[0][1]) + 1) * sys.float_info.epsilon
+        self._runs = _monotone_runs(levels)
 
     def scan(self, target: float) -> list[tuple[float, float]]:
         """(q, g(q)) at the scan samples, in order, from the stored terms.
@@ -199,6 +249,55 @@ class RootLine:
             v = combine(terms, target)
             if v == v:
                 out.append((q, v))
+        return out
+
+    def brackets(self, target: float) -> Optional[list[Bracket]]:
+        """``bracket_pairs(self.scan(target))`` by bisection over the monotone
+        runs, or ``None`` when only the full scan can tell.
+
+        Rounding.  ``combine`` adds n = len(terms) + 1 operands left to
+        right, so its value differs from the exact sum, sense * (t - H_k),
+        by at most gamma (|t| + S_k), where S_k is the sum of |terms_k|,
+        gamma = (n - 1) u / (1 - (n - 1) u) and u = eps / 2 (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
+        eq. 4.4); the stored level h_k is within gamma S_k of H_k.  Both
+        errors together stay below 2 gamma (|t| + M), M = max_k S_k, which
+        is (n - 1) eps (|t| + M) to first order.  With slack =
+        n eps (|t| + M), the spare eps (|t| + M) covers the roundings of
+        slack and of t - h_k themselves, so |t - h_k| > slack makes
+        combine(terms_k, t) nonzero with the sign of sense * (t - h_k).
+
+        In a monotone run the samples within slack of t are contiguous
+        around t's insertion point, so when neither neighbour of that point
+        is within slack, every sample's sign is known and none is zero:
+        the sign changes are exactly the runs' crossings, each paired as
+        ``bracket_pairs`` pairs it, with both values from ``combine``
+        itself.  The result is ``None`` (the caller scans) when a crossing
+        neighbour lies within slack, when a term, level or the target is
+        not finite, and when the levels span at most
+        2 (resid_tol + slack), where every |g| might be below
+        ``resid_tol``; a wider span leaves some sample with |t - h_k| above
+        resid_tol + slack, so with a computed |g| above ``resid_tol``.
+        """
+        runs = self._runs
+        if runs is None:
+            return None
+        slack = self._c * (abs(target) + self._mass)
+        if not self._span > 2.0 * (self.cfg.resid_tol + slack):  # also a NaN or inf target
+            return None
+        samples, combine = self.samples, self.combine
+        out = []
+        for start, sign, keys in runs:
+            key = sign * target
+            i = bisect_left(keys, key)
+            if i and key - keys[i - 1] <= slack:
+                return None
+            if i < len(keys):
+                if keys[i] - key <= slack:
+                    return None
+                if i:
+                    (q1, t1), (q2, t2) = samples[start + i - 1], samples[start + i]
+                    out.append(Bracket(q1, q2, combine(t1, target), combine(t2, target)))
         return out
 
     def solve(self, target: float, warm: Optional[float] = None, guess=None):
@@ -214,13 +313,15 @@ class RootLine:
         bracket was refined.
         """
         cfg, combine = self.cfg, self.combine
-        samples = self.scan(target)
-        if not samples:
-            return None, Status.DOMAIN_FAIL, None
         ref = warm if warm is not None else 0.5 * (self.lo + self.hi)
-        if all(abs(v) <= cfg.resid_tol for _, v in samples):
-            return ref, Status.MULTI_ROOT, None
-        brackets = bracket_pairs(samples)
+        brackets = self.brackets(target)
+        if brackets is None:
+            samples = self.scan(target)
+            if not samples:
+                return None, Status.DOMAIN_FAIL, None
+            if all(abs(v) <= cfg.resid_tol for _, v in samples):
+                return ref, Status.MULTI_ROOT, None
+            brackets = bracket_pairs(samples)
         if not brackets:
             return None, Status.NO_ROOT, None
         line_terms = self.terms
@@ -240,6 +341,28 @@ class RootLine:
             return unique[0][0], Status.RESOLVED, unique[0][1]
         root, slope = min(unique, key=lambda r: (abs(r[0] - ref), r[0]))
         return root, Status.MULTI_ROOT, slope
+
+
+def _monotone_runs(levels) -> list[tuple[int, int, list[float]]]:
+    """(first sample, sign, sign * level per sample) of each monotone run of ``levels``.
+
+    The sign is -1 on a falling run and +1 otherwise, so each run's keys
+    are sorted.  Adjacent runs share their turning sample, and a flat step
+    stays in the run it extends.
+    """
+    bounds = []
+    start, step = 0, 0
+    for k in range(1, len(levels)):
+        d = (levels[k] > levels[k - 1]) - (levels[k] < levels[k - 1])
+        if d and step and d != step:
+            bounds.append((start, k, step))
+            start = k - 1
+        step = d or step
+    bounds.append((start, len(levels), step))
+    return [
+        (a, -1, [-h for h in levels[a:b]]) if d < 0 else (a, 1, levels[a:b])
+        for a, b, d in bounds
+    ]
 
 
 # the straddle probe aims this far past the predicted root's Newton step

@@ -24,8 +24,9 @@ only through E t.
 Time enters g only additively, and the clipped scan range depends on x
 alone, so each x row is one t-free root condition inverted at every t of
 the row (:class:`~hjgen.fields.RootLine`): :func:`solve_grid` computes the
-row's scan samples once, each point finds its brackets from them without
-evaluating g, and g runs only to refine a bracket.  The refinement starts
+row's scan samples once, each point finds its brackets by bisection over
+the samples' t-free levels without evaluating g, and g runs only to
+refine a bracket.  The refinement starts
 from a root predicted by extrapolating the row's earlier roots along t
 and probed from both sides, and Brent's method finishes it; most points of
 the shipped configs take three quadratures.
@@ -350,6 +351,9 @@ def _combine(terms, t: float) -> float:
     return g_slope - t - integral - base
 
 
+_SENSE = -1  # t enters _combine subtracted
+
+
 def _potential_ceiling(prob: HJProblem, x: float) -> float:
     """Max of V over the quadrature segment, sampled on a fixed fine grid."""
     vmax = -math.inf
@@ -384,7 +388,7 @@ def _root_line(
     if not lo < q_hi:
         return None
     row = _row_table(prob, x)
-    return RootLine(lambda q: _constraint_terms(prob, row, q, cfg), _combine, lo, q_hi, cfg)
+    return RootLine(lambda q: _constraint_terms(prob, row, q, cfg), _combine, _SENSE, lo, q_hi, cfg)
 
 
 def solve_point(

@@ -4,7 +4,9 @@ All operations are pure.  Functions passed in may raise
 :class:`~hjgen.errors.DomainError` at points outside their domain; the
 quadrature propagates it.  The bracket scan itself lives in
 :class:`hjgen.fields.RootLine`, which samples at :func:`scan_abscissae`
-and pairs the samples with :func:`bracket_pairs`.
+and finds most targets' brackets by bisection over the samples' monotone
+runs; :func:`bracket_pairs` pairs the samples when rounding could decide
+a sign, and is the definition that bisection reproduces.
 
 Quadrature is nested tanh-sinh (H. Takahasi and M. Mori, "Double
 exponential formulas for numerical integration", Publ. RIMS 9, 1974):

@@ -23,7 +23,8 @@ Each condition is additive in one axis: explicit and scaled_x conditions
 are h_x(q) + y, scaled_y conditions h_y(p) + x.  :func:`solve_grid`
 therefore solves each x row (each y column for scaled_y) as one
 :class:`~hjgen.fields.RootLine`, whose scan samples are computed once per
-line; points then evaluate the condition only to refine their brackets.
+line; a point finds its brackets by bisection over the samples' t-free
+levels and evaluates the condition only to refine them.
 """
 
 from __future__ import annotations
@@ -139,6 +140,9 @@ def _combine(terms, target: float) -> float:
     return slope_term + target - phi_slope
 
 
+_SENSE = 1  # the target enters _combine added
+
+
 def _line(prob: PQProblem, x: float, y: float):
     """(line coordinate, target) of the point (x, y)."""
     return (y, x) if prob.kind == "scaled_y" else (x, y)
@@ -183,7 +187,7 @@ def solve_point(
     if not q_lo < q_hi:
         raise ValueError("solve_point requires q_lo < q_hi")
     v, target = _line(prob, x, y)
-    return RootLine(_line_terms(prob, v), _combine, q_lo, q_hi, cfg).solve(target, warm)[:2]
+    return RootLine(_line_terms(prob, v), _combine, _SENSE, q_lo, q_hi, cfg).solve(target, warm)[:2]
 
 
 def solve_grid(
@@ -203,7 +207,8 @@ def solve_grid(
     q_lo, q_hi = q_range
     by_column = prob.kind == "scaled_y"
     lines = [
-        RootLine(_line_terms(prob, v), _combine, q_lo, q_hi, cfg) for v in (ys if by_column else xs)
+        RootLine(_line_terms(prob, v), _combine, _SENSE, q_lo, q_hi, cfg)
+        for v in (ys if by_column else xs)
     ]
 
     def point(i, j, warm, guess):

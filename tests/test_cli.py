@@ -314,6 +314,11 @@ def test_diffcheck_skips_samples_where_math_raises(capsys):
     assert "error" not in capsys.readouterr().err
 
 
+def test_diffcheck_long_sum_compiles():
+    # a left-deep sum needs no parentheses, however long
+    assert main(["diffcheck", "x" + "+1" * 249, "x", "--n", "5"]) == 0
+
+
 def test_diffcheck_narrow_domain_exits_2(capsys):
     assert main(["diffcheck", "sqrt(q - 3.999)", "q", "--n", "100"]) == 2
     assert "in-domain" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 import re
 import struct
@@ -436,3 +437,107 @@ def test_concurrent_evaluation_is_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         for result in pool.map(worker, range(8)):
             assert result == expected
+
+
+# --- the emitter: minimal parentheses, non-finite literals, depth ---------
+
+
+def _emit_fully_parenthesised(e):
+    """The emitter before it dropped redundant parentheses: every operator node in its own."""
+    match e:
+        case Num(value=v):
+            return repr(v)
+        case Var(name=name):
+            return f"v_{name}"
+        case Neg(arg=a):
+            return f"(-{_emit_fully_parenthesised(a)})"
+        case BinOp(op="^", left=left, right=right):
+            return f"_pow({_emit_fully_parenthesised(left)}, {_emit_fully_parenthesised(right)})"
+        case BinOp(op=op, left=left, right=right):
+            return f"({_emit_fully_parenthesised(left)} {op} {_emit_fully_parenthesised(right)})"
+        case Call(func=func, arg=arg):
+            return f"_{func}({_emit_fully_parenthesised(arg)})"
+
+
+def _bytecode(source):
+    code = compile(f"lambda v_x, v_q: {source}", "<expr>", "eval").co_consts[0]
+    return code.co_code, code.co_consts, code.co_names
+
+
+@settings(deadline=None, database=None, max_examples=400)
+@given(e=_TREES)
+def test_emitted_source_compiles_like_the_fully_parenthesised_form(e):
+    assert _bytecode(expr._emit(e)) == _bytecode(_emit_fully_parenthesised(e))
+
+
+def test_shipped_expressions_keep_their_bytecode():
+    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    quoted = re.compile(r'"([^"]*)"')
+    sources = {m[1] for cfg in configs.glob("*.cfg") for m in quoted.finditer(cfg.read_text())}
+    assert sources
+    for src in sorted(sources):
+        e = expr.parse(src)
+        # a variable other than x and q compiles as a global, alike in both forms
+        for tree in (e, *(expr.differentiate(e, v) for v in sorted(expr.variables(e)))):
+            assert _bytecode(expr._emit(tree)) == _bytecode(_emit_fully_parenthesised(tree))
+
+
+_ANY_LEAVES = st.one_of(st.builds(Num, st.floats()), st.sampled_from([Var("x"), Var("q")]))
+_ANY_TREES = st.recursive(
+    _ANY_LEAVES,
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(expr.FUNCTIONS), sub),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _deep_chains(draw):
+    """A left-deep chain of 150 to 300 operators on small trees, past the
+    200 parentheses the fully parenthesised form could nest; at most 100
+    links are calls or powers, which do nest."""
+    e = draw(_ANY_TREES)
+    links = draw(
+        st.lists(st.sampled_from("+-*/n^c"), min_size=150, max_size=300).filter(
+            lambda ops: sum(op in "^c" for op in ops) <= 100
+        )
+    )
+    for op in links:
+        if op == "n":
+            e = Neg(e)
+        elif op == "c":
+            e = Call(draw(st.sampled_from(expr.FUNCTIONS)), e)
+        else:
+            e = BinOp(op, e, draw(_ANY_LEAVES))
+    return e
+
+
+@settings(deadline=None, database=None, max_examples=80)
+@given(e=st.one_of(_ANY_TREES, _deep_chains()), x=st.floats(), q=st.floats())
+def test_deep_and_non_finite_trees_match_the_reference(e, x, q):
+    point = {"x": x, "q": q}
+    want = _compiled_outcome(e, point)
+    assert _outcome(lambda: expr.compile_function(e, ("x", "q"))(x, q)) == want
+    assert _outcome(lambda: expr.evaluate(e, point)) == want
+
+
+def test_non_finite_literals_compile():
+    f = expr.compile_function(BinOp("+", Num(math.inf), Neg(Num(-math.inf))), ("x",))
+    assert f(0.0) == math.inf
+    assert expr.evaluate(BinOp("*", Var("x"), Num(-math.inf)), {"x": 2.0}) == -math.inf
+    assert math.isnan(expr.evaluate(Num(math.nan), {}))
+    assert math.copysign(1.0, expr.evaluate(Num(-math.nan), {})) == -1.0
+
+
+def test_nesting_past_the_compiler_limit_is_a_parse_error():
+    e = Var("x")
+    for _ in range(250):
+        e = Call("sin", e)
+    with pytest.raises(ParseError) as err:
+        expr.compile_function(e, ("x",))
+    assert "250 deep" in str(err.value)
+    with pytest.raises(ParseError):
+        expr.evaluate(e, {"x": 0.5})

@@ -17,7 +17,7 @@ from hjgen.fields import (
     sweep,
     write_field_csv,
 )
-from hjgen.numerics import SolverConfig, bracket_pairs, scan_abscissae, solve_bracketed
+from hjgen.numerics import Bracket, SolverConfig, bracket_pairs, scan_abscissae, solve_bracketed
 
 
 def test_check_axis():
@@ -402,7 +402,7 @@ def _lines(draw):
 def test_line_solver_matches_point_reference(case):
     h, lo, hi, n, targets = case
     cfg = SolverConfig(scan_points=n)
-    line = RootLine(lambda q: (h(q),), lambda terms, t: terms[0] - t, lo, hi, cfg)
+    line = RootLine(lambda q: (h(q),), lambda terms, t: terms[0] - t, -1, lo, hi, cfg)
     q, status = sweep(lambda i, j, warm, guess: line.solve(targets[j], warm, guess),
                       [0.0], targets)
     warm = None
@@ -421,3 +421,189 @@ def test_line_solver_matches_point_reference(case):
         if want is not None:
             assert abs(q[0][j] - want) <= 1e-10
         warm = want
+
+
+# --- brackets by bisection, against the full scan -------------------------
+
+_COMBINES = {
+    1: lambda terms, t: terms[0] + t - terms[1],  # the pq operand order
+    -1: lambda terms, t: terms[0] - t - terms[1] - terms[2],  # the hj operand order
+}
+
+
+def _terms_of(level, wobble, sense):
+    """Terms whose combine is sense * (t - level(q)), up to rounding."""
+    if sense == 1:
+        return lambda q: (wobble(q), level(q) + wobble(q))
+    return lambda q: (level(q) + 2.0 * wobble(q), wobble(q), wobble(q))
+
+
+def reference_brackets(line, target):
+    """Every stored sample combined with the target, then paired."""
+    return bracket_pairs(line.scan(target))
+
+
+def _levels(line, sense):
+    return [-sense * line.combine(terms, 0.0) for _, terms in line.samples]
+
+
+@st.composite
+def _bracket_lines(draw):
+    """(line, sense, targets): a line of one of several shapes, and targets
+    that include exact sample levels and their neighbouring floats."""
+    lo = draw(st.floats(-5.0, 5.0))
+    hi = lo + draw(st.floats(0.5, 10.0))
+    mid = 0.5 * (lo + hi)
+    shape = draw(st.sampled_from(("monotone", "wavy", "flat", "plateau", "holed")))
+    if shape == "monotone":
+        a, b = draw(st.floats(-10.0, 10.0)), draw(st.floats(-3.0, 3.0))
+        level = lambda q: a * (q - mid) + b * (q - mid) ** 3
+    elif shape == "wavy":
+        amp, periods = draw(st.floats(0.5, 5.0)), draw(st.floats(0.2, 4.0))
+        k, phase = 2.0 * math.pi * periods / (hi - lo), draw(st.floats(0.0, 2.0 * math.pi))
+        tilt = draw(st.floats(-1.0, 1.0))
+        level = lambda q: amp * math.sin(k * (q - lo) + phase) + tilt * (q - lo)
+    elif shape == "flat":
+        c = draw(st.floats(-3.0, 3.0))
+        level = lambda q: c
+    elif shape == "plateau":  # a staircase, or a ramp clamped at both ends
+        steps = draw(st.integers(1, 6))
+        ramp = draw(st.booleans())
+        level = (
+            (lambda q: max(-1.0, min(1.0, 3.0 * (q - mid) / (hi - lo))))
+            if ramp else (lambda q: float(math.floor(steps * (q - lo) / (hi - lo))))
+        )
+    else:  # a NaN, an infinite term or a domain error over part of the line
+        hole = draw(st.sampled_from((math.nan, math.inf, -math.inf, "raise")))
+        cut = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+
+        def level(q):
+            if q < cut:
+                return q - mid
+            if hole == "raise":
+                raise DomainError("hole")
+            return hole
+    scale = draw(st.sampled_from((0.0, 1.0, 1e3)))
+    wobble = lambda q: scale * math.cos(3.0 * q)
+    sense = draw(st.sampled_from((1, -1)))
+    n = draw(st.integers(2, 40))
+    line = RootLine(_terms_of(level, wobble, sense), _COMBINES[sense], sense, lo, hi,
+                    SolverConfig(scan_points=n))
+    levels = [h for h in _levels(line, sense) if math.isfinite(h)] or [0.0]
+    t_lo, t_hi = min(levels) - 0.5, max(levels) + 0.5
+    targets = draw(st.lists(st.floats(t_lo, t_hi), max_size=12))
+    for h in draw(st.lists(st.sampled_from(levels), max_size=6)):
+        targets += [h, math.nextafter(h, math.inf), math.nextafter(h, -math.inf)]
+    targets += draw(st.lists(st.sampled_from((math.inf, -math.inf, math.nan)), max_size=1))
+    return line, sense, targets
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(_bracket_lines())
+def test_bisection_brackets_equal_the_full_scan(case):
+    line, sense, targets = case
+    levels = _levels(line, sense)
+    for t in targets:
+        got = line.brackets(t)
+        if t in levels:  # a target on a sample's level: only the scan can tell
+            assert got is None
+        if got is not None:
+            assert got == reference_brackets(line, t)
+
+
+def test_bisection_brackets_on_a_wave_without_fallback():
+    # sin over [0, 3 pi] in four runs: two crossings below 0, four above
+    lo, hi = 0.0, 3.0 * math.pi
+    for sense in (1, -1):
+        line = RootLine(_terms_of(math.sin, math.cos, sense), _COMBINES[sense], sense, lo, hi,
+                        SolverConfig(scan_points=37))
+        for t, crossings in ((-0.93, 2), (-0.4, 2), (0.1, 4), (0.77, 4)):
+            got = line.brackets(t)
+            assert got is not None and len(got) == crossings
+            assert got == reference_brackets(line, t)
+
+
+def test_linear_pq_tie_takes_the_full_scan():
+    # on the shipped linear_pq grid the root 2x + y = 1.25 at (0.2, 0.85)
+    # is a scan sample of [0, 10] in 24 intervals, so g is exactly 0 there
+    from hjgen import pq
+
+    prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
+    cfg = SolverConfig(root_tol=1e-12, resid_tol=1e-12, scan_points=24)
+    line = RootLine(pq._line_terms(prob, 0.2), pq._combine, pq._SENSE, 0.0, 10.0, cfg)
+    assert line.brackets(0.85) is None
+    assert reference_brackets(line, 0.85) == [
+        Bracket(0.8333333333333334, 1.25, 0.41666666666666663, 0.0)
+    ]
+    assert line.solve(0.85)[:2] == (1.25, Status.RESOLVED)
+
+
+def test_root_line_sense_is_plus_or_minus_one():
+    with pytest.raises(ValueError):
+        RootLine(lambda q: (q,), _COMBINES[-1], 0, 0.0, 1.0, SolverConfig())
+
+
+# --- the sweep's predictor, against per-point Lagrange weights ------------
+
+
+def reference_predict(history, coord):
+    """Lagrange weights computed at each call, over (coordinate, root, slope) triples."""
+    if not history:
+        return None
+    guess = 0.0
+    for k, (ck, rk, _) in enumerate(history):
+        weight = 1.0
+        for m, (cm, _, _) in enumerate(history):
+            if m != k:
+                weight *= (coord - cm) / (ck - cm)
+        guess += weight * rk
+    return guess, history[-1][2]
+
+
+def reference_guesses(results, axis1, axis2):
+    """The guess each point of a sweep gets, from :func:`reference_predict`."""
+
+    def extend(history, coord, root, slope):
+        if root is None or slope is None:
+            history.clear()
+            return
+        history.append((coord, root, slope))
+        del history[:-4]
+
+    out = {}
+    column: list = []
+    for i, x in enumerate(axis1):
+        out[i, 0] = reference_predict(column, x)
+        extend(column, x, *results[i, 0])
+        row: list = []
+        extend(row, axis2[0], *results[i, 0])
+        for j in range(1, len(axis2)):
+            out[i, j] = reference_predict(row, axis2[j])
+            extend(row, axis2[j], *results[i, j])
+    return out
+
+
+_uneven_axis = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8, unique=True).map(sorted)
+_point_result = st.one_of(
+    st.just((None, None)),  # a failed point
+    st.tuples(st.floats(-1e3, 1e3), st.one_of(st.none(), st.floats(-10.0, 10.0))),
+)
+
+
+@settings(deadline=None, database=None)
+@given(_uneven_axis, _uneven_axis, st.data())
+def test_sweep_guesses_match_per_point_weights(axis1, axis2, data):
+    results = {
+        (i, j): data.draw(_point_result)
+        for i in range(len(axis1)) for j in range(len(axis2))
+    }
+    guesses = {}
+
+    def solver(i, j, warm, guess):
+        guesses[i, j] = guess
+        root, slope = results[i, j]
+        return root, Status.RESOLVED if root is not None else Status.NO_ROOT, slope
+
+    sweep(solver, axis1, axis2)
+    # repr tells -0.0 from 0.0, so equal reprs mean equal bits
+    assert repr(guesses) == repr(reference_guesses(results, axis1, axis2))

@@ -24,7 +24,7 @@ from hjgen.numerics import (
 def root_line(g, lo, hi, n):
     """A line whose root condition at target 0 is g itself."""
     return RootLine(
-        lambda q: (g(q),), lambda terms, target: terms[0] - target, lo, hi,
+        lambda q: (g(q),), lambda terms, target: terms[0] - target, -1, lo, hi,
         SolverConfig(scan_points=n),
     )
 

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tools/cmp_shipped.py OLD_SRC NEW_SRC
+    python3 tools/cmp_shipped.py OLD_SRC NEW_SRC [SEED ...]
 
 OLD_SRC and NEW_SRC are directories that each hold an ``hjgen`` package
 (a checkout's ``src``).  For each tree this runs ``python3 -m hjgen solve``
@@ -13,9 +13,12 @@ its solve wrote (``<config name>_field.csv``), and ``hjgen oracle
 free_particle`` and ``harmonic`` on those configs' CSVs with the
 parameters the benchmark passes.  Last it runs ``hjgen diffcheck`` on the
 README's example and on each distinct quoted expression of the configs,
-against x and against q.  It compares every file the solves wrote (field
-CSVs and reports) and each command's exit code, standard output and
-standard error.
+against x and against q.  Each SEED (a perfbench seed, a non-negative
+integer) adds the same solves, verifies and oracle checks on the configs
+with their grids shifted as ``perfbench/inputs.py`` shifts them for that
+seed, in a directory of their own.  It compares every file the solves
+wrote (field CSVs and reports) and each command's exit code, standard
+output and standard error.
 For a field CSV that differs it also prints each numeric column's largest
 absolute change and every status change between the trees.  Exit status:
 0 when everything is byte-identical, 1 when anything differs, 2 on bad
@@ -25,17 +28,19 @@ arguments.  Uses only the standard library.
 from __future__ import annotations
 
 import csv
+import functools
+import importlib.util
 import io
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 ORACLES = {  # oracle name -> its --param arguments, as perfbench passes them
     "free_particle": ["--param", "a=1", "--param", "C=1"],
     "harmonic": ["--param", "G=q^2/2"],
@@ -50,11 +55,32 @@ def diffchecks(configs: list[Path]) -> list[list[str]]:
     return [README_DIFFCHECK] + [[e, var] for e in sorted(exprs) for var in ("x", "q")]
 
 
-def solve_all(src: Path, configs: list[Path], work: Path) -> dict[str, bytes]:
-    """Solve, verify and check against the oracles each config, and run
-    diffcheck, with the package under ``src``; name -> output bytes."""
-    for cfg in configs:
-        shutil.copy(cfg, work / cfg.name)
+@functools.cache
+def _perfbench_inputs():
+    path = ROOT / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclasses look their module up
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def seeded_configs(seed: int) -> dict[str, str]:
+    """Config file name -> text, each grid shifted as the benchmark shifts it for ``seed``."""
+    return {
+        cfg.name: _perfbench_inputs().seeded_config(cfg.read_text(), seed, cfg.stem)
+        for cfg in sorted(CONFIGS.glob("*.cfg"))
+    }
+
+
+def solve_all(
+    src: Path, configs: dict[str, str], work: Path, diffcheck: bool
+) -> dict[str, bytes]:
+    """Write ``configs`` (file name -> text) to ``work``; solve, verify and
+    check against the oracles each one, and with ``diffcheck`` run the
+    diffchecks, with the package under ``src``; name -> output bytes."""
+    for name, text in configs.items():
+        (work / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(src))
     out: dict[str, bytes] = {}
 
@@ -69,14 +95,15 @@ def solve_all(src: Path, configs: list[Path], work: Path) -> dict[str, bytes]:
         if proc.returncode not in (0, 1):
             sys.stderr.write(proc.stderr.decode(errors="replace"))
 
-    for cfg in configs:
-        run(cfg.name, ["solve", cfg.name])
-    for cfg in configs:
-        run(f"verify {cfg.name}", ["verify", cfg.name, f"{cfg.stem}_field.csv"])
+    for name in configs:
+        run(name, ["solve", name])
+    for name in configs:
+        run(f"verify {name}", ["verify", name, f"{Path(name).stem}_field.csv"])
     for name, params in ORACLES.items():
         run(f"oracle {name}", ["oracle", name, f"{name}_field.csv", *params])
-    for args in diffchecks(configs):
-        run(f"diffcheck {' '.join(args)}", ["diffcheck", *args])
+    if diffcheck:
+        for args in diffchecks(sorted(CONFIGS.glob("*.cfg"))):
+            run(f"diffcheck {' '.join(args)}", ["diffcheck", *args])
     for path in sorted(work.iterdir()):
         if path.suffix != ".cfg":
             out[path.name] = path.read_bytes()
@@ -115,10 +142,11 @@ def field_drift(old: bytes, new: bytes) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if len(argv) < 2 or not all(a.isdigit() for a in argv[2:]):
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    trees = [Path(a).resolve() for a in argv]
+    trees = [Path(a).resolve() for a in argv[:2]]
+    seeds = sorted({int(a) for a in argv[2:]})
     for tree in trees:
         if not (tree / "hjgen" / "__init__.py").is_file():
             print(f"error: {tree} holds no hjgen package", file=sys.stderr)
@@ -127,12 +155,16 @@ def main(argv: list[str]) -> int:
     if not configs:
         print(f"error: no configs in {CONFIGS}", file=sys.stderr)
         return 2
-    results = []
+    runs = [("", {cfg.name: cfg.read_text() for cfg in configs}, True)]
+    runs += [(f"seed {seed}/", seeded_configs(seed), False) for seed in seeds]
+    results: list[dict[str, bytes]] = [{}, {}]
     with tempfile.TemporaryDirectory() as tmp:
         for k, tree in enumerate(trees):
-            work = Path(tmp) / str(k)
-            work.mkdir()
-            results.append(solve_all(tree, configs, work))
+            for prefix, texts, diffcheck in runs:
+                work = Path(tmp) / str(k) / (prefix or "shipped")
+                work.mkdir(parents=True)
+                out = solve_all(tree, texts, work, diffcheck)
+                results[k].update((prefix + name, data) for name, data in out.items())
     old, new = results
     differ = 0
     for name in sorted(old.keys() | new.keys()):
@@ -144,7 +176,7 @@ def main(argv: list[str]) -> int:
             if name.endswith(".csv") and name in old and name in new:
                 for line in field_drift(old[name], new[name]):
                     print(f"        {line}")
-    print(f"{len(configs)} configs, {differ} outputs differ")
+    print(f"{len(configs)} configs, {len(seeds)} seeds, {differ} outputs differ")
     return 1 if differ else 0
 
 
