@@ -31,23 +31,30 @@ from a root predicted by extrapolating the row's earlier roots along t
 and probed from both sides, and Brent's method finishes it; most points of
 the shipped configs take three quadratures.
 
-The integrals over [x0, x], of dp/dq in g, of x' dp/dx in F and of the
-separated momentum, use nested tanh-sinh quadrature (Takahasi & Mori,
-1974; see :mod:`hjgen.numerics`), whose nodes crowd toward the segment's
-ends, where dp/dq has its inverse-square-root layer near a turning point.
-The first two integrands are (c0 - q c1) / sqrt(q - V(x')) with q-free c0
-and c1, and the third is 2 sigma c sqrt(E - V(x')) with the dp/dq
-coefficient c, so each x row keeps one node table (:class:`_RowTable`)
-holding those coefficients and V at every node, and a quadrature at any q
-is one weighted sum per level.  The separated integral is t-free, so the
-table keeps its value per energy: one quadrature serves the whole x row,
-and the problem keeps its last table (:func:`_row_table`) for the next
-call on the same x.  A quadrature that does not converge marks its point
+The action at a root is taken by parts: integrating x' dp/dx' in F gives
+the complete-integral form (Courant & Hilbert, *Methods of Mathematical
+Physics*, vol. II, ch. II)
+
+    S = x0 p(x0, q) + integral of p(x', q) dx' + q t - G(q).
+
+Both integrals over [x0, x], of dp/dq and of p, use nested tanh-sinh
+quadrature (Takahasi & Mori, 1974; see :mod:`hjgen.numerics`), whose nodes
+crowd toward the segment's ends, where dp/dq has its inverse-square-root
+layer near a turning point.  Their integrands are c / sqrt(q - V) and
+2 c sqrt(q - V) with c = sigma w / (2 sqrt(a)) at a node of weight w, so
+each x row keeps one node table of c and V (:class:`_RowTable`), the one
+kernel of the solve: a quadrature at any q is one weighted sum per level,
+and :func:`solve_grid` takes each root's action on its row's table once,
+at the root.  The separated integral is sigma times the integral of p at
+q = E; that integral is t-free, so the table keeps it per q, and the
+problem keeps its last table (:func:`_row_table`) for the next call on the
+same x.  A quadrature that does not converge marks its point
 ``domain_fail``, like a domain error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -56,10 +63,11 @@ from . import expr
 from .errors import ConvergenceError, DomainError
 from .fields import ActionField, RootLine, Status, check_axis, sweep
 from .numerics import (
+    _MAX_SPLITS,
+    _SPLIT_LEVEL,
     SolverConfig,
     integrate_adaptive,
     scan_abscissae,
-    tanh_sinh,
     tanh_sinh_nodes,
 )
 
@@ -144,12 +152,9 @@ def _coefficients(prob: HJProblem, x: float):
     return a, v
 
 
-def _momentum_gap(prob: HJProblem, x: float, q: float, coefficients=None):
-    """(a, V, q - V) at one abscissa, once q - V clears the admissibility margin.
-
-    a and V come from ``coefficients`` when given, else from the problem.
-    """
-    a, v = _coefficients(prob, x) if coefficients is None else coefficients
+def _momentum_gap(prob: HJProblem, x: float, q: float):
+    """(a, V, q - V) at one abscissa, once q - V clears the admissibility margin."""
+    a, v = _coefficients(prob, x)
     gap = q - v
     if gap < prob.margin(q):
         raise DomainError("momentum argument below admissibility margin", where=x)
@@ -200,80 +205,102 @@ def correction_integrand(prob: HJProblem, x: float, q: float) -> float:
 class _RowTable:
     """Tanh-sinh node data of one x row's quadrature segment [x0, x].
 
-    The panels and levels are those :func:`tanh_sinh` visits on the
-    segment; each (panel, level) is filled on first use and then serves
-    every q of the row, so a quadrature is one weighted sum per level.
-    With node weight w, the dp/dq integral sums c / sqrt(q - V) with
-    c = sigma w / (2 sqrt(a)), the separated integrand sqrt((E - V)/a)
-    sums 2 sigma c sqrt(E - V) over the same terms, and the correction
-    integrand s dp/dx sums (alpha - q beta) / sqrt(q - V) with
-    alpha = sigma w s (a'V - aV') / (2 a sqrt(a)) and
-    beta = sigma w s a' / (2 a sqrt(a)).  Nodes with equal V are merged by
-    summing their coefficients, which is exact; a flat potential leaves
-    one term per level.  Admissibility is checked once per level against
-    the level's largest V.
+    The panels are those nested tanh-sinh visits on the segment: the whole
+    segment, and the halves of a panel not converged by level 6.  Each
+    panel keeps a list of its levels, appended on first use and then
+    serving every q of the row.  A level holds the terms (V, c) with
+    c = sigma w / (2 sqrt(a)) at a node of weight w: the dp/dq integral sums
+    c / sqrt(q - V) and the integral of p sums 2 c sqrt(q - V).  Nodes with
+    equal V are merged by summing their coefficients, which is exact; a
+    flat potential leaves one term per level.  Admissibility is checked
+    once per level against the level's largest V.  The action is taken by
+    parts, so no table holds F's integrand, and only a and V are evaluated.
     """
 
-    __slots__ = ("prob", "x", "lo", "hi", "sign", "_dq", "_dx", "_separation")
+    __slots__ = ("prob", "x", "lo", "hi", "sign", "_panels", "_momentum")
 
     def __init__(self, prob: HJProblem, x: float):
         self.prob = prob
         self.x = x
         self.lo, self.hi = min(prob.x0, x), max(prob.x0, x)
         self.sign = 1.0 if x >= prob.x0 else -1.0
-        # (panel lo, panel hi, level) -> (max V, its abscissa, merged terms)
-        self._dq: dict = {}
-        self._dx: dict = {}
-        self._separation: dict = {}  # (energy, tol) -> separated integral
+        # (panel lo, panel hi) -> [(max V, its abscissa, merged terms) per level]
+        self._panels: dict = {(self.lo, self.hi): []}
+        self._momentum: dict = {}  # (q, tol) -> momentum integral
 
-    def dp_dq_integral(self, q: float, tol: float) -> float:
-        """Integral of dp/dq(s, q) over s from x0 to x."""
-        return self._integral(q, tol, "slope")
+    def terms(self, q: float, tol: float):
+        """The t-free pieces (G'(q), integral of dp/dq, x0 dp/dq(x0, q)) of g."""
+        prob = self.prob
+        g_slope = prob._gp_fn(q)
+        margin = prob.margin(q)
+        integral = self._integral(q, tol, margin, True)
+        a, v = _base_coefficients(prob)
+        gap = q - v
+        if gap < margin:
+            raise DomainError("momentum argument below admissibility margin", where=prob.x0)
+        return g_slope, integral, prob.x0 * (prob.sigma / (2.0 * math.sqrt(a * gap)))
 
-    def correction_integral(self, q: float, tol: float) -> float:
-        """Integral of the correction integrand s dp/dx(s, q) from x0 to x."""
-        return self._integral(q, tol, "correction")
+    def momentum_integral(self, q: float, tol: float) -> float:
+        """Integral of p(s, q) over s from x0 to x.
 
-    def separation_integral(self, energy: float, tol: float) -> float:
-        """Integral of sqrt((E - V(s))/a(s)) over s from x0 to x.
-
-        It does not depend on t, so the value is kept per (energy, tol) and
-        every later call for them returns it without a quadrature.
+        It does not depend on t, so the value is kept per (q, tol) and every
+        later call for them returns it without a quadrature.
         """
-        key = (energy, tol)
-        value = self._separation.get(key)
+        key = (q, tol)
+        value = self._momentum.get(key)
         if value is None:
-            value = self._separation[key] = self._integral(energy, tol, "separation")
+            value = self._momentum[key] = self._integral(q, tol, self.prob.margin(q), False)
         return value
 
-    def _integral(self, q: float, tol: float, kind: str) -> float:
+    def _integral(self, q: float, tol: float, margin: float, slope: bool) -> float:
+        # nested tanh-sinh over the panels' level lists, with the stop rule,
+        # halving and float operations of numerics.integrate_adaptive; a
+        # level's terms are added left to right from 0.0
         if self.lo == self.hi:
             return 0.0
-        margin = self.prob.margin(q)
-        slope, correction = kind == "slope", kind == "correction"
-        cache, build = (self._dx, self._dx_level) if correction else (self._dq, self._dq_level)
         sqrt = math.sqrt
+        lo, hi, panels = self.lo, self.hi, self._panels
+        total = 0.0
+        splits = 0
+        stack = [(lo, hi, tol, panels[lo, hi])]  # the leftmost panel is on top
+        while stack:
+            a, b, panel_tol, levels = stack.pop()
+            for level in range(_SPLIT_LEVEL + 1):
+                try:
+                    vmax, where, terms = levels[level]
+                except IndexError:
+                    vmax, where, terms = self._level(a, b, level)
+                    levels.append((vmax, where, terms))
+                if q - vmax < margin:
+                    raise DomainError("momentum argument below admissibility margin", where=where)
+                part = 0.0
+                if slope:
+                    for v, c in terms:
+                        part += c / sqrt(q - v)
+                else:
+                    for v, c in terms:
+                        part += c * sqrt(q - v)
+                    part *= 2.0
+                    if not math.isfinite(part):
+                        raise DomainError("non-finite integrand value", where=where)
+                if not level:
+                    estimate = part
+                    continue
+                prev = estimate
+                estimate = 0.5 * prev + part
+                if abs(estimate - prev) <= panel_tol:
+                    total += estimate
+                    break
+            else:
+                splits += 1
+                if splits > _MAX_SPLITS:
+                    raise ConvergenceError(f"quadrature not converged after {_MAX_SPLITS} halvings")
+                m = 0.5 * (a + b)
+                stack.append((m, b, 0.5 * panel_tol, panels.setdefault((m, b), [])))
+                stack.append((a, m, 0.5 * panel_tol, panels.setdefault((a, m), [])))
+        return self.sign * total
 
-        def level_sum(lo, hi, level):
-            key = (lo, hi, level)
-            data = cache.get(key)
-            if data is None:
-                data = cache[key] = build(lo, hi, level)
-            vmax, where, terms = data
-            if q - vmax < margin:
-                raise DomainError("momentum argument below admissibility margin", where=where)
-            if slope:
-                return sum([c / sqrt(q - v) for v, c in terms])
-            if correction:
-                return sum([(al - q * be) / sqrt(q - v) for v, al, be in terms])
-            total = 2.0 * self.prob.sigma * sum([c * sqrt(q - v) for v, c in terms])
-            if not math.isfinite(total):
-                raise DomainError("non-finite integrand value", where=where)
-            return total
-
-        return self.sign * tanh_sinh(level_sum, self.lo, self.hi, tol)
-
-    def _dq_level(self, lo: float, hi: float, level: int):
+    def _level(self, lo: float, hi: float, level: int):
         prob = self.prob
         merged: dict[float, float] = {}
         vmax, where = -math.inf, lo
@@ -284,26 +311,11 @@ class _RowTable:
             merged[v] = merged.get(v, 0.0) + 0.5 * prob.sigma * w / math.sqrt(av)
         return vmax, where, tuple(merged.items())
 
-    def _dx_level(self, lo: float, hi: float, level: int):
-        prob = self.prob
-        merged: dict[float, tuple[float, float]] = {}
-        vmax, where = -math.inf, lo
-        for s, w in tanh_sinh_nodes(lo, hi, level):
-            av, v = _coefficients(prob, s)
-            a_p, v_p = prob._ap_fn(s), prob._vp_fn(s)
-            if not (math.isfinite(a_p) and math.isfinite(v_p)):
-                raise DomainError("non-finite coefficient slope", where=s)
-            if v > vmax:
-                vmax, where = v, s
-            k = 0.5 * prob.sigma * w * s / (av * math.sqrt(av))
-            al, be = merged.get(v, (0.0, 0.0))
-            merged[v] = (al + k * (a_p * v - av * v_p), be + k * a_p)
-        return vmax, where, tuple((v, al, be) for v, (al, be) in merged.items())
-
 
 def correction_term(prob: HJProblem, x: float, q: float, cfg: SolverConfig) -> float:
     """F(x, q): quadrature of the correction integrand from x0, plus G(q)."""
-    return _row_table(prob, x).correction_integral(q, cfg.quad_tol) + prob.generator_at(q)
+    integral = integrate_adaptive(lambda s: correction_integrand(prob, s, q), prob.x0, x, cfg.quad_tol)
+    return integral + prob.generator_at(q)
 
 
 def constraint(
@@ -333,16 +345,7 @@ def constraint(
 
         integral = integrate_adaptive(dq_integrand, prob.x0, x, cfg.quad_tol)
         return integral + g_slope - t - x * momentum_partials(prob, x, q)[1]
-    return _combine(_constraint_terms(prob, _row_table(prob, x), q, cfg), t)
-
-
-def _constraint_terms(prob: HJProblem, row: _RowTable, q: float, cfg: SolverConfig):
-    """The t-free pieces (G'(q), integral of dp/dq, x0 dp/dq(x0, q)) of g on ``row``."""
-    g_slope = prob.generator_slope_at(q)
-    integral = row.dp_dq_integral(q, cfg.quad_tol)
-    a, _, gap = _momentum_gap(prob, prob.x0, q, _base_coefficients(prob))
-    base = prob.x0 * (prob.sigma / (2.0 * math.sqrt(a * gap)))
-    return g_slope, integral, base
+    return _combine(_row_table(prob, x).terms(q, cfg.quad_tol), t)
 
 
 def _combine(terms, t: float) -> float:
@@ -370,25 +373,22 @@ def _scan_floor(prob: HJProblem, ceiling: float, q_lo: float) -> float:
     return max(q_lo, ceiling + 2.0 * margin + 4e-15 * (1.0 + abs(ceiling)))
 
 
-def _root_line(
-    prob: HJProblem, x: float, q_lo: float, q_hi: float, cfg: SolverConfig
-) -> Optional[RootLine]:
-    """The x row's root condition over its clipped scan range.
+def _root_line(row: _RowTable, q_lo: float, q_hi: float, cfg: SolverConfig) -> Optional[RootLine]:
+    """The root condition of ``row``'s x over its clipped scan range.
 
     The range [q_lo, q_hi] is clipped above the potential ceiling plus the
     admissibility margin; ``None`` (a domain failure of every point of the
-    row) when the clipped range is empty or the ceiling raises.  The line
-    keeps the row's :class:`_RowTable` from :func:`_row_table`.
+    row) when the clipped range is empty or the ceiling raises.  The line's
+    t-free terms are :meth:`_RowTable.terms` of ``row``.
     """
     try:
-        ceiling = _potential_ceiling(prob, x)
+        ceiling = _potential_ceiling(row.prob, row.x)
     except DomainError:
         return None
-    lo = _scan_floor(prob, ceiling, q_lo)
+    lo = _scan_floor(row.prob, ceiling, q_lo)
     if not lo < q_hi:
         return None
-    row = _row_table(prob, x)
-    return RootLine(lambda q: _constraint_terms(prob, row, q, cfg), _combine, _SENSE, lo, q_hi, cfg)
+    return RootLine(functools.partial(row.terms, tol=cfg.quad_tol), _combine, _SENSE, lo, q_hi, cfg)
 
 
 def solve_point(
@@ -409,15 +409,22 @@ def solve_point(
     """
     if not q_lo < q_hi:
         raise ValueError("solve_point requires q_lo < q_hi")
-    line = _root_line(prob, x, q_lo, q_hi, cfg)
+    line = _root_line(_row_table(prob, x), q_lo, q_hi, cfg)
     if line is None:
         return None, Status.DOMAIN_FAIL
     return line.solve(t, warm)[:2]
 
 
 def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfig) -> float:
-    """S = x p(x, q) + q t - F(x, q) at the resolved root q."""
-    return x * momentum(prob, x, q) + q * t - correction_term(prob, x, q, cfg)
+    """S = x p(x, q) + q t - F(x, q) at the resolved root q, taken by parts
+    as x0 p(x0, q) + integral of p from x0 to x + q t - G(q)."""
+    return _action(_row_table(prob, x), t, q, cfg.quad_tol)
+
+
+def _action(row: _RowTable, t: float, q: float, tol: float) -> float:
+    prob = row.prob
+    base = prob.x0 * momentum(prob, prob.x0, q)
+    return base + row.momentum_integral(q, tol) + q * t - prob.generator_at(q)
 
 
 def solve_grid(
@@ -433,7 +440,8 @@ def solve_grid(
     q_lo, q_hi = q_range
     if not q_lo < q_hi:
         raise ValueError("solve_grid requires q_lo < q_hi")
-    lines = [_root_line(prob, x, q_lo, q_hi, cfg) for x in xs]
+    rows = [_row_table(prob, x) for x in xs]
+    lines = [_root_line(row, q_lo, q_hi, cfg) for row in rows]
 
     def point(i, j, warm, guess):
         if lines[i] is None:
@@ -448,7 +456,7 @@ def solve_grid(
             if q[i][j] is None:
                 continue
             try:
-                value[i][j] = action_value(prob, xs[i], ts[j], q[i][j], cfg)
+                value[i][j] = _action(rows[i], ts[j], q[i][j], cfg.quad_tol)
                 p[i][j] = momentum(prob, xs[i], q[i][j])
             except (DomainError, ConvergenceError):
                 q[i][j] = None
@@ -479,8 +487,8 @@ def separation_action(
     in place of the root q; the same admissibility margin applies along the
     quadrature segment, checked per tanh-sinh level against its largest V,
     so a :class:`DomainError` names that level's max-V node.  The integral
-    is the x row's :meth:`_RowTable.separation_integral`, one quadrature
-    per (x, energy) however many t the row holds, when the calls for one x
-    come together.
+    is sigma times the x row's :meth:`_RowTable.momentum_integral` at q = E,
+    one quadrature per (x, energy) however many t the row holds, when the
+    calls for one x come together.
     """
-    return _row_table(prob, x).separation_integral(energy, cfg.quad_tol) + energy * t
+    return prob.sigma * _row_table(prob, x).momentum_integral(energy, cfg.quad_tol) + energy * t

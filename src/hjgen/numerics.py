@@ -14,15 +14,16 @@ the substitution s = tanh((pi/2) sinh t) crowds the nodes double-
 exponentially toward both ends of a panel, so integrands with a steep but
 bounded layer at an end, like the momentum slope near a turning point,
 converge in a few levels.  Level l halves the step to 2**-l and adds only
-the new nodes; :func:`tanh_sinh` runs the levels and the stop rule,
-:func:`tanh_sinh_nodes` gives a level's nodes on one panel, so a caller
-can tabulate them and evaluate many integrands over one segment as
-weighted sums.  The node tables are built on first use, not at import.
-Every integral the Hamilton-Jacobi solver and the separated solution take
-is such a table sum (:class:`hjgen.hj._RowTable`); :func:`integrate_adaptive`,
-on a callable integrand, now serves only the direct form of
-:func:`hjgen.hj.constraint` (``direct=True``, an equivalence check) and the
-public API.
+the new nodes; :func:`integrate_adaptive` runs the levels and the stop
+rule on a callable integrand, and :func:`tanh_sinh_nodes` gives a level's
+nodes on one panel, so a caller can tabulate them and evaluate many
+integrands over one segment as weighted sums.  The node tables are built
+on first use, not at import.  Every integral the Hamilton-Jacobi solve and
+the separated solution take is such a table sum, run by the same stop rule
+over the table's levels (:class:`hjgen.hj._RowTable`);
+:func:`integrate_adaptive` serves :func:`hjgen.hj.correction_term`, the
+direct form of :func:`hjgen.hj.constraint` (``direct=True``, an
+equivalence check) and the public API.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "Bracket",
     "SolverConfig",
     "integrate_adaptive",
-    "tanh_sinh",
     "tanh_sinh_nodes",
     "bracket_pairs",
     "solve_bracketed",
@@ -138,22 +138,37 @@ def tanh_sinh_nodes(lo: float, hi: float, level: int) -> list[tuple[float, float
     return nodes
 
 
-def tanh_sinh(
-    level_sum: Callable[[float, float, int], float], lo: float, hi: float, tol: float
+def integrate_adaptive(
+    f: Callable[[float], float], x0: float, x1: float, tol: float
 ) -> float:
-    """Nested tanh-sinh quadrature (Takahasi & Mori, 1974) over [lo, hi].
+    """Estimate of the integral of ``f`` from x0 to x1 to absolute ``tol``.
 
-    ``level_sum(a, b, l)`` returns the weighted integrand sum over
-    :func:`tanh_sinh_nodes` ``(a, b, l)``; the estimate at level l is half
-    the one at level l - 1 plus that sum.  A panel stops at the first level
-    l >= 1 with |S_l - S_{l-1}| <= tol.  A panel that has not converged by
-    level 6 is halved and each half integrated to tol / 2, which keeps
-    interior kinks working.  Past ``_MAX_SPLITS`` halvings the rule raises
-    :class:`ConvergenceError` rather than return a best effort.
+    Nested tanh-sinh quadrature (Takahasi & Mori, 1974), whose nodes crowd
+    double-exponentially toward both ends, so bounded endpoint layers such
+    as an inverse square root just inside the segment cost few levels.  The
+    estimate at level l is half the one at level l - 1 plus the weighted
+    sum of ``f`` over :func:`tanh_sinh_nodes` ``(a, b, l)``.  A panel stops
+    at the first level l >= 1 with |S_l - S_{l-1}| <= tol.  A panel that has
+    not converged by level 6 is halved and each half integrated to tol / 2,
+    which keeps interior kinks working.  Antisymmetric in the bounds; 0.0
+    on an empty segment.  A non-finite sample raises :class:`DomainError`
+    carrying the offending abscissa; past ``_MAX_SPLITS`` halvings the
+    quadrature raises :class:`ConvergenceError` rather than return a best
+    effort.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if x1 == x0:
+        return 0.0
+    if x1 < x0:
+        return -integrate_adaptive(f, x1, x0, tol)
+
+    def level_sum(a, b, level):
+        return sum(w * _sample(f, s) for s, w in tanh_sinh_nodes(a, b, level))
+
     total = 0.0
     splits = 0
-    panels = [(lo, hi, tol)]  # a stack; the leftmost panel is on top
+    panels = [(x0, x1, tol)]  # a stack; the leftmost panel is on top
     while panels:
         a, b, panel_tol = panels.pop()
         estimate = level_sum(a, b, 0)
@@ -171,31 +186,6 @@ def tanh_sinh(
             panels.append((m, b, 0.5 * panel_tol))
             panels.append((a, m, 0.5 * panel_tol))
     return total
-
-
-def integrate_adaptive(
-    f: Callable[[float], float], x0: float, x1: float, tol: float
-) -> float:
-    """Estimate of the integral of ``f`` from x0 to x1 to absolute ``tol``.
-
-    Nested tanh-sinh quadrature (:func:`tanh_sinh`), whose nodes crowd
-    double-exponentially toward both ends, so bounded endpoint layers such
-    as an inverse square root just inside the segment cost few levels.
-    Antisymmetric in the bounds; 0.0 on an empty segment.  A non-finite
-    sample raises :class:`DomainError` carrying the offending abscissa; a
-    quadrature that does not converge raises :class:`ConvergenceError`.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if x1 == x0:
-        return 0.0
-    if x1 < x0:
-        return -integrate_adaptive(f, x1, x0, tol)
-
-    def level_sum(a, b, level):
-        return sum(w * _sample(f, s) for s, w in tanh_sinh_nodes(a, b, level))
-
-    return tanh_sinh(level_sum, x0, x1, tol)
 
 
 def scan_abscissae(lo: float, hi: float, n: int) -> list[float]:

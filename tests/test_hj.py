@@ -1,15 +1,21 @@
 import collections
+import functools
 import math
+import operator
 import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjgen import hj
 from hjgen.config import load_config
 from hjgen.errors import ConvergenceError, DomainError
 from hjgen.fields import Status
 from hjgen.numerics import (
+    _MAX_SPLITS,
+    _SPLIT_LEVEL,
     SolverConfig,
     central_difference,
     integrate_adaptive,
@@ -135,10 +141,10 @@ def test_base_point_coefficients_once_per_problem(monkeypatch):
 
     monkeypatch.setattr(hj, "_coefficients", counting)
     row = hj._RowTable(prob, 0.7)
-    first = hj._constraint_terms(prob, row, 2.0, CFG)  # fills the row's levels
+    first = row.terms(2.0, CFG.quad_tol)  # fills the row's levels
     calls.clear()
     for _ in range(3):  # the same q reuses those levels: no node is evaluated
-        assert hj._constraint_terms(prob, row, 2.0, CFG) == first
+        assert row.terms(2.0, CFG.quad_tol) == first
     assert calls[0.2] == 0  # nor a and V at x0 for the base-point term
     # a(x0) = 0: construction succeeds, every evaluation raises
     bad = hj.HJProblem("x", "0", "q", sigma=1, x0=0.0)
@@ -239,22 +245,24 @@ def test_separation_action_one_quadrature_per_row(monkeypatch):
     prob = hj.HJProblem("1", "x^2", "0", sigma=1, x0=0.0)
     levels = collections.Counter()  # (row x, panel lo, panel hi, level) built
     quads = [0]
-    real_level, real_tanh_sinh = hj._RowTable._dq_level, hj.tanh_sinh
+    real_level, real_integral = hj._RowTable._level, hj._RowTable._integral
 
     def counting_level(row, lo, hi, level):
         levels[(row.x, lo, hi, level)] += 1
         return real_level(row, lo, hi, level)
 
-    def counting_tanh_sinh(*args):
+    def counting_integral(*args):
         quads[0] += 1
-        return real_tanh_sinh(*args)
+        return real_integral(*args)
 
-    monkeypatch.setattr(hj._RowTable, "_dq_level", counting_level)
-    monkeypatch.setattr(hj, "tanh_sinh", counting_tanh_sinh)
+    monkeypatch.setattr(hj._RowTable, "_level", counting_level)
+    monkeypatch.setattr(hj._RowTable, "_integral", counting_integral)
     ts = axis(0.0, 0.4, 41)
     values = [hj.separation_action(prob, 1.0, 0.7, t, CFG) for t in ts]
     assert quads[0] == 1
     assert len(levels) >= 2 and set(levels.values()) == {1}
+    row = prob._last_row  # the levels built are the row's one panel list
+    assert list(row._panels) == [(0.0, 0.7)] and len(row._panels[0.0, 0.7]) == len(levels)
     assert values == [values[0] + 1.0 * t for t in ts]
     # the kept value is per (energy, tol): another of either is a new quadrature
     coarse = SolverConfig(quad_tol=1e-4)
@@ -265,31 +273,28 @@ def test_separation_action_one_quadrature_per_row(monkeypatch):
 
 def test_calls_without_a_row_share_the_problem_row_table(monkeypatch):
     # constraint and action_value at many t of one x build each tanh-sinh
-    # level of the row once, and agree bitwise with a fresh table per call
+    # level of the row once, and agree bitwise with a fresh table per call;
+    # the action agrees with x p + q t - F, F from the correction integral
     prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0)
     x, q = 0.7, 2.0
     ts = axis(0.0, 0.4, 41)
-    want_g = [hj._combine(hj._constraint_terms(prob, hj._RowTable(prob, x), q, CFG), t) for t in ts]
-    want_s = [
-        x * hj.momentum(prob, x, q)
-        + q * t
-        - (hj._RowTable(prob, x).correction_integral(q, CFG.quad_tol) + prob.generator_at(q))
-        for t in ts
-    ]
-    builds = collections.Counter()  # (kind, panel lo, panel hi, level) built
-    for kind in ("_dq_level", "_dx_level"):
-        real = getattr(hj._RowTable, kind)
+    want_g = [hj._combine(hj._RowTable(prob, x).terms(q, CFG.quad_tol), t) for t in ts]
+    want_s = [hj._action(hj._RowTable(prob, x), t, q, CFG.quad_tol) for t in ts]
+    correction = reference_correction_integral(prob, x, q, CFG.quad_tol) + prob.generator_at(q)
+    for t, s in zip(ts, want_s):
+        assert abs(s - (x * hj.momentum(prob, x, q) + q * t - correction)) <= 1e-13
+    builds = collections.Counter()  # (panel lo, panel hi, level) built
+    real = hj._RowTable._level
 
-        def counting(row, lo, hi, level, kind=kind, real=real):
-            builds[(kind, lo, hi, level)] += 1
-            return real(row, lo, hi, level)
+    def counting(row, lo, hi, level):
+        builds[(lo, hi, level)] += 1
+        return real(row, lo, hi, level)
 
-        monkeypatch.setattr(hj._RowTable, kind, counting)
+    monkeypatch.setattr(hj._RowTable, "_level", counting)
     assert [hj.constraint(prob, x, t, q, CFG) for t in ts] == want_g
     assert [hj.action_value(prob, x, t, q, CFG) for t in ts] == want_s
     assert set(builds.values()) == {1}
-    assert {kind for kind, *_ in builds} == {"_dq_level", "_dx_level"}
-    assert len(builds) <= 10  # a fresh table per call builds 4 levels of each kind per call
+    assert len(builds) <= 10  # a fresh table per call builds 4 levels per call
 
 
 def separated_rows(prob, xs, ts):
@@ -433,7 +438,7 @@ def point_loop(prob, xs, ts, q_range, cfg):
 
 
 def root_lines(prob, xs, q_range, cfg):
-    return [hj._root_line(prob, x, *q_range, cfg) for x in xs]
+    return [hj._root_line(hj._RowTable(prob, x), *q_range, cfg) for x in xs]
 
 
 @pytest.mark.parametrize(
@@ -473,14 +478,14 @@ def test_grid_cases_reach_clipped_rows_and_failing_samples():
 @pytest.mark.parametrize("n_t", [1, 2, 9])
 def test_scan_samples_evaluated_once_per_row(monkeypatch, n_t):
     xs, q_range = axis(0.15, 0.45, 5), (0.05, 6.0)
-    quads = collections.Counter()  # (row x, q) of every dp/dq integral
-    real_integral = hj._RowTable.dp_dq_integral
+    quads = collections.Counter()  # (row x, q) of every root-condition evaluation
+    real_terms = hj._RowTable.terms
 
-    def counting_integral(row, q, tol):
+    def counting_terms(row, q, tol):
         quads[(row.x, q)] += 1
-        return real_integral(row, q, tol)
+        return real_terms(row, q, tol)
 
-    monkeypatch.setattr(hj._RowTable, "dp_dq_integral", counting_integral)
+    monkeypatch.setattr(hj._RowTable, "terms", counting_terms)
     field = hj.solve_grid(OSC, xs, axis(0.2, 0.5, n_t) if n_t > 1 else [0.3], q_range, CFG)
     assert field.resolved_fraction() == 1.0
     scanned = 0
@@ -510,11 +515,10 @@ def test_bump_roots_below_its_peak_are_not_resolved():
 def test_row_table_matches_integrate_adaptive(prob, x, q):
     row = hj._RowTable(prob, x)
     want = integrate_adaptive(lambda s: hj.momentum_partials(prob, s, q)[1], prob.x0, x, CFG.quad_tol)
-    assert abs(row.dp_dq_integral(q, CFG.quad_tol) - want) <= 1e-13
-    want = integrate_adaptive(
-        lambda s: hj.correction_integrand(prob, s, q), prob.x0, x, CFG.quad_tol
-    )
-    assert abs(row.correction_integral(q, CFG.quad_tol) - want) <= 1e-13
+    assert abs(row.terms(q, CFG.quad_tol)[1] - want) <= 1e-13
+    want = integrate_adaptive(lambda s: hj.momentum(prob, s, q), prob.x0, x, CFG.quad_tol)
+    assert abs(row.momentum_integral(q, CFG.quad_tol) - want) <= 1e-13
+    assert len(row._panels) == 1  # both integrals ran on the row's one panel list
 
 
 @pytest.mark.parametrize(
@@ -526,40 +530,232 @@ def test_row_table_merges_equal_potential_nodes_exactly(prob, x, distinct):
     # V is constant (flat) or even on a segment symmetric about 0 (even)
     row = hj._RowTable(prob, x)
     q = 2.0
-    row.dp_dq_integral(q, CFG.quad_tol)
-    row.correction_integral(q, CFG.quad_tol)
-    for cache, integrand, value in (
-        (
-            row._dq,
-            lambda prob, s, q: hj.momentum_partials(prob, s, q)[1],
-            lambda terms: sum(c / math.sqrt(q - v) for v, c in terms),
-        ),
-        (
-            row._dx,
-            hj.correction_integrand,
-            lambda terms: sum((al - q * be) / math.sqrt(q - v) for v, al, be in terms),
-        ),
-    ):
-        assert len(cache) >= 2
-        for (lo, hi, level), (vmax, _, terms) in cache.items():
-            nodes = tanh_sinh_nodes(lo, hi, level)
-            assert len(terms) == distinct(len(nodes))
-            assert vmax == max(prob._v_fn(s) for s, _ in nodes)
-            unmerged = math.fsum(w * integrand(prob, s, q) for s, w in nodes)
-            assert value(terms) == pytest.approx(unmerged, rel=1e-15, abs=1e-300)
+    row.terms(q, CFG.quad_tol)
+    row.momentum_integral(q, CFG.quad_tol)
+    levels = [
+        (lo, hi, level, data)
+        for (lo, hi), built in row._panels.items()
+        for level, data in enumerate(built)
+    ]
+    assert len(levels) >= 2
+    for lo, hi, level, (vmax, _, terms) in levels:
+        nodes = tanh_sinh_nodes(lo, hi, level)
+        assert len(terms) == distinct(len(nodes))
+        assert vmax == max(prob._v_fn(s) for s, _ in nodes)
+        for integrand, value in (
+            (
+                lambda s: hj.momentum_partials(prob, s, q)[1],
+                sum(c / math.sqrt(q - v) for v, c in terms),
+            ),
+            (
+                lambda s: hj.momentum(prob, s, q),
+                2.0 * sum(c * math.sqrt(q - v) for v, c in terms),
+            ),
+        ):
+            unmerged = math.fsum(w * integrand(s) for s, w in nodes)
+            assert value == pytest.approx(unmerged, rel=1e-15, abs=1e-300)
+
+
+# --- the row kernel against the closure path it replaced ------------------
+
+
+def tanh_sinh(level_sum, lo, hi, tol):
+    """Nested tanh-sinh over a level-sum callback: the loop the row table
+    ran through before it ran its own, kept as its bitwise reference.
+
+    ``level_sum(a, b, l)`` is the weighted integrand sum over the nodes
+    level l adds on [a, b]; the stop rule and halving are the table's.
+    """
+    total = 0.0
+    splits = 0
+    panels = [(lo, hi, tol)]  # a stack; the leftmost panel is on top
+    while panels:
+        a, b, panel_tol = panels.pop()
+        estimate = level_sum(a, b, 0)
+        for level in range(1, _SPLIT_LEVEL + 1):
+            prev = estimate
+            estimate = 0.5 * prev + level_sum(a, b, level)
+            if abs(estimate - prev) <= panel_tol:
+                total += estimate
+                break
+        else:
+            splits += 1
+            if splits > _MAX_SPLITS:
+                raise ConvergenceError(f"quadrature not converged after {_MAX_SPLITS} halvings")
+            m = 0.5 * (a + b)
+            panels.append((m, b, 0.5 * panel_tol))
+            panels.append((a, m, 0.5 * panel_tol))
+    return total
+
+
+def _fold(values):
+    # left to right from 0.0, which is what sum() computes on CPython
+    # before 3.12 (later versions compensate the rounding)
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def reference_level_sum(row, q, slope):
+    """One level's sum of ``row`` at q from a closure over (lo, hi, level)
+    keyed levels, built by the row's own ``_level``: dp/dq terms when
+    ``slope``, else the momentum's."""
+    margin = row.prob.margin(q)
+    cache = {}
+
+    def level_sum(lo, hi, level):
+        key = (lo, hi, level)
+        data = cache.get(key)
+        if data is None:
+            data = cache[key] = row._level(lo, hi, level)
+        vmax, where, terms = data
+        if q - vmax < margin:
+            raise DomainError("momentum argument below admissibility margin", where=where)
+        if slope:
+            return _fold([c / math.sqrt(q - v) for v, c in terms])
+        total = 2.0 * _fold([c * math.sqrt(q - v) for v, c in terms])
+        if not math.isfinite(total):
+            raise DomainError("non-finite integrand value", where=where)
+        return total
+
+    return level_sum
+
+
+def reference_integral(row, q, tol, slope):
+    if row.lo == row.hi:
+        return 0.0
+    return row.sign * tanh_sinh(reference_level_sum(row, q, slope), row.lo, row.hi, tol)
+
+
+def reference_terms(row, q, tol):
+    prob = row.prob
+    g_slope = prob.generator_slope_at(q)
+    integral = reference_integral(row, q, tol, True)
+    return g_slope, integral, prob.x0 * hj.momentum_partials(prob, prob.x0, q)[1]
+
+
+def reference_correction_integral(prob, x, q, tol):
+    """Integral of s dp/dx(s, q) from x0 to x as the row table took it for
+    the action before the action was taken by parts: the terms
+    (alpha - q beta) / sqrt(q - V), with
+    alpha = sigma w s (a'V - aV') / (2 a sqrt(a)) and
+    beta = sigma w s a' / (2 a sqrt(a)), merged by V."""
+    lo, hi = min(prob.x0, x), max(prob.x0, x)
+    if lo == hi:
+        return 0.0
+    margin = prob.margin(q)
+
+    def level_sum(a, b, level):
+        merged = {}
+        vmax = -math.inf
+        for s, w in tanh_sinh_nodes(a, b, level):
+            av, v = hj._coefficients(prob, s)
+            a_p, v_p = prob._ap_fn(s), prob._vp_fn(s)
+            vmax = max(vmax, v)
+            k = 0.5 * prob.sigma * w * s / (av * math.sqrt(av))
+            al, be = merged.get(v, (0.0, 0.0))
+            merged[v] = (al + k * (a_p * v - av * v_p), be + k * a_p)
+        assert q - vmax >= margin
+        return _fold([(al - q * be) / math.sqrt(q - v) for v, (al, be) in merged.items()])
+
+    return (1.0 if x >= prob.x0 else -1.0) * tanh_sinh(level_sum, lo, hi, tol)
+
+
+def outcome(fn, *args):
+    """repr of the value, or the exception's type, message and abscissa."""
+    try:
+        return repr(fn(*args))
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "where", None)
+
+
+# (kinetic, potential, x0): flat, even about 0 on [-0.5, 0.5], oscillator,
+# and a varying kinetic term under a potential that is neither
+ROW_PROBLEMS = {
+    "flat": ("2", "0.3", -0.4),
+    "even": ("1", "x^2", -0.5),
+    "oscillator": ("1", "x^2", 0.0),
+    "varying": ("1 + x^2", "sin(x)", 0.2),
+}
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(
+    name=st.sampled_from(sorted(ROW_PROBLEMS)),
+    sigma=st.sampled_from([1, -1]),
+    x=st.floats(-1.2, 1.2),
+    gap=st.one_of(st.floats(1e-7, 4.0), st.floats(-0.5, 1e-7)),
+    tol=st.sampled_from([1e-10, 1e-13, 1e-6]),
+)
+def test_row_kernel_matches_the_closure_path_bitwise(name, sigma, x, gap, tol):
+    kinetic, potential, x0 = ROW_PROBLEMS[name]
+    prob = hj.HJProblem(kinetic, potential, "q^2/2", sigma=sigma, x0=x0)
+    # q a gap above V's largest value on the segment; a negative gap
+    # makes q inadmissible somewhere, and both paths must fail alike
+    segment = scan_abscissae(min(x0, x), max(x0, x), 64)
+    q = max(prob._v_fn(s) for s in segment) + gap
+    want_terms = outcome(reference_terms, hj._RowTable(prob, x), q, tol)
+    want_p = outcome(reference_integral, hj._RowTable(prob, x), q, tol, False)
+    row = hj._RowTable(prob, x)
+    for _ in range(2):  # built on the first call, read back on the second
+        assert outcome(row.terms, q, tol) == want_terms
+        assert outcome(row.momentum_integral, q, tol) == want_p
+    assert outcome(hj._RowTable(prob, x).momentum_integral, q, tol) == want_p
+
+
+def test_row_kernel_halves_panels_like_the_closure_path():
+    # interior kinks of V at -0.4 and 0.3: a panel holding one has not
+    # converged by level 6, so the kernel halves it, and the halves match
+    # the reference
+    prob = hj.HJProblem("1", "abs(x - 0.3) + abs(x + 0.4)", "q^2/2", x0=0.0)
+    for x, q in ((1.0, 2.2), (-0.9, 1.8), (0.7, 1.5 + 1e-6)):
+        row = hj._RowTable(prob, x)
+        got = (row.terms(q, CFG.quad_tol), row.momentum_integral(q, CFG.quad_tol))
+        assert len(row._panels) > 1
+        fresh = hj._RowTable(prob, x)
+        want = (reference_terms(fresh, q, CFG.quad_tol), reference_integral(fresh, q, CFG.quad_tol, False))
+        assert repr(got) == repr(want)
+
+
+def test_row_kernel_gives_up_after_the_last_halving():
+    # a = x^2 makes dp/dq ~ 1/|s| near x0 = 0: no panel touching x0 ever
+    # converges, so both paths raise after _MAX_SPLITS halvings
+    prob = hj.HJProblem("x^2", "0", "q", x0=0.0)
+    row = hj._RowTable(prob, 0.5)
+    for kernel, slope in ((row.terms, True), (row.momentum_integral, False)):
+        with pytest.raises(ConvergenceError):
+            kernel(2.0, CFG.quad_tol)
+        with pytest.raises(ConvergenceError):
+            reference_integral(hj._RowTable(prob, 0.5), 2.0, CFG.quad_tol, slope)
+    # each halving adds the two halves of the panel at x0
+    assert len(row._panels) == 1 + 2 * _MAX_SPLITS
+
+
+def test_action_by_parts_matches_the_correction_form():
+    # a' != 0: the by-parts action never evaluates a', the correction
+    # integrand s dp/dx does, through integrate_adaptive
+    prob = hj.HJProblem("1 + x^2", "x^2", "q^2/2", x0=0.2)
+    for x, t, q in ((0.9, 0.1, 2.0), (-0.6, 0.3, 1.1), (0.2, 0.0, 3.0), (1.4, -0.2, 2.5)):
+        want = x * hj.momentum(prob, x, q) + q * t - hj.correction_term(prob, x, q, CFG)
+        assert abs(hj.action_value(prob, x, t, q, CFG) - want) <= 1e-13
 
 
 def test_quadrature_convergence_failure_is_a_domain_failure(monkeypatch):
-    def give_up(row, q, tol):
-        raise ConvergenceError("quadrature not converged")
+    real_integral = hj._RowTable._integral
+
+    def give_up_on(failing):  # the dp/dq quadrature when True, else the momentum one
+        def integral(row, q, tol, margin, slope):
+            if slope is failing:
+                raise ConvergenceError("quadrature not converged")
+            return real_integral(row, q, tol, margin, slope)
+
+        return integral
 
     xs, ts = axis(0.15, 0.45, 3), axis(0.2, 0.5, 3)
-    monkeypatch.setattr(hj._RowTable, "correction_integral", give_up)
+    monkeypatch.setattr(hj._RowTable, "_integral", give_up_on(False))
     field = hj.solve_grid(OSC, xs, ts, (0.05, 6.0), CFG)
     assert all(s is Status.DOMAIN_FAIL for row in field.status for s in row)
     assert field.q == field.value == field.p == [[None] * 3] * 3
-    monkeypatch.setattr(hj._RowTable, "dp_dq_integral", give_up)
-    line = hj._root_line(OSC, 0.3, 0.05, 6.0, CFG)
+    monkeypatch.setattr(hj._RowTable, "_integral", give_up_on(True))
+    line = hj._root_line(hj._RowTable(OSC, 0.3), 0.05, 6.0, CFG)
     assert line.samples == []
     assert line.solve(0.3)[:2] == (None, Status.DOMAIN_FAIL)
 
@@ -570,13 +766,13 @@ def test_shipped_config_quadratures_per_point(monkeypatch, name, bound):
     # solving each point from its coarse brackets takes 7.04 and 4.49
     run = load_config(str(CONFIGS / f"{name}.cfg"))
     quads = [0]
-    real_integral = hj._RowTable.dp_dq_integral
+    real_terms = hj._RowTable.terms
 
-    def counting_integral(row, q, tol):
+    def counting_terms(row, q, tol):
         quads[0] += 1
-        return real_integral(row, q, tol)
+        return real_terms(row, q, tol)
 
-    monkeypatch.setattr(hj._RowTable, "dp_dq_integral", counting_integral)
+    monkeypatch.setattr(hj._RowTable, "terms", counting_terms)
     field = hj.solve_grid(run.problem, run.axis1, run.axis2, run.q_range, run.solver)
     assert field.resolved_fraction() == 1.0
     assert quads[0] / (len(run.axis1) * len(run.axis2)) <= bound

@@ -5,8 +5,9 @@ Usage::
 
     python3 tools/quad_census.py [SRC]
 
-SRC is a directory holding an ``hjgen`` package (default: the ``src`` of
-this checkout).  The script solves every config in ``configs/`` in-process,
+SRC is a directory holding an ``hjgen`` package whose row table has the
+inline kernel (``hj._RowTable.terms``; default: the ``src`` of this
+checkout).  The script solves every config in ``configs/`` in-process,
 serially, in a fresh temporary directory, and then evaluates the
 criterion-06 separated field (``hj.separation_action`` for a = 1, V = x^2,
 E = 1 on 81 x 41 points of [0.1, 0.8] x [0, 0.4], t looping inside x).
@@ -22,30 +23,35 @@ quadratures) split by stage:
 
 and the brackets refined per point (``_refine`` calls, or
 ``solve_bracketed`` calls without it).  An evaluation is one call of
-``hj._RowTable.dp_dq_integral`` inside ``hj.solve_grid``, or of the problem's
+``hj._RowTable.terms`` inside ``hj.solve_grid``, or of the problem's
 compiled phi' inside ``pq.solve_grid``; scan is the total less the
 refinement.  Then, for each run, it prints, per quadrature path, how many
 quadratures ran and how they ended, the level at which they stopped, and
 the tanh-sinh nodes each visited:
 
 - ``constraint``: the dp/dq integral of the HJ root condition, summed over
-  an x row's node table (``hj._RowTable.dp_dq_integral``);
-- ``action``: the correction integral of the action, over the same table
-  (``hj._RowTable.correction_integral``);
-- ``separation``: the separated integral of sqrt((E - V)/a), over the same
-  table (``hj._RowTable.separation_integral``);
+  an x row's node table (``hj._RowTable.terms``);
+- ``action``: the integral of p in the action taken by parts, over the same
+  table (``hj._RowTable.momentum_integral`` under ``hj._action``);
+- ``separation``: the separated integral of sqrt((E - V)/a), the same
+  integral of p (``hj._RowTable.momentum_integral`` called by
+  ``hj.separation_action``);
 - ``generic``: ``numerics.integrate_adaptive`` on a callable integrand.
 
-A node of the table paths is one tanh-sinh abscissa whatever the number of
-merged terms it ended up in; those paths also print the mean number of
-merged terms a quadrature summed, which is what it costs per q.  The
+The row table runs its levels inline, so the script counts calls by
+wrapping the table's methods and ``integrate_adaptive``, and gets each
+quadrature's levels and nodes by replaying the call through the reference
+loop of ``tests/test_hj.py`` (``tanh_sinh`` over a level-sum closure, which
+the tests pin bitwise to the table's loop) on the same table.  A node of
+the table paths is one tanh-sinh abscissa whatever the number of merged
+terms it ended up in; those paths also print the mean number of merged
+terms a quadrature summed, which is what it costs per q.  The
 ``separation`` path also prints how many calls it served in all, since a
-row keeps its t-free value and answers every later call of the row without
-a quadrature.  A quadrature whose panel did not converge by level 6 is
-halved and reported as ``split``.  On a tree whose row table has no
-``separation_integral`` the separated field counts under ``generic``.  Only
-the standard library is used; the package is wrapped from outside while
-the script runs.
+row keeps its t-free integral of p per q and answers every later call for
+that q without a quadrature.  A quadrature whose panel did not converge by
+level 6 is halved and reported as ``split``.  Beside the package and its
+tests (which import pytest and Hypothesis), only the standard library is
+used; the package is wrapped from outside while the script runs.
 """
 
 from __future__ import annotations
@@ -110,53 +116,90 @@ def _histogram(counter, total):
 
 
 @contextlib.contextmanager
-def installed(census, hj, numerics):
-    """Wrap the level loop in both namespaces that call it, and the table's paths."""
-    state = {"path": None, "cache": None}
+def installed(census, hj, numerics, reference):
+    """Wrap the row table's integrals and ``integrate_adaptive``; replay each
+    quadrature through ``reference`` (the module ``tests/test_hj.py``)."""
+    state = {"path": None}
     patches = []
 
-    def level_loop(real, fixed_path):
-        def traced(level_sum, lo, hi, tol):
-            visited = []
-            terms = [0]
-            cache = None if fixed_path else state["cache"]
+    def replay(path, lo, hi, tol, level_sum, table=None):
+        visited = []
+        terms = [0]
 
-            def counted(a, b, level):
-                visited.append(level)
-                value = level_sum(a, b, level)
-                if cache is not None:
-                    terms[0] += len(cache[(a, b, level)][2])
-                return value
+        def counted(a, b, level):
+            visited.append(level)
+            if table is not None:
+                terms[0] += len(table[a, b][level][2])
+            return level_sum(a, b, level)
 
-            outcome = "ok"
+        outcome = "ok"
+        try:
+            reference.tanh_sinh(counted, lo, hi, tol)
+        except Exception as exc:
+            outcome = type(exc).__name__
+        census.record(path, visited, outcome, terms[0])
+
+    def row_integral(row, q, tol, slope, path):
+        # the quadrature as the kernel ran it, on the levels it built
+        if row.lo != row.hi:
+            level_sum = reference.reference_level_sum(row, q, slope)
+            replay(path, row.lo, row.hi, tol, level_sum, row._panels)
+
+    real_terms = hj._RowTable.terms
+
+    def terms(row, q, tol):
+        census.calls["constraint"] += 1
+        try:
+            return real_terms(row, q, tol)
+        finally:
             try:
-                return real(counted, lo, hi, tol)
-            except Exception as exc:
-                outcome = type(exc).__name__
-                raise
+                row.prob.generator_slope_at(q)  # G'(q) comes before the integral
+            except Exception:
+                pass
+            else:
+                row_integral(row, q, tol, True, "constraint")
+
+    real_momentum = hj._RowTable.momentum_integral
+
+    def momentum_integral(row, q, tol):
+        path = state["path"] or "separation"
+        census.calls[path] += 1
+        kept = (q, tol) in row._momentum
+        try:
+            return real_momentum(row, q, tol)
+        finally:
+            if not kept:
+                row_integral(row, q, tol, False, path)
+
+    def under(real, path):
+        def traced(*args):
+            saved, state["path"] = state["path"], path
+            try:
+                return real(*args)
             finally:
-                census.record(fixed_path or state["path"], visited, outcome, terms[0])
+                state["path"] = saved
 
         return traced
 
-    def table_path(real, path, cache_name):
-        def traced(row, q, tol):
-            census.calls[path] += 1
-            state["path"], state["cache"] = path, getattr(row, cache_name)
-            return real(row, q, tol)
+    real_adaptive = numerics.integrate_adaptive
 
-        return traced
+    def integrate_adaptive(f, x0, x1, tol):
+        try:
+            return real_adaptive(f, x0, x1, tol)
+        finally:
+            if x0 < x1:  # a reversed call recurses into this wrapper
 
-    patches.append((numerics, "tanh_sinh", level_loop(numerics.tanh_sinh, "generic")))
-    patches.append((hj, "tanh_sinh", level_loop(hj.tanh_sinh, None)))
-    for name, path, cache in (
-        ("dp_dq_integral", "constraint", "_dq"),
-        ("correction_integral", "action", "_dx"),
-        ("separation_integral", "separation", "_dq"),
-    ):
-        real = getattr(hj._RowTable, name, None)  # no separation_integral in older trees
-        if real is not None:
-            patches.append((hj._RowTable, name, table_path(real, path, cache)))
+                def level_sum(a, b, level):
+                    nodes = numerics.tanh_sinh_nodes(a, b, level)
+                    return sum(w * numerics._sample(f, s) for s, w in nodes)
+
+                replay("generic", x0, x1, tol, level_sum)
+
+    patches.append((hj._RowTable, "terms", terms))
+    patches.append((hj._RowTable, "momentum_integral", momentum_integral))
+    patches.append((hj, "_action", under(hj._action, "action")))
+    patches.append((numerics, "integrate_adaptive", integrate_adaptive))
+    patches.append((hj, "integrate_adaptive", integrate_adaptive))
     saved = [(obj, name, getattr(obj, name)) for obj, name, _ in patches]
     for obj, name, fn in patches:
         setattr(obj, name, fn)
@@ -219,12 +262,12 @@ def counting_roots(census, modules):
 
         return traced
 
-    real_integral = hj._RowTable.dp_dq_integral
+    real_terms = hj._RowTable.terms
 
-    def dp_dq_integral(row, q, tol):
+    def terms(row, q, tol):
         if active[0]:
             census.total += 1
-        return real_integral(row, q, tol)
+        return real_terms(row, q, tol)
 
     real_brent = modules["numerics"].solve_bracketed
 
@@ -234,7 +277,7 @@ def counting_roots(census, modules):
 
     patches.append((hj, "solve_grid", solve_grid(hj.solve_grid)))
     patches.append((pq, "solve_grid", solve_grid(pq.solve_grid)))
-    patches.append((hj._RowTable, "dp_dq_integral", dp_dq_integral))
+    patches.append((hj._RowTable, "terms", terms))
     for mod in modules.values():
         if getattr(mod, "solve_bracketed", None) is real_brent:
             patches.append((mod, "solve_bracketed", solve_bracketed))
@@ -261,7 +304,10 @@ def main(argv):
         return 2
     src = Path(argv[1]).resolve() if len(argv) == 2 else ROOT / "src"
     sys.path.insert(0, str(src))
+    sys.path.insert(1, str(ROOT / "tests"))
     from hjgen import cli, fields, hj, numerics, pq
+
+    import test_hj as reference
 
     modules = {"hj": hj, "pq": pq, "fields": fields, "numerics": numerics}
     configs = sorted((ROOT / "configs").glob("*.cfg"))
@@ -272,7 +318,7 @@ def main(argv):
             for cfg in configs:
                 census = Census(numerics)
                 roots = RootCensus()
-                with installed(census, hj, numerics), counting_roots(roots, modules), \
+                with installed(census, hj, numerics, reference), counting_roots(roots, modules), \
                         contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main(["solve", str(cfg)])
                 print(census.report(f"{cfg.name} (solve exit {code})"))
@@ -282,7 +328,7 @@ def main(argv):
     census = Census(numerics)
     osc = hj.HJProblem("1", "x^2", "0", sigma=1, x0=0.0)
     solver = numerics.SolverConfig(quad_tol=1e-10)
-    with installed(census, hj, numerics):
+    with installed(census, hj, numerics, reference):
         for i in range(81):
             for j in range(41):
                 hj.separation_action(osc, 1.0, 0.1 + 0.7 * i / 80, 0.4 * j / 40, solver)
