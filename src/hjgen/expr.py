@@ -88,6 +88,7 @@ class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0  # nesting levels entered and not yet left
 
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -125,9 +126,12 @@ class _Parser:
                 return e
 
     def parse_unary(self) -> Expression:
-        if self.accept("-"):
-            return Neg(self.parse_unary())
-        return self.parse_power()
+        # every nesting of the grammar (parentheses, calls, "-", "^") passes
+        # here; an exception leaves the count at the depth it was raised at
+        self.depth += 1
+        e = Neg(self.parse_unary()) if self.accept("-") else self.parse_power()
+        self.depth -= 1
+        return e
 
     def parse_power(self) -> Expression:
         e = self.parse_atom()
@@ -170,12 +174,18 @@ class _Parser:
 def parse(source: str) -> Expression:
     """Parse ``source`` into an expression tree.
 
-    Raises :class:`ParseError` carrying the 0-based offset of the problem.
+    Raises :class:`ParseError` carrying the 0-based offset of the problem,
+    also for source nested too deep for the recursive-descent parser.
     """
     if not source or source.isspace():
         raise ParseError("empty expression", 0)
     p = _Parser(source)
-    e = p.parse_expr()
+    try:
+        e = p.parse_expr()
+    except RecursionError:
+        raise ParseError(
+            f"expression nests at least {p.depth} deep, past the recursion limit", p.pos
+        ) from None
     p.skip_ws()
     if p.pos != len(p.src):
         raise ParseError(f"unexpected character {p.src[p.pos]!r}", p.pos)
@@ -246,8 +256,34 @@ def variables(e: Expression) -> frozenset[str]:
             case Call(arg=arg):
                 walk(arg)
 
-    walk(e)
+    _walk(walk, e)
     return frozenset(out)
+
+
+def _walk(fn, e: Expression, *args):
+    """``fn(e, *args)`` for a recursive walk ``fn`` of the tree ``e``; a tree
+    too deep for Python's recursion limit is a :class:`ParseError` naming
+    its depth."""
+    try:
+        return fn(e, *args)
+    except RecursionError:
+        message = f"expression nests {_depth(e)} deep, past the recursion limit"
+        raise ParseError(message, 0) from None
+
+
+def _depth(e: Expression) -> int:
+    """The number of levels of ``e``'s tree, counted without recursion."""
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if isinstance(node, (Neg, Call)):
+            stack.append((node.arg, level + 1))
+        elif isinstance(node, BinOp):
+            stack.append((node.left, level + 1))
+            stack.append((node.right, level + 1))
+    return deepest
 
 
 # Folding constructors.  Only literal subtrees and exact identities are
@@ -331,40 +367,45 @@ def differentiate(e: Expression, var: str) -> Expression:
 
     The result evaluates to the analytic derivative wherever ``e`` is
     differentiable.  Literal subtrees are folded, so derivatives of
-    constants collapse to a plain ``0``.
+    constants collapse to a plain ``0``.  A tree too deep to walk raises
+    :class:`ParseError` naming its depth.
     """
+    return _walk(_derivative, e, var)
+
+
+def _derivative(e: Expression, var: str) -> Expression:
     match e:
         case Num():
             return Num(0.0)
         case Var(name=name):
             return Num(1.0 if name == var else 0.0)
         case Neg(arg=a):
-            return _neg(differentiate(a, var))
+            return _neg(_derivative(a, var))
         case BinOp(op="+", left=left, right=right):
-            return _add(differentiate(left, var), differentiate(right, var))
+            return _add(_derivative(left, var), _derivative(right, var))
         case BinOp(op="-", left=left, right=right):
-            return _sub(differentiate(left, var), differentiate(right, var))
+            return _sub(_derivative(left, var), _derivative(right, var))
         case BinOp(op="*", left=left, right=right):
-            dl = differentiate(left, var)
-            dr = differentiate(right, var)
+            dl = _derivative(left, var)
+            dr = _derivative(right, var)
             return _add(_mul(dl, right), _mul(left, dr))
         case BinOp(op="/", left=left, right=right):
-            dl = differentiate(left, var)
-            dr = differentiate(right, var)
+            dl = _derivative(left, var)
+            dr = _derivative(right, var)
             return _div(_sub(_mul(dl, right), _mul(left, dr)), _mul(right, right))
         case BinOp(op="^", left=base, right=expo):
-            db = differentiate(base, var)
+            db = _derivative(base, var)
             if not depends_on(expo, var):
                 # plain power rule; also valid for negative bases with
                 # integer exponents, unlike the logarithmic form
                 return _mul(_mul(expo, _powc(base, _sub(expo, Num(1.0)))), db)
-            de = differentiate(expo, var)
+            de = _derivative(expo, var)
             return _mul(
                 _powc(base, expo),
                 _add(_mul(de, Call("ln", base)), _div(_mul(expo, db), base)),
             )
         case Call(func=func, arg=arg):
-            da = differentiate(arg, var)
+            da = _derivative(arg, var)
             if func == "sin":
                 return _mul(Call("cos", arg), da)
             if func == "cos":
@@ -406,11 +447,32 @@ def _checked(fn, admits, message: str):
     return checked
 
 
-# What the emitted names call.  The fast build runs math directly; the
-# checked build, run only to word a fast build's math error, checks each
-# argument first (NaN fails only asin's and acos's checks).
+def _domain_error(exc: Exception, checked, *values: float) -> DomainError:
+    """The :class:`DomainError` for the math error ``exc`` a fast build
+    raised at ``values``, worded by its ``checked`` build.
+
+    The checked build fails wherever the fast one does, at or before the
+    same operation; math's message stands when it has none.
+    """
+    message = str(exc)
+    try:
+        checked(*values)
+    except DomainError as err:
+        message = str(err)
+    except ZeroDivisionError:
+        message = "division by zero"
+    except (ValueError, ArithmeticError):
+        pass
+    return DomainError(message)
+
+
+# What the emitted names call.  The fast build runs math directly and
+# catches _errors; the checked build, run only to word a fast build's math
+# error, checks each argument first (NaN fails only asin's and acos's
+# checks) and catches nothing.
 _FAST = {f"_{f}": getattr(math, f) for f in FUNCTIONS if f not in ("ln", "abs")}
 _FAST.update(_ln=math.log, _abs=abs, _pow=math.pow, _inf=math.inf, _nan=math.nan)
+_FAST.update(_errors=(ValueError, ZeroDivisionError, OverflowError), _domain_error=_domain_error)
 _CHECKED = {
     **_FAST,
     "_asin": _checked(math.asin, lambda a: -1.0 <= a <= 1.0, "asin argument %r outside [-1, 1]"),
@@ -419,6 +481,7 @@ _CHECKED = {
     "_sqrt": _checked(math.sqrt, lambda a: not a < 0.0, "sqrt argument %r is negative"),
     "_exp": _exp,
     "_pow": _power_value,
+    "_errors": (),
 }
 
 
@@ -431,7 +494,12 @@ def _emit(e: Expression) -> str:
     it, so the source parses back to ``e``'s own tree and compiles to the
     bytecode of the fully parenthesised form.  A non-finite literal is the
     namespace name ``_inf`` or ``_nan``, negated when its sign bit is set.
+    A tree too deep to walk raises :class:`ParseError` naming its depth.
     """
+    return _walk(_source, e)
+
+
+def _source(e: Expression) -> str:
     match e:
         case Num(value=v):
             if math.isfinite(v):
@@ -445,17 +513,17 @@ def _emit(e: Expression) -> str:
         case BinOp(op="^", left=left, right=right):
             # math.pow keeps the principal real branch and raises
             # ValueError outside it
-            return f"_pow({_emit(left)}, {_emit(right)})"
+            return f"_pow({_source(left)}, {_source(right)})"
         case BinOp(op=op, left=left, right=right):
             p = _prec(e)
             return f"{_operand(left, _prec(left) < p)} {op} {_operand(right, _prec(right) <= p)}"
         case Call(func=func, arg=arg):
-            return f"_{func}({_emit(arg)})"
+            return f"_{func}({_source(arg)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _operand(e: Expression, wrap: bool) -> str:
-    return f"({_emit(e)})" if wrap else _emit(e)
+    return f"({_source(e)})" if wrap else _source(e)
 
 
 def _nesting(source: str) -> int:
@@ -479,7 +547,9 @@ def compile_function(e: Expression, params: tuple[str, ...]):
     ``ln argument -0.25 must be positive`` or ``division by zero``; math's
     own message when no argument check applies, as for ``sin(inf)``.  An
     expression whose calls and parentheses nest deeper than Python's
-    compiler accepts raises :class:`ParseError` naming the depth.
+    compiler accepts, or whose tree is too deep to walk, raises
+    :class:`ParseError` naming the depth.  The function returned is the
+    compiled code itself, with no wrapper around its calls.
     """
     missing = variables(e) - set(params)
     if missing:
@@ -488,9 +558,22 @@ def compile_function(e: Expression, params: tuple[str, ...]):
 
 
 def _function(body: str, params: tuple[str, ...]):
+    # the returned function is the fast build itself: its try costs nothing
+    # until math raises, and it raises the DomainError after its handler,
+    # so the error chains no context; the checked build is the same code on
+    # _CHECKED, where _errors is ()
+    args = ", ".join(f"v_{p}" for p in params)
     ns = dict(_FAST)
     try:
-        exec(f"def _compiled({', '.join(f'v_{p}' for p in params)}):\n    return {body}", ns)
+        exec(
+            f"def _compiled({args}):\n"
+            "    try:\n"
+            f"        return {body}\n"
+            "    except _errors as exc:\n"
+            f"        error = _domain_error(exc, _checked_build, {args})\n"
+            "    raise error",
+            ns,
+        )
     except SyntaxError:
         # the emitted source is always valid, so only its nesting can fail
         raise ParseError(
@@ -498,27 +581,9 @@ def _function(body: str, params: tuple[str, ...]):
             "past the Python compiler's limit",
             0,
         ) from None
-    raw = ns["_compiled"]
-    checked = FunctionType(raw.__code__, _CHECKED)
-
-    def call(*values: float) -> float:
-        try:
-            return raw(*values)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            message = str(exc)
-        # the checked build fails wherever the fast one does, at or before
-        # the same operation; math's message stands when it has none
-        try:
-            checked(*values)
-        except DomainError as err:
-            message = str(err)
-        except ZeroDivisionError:
-            message = "division by zero"
-        except (ValueError, ArithmeticError):
-            pass
-        raise DomainError(message)
-
-    return call
+    fn = ns["_compiled"]
+    ns["_checked_build"] = FunctionType(fn.__code__, _CHECKED)
+    return fn
 
 
 _cached_function = functools.lru_cache(maxsize=256)(_function)

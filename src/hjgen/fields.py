@@ -9,9 +9,12 @@ target's brackets come from a bisection of each run, with the condition
 combined only at the two samples of each crossing; a target within
 rounding of a sample's level takes the full scan instead.  :func:`sweep`
 walks the grid with warm starts and feeds each point a root predicted
-from its row's earlier roots, with Lagrange weights built once per axis,
-which :func:`_refine` probes before Brent's method (Brent 1973, see
-:mod:`hjgen.numerics`) finishes the bracket.
+from its row's earlier roots, with Lagrange weights built once per axis.
+A bracket is a (lo, hi, g_lo, g_hi) tuple, and each goes with the line's
+``terms`` and ``combine`` to the float kernel :func:`hjgen.numerics._refine`,
+which probes the predicted root before Brent's method (Brent 1973)
+finishes the bracket; a target with one bracket, as every point of the
+shipped configs has, returns the kernel's root as is.
 
 The CSV kernels work on whole columns: :func:`write_field_csv` formats one
 grid row at a time, and :func:`read_field_csv` parses bounded blocks of
@@ -30,7 +33,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from .numerics import Bracket, SolverConfig, bracket_pairs, scan_abscissae, solve_bracketed
+from .numerics import SolverConfig, _crossings, _refine, scan_abscissae
 
 __all__ = [
     "Status",
@@ -251,9 +254,10 @@ class RootLine:
                 out.append((q, v))
         return out
 
-    def brackets(self, target: float) -> Optional[list[Bracket]]:
-        """``bracket_pairs(self.scan(target))`` by bisection over the monotone
-        runs, or ``None`` when only the full scan can tell.
+    def brackets(self, target: float) -> Optional[list[tuple[float, float, float, float]]]:
+        """The (lo, hi, g_lo, g_hi) of each ``bracket_pairs(self.scan(target))``
+        bracket, by bisection over the monotone runs, or ``None`` when only
+        the full scan can tell.
 
         Rounding.  ``combine`` adds n = len(terms) + 1 operands left to
         right, so its value differs from the exact sum, sense * (t - H_k),
@@ -297,7 +301,7 @@ class RootLine:
                     return None
                 if i:
                     (q1, t1), (q2, t2) = samples[start + i - 1], samples[start + i]
-                    out.append(Bracket(q1, q2, combine(t1, target), combine(t2, target)))
+                    out.append((q1, q2, combine(t1, target), combine(t2, target)))
         return out
 
     def solve(self, target: float, warm: Optional[float] = None, guess=None):
@@ -309,8 +313,8 @@ class RootLine:
         convergence failures never raise, they mark the point
         ``domain_fail``.  ``guess`` = (predicted root, slope of g there)
         only narrows the bracket holding the prediction before Brent's
-        method refines it (:func:`_refine`); the slope is ``None`` when no
-        bracket was refined.
+        method refines it (:func:`hjgen.numerics._refine`); the slope is
+        ``None`` when no bracket was refined.
         """
         cfg, combine = self.cfg, self.combine
         ref = warm if warm is not None else 0.5 * (self.lo + self.hi)
@@ -321,16 +325,19 @@ class RootLine:
                 return None, Status.DOMAIN_FAIL, None
             if all(abs(v) <= cfg.resid_tol for _, v in samples):
                 return ref, Status.MULTI_ROOT, None
-            brackets = bracket_pairs(samples)
+            brackets = _crossings(samples)
         if not brackets:
             return None, Status.NO_ROOT, None
-        line_terms = self.terms
-
-        def g(q):
-            return combine(line_terms(q), target)
-
+        terms = self.terms
         try:
-            found = sorted((_refine(g, br, guess, cfg) for br in brackets), key=lambda r: r[0])
+            if len(brackets) == 1:
+                lo, hi, g_lo, g_hi = brackets[0]
+                root, slope = _refine(terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg)
+                return root, Status.RESOLVED, slope
+            found = sorted(
+                [_refine(terms, combine, target, *br, guess, cfg) for br in brackets],
+                key=lambda r: r[0],
+            )
         except (DomainError, ConvergenceError):
             return None, Status.DOMAIN_FAIL, None
         unique = [found[0]]
@@ -363,62 +370,6 @@ def _monotone_runs(levels) -> list[tuple[int, int, list[float]]]:
         (a, -1, [-h for h in levels[a:b]]) if d < 0 else (a, 1, levels[a:b])
         for a, b, d in bounds
     ]
-
-
-# the straddle probe aims this far past the predicted root's Newton step
-_OVERSHOOT = 0.1
-
-
-def _refine(g, br: Bracket, guess, cfg: SolverConfig) -> tuple[float, Optional[float]]:
-    """Brent's method on ``br``, after up to two probes; (root, slope of g).
-
-    With a predicted root p strictly inside ``br``, g is probed at p, then
-    at the Newton step from p with the guessed slope, lengthened by
-    ``_OVERSHOOT`` so that it lands past the root; each probe that keeps a
-    sign change replaces an end of the enclosure.  Brent's method then runs
-    on the tightest enclosure, so the probes change how fast the root is
-    found, never which root.  A probe that raises or is NaN is dropped.
-    The slope is the secant through the last two evaluations that lie
-    apart by at least sqrt(eps) relative, the bracket's ends included.
-    """
-    seen = [(br.lo, br.g_lo), (br.hi, br.g_hi)]
-
-    def traced(q):
-        v = g(q)
-        seen.append((q, v))
-        return v
-
-    if guess is not None and abs(br.g_lo) > cfg.resid_tol and abs(br.g_hi) > cfg.resid_tol:
-        p, slope = guess
-        for _ in range(2):
-            if not br.lo < p < br.hi:
-                break
-            try:
-                v = traced(p)
-            except (DomainError, ConvergenceError):
-                break
-            if v != v:
-                break
-            if abs(v) <= cfg.resid_tol:
-                return p, _slope(seen)
-            if (v < 0.0) == (br.g_lo < 0.0):
-                br = Bracket(p, br.hi, v, br.g_hi)
-            else:
-                br = Bracket(br.lo, p, br.g_lo, v)
-            if not slope:
-                break
-            p -= (1.0 + _OVERSHOOT) * v / slope
-    root = solve_bracketed(traced, br, cfg)
-    return root, _slope(seen)
-
-
-def _slope(seen) -> Optional[float]:
-    # closer than about sqrt(eps) relative, rounding would dominate the secant
-    q1, v1 = seen[-1]
-    for q2, v2 in reversed(seen[:-1]):
-        if abs(q1 - q2) >= 1.5e-8 * (1.0 + abs(q1)):
-            return (v1 - v2) / (q1 - q2)
-    return None
 
 
 _ACTION_HEADER = "x,t,q,S,p,status"

@@ -152,19 +152,23 @@ def _coefficients(prob: HJProblem, x: float):
     return a, v
 
 
-def _momentum_gap(prob: HJProblem, x: float, q: float):
-    """(a, V, q - V) at one abscissa, once q - V clears the admissibility margin."""
-    a, v = _coefficients(prob, x)
+def _gap(prob: HJProblem, v: float, x: float, q: float) -> float:
+    """q - V for V = V(x), once it clears the admissibility margin."""
     gap = q - v
     if gap < prob.margin(q):
         raise DomainError("momentum argument below admissibility margin", where=x)
-    return a, v, gap
+    return gap
 
 
 def momentum(prob: HJProblem, x: float, q: float) -> float:
     """p(x, q) = sigma * sqrt((q - V(x)) / a(x))."""
-    a, _, gap = _momentum_gap(prob, x, q)
-    return prob.sigma * math.sqrt(gap / a)
+    a, v = _coefficients(prob, x)
+    return _momentum(prob, a, v, x, q)
+
+
+def _momentum(prob: HJProblem, a: float, v: float, x: float, q: float) -> float:
+    # p from a = a(x) and v = V(x), taken once by a caller that loops over q
+    return prob.sigma * math.sqrt(_gap(prob, v, x, q) / a)
 
 
 def momentum_partials(prob: HJProblem, x: float, q: float) -> tuple[float, float]:
@@ -176,7 +180,8 @@ def momentum_partials(prob: HJProblem, x: float, q: float) -> tuple[float, float
     with a' and V' taken symbolically, so accuracy is limited only by the
     caller's quadrature / root tolerances.
     """
-    a, v, gap = _momentum_gap(prob, x, q)
+    a, v = _coefficients(prob, x)
+    gap = _gap(prob, v, x, q)
     a_p = prob._ap_fn(x)
     v_p = prob._vp_fn(x)
     root = math.sqrt(a * gap)
@@ -423,7 +428,8 @@ def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfi
 
 def _action(row: _RowTable, t: float, q: float, tol: float) -> float:
     prob = row.prob
-    base = prob.x0 * momentum(prob, prob.x0, q)
+    a, v = _base_coefficients(prob)
+    base = prob.x0 * _momentum(prob, a, v, prob.x0, q)
     return base + row.momentum_integral(q, tol) + q * t - prob.generator_at(q)
 
 
@@ -451,18 +457,25 @@ def solve_grid(
     q, status = sweep(point, xs, ts)
     value: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     p: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
-    for i in range(len(xs)):
-        for j in range(len(ts)):
+    for i, x in enumerate(xs):
+        try:
+            a, v = _coefficients(prob, x)  # once per row, for every p of the row
+        except DomainError:
+            a = None  # p raises at x, so no root of the row stands
+        for j, t in enumerate(ts):
             if q[i][j] is None:
                 continue
-            try:
-                value[i][j] = _action(rows[i], ts[j], q[i][j], cfg.quad_tol)
-                p[i][j] = momentum(prob, xs[i], q[i][j])
-            except (DomainError, ConvergenceError):
-                q[i][j] = None
-                value[i][j] = None
-                p[i][j] = None
-                status[i][j] = Status.DOMAIN_FAIL
+            if a is not None:
+                try:
+                    value[i][j] = _action(rows[i], t, q[i][j], cfg.quad_tol)
+                    p[i][j] = _momentum(prob, a, v, x, q[i][j])
+                    continue
+                except (DomainError, ConvergenceError):
+                    pass
+            q[i][j] = None
+            value[i][j] = None
+            p[i][j] = None
+            status[i][j] = Status.DOMAIN_FAIL
     return ActionField(xs, ts, q, value, status, p)
 
 

@@ -8,6 +8,14 @@ and finds most targets' brackets by bisection over the samples' monotone
 runs; :func:`bracket_pairs` pairs the samples when rounding could decide
 a sign, and is the definition that bisection reproduces.
 
+Every grid point's root is refined by one kernel on plain floats,
+:func:`_refine`: a bracket is its four floats, the condition is
+evaluated as ``combine(terms(q), target)`` straight from the grid line's
+parts, up to two probes at a predicted root narrow the bracket, and
+Brent's method (:func:`_brent`, the loop :func:`solve_bracketed` runs on
+a callable) finishes it.  No closure, bracket object or frame beyond
+``terms`` and ``combine`` stands between the loop and an evaluation.
+
 Quadrature is nested tanh-sinh (H. Takahasi and M. Mori, "Double
 exponential formulas for numerical integration", Publ. RIMS 9, 1974):
 the substitution s = tanh((pi/2) sinh t) crowds the nodes double-
@@ -200,21 +208,27 @@ def scan_abscissae(lo: float, hi: float, n: int) -> list[float]:
     return points
 
 
+def _crossings(samples) -> list[tuple[float, float, float, float]]:
+    """The pairs of :func:`bracket_pairs`, each as a (lo, hi, g_lo, g_hi) tuple."""
+    out = []
+    for k, ((x1, v1), (x2, v2)) in enumerate(zip(samples, samples[1:])):
+        if (
+            (v1 < 0.0 < v2)
+            or (v2 < 0.0 < v1)
+            or (v2 == 0.0 and v1 != 0.0)
+            or (v1 == 0.0 and v2 != 0.0 and k == 0)
+        ):
+            out.append((x1, x2, v1, v2))
+    return out
+
+
 def bracket_pairs(samples) -> list[Bracket]:
     """Adjacent (abscissa, value) sample pairs enclosing a sign change.
 
     A zero exactly at a sample closes the pair on its left (or opens the
     very first pair), so a root hit by the scan grid is reported once.
     """
-    out = []
-    for k, ((x1, v1), (x2, v2)) in enumerate(zip(samples, samples[1:])):
-        if (v1 < 0.0 < v2) or (v2 < 0.0 < v1):
-            out.append(Bracket(x1, x2, v1, v2))
-        elif v2 == 0.0 and v1 != 0.0:
-            out.append(Bracket(x1, x2, v1, v2))
-        elif v1 == 0.0 and v2 != 0.0 and k == 0:
-            out.append(Bracket(x1, x2, v1, v2))
-    return out
+    return [Bracket(*c) for c in _crossings(samples)]
 
 
 def solve_bracketed(
@@ -231,17 +245,86 @@ def solve_bracketed(
     sign-change enclosure [b, c] around the estimate b has narrowed to
     ``root_tol + 4 eps |b|``.  Raises :class:`ConvergenceError` carrying
     that enclosure when ``cfg.max_iter`` evaluations of ``g`` have not
-    isolated the root.
+    isolated the root.  It runs :func:`_brent`, the loop the root kernel
+    :func:`_refine` finishes with.
     """
-    if abs(br.g_lo) <= cfg.resid_tol:
-        return br.lo
-    if abs(br.g_hi) <= cfg.resid_tol:
-        return br.hi
+    return _brent(g, _as_is, None, br.lo, br.g_lo, br.hi, br.g_hi, cfg, [])
+
+
+def _as_is(value: float, _) -> float:
+    return value
+
+
+# the straddle probe aims this far past the predicted root's Newton step
+_OVERSHOOT = 0.1
+
+
+def _refine(terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg):
+    """Root of g(q) = combine(terms(q), target) in the bracket [lo, hi] with
+    g(lo) = g_lo and g(hi) = g_hi, and the slope of g there.
+
+    The kernel of every grid point's root, on plain floats.  With a
+    predicted root ``guess`` = (p, slope of g) and p strictly inside the
+    bracket, g is probed at p, then at the Newton step from p with the
+    guessed slope, lengthened by ``_OVERSHOOT`` so that it lands past the
+    root; each probe that keeps a sign change replaces an end of the
+    enclosure.  :func:`_brent` then runs on the tightest enclosure, so the
+    probes change how fast the root is found, never which root.  A probe
+    that raises :class:`DomainError` or :class:`ConvergenceError`, or is
+    NaN, ends the probing; an error in Brent's method propagates.  The
+    slope is the secant through the last evaluation and the latest earlier
+    one at least about sqrt(eps) relative away, the bracket's ends
+    included (closer, rounding would dominate it), or ``None``.
+    """
+    resid_tol = cfg.resid_tol
+    seen = [(lo, g_lo), (hi, g_hi)]  # every (q, g) in order, for the slope
+    root = None
+    if guess is not None and abs(g_lo) > resid_tol and abs(g_hi) > resid_tol:
+        p, slope = guess
+        for _ in range(2):
+            if not lo < p < hi:
+                break
+            try:
+                v = combine(terms(p), target)
+            except (DomainError, ConvergenceError):
+                break
+            seen.append((p, v))
+            if v != v:
+                break
+            if abs(v) <= resid_tol:
+                root = p
+                break
+            if (v < 0.0) == (g_lo < 0.0):
+                lo, g_lo = p, v
+            else:
+                hi, g_hi = p, v
+            if not slope:
+                break
+            p -= (1.0 + _OVERSHOOT) * v / slope
+    if root is None:
+        root = _brent(terms, combine, target, lo, g_lo, hi, g_hi, cfg, seen)
+    q1, v1 = seen[-1]
+    limit = 1.5e-8 * (1.0 + abs(q1))
+    for k in range(len(seen) - 2, -1, -1):
+        q2, v2 = seen[k]
+        if abs(q1 - q2) >= limit:
+            return root, (v1 - v2) / (q1 - q2)
+    return root, None
+
+
+def _brent(terms, combine, target, a, fa, b, fb, cfg, seen):
+    """The Brent loop of :func:`solve_bracketed` on g(q) = combine(terms(q),
+    target) over [a, b], fa = g(a) and fb = g(b); appends each evaluation's
+    (q, g) to ``seen``."""
+    resid_tol = cfg.resid_tol
+    if abs(fa) <= resid_tol:
+        return a
+    if abs(fb) <= resid_tol:
+        return b
     eps = sys.float_info.epsilon
+    half_tol = 0.5 * cfg.root_tol
     # b: best estimate; c: the opposite-signed end of the enclosure [b, c];
     # a: the previous b.  d is the last step and e the one before it.
-    a, fa = br.lo, br.g_lo
-    b, fb = br.hi, br.g_hi
     c, fc = a, fa
     d = e = b - a
     for _ in range(cfg.max_iter):
@@ -249,7 +332,7 @@ def solve_bracketed(
             a, fa = b, fb
             b, fb = c, fc
             c, fc = a, fa
-        tol = 2.0 * eps * abs(b) + 0.5 * cfg.root_tol
+        tol = 2.0 * eps * abs(b) + half_tol
         m = 0.5 * (c - b)
         if abs(m) <= tol:
             return b
@@ -275,8 +358,9 @@ def solve_bracketed(
             d = e = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = g(b)
-        if abs(fb) <= cfg.resid_tol:
+        fb = combine(terms(b), target)
+        seen.append((b, fb))
+        if abs(fb) <= resid_tol:
             return b
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -317,6 +318,18 @@ def test_diffcheck_skips_samples_where_math_raises(capsys):
 def test_diffcheck_long_sum_compiles():
     # a left-deep sum needs no parentheses, however long
     assert main(["diffcheck", "x" + "+1" * 249, "x", "--n", "5"]) == 0
+
+
+@pytest.mark.parametrize(
+    "source, depth",
+    [("x" + "+1" * 999, "1000"), ("sin(" * 199 + "x" + ")" * 199, r"at least \d+")],
+)
+def test_diffcheck_too_deep_is_a_parse_error(capsys, source, depth):
+    # a 1,000-term sum is too deep for the tree walks, 199 nested calls for the parser
+    assert main(["diffcheck", source, "x"]) == 2
+    err = capsys.readouterr().err
+    want = rf"error: syntax error at position \d+: expression nests {depth} deep"
+    assert re.match(want, err), err
 
 
 def test_diffcheck_narrow_domain_exits_2(capsys):

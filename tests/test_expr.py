@@ -547,3 +547,55 @@ def test_nesting_past_the_compiler_limit_is_a_parse_error():
     assert "250 deep" in str(err.value)
     with pytest.raises(ParseError):
         expr.evaluate(e, {"x": 0.5})
+
+
+# --- the compiled function's own error path, and trees too deep to walk ---
+
+
+@pytest.mark.parametrize(
+    "source, params, values, message",
+    [
+        ("1/0", (), (), "division by zero"),
+        ("ln(x - 1)", ("x",), (0.5,), "ln argument -0.5 must be positive"),
+        ("sqrt(x - q)", ("x", "q"), (1.0, 2.0), "sqrt argument -1.0 is negative"),
+        ("sin(x*q)", ("x", "q"), (math.inf, 1.0), "math domain error"),
+    ],
+)
+def test_compiled_error_path_with_any_parameter_count(source, params, values, message):
+    fn = expr.compile_function(expr.parse(source), params)
+    assert fn.__code__.co_argcount == len(params)  # the compiled function itself
+    with pytest.raises(DomainError) as err:
+        fn(*values)
+    assert str(err.value) == message
+    assert err.value.__cause__ is None and err.value.__context__ is None
+
+
+def test_constant_derivative_compiles_without_parameters():
+    fn = expr.compile_function(expr.differentiate(expr.parse("3"), "x"), ())
+    assert fn() == 0.0
+    assert expr.evaluate(expr.differentiate(expr.parse("ln(x)"), "q"), {}) == 0.0
+
+
+def test_too_deep_source_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        expr.parse("sin(" * 1000 + "x" + ")" * 1000)
+    assert re.search(r"nests at least \d+ deep", str(err.value))
+    assert err.value.position > 0
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        expr.variables,
+        lambda e: expr.differentiate(e, "x"),
+        expr._emit,
+        lambda e: expr.compile_function(e, ("x",)),
+        lambda e: expr.evaluate(e, {"x": 1.0}),
+    ],
+)
+def test_too_deep_tree_is_a_parse_error(walk):
+    # a long sum parses without recursion, but its tree is 1,000 levels deep
+    e = expr.parse("x" + "+1" * 999)
+    with pytest.raises(ParseError) as err:
+        walk(e)
+    assert "nests 1000 deep" in str(err.value)

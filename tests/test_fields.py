@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import tempfile
 
 import pytest
@@ -17,7 +18,14 @@ from hjgen.fields import (
     sweep,
     write_field_csv,
 )
-from hjgen.numerics import Bracket, SolverConfig, bracket_pairs, scan_abscissae, solve_bracketed
+from hjgen.numerics import (
+    Bracket,
+    SolverConfig,
+    _refine,
+    bracket_pairs,
+    scan_abscissae,
+    solve_bracketed,
+)
 
 
 def test_check_axis():
@@ -439,8 +447,9 @@ def _terms_of(level, wobble, sense):
 
 
 def reference_brackets(line, target):
-    """Every stored sample combined with the target, then paired."""
-    return bracket_pairs(line.scan(target))
+    """Every stored sample combined with the target, then paired, as the
+    (lo, hi, g_lo, g_hi) tuples :meth:`RootLine.brackets` returns."""
+    return [(b.lo, b.hi, b.g_lo, b.g_hi) for b in bracket_pairs(line.scan(target))]
 
 
 def _levels(line, sense):
@@ -532,9 +541,7 @@ def test_linear_pq_tie_takes_the_full_scan():
     cfg = SolverConfig(root_tol=1e-12, resid_tol=1e-12, scan_points=24)
     line = RootLine(pq._line_terms(prob, 0.2), pq._combine, pq._SENSE, 0.0, 10.0, cfg)
     assert line.brackets(0.85) is None
-    assert reference_brackets(line, 0.85) == [
-        Bracket(0.8333333333333334, 1.25, 0.41666666666666663, 0.0)
-    ]
+    assert reference_brackets(line, 0.85) == [(0.8333333333333334, 1.25, 0.41666666666666663, 0.0)]
     assert line.solve(0.85)[:2] == (1.25, Status.RESOLVED)
 
 
@@ -607,3 +614,240 @@ def test_sweep_guesses_match_per_point_weights(axis1, axis2, data):
     sweep(solver, axis1, axis2)
     # repr tells -0.0 from 0.0, so equal reprs mean equal bits
     assert repr(guesses) == repr(reference_guesses(results, axis1, axis2))
+
+
+# --- the root kernel, against the probe-then-Brent pair it replaced -------
+
+
+_OVERSHOOT = 0.1
+
+
+def reference_refine(g, br, guess, cfg):
+    """Brent's method on ``br`` after up to two probes, over a closure ``g``:
+    the refinement the line solver ran before :func:`numerics._refine`,
+    kept as its bitwise reference.  Returns (root, slope of g)."""
+    seen = [(br.lo, br.g_lo), (br.hi, br.g_hi)]
+
+    def traced(q):
+        v = g(q)
+        seen.append((q, v))
+        return v
+
+    if guess is not None and abs(br.g_lo) > cfg.resid_tol and abs(br.g_hi) > cfg.resid_tol:
+        p, slope = guess
+        for _ in range(2):
+            if not br.lo < p < br.hi:
+                break
+            try:
+                v = traced(p)
+            except (DomainError, ConvergenceError):
+                break
+            if v != v:
+                break
+            if abs(v) <= cfg.resid_tol:
+                return p, reference_slope(seen)
+            if (v < 0.0) == (br.g_lo < 0.0):
+                br = Bracket(p, br.hi, v, br.g_hi)
+            else:
+                br = Bracket(br.lo, p, br.g_lo, v)
+            if not slope:
+                break
+            p -= (1.0 + _OVERSHOOT) * v / slope
+    root = reference_brent(traced, br, cfg)
+    return root, reference_slope(seen)
+
+
+def reference_slope(seen):
+    q1, v1 = seen[-1]
+    for q2, v2 in reversed(seen[:-1]):
+        if abs(q1 - q2) >= 1.5e-8 * (1.0 + abs(q1)):
+            return (v1 - v2) / (q1 - q2)
+    return None
+
+
+def reference_brent(g, br, cfg):
+    """``solve_bracketed`` before it called the kernel's Brent loop."""
+    if abs(br.g_lo) <= cfg.resid_tol:
+        return br.lo
+    if abs(br.g_hi) <= cfg.resid_tol:
+        return br.hi
+    eps = sys.float_info.epsilon
+    a, fa = br.lo, br.g_lo
+    b, fb = br.hi, br.g_hi
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(cfg.max_iter):
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb = c, fc
+            c, fc = a, fa
+        tol = 2.0 * eps * abs(b) + 0.5 * cfg.root_tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = g(b)
+        if abs(fb) <= cfg.resid_tol:
+            return b
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    raise ConvergenceError(
+        f"root not isolated after {cfg.max_iter} iterations",
+        bracket=Bracket(b, c, fb, fc) if b < c else Bracket(c, b, fc, fb),
+    )
+
+
+def _refine_outcome(fn, *args):
+    """repr of the result, or the error's type, message and bracket."""
+    try:
+        return repr(fn(*args))
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc), repr(getattr(exc, "bracket", None))
+
+
+@st.composite
+def _refine_cases(draw):
+    """A bracketed line condition, with holes where it raises or is NaN, a
+    guess and a solver configuration."""
+    lo = draw(st.floats(-10.0, 10.0))
+    hi = lo + draw(st.floats(1e-6, 10.0))
+    root = lo + draw(st.floats(0.05, 0.95)) * (hi - lo)
+    kind = draw(st.sampled_from(("monotone", "tanh", "step", "wave")))
+    if kind == "monotone":
+        a, b = draw(st.floats(1e-3, 1e3)), draw(st.floats(0.0, 10.0))
+        level = lambda q: a * (q - root) + b * (q - root) ** 3
+    elif kind == "tanh":
+        a, b = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-2, 1e4))
+        level = lambda q: a * math.tanh(b * (q - root))
+    elif kind == "step":
+        a, b = draw(st.floats(1e-6, 1e6)), draw(st.floats(1e-6, 1e6))
+        level = lambda q: -a if q < root else b
+    else:
+        a, k = draw(st.floats(0.1, 3.0)), draw(st.floats(0.5, 20.0))
+        level = lambda q: (q - root) + a * math.sin(k * (q - root))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    target = draw(st.sampled_from((0.0, 1.0, -3.5)))
+    hole = draw(st.sampled_from((None, "domain", "convergence", "nan")))
+    centre = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    width = draw(st.floats(0.01, 0.3)) * (hi - lo)
+
+    def terms(q):
+        if hole is not None and abs(q - centre) <= width:
+            if hole == "domain":
+                raise DomainError("hole", where=q)
+            if hole == "convergence":
+                raise ConvergenceError("hole")
+            return (math.nan,)
+        return (sign * level(q) + target,)
+
+    def combine(t, target):
+        return t[0] - target
+
+    cfg = SolverConfig(
+        root_tol=draw(st.sampled_from((1e-12, 1e-6))),
+        resid_tol=draw(st.sampled_from((1e-12, 1e-3))),
+        max_iter=draw(st.sampled_from((1, 2, 3, 5, 100))),
+    )
+    ends = []
+    for q in (lo, hi):
+        try:
+            ends.append(combine(terms(q), target))
+        except (DomainError, ConvergenceError):
+            ends.append(sign * level(q))
+    g_lo, g_hi = ends
+    small = draw(st.sampled_from((None, None, None, "lo", "hi")))  # an end within resid_tol of 0
+    tiny = draw(st.sampled_from((0.0, 0.5, 1.0))) * cfg.resid_tol
+    if small == "lo":
+        g_lo = math.copysign(tiny, -g_hi)
+    elif small == "hi":
+        g_hi = math.copysign(tiny, -g_lo)
+    assume(g_lo == g_lo and g_hi == g_hi and g_lo * g_hi <= 0.0)
+    where = draw(st.sampled_from((None, "inside", "outside", "end", "hole")))
+    if where is None:
+        guess = None
+    else:
+        p = {
+            "inside": lo + draw(st.floats(0.0, 1.0)) * (hi - lo),
+            "outside": draw(st.sampled_from((lo, hi))) + draw(st.floats(-5.0, 5.0)),
+            "end": draw(st.sampled_from((lo, hi))),
+            "hole": centre,
+        }[where]
+        slope = draw(st.one_of(
+            st.sampled_from((0.0, -0.0, math.inf, math.nan)),
+            st.floats(-1e4, 1e4, allow_nan=False),
+        ))
+        guess = (p, slope)
+    return terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg
+
+
+def _assert_kernel_matches(terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg):
+    calls = []
+
+    def logged(q):
+        calls.append(q)
+        return terms(q)
+
+    got = _refine_outcome(_refine, logged, combine, target, lo, hi, g_lo, g_hi, guess, cfg)
+    got_calls, calls[:] = calls[:], []
+    want = _refine_outcome(
+        reference_refine,
+        lambda q: combine(logged(q), target),
+        Bracket(lo, hi, g_lo, g_hi),
+        guess,
+        cfg,
+    )
+    assert got == want
+    assert repr(got_calls) == repr(calls)  # every probe and Brent iterate, bitwise
+
+
+@settings(deadline=None, database=None, max_examples=400)
+@given(_refine_cases())
+def test_refine_kernel_matches_the_probe_then_brent_pair(case):
+    _assert_kernel_matches(*case)
+
+
+def test_refine_kernel_slope_after_a_nan_probe():
+    # the bracket is within root_tol, so Brent's method returns without an
+    # evaluation, and the NaN probe is the last evaluation the slope sees
+    cfg = SolverConfig(root_tol=1e-6)
+    terms = lambda q: (math.nan if q == 0.5e-6 else q - 0.3e-6,)
+    combine = lambda t, target: t[0] - target
+    for guess in ((0.5e-6, 1.0), (0.5e-6, 0.0), (2e-6, 1.0), None):
+        _assert_kernel_matches(terms, combine, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, guess, cfg)
+    root, slope = _refine(terms, combine, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, (0.5e-6, 1.0), cfg)
+    assert root == 0.0 and math.isnan(slope)
+
+
+def test_solve_bracketed_runs_the_kernel_loop():
+    # the public solver is the kernel's Brent loop on g itself: same iterates,
+    # same root, and on an exhausted budget the same enclosure
+    g = lambda q: math.cos(q) - q
+    for max_iter in (1, 2, 100):
+        cfg = SolverConfig(max_iter=max_iter)
+        br = Bracket(0.0, 1.0, g(0.0), g(1.0))
+        got, want = [], []
+        got_out = _refine_outcome(solve_bracketed, lambda q: got.append(q) or g(q), br, cfg)
+        want_out = _refine_outcome(reference_brent, lambda q: want.append(q) or g(q), br, cfg)
+        assert got_out == want_out and repr(got) == repr(want)

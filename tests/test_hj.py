@@ -192,6 +192,22 @@ def test_action_value_oscillator_closed_form():
         assert got == pytest.approx(base + 4.0 * t, abs=1e-9)
 
 
+def test_action_value_at_x0_fails_like_momentum():
+    # the action reads a and V at x0 once per problem; below the margin
+    # there it raises momentum's own error, naming x0
+    prob = hj.HJProblem("1", "x^2", "q^2/2", x0=0.5)
+    with pytest.raises(DomainError) as want:
+        hj.momentum(prob, 0.5, 0.25)
+    for _ in range(2):
+        with pytest.raises(DomainError) as got:
+            hj.action_value(prob, 1.0, 0.3, 0.25, CFG)
+        assert (str(got.value), got.value.where) == (str(want.value), 0.5)
+    q = 2.0
+    base = 0.5 * hj.momentum(prob, 0.5, q)
+    want = base + hj._RowTable(prob, 1.0).momentum_integral(q, CFG.quad_tol) + q * 0.3 - 2.0
+    assert hj.action_value(prob, 1.0, 0.3, q, CFG) == want
+
+
 def test_separation_action_values():
     assert hj.separation_action(FREE, 1.0, 2.0, 3.0, CFG) == pytest.approx(5.0, abs=1e-12)
     got = hj.separation_action(OSC_G0, 1.0, 0.5, 0.0, CFG)

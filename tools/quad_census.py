@@ -6,7 +6,8 @@ Usage::
     python3 tools/quad_census.py [SRC]
 
 SRC is a directory holding an ``hjgen`` package whose row table has the
-inline kernel (``hj._RowTable.terms``; default: the ``src`` of this
+inline kernel (``hj._RowTable.terms``) and whose roots are refined by
+``numerics._refine`` and ``numerics._brent`` (default: the ``src`` of this
 checkout).  The script solves every config in ``configs/`` in-process,
 serially, in a fresh temporary directory, and then evaluates the
 criterion-06 separated field (``hj.separation_action`` for a = 1, V = x^2,
@@ -17,17 +18,16 @@ evaluations per grid point (for the Hamilton-Jacobi configs, dp/dq
 quadratures) split by stage:
 
 - ``scan``: the bracket scan's samples;
-- ``probes``: evaluations at a predicted root before Brent's method
-  (``fields._refine``; 0 in a tree without it);
-- ``brent``: evaluations inside ``numerics.solve_bracketed``;
+- ``probes``: evaluations at a predicted root before Brent's method, in
+  the root kernel ``numerics._refine`` but not in its Brent loop;
+- ``brent``: evaluations inside the Brent loop ``numerics._brent``;
 
-and the brackets refined per point (``_refine`` calls, or
-``solve_bracketed`` calls without it).  An evaluation is one call of
-``hj._RowTable.terms`` inside ``hj.solve_grid``, or of the problem's
-compiled phi' inside ``pq.solve_grid``; scan is the total less the
-refinement.  Then, for each run, it prints, per quadrature path, how many
-quadratures ran and how they ended, the level at which they stopped, and
-the tanh-sinh nodes each visited:
+and the brackets refined per point (``_refine`` calls).  An evaluation
+is one call of ``hj._RowTable.terms`` inside ``hj.solve_grid``, or of
+the problem's compiled phi' inside ``pq.solve_grid``; scan is the total
+less the refinement.  Then, for each run, it prints, per quadrature path,
+how many quadratures ran and how they ended, the level at which they
+stopped, and the tanh-sinh nodes each visited:
 
 - ``constraint``: the dp/dq integral of the HJ root condition, summed over
   an x row's node table (``hj._RowTable.terms``);
@@ -215,25 +215,26 @@ class RootCensus:
 
     def __init__(self):
         self.points = self.total = self.refine = self.brent = 0
-        self.brackets = self.refined = 0  # solve_bracketed and _refine calls
+        self.brackets = 0  # _refine calls
 
     def report(self):
         if not self.points:
             return "  roots: no grid solved"
         n = self.points
-        probes = self.refine - self.brent if self.refine else 0
-        scan = self.total - (self.refine or self.brent)
+        probes = self.refine - self.brent
+        scan = self.total - self.refine
         return (
             f"  roots: {n:,} points; evaluations/point {self.total / n:.3f} "
             f"(scan {scan / n:.3f}, probes {probes / n:.3f}, brent {self.brent / n:.3f}); "
-            f"brackets/point {(self.refined or self.brackets) / n:.3f}"
+            f"brackets/point {self.brackets / n:.3f}"
         )
 
 
 @contextlib.contextmanager
 def counting_roots(census, modules):
-    """Wrap the solvers' grid entry points, their root condition and refiners."""
-    hj, pq, fields = modules["hj"], modules["pq"], modules["fields"]
+    """Wrap the solvers' grid entry points, their root condition, the root
+    kernel and its Brent loop, counting the line terms each is passed."""
+    hj, pq, numerics = modules["hj"], modules["pq"], modules["numerics"]
     active = [False]
     patches = []
 
@@ -269,25 +270,22 @@ def counting_roots(census, modules):
             census.total += 1
         return real_terms(row, q, tol)
 
-    real_brent = modules["numerics"].solve_bracketed
+    real_refine, real_brent = numerics._refine, numerics._brent
 
-    def solve_bracketed(g, br, cfg):
+    def refine(line_terms, *args):
         census.brackets += 1
-        return real_brent(counted(g, "brent"), br, cfg)
+        return real_refine(counted(line_terms, "refine"), *args)
+
+    def brent(line_terms, *args):
+        return real_brent(counted(line_terms, "brent"), *args)
 
     patches.append((hj, "solve_grid", solve_grid(hj.solve_grid)))
     patches.append((pq, "solve_grid", solve_grid(pq.solve_grid)))
     patches.append((hj._RowTable, "terms", terms))
+    patches.append((numerics, "_brent", brent))  # _refine finds it in its module
     for mod in modules.values():
-        if getattr(mod, "solve_bracketed", None) is real_brent:
-            patches.append((mod, "solve_bracketed", solve_bracketed))
-    real_refine = getattr(fields, "_refine", None)
-    if real_refine is not None:
-        def refine(g, br, guess, cfg):
-            census.refined += 1
-            return real_refine(counted(g, "refine"), br, guess, cfg)
-
-        patches.append((fields, "_refine", refine))
+        if getattr(mod, "_refine", None) is real_refine:
+            patches.append((mod, "_refine", refine))
     saved = [(obj, name, getattr(obj, name)) for obj, name, _ in patches]
     for obj, name, fn in patches:
         setattr(obj, name, fn)
