@@ -229,35 +229,24 @@ def evaluate(e: Expression, bindings: Mapping[str, float]) -> float:
 
 
 def depends_on(e: Expression, var: str) -> bool:
-    match e:
-        case Var(name=name):
-            return name == var
-        case Neg(arg=a):
-            return depends_on(a, var)
-        case BinOp(left=left, right=right):
-            return depends_on(left, var) or depends_on(right, var)
-        case Call(arg=arg):
-            return depends_on(arg, var)
-    return False
+    return var in variables(e)
 
 
 def variables(e: Expression) -> frozenset[str]:
-    out: set[str] = set()
+    return frozenset(_walk(_collect, e, set()))
 
-    def walk(node):
-        match node:
-            case Var(name=name):
-                out.add(name)
-            case Neg(arg=a):
-                walk(a)
-            case BinOp(left=left, right=right):
-                walk(left)
-                walk(right)
-            case Call(arg=arg):
-                walk(arg)
 
-    _walk(walk, e)
-    return frozenset(out)
+def _collect(e: Expression, out: set) -> set:
+    """``out`` with the variable names of ``e`` added."""
+    match e:
+        case Var(name=name):
+            out.add(name)
+        case Neg(arg=a) | Call(arg=a):
+            _collect(a, out)
+        case BinOp(left=left, right=right):
+            _collect(left, out)
+            _collect(right, out)
+    return out
 
 
 def _walk(fn, e: Expression, *args):
@@ -395,7 +384,9 @@ def _derivative(e: Expression, var: str) -> Expression:
             return _div(_sub(_mul(dl, right), _mul(left, dr)), _mul(right, right))
         case BinOp(op="^", left=base, right=expo):
             db = _derivative(base, var)
-            if not depends_on(expo, var):
+            # _collect, not depends_on: a RecursionError in it must reach
+            # differentiate's _walk, which names the whole tree's depth
+            if var not in _collect(expo, set()):
                 # plain power rule; also valid for negative bases with
                 # integer exponents, unlike the logarithmic form
                 return _mul(_mul(expo, _powc(base, _sub(expo, Num(1.0)))), db)
@@ -613,21 +604,28 @@ def _prec(e: Expression) -> int:
 
 
 def to_string(e: Expression) -> str:
-    """Deterministic serialization; reparsing yields a value-identical tree."""
+    """Deterministic serialization; reparsing yields a value-identical tree.
+
+    A tree too deep to walk raises :class:`ParseError` naming its depth.
+    """
+    return _walk(_text, e)
+
+
+def _text(e: Expression) -> str:
     match e:
         case Num(value=v):
             return repr(v)
         case Var(name=name):
             return name
         case Neg(arg=a):
-            inner = to_string(a)
+            inner = _text(a)
             if _prec(a) < _PREC_NEG:
                 inner = f"({inner})"
             return f"-{inner}"
         case BinOp(op=op, left=left, right=right):
             p = _prec(e)
-            ls = to_string(left)
-            rs = to_string(right)
+            ls = _text(left)
+            rs = _text(right)
             if op == "^":
                 # right-associative: parenthesize an equal-precedence left child
                 if _prec(left) <= p:
@@ -645,5 +643,5 @@ def to_string(e: Expression) -> str:
                 return f"{ls} {op} {rs}"
             return f"{ls}{op}{rs}"
         case Call(func=func, arg=arg):
-            return f"{func}({to_string(arg)})"
+            return f"{func}({_text(arg)})"
     raise TypeError(f"not an expression node: {e!r}")

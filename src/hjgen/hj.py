@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import expr
@@ -104,9 +104,6 @@ class HJProblem:
     sigma: int = 1
     x0: float = 0.0
     eps_adm: Optional[float] = None
-    _a_prime: expr.Expression = field(init=False, repr=False)
-    _v_prime: expr.Expression = field(init=False, repr=False)
-    _g_prime: expr.Expression = field(init=False, repr=False)
 
     def __post_init__(self):
         self.kinetic = expr.as_expr(self.kinetic)
@@ -116,16 +113,13 @@ class HJProblem:
             raise ValueError("sigma must be +1 or -1")
         if self.eps_adm is not None and not self.eps_adm > 0:
             raise ValueError("eps_adm must be positive")
-        self._a_prime = expr.differentiate(self.kinetic, "x")
-        self._v_prime = expr.differentiate(self.potential, "x")
-        self._g_prime = expr.differentiate(self.generator, "q")
         # compiled closures for the quadrature / root-scan hot loops
         self._a_fn = expr.compile_function(self.kinetic, ("x",))
         self._v_fn = expr.compile_function(self.potential, ("x",))
-        self._ap_fn = expr.compile_function(self._a_prime, ("x",))
-        self._vp_fn = expr.compile_function(self._v_prime, ("x",))
+        self._ap_fn = expr.compile_function(expr.differentiate(self.kinetic, "x"), ("x",))
+        self._vp_fn = expr.compile_function(expr.differentiate(self.potential, "x"), ("x",))
         self._g_fn = expr.compile_function(self.generator, ("q",))
-        self._gp_fn = expr.compile_function(self._g_prime, ("q",))
+        self._gp_fn = expr.compile_function(expr.differentiate(self.generator, "q"), ("q",))
         self._x0_coefficients: Optional[tuple[float, float]] = None
         self._last_row: Optional[_RowTable] = None  # see _row_table
 
@@ -139,6 +133,14 @@ class HJProblem:
 
     def generator_slope_at(self, q: float) -> float:
         return self._gp_fn(q)
+
+    def residual_row(self, x: float):
+        """The PDE residual a(x) d1^2 + V(x) - d2 at points (x, t), as
+        ``(t, d1, d2) -> r`` for partials d1 ~ S_x and d2 ~ S_t; a(x) and
+        V(x) are evaluated here, once."""
+        a = self._a_fn(x)
+        v = self._v_fn(x)
+        return lambda t, d1, d2: a * d1 * d1 + v - d2
 
 
 def _coefficients(prob: HJProblem, x: float):
@@ -372,7 +374,7 @@ def _potential_ceiling(prob: HJProblem, x: float) -> float:
 
 def _scan_floor(prob: HJProblem, ceiling: float, q_lo: float) -> float:
     """Lower end of the scan range: q_lo clipped above the potential ceiling."""
-    margin = prob.eps_adm if prob.eps_adm is not None else 1e-9 * (1.0 + abs(ceiling))
+    margin = prob.margin(ceiling)
     # doubled margin plus an ulp-scale pad keeps every scan sample strictly
     # admissible at the potential's maximum despite rounding
     return max(q_lo, ceiling + 2.0 * margin + 4e-15 * (1.0 + abs(ceiling)))

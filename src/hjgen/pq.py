@@ -1,35 +1,41 @@
 """General solutions of first-order PDEs via a Legendre-type transformation.
 
-Writing p = u_x and q = u_y, three problem kinds are supported, each with
-an explicit derivative branch and an arbitrary user-chosen function phi:
+Writing p = u_x and q = u_y, every supported problem is one family.  On a
+grid line with coordinate l, with s the other coordinate and r the root
+variable, the solution is
+
+    u = H(l) G(r) + s r - phi(r),   with the condition   H(l) G'(r) + s = phi'(r),
+
+for an arbitrary user-chosen function phi; the condition picks r(x, y) for
+each choice of phi.  The three kinds name l, H and G:
 
 ``explicit``
-    p = f(q).  Solution family u = x f(q) + y q - phi(q); the root
-    condition x f'(q) + y = phi'(q) picks q(x, y) for each choice of phi.
+    p = f(q).  l = x, r = q, H(x) = x and G = f: the ``scaled_x`` family
+    with f(x) = 1.
 ``scaled_x``
-    f(x) p = G(q), i.e. p = G(q)/f(x).  Family u = H(x) G(q) + y q - phi(q)
-    with H(x) = x/f(x) and condition H(x) G'(q) + y = phi'(q).
+    f(x) p = G(q), i.e. p = G(q)/f(x).  l = x, r = q and H(x) = x/f(x).
 ``scaled_y``
-    h(y) q = G(p).  Mirror family u = x p + G(p) H(y) - phi(p) with
-    H(y) = y/h(y) and condition G'(p) H(y) + x = phi'(p), solved for p.
+    h(y) q = G(p).  l = y, r = p and H(y) = y/h(y): the mirror family
+    u = x p + G(p) H(y) - phi(p), solved for p.
 
+Differentiating u gives u_l = H'(l) G(r) and u_s = r, which is the PDE.
 One global sign convention is used throughout: the constraint returned by
 :func:`constraint` is exactly the partial derivative of
 :func:`solution_value` with respect to the root variable, so solving it is
 a stationarity condition and the PDE identities u_x, u_y follow wherever a
 root is found.
 
-Each condition is additive in one axis: explicit and scaled_x conditions
-are h_x(q) + y, scaled_y conditions h_y(p) + x.  :func:`solve_grid`
-therefore solves each x row (each y column for scaled_y) as one
-:class:`~hjgen.fields.RootLine`, whose scan samples are computed once per
-line; a point finds its brackets by bisection over the samples' t-free
-levels and evaluates the condition only to refine them.
+The condition is additive in s, so :func:`solve_grid` solves each grid line
+(each x row, or each y column for scaled_y) as one
+:class:`~hjgen.fields.RootLine`, with H(l) evaluated once per line and the
+scan samples computed once per line; a point finds its brackets by
+bisection over the samples' s-free levels and evaluates the condition only
+to refine them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import expr
@@ -44,11 +50,15 @@ KINDS = ("explicit", "scaled_x", "scaled_y")
 
 @dataclass
 class PQProblem:
-    """One first-order PDE problem; immutable once constructed.
+    """One first-order PDE problem of the family u = H(l) G(r) + s r - phi(r);
+    immutable once constructed.
 
     Use the :meth:`explicit`, :meth:`scaled_x` and :meth:`scaled_y`
-    constructors; fields irrelevant to a kind stay ``None``.  The root
-    variable is ``q`` for explicit/scaled_x problems and ``p`` for scaled_y.
+    constructors; fields irrelevant to a kind stay ``None``.  An explicit
+    problem's ``f_of_q`` is its G, with H(x) = x; a scaled problem's H is
+    its line coordinate over ``scale``.  The root variable is ``q`` for
+    explicit/scaled_x problems and ``p`` for scaled_y, whose lines are y
+    columns.
     """
 
     kind: str
@@ -56,42 +66,31 @@ class PQProblem:
     scale: Optional[expr.Expression] = None  # f(x) or h(y)
     gfun: Optional[expr.Expression] = None  # G(q) or G(p)
     phi: Optional[expr.Expression] = None  # arbitrary function
-    _f_prime: expr.Expression = field(init=False, repr=False)
-    _g_prime: expr.Expression = field(init=False, repr=False)
-    _phi_prime: expr.Expression = field(init=False, repr=False)
-    _ratio: expr.Expression = field(init=False, repr=False)  # H = axis/scale
-    _ratio_prime: expr.Expression = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.phi is None:
             raise ValueError("phi is required")
-        root = self.root_var
+        line, root = ("y", "p") if self.kind == "scaled_y" else ("x", "q")
         if self.kind == "explicit":
             if self.f_of_q is None:
                 raise ValueError("explicit problems require f_of_q")
             if self.scale is not None or self.gfun is not None:
                 raise ValueError("explicit problems carry only f_of_q and phi")
-            self._f_prime = expr.differentiate(self.f_of_q, "q")
-            self._f_fn = expr.compile_function(self.f_of_q, ("q",))
-            self._fp_fn = expr.compile_function(self._f_prime, ("q",))
+            ratio, g = expr.Var(line), self.f_of_q
         else:
             if self.scale is None or self.gfun is None:
                 raise ValueError(f"{self.kind} problems require scale and gfun")
             if self.f_of_q is not None:
                 raise ValueError(f"{self.kind} problems must not carry f_of_q")
-            axis = "x" if self.kind == "scaled_x" else "y"
-            self._ratio = expr.BinOp("/", expr.Var(axis), self.scale)
-            self._ratio_prime = expr.differentiate(self._ratio, axis)
-            self._g_prime = expr.differentiate(self.gfun, root)
-            self._ratio_fn = expr.compile_function(self._ratio, (axis,))
-            self._ratiop_fn = expr.compile_function(self._ratio_prime, (axis,))
-            self._g_fn = expr.compile_function(self.gfun, (root,))
-            self._gp_fn = expr.compile_function(self._g_prime, (root,))
-        self._phi_prime = expr.differentiate(self.phi, root)
+            ratio, g = expr.BinOp("/", expr.Var(line), self.scale), self.gfun
+        self._ratio_fn = expr.compile_function(ratio, (line,))
+        self._ratiop_fn = expr.compile_function(expr.differentiate(ratio, line), (line,))
+        self._g_fn = expr.compile_function(g, (root,))
+        self._gp_fn = expr.compile_function(expr.differentiate(g, root), (root,))
         self._phi_fn = expr.compile_function(self.phi, (root,))
-        self._phip_fn = expr.compile_function(self._phi_prime, (root,))
+        self._phip_fn = expr.compile_function(expr.differentiate(self.phi, root), (root,))
 
     @property
     def root_var(self) -> str:
@@ -113,25 +112,30 @@ class PQProblem:
             "scaled_y", scale=expr.as_expr(scale), gfun=expr.as_expr(gfun), phi=expr.as_expr(phi)
         )
 
-    def ratio_at(self, v: float) -> float:
-        """H = x/f(x) (scaled_x) or y/h(y) (scaled_y); DomainError on zero scale."""
-        return self._ratio_fn(v)
-
     def ratio_slope_at(self, v: float) -> float:
+        """H'(v): 1.0 for explicit problems."""
         return self._ratiop_fn(v)
 
+    def residual_row(self, x: float):
+        """The PDE residual u_l - H'(l) G(u_s) at points (x, y), as
+        ``(y, d1, d2) -> r`` for partials d1 ~ u_x and d2 ~ u_y.
 
-def _line_terms(prob: PQProblem, v: float):
-    """The t-free terms of the root condition on one grid line, as a function of q.
+        On row lines H'(x) is evaluated here, once; a DomainError from it
+        excludes the row.
+        """
+        g = self._g_fn
+        if self.kind == "scaled_y":
+            slope = self._ratiop_fn
+            return lambda y, d1, d2: d2 - slope(y) * g(d1)
+        h_slope = self._ratiop_fn(x)
+        return lambda y, d1, d2: d1 - h_slope * g(d2)
 
-    The line is x = v (y = v for scaled_y problems); the other coordinate
-    is the target that :func:`_combine` adds.
-    """
-    if prob.kind == "explicit":
-        return lambda q: (v * prob._fp_fn(q), prob._phip_fn(q))
-    if prob.kind == "scaled_x":
-        return lambda q: (prob._ratio_fn(v) * prob._gp_fn(q), prob._phip_fn(q))
-    return lambda q: (prob._gp_fn(q) * prob._ratio_fn(v), prob._phip_fn(q))
+
+def _line_terms(prob: PQProblem, h: float):
+    """The s-free terms of the root condition on a line where H = ``h``,
+    as a function of the root; :func:`_combine` adds the target s."""
+    g_slope, phi_slope = prob._gp_fn, prob._phip_fn
+    return lambda q: (h * g_slope(q), phi_slope(q))
 
 
 def _combine(terms, target: float) -> float:
@@ -141,6 +145,11 @@ def _combine(terms, target: float) -> float:
 
 
 _SENSE = 1  # the target enters _combine added
+
+
+def _value(prob: PQProblem, h: float, s: float, q: float) -> float:
+    """u = H G(q) + s q - phi(q) on a line where H = ``h``."""
+    return h * prob._g_fn(q) + s * q - prob._phi_fn(q)
 
 
 def _line(prob: PQProblem, x: float, y: float):
@@ -154,16 +163,23 @@ def constraint(prob: PQProblem, x: float, y: float, q: float) -> float:
     For scaled_y problems ``q`` is the momentum-like root variable p.
     """
     v, target = _line(prob, x, y)
-    return _combine(_line_terms(prob, v)(q), target)
+    return _combine(_line_terms(prob, prob._ratio_fn(v))(q), target)
 
 
 def solution_value(prob: PQProblem, x: float, y: float, q: float) -> float:
     """Solution value u at (x, y) for the root ``q`` (p for scaled_y)."""
-    if prob.kind == "explicit":
-        return x * prob._f_fn(q) + y * q - prob._phi_fn(q)
-    if prob.kind == "scaled_x":
-        return prob._ratio_fn(x) * prob._g_fn(q) + y * q - prob._phi_fn(q)
-    return x * q + prob._g_fn(q) * prob._ratio_fn(y) - prob._phi_fn(q)
+    v, s = _line(prob, x, y)
+    return _value(prob, prob._ratio_fn(v), s, q)
+
+
+def _root_line(prob: PQProblem, v: float, q_lo: float, q_hi: float, cfg: SolverConfig):
+    """(H(v), the :class:`~hjgen.fields.RootLine` of the line at ``v``), or
+    ``None`` (a domain failure of every point of the line) when H raises."""
+    try:
+        h = prob._ratio_fn(v)
+    except DomainError:
+        return None
+    return h, RootLine(_line_terms(prob, h), _combine, _SENSE, q_lo, q_hi, cfg)
 
 
 def solve_point(
@@ -187,7 +203,10 @@ def solve_point(
     if not q_lo < q_hi:
         raise ValueError("solve_point requires q_lo < q_hi")
     v, target = _line(prob, x, y)
-    return RootLine(_line_terms(prob, v), _combine, _SENSE, q_lo, q_hi, cfg).solve(target, warm)[:2]
+    line = _root_line(prob, v, q_lo, q_hi, cfg)
+    if line is None:
+        return None, Status.DOMAIN_FAIL
+    return line[1].solve(target, warm)[:2]
 
 
 def solve_grid(
@@ -200,30 +219,31 @@ def solve_grid(
     """Continuation sweep over the grid, one :class:`~hjgen.fields.RootLine` per line.
 
     The lines are the x rows, or the y columns for scaled_y problems; each
-    line's scan samples are computed once, before the sweep.
+    line's H and scan samples are computed once, before the sweep, and H
+    serves both the condition and u.  A line where H raises is
+    ``domain_fail`` at every point.
     """
     xs = check_axis(x_grid)
     ys = check_axis(y_grid)
     q_lo, q_hi = q_range
     by_column = prob.kind == "scaled_y"
-    lines = [
-        RootLine(_line_terms(prob, v), _combine, _SENSE, q_lo, q_hi, cfg)
-        for v in (ys if by_column else xs)
-    ]
+    lines = [_root_line(prob, v, q_lo, q_hi, cfg) for v in (ys if by_column else xs)]
 
     def point(i, j, warm, guess):
-        if by_column:
-            return lines[j].solve(xs[i], warm, guess)
-        return lines[i].solve(ys[j], warm, guess)
+        line = lines[j] if by_column else lines[i]
+        if line is None:
+            return None, Status.DOMAIN_FAIL, None
+        return line[1].solve(xs[i] if by_column else ys[j], warm, guess)
 
     q, status = sweep(point, xs, ys)
     value: list[list[Optional[float]]] = [[None] * len(ys) for _ in xs]
-    for i in range(len(xs)):
-        for j in range(len(ys)):
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
             if q[i][j] is None:
                 continue
+            h, s = (lines[j][0], x) if by_column else (lines[i][0], y)
             try:
-                value[i][j] = solution_value(prob, xs[i], ys[j], q[i][j])
+                value[i][j] = _value(prob, h, s, q[i][j])
             except DomainError:
                 q[i][j] = None
                 status[i][j] = Status.DOMAIN_FAIL

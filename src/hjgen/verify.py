@@ -10,8 +10,10 @@ grids, so a report's ``max_abs`` measures the PDE residual of the field.
 
 The differences are taken a grid row at a time (:func:`_row_partials`),
 summing each derivative node by node in the order a point-by-point sum
-would, so every value is the same to the bit; the residual's x-only parts
-(a(x) and V(x) for Hamilton-Jacobi fields) are evaluated once per row.
+would, so every value is the same to the bit.  The residual itself comes
+from the problem: its ``residual_row(x)`` evaluates the x-only parts (a(x)
+and V(x) for Hamilton-Jacobi fields, H'(x) for first-order row lines) once
+per row and returns the per-point residual.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, EmptyReportError
-from .hj import HJProblem
-from .pq import PQProblem
 
 __all__ = ["ResidualReport", "finite_diff_partials", "residual_report", "compare_oracle"]
 
@@ -113,41 +113,13 @@ def finite_diff_partials(field, i: int, j: int) -> Optional[tuple[float, float]]
     return None if d1[0] is None else (d1[0], d2[0])
 
 
-def _residual_fn(problem) -> Callable[[float], Callable[[float, float, float], float]]:
-    """The residual as ``row_fn(x) -> point_fn(y, d1, d2)``.
-
-    Whatever depends on x alone is evaluated once per row, by ``row_fn``.
-    """
-    if isinstance(problem, HJProblem):
-
-        def hj_row(x):
-            a = problem._a_fn(x)
-            v = problem._v_fn(x)
-            return lambda t, d1, d2: a * d1 * d1 + v - d2
-
-        return hj_row
-    if not isinstance(problem, PQProblem):
-        raise TypeError(f"unsupported problem type {type(problem)!r}")
-    if problem.kind == "explicit":
-        f_fn = problem._f_fn
-        return lambda x: lambda y, d1, d2: d1 - f_fn(d2)
-    g_fn = problem._g_fn
-    if problem.kind == "scaled_x":
-
-        def scaled_x_row(x):
-            slope = problem.ratio_slope_at(x)
-            return lambda y, d1, d2: d1 - slope * g_fn(d2)
-
-        return scaled_x_row
-    return lambda x: lambda y, d1, d2: d2 - g_fn(d1) * problem.ratio_slope_at(y)
-
-
 def residual_report(problem, field) -> ResidualReport:
     """PDE residual statistics over the interior value-bearing points.
 
-    The residual is a(x) d1^2 + V(x) - d2 for Hamilton-Jacobi fields and the
-    derivative-branch identity for the first-order kinds (d1 - f(d2) when
-    explicit, with the scale-ratio slope folded in for the scaled kinds).
+    The residual is the problem's ``residual_row``: a(x) d1^2 + V(x) - d2
+    for Hamilton-Jacobi fields and u_l - H'(l) G(u_s) for the first-order
+    family (d1 - f(d2) when explicit).  An object without one is a
+    :class:`TypeError`.
     d1 and d2 are sixth-order centred differences (``2k + 1`` nodes per
     axis, ``k = min(3, (n - 1) // 2)``, so fewer on axes shorter than 7
     points), computed a grid row at a time; the ``k`` points nearest each
@@ -158,7 +130,10 @@ def residual_report(problem, field) -> ResidualReport:
     n1, n2 = field.shape
     if n1 < 3 or n2 < 3:
         raise ValueError("residual_report needs at least 3 points per axis")
-    row_fn = _residual_fn(problem)
+    try:
+        row_fn = problem.residual_row
+    except AttributeError:
+        raise TypeError(f"unsupported problem type {type(problem)!r}") from None
     k1 = min(3, (n1 - 1) // 2)
     k2 = min(3, (n2 - 1) // 2)
     weights1 = _axis_weights(field.axis1, k1)

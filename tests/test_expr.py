@@ -587,6 +587,8 @@ def test_too_deep_source_is_a_parse_error():
     "walk",
     [
         expr.variables,
+        lambda e: expr.depends_on(e, "x"),
+        expr.to_string,
         lambda e: expr.differentiate(e, "x"),
         expr._emit,
         lambda e: expr.compile_function(e, ("x",)),
@@ -599,3 +601,13 @@ def test_too_deep_tree_is_a_parse_error(walk):
     with pytest.raises(ParseError) as err:
         walk(e)
     assert "nests 1000 deep" in str(err.value)
+
+
+@pytest.mark.parametrize("walk", [expr.to_string, lambda e: expr.depends_on(e, "x")])
+def test_deep_negation_chain_is_a_parse_error(walk):
+    e = Var("x")
+    for _ in range(3000):
+        e = Neg(e)
+    with pytest.raises(ParseError) as err:
+        walk(e)
+    assert "nests 3001 deep" in str(err.value)

@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjgen import expr, pq
-from hjgen.fields import Status
+from hjgen.errors import DomainError
+from hjgen.fields import RootLine, Status, sweep
 from hjgen.numerics import SolverConfig, central_difference
 from hjgen.verify import finite_diff_partials
 
@@ -251,3 +254,174 @@ def test_scaled_y_column_lines_match_point_solves():
             q, status = pq.solve_point(prob, x, y, 0.0, 25.0, CFG, warm)
             assert status is field.status[i][j]
             assert abs(q - field.q[i][j]) <= 1e-10
+
+
+# --- the one family against the three per-kind formulas ---------------------
+
+
+class Reference:
+    """A problem's per-kind condition, value and residual, each kind with
+    its own formula and operand order, compiled from the public trees."""
+
+    def __init__(self, prob):
+        fn = expr.compile_function
+        self.kind = prob.kind
+        root = prob.root_var
+        if prob.kind == "explicit":
+            self.f = fn(prob.f_of_q, ("q",))
+            self.fp = fn(expr.differentiate(prob.f_of_q, "q"), ("q",))
+        else:
+            axis = "x" if prob.kind == "scaled_x" else "y"
+            ratio = expr.BinOp("/", expr.Var(axis), prob.scale)
+            self.ratio = fn(ratio, (axis,))
+            self.ratiop = fn(expr.differentiate(ratio, axis), (axis,))
+            self.g = fn(prob.gfun, (root,))
+            self.gp = fn(expr.differentiate(prob.gfun, root), (root,))
+        self.phi = fn(prob.phi, (root,))
+        self.phip = fn(expr.differentiate(prob.phi, root), (root,))
+
+    def line_terms(self, v):
+        if self.kind == "explicit":
+            return lambda q: (v * self.fp(q), self.phip(q))
+        if self.kind == "scaled_x":
+            return lambda q: (self.ratio(v) * self.gp(q), self.phip(q))
+        return lambda q: (self.gp(q) * self.ratio(v), self.phip(q))
+
+    def constraint(self, x, y, q):
+        v, target = (y, x) if self.kind == "scaled_y" else (x, y)
+        slope_term, phi_slope = self.line_terms(v)(q)
+        return slope_term + target - phi_slope
+
+    def solution_value(self, x, y, q):
+        if self.kind == "explicit":
+            return x * self.f(q) + y * q - self.phi(q)
+        if self.kind == "scaled_x":
+            return self.ratio(x) * self.g(q) + y * q - self.phi(q)
+        return x * q + self.g(q) * self.ratio(y) - self.phi(q)
+
+    def residual(self, x, y, d1, d2):
+        if self.kind == "explicit":
+            return d1 - self.f(d2)
+        if self.kind == "scaled_x":
+            return d1 - self.ratiop(x) * self.g(d2)
+        return d2 - self.g(d1) * self.ratiop(y)
+
+    def solve_grid(self, xs, ys, q_range, cfg):
+        """The sweep with per-kind line terms, each sample evaluating H."""
+        by_column = self.kind == "scaled_y"
+        lines = [
+            RootLine(self.line_terms(v), pq._combine, pq._SENSE, *q_range, cfg)
+            for v in (ys if by_column else xs)
+        ]
+
+        def point(i, j, warm, guess):
+            if by_column:
+                return lines[j].solve(xs[i], warm, guess)
+            return lines[i].solve(ys[j], warm, guess)
+
+        q, status = sweep(point, xs, ys)
+        value = [[None] * len(ys) for _ in xs]
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                if q[i][j] is None:
+                    continue
+                try:
+                    value[i][j] = self.solution_value(x, y, q[i][j])
+                except DomainError:
+                    q[i][j] = None
+                    status[i][j] = Status.DOMAIN_FAIL
+        return q, value, status
+
+
+def _outcome(fn, *args):
+    """``repr`` of ``fn(*args)``, or ``DomainError`` when it raises one."""
+    try:
+        return repr(fn(*args))
+    except DomainError:
+        return "DomainError"
+
+
+# {l} is the line coordinate (x, or y for scaled_y) and {r} the root variable;
+# "{l} - 0.5" vanishes on the grid line l = 0.5, and G' or phi' of the sqrt
+# and ln entries raise at r <= 0
+_SCALES = ("1 + {l}^2", "{l} - 0.5", "2 + sin({l})", "1")
+_GS = ("{r}^2", "sqrt({r})", "ln({r})", "sin({r})", "2*{r} - 1")
+_PHIS = ("{r}^2/2", "{r}^3/3", "sqrt({r})", "{r}")
+_COORDS = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _problems(draw):
+    kind = draw(st.sampled_from(pq.KINDS))
+    names = {"l": "y", "r": "p"} if kind == "scaled_y" else {"l": "x", "r": "q"}
+    g = draw(st.sampled_from(_GS)).format(**names)
+    phi = draw(st.sampled_from(_PHIS)).format(**names)
+    if kind == "explicit":
+        return pq.PQProblem.explicit(g, phi)
+    scale = draw(st.sampled_from(_SCALES)).format(**names)
+    return getattr(pq.PQProblem, kind)(scale, g, phi)
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(
+    prob=_problems(),
+    x=_COORDS,
+    y=_COORDS,
+    q=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    d1=st.floats(-3.0, 3.0),
+    d2=st.floats(-3.0, 3.0),
+)
+def test_family_matches_the_per_kind_formulas(prob, x, y, q, d1, d2):
+    ref = Reference(prob)
+    assert _outcome(pq.constraint, prob, x, y, q) == _outcome(ref.constraint, x, y, q)
+    assert _outcome(pq.solution_value, prob, x, y, q) == _outcome(ref.solution_value, x, y, q)
+    got = _outcome(lambda: prob.residual_row(x)(y, d1, d2))
+    assert got == _outcome(ref.residual, x, y, d1, d2)
+
+
+@pytest.mark.parametrize(
+    "args, xs, ys, q_range",
+    [
+        (("explicit", "sqrt(q)", "q"), axis(0.5, 1.5, 9), axis(0.0, 0.5, 9), (1e-3, 10.0)),
+        (("explicit", "sin(q)", "0"), axis(0.2, 1.0, 7), axis(-0.5, 0.5, 7), (0.0, 12.0)),
+        (("scaled_x", "x - 0.5", "q^2", "q^3/3"), axis(0.0, 1.0, 9), axis(0.1, 0.6, 9), (0.1, 5.0)),
+        (("scaled_x", "1 + x^2", "sqrt(q)", "q^2/2"), axis(0.5, 1.5, 9), axis(0.1, 0.6, 9), (-1.0, 5.0)),
+        (("scaled_y", "y - 0.5", "p^2", "p^2/2"), axis(0.5, 1.0, 9), axis(0.0, 1.0, 9), (0.0, 25.0)),
+        (("scaled_y", "1 + y^2", "ln(p)", "p^3/3"), axis(0.5, 1.0, 9), axis(0.0, 0.2, 7), (-1.0, 5.0)),
+    ],
+)
+def test_solve_grid_matches_the_per_kind_sweep(args, xs, ys, q_range):
+    kind, *exprs = args
+    prob = getattr(pq.PQProblem, kind)(*exprs)
+    field = pq.solve_grid(prob, xs, ys, q_range, CFG)
+    q, value, status = Reference(prob).solve_grid(xs, ys, q_range, CFG)
+    assert repr(field.q) == repr(q)
+    assert repr(field.value) == repr(value)
+    assert field.status == status
+
+
+def test_explicit_ratio_slope_is_one():
+    prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
+    for x in (0.0, -1.5, 0.5, 3.0):
+        assert prob.ratio_slope_at(x) == 1.0
+
+
+@pytest.mark.parametrize("kind", ["scaled_x", "scaled_y"])
+def test_line_where_ratio_raises_is_domain_fail_without_a_condition(kind):
+    # the scale vanishes on the line 0.5, so H = 0.5/0 raises there
+    line = "y" if kind == "scaled_y" else "x"
+    prob = getattr(pq.PQProblem, kind)(f"{line} - 0.5", "p^2" if line == "y" else "q^2", "0")
+    calls = []
+
+    def counted(fn):
+        return lambda q: calls.append(q) or fn(q)
+
+    prob._gp_fn, prob._phip_fn = counted(prob._gp_fn), counted(prob._phip_fn)
+    coords = axis(0.0, 1.0, 5)
+    xs, ys = (coords, [0.5]) if kind == "scaled_y" else ([0.5], coords)
+    field = pq.solve_grid(prob, xs, ys, (0.1, 5.0), CFG)
+    assert all(s is Status.DOMAIN_FAIL for row in field.status for s in row)
+    assert all(v is None for row in field.q + field.value for v in row)
+    assert calls == []
+    assert pq.solve_point(prob, 0.5, 0.5, 0.1, 5.0, CFG) == (None, Status.DOMAIN_FAIL)
+    assert calls == []

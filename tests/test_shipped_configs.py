@@ -59,3 +59,26 @@ def test_power_pq_config_passes_and_verifies(tmp_path, monkeypatch):
     assert main(
         ["verify", str(CONFIG_DIR / "power_pq.cfg"), str(tmp_path / "power_pq_field.csv")]
     ) == 0
+
+
+def test_scaled_x_config_passes_and_verifies(tmp_path, monkeypatch):
+    assert _run("scaled_x.cfg", tmp_path, monkeypatch) == 0
+    field = read_field_csv(str(tmp_path / "scaled_x_field.csv"))
+    assert field.resolved_fraction() == 1.0
+    assert main(
+        ["verify", str(CONFIG_DIR / "scaled_x.cfg"), str(tmp_path / "scaled_x_field.csv")]
+    ) == 0
+
+
+def test_scaled_y_config_passes_and_matches_closed_form(tmp_path, monkeypatch):
+    assert _run("scaled_y.cfg", tmp_path, monkeypatch) == 0
+    field = read_field_csv(str(tmp_path / "scaled_y_field.csv"))
+    worst = max(
+        abs(field.q[i][j] - x / (1.0 - 2.0 * y))
+        for i, x in enumerate(field.axis1)
+        for j, y in enumerate(field.axis2)
+    )
+    assert worst <= 1e-10
+    assert main(
+        ["verify", str(CONFIG_DIR / "scaled_y.cfg"), str(tmp_path / "scaled_y_field.csv")]
+    ) == 0

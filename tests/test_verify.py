@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hjgen import hj, pq, verify
+from hjgen import expr, hj, pq, verify
 from hjgen.errors import DomainError, EmptyReportError
 from hjgen.fields import ActionField, SolutionField, Status
 
@@ -202,14 +202,21 @@ def _reference_partials(field, i, j, w1, w2):
     return d1, d2
 
 
-def _reference_residual(problem, x, y, d1, d2):
+def _reference_residual(problem):
+    """The residual at (x, y, d1, d2), compiled from the problem's public trees."""
+    fn = expr.compile_function
     if isinstance(problem, hj.HJProblem):
-        return problem._a_fn(x) * d1 * d1 + problem._v_fn(x) - d2
+        a, v = fn(problem.kinetic, ("x",)), fn(problem.potential, ("x",))
+        return lambda x, y, d1, d2: a(x) * d1 * d1 + v(x) - d2
     if problem.kind == "explicit":
-        return d1 - problem._f_fn(d2)
+        f = fn(problem.f_of_q, ("q",))
+        return lambda x, y, d1, d2: d1 - f(d2)
+    axis, root = ("x", "q") if problem.kind == "scaled_x" else ("y", "p")
+    ratio = expr.BinOp("/", expr.Var(axis), problem.scale)
+    slope, g = fn(expr.differentiate(ratio, axis), (axis,)), fn(problem.gfun, (root,))
     if problem.kind == "scaled_x":
-        return d1 - problem.ratio_slope_at(x) * problem._g_fn(d2)
-    return d2 - problem._g_fn(d1) * problem.ratio_slope_at(y)
+        return lambda x, y, d1, d2: d1 - slope(x) * g(d2)
+    return lambda x, y, d1, d2: d2 - g(d1) * slope(y)
 
 
 def residual_reference(problem, field):
@@ -218,6 +225,7 @@ def residual_reference(problem, field):
     k1, k2 = min(3, (n1 - 1) // 2), min(3, (n2 - 1) // 2)
     weights1 = verify._axis_weights(field.axis1, k1)
     weights2 = verify._axis_weights(field.axis2, k2)
+    residual = _reference_residual(problem)
     worst, max_abs, total, count = (0, 0), -1.0, 0.0, 0
     for i in range(k1, n1 - k1):
         for j in range(k2, n2 - k2):
@@ -225,7 +233,7 @@ def residual_reference(problem, field):
             if ds is None:
                 continue
             try:
-                r = abs(_reference_residual(problem, field.axis1[i], field.axis2[j], *ds))
+                r = abs(residual(field.axis1[i], field.axis2[j], *ds))
             except DomainError:
                 continue
             count += 1
@@ -286,6 +294,12 @@ def test_residual_report_equals_point_by_point_reference(problem, grid):
                 verify.residual_report(prob, field)
             continue
         assert verify.residual_report(prob, field) == want
+
+
+def test_residual_report_rejects_what_is_not_a_problem():
+    field = _random_field(0, axis(0, 1, 5), axis(0, 1, 5), 0.0)
+    with pytest.raises(TypeError):
+        verify.residual_report(object(), field)
 
 
 def test_finite_diff_partials_equal_point_by_point_reference():
