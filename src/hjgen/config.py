@@ -15,13 +15,15 @@ Sections::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ConfigError, ParseError
 from .expr import Expression, parse as parse_expr
+from .fields import check_axis
 from .hj import HJProblem
-from .numerics import SolverConfig
+from .numerics import SolverConfig, scan_abscissae
 from .pq import PQProblem
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
@@ -159,7 +161,7 @@ def _axis_of(entry: _Entry, key: str) -> tuple[float, ...]:
         raise ConfigError(f"axis {key!r} must be unquoted", entry.line)
     try:
         if "," in raw:
-            points = tuple(float(tok) for tok in raw.split(","))
+            points = [float(tok) for tok in raw.split(",")]
         else:
             parts = raw.split(":")
             if len(parts) != 3:
@@ -167,18 +169,17 @@ def _axis_of(entry: _Entry, key: str) -> tuple[float, ...]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 2 or not lo < hi:
                 raise ValueError
-            points = tuple(
-                hi if i == count - 1 else lo + (hi - lo) * i / (count - 1)
-                for i in range(count)
-            )
+            points = scan_abscissae(lo, hi, count - 1)
     except ValueError:
         raise ConfigError(
             f"axis {key!r} must be min:max:count or a comma-separated list", entry.line
         ) from None
-    for a, b in zip(points, points[1:]):
-        if not a < b:
-            raise ConfigError(f"axis {key!r} must be strictly increasing", entry.line)
-    return points
+    if not all(map(math.isfinite, points)):
+        raise ConfigError(f"axis {key!r} values must be finite", entry.line)
+    try:
+        return check_axis(points)
+    except ValueError:
+        raise ConfigError(f"axis {key!r} must be strictly increasing", entry.line) from None
 
 
 def _build_problem(section: _Section):

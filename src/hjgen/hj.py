@@ -46,15 +46,14 @@ each x row keeps one node table of c and V (:class:`_RowTable`), the one
 kernel of the solve: a quadrature at any q is one weighted sum per level,
 and :func:`solve_grid` takes each root's action on its row's table once,
 at the root.  The separated integral is sigma times the integral of p at
-q = E; that integral is t-free, so the table keeps it per q, and the
-problem keeps its last table (:func:`_row_table`) for the next call on the
-same x.  A quadrature that does not converge marks its point
-``domain_fail``, like a domain error.
+q = E; that integral is t-free, so the table keeps it per q.  The per-point
+calls keep the problem's last table (:func:`_row_table`) for the next call
+on the same x and tolerance.  A quadrature that does not converge marks its
+point ``domain_fail``, like a domain error.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -210,7 +209,8 @@ def correction_integrand(prob: HJProblem, x: float, q: float) -> float:
 
 
 class _RowTable:
-    """Tanh-sinh node data of one x row's quadrature segment [x0, x].
+    """Tanh-sinh node data of one x row's quadrature segment [x0, x], for
+    quadratures to the absolute tolerance ``tol``.
 
     The panels are those nested tanh-sinh visits on the segment: the whole
     segment, and the halves of a panel not converged by level 6.  Each
@@ -224,42 +224,42 @@ class _RowTable:
     parts, so no table holds F's integrand, and only a and V are evaluated.
     """
 
-    __slots__ = ("prob", "x", "lo", "hi", "sign", "_panels", "_momentum")
+    __slots__ = ("prob", "x", "tol", "lo", "hi", "sign", "_panels", "_momentum")
 
-    def __init__(self, prob: HJProblem, x: float):
+    def __init__(self, prob: HJProblem, x: float, tol: float):
         self.prob = prob
         self.x = x
+        self.tol = tol
         self.lo, self.hi = min(prob.x0, x), max(prob.x0, x)
         self.sign = 1.0 if x >= prob.x0 else -1.0
         # (panel lo, panel hi) -> [(max V, its abscissa, merged terms) per level]
         self._panels: dict = {(self.lo, self.hi): []}
-        self._momentum: dict = {}  # (q, tol) -> momentum integral
+        self._momentum: dict = {}  # q -> momentum integral
 
-    def terms(self, q: float, tol: float):
+    def terms(self, q: float):
         """The t-free pieces (G'(q), integral of dp/dq, x0 dp/dq(x0, q)) of g."""
         prob = self.prob
         g_slope = prob._gp_fn(q)
         margin = prob.margin(q)
-        integral = self._integral(q, tol, margin, True)
+        integral = self._integral(q, margin, True)
         a, v = _base_coefficients(prob)
         gap = q - v
         if gap < margin:
             raise DomainError("momentum argument below admissibility margin", where=prob.x0)
         return g_slope, integral, prob.x0 * (prob.sigma / (2.0 * math.sqrt(a * gap)))
 
-    def momentum_integral(self, q: float, tol: float) -> float:
+    def momentum_integral(self, q: float) -> float:
         """Integral of p(s, q) over s from x0 to x.
 
-        It does not depend on t, so the value is kept per (q, tol) and every
-        later call for them returns it without a quadrature.
+        It does not depend on t, so the value is kept per q and every later
+        call for it returns it without a quadrature.
         """
-        key = (q, tol)
-        value = self._momentum.get(key)
+        value = self._momentum.get(q)
         if value is None:
-            value = self._momentum[key] = self._integral(q, tol, self.prob.margin(q), False)
+            value = self._momentum[q] = self._integral(q, self.prob.margin(q), False)
         return value
 
-    def _integral(self, q: float, tol: float, margin: float, slope: bool) -> float:
+    def _integral(self, q: float, margin: float, slope: bool) -> float:
         # nested tanh-sinh over the panels' level lists, with the stop rule,
         # halving and float operations of numerics.integrate_adaptive; a
         # level's terms are added left to right from 0.0
@@ -269,7 +269,7 @@ class _RowTable:
         lo, hi, panels = self.lo, self.hi, self._panels
         total = 0.0
         splits = 0
-        stack = [(lo, hi, tol, panels[lo, hi])]  # the leftmost panel is on top
+        stack = [(lo, hi, self.tol, panels[lo, hi])]  # the leftmost panel is on top
         while stack:
             a, b, panel_tol, levels = stack.pop()
             for level in range(_SPLIT_LEVEL + 1):
@@ -352,7 +352,7 @@ def constraint(
 
         integral = integrate_adaptive(dq_integrand, prob.x0, x, cfg.quad_tol)
         return integral + g_slope - t - x * momentum_partials(prob, x, q)[1]
-    return _combine(_row_table(prob, x).terms(q, cfg.quad_tol), t)
+    return _combine(_row_table(prob, x, cfg.quad_tol).terms(q), t)
 
 
 def _combine(terms, t: float) -> float:
@@ -395,7 +395,7 @@ def _root_line(row: _RowTable, q_lo: float, q_hi: float, cfg: SolverConfig) -> O
     lo = _scan_floor(row.prob, ceiling, q_lo)
     if not lo < q_hi:
         return None
-    return RootLine(functools.partial(row.terms, tol=cfg.quad_tol), _combine, _SENSE, lo, q_hi, cfg)
+    return RootLine(row.terms, _combine, _SENSE, lo, q_hi, cfg)
 
 
 def solve_point(
@@ -416,7 +416,7 @@ def solve_point(
     """
     if not q_lo < q_hi:
         raise ValueError("solve_point requires q_lo < q_hi")
-    line = _root_line(_row_table(prob, x), q_lo, q_hi, cfg)
+    line = _root_line(_row_table(prob, x, cfg.quad_tol), q_lo, q_hi, cfg)
     if line is None:
         return None, Status.DOMAIN_FAIL
     return line.solve(t, warm)[:2]
@@ -425,14 +425,14 @@ def solve_point(
 def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfig) -> float:
     """S = x p(x, q) + q t - F(x, q) at the resolved root q, taken by parts
     as x0 p(x0, q) + integral of p from x0 to x + q t - G(q)."""
-    return _action(_row_table(prob, x), t, q, cfg.quad_tol)
+    return _action(_row_table(prob, x, cfg.quad_tol), t, q)
 
 
-def _action(row: _RowTable, t: float, q: float, tol: float) -> float:
+def _action(row: _RowTable, t: float, q: float) -> float:
     prob = row.prob
     a, v = _base_coefficients(prob)
     base = prob.x0 * _momentum(prob, a, v, prob.x0, q)
-    return base + row.momentum_integral(q, tol) + q * t - prob.generator_at(q)
+    return base + row.momentum_integral(q) + q * t - prob.generator_at(q)
 
 
 def solve_grid(
@@ -448,7 +448,7 @@ def solve_grid(
     q_lo, q_hi = q_range
     if not q_lo < q_hi:
         raise ValueError("solve_grid requires q_lo < q_hi")
-    rows = [_row_table(prob, x) for x in xs]
+    rows = [_RowTable(prob, x, cfg.quad_tol) for x in xs]
     lines = [_root_line(row, q_lo, q_hi, cfg) for row in rows]
 
     def point(i, j, warm, guess):
@@ -460,36 +460,31 @@ def solve_grid(
     value: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     p: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     for i, x in enumerate(xs):
-        try:
-            a, v = _coefficients(prob, x)  # once per row, for every p of the row
-        except DomainError:
-            a = None  # p raises at x, so no root of the row stands
+        coefficients = None  # a and V at x, for every p of the row
         for j, t in enumerate(ts):
             if q[i][j] is None:
                 continue
-            if a is not None:
-                try:
-                    value[i][j] = _action(rows[i], t, q[i][j], cfg.quad_tol)
-                    p[i][j] = _momentum(prob, a, v, x, q[i][j])
-                    continue
-                except (DomainError, ConvergenceError):
-                    pass
-            q[i][j] = None
-            value[i][j] = None
-            p[i][j] = None
-            status[i][j] = Status.DOMAIN_FAIL
+            try:
+                action = _action(rows[i], t, q[i][j])
+                coefficients = coefficients or _coefficients(prob, x)
+                value[i][j], p[i][j] = action, _momentum(prob, *coefficients, x, q[i][j])
+            except (DomainError, ConvergenceError):
+                q[i][j] = None
+                status[i][j] = Status.DOMAIN_FAIL
     return ActionField(xs, ts, q, value, status, p)
 
 
-def _row_table(prob: HJProblem, x: float) -> _RowTable:
-    """The problem's last row table when it is for ``x``, else a new one kept in its place.
+def _row_table(prob: HJProblem, x: float, tol: float) -> _RowTable:
+    """The problem's last row table when it is for ``x`` and ``tol``, else a
+    new one kept in its place.
 
-    One slot, not a table per x: callers that loop t inside x share one
-    table per row, and a finished row is freed when the next one starts.
+    One slot, not a table per x, for the per-point calls: callers that loop
+    t inside x share one table per row, and a finished row is freed when
+    the next one starts.
     """
     row = prob._last_row
-    if row is None or row.x != x:
-        row = prob._last_row = _RowTable(prob, x)
+    if row is None or row.x != x or row.tol != tol:
+        row = prob._last_row = _RowTable(prob, x, tol)
     return row
 
 
@@ -506,4 +501,4 @@ def separation_action(
     one quadrature per (x, energy) however many t the row holds, when the
     calls for one x come together.
     """
-    return prob.sigma * _row_table(prob, x).momentum_integral(energy, cfg.quad_tol) + energy * t
+    return prob.sigma * _row_table(prob, x, cfg.quad_tol).momentum_integral(energy) + energy * t

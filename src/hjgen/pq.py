@@ -226,6 +226,8 @@ def solve_grid(
     xs = check_axis(x_grid)
     ys = check_axis(y_grid)
     q_lo, q_hi = q_range
+    if not q_lo < q_hi:
+        raise ValueError("solve_grid requires q_lo < q_hi")
     by_column = prob.kind == "scaled_y"
     lines = [_root_line(prob, v, q_lo, q_hi, cfg) for v in (ys if by_column else xs)]
 

@@ -129,6 +129,20 @@ def test_axis_validation():
     _expect_error(PQ_TEXT.replace("x = 0:1:3", "x = 0:1:1"), "axis")
     _expect_error(PQ_TEXT.replace("x = 0:1:3", "x = 0.5, 0.5, 1"), "increasing")
     _expect_error(PQ_TEXT.replace("x = 0:1:3", 'x = "0:1:3"'), "unquoted")
+    # a non-finite value is named with its line, in a list or from min:max
+    for axis in ("0.5, 1.0, inf", "0.5, nan, 1.0", "-1e309, 0.5", "0:inf:3", "0:1e309:3"):
+        _expect_error(PQ_TEXT.replace("x = 0:1:3", f"x = {axis}"), "'x' values must be finite", line=9)
+    _expect_error(PQ_TEXT.replace("x = 0:1:3", "x = nan:1:3"), "min:max:count", line=9)
+    for axis in ("1:0:3", "0.5, 0.5, 1", "0:1:1"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(PQ_TEXT.replace("x = 0:1:3", f"x = {axis}"))
+        assert err.value.line == 9
+
+
+def test_axis_min_max_count_points():
+    # equispaced, with the last point max exactly
+    cfg = parse_config(PQ_TEXT.replace("x = 0:1:3", "x = 0.1:0.7:7"))
+    assert cfg.axis1 == tuple(0.1 + (0.7 - 0.1) * i / 6 for i in range(6)) + (0.7,)
 
 
 def test_value_syntax_errors():

@@ -140,11 +140,11 @@ def test_base_point_coefficients_once_per_problem(monkeypatch):
         return real(p, x)
 
     monkeypatch.setattr(hj, "_coefficients", counting)
-    row = hj._RowTable(prob, 0.7)
-    first = row.terms(2.0, CFG.quad_tol)  # fills the row's levels
+    row = hj._RowTable(prob, 0.7, CFG.quad_tol)
+    first = row.terms(2.0)  # fills the row's levels
     calls.clear()
     for _ in range(3):  # the same q reuses those levels: no node is evaluated
-        assert row.terms(2.0, CFG.quad_tol) == first
+        assert row.terms(2.0) == first
     assert calls[0.2] == 0  # nor a and V at x0 for the base-point term
     # a(x0) = 0: construction succeeds, every evaluation raises
     bad = hj.HJProblem("x", "0", "q", sigma=1, x0=0.0)
@@ -204,7 +204,7 @@ def test_action_value_at_x0_fails_like_momentum():
         assert (str(got.value), got.value.where) == (str(want.value), 0.5)
     q = 2.0
     base = 0.5 * hj.momentum(prob, 0.5, q)
-    want = base + hj._RowTable(prob, 1.0).momentum_integral(q, CFG.quad_tol) + q * 0.3 - 2.0
+    want = base + hj._RowTable(prob, 1.0, CFG.quad_tol).momentum_integral(q) + q * 0.3 - 2.0
     assert hj.action_value(prob, 1.0, 0.3, q, CFG) == want
 
 
@@ -280,7 +280,8 @@ def test_separation_action_one_quadrature_per_row(monkeypatch):
     row = prob._last_row  # the levels built are the row's one panel list
     assert list(row._panels) == [(0.0, 0.7)] and len(row._panels[0.0, 0.7]) == len(levels)
     assert values == [values[0] + 1.0 * t for t in ts]
-    # the kept value is per (energy, tol): another of either is a new quadrature
+    # a table is per tolerance and keeps its value per energy: another of
+    # either is a new quadrature
     coarse = SolverConfig(quad_tol=1e-4)
     assert hj.separation_action(prob, 1.0, 0.7, 0.0, coarse) != values[0]
     assert hj.separation_action(prob, 2.0, 0.7, 0.0, CFG) != values[0]
@@ -294,8 +295,8 @@ def test_calls_without_a_row_share_the_problem_row_table(monkeypatch):
     prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0)
     x, q = 0.7, 2.0
     ts = axis(0.0, 0.4, 41)
-    want_g = [hj._combine(hj._RowTable(prob, x).terms(q, CFG.quad_tol), t) for t in ts]
-    want_s = [hj._action(hj._RowTable(prob, x), t, q, CFG.quad_tol) for t in ts]
+    want_g = [hj._combine(hj._RowTable(prob, x, CFG.quad_tol).terms(q), t) for t in ts]
+    want_s = [hj._action(hj._RowTable(prob, x, CFG.quad_tol), t, q) for t in ts]
     correction = reference_correction_integral(prob, x, q, CFG.quad_tol) + prob.generator_at(q)
     for t, s in zip(ts, want_s):
         assert abs(s - (x * hj.momentum(prob, x, q) + q * t - correction)) <= 1e-13
@@ -311,6 +312,40 @@ def test_calls_without_a_row_share_the_problem_row_table(monkeypatch):
     assert [hj.action_value(prob, x, t, q, CFG) for t in ts] == want_s
     assert set(builds.values()) == {1}
     assert len(builds) <= 10  # a fresh table per call builds 4 levels per call
+
+
+def test_calls_alternating_tolerances_match_fresh_tables():
+    # the problem's one row-table slot is keyed by (x, tol): two tolerances
+    # taking turns on one x each get their own table's values to the bit
+    prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0)
+    x, t, q = 0.7, 0.3, 2.0
+    cfgs = [CFG, SolverConfig(root_tol=1e-12, resid_tol=1e-12, quad_tol=1e-4, scan_points=16)]
+    want = {}
+    for cfg in cfgs:
+        row = hj._RowTable(prob, x, cfg.quad_tol)
+        want[cfg.quad_tol] = (
+            hj._combine(row.terms(q), t),
+            hj._action(row, t, q),
+            prob.sigma * hj._RowTable(prob, x, cfg.quad_tol).momentum_integral(1.0) + 1.0 * t,
+        )
+    assert want[cfgs[0].quad_tol] != want[cfgs[1].quad_tol]
+    for _ in range(2):
+        for cfg in cfgs:
+            got = (
+                hj.constraint(prob, x, t, q, cfg),
+                hj.action_value(prob, x, t, q, cfg),
+                hj.separation_action(prob, 1.0, x, t, cfg),
+            )
+            assert got == want[cfg.quad_tol]
+            assert prob._last_row.tol == cfg.quad_tol
+
+
+def test_solve_grid_leaves_the_row_table_slot_alone():
+    # solve_grid builds its own rows; the slot serves the per-point calls
+    prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0, eps_adm=1e-3)
+    field = hj.solve_grid(prob, axis(0.15, 0.45, 5), axis(0.2, 0.5, 5), (0.05, 6.0), CFG)
+    assert field.resolved_fraction() == 1.0
+    assert prob._last_row is None
 
 
 def separated_rows(prob, xs, ts):
@@ -454,7 +489,7 @@ def point_loop(prob, xs, ts, q_range, cfg):
 
 
 def root_lines(prob, xs, q_range, cfg):
-    return [hj._root_line(hj._RowTable(prob, x), *q_range, cfg) for x in xs]
+    return [hj._root_line(hj._RowTable(prob, x, cfg.quad_tol), *q_range, cfg) for x in xs]
 
 
 @pytest.mark.parametrize(
@@ -497,9 +532,9 @@ def test_scan_samples_evaluated_once_per_row(monkeypatch, n_t):
     quads = collections.Counter()  # (row x, q) of every root-condition evaluation
     real_terms = hj._RowTable.terms
 
-    def counting_terms(row, q, tol):
+    def counting_terms(row, q):
         quads[(row.x, q)] += 1
-        return real_terms(row, q, tol)
+        return real_terms(row, q)
 
     monkeypatch.setattr(hj._RowTable, "terms", counting_terms)
     field = hj.solve_grid(OSC, xs, axis(0.2, 0.5, n_t) if n_t > 1 else [0.3], q_range, CFG)
@@ -529,11 +564,11 @@ def test_bump_roots_below_its_peak_are_not_resolved():
     ids=["oscillator_layer", "oscillator", "free_particle", "x_below_x0"],
 )
 def test_row_table_matches_integrate_adaptive(prob, x, q):
-    row = hj._RowTable(prob, x)
+    row = hj._RowTable(prob, x, CFG.quad_tol)
     want = integrate_adaptive(lambda s: hj.momentum_partials(prob, s, q)[1], prob.x0, x, CFG.quad_tol)
-    assert abs(row.terms(q, CFG.quad_tol)[1] - want) <= 1e-13
+    assert abs(row.terms(q)[1] - want) <= 1e-13
     want = integrate_adaptive(lambda s: hj.momentum(prob, s, q), prob.x0, x, CFG.quad_tol)
-    assert abs(row.momentum_integral(q, CFG.quad_tol) - want) <= 1e-13
+    assert abs(row.momentum_integral(q) - want) <= 1e-13
     assert len(row._panels) == 1  # both integrals ran on the row's one panel list
 
 
@@ -544,10 +579,10 @@ def test_row_table_matches_integrate_adaptive(prob, x, q):
 )
 def test_row_table_merges_equal_potential_nodes_exactly(prob, x, distinct):
     # V is constant (flat) or even on a segment symmetric about 0 (even)
-    row = hj._RowTable(prob, x)
+    row = hj._RowTable(prob, x, CFG.quad_tol)
     q = 2.0
-    row.terms(q, CFG.quad_tol)
-    row.momentum_integral(q, CFG.quad_tol)
+    row.terms(q)
+    row.momentum_integral(q)
     levels = [
         (lo, hi, level, data)
         for (lo, hi), built in row._panels.items()
@@ -635,16 +670,16 @@ def reference_level_sum(row, q, slope):
     return level_sum
 
 
-def reference_integral(row, q, tol, slope):
+def reference_integral(row, q, slope):
     if row.lo == row.hi:
         return 0.0
-    return row.sign * tanh_sinh(reference_level_sum(row, q, slope), row.lo, row.hi, tol)
+    return row.sign * tanh_sinh(reference_level_sum(row, q, slope), row.lo, row.hi, row.tol)
 
 
-def reference_terms(row, q, tol):
+def reference_terms(row, q):
     prob = row.prob
     g_slope = prob.generator_slope_at(q)
-    integral = reference_integral(row, q, tol, True)
+    integral = reference_integral(row, q, True)
     return g_slope, integral, prob.x0 * hj.momentum_partials(prob, prob.x0, q)[1]
 
 
@@ -708,13 +743,13 @@ def test_row_kernel_matches_the_closure_path_bitwise(name, sigma, x, gap, tol):
     # makes q inadmissible somewhere, and both paths must fail alike
     segment = scan_abscissae(min(x0, x), max(x0, x), 64)
     q = max(prob._v_fn(s) for s in segment) + gap
-    want_terms = outcome(reference_terms, hj._RowTable(prob, x), q, tol)
-    want_p = outcome(reference_integral, hj._RowTable(prob, x), q, tol, False)
-    row = hj._RowTable(prob, x)
+    want_terms = outcome(reference_terms, hj._RowTable(prob, x, tol), q)
+    want_p = outcome(reference_integral, hj._RowTable(prob, x, tol), q, False)
+    row = hj._RowTable(prob, x, tol)
     for _ in range(2):  # built on the first call, read back on the second
-        assert outcome(row.terms, q, tol) == want_terms
-        assert outcome(row.momentum_integral, q, tol) == want_p
-    assert outcome(hj._RowTable(prob, x).momentum_integral, q, tol) == want_p
+        assert outcome(row.terms, q) == want_terms
+        assert outcome(row.momentum_integral, q) == want_p
+    assert outcome(hj._RowTable(prob, x, tol).momentum_integral, q) == want_p
 
 
 def test_row_kernel_halves_panels_like_the_closure_path():
@@ -723,11 +758,11 @@ def test_row_kernel_halves_panels_like_the_closure_path():
     # the reference
     prob = hj.HJProblem("1", "abs(x - 0.3) + abs(x + 0.4)", "q^2/2", x0=0.0)
     for x, q in ((1.0, 2.2), (-0.9, 1.8), (0.7, 1.5 + 1e-6)):
-        row = hj._RowTable(prob, x)
-        got = (row.terms(q, CFG.quad_tol), row.momentum_integral(q, CFG.quad_tol))
+        row = hj._RowTable(prob, x, CFG.quad_tol)
+        got = (row.terms(q), row.momentum_integral(q))
         assert len(row._panels) > 1
-        fresh = hj._RowTable(prob, x)
-        want = (reference_terms(fresh, q, CFG.quad_tol), reference_integral(fresh, q, CFG.quad_tol, False))
+        fresh = hj._RowTable(prob, x, CFG.quad_tol)
+        want = (reference_terms(fresh, q), reference_integral(fresh, q, False))
         assert repr(got) == repr(want)
 
 
@@ -735,12 +770,12 @@ def test_row_kernel_gives_up_after_the_last_halving():
     # a = x^2 makes dp/dq ~ 1/|s| near x0 = 0: no panel touching x0 ever
     # converges, so both paths raise after _MAX_SPLITS halvings
     prob = hj.HJProblem("x^2", "0", "q", x0=0.0)
-    row = hj._RowTable(prob, 0.5)
+    row = hj._RowTable(prob, 0.5, CFG.quad_tol)
     for kernel, slope in ((row.terms, True), (row.momentum_integral, False)):
         with pytest.raises(ConvergenceError):
-            kernel(2.0, CFG.quad_tol)
+            kernel(2.0)
         with pytest.raises(ConvergenceError):
-            reference_integral(hj._RowTable(prob, 0.5), 2.0, CFG.quad_tol, slope)
+            reference_integral(hj._RowTable(prob, 0.5, CFG.quad_tol), 2.0, slope)
     # each halving adds the two halves of the panel at x0
     assert len(row._panels) == 1 + 2 * _MAX_SPLITS
 
@@ -758,10 +793,10 @@ def test_quadrature_convergence_failure_is_a_domain_failure(monkeypatch):
     real_integral = hj._RowTable._integral
 
     def give_up_on(failing):  # the dp/dq quadrature when True, else the momentum one
-        def integral(row, q, tol, margin, slope):
+        def integral(row, q, margin, slope):
             if slope is failing:
                 raise ConvergenceError("quadrature not converged")
-            return real_integral(row, q, tol, margin, slope)
+            return real_integral(row, q, margin, slope)
 
         return integral
 
@@ -771,7 +806,7 @@ def test_quadrature_convergence_failure_is_a_domain_failure(monkeypatch):
     assert all(s is Status.DOMAIN_FAIL for row in field.status for s in row)
     assert field.q == field.value == field.p == [[None] * 3] * 3
     monkeypatch.setattr(hj._RowTable, "_integral", give_up_on(True))
-    line = hj._root_line(hj._RowTable(OSC, 0.3), 0.05, 6.0, CFG)
+    line = hj._root_line(hj._RowTable(OSC, 0.3, CFG.quad_tol), 0.05, 6.0, CFG)
     assert line.samples == []
     assert line.solve(0.3)[:2] == (None, Status.DOMAIN_FAIL)
 
@@ -784,9 +819,9 @@ def test_shipped_config_quadratures_per_point(monkeypatch, name, bound):
     quads = [0]
     real_terms = hj._RowTable.terms
 
-    def counting_terms(row, q, tol):
+    def counting_terms(row, q):
         quads[0] += 1
-        return real_terms(row, q, tol)
+        return real_terms(row, q)
 
     monkeypatch.setattr(hj._RowTable, "terms", counting_terms)
     field = hj.solve_grid(run.problem, run.axis1, run.axis2, run.q_range, run.solver)

@@ -72,6 +72,19 @@ def test_solve_point_validates_range():
         pq.solve_point(prob, 1.0, 1.0, 3.0, 3.0, CFG)
 
 
+@pytest.mark.parametrize(
+    "prob",
+    [pq.PQProblem.explicit("2*q - 1", "q^2/2"), pq.PQProblem.scaled_x("0", "q^2", "q^2")],
+    ids=["explicit", "scale_raises_on_every_line"],
+)
+def test_solve_grid_validates_range(prob):
+    # the range is checked before any line: a reversed one never reaches
+    # RootLine, and a problem whose H raises everywhere still reports it
+    for q_range in ((5.0, 1.0), (3.0, 3.0)):
+        with pytest.raises(ValueError, match="solve_grid requires q_lo < q_hi"):
+            pq.solve_grid(prob, [0.5, 1.0], [0.0, 1.0], q_range, CFG)
+
+
 def test_solve_point_out_of_range():
     prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
     q, status = pq.solve_point(prob, 1.0, 1.0, 10.0, 20.0, CFG)

@@ -139,37 +139,37 @@ def installed(census, hj, numerics, reference):
             outcome = type(exc).__name__
         census.record(path, visited, outcome, terms[0])
 
-    def row_integral(row, q, tol, slope, path):
+    def row_integral(row, q, slope, path):
         # the quadrature as the kernel ran it, on the levels it built
         if row.lo != row.hi:
             level_sum = reference.reference_level_sum(row, q, slope)
-            replay(path, row.lo, row.hi, tol, level_sum, row._panels)
+            replay(path, row.lo, row.hi, row.tol, level_sum, row._panels)
 
     real_terms = hj._RowTable.terms
 
-    def terms(row, q, tol):
+    def terms(row, q):
         census.calls["constraint"] += 1
         try:
-            return real_terms(row, q, tol)
+            return real_terms(row, q)
         finally:
             try:
                 row.prob.generator_slope_at(q)  # G'(q) comes before the integral
             except Exception:
                 pass
             else:
-                row_integral(row, q, tol, True, "constraint")
+                row_integral(row, q, True, "constraint")
 
     real_momentum = hj._RowTable.momentum_integral
 
-    def momentum_integral(row, q, tol):
+    def momentum_integral(row, q):
         path = state["path"] or "separation"
         census.calls[path] += 1
-        kept = (q, tol) in row._momentum
+        kept = q in row._momentum
         try:
-            return real_momentum(row, q, tol)
+            return real_momentum(row, q)
         finally:
             if not kept:
-                row_integral(row, q, tol, False, path)
+                row_integral(row, q, False, path)
 
     def under(real, path):
         def traced(*args):
@@ -265,10 +265,10 @@ def counting_roots(census, modules):
 
     real_terms = hj._RowTable.terms
 
-    def terms(row, q, tol):
+    def terms(row, q):
         if active[0]:
             census.total += 1
-        return real_terms(row, q, tol)
+        return real_terms(row, q)
 
     real_refine, real_brent = numerics._refine, numerics._brent
 
