@@ -15,7 +15,7 @@ from .errors import (
 from .expr import differentiate, evaluate, parse, to_string
 from .fields import ActionField, SolutionField, Status, read_field_csv, write_field_csv
 from .hj import HJProblem
-from .numerics import Bracket, SolverConfig, integrate_adaptive, solve_bracketed
+from .numerics import SolverConfig, integrate_adaptive
 from .pq import PQProblem
 from .verify import ResidualReport, compare_oracle, finite_diff_partials, residual_report
 
@@ -31,10 +31,8 @@ __all__ = [
     "evaluate",
     "differentiate",
     "to_string",
-    "Bracket",
     "SolverConfig",
     "integrate_adaptive",
-    "solve_bracketed",
     "Status",
     "SolutionField",
     "ActionField",

@@ -181,21 +181,19 @@ def _cmd_oracle(args) -> int:
 def _cmd_diffcheck(args) -> int:
     e = expr.parse(args.expr)
     names = sorted(expr.variables(e) | {args.var})
-    deriv = expr.differentiate(e, args.var)
+    f = expr.compile_function(e, tuple(names))
+    df = expr.compile_function(expr.differentiate(e, args.var), tuple(names))
+    k = names.index(args.var)
     rng = random.Random(args.seed)
-    checked = 0
-    failures = 0
-    attempts = 0
+    checked = failures = attempts = 0
     while checked < args.n and attempts < 200 * args.n:
         attempts += 1
-        point = {name: rng.uniform(-4.0, 4.0) for name in names}
-        h = 1e-6 * (1.0 + abs(point[args.var]))
+        values = [rng.uniform(-4.0, 4.0) for _ in names]
+        h = 1e-6 * (1.0 + abs(values[k]))
         try:
-            value = expr.evaluate(e, point)
-            sym = expr.evaluate(deriv, point)
-            fd = central_difference(
-                lambda v: expr.evaluate(e, {**point, args.var: v}), point[args.var], h
-            )
+            value = f(*values)
+            sym = df(*values)
+            fd = central_difference(lambda v: f(*values[:k], v, *values[k + 1 :]), values[k], h)
         except (DomainError, EvalError):
             continue
         if not (math.isfinite(value) and math.isfinite(sym) and math.isfinite(fd)):
@@ -206,7 +204,7 @@ def _cmd_diffcheck(args) -> int:
         if abs(sym - fd) > 1e-6 * (1.0 + abs(sym)):
             failures += 1
             print(
-                f"mismatch at {point}: symbolic {sym!r} vs finite-difference {fd!r}",
+                f"mismatch at {dict(zip(names, values))}: symbolic {sym!r} vs finite-difference {fd!r}",
                 file=sys.stderr,
             )
     if checked < args.n:

@@ -33,7 +33,7 @@ class DomainError(HjgenError):
 
 
 class ConvergenceError(HjgenError):
-    """Iteration budget exhausted; ``bracket`` holds the last enclosure."""
+    """A budget ran out; ``bracket`` is a root solve's last (lo, hi, g_lo, g_hi), or None."""
 
     def __init__(self, message: str, bracket=None):
         super().__init__(message)

@@ -20,7 +20,6 @@ by concurrent callers.  :func:`evaluate` runs :func:`compile_function`'s code.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -211,21 +210,21 @@ def _power_value(base: float, expo: float) -> float:
 def evaluate(e: Expression, bindings: Mapping[str, float]) -> float:
     """Evaluate ``e`` with every variable bound in ``bindings``.
 
-    Runs the closure :func:`compile_function` builds, cached by emitted
-    source (not by tree: ``Num(0.0) == Num(-0.0)``), so it returns and raises
-    what compiled closures do.  Out-of-domain arguments (negative sqrt/ln,
-    |asin| > 1, division by zero, negative base with fractional exponent,
-    overflow) and other math errors, such as ``sin(inf)``, raise
-    :class:`DomainError` rather than producing a silent NaN.  What ``math``
-    accepts keeps its value: ``asin``/``acos`` of NaN are NaN, and ``^`` with
-    an infinite or NaN operand is ``math.pow``'s (``0^(-inf)`` is inf).
+    Compiles ``e`` as :func:`compile_function` does, each call, and runs
+    it, so it returns and raises what compiled functions do.  Out-of-domain
+    arguments (negative sqrt/ln, |asin| > 1, division by zero, negative
+    base with fractional exponent, overflow) and other math errors, such
+    as ``sin(inf)``, raise :class:`DomainError` rather than producing a
+    silent NaN.  What ``math`` accepts keeps its value: ``asin``/``acos``
+    of NaN are NaN, and ``^`` with an infinite or NaN operand is
+    ``math.pow``'s (``0^(-inf)`` is inf).
     """
     params = tuple(sorted(variables(e)))
     try:
         values = [bindings[p] for p in params]
     except KeyError as exc:
         raise EvalError(f"unbound variable {exc.args[0]!r}") from None
-    return _cached_function(_emit(e), params)(*values)
+    return _function(_emit(e), params)(*values)
 
 
 def depends_on(e: Expression, var: str) -> bool:
@@ -575,9 +574,6 @@ def _function(body: str, params: tuple[str, ...]):
     fn = ns["_compiled"]
     ns["_checked_build"] = FunctionType(fn.__code__, _CHECKED)
     return fn
-
-
-_cached_function = functools.lru_cache(maxsize=256)(_function)
 
 
 _PREC_ADD = 1

@@ -255,9 +255,9 @@ class RootLine:
         return out
 
     def brackets(self, target: float) -> Optional[list[tuple[float, float, float, float]]]:
-        """The (lo, hi, g_lo, g_hi) of each ``bracket_pairs(self.scan(target))``
-        bracket, by bisection over the monotone runs, or ``None`` when only
-        the full scan can tell.
+        """``_crossings(self.scan(target))``, the (lo, hi, g_lo, g_hi) of
+        each bracket, by bisection over the monotone runs, or ``None`` when
+        only the full scan can tell.
 
         Rounding.  ``combine`` adds n = len(terms) + 1 operands left to
         right, so its value differs from the exact sum, sense * (t - H_k),
@@ -275,7 +275,7 @@ class RootLine:
         around t's insertion point, so when neither neighbour of that point
         is within slack, every sample's sign is known and none is zero:
         the sign changes are exactly the runs' crossings, each paired as
-        ``bracket_pairs`` pairs it, with both values from ``combine``
+        ``_crossings`` pairs it, with both values from ``combine``
         itself.  The result is ``None`` (the caller scans) when a crossing
         neighbour lies within slack, when a term, level or the target is
         not finite, and when the levels span at most

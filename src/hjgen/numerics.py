@@ -5,16 +5,15 @@ All operations are pure.  Functions passed in may raise
 quadrature propagates it.  The bracket scan itself lives in
 :class:`hjgen.fields.RootLine`, which samples at :func:`scan_abscissae`
 and finds most targets' brackets by bisection over the samples' monotone
-runs; :func:`bracket_pairs` pairs the samples when rounding could decide
-a sign, and is the definition that bisection reproduces.
+runs; :func:`_crossings` pairs the samples when rounding could decide a
+sign, and is the definition that bisection reproduces.
 
 Every grid point's root is refined by one kernel on plain floats,
-:func:`_refine`: a bracket is its four floats, the condition is
-evaluated as ``combine(terms(q), target)`` straight from the grid line's
-parts, up to two probes at a predicted root narrow the bracket, and
-Brent's method (:func:`_brent`, the loop :func:`solve_bracketed` runs on
-a callable) finishes it.  No closure, bracket object or frame beyond
-``terms`` and ``combine`` stands between the loop and an evaluation.
+:func:`_refine`: the condition is evaluated as ``combine(terms(q),
+target)`` straight from the grid line's parts, up to two probes at a
+predicted root narrow the (lo, hi, g_lo, g_hi) bracket, and Brent's
+method (:func:`_brent`) finishes it, with no closure, bracket object or
+frame beyond ``terms`` and ``combine`` between the loop and an evaluation.
 
 Quadrature is nested tanh-sinh (H. Takahasi and M. Mori, "Double
 exponential formulas for numerical integration", Publ. RIMS 9, 1974):
@@ -45,12 +44,9 @@ from typing import Callable
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "Bracket",
     "SolverConfig",
     "integrate_adaptive",
     "tanh_sinh_nodes",
-    "bracket_pairs",
-    "solve_bracketed",
     "scan_abscissae",
     "central_difference",
 ]
@@ -60,22 +56,6 @@ __all__ = [
 _T_MAX = 3.5
 _SPLIT_LEVEL = 6  # a panel not converged at this level is halved
 _MAX_SPLITS = 64  # halvings allowed in one quadrature, 449 wasted nodes each
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """A sign-change enclosure: ``lo < hi`` and ``g_lo * g_hi <= 0``."""
-
-    lo: float
-    hi: float
-    g_lo: float
-    g_hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("bracket requires lo < hi")
-        if self.g_lo * self.g_hi > 0.0:
-            raise ValueError("bracket endpoints must not share a sign")
 
 
 @dataclass(frozen=True)
@@ -209,7 +189,12 @@ def scan_abscissae(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _crossings(samples) -> list[tuple[float, float, float, float]]:
-    """The pairs of :func:`bracket_pairs`, each as a (lo, hi, g_lo, g_hi) tuple."""
+    """Adjacent (abscissa, value) sample pairs enclosing a sign change, each
+    as a (lo, hi, g_lo, g_hi) bracket.
+
+    A zero exactly at a sample closes the pair on its left, or opens the
+    very first pair, so a root hit by the scan grid is reported once.
+    """
     out = []
     for k, ((x1, v1), (x2, v2)) in enumerate(zip(samples, samples[1:])):
         if (
@@ -220,39 +205,6 @@ def _crossings(samples) -> list[tuple[float, float, float, float]]:
         ):
             out.append((x1, x2, v1, v2))
     return out
-
-
-def bracket_pairs(samples) -> list[Bracket]:
-    """Adjacent (abscissa, value) sample pairs enclosing a sign change.
-
-    A zero exactly at a sample closes the pair on its left (or opens the
-    very first pair), so a root hit by the scan grid is reported once.
-    """
-    return [Bracket(*c) for c in _crossings(samples)]
-
-
-def solve_bracketed(
-    g: Callable[[float], float], br: Bracket, cfg: SolverConfig
-) -> float:
-    """Brent's method (R. P. Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4, "zeroin"); never leaves the bracket.
-
-    Each step tries inverse quadratic interpolation through the last three
-    iterates, or a secant step when only two are distinct, and bisects
-    instead whenever that step would leave the enclosure or would not be
-    shorter than half the step before last.  Returns at once when
-    |g| <= resid_tol, at an end of ``br`` or at an iterate, or when the
-    sign-change enclosure [b, c] around the estimate b has narrowed to
-    ``root_tol + 4 eps |b|``.  Raises :class:`ConvergenceError` carrying
-    that enclosure when ``cfg.max_iter`` evaluations of ``g`` have not
-    isolated the root.  It runs :func:`_brent`, the loop the root kernel
-    :func:`_refine` finishes with.
-    """
-    return _brent(g, _as_is, None, br.lo, br.g_lo, br.hi, br.g_hi, cfg, [])
-
-
-def _as_is(value: float, _) -> float:
-    return value
 
 
 # the straddle probe aims this far past the predicted root's Newton step
@@ -313,9 +265,15 @@ def _refine(terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg):
 
 
 def _brent(terms, combine, target, a, fa, b, fb, cfg, seen):
-    """The Brent loop of :func:`solve_bracketed` on g(q) = combine(terms(q),
-    target) over [a, b], fa = g(a) and fb = g(b); appends each evaluation's
-    (q, g) to ``seen``."""
+    """Root of g(q) = combine(terms(q), target) in [a, b], fa = g(a) and
+    fb = g(b), by Brent's method (R. P. Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 4), which never leaves the bracket.
+
+    Returns at once when |g| <= resid_tol, at an end or an iterate, or when
+    the enclosure [b, c] around the estimate b is within root_tol + 4 eps |b|.
+    After ``cfg.max_iter`` evaluations it raises :class:`ConvergenceError`
+    carrying [b, c] as (lo, hi, g_lo, g_hi).  Appends each (q, g) to ``seen``.
+    """
     resid_tol = cfg.resid_tol
     if abs(fa) <= resid_tol:
         return a
@@ -367,7 +325,7 @@ def _brent(terms, combine, target, a, fa, b, fb, cfg, seen):
             d = e = b - a
     raise ConvergenceError(
         f"root not isolated after {cfg.max_iter} iterations",
-        bracket=Bracket(b, c, fb, fc) if b < c else Bracket(c, b, fc, fb),
+        bracket=(b, c, fb, fc) if b < c else (c, b, fc, fb),
     )
 
 

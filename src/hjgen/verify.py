@@ -4,9 +4,11 @@ Residuals difference the stored value field only, with centred stencils of
 ``2k + 1`` nodes per axis, ``k = min(3, (n - 1) // 2)``: sixth order on any
 axis of at least 7 points, with weights from Fornberg's recursion (Math.
 Comp. 51, 1988) so uneven axes work.  The band of ``k`` points along each
-edge and points whose stencil meets a missing value are excluded.  At sixth
-order the truncation error sits below the solver tolerances on the shipped
-grids, so a report's ``max_abs`` measures the PDE residual of the field.
+edge and points whose stencil meets a missing value are excluded.  A NaN
+residual counts as infinite, so a field holding a NaN fails every gate.
+On five of the six shipped configs ``max_abs`` is the stencil's truncation
+error, not the solver's: it scales about as h**6 and does not move when the
+solver tolerances tighten 100-fold (ROADMAP.md, open item 2).
 
 The differences are taken a grid row at a time (:func:`_row_partials`),
 summing each derivative node by node in the order a point-by-point sum
@@ -18,6 +20,7 @@ per row and returns the per-point residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -118,14 +121,11 @@ def residual_report(problem, field) -> ResidualReport:
 
     The residual is the problem's ``residual_row``: a(x) d1^2 + V(x) - d2
     for Hamilton-Jacobi fields and u_l - H'(l) G(u_s) for the first-order
-    family (d1 - f(d2) when explicit).  An object without one is a
-    :class:`TypeError`.
-    d1 and d2 are sixth-order centred differences (``2k + 1`` nodes per
-    axis, ``k = min(3, (n - 1) // 2)``, so fewer on axes shorter than 7
-    points), computed a grid row at a time; the ``k`` points nearest each
-    edge, points without a value, points whose stencil meets a missing
-    value and points where the residual raises a domain error are excluded
-    (a row whose x-only part raises excludes all its points).
+    family (d1 - f(d2) when explicit); an object without one is a
+    :class:`TypeError`.  d1 and d2 are the module's centred differences.
+    Besides the points the module excludes, a point where the residual
+    raises a domain error is left out, and so is a row whose x-only part
+    raises.  ``worst_point`` is the first point of largest residual.
     """
     n1, n2 = field.shape
     if n1 < 3 or n2 < 3:
@@ -156,6 +156,8 @@ def residual_report(problem, field) -> ResidualReport:
                 r = abs(point_fn(y, d1, d2))
             except DomainError:
                 continue
+            if r != r:
+                r = math.inf
             count += 1
             total += r
             if r > max_abs:
@@ -177,7 +179,8 @@ def residual_report(problem, field) -> ResidualReport:
 
 
 def compare_oracle(field, oracle: Callable[[float, float], float]) -> tuple[float, float]:
-    """(max, mean) absolute deviation of the stored values from ``oracle``."""
+    """(max, mean) absolute deviation of the stored values from ``oracle``,
+    a NaN deviation counting as infinite."""
     max_err = -1.0
     total = 0.0
     count = 0
@@ -187,6 +190,8 @@ def compare_oracle(field, oracle: Callable[[float, float], float]) -> tuple[floa
             if not field.has_value(i, j):
                 continue
             err = abs(field.value[i][j] - oracle(field.axis1[i], field.axis2[j]))
+            if err != err:
+                err = math.inf
             count += 1
             total += err
             if err > max_err:

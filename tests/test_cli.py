@@ -148,6 +148,29 @@ def test_verify_round_trip_and_corruption(tmp_path, capsys):
     assert abs(i - 4) <= 1 and abs(j - 4) <= 1
 
 
+def test_verify_nan_cell_fails_and_names_a_point(tmp_path, capsys):
+    # a NaN residual counts as infinite: it fails the gate and is the worst point
+    cfg = tmp_path / "lin.cfg"
+    field = tmp_path / "f.csv"
+    cfg.write_text(SMALL_LINEAR.format(field=field, report=tmp_path / "r.txt"))
+    assert main(["solve", str(cfg)]) == 0
+    capsys.readouterr()
+    lines = field.read_text().splitlines()
+    target = 1 + 4 * 9 + 4  # the u value of the centre point (4, 4)
+    cols = lines[target].split(",")
+    cols[3] = "nan"
+    lines[target] = ",".join(cols)
+    field.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(cfg), str(field)]) == 1
+    out = capsys.readouterr().out
+    assert "residual_max_abs: inf\n" in out
+    assert "residual_mean_abs: inf\n" in out
+    assert "status: FAIL\n" in out
+    # sixth order on 9 points: rows 3..5 are interior, and (3, 4) is the
+    # first whose stencil meets the centre
+    assert "worst_point: index (3, 4) at (0.375, 0.5)\n" in out
+
+
 def test_verify_truncated_csv_exits_2(tmp_path):
     cfg = tmp_path / "lin.cfg"
     field = tmp_path / "f.csv"
@@ -277,6 +300,24 @@ def test_oracle_separation_matches_free_particle_closed_form(tmp_path):
     ) == 0
 
 
+def test_oracle_nan_deviation_fails(free_run, capsys):
+    # a NaN deviation counts as infinite, from the oracle or from the field
+    _, field_path, _, _ = free_run
+    capsys.readouterr()
+    assert main(["oracle", "free_particle", str(field_path), "--param", "C=nan"]) == 1
+    out = capsys.readouterr().out
+    assert "max_abs_err: inf\n" in out and "status: FAIL\n" in out
+    lines = field_path.read_text().splitlines()
+    target = 1 + 10 * 17 + 8  # the S value of point (10, 8) of the 21 x 17 grid
+    cols = lines[target].split(",")
+    cols[3] = "nan"
+    lines[target] = ",".join(cols)
+    field_path.write_text("\n".join(lines) + "\n")
+    assert main(["oracle", "free_particle", str(field_path), "--param", "C=1"]) == 1
+    out = capsys.readouterr().out
+    assert "max_abs_err: inf\n" in out and "status: FAIL\n" in out
+
+
 def test_oracle_unknown_name_exits_2(free_run):
     _, field_path, _, _ = free_run
     assert main(["oracle", "wkb", str(field_path)]) == 2
@@ -330,6 +371,38 @@ def test_diffcheck_too_deep_is_a_parse_error(capsys, source, depth):
     err = capsys.readouterr().err
     want = rf"error: syntax error at position \d+: expression nests {depth} deep"
     assert re.match(want, err), err
+
+
+def _count_compiles(monkeypatch):
+    """Count compile_function calls; make evaluate raise."""
+    compiles = []
+    compile_function = cli.expr.compile_function
+
+    def counted(e, params):
+        compiles.append(params)
+        return compile_function(e, params)
+
+    def no_evaluate(*args):
+        raise AssertionError("evaluate called")
+
+    monkeypatch.setattr(cli.expr, "compile_function", counted)
+    monkeypatch.setattr(cli.expr, "evaluate", no_evaluate)
+    return compiles
+
+
+def test_diffcheck_compiles_each_expression_once(monkeypatch, capsys):
+    compiles = _count_compiles(monkeypatch)
+    assert main(["diffcheck", "x^2*sin(x)+exp(-x)/(1+x^2)", "x", "--n", "100"]) == 0
+    assert compiles == [("x",), ("x",)]
+    assert capsys.readouterr().out == "diffcheck: 100 points, 0 mismatches\n"
+
+
+def test_diffcheck_variable_absent_from_the_expression(monkeypatch, capsys):
+    # the derivative is 0, and both functions still take every name
+    compiles = _count_compiles(monkeypatch)
+    assert main(["diffcheck", "3*q", "x"]) == 0
+    assert compiles == [("q", "x"), ("q", "x")]
+    assert capsys.readouterr().out == "diffcheck: 100 points, 0 mismatches\n"
 
 
 def test_diffcheck_narrow_domain_exits_2(capsys):

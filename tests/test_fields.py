@@ -18,14 +18,11 @@ from hjgen.fields import (
     sweep,
     write_field_csv,
 )
-from hjgen.numerics import (
-    Bracket,
-    SolverConfig,
-    _refine,
-    bracket_pairs,
-    scan_abscissae,
-    solve_bracketed,
-)
+from hjgen.numerics import SolverConfig, _brent, _crossings, _refine, scan_abscissae
+
+
+def _value(v, _target):
+    return v
 
 
 def test_check_axis():
@@ -359,7 +356,10 @@ def reference_point(g, lo, hi, cfg, warm):
     if all(abs(v) <= cfg.resid_tol for _, v in samples):
         return ref, Status.MULTI_ROOT
     try:
-        roots = sorted(solve_bracketed(g, br, cfg) for br in bracket_pairs(samples))
+        roots = sorted(
+            _brent(g, _value, None, b_lo, g_lo, b_hi, g_hi, cfg, [])
+            for b_lo, b_hi, g_lo, g_hi in _crossings(samples)
+        )
     except (DomainError, ConvergenceError):
         return None, Status.DOMAIN_FAIL
     if not roots:
@@ -419,8 +419,8 @@ def test_line_solver_matches_point_reference(case):
         want, want_status = reference_point(g, lo, hi, cfg, warm)
         # conditioning: one sign change per coarse bracket, and a slope that
         # turns the resid_tol stop into a root error far below 1e-10
-        for br in bracket_pairs([(v, g(v)) for v in scan_abscissae(lo, hi, n)]):
-            fine = [g(v) for v in scan_abscissae(br.lo, br.hi, 64)]
+        for b_lo, b_hi, _, _ in _crossings([(v, g(v)) for v in scan_abscissae(lo, hi, n)]):
+            fine = [g(v) for v in scan_abscissae(b_lo, b_hi, 64)]
             assume(sum(1 for a, b in zip(fine, fine[1:]) if a * b < 0.0) <= 1)
         if want is not None:
             assume(abs(h(want + 1e-7) - h(want - 1e-7)) >= 0.1 * 2e-7)
@@ -449,7 +449,7 @@ def _terms_of(level, wobble, sense):
 def reference_brackets(line, target):
     """Every stored sample combined with the target, then paired, as the
     (lo, hi, g_lo, g_hi) tuples :meth:`RootLine.brackets` returns."""
-    return [(b.lo, b.hi, b.g_lo, b.g_hi) for b in bracket_pairs(line.scan(target))]
+    return _crossings(line.scan(target))
 
 
 def _levels(line, sense):
@@ -623,20 +623,22 @@ _OVERSHOOT = 0.1
 
 
 def reference_refine(g, br, guess, cfg):
-    """Brent's method on ``br`` after up to two probes, over a closure ``g``:
-    the refinement the line solver ran before :func:`numerics._refine`,
-    kept as its bitwise reference.  Returns (root, slope of g)."""
-    seen = [(br.lo, br.g_lo), (br.hi, br.g_hi)]
+    """Brent's method on the bracket ``br`` = (lo, hi, g_lo, g_hi) after up
+    to two probes, over a closure ``g``: the refinement the line solver ran
+    before :func:`numerics._refine`, kept as its bitwise reference.
+    Returns (root, slope of g)."""
+    lo, hi, g_lo, g_hi = br
+    seen = [(lo, g_lo), (hi, g_hi)]
 
     def traced(q):
         v = g(q)
         seen.append((q, v))
         return v
 
-    if guess is not None and abs(br.g_lo) > cfg.resid_tol and abs(br.g_hi) > cfg.resid_tol:
+    if guess is not None and abs(g_lo) > cfg.resid_tol and abs(g_hi) > cfg.resid_tol:
         p, slope = guess
         for _ in range(2):
-            if not br.lo < p < br.hi:
+            if not lo < p < hi:
                 break
             try:
                 v = traced(p)
@@ -646,14 +648,14 @@ def reference_refine(g, br, guess, cfg):
                 break
             if abs(v) <= cfg.resid_tol:
                 return p, reference_slope(seen)
-            if (v < 0.0) == (br.g_lo < 0.0):
-                br = Bracket(p, br.hi, v, br.g_hi)
+            if (v < 0.0) == (g_lo < 0.0):
+                lo, g_lo = p, v
             else:
-                br = Bracket(br.lo, p, br.g_lo, v)
+                hi, g_hi = p, v
             if not slope:
                 break
             p -= (1.0 + _OVERSHOOT) * v / slope
-    root = reference_brent(traced, br, cfg)
+    root = reference_brent(traced, (lo, hi, g_lo, g_hi), cfg)
     return root, reference_slope(seen)
 
 
@@ -666,14 +668,16 @@ def reference_slope(seen):
 
 
 def reference_brent(g, br, cfg):
-    """``solve_bracketed`` before it called the kernel's Brent loop."""
-    if abs(br.g_lo) <= cfg.resid_tol:
-        return br.lo
-    if abs(br.g_hi) <= cfg.resid_tol:
-        return br.hi
+    """Brent's method on a closure ``g`` over the bracket ``br`` = (lo, hi,
+    g_lo, g_hi), as the root finder ran it before the kernel's Brent loop."""
+    lo, hi, g_lo, g_hi = br
+    if abs(g_lo) <= cfg.resid_tol:
+        return lo
+    if abs(g_hi) <= cfg.resid_tol:
+        return hi
     eps = sys.float_info.epsilon
-    a, fa = br.lo, br.g_lo
-    b, fb = br.hi, br.g_hi
+    a, fa = lo, g_lo
+    b, fb = hi, g_hi
     c, fc = a, fa
     d = e = b - a
     for _ in range(cfg.max_iter):
@@ -715,7 +719,7 @@ def reference_brent(g, br, cfg):
             d = e = b - a
     raise ConvergenceError(
         f"root not isolated after {cfg.max_iter} iterations",
-        bracket=Bracket(b, c, fb, fc) if b < c else Bracket(c, b, fc, fb),
+        bracket=(b, c, fb, fc) if b < c else (c, b, fc, fb),
     )
 
 
@@ -814,7 +818,7 @@ def _assert_kernel_matches(terms, combine, target, lo, hi, g_lo, g_hi, guess, cf
     want = _refine_outcome(
         reference_refine,
         lambda q: combine(logged(q), target),
-        Bracket(lo, hi, g_lo, g_hi),
+        (lo, hi, g_lo, g_hi),
         guess,
         cfg,
     )
@@ -840,14 +844,15 @@ def test_refine_kernel_slope_after_a_nan_probe():
     assert root == 0.0 and math.isnan(slope)
 
 
-def test_solve_bracketed_runs_the_kernel_loop():
-    # the public solver is the kernel's Brent loop on g itself: same iterates,
-    # same root, and on an exhausted budget the same enclosure
+def test_brent_runs_the_reference_loop():
+    # the kernel's Brent loop on g itself against the reference: same
+    # iterates, same root, and on an exhausted budget the same enclosure
     g = lambda q: math.cos(q) - q
     for max_iter in (1, 2, 100):
         cfg = SolverConfig(max_iter=max_iter)
-        br = Bracket(0.0, 1.0, g(0.0), g(1.0))
+        lo, hi, g_lo, g_hi = br = (0.0, 1.0, g(0.0), g(1.0))
         got, want = [], []
-        got_out = _refine_outcome(solve_bracketed, lambda q: got.append(q) or g(q), br, cfg)
+        traced = lambda q: got.append(q) or g(q)
+        got_out = _refine_outcome(_brent, traced, _value, None, lo, g_lo, hi, g_hi, cfg, [])
         want_out = _refine_outcome(reference_brent, lambda q: want.append(q) or g(q), br, cfg)
         assert got_out == want_out and repr(got) == repr(want)

@@ -11,13 +11,12 @@ from hjgen.config import load_config
 from hjgen.errors import ConvergenceError, DomainError
 from hjgen.fields import RootLine, Status
 from hjgen.numerics import (
-    Bracket,
     SolverConfig,
-    bracket_pairs,
+    _brent,
+    _crossings,
     central_difference,
     integrate_adaptive,
     scan_abscissae,
-    solve_bracketed,
 )
 
 
@@ -30,8 +29,20 @@ def root_line(g, lo, hi, n):
 
 
 def scan_brackets(g, lo, hi, n):
-    """The sign-change brackets a line scan of g over [lo, hi] finds."""
-    return bracket_pairs(root_line(g, lo, hi, n).scan(0.0))
+    """The (lo, hi, g_lo, g_hi) sign-change brackets a line scan of g over
+    [lo, hi] finds."""
+    return _crossings(root_line(g, lo, hi, n).scan(0.0))
+
+
+def _value(v, _target):
+    return v
+
+
+def brent(g, br, cfg):
+    """Brent's method on g over the bracket br = (lo, hi, g_lo, g_hi): the
+    kernel's loop, with g as its terms and each value taken as is."""
+    lo, hi, g_lo, g_hi = br
+    return _brent(g, _value, None, lo, g_lo, hi, g_hi, cfg, [])
 
 
 def test_config_validation():
@@ -41,13 +52,6 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(scan_points=1)
-
-
-def test_bracket_validation():
-    with pytest.raises(ValueError):
-        Bracket(1.0, 0.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        Bracket(0.0, 1.0, 1.0, 2.0)
 
 
 def test_integrate_polynomial():
@@ -116,20 +120,20 @@ def test_integrate_non_integrable_raises_convergence_error():
 def test_scan_single_bracket():
     brs = scan_brackets(lambda q: q * q - 4.0, 0.0, 3.0, 30)
     assert len(brs) == 1
-    assert brs[0].lo <= 2.0 <= brs[0].hi
+    assert brs[0][0] <= 2.0 <= brs[0][1]
 
 
 def test_scan_cosine_crossing():
     brs = scan_brackets(lambda q: math.cos(q) - q, 0.0, 1.0, 10)
     assert len(brs) == 1
-    assert brs[0].lo <= 0.739 <= brs[0].hi
+    assert brs[0][0] <= 0.739 <= brs[0][1]
 
 
 def test_scan_two_roots():
     brs = scan_brackets(lambda q: (q - 1.0) * (q - 2.0), 0.0, 3.0, 30)
     assert len(brs) == 2
-    assert brs[0].lo <= 1.0 <= brs[0].hi
-    assert brs[1].lo <= 2.0 <= brs[1].hi
+    assert brs[0][0] <= 1.0 <= brs[0][1]
+    assert brs[1][0] <= 2.0 <= brs[1][1]
 
 
 def test_scan_skips_domain_failures():
@@ -140,8 +144,8 @@ def test_scan_skips_domain_failures():
 
     brs = scan_brackets(g, 0.0, 2.0, 20)
     assert len(brs) == 1
-    assert brs[0].lo <= 1.5 <= brs[0].hi
-    assert brs[0].lo >= 1.0
+    assert brs[0][0] <= 1.5 <= brs[0][1]
+    assert brs[0][0] >= 1.0
 
 
 def test_scan_empty_result_is_fine():
@@ -149,7 +153,7 @@ def test_scan_empty_result_is_fine():
 
 
 def _bracket_for(g, lo, hi):
-    return Bracket(lo, hi, g(lo), g(hi))
+    return lo, hi, g(lo), g(hi)
 
 
 def test_scan_abscissae_match_the_inline_formula_bitwise():
@@ -166,7 +170,7 @@ def test_scan_abscissae_match_the_inline_formula_bitwise():
 def test_solve_quadratic():
     cfg = SolverConfig()
     g = lambda q: q * q - 4.0
-    assert solve_bracketed(g, _bracket_for(g, 0.0, 3.0), cfg) == pytest.approx(
+    assert brent(g, _bracket_for(g, 0.0, 3.0), cfg) == pytest.approx(
         2.0, abs=cfg.root_tol * 10
     )
 
@@ -179,14 +183,14 @@ def test_solve_cosine_fixed_point_oracle():
     assert ref == pytest.approx(0.7390851332151607, abs=1e-12)
     cfg = SolverConfig()
     g = lambda q: math.cos(q) - q
-    got = solve_bracketed(g, _bracket_for(g, 0.0, 1.0), cfg)
+    got = brent(g, _bracket_for(g, 0.0, 1.0), cfg)
     assert got == pytest.approx(ref, abs=1e-10)
 
 
 def test_solve_linear():
     cfg = SolverConfig()
     g = lambda q: 2.0 * q - 1.0
-    assert solve_bracketed(g, _bracket_for(g, 0.0, 1.0), cfg) == pytest.approx(
+    assert brent(g, _bracket_for(g, 0.0, 1.0), cfg) == pytest.approx(
         0.5, abs=cfg.root_tol * 10
     )
 
@@ -200,7 +204,7 @@ def test_solve_stays_inside_bracket():
         g = lambda q, r=root, s=scale: s * math.tanh(q - r) + 0.01 * (q - r)
         lo = root - rng.uniform(0.1, 4.0)
         hi = root + rng.uniform(0.1, 4.0)
-        got = solve_bracketed(g, _bracket_for(g, lo, hi), cfg)
+        got = brent(g, _bracket_for(g, lo, hi), cfg)
         assert lo <= got <= hi
         assert got == pytest.approx(root, abs=1e-9)
 
@@ -209,9 +213,10 @@ def test_solve_budget_exhaustion_carries_bracket():
     cfg = SolverConfig(root_tol=1e-15, resid_tol=1e-15, max_iter=1)
     g = lambda q: q * q - 2.0
     with pytest.raises(ConvergenceError) as err:
-        solve_bracketed(g, _bracket_for(g, 0.0, 2.0), cfg)
-    assert err.value.bracket is not None
-    assert 0.0 <= err.value.bracket.lo < err.value.bracket.hi <= 2.0
+        brent(g, _bracket_for(g, 0.0, 2.0), cfg)
+    lo, hi, g_lo, g_hi = err.value.bracket
+    assert 0.0 <= lo < hi <= 2.0
+    assert (g_lo, g_hi) == (g(lo), g(hi)) and g_lo * g_hi <= 0.0
 
 
 def test_solve_free_particle_evaluations_per_bracket():
@@ -234,7 +239,7 @@ def test_solve_free_particle_evaluations_per_bracket():
                     calls[0] += 1
                     return g(q)
 
-                got = solve_bracketed(counted, br, cfg)
+                got = brent(counted, br, cfg)
                 exact = x * x / (4.0 * (1.0 - t) ** 2)
                 assert got == pytest.approx(exact, abs=1e-9)
                 counts.append(calls[0])
@@ -273,7 +278,7 @@ def test_solve_property_inside_bracket_at_a_sign_change(case):
     g_lo, g_hi = g(lo), g(hi)
     assume(g_lo * g_hi <= 0.0)  # false when the drawn root rounds onto an end
     cfg = SolverConfig()  # default max_iter: a step must still finish
-    got = solve_bracketed(g, Bracket(lo, hi, g_lo, g_hi), cfg)
+    got = brent(g, (lo, hi, g_lo, g_hi), cfg)
     assert lo <= got <= hi
     if abs(g(got)) <= cfg.resid_tol:
         assert kind != "step"  # every step value is far above resid_tol

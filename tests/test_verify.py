@@ -313,3 +313,24 @@ def test_finite_diff_partials_equal_point_by_point_reference():
                 w2 = verify._first_derivative_weights(ys[j], ys[j - 1 : j + 2])
                 want = _reference_partials(field, i, j, w1, w2)
             assert verify.finite_diff_partials(field, i, j) == want
+
+
+def test_residual_report_counts_a_nan_residual_as_infinite():
+    # u = (2x + y)^2/2 - x solves the linear problem exactly
+    prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
+    xs, ys = axis(0.0, 1.0, 11), axis(0.0, 1.0, 11)
+    field = _field_from(xs, ys, lambda x, y: (2 * x + y) ** 2 / 2 - x)
+    assert verify.residual_report(prob, field).max_abs <= 1e-10
+    field.value[5][6] = math.nan
+    report = verify.residual_report(prob, field)
+    assert report.max_abs == math.inf and report.mean_abs == math.inf
+    assert report.worst_point == (3, 6)  # the first point whose stencil meets (5, 6)
+
+
+def test_compare_oracle_counts_a_nan_deviation_as_infinite():
+    xs, ys = axis(0.0, 1.0, 5), axis(0.0, 1.0, 5)
+    field = _field_from(xs, ys, lambda x, y: x + y)
+    assert verify.compare_oracle(field, lambda x, y: x + y) == (0.0, 0.0)
+    assert verify.compare_oracle(field, lambda x, y: math.nan) == (math.inf, math.inf)
+    field.value[2][3] = math.nan
+    assert verify.compare_oracle(field, lambda x, y: x + y) == (math.inf, math.inf)
