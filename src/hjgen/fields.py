@@ -17,19 +17,20 @@ finishes the bracket; a target with one bracket, as every point of the
 shipped configs has, returns the kernel's root as is.
 
 The CSV kernels work on whole columns: :func:`write_field_csv` formats one
-grid row at a time, and :func:`read_field_csv` parses bounded blocks of
-lines, transposed into columns, and checks the layout column by column.
-Only a file that fails those checks is read again line by line, by
-:func:`_raise_first_error`, to name its first bad line.
+grid row at a time, and :func:`read_field_csv` checks bounded blocks of
+rows column by column with :func:`_columns`, which holds every line rule;
+a block that fails is bisected with the same checks to name its first bad line.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Callable, Optional
 
 from .errors import ConfigError, ConvergenceError, DomainError
@@ -376,7 +377,7 @@ _ACTION_HEADER = "x,t,q,S,p,status"
 _SOLUTION_HEADER = "x,y,q,u,status"
 _STATUS = {s.value: s for s in Status}
 _PRESENT = frozenset((Status.RESOLVED.value, Status.MULTI_ROOT.value))
-_BLOCK = 512  # lines parsed per block, which bounds the split strings held at once
+_BLOCK = 512  # rows parsed per block, which bounds the split strings held at once
 
 
 def write_field_csv(field: _Field2D, path: str) -> None:
@@ -403,143 +404,122 @@ def write_field_csv(field: _Field2D, path: str) -> None:
 def read_field_csv(path: str):
     """Load a field CSV produced by :func:`write_field_csv`.
 
-    Validates the schema, the row-major grid layout and the presence rule
-    (numeric cells filled exactly for resolved / multi_root rows).  The
-    lines are parsed in blocks of at most ``_BLOCK``, each transposed into
-    columns and checked column by column; when any check fails,
-    :func:`_raise_first_error` rereads the lines one by one to name the
-    first bad one.
+    Checks the schema, the presence rule (numeric cells filled exactly for
+    resolved / multi_root rows), finite axis values, roots that are not NaN
+    and the row-major grid, in blocks of ``_BLOCK`` rows (:func:`_columns`).
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ConfigError("empty field file", 1)
-    header = lines[0].strip()
-    if header == _ACTION_HEADER:
-        is_action = True
-    elif header == _SOLUTION_HEADER:
-        is_action = False
-    else:
-        raise ConfigError(f"unrecognized field header {header!r}", 1)
-    field = _parse_field(lines, is_action)
-    if field is None:
-        _raise_first_error(lines, is_action)
-    return field
-
-
-def _parse_field(lines, is_action: bool):
-    """The field the data lines describe, or ``None`` when any line or the grid is bad."""
-    ncols = 6 if is_action else 5
-    a1: list[float] = []
-    a2: list[float] = []
-    grids: list[list[Optional[float]]] = [[] for _ in range(ncols - 3)]
-    status: list[Status] = []
-    for start in range(1, len(lines), _BLOCK):
-        rows = [raw.split(",") for raw in lines[start : start + _BLOCK] if raw.strip()]
-        if not rows:
-            continue
-        if any(len(r) != ncols for r in rows):
-            return None
-        cols = list(zip(*rows))
-        if list(map(_PRESENT.__contains__, cols[-1])) != list(map(all, zip(cols[2], cols[3]))):
-            return None
-        try:
-            a1 += _axis_floats(cols[0])
-            a2 += _axis_floats(cols[1])
-            for grid, col in zip(grids, cols[2:]):
-                grid += [float(c) if c else None for c in col]
-            status += map(_STATUS.__getitem__, cols[-1])
-        except (ValueError, KeyError):
-            return None
-    if not a1:
-        return None
-    # row-major order: axis 1 repeats each value n2 times, axis 2 cycles n1 times
-    n2 = a1.count(a1[0])
-    n1, rest = divmod(len(a1), n2)
-    try:
-        ax1 = check_axis(a1[::n2])
-        ax2 = check_axis(a2[:n2])
-    except ValueError:
-        return None
-    if rest or ax1[0] != ax1[0] or ax2[0] != ax2[0]:
-        return None  # a one-point axis may hold a NaN, which the list comparisons would pass
-    if a1 != [v for v in ax1 for _ in range(n2)] or a2 != list(ax2) * n1:
-        return None
-
-    def by_row(column):
-        return [column[k : k + n2] for k in range(0, len(column), n2)]
-
-    q, value = by_row(grids[0]), by_row(grids[1])
-    if is_action:
-        return ActionField(ax1, ax2, q, value, by_row(status), by_row(grids[2]))
-    return SolutionField(ax1, ax2, q, value, by_row(status))
-
-
-def _axis_floats(col) -> list[float]:
-    # an axis column repeats a few distinct strings, so each is parsed once
-    floats = {c: float(c) for c in set(col)}
-    return list(map(floats.__getitem__, col))
-
-
-def _parse_float(token: str, line: int, what: str) -> Optional[float]:
-    if token == "":
-        return None
-    try:
-        return float(token)
-    except ValueError:
-        raise ConfigError(f"bad {what} value {token!r}", line) from None
-
-
-def _raise_first_error(lines, is_action: bool) -> None:
-    """Raise the :class:`ConfigError` of the first bad line of a field CSV.
-
-    Reads the data lines one at a time, in order, so the error names the
-    line where a reader going line by line would stop; runs only after
-    :func:`_parse_field` has rejected the lines, and never builds a field.
-    """
-    ncols = 6 if is_action else 5
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != ncols:
-            raise ConfigError(
-                f"expected {ncols} columns, found {len(parts)}", lineno
-            )
-        a1 = _parse_float(parts[0], lineno, "axis")
-        a2 = _parse_float(parts[1], lineno, "axis")
-        if a1 is None or a2 is None:
-            raise ConfigError("axis cells must not be empty", lineno)
-        qv = _parse_float(parts[2], lineno, "root")
-        val = _parse_float(parts[3], lineno, "value")
-        if is_action:
-            _parse_float(parts[4], lineno, "momentum")
-        st = _STATUS.get(parts[-1])
-        if st is None:
-            raise ConfigError(f"unknown status {parts[-1]!r}", lineno)
-        present = st in (Status.RESOLVED, Status.MULTI_ROOT)
-        if present != (qv is not None and val is not None):
-            raise ConfigError(f"cell presence inconsistent with status {st.value!r}", lineno)
-        rows.append((lineno, a1, a2))
-    if not rows:
+    ncols = {_SOLUTION_HEADER: 5, _ACTION_HEADER: 6}.get(lines[0].strip())
+    if ncols is None:
+        raise ConfigError(f"unrecognized field header {lines[0].strip()!r}", 1)
+    data = [raw for raw in lines[1:] if raw.strip()]
+    if not data:
         raise ConfigError("field file has no data rows", 2)
-    axis1: list[tuple[int, float]] = []  # (line, value) where axis 1 takes a new value
-    for lineno, a1, _ in rows:
-        if not axis1 or axis1[-1][1] != a1:
-            axis1.append((lineno, a1))
-    n1 = len(axis1)
-    if len(rows) % n1 != 0:
+    columns: list[list] = [[] for _ in range(ncols)]  # axis 1, axis 2, cells, status
+    for start in range(0, len(data), _BLOCK):
+        rows = [raw.split(",") for raw in data[start : start + _BLOCK]]
+        try:
+            block = _columns(rows, ncols)
+        except ValueError:
+            k, message = _first_bad_row(rows, ncols)
+            raise ConfigError(message, _line_of(lines, start + k)) from None
+        for column, part in zip(columns, block):
+            column += part
+    ax1, ax2 = _grid_axes(columns[0], columns[1], lines)
+    n2 = len(ax2)
+    q, value, *p, status = [[c[k : k + n2] for k in range(0, len(c), n2)] for c in columns[2:]]
+    if p:
+        return ActionField(ax1, ax2, q, value, status, *p)
+    return SolutionField(ax1, ax2, q, value, status)
+
+
+def _columns(rows, ncols: int) -> list[list]:
+    """A block of split data lines as columns of floats (``None`` when
+    empty) and statuses, or :class:`ValueError` at the first broken line rule
+    in the order a line is read: column count, axis 1, axis 2, axis cells
+    not empty, root, value, momentum, status, presence.
+    """
+    if set(map(len, rows)) != {ncols}:
+        raise ValueError(f"expected {ncols} columns, found {len(rows[-1])}")
+    cols = list(zip(*rows))
+    axes = [_axis_floats(cols[0]), _axis_floats(cols[1])]
+    try:
+        out = [list(map(floats.__getitem__, col)) for floats, col in zip(axes, cols)]
+    except KeyError:
+        raise ValueError("axis cells must not be empty") from None
+    out += [_cell_floats(col, what) for col, what in zip(cols[2:-1], ("root", "value", "momentum"))]
+    try:
+        out.append(list(map(_STATUS.__getitem__, cols[-1])))
+    except KeyError:
+        raise ValueError(f"unknown status {cols[-1][-1]!r}") from None
+    # the usual case, every row present with both cells filled, is checked in C first
+    full = _PRESENT.issuperset(cols[-1]) and "" not in cols[2] and "" not in cols[3]
+    if not (full or list(map(_PRESENT.__contains__, cols[-1])) == list(map(all, zip(*cols[2:4])))):
+        raise ValueError(f"cell presence inconsistent with status {cols[-1][-1]!r}")
+    return out
+
+
+def _axis_floats(col) -> dict[str, float]:
+    # an axis column repeats a few distinct strings, so each nonempty one is parsed once
+    texts = list(set(col).difference(("",)))
+    floats = dict(zip(texts, _cell_floats(texts, "axis")))
+    if not all(map(math.isfinite, floats.values())):
+        raise ValueError(f"bad axis value {col[-1]!r}")
+    return floats
+
+
+def _cell_floats(col, what: str) -> list[Optional[float]]:
+    try:
+        floats = [float(c) if c else None for c in col]
+    except ValueError:
+        raise ValueError(f"bad {what} value {col[-1]!r}") from None
+    if what == "root" and not all(map(operator.eq, floats, floats)):  # NaN != NaN
+        raise ValueError(f"bad root value {col[-1]!r}")
+    return floats
+
+
+def _first_bad_row(rows, ncols: int) -> tuple[int, str]:
+    """The index and message of the first of ``rows`` that breaks a line rule.
+
+    The rules hold row by row, so with ``rows[:good]`` passing, the prefix
+    ``rows[:mid]`` fails exactly when ``rows[good:mid]`` does.
+    """
+    good, bad = 0, len(rows)  # rows[:good] pass the rules and rows[:bad] do not
+    while True:
+        mid = max((good + bad) // 2, good + 1)
+        try:
+            _columns(rows[good:mid], ncols)
+            good = mid
+        except ValueError as err:
+            if mid == good + 1:
+                return good, str(err)
+            bad = mid
+
+
+def _line_of(lines, k: int) -> int:
+    # the file line of data row k (from 0): the (k + 1)-th non-blank line after the header
+    return [n for n, raw in enumerate(lines[1:], start=2) if raw.strip()][k]
+
+
+def _grid_axes(a1, a2, lines) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The axes of the row-major grid the rows' axis values form, or
+    :class:`ConfigError`: axis 1 holds ``a1``'s runs of equal values, axis 2
+    the first len(a1) / len(axis 1) values of ``a2``, and both increase.
+    """
+    ax1 = [v for v, _ in groupby(a1)]
+    n2, rest = divmod(len(a1), len(ax1))
+    if rest:
         raise ConfigError("row count does not form a complete grid", len(lines))
-    n2 = len(rows) // n1
-    axis2 = [(lineno, a2) for lineno, _, a2 in rows[:n2]]
-    broken = [
-        line for axis in (axis1, axis2) for (_, a), (line, b) in zip(axis, axis[1:]) if not a < b
-    ]
-    if broken:
-        raise ConfigError("axis values must be strictly increasing", min(broken))
-    for k, (lineno, a1, a2) in enumerate(rows):
-        i, j = divmod(k, n2)
-        if a1 != axis1[i][1] or a2 != axis2[j][1]:
-            raise ConfigError("rows are not in row-major grid order", lineno)
-    raise AssertionError("the line validator accepts a field the block parser rejected")
+    ax2 = a2[:n2]
+    if not (all(map(operator.lt, ax1, ax1[1:])) and all(map(operator.lt, ax2, ax2[1:]))):
+        # adjacent runs differ, so axis 1 fails to increase where a1 falls
+        k = next(k for k in range(1, len(a1)) if a1[k] < a1[k - 1] or k < n2 and a2[k] <= a2[k - 1])
+        raise ConfigError("axis values must be strictly increasing", _line_of(lines, k))
+    want1, want2 = [v for v in ax1 for _ in range(n2)], ax2 * len(ax1)
+    if a1 != want1 or a2 != want2:
+        k = next(k for k, row in enumerate(zip(a1, a2, want1, want2)) if row[:2] != row[2:])
+        raise ConfigError("rows are not in row-major grid order", _line_of(lines, k))
+    return tuple(ax1), tuple(ax2)

@@ -1,3 +1,4 @@
+import pathlib
 import re
 import subprocess
 import sys
@@ -179,6 +180,30 @@ def test_verify_truncated_csv_exits_2(tmp_path):
     text = field.read_text().splitlines()
     field.write_text("\n".join(text[: len(text) // 2]) + "\n0.5,0.5\n")
     assert main(["verify", str(cfg), str(field)]) == 2
+
+
+POWER_PQ = pathlib.Path(__file__).resolve().parent.parent / "configs" / "power_pq.cfg"
+
+
+@pytest.mark.parametrize(
+    "line, column, message",
+    [(1300, 2, "bad root value 'nan'"), (2, 0, "bad axis value 'nan'")],
+)
+def test_verify_rejects_a_nan_root_or_axis(tmp_path, monkeypatch, capsys, line, column, message):
+    # a resolved point needs a root and a grid point finite coordinates: the
+    # error names the line of the NaN, not the grid's end
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", str(POWER_PQ)]) == 0
+    field = tmp_path / "power_pq_field.csv"
+    lines = field.read_text().splitlines()
+    cols = lines[line - 1].split(",")
+    assert cols[-1] == "resolved"
+    cols[column] = "nan"
+    lines[line - 1] = ",".join(cols)
+    field.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(POWER_PQ), str(field)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
 
 def test_verify_kind_mismatch_exits_2(tmp_path):

@@ -2,13 +2,17 @@ import math
 import os
 import sys
 import tempfile
+from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hjgen import fields
 from hjgen.errors import ConfigError, ConvergenceError, DomainError
 from hjgen.fields import (
+    _STATUS,
     ActionField,
     RootLine,
     SolutionField,
@@ -193,7 +197,12 @@ MALFORMED = {
         "rows are not in row-major grid order",
         5,
     ),
-    "lone NaN axis": ([GOOD[0], "nan,0,1,2,resolved"], "rows are not in row-major grid order", 2),
+    # axis values are finite and a root is not NaN, each checked on its own line
+    "lone NaN axis": ([GOOD[0], "nan,0,1,2,resolved"], "bad axis value 'nan'", 2),
+    "infinite axis 2": (_edit(GOOD, 3, "0,inf,1,2,resolved"), "bad axis value 'inf'", 3),
+    "NaN axis 1 in a big grid": (_edit(_big(), 2, "nan,0,0,1.5,resolved"), "bad axis value 'nan'", 2),
+    "NaN root, resolved": (_edit(GOOD, 3, "0,1,nan,2,resolved"), "bad root value 'nan'", 3),
+    "NaN root, multi_root": (_edit(GOOD, 5, "1,1,-NaN,4,multi_root"), "bad root value '-NaN'", 5),
     "first bad line wins": (
         _edit(_edit(GOOD, 3, "0,1,1,2,solved"), 4, "1,0"), "unknown status 'solved'", 3
     ),
@@ -285,6 +294,143 @@ def test_csv_round_trip_property(field):
     assert type(back) is type(field)
     assert back == field
     assert all(s is t for a, b in zip(back.status, field.status) for s, t in zip(a, b))
+
+
+def _parse_float(token: str, line: int, what: str) -> Optional[float]:
+    if token == "":
+        return None
+    try:
+        return float(token)
+    except ValueError:
+        raise ConfigError(f"bad {what} value {token!r}", line) from None
+
+
+def reference_first_error(lines, is_action: bool) -> None:
+    """Raise the :class:`ConfigError` of the first bad line of a field CSV.
+
+    Reads the data lines one at a time, in order, so the error names the
+    line where a reader going line by line would stop; never builds a field,
+    and ends in ``AssertionError`` on a valid file.  This was the reader's
+    error path, kept verbatim (with :func:`_parse_float`) as the reference.
+    """
+    ncols = 6 if is_action else 5
+    rows = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != ncols:
+            raise ConfigError(
+                f"expected {ncols} columns, found {len(parts)}", lineno
+            )
+        a1 = _parse_float(parts[0], lineno, "axis")
+        a2 = _parse_float(parts[1], lineno, "axis")
+        if a1 is None or a2 is None:
+            raise ConfigError("axis cells must not be empty", lineno)
+        qv = _parse_float(parts[2], lineno, "root")
+        val = _parse_float(parts[3], lineno, "value")
+        if is_action:
+            _parse_float(parts[4], lineno, "momentum")
+        st = _STATUS.get(parts[-1])
+        if st is None:
+            raise ConfigError(f"unknown status {parts[-1]!r}", lineno)
+        present = st in (Status.RESOLVED, Status.MULTI_ROOT)
+        if present != (qv is not None and val is not None):
+            raise ConfigError(f"cell presence inconsistent with status {st.value!r}", lineno)
+        rows.append((lineno, a1, a2))
+    if not rows:
+        raise ConfigError("field file has no data rows", 2)
+    axis1: list[tuple[int, float]] = []  # (line, value) where axis 1 takes a new value
+    for lineno, a1, _ in rows:
+        if not axis1 or axis1[-1][1] != a1:
+            axis1.append((lineno, a1))
+    n1 = len(axis1)
+    if len(rows) % n1 != 0:
+        raise ConfigError("row count does not form a complete grid", len(lines))
+    n2 = len(rows) // n1
+    axis2 = [(lineno, a2) for lineno, _, a2 in rows[:n2]]
+    broken = [
+        line for axis in (axis1, axis2) for (_, a), (line, b) in zip(axis, axis[1:]) if not a < b
+    ]
+    if broken:
+        raise ConfigError("axis values must be strictly increasing", min(broken))
+    for k, (lineno, a1, a2) in enumerate(rows):
+        i, j = divmod(k, n2)
+        if a1 != axis1[i][1] or a2 != axis2[j][1]:
+            raise ConfigError("rows are not in row-major grid order", lineno)
+    raise AssertionError("the line validator accepts a field the block parser rejected")
+
+
+def _outcome(read, *args):
+    # (message, line) of the ConfigError a reader raises, or None when it accepts the lines
+    try:
+        read(*args)
+    except ConfigError as err:
+        return str(err), err.line
+    except AssertionError:  # the reference's end, reached only by a valid file
+        pass
+    return None
+
+
+_BAD_TOKENS = ["x", "0x", "1..2", " 2 x", "--1", "1e", "solved", "resolved "]
+
+
+@st.composite
+def _corrupted(draw):
+    """The lines of a written field, one or two data lines edited to break a
+    rule, and blank lines put between; every number written is finite."""
+    field = draw(_fields())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.csv")
+        write_field_csv(field, path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    number = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g"))
+    edits = ["bad token", "empty", "number", "status", "drop cell", "add cell", "swap", "drop line"]
+    for _ in range(draw(st.integers(1, 2))):
+        if len(lines) == 1:
+            break
+        k = draw(st.integers(1, len(lines) - 1))
+        cells = lines[k].split(",")
+        column = draw(st.integers(0, len(cells) - 1))
+        edit = draw(st.sampled_from(edits))
+        if edit == "bad token":
+            cells[column] = draw(st.sampled_from(_BAD_TOKENS))
+        elif edit == "empty":
+            cells[column] = ""
+        elif edit == "number":
+            cells[column] = draw(number)
+        elif edit == "status":
+            cells[-1] = draw(st.sampled_from(Status)).value
+        elif edit == "drop cell":
+            del cells[column]
+        elif edit == "add cell":
+            cells.insert(column, draw(number))
+        elif edit == "swap":
+            m = draw(st.integers(1, len(lines) - 1))
+            lines[k], lines[m] = lines[m], lines[k]
+            continue
+        else:
+            del lines[k]
+            continue
+        lines[k] = ",".join(cells)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    return lines
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(_corrupted())
+def test_reader_names_the_reference_first_error(lines):
+    is_action = lines[0] == "x,t,q,S,p,status"
+    want = _outcome(reference_first_error, lines, is_action)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.csv")
+        with open(path, "w") as fh:
+            fh.write("".join(f"{raw}\n" for raw in lines))
+        for block in (1, 2, 3, 512):
+            with mock.patch.object(fields, "_BLOCK", block):
+                assert _outcome(read_field_csv, path) == want
 
 
 def test_sweep_warm_start_wiring():

@@ -13,7 +13,10 @@ its solve wrote (``<config name>_field.csv``), and ``hjgen oracle
 free_particle`` and ``harmonic`` on those configs' CSVs with the
 parameters the benchmark passes.  Last it runs ``hjgen diffcheck`` on the
 README's example and on each distinct quoted expression of the configs,
-against x and against q.  Each SEED (a perfbench seed, a non-negative
+against x and against q, and ``hjgen verify`` of ``free_particle.cfg`` on
+damaged copies of its field: each class of malformed line or grid in line
+3 and again in line 1300, past the reader's first block of 512 lines, and
+a few damaged files.  Each SEED (a perfbench seed, a non-negative
 integer) adds the same solves, verifies and oracle checks on the configs
 with their grids shifted as ``perfbench/inputs.py`` shifts them for that
 seed, in a directory of their own.  It compares every file the solves
@@ -46,6 +49,24 @@ ORACLES = {  # oracle name -> its --param arguments, as perfbench passes them
     "harmonic": ["--param", "G=q^2/2"],
 }
 README_DIFFCHECK = ["asin(x/sqrt(q))", "q", "--n", "200", "--seed", "7"]
+DAMAGED_FIELD = "free_particle"  # an action field: x,t,q,S,p,status
+DAMAGED_LINES = (3, 1300)
+CELL_EDITS = {  # a class of malformed line: column -> new text of its cell
+    "bad axis 1": {0: "0x"},
+    "bad axis 2": {1: "1y"},
+    "bad root": {2: "1..2"},
+    "bad value": {3: " 2 x"},
+    "bad momentum": {4: "p"},
+    "empty axis 1": {0: ""},
+    "empty axis 2": {1: ""},
+    "bad axis 2 before empty axis 1": {0: "", 1: "z"},
+    "unknown status": {5: "solved"},
+    "status with a space": {5: "resolved "},
+    "presence, resolved": {2: ""},
+    "presence, no_root": {5: "no_root"},
+    "axis 1 below its first value": {0: "-1"},
+    "axis 2 below its first value": {1: "-1"},
+}
 
 
 def diffchecks(configs: list[Path]) -> list[list[str]]:
@@ -65,6 +86,37 @@ def _perfbench_inputs():
     return inputs
 
 
+def damaged(lines: list[str]) -> dict[str, list[str]]:
+    """Name -> the lines of a damaged copy of a field CSV of six columns,
+    all rows resolved: each class of malformed line or grid at each of
+    ``DAMAGED_LINES``, then damage to the whole file."""
+    out = {}
+    for at in DAMAGED_LINES:
+        k = at - 1
+
+        def replaced(*new: str) -> list[str]:
+            # the lines with line ``at`` and those after it replaced by ``new``
+            return lines[:k] + list(new) + lines[k + len(new) :]
+
+        for name, edit in CELL_EDITS.items():
+            cells = lines[k].split(",")
+            for col, text in edit.items():
+                cells[col] = text
+            out[f"{name}, line {at}"] = replaced(",".join(cells))
+        out[f"truncated row, line {at}"] = replaced(lines[k].rsplit(",", 3)[0])
+        out[f"extra column, line {at}"] = replaced(lines[k] + ",7")
+        out[f"row removed, line {at}"] = lines[:k] + lines[at:]
+        out[f"rows swapped, line {at}"] = replaced(lines[at], lines[k])
+        out[f"first bad line wins, line {at}"] = replaced(
+            lines[k].replace("resolved", "solved"), lines[at].rsplit(",", 1)[0]
+        )
+    out["empty file"] = []
+    out["unknown header"] = ["a,b,c"] + lines[1:]
+    out["header only"] = lines[:1]
+    out["incomplete grid, trailing blanks"] = lines[:-1] + ["", ""]
+    return out
+
+
 def seeded_configs(seed: int) -> dict[str, str]:
     """Config file name -> text, each grid shifted as the benchmark shifts it for ``seed``."""
     return {
@@ -74,17 +126,18 @@ def seeded_configs(seed: int) -> dict[str, str]:
 
 
 def solve_all(
-    src: Path, configs: dict[str, str], work: Path, diffcheck: bool
+    src: Path, configs: dict[str, str], work: Path, shipped: bool
 ) -> dict[str, bytes]:
     """Write ``configs`` (file name -> text) to ``work``; solve, verify and
-    check against the oracles each one, and with ``diffcheck`` run the
-    diffchecks, with the package under ``src``; name -> output bytes."""
+    check against the oracles each one, and for the ``shipped`` configs run
+    the diffchecks and verify the damaged fields, with the package under
+    ``src``; name -> output bytes."""
     for name, text in configs.items():
         (work / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(src))
     out: dict[str, bytes] = {}
 
-    def run(name: str, args: list[str]) -> None:
+    def run(name: str, args: list[str], codes=(0, 1)) -> None:
         proc = subprocess.run(
             [sys.executable, "-m", "hjgen", *args],
             cwd=work, env=env, capture_output=True, check=False,
@@ -92,7 +145,7 @@ def solve_all(
         out[f"{name}: exit code"] = str(proc.returncode).encode()
         out[f"{name}: stdout"] = proc.stdout
         out[f"{name}: stderr"] = proc.stderr
-        if proc.returncode not in (0, 1):
+        if proc.returncode not in codes:
             sys.stderr.write(proc.stderr.decode(errors="replace"))
 
     for name in configs:
@@ -101,9 +154,15 @@ def solve_all(
         run(f"verify {name}", ["verify", name, f"{Path(name).stem}_field.csv"])
     for name, params in ORACLES.items():
         run(f"oracle {name}", ["oracle", name, f"{name}_field.csv", *params])
-    if diffcheck:
+    if shipped:
         for args in diffchecks(sorted(CONFIGS.glob("*.cfg"))):
             run(f"diffcheck {' '.join(args)}", ["diffcheck", *args])
+        field = (work / f"{DAMAGED_FIELD}_field.csv").read_text().splitlines()
+        path = work / "damaged.csv"
+        for name, lines in damaged(field).items():
+            path.write_text("".join(f"{line}\n" for line in lines))
+            run(f"verify damaged {name}", ["verify", f"{DAMAGED_FIELD}.cfg", path.name], (2,))
+        path.unlink()
     for path in sorted(work.iterdir()):
         if path.suffix != ".cfg":
             out[path.name] = path.read_bytes()
@@ -160,10 +219,10 @@ def main(argv: list[str]) -> int:
     results: list[dict[str, bytes]] = [{}, {}]
     with tempfile.TemporaryDirectory() as tmp:
         for k, tree in enumerate(trees):
-            for prefix, texts, diffcheck in runs:
+            for prefix, texts, shipped in runs:
                 work = Path(tmp) / str(k) / (prefix or "shipped")
                 work.mkdir(parents=True)
-                out = solve_all(tree, texts, work, diffcheck)
+                out = solve_all(tree, texts, work, shipped)
                 results[k].update((prefix + name, data) for name, data in out.items())
     old, new = results
     differ = 0
