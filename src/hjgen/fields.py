@@ -1,20 +1,21 @@
 """Grid solution containers, the continuation sweep, the line root solver,
 and CSV serialization.
 
-Every solver's root condition is additive in the grid's second axis (or,
-for scaled_y problems, its first), so a grid line is one t-free function
-inverted at many targets.  :class:`RootLine` scans that function once per
-line and splits the samples' t-free levels into monotone runs, so a
-target's brackets come from a bisection of each run, with the condition
-combined only at the two samples of each crossing; a target within
-rounding of a sample's level takes the full scan instead.  :func:`sweep`
-walks the grid with warm starts and feeds each point a root predicted
-from its row's earlier roots, with Lagrange weights built once per axis.
-A bracket is a (lo, hi, g_lo, g_hi) tuple, and each goes with the line's
-``terms`` and ``combine`` to the float kernel :func:`hjgen.numerics._refine`,
-which probes the predicted root before Brent's method (Brent 1973)
-finishes the bracket; a target with one bracket, as every point of the
-shipped configs has, returns the kernel's root as is.
+On every grid line each solver's root condition says that the target (t,
+y or x) equals a function of the root alone, the line's level, so a grid
+line is one function inverted at many targets.  :class:`RootLine`
+tabulates the level once per line at its scan samples and splits the
+samples into monotone runs, so a target's brackets come from a bisection
+of each run, with g = target - level(q) taken only at the two samples of
+each crossing; a target equal to a sample's level takes the full scan
+instead.  :func:`sweep` walks the grid with warm starts and feeds each
+point a root predicted from its row's earlier roots, with Lagrange weights
+built once per axis.  A bracket is a (lo, hi, g_lo, g_hi) tuple, and each
+goes with the line's level to the float kernel
+:func:`hjgen.numerics._refine`, which probes the predicted root before
+Brent's method (Brent 1973) finishes the bracket; a target with one
+bracket, as every point of the shipped configs has, returns the kernel's
+root as is.
 
 The CSV kernels work on whole columns: :func:`write_field_csv` formats one
 grid row at a time, and :func:`read_field_csv` checks bounded blocks of
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -192,65 +192,51 @@ def sweep(solve: PointSolver, axis1, axis2):
 
 
 class RootLine:
-    """One grid line's root condition, inverted at many targets.
+    """One grid line's root condition, level(q) = target, inverted at many targets.
 
-    Along a grid line every solver's condition is
-    g(q) = combine(terms(q), target): ``terms`` is the line's t-free part,
-    a tuple of floats, and ``combine`` sums the terms and the target (t, y
-    or x), left to right in a fixed order, the target with the sign
-    ``sense`` (+1 or -1).  The scan samples' terms are computed once, at
-    construction, over ``scan_points`` equal intervals of [lo, hi]; a
-    sample that raises :class:`DomainError` or :class:`ConvergenceError`
-    is left out.  :meth:`solve` then finds a target's brackets from the
-    stored terms alone, so g runs only in the refinement.  :meth:`solve`
-    does not change the object.
+    ``level`` is the line's function of the root alone, and a target's
+    condition is g(q) = target - level(q), one subtraction.  The levels of
+    the scan samples, over ``scan_points`` equal intervals of [lo, hi], are
+    computed once, at construction; a sample that raises
+    :class:`DomainError` or :class:`ConvergenceError` is left out.
+    :meth:`solve` then finds a target's brackets from the stored levels
+    alone, so ``level`` runs only in the refinement.  :meth:`solve` does
+    not change the object.
 
-    Each sample's t-free level h_k = -sense * combine(terms_k, 0.0) is the
-    target at which its g vanishes, up to rounding.  The levels are split
-    into monotone runs (adjacent runs share their turning sample, and a
-    flat step stays in the run it extends), and :meth:`brackets` finds a
-    target's crossing of each run by bisection, so a target costs
-    O(runs * log n) comparisons and two ``combine`` calls per bracket, not
-    a ``combine`` per sample.
+    The levels are split into monotone runs (adjacent runs share their
+    turning sample, and a flat step stays in the run it extends), and
+    :meth:`brackets` finds a target's crossing of each run by bisection,
+    so a target costs O(runs * log n) comparisons and two subtractions per
+    bracket, not a subtraction per sample.
     """
 
-    __slots__ = ("terms", "combine", "lo", "hi", "cfg", "samples", "_runs", "_span", "_mass", "_c")
+    __slots__ = ("level", "lo", "hi", "cfg", "samples", "_runs", "_bounds")
 
-    def __init__(self, terms, combine, sense: int, lo: float, hi: float, cfg: SolverConfig):
+    def __init__(self, level, lo: float, hi: float, cfg: SolverConfig):
         if not lo < hi:
             raise ValueError("a root line requires lo < hi")
-        if sense not in (1, -1):
-            raise ValueError("sense must be +1 or -1")
-        self.terms = terms
-        self.combine = combine
+        self.level = level
         self.lo, self.hi, self.cfg = lo, hi, cfg
         self.samples = []
         for q in scan_abscissae(lo, hi, cfg.scan_points):
             try:
-                self.samples.append((q, terms(q)))
+                self.samples.append((q, level(q)))
             except (DomainError, ConvergenceError):
                 pass
+        levels = [h for _, h in self.samples]
         self._runs = None  # no bisection: every target takes the full scan
-        if not self.samples:
-            return
-        levels = [-sense * combine(t, 0.0) for _, t in self.samples]
-        mass = max(sum(map(abs, t)) for _, t in self.samples)
-        if not (math.isfinite(mass) and all(map(math.isfinite, levels))):
-            return
-        self._mass = mass
-        self._span = max(levels) - min(levels)
-        self._c = (len(self.samples[0][1]) + 1) * sys.float_info.epsilon
-        self._runs = _monotone_runs(levels)
+        if levels and all(map(math.isfinite, levels)):
+            self._bounds = min(levels), max(levels)
+            self._runs = _monotone_runs(levels)
 
     def scan(self, target: float) -> list[tuple[float, float]]:
-        """(q, g(q)) at the scan samples, in order, from the stored terms.
+        """(q, g(q)) at the scan samples, in order, from the stored levels.
 
         A sample whose g is NaN is left out, like one that raised.
         """
-        combine = self.combine
         out = []
-        for q, terms in self.samples:
-            v = combine(terms, target)
+        for q, h in self.samples:
+            v = target - h
             if v == v:
                 out.append((q, v))
         return out
@@ -258,51 +244,38 @@ class RootLine:
     def brackets(self, target: float) -> Optional[list[tuple[float, float, float, float]]]:
         """``_crossings(self.scan(target))``, the (lo, hi, g_lo, g_hi) of
         each bracket, by bisection over the monotone runs, or ``None`` when
-        only the full scan can tell.
+        the scan's rules for a zero or for a vanishing g must decide.
 
-        Rounding.  ``combine`` adds n = len(terms) + 1 operands left to
-        right, so its value differs from the exact sum, sense * (t - H_k),
-        by at most gamma (|t| + S_k), where S_k is the sum of |terms_k|,
-        gamma = (n - 1) u / (1 - (n - 1) u) and u = eps / 2 (Higham,
-        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
-        eq. 4.4); the stored level h_k is within gamma S_k of H_k.  Both
-        errors together stay below 2 gamma (|t| + M), M = max_k S_k, which
-        is (n - 1) eps (|t| + M) to first order.  With slack =
-        n eps (|t| + M), the spare eps (|t| + M) covers the roundings of
-        slack and of t - h_k themselves, so |t - h_k| > slack makes
-        combine(terms_k, t) nonzero with the sign of sense * (t - h_k).
-
-        In a monotone run the samples within slack of t are contiguous
-        around t's insertion point, so when neither neighbour of that point
-        is within slack, every sample's sign is known and none is zero:
-        the sign changes are exactly the runs' crossings, each paired as
-        ``_crossings`` pairs it, with both values from ``combine``
-        itself.  The result is ``None`` (the caller scans) when a crossing
-        neighbour lies within slack, when a term, level or the target is
-        not finite, and when the levels span at most
-        2 (resid_tol + slack), where every |g| might be below
-        ``resid_tol``; a wider span leaves some sample with |t - h_k| above
-        resid_tol + slack, so with a computed |g| above ``resid_tol``.
+        The signs are exact.  With gradual underflow the computed t - h is
+        zero only when t == h (D. Goldberg, "What every computer scientist
+        should know about floating-point arithmetic", ACM Computing Surveys
+        23, 1991), rounding keeps its sign, and it never increases as h
+        grows.  So a target equal to no level of a run splits the run, at
+        its insertion point, into samples of one sign and samples of the
+        other, and the crossing is the pair across that point, paired as
+        ``_crossings`` pairs it.  The result is ``None`` (the caller scans)
+        when the target equals a sample's level, when a level or the
+        target is not finite, and when every |t - h_k| <= ``resid_tol``,
+        which the smallest and the largest level decide.
         """
         runs = self._runs
-        if runs is None:
+        if runs is None or not math.isfinite(target):
             return None
-        slack = self._c * (abs(target) + self._mass)
-        if not self._span > 2.0 * (self.cfg.resid_tol + slack):  # also a NaN or inf target
+        h_min, h_max = self._bounds
+        tol = self.cfg.resid_tol
+        if target - h_min <= tol and target - h_max >= -tol:
             return None
-        samples, combine = self.samples, self.combine
+        samples = self.samples
         out = []
         for start, sign, keys in runs:
             key = sign * target
             i = bisect_left(keys, key)
-            if i and key - keys[i - 1] <= slack:
-                return None
             if i < len(keys):
-                if keys[i] - key <= slack:
+                if keys[i] == key:
                     return None
                 if i:
-                    (q1, t1), (q2, t2) = samples[start + i - 1], samples[start + i]
-                    out.append((q1, q2, combine(t1, target), combine(t2, target)))
+                    (q1, h1), (q2, h2) = samples[start + i - 1], samples[start + i]
+                    out.append((q1, q2, target - h1, target - h2))
         return out
 
     def solve(self, target: float, warm: Optional[float] = None, guess=None):
@@ -317,7 +290,7 @@ class RootLine:
         method refines it (:func:`hjgen.numerics._refine`); the slope is
         ``None`` when no bracket was refined.
         """
-        cfg, combine = self.cfg, self.combine
+        cfg, level = self.cfg, self.level
         ref = warm if warm is not None else 0.5 * (self.lo + self.hi)
         brackets = self.brackets(target)
         if brackets is None:
@@ -329,14 +302,13 @@ class RootLine:
             brackets = _crossings(samples)
         if not brackets:
             return None, Status.NO_ROOT, None
-        terms = self.terms
         try:
             if len(brackets) == 1:
                 lo, hi, g_lo, g_hi = brackets[0]
-                root, slope = _refine(terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg)
+                root, slope = _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg)
                 return root, Status.RESOLVED, slope
             found = sorted(
-                [_refine(terms, combine, target, *br, guess, cfg) for br in brackets],
+                [_refine(level, target, *br, guess, cfg) for br in brackets],
                 key=lambda r: r[0],
             )
         except (DomainError, ConvergenceError):
@@ -405,8 +377,8 @@ def read_field_csv(path: str):
     """Load a field CSV produced by :func:`write_field_csv`.
 
     Checks the schema, the presence rule (numeric cells filled exactly for
-    resolved / multi_root rows), finite axis values, roots that are not NaN
-    and the row-major grid, in blocks of ``_BLOCK`` rows (:func:`_columns`).
+    resolved / multi_root rows), finite axis values, roots and momenta, and
+    the row-major grid, in blocks of ``_BLOCK`` rows (:func:`_columns`).
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -465,10 +437,7 @@ def _columns(rows, ncols: int) -> list[list]:
 def _axis_floats(col) -> dict[str, float]:
     # an axis column repeats a few distinct strings, so each nonempty one is parsed once
     texts = list(set(col).difference(("",)))
-    floats = dict(zip(texts, _cell_floats(texts, "axis")))
-    if not all(map(math.isfinite, floats.values())):
-        raise ValueError(f"bad axis value {col[-1]!r}")
-    return floats
+    return dict(zip(texts, _cell_floats(texts, "axis")))
 
 
 def _cell_floats(col, what: str) -> list[Optional[float]]:
@@ -476,8 +445,9 @@ def _cell_floats(col, what: str) -> list[Optional[float]]:
         floats = [float(c) if c else None for c in col]
     except ValueError:
         raise ValueError(f"bad {what} value {col[-1]!r}") from None
-    if what == "root" and not all(map(operator.eq, floats, floats)):  # NaN != NaN
-        raise ValueError(f"bad root value {col[-1]!r}")
+    # a filled cell other than a value is finite (filter drops None and zeros)
+    if what != "value" and not all(map(math.isfinite, filter(None, floats))):
+        raise ValueError(f"bad {what} value {col[-1]!r}")
     return floats
 
 

@@ -22,14 +22,15 @@ S = integral of sqrt((E - V)/a) from x0 to x plus E t, in which t enters
 only through E t.
 
 Time enters g only additively, and the clipped scan range depends on x
-alone, so each x row is one t-free root condition inverted at every t of
-the row (:class:`~hjgen.fields.RootLine`): :func:`solve_grid` computes the
-row's scan samples once, each point finds its brackets by bisection over
-the samples' t-free levels without evaluating g, and g runs only to
-refine a bracket.  The refinement starts
-from a root predicted by extrapolating the row's earlier roots along t
-and probed from both sides, and Brent's method finishes it; most points of
-the shipped configs take three quadratures.
+alone, so on each x row g = 0 says t = t_at(q), a function of q alone
+(:meth:`_RowTable.t_at`), and the row is one
+:class:`~hjgen.fields.RootLine` inverting it at every t of the row:
+:func:`solve_grid` tabulates t_at at the row's scan samples once, each
+point finds its brackets by bisection over those levels, and t_at runs
+again only to refine a bracket.  The refinement starts from a root
+predicted by extrapolating the row's earlier roots along t and probed
+from both sides, and Brent's method finishes it; most points of the
+shipped configs take three quadratures.
 
 The action at a root is taken by parts: integrating x' dp/dx' in F gives
 the complete-integral form (Courant & Hilbert, *Methods of Mathematical
@@ -86,7 +87,9 @@ __all__ = [
 
 @dataclass
 class HJProblem:
-    """One Hamilton-Jacobi problem; immutable once constructed.
+    """One Hamilton-Jacobi problem.  Its fields do not change after
+    construction; it caches a and V at x0 (``_x0_coefficients``) and its
+    last row table (``_last_row``).
 
     kinetic   -- a(x), must be positive wherever evaluated
     potential -- V(x)
@@ -236,8 +239,8 @@ class _RowTable:
         self._panels: dict = {(self.lo, self.hi): []}
         self._momentum: dict = {}  # q -> momentum integral
 
-    def terms(self, q: float):
-        """The t-free pieces (G'(q), integral of dp/dq, x0 dp/dq(x0, q)) of g."""
+    def t_at(self, q: float) -> float:
+        """The t at which q is a root: G'(q) - integral of dp/dq - x0 dp/dq(x0, q)."""
         prob = self.prob
         g_slope = prob._gp_fn(q)
         margin = prob.margin(q)
@@ -246,7 +249,7 @@ class _RowTable:
         gap = q - v
         if gap < margin:
             raise DomainError("momentum argument below admissibility margin", where=prob.x0)
-        return g_slope, integral, prob.x0 * (prob.sigma / (2.0 * math.sqrt(a * gap)))
+        return g_slope - integral - prob.x0 * (prob.sigma / (2.0 * math.sqrt(a * gap)))
 
     def momentum_integral(self, q: float) -> float:
         """Integral of p(s, q) over s from x0 to x.
@@ -352,16 +355,7 @@ def constraint(
 
         integral = integrate_adaptive(dq_integrand, prob.x0, x, cfg.quad_tol)
         return integral + g_slope - t - x * momentum_partials(prob, x, q)[1]
-    return _combine(_row_table(prob, x, cfg.quad_tol).terms(q), t)
-
-
-def _combine(terms, t: float) -> float:
-    # left to right with t second: the rounding, so every root, depends on it
-    g_slope, integral, base = terms
-    return g_slope - t - integral - base
-
-
-_SENSE = -1  # t enters _combine subtracted
+    return _row_table(prob, x, cfg.quad_tol).t_at(q) - t
 
 
 def _potential_ceiling(prob: HJProblem, x: float) -> float:
@@ -386,7 +380,7 @@ def _root_line(row: _RowTable, q_lo: float, q_hi: float, cfg: SolverConfig) -> O
     The range [q_lo, q_hi] is clipped above the potential ceiling plus the
     admissibility margin; ``None`` (a domain failure of every point of the
     row) when the clipped range is empty or the ceiling raises.  The line's
-    t-free terms are :meth:`_RowTable.terms` of ``row``.
+    level is :meth:`_RowTable.t_at` of ``row``.
     """
     try:
         ceiling = _potential_ceiling(row.prob, row.x)
@@ -395,7 +389,7 @@ def _root_line(row: _RowTable, q_lo: float, q_hi: float, cfg: SolverConfig) -> O
     lo = _scan_floor(row.prob, ceiling, q_lo)
     if not lo < q_hi:
         return None
-    return RootLine(row.terms, _combine, _SENSE, lo, q_hi, cfg)
+    return RootLine(row.t_at, lo, q_hi, cfg)
 
 
 def solve_point(

@@ -5,15 +5,17 @@ All operations are pure.  Functions passed in may raise
 quadrature propagates it.  The bracket scan itself lives in
 :class:`hjgen.fields.RootLine`, which samples at :func:`scan_abscissae`
 and finds most targets' brackets by bisection over the samples' monotone
-runs; :func:`_crossings` pairs the samples when rounding could decide a
-sign, and is the definition that bisection reproduces.
+runs; :func:`_crossings` pairs the samples where bisection cannot (a
+target on a sample's level, a non-finite level, a condition within
+``resid_tol`` of zero at every sample), and is the definition that
+bisection reproduces.
 
 Every grid point's root is refined by one kernel on plain floats,
-:func:`_refine`: the condition is evaluated as ``combine(terms(q),
-target)`` straight from the grid line's parts, up to two probes at a
-predicted root narrow the (lo, hi, g_lo, g_hi) bracket, and Brent's
-method (:func:`_brent`) finishes it, with no closure, bracket object or
-frame beyond ``terms`` and ``combine`` between the loop and an evaluation.
+:func:`_refine`: the condition is evaluated as ``target - level(q)``
+straight from the grid line's level, up to two probes at a predicted root
+narrow the (lo, hi, g_lo, g_hi) bracket, and Brent's method
+(:func:`_brent`) finishes it, with no closure, bracket object or frame
+beyond ``level`` between the loop and an evaluation.
 
 Quadrature is nested tanh-sinh (H. Takahasi and M. Mori, "Double
 exponential formulas for numerical integration", Publ. RIMS 9, 1974):
@@ -211,8 +213,8 @@ def _crossings(samples) -> list[tuple[float, float, float, float]]:
 _OVERSHOOT = 0.1
 
 
-def _refine(terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg):
-    """Root of g(q) = combine(terms(q), target) in the bracket [lo, hi] with
+def _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg):
+    """Root of g(q) = target - level(q) in the bracket [lo, hi] with
     g(lo) = g_lo and g(hi) = g_hi, and the slope of g there.
 
     The kernel of every grid point's root, on plain floats.  With a
@@ -237,7 +239,7 @@ def _refine(terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg):
             if not lo < p < hi:
                 break
             try:
-                v = combine(terms(p), target)
+                v = target - level(p)
             except (DomainError, ConvergenceError):
                 break
             seen.append((p, v))
@@ -254,7 +256,7 @@ def _refine(terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg):
                 break
             p -= (1.0 + _OVERSHOOT) * v / slope
     if root is None:
-        root = _brent(terms, combine, target, lo, g_lo, hi, g_hi, cfg, seen)
+        root = _brent(level, target, lo, g_lo, hi, g_hi, cfg, seen)
     q1, v1 = seen[-1]
     limit = 1.5e-8 * (1.0 + abs(q1))
     for k in range(len(seen) - 2, -1, -1):
@@ -264,8 +266,8 @@ def _refine(terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg):
     return root, None
 
 
-def _brent(terms, combine, target, a, fa, b, fb, cfg, seen):
-    """Root of g(q) = combine(terms(q), target) in [a, b], fa = g(a) and
+def _brent(level, target, a, fa, b, fb, cfg, seen):
+    """Root of g(q) = target - level(q) in [a, b], fa = g(a) and
     fb = g(b), by Brent's method (R. P. Brent, *Algorithms for Minimization
     without Derivatives*, 1973, ch. 4), which never leaves the bracket.
 
@@ -316,7 +318,7 @@ def _brent(terms, combine, target, a, fa, b, fb, cfg, seen):
             d = e = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = combine(terms(b), target)
+        fb = target - level(b)
         seen.append((b, fb))
         if abs(fb) <= resid_tol:
             return b

@@ -25,12 +25,12 @@ One global sign convention is used throughout: the constraint returned by
 a stationarity condition and the PDE identities u_x, u_y follow wherever a
 root is found.
 
-The condition is additive in s, so :func:`solve_grid` solves each grid line
-(each x row, or each y column for scaled_y) as one
-:class:`~hjgen.fields.RootLine`, with H(l) evaluated once per line and the
-scan samples computed once per line; a point finds its brackets by
-bisection over the samples' s-free levels and evaluates the condition only
-to refine them.
+The condition says s = phi'(r) - H(l) G'(r), a function of the root alone
+on each grid line, so :func:`solve_grid` solves each grid line (each x row,
+or each y column for scaled_y) as one :class:`~hjgen.fields.RootLine`
+inverting that level, with H(l) evaluated once per line and the level
+tabulated once per line at the scan samples; a point finds its brackets by
+bisection over those levels and evaluates the level only to refine them.
 """
 
 from __future__ import annotations
@@ -131,20 +131,16 @@ class PQProblem:
         return lambda y, d1, d2: d1 - h_slope * g(d2)
 
 
-def _line_terms(prob: PQProblem, h: float):
-    """The s-free terms of the root condition on a line where H = ``h``,
-    as a function of the root; :func:`_combine` adds the target s."""
+def _line_level(prob: PQProblem, h: float):
+    """The level phi'(q) - h G'(q) of the line where H = ``h``, the target s
+    at which q is a root, as a function of q; G' runs first."""
     g_slope, phi_slope = prob._gp_fn, prob._phip_fn
-    return lambda q: (h * g_slope(q), phi_slope(q))
 
+    def level(q):
+        slope_term = h * g_slope(q)
+        return phi_slope(q) - slope_term
 
-def _combine(terms, target: float) -> float:
-    # the shipped operand order: slope term + target - phi'(q)
-    slope_term, phi_slope = terms
-    return slope_term + target - phi_slope
-
-
-_SENSE = 1  # the target enters _combine added
+    return level
 
 
 def _value(prob: PQProblem, h: float, s: float, q: float) -> float:
@@ -163,7 +159,7 @@ def constraint(prob: PQProblem, x: float, y: float, q: float) -> float:
     For scaled_y problems ``q`` is the momentum-like root variable p.
     """
     v, target = _line(prob, x, y)
-    return _combine(_line_terms(prob, prob._ratio_fn(v))(q), target)
+    return target - _line_level(prob, prob._ratio_fn(v))(q)
 
 
 def solution_value(prob: PQProblem, x: float, y: float, q: float) -> float:
@@ -179,7 +175,7 @@ def _root_line(prob: PQProblem, v: float, q_lo: float, q_hi: float, cfg: SolverC
         h = prob._ratio_fn(v)
     except DomainError:
         return None
-    return h, RootLine(_line_terms(prob, h), _combine, _SENSE, q_lo, q_hi, cfg)
+    return h, RootLine(_line_level(prob, h), q_lo, q_hi, cfg)
 
 
 def solve_point(

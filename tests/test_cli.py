@@ -206,6 +206,40 @@ def test_verify_rejects_a_nan_root_or_axis(tmp_path, monkeypatch, capsys, line, 
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
 
+FREE_PARTICLE = POWER_PQ.with_name("free_particle.cfg")
+
+
+@pytest.mark.parametrize(
+    "config, column, text, message",
+    [
+        (POWER_PQ, 2, "inf", "bad root value 'inf'"),
+        (FREE_PARTICLE, 4, "nan", "bad momentum value 'nan'"),
+    ],
+    ids=["inf_root", "nan_momentum"],
+)
+def test_verify_and_oracle_reject_a_non_finite_root_or_momentum(
+    tmp_path, monkeypatch, capsys, config, column, text, message
+):
+    # a filled root or momentum cell must be finite: verify, and oracle on
+    # an action field, exit 2 naming the cell's line
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", str(config)]) == 0
+    field = tmp_path / f"{config.stem}_field.csv"
+    lines = field.read_text().splitlines()
+    cols = lines[1299].split(",")
+    assert cols[-1] == "resolved"
+    cols[column] = text
+    lines[1299] = ",".join(cols)
+    field.write_text("\n".join(lines) + "\n")
+    commands = [["verify", str(config), str(field)]]
+    if config == FREE_PARTICLE:
+        commands.append(["oracle", "free_particle", str(field), "--param", "a=1", "--param", "C=1"])
+    capsys.readouterr()
+    for args in commands:
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: line 1300: {message}\n"
+
+
 def test_verify_kind_mismatch_exits_2(tmp_path):
     pq_cfg = tmp_path / "lin.cfg"
     pq_field = tmp_path / "f.csv"

@@ -25,8 +25,9 @@ from hjgen.fields import (
 from hjgen.numerics import SolverConfig, _brent, _crossings, _refine, scan_abscissae
 
 
-def _value(v, _target):
-    return v
+def _brent_on(g, lo, hi, g_lo, g_hi, cfg):
+    # the kernel's Brent loop on g itself: target 0 and the level -g
+    return _brent(lambda q: -g(q), 0.0, lo, g_lo, hi, g_hi, cfg, [])
 
 
 def test_check_axis():
@@ -197,12 +198,22 @@ MALFORMED = {
         "rows are not in row-major grid order",
         5,
     ),
-    # axis values are finite and a root is not NaN, each checked on its own line
+    # axis values and roots are finite, each checked on its own line
     "lone NaN axis": ([GOOD[0], "nan,0,1,2,resolved"], "bad axis value 'nan'", 2),
     "infinite axis 2": (_edit(GOOD, 3, "0,inf,1,2,resolved"), "bad axis value 'inf'", 3),
     "NaN axis 1 in a big grid": (_edit(_big(), 2, "nan,0,0,1.5,resolved"), "bad axis value 'nan'", 2),
     "NaN root, resolved": (_edit(GOOD, 3, "0,1,nan,2,resolved"), "bad root value 'nan'", 3),
     "NaN root, multi_root": (_edit(GOOD, 5, "1,1,-NaN,4,multi_root"), "bad root value '-NaN'", 5),
+    # a filled root or momentum is finite too; a value may be infinite
+    "infinite root": (_edit(GOOD, 3, "0,1,inf,2,resolved"), "bad root value 'inf'", 3),
+    "overflowing root": (_edit(GOOD, 4, "1,0,-1e999,2,resolved"), "bad root value '-1e999'", 4),
+    "NaN momentum": (_edit(GOOD_ACTION, 3, "0,1,1,2,nan,resolved"), "bad momentum value 'nan'", 3),
+    "infinite momentum": (
+        _edit(GOOD_ACTION, 2, "0,0,1,2,-Infinity,resolved"), "bad momentum value '-Infinity'", 2
+    ),
+    "infinite momentum, no_root": (
+        _edit(GOOD_ACTION, 3, "0,1,,,inf,no_root"), "bad momentum value 'inf'", 3
+    ),
     "first bad line wins": (
         _edit(_edit(GOOD, 3, "0,1,1,2,solved"), 4, "1,0"), "unknown status 'solved'", 3
     ),
@@ -245,10 +256,11 @@ def test_read_skips_blank_lines_between_rows(tmp_path):
     assert read_field_csv(str(big_spaced)) == read_field_csv(str(big))
 
 
-def _floats():
-    # 17-digit, tiny, subnormal, negative and signed-zero values, and infinities
+def _floats(infinite: bool):
+    # 17-digit, tiny, subnormal, negative and signed-zero values, and
+    # infinities when ``infinite`` (a root or momentum must be finite)
     return st.one_of(
-        st.floats(allow_nan=False),
+        st.floats(allow_nan=False, allow_infinity=infinite),
         st.sampled_from([0.1, 1 / 3, -2 / 7, 5e-324, -5e-324, 2.2250738585072014e-308, -0.0]),
     )
 
@@ -261,12 +273,12 @@ def _fields(draw):
     ax2 = sorted(draw(st.lists(finite, min_size=n2, max_size=n2, unique=True)))
     status = [[draw(st.sampled_from(Status)) for _ in ax2] for _ in ax1]
 
-    def cells(present_only):
+    def cells(present_only, infinite=False):
         # values at resolved / multi_root points; elsewhere None, or, for the
         # momentum column, which has no presence rule, a value or None
         return [
             [
-                draw(_floats())
+                draw(_floats(infinite))
                 if s in (Status.RESOLVED, Status.MULTI_ROOT)
                 or (not present_only and draw(st.booleans()))
                 else None
@@ -275,7 +287,7 @@ def _fields(draw):
             for row in status
         ]
 
-    q, value = cells(True), cells(True)
+    q, value = cells(True), cells(True, infinite=True)
     if draw(st.booleans()):
         return ActionField(tuple(ax1), tuple(ax2), q, value, status, cells(False))
     return SolutionField(tuple(ax1), tuple(ax2), q, value, status)
@@ -503,8 +515,7 @@ def reference_point(g, lo, hi, cfg, warm):
         return ref, Status.MULTI_ROOT
     try:
         roots = sorted(
-            _brent(g, _value, None, b_lo, g_lo, b_hi, g_hi, cfg, [])
-            for b_lo, b_hi, g_lo, g_hi in _crossings(samples)
+            _brent_on(g, *br, cfg) for br in _crossings(samples)
         )
     except (DomainError, ConvergenceError):
         return None, Status.DOMAIN_FAIL
@@ -556,12 +567,12 @@ def _lines(draw):
 def test_line_solver_matches_point_reference(case):
     h, lo, hi, n, targets = case
     cfg = SolverConfig(scan_points=n)
-    line = RootLine(lambda q: (h(q),), lambda terms, t: terms[0] - t, -1, lo, hi, cfg)
+    line = RootLine(h, lo, hi, cfg)
     q, status = sweep(lambda i, j, warm, guess: line.solve(targets[j], warm, guess),
                       [0.0], targets)
     warm = None
     for j, t in enumerate(targets):
-        g = lambda v, t=t: h(v) - t
+        g = lambda v, t=t: t - h(v)
         want, want_status = reference_point(g, lo, hi, cfg, warm)
         # conditioning: one sign change per coarse bracket, and a slope that
         # turns the resid_tol stop into a root error far below 1e-10
@@ -579,33 +590,28 @@ def test_line_solver_matches_point_reference(case):
 
 # --- brackets by bisection, against the full scan -------------------------
 
-_COMBINES = {
-    1: lambda terms, t: terms[0] + t - terms[1],  # the pq operand order
-    -1: lambda terms, t: terms[0] - t - terms[1] - terms[2],  # the hj operand order
-}
-
-
-def _terms_of(level, wobble, sense):
-    """Terms whose combine is sense * (t - level(q)), up to rounding."""
-    if sense == 1:
-        return lambda q: (wobble(q), level(q) + wobble(q))
-    return lambda q: (level(q) + 2.0 * wobble(q), wobble(q), wobble(q))
-
-
 def reference_brackets(line, target):
-    """Every stored sample combined with the target, then paired, as the
+    """Every stored level taken from the target, then paired, as the
     (lo, hi, g_lo, g_hi) tuples :meth:`RootLine.brackets` returns."""
     return _crossings(line.scan(target))
 
 
-def _levels(line, sense):
-    return [-sense * line.combine(terms, 0.0) for _, terms in line.samples]
+def scan_decides(line, target):
+    """Whether :meth:`RootLine.brackets` leaves ``target`` to the full scan:
+    the target equals a sample's level, a level or the target is not
+    finite, or every |target - level| is within resid_tol."""
+    levels = [h for _, h in line.samples]
+    return (
+        target in levels
+        or not all(map(math.isfinite, levels + [target]))
+        or all(abs(target - h) <= line.cfg.resid_tol for h in levels)
+    )
 
 
 @st.composite
 def _bracket_lines(draw):
-    """(line, sense, targets): a line of one of several shapes, and targets
-    that include exact sample levels and their neighbouring floats."""
+    """(line, targets): a line of one of several shapes, and targets that
+    include exact sample levels and their neighbouring floats."""
     lo = draw(st.floats(-5.0, 5.0))
     hi = lo + draw(st.floats(0.5, 10.0))
     mid = 0.5 * (lo + hi)
@@ -628,7 +634,7 @@ def _bracket_lines(draw):
             (lambda q: max(-1.0, min(1.0, 3.0 * (q - mid) / (hi - lo))))
             if ramp else (lambda q: float(math.floor(steps * (q - lo) / (hi - lo))))
         )
-    else:  # a NaN, an infinite term or a domain error over part of the line
+    else:  # a NaN, an infinite level or a domain error over part of the line
         hole = draw(st.sampled_from((math.nan, math.inf, -math.inf, "raise")))
         cut = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
 
@@ -639,43 +645,52 @@ def _bracket_lines(draw):
                 raise DomainError("hole")
             return hole
     scale = draw(st.sampled_from((0.0, 1.0, 1e3)))
-    wobble = lambda q: scale * math.cos(3.0 * q)
-    sense = draw(st.sampled_from((1, -1)))
-    n = draw(st.integers(2, 40))
-    line = RootLine(_terms_of(level, wobble, sense), _COMBINES[sense], sense, lo, hi,
-                    SolverConfig(scan_points=n))
-    levels = [h for h in _levels(line, sense) if math.isfinite(h)] or [0.0]
+    cfg = SolverConfig(
+        scan_points=draw(st.integers(2, 40)), resid_tol=draw(st.sampled_from((1e-12, 0.1)))
+    )
+    line = RootLine(lambda q: level(q) + scale * math.cos(3.0 * q), lo, hi, cfg)
+    levels = [h for _, h in line.samples if math.isfinite(h)] or [0.0]
     t_lo, t_hi = min(levels) - 0.5, max(levels) + 0.5
     targets = draw(st.lists(st.floats(t_lo, t_hi), max_size=12))
     for h in draw(st.lists(st.sampled_from(levels), max_size=6)):
         targets += [h, math.nextafter(h, math.inf), math.nextafter(h, -math.inf)]
     targets += draw(st.lists(st.sampled_from((math.inf, -math.inf, math.nan)), max_size=1))
-    return line, sense, targets
+    return line, targets
 
 
 @settings(deadline=None, database=None, max_examples=300)
 @given(_bracket_lines())
 def test_bisection_brackets_equal_the_full_scan(case):
-    line, sense, targets = case
-    levels = _levels(line, sense)
+    line, targets = case
     for t in targets:
         got = line.brackets(t)
-        if t in levels:  # a target on a sample's level: only the scan can tell
+        if scan_decides(line, t):
             assert got is None
-        if got is not None:
+        else:
             assert got == reference_brackets(line, t)
 
 
 def test_bisection_brackets_on_a_wave_without_fallback():
     # sin over [0, 3 pi] in four runs: two crossings below 0, four above
-    lo, hi = 0.0, 3.0 * math.pi
-    for sense in (1, -1):
-        line = RootLine(_terms_of(math.sin, math.cos, sense), _COMBINES[sense], sense, lo, hi,
-                        SolverConfig(scan_points=37))
-        for t, crossings in ((-0.93, 2), (-0.4, 2), (0.1, 4), (0.77, 4)):
-            got = line.brackets(t)
-            assert got is not None and len(got) == crossings
-            assert got == reference_brackets(line, t)
+    line = RootLine(math.sin, 0.0, 3.0 * math.pi, SolverConfig(scan_points=37))
+    for t, crossings in ((-0.93, 2), (-0.4, 2), (0.1, 4), (0.77, 4)):
+        got = line.brackets(t)
+        assert got is not None and len(got) == crossings
+        assert got == reference_brackets(line, t)
+
+
+def test_neighbours_of_a_sample_level_bisect_without_the_scan():
+    # the floats next to a sample's level differ from it, so every sign is
+    # exact and bisection pairs them; only the level itself takes the scan
+    for level, lo, hi, n in ((lambda q: q - 0.4, 0.0, 10.0, 24), (math.sin, 0.0, 3.0 * math.pi, 37)):
+        line = RootLine(level, lo, hi, SolverConfig(scan_points=n))
+        levels = [h for _, h in line.samples]
+        for h in levels[1:-1]:
+            assert line.brackets(h) is None
+            for t in (math.nextafter(h, -math.inf), math.nextafter(h, math.inf)):
+                if t not in levels:  # the wave's mirrored samples hold some
+                    got = line.brackets(t)
+                    assert got is not None and got == reference_brackets(line, t)
 
 
 def test_linear_pq_tie_takes_the_full_scan():
@@ -685,15 +700,10 @@ def test_linear_pq_tie_takes_the_full_scan():
 
     prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
     cfg = SolverConfig(root_tol=1e-12, resid_tol=1e-12, scan_points=24)
-    line = RootLine(pq._line_terms(prob, 0.2), pq._combine, pq._SENSE, 0.0, 10.0, cfg)
+    line = RootLine(pq._line_level(prob, 0.2), 0.0, 10.0, cfg)
     assert line.brackets(0.85) is None
     assert reference_brackets(line, 0.85) == [(0.8333333333333334, 1.25, 0.41666666666666663, 0.0)]
     assert line.solve(0.85)[:2] == (1.25, Status.RESOLVED)
-
-
-def test_root_line_sense_is_plus_or_minus_one():
-    with pytest.raises(ValueError):
-        RootLine(lambda q: (q,), _COMBINES[-1], 0, 0.0, 1.0, SolverConfig())
 
 
 # --- the sweep's predictor, against per-point Lagrange weights ------------
@@ -887,33 +897,30 @@ def _refine_cases(draw):
     kind = draw(st.sampled_from(("monotone", "tanh", "step", "wave")))
     if kind == "monotone":
         a, b = draw(st.floats(1e-3, 1e3)), draw(st.floats(0.0, 10.0))
-        level = lambda q: a * (q - root) + b * (q - root) ** 3
+        shape = lambda q: a * (q - root) + b * (q - root) ** 3
     elif kind == "tanh":
         a, b = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-2, 1e4))
-        level = lambda q: a * math.tanh(b * (q - root))
+        shape = lambda q: a * math.tanh(b * (q - root))
     elif kind == "step":
         a, b = draw(st.floats(1e-6, 1e6)), draw(st.floats(1e-6, 1e6))
-        level = lambda q: -a if q < root else b
+        shape = lambda q: -a if q < root else b
     else:
         a, k = draw(st.floats(0.1, 3.0)), draw(st.floats(0.5, 20.0))
-        level = lambda q: (q - root) + a * math.sin(k * (q - root))
+        shape = lambda q: (q - root) + a * math.sin(k * (q - root))
     sign = draw(st.sampled_from((1.0, -1.0)))
     target = draw(st.sampled_from((0.0, 1.0, -3.5)))
     hole = draw(st.sampled_from((None, "domain", "convergence", "nan")))
     centre = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
     width = draw(st.floats(0.01, 0.3)) * (hi - lo)
 
-    def terms(q):
+    def level(q):
         if hole is not None and abs(q - centre) <= width:
             if hole == "domain":
                 raise DomainError("hole", where=q)
             if hole == "convergence":
                 raise ConvergenceError("hole")
-            return (math.nan,)
-        return (sign * level(q) + target,)
-
-    def combine(t, target):
-        return t[0] - target
+            return math.nan
+        return target - sign * shape(q)
 
     cfg = SolverConfig(
         root_tol=draw(st.sampled_from((1e-12, 1e-6))),
@@ -923,9 +930,9 @@ def _refine_cases(draw):
     ends = []
     for q in (lo, hi):
         try:
-            ends.append(combine(terms(q), target))
+            ends.append(target - level(q))
         except (DomainError, ConvergenceError):
-            ends.append(sign * level(q))
+            ends.append(sign * shape(q))
     g_lo, g_hi = ends
     small = draw(st.sampled_from((None, None, None, "lo", "hi")))  # an end within resid_tol of 0
     tiny = draw(st.sampled_from((0.0, 0.5, 1.0))) * cfg.resid_tol
@@ -949,21 +956,21 @@ def _refine_cases(draw):
             st.floats(-1e4, 1e4, allow_nan=False),
         ))
         guess = (p, slope)
-    return terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg
+    return level, target, lo, hi, g_lo, g_hi, guess, cfg
 
 
-def _assert_kernel_matches(terms, combine, target, lo, hi, g_lo, g_hi, guess, cfg):
+def _assert_kernel_matches(level, target, lo, hi, g_lo, g_hi, guess, cfg):
     calls = []
 
     def logged(q):
         calls.append(q)
-        return terms(q)
+        return level(q)
 
-    got = _refine_outcome(_refine, logged, combine, target, lo, hi, g_lo, g_hi, guess, cfg)
+    got = _refine_outcome(_refine, logged, target, lo, hi, g_lo, g_hi, guess, cfg)
     got_calls, calls[:] = calls[:], []
     want = _refine_outcome(
         reference_refine,
-        lambda q: combine(logged(q), target),
+        lambda q: target - logged(q),
         (lo, hi, g_lo, g_hi),
         guess,
         cfg,
@@ -982,11 +989,10 @@ def test_refine_kernel_slope_after_a_nan_probe():
     # the bracket is within root_tol, so Brent's method returns without an
     # evaluation, and the NaN probe is the last evaluation the slope sees
     cfg = SolverConfig(root_tol=1e-6)
-    terms = lambda q: (math.nan if q == 0.5e-6 else q - 0.3e-6,)
-    combine = lambda t, target: t[0] - target
+    level = lambda q: math.nan if q == 0.5e-6 else 0.3e-6 - q
     for guess in ((0.5e-6, 1.0), (0.5e-6, 0.0), (2e-6, 1.0), None):
-        _assert_kernel_matches(terms, combine, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, guess, cfg)
-    root, slope = _refine(terms, combine, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, (0.5e-6, 1.0), cfg)
+        _assert_kernel_matches(level, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, guess, cfg)
+    root, slope = _refine(level, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, (0.5e-6, 1.0), cfg)
     assert root == 0.0 and math.isnan(slope)
 
 
@@ -998,7 +1004,7 @@ def test_brent_runs_the_reference_loop():
         cfg = SolverConfig(max_iter=max_iter)
         lo, hi, g_lo, g_hi = br = (0.0, 1.0, g(0.0), g(1.0))
         got, want = [], []
-        traced = lambda q: got.append(q) or g(q)
-        got_out = _refine_outcome(_brent, traced, _value, None, lo, g_lo, hi, g_hi, cfg, [])
+        level = lambda q: got.append(q) or -g(q)  # at target 0, g itself
+        got_out = _refine_outcome(_brent, level, 0.0, lo, g_lo, hi, g_hi, cfg, [])
         want_out = _refine_outcome(reference_brent, lambda q: want.append(q) or g(q), br, cfg)
         assert got_out == want_out and repr(got) == repr(want)

@@ -141,10 +141,10 @@ def test_base_point_coefficients_once_per_problem(monkeypatch):
 
     monkeypatch.setattr(hj, "_coefficients", counting)
     row = hj._RowTable(prob, 0.7, CFG.quad_tol)
-    first = row.terms(2.0)  # fills the row's levels
+    first = row.t_at(2.0)  # fills the row's levels
     calls.clear()
     for _ in range(3):  # the same q reuses those levels: no node is evaluated
-        assert row.terms(2.0) == first
+        assert row.t_at(2.0) == first
     assert calls[0.2] == 0  # nor a and V at x0 for the base-point term
     # a(x0) = 0: construction succeeds, every evaluation raises
     bad = hj.HJProblem("x", "0", "q", sigma=1, x0=0.0)
@@ -295,7 +295,7 @@ def test_calls_without_a_row_share_the_problem_row_table(monkeypatch):
     prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0)
     x, q = 0.7, 2.0
     ts = axis(0.0, 0.4, 41)
-    want_g = [hj._combine(hj._RowTable(prob, x, CFG.quad_tol).terms(q), t) for t in ts]
+    want_g = [hj._RowTable(prob, x, CFG.quad_tol).t_at(q) - t for t in ts]
     want_s = [hj._action(hj._RowTable(prob, x, CFG.quad_tol), t, q) for t in ts]
     correction = reference_correction_integral(prob, x, q, CFG.quad_tol) + prob.generator_at(q)
     for t, s in zip(ts, want_s):
@@ -324,7 +324,7 @@ def test_calls_alternating_tolerances_match_fresh_tables():
     for cfg in cfgs:
         row = hj._RowTable(prob, x, cfg.quad_tol)
         want[cfg.quad_tol] = (
-            hj._combine(row.terms(q), t),
+            row.t_at(q) - t,
             hj._action(row, t, q),
             prob.sigma * hj._RowTable(prob, x, cfg.quad_tol).momentum_integral(1.0) + 1.0 * t,
         )
@@ -530,13 +530,13 @@ def test_grid_cases_reach_clipped_rows_and_failing_samples():
 def test_scan_samples_evaluated_once_per_row(monkeypatch, n_t):
     xs, q_range = axis(0.15, 0.45, 5), (0.05, 6.0)
     quads = collections.Counter()  # (row x, q) of every root-condition evaluation
-    real_terms = hj._RowTable.terms
+    real_t_at = hj._RowTable.t_at
 
-    def counting_terms(row, q):
+    def counting_t_at(row, q):
         quads[(row.x, q)] += 1
-        return real_terms(row, q)
+        return real_t_at(row, q)
 
-    monkeypatch.setattr(hj._RowTable, "terms", counting_terms)
+    monkeypatch.setattr(hj._RowTable, "t_at", counting_t_at)
     field = hj.solve_grid(OSC, xs, axis(0.2, 0.5, n_t) if n_t > 1 else [0.3], q_range, CFG)
     assert field.resolved_fraction() == 1.0
     scanned = 0
@@ -566,7 +566,7 @@ def test_bump_roots_below_its_peak_are_not_resolved():
 def test_row_table_matches_integrate_adaptive(prob, x, q):
     row = hj._RowTable(prob, x, CFG.quad_tol)
     want = integrate_adaptive(lambda s: hj.momentum_partials(prob, s, q)[1], prob.x0, x, CFG.quad_tol)
-    assert abs(row.terms(q)[1] - want) <= 1e-13
+    assert abs(row._integral(q, prob.margin(q), True) - want) <= 1e-13
     want = integrate_adaptive(lambda s: hj.momentum(prob, s, q), prob.x0, x, CFG.quad_tol)
     assert abs(row.momentum_integral(q) - want) <= 1e-13
     assert len(row._panels) == 1  # both integrals ran on the row's one panel list
@@ -581,7 +581,7 @@ def test_row_table_merges_equal_potential_nodes_exactly(prob, x, distinct):
     # V is constant (flat) or even on a segment symmetric about 0 (even)
     row = hj._RowTable(prob, x, CFG.quad_tol)
     q = 2.0
-    row.terms(q)
+    row.t_at(q)
     row.momentum_integral(q)
     levels = [
         (lo, hi, level, data)
@@ -676,11 +676,11 @@ def reference_integral(row, q, slope):
     return row.sign * tanh_sinh(reference_level_sum(row, q, slope), row.lo, row.hi, row.tol)
 
 
-def reference_terms(row, q):
+def reference_t_at(row, q):
     prob = row.prob
     g_slope = prob.generator_slope_at(q)
     integral = reference_integral(row, q, True)
-    return g_slope, integral, prob.x0 * hj.momentum_partials(prob, prob.x0, q)[1]
+    return g_slope - integral - prob.x0 * hj.momentum_partials(prob, prob.x0, q)[1]
 
 
 def reference_correction_integral(prob, x, q, tol):
@@ -743,11 +743,11 @@ def test_row_kernel_matches_the_closure_path_bitwise(name, sigma, x, gap, tol):
     # makes q inadmissible somewhere, and both paths must fail alike
     segment = scan_abscissae(min(x0, x), max(x0, x), 64)
     q = max(prob._v_fn(s) for s in segment) + gap
-    want_terms = outcome(reference_terms, hj._RowTable(prob, x, tol), q)
+    want_t = outcome(reference_t_at, hj._RowTable(prob, x, tol), q)
     want_p = outcome(reference_integral, hj._RowTable(prob, x, tol), q, False)
     row = hj._RowTable(prob, x, tol)
     for _ in range(2):  # built on the first call, read back on the second
-        assert outcome(row.terms, q) == want_terms
+        assert outcome(row.t_at, q) == want_t
         assert outcome(row.momentum_integral, q) == want_p
     assert outcome(hj._RowTable(prob, x, tol).momentum_integral, q) == want_p
 
@@ -759,10 +759,10 @@ def test_row_kernel_halves_panels_like_the_closure_path():
     prob = hj.HJProblem("1", "abs(x - 0.3) + abs(x + 0.4)", "q^2/2", x0=0.0)
     for x, q in ((1.0, 2.2), (-0.9, 1.8), (0.7, 1.5 + 1e-6)):
         row = hj._RowTable(prob, x, CFG.quad_tol)
-        got = (row.terms(q), row.momentum_integral(q))
+        got = (row.t_at(q), row.momentum_integral(q))
         assert len(row._panels) > 1
         fresh = hj._RowTable(prob, x, CFG.quad_tol)
-        want = (reference_terms(fresh, q), reference_integral(fresh, q, False))
+        want = (reference_t_at(fresh, q), reference_integral(fresh, q, False))
         assert repr(got) == repr(want)
 
 
@@ -771,7 +771,7 @@ def test_row_kernel_gives_up_after_the_last_halving():
     # converges, so both paths raise after _MAX_SPLITS halvings
     prob = hj.HJProblem("x^2", "0", "q", x0=0.0)
     row = hj._RowTable(prob, 0.5, CFG.quad_tol)
-    for kernel, slope in ((row.terms, True), (row.momentum_integral, False)):
+    for kernel, slope in ((row.t_at, True), (row.momentum_integral, False)):
         with pytest.raises(ConvergenceError):
             kernel(2.0)
         with pytest.raises(ConvergenceError):
@@ -817,13 +817,13 @@ def test_shipped_config_quadratures_per_point(monkeypatch, name, bound):
     # solving each point from its coarse brackets takes 7.04 and 4.49
     run = load_config(str(CONFIGS / f"{name}.cfg"))
     quads = [0]
-    real_terms = hj._RowTable.terms
+    real_t_at = hj._RowTable.t_at
 
-    def counting_terms(row, q):
+    def counting_t_at(row, q):
         quads[0] += 1
-        return real_terms(row, q)
+        return real_t_at(row, q)
 
-    monkeypatch.setattr(hj._RowTable, "terms", counting_terms)
+    monkeypatch.setattr(hj._RowTable, "t_at", counting_t_at)
     field = hj.solve_grid(run.problem, run.axis1, run.axis2, run.q_range, run.solver)
     assert field.resolved_fraction() == 1.0
     assert quads[0] / (len(run.axis1) * len(run.axis2)) <= bound

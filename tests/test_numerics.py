@@ -21,11 +21,8 @@ from hjgen.numerics import (
 
 
 def root_line(g, lo, hi, n):
-    """A line whose root condition at target 0 is g itself."""
-    return RootLine(
-        lambda q: (g(q),), lambda terms, target: terms[0] - target, -1, lo, hi,
-        SolverConfig(scan_points=n),
-    )
+    """A line whose root condition at target 0 is g itself: its level is -g."""
+    return RootLine(lambda q: -g(q), lo, hi, SolverConfig(scan_points=n))
 
 
 def scan_brackets(g, lo, hi, n):
@@ -34,15 +31,11 @@ def scan_brackets(g, lo, hi, n):
     return _crossings(root_line(g, lo, hi, n).scan(0.0))
 
 
-def _value(v, _target):
-    return v
-
-
 def brent(g, br, cfg):
     """Brent's method on g over the bracket br = (lo, hi, g_lo, g_hi): the
-    kernel's loop, with g as its terms and each value taken as is."""
+    kernel's loop at target 0 with the level -g, so each value is g's."""
     lo, hi, g_lo, g_hi = br
-    return _brent(g, _value, None, lo, g_lo, hi, g_hi, cfg, [])
+    return _brent(lambda q: -g(q), 0.0, lo, g_lo, hi, g_hi, cfg, [])
 
 
 def test_config_validation():

@@ -293,17 +293,24 @@ class Reference:
         self.phi = fn(prob.phi, (root,))
         self.phip = fn(expr.differentiate(prob.phi, root), (root,))
 
-    def line_terms(self, v):
+    def line_level(self, v):
+        """The target at which q is a root, phi'(q) less the slope term."""
         if self.kind == "explicit":
-            return lambda q: (v * self.fp(q), self.phip(q))
-        if self.kind == "scaled_x":
-            return lambda q: (self.ratio(v) * self.gp(q), self.phip(q))
-        return lambda q: (self.gp(q) * self.ratio(v), self.phip(q))
+            slope_term = lambda q: v * self.fp(q)
+        elif self.kind == "scaled_x":
+            slope_term = lambda q: self.ratio(v) * self.gp(q)
+        else:
+            slope_term = lambda q: self.gp(q) * self.ratio(v)
+
+        def level(q):
+            term = slope_term(q)
+            return self.phip(q) - term
+
+        return level
 
     def constraint(self, x, y, q):
         v, target = (y, x) if self.kind == "scaled_y" else (x, y)
-        slope_term, phi_slope = self.line_terms(v)(q)
-        return slope_term + target - phi_slope
+        return target - self.line_level(v)(q)
 
     def solution_value(self, x, y, q):
         if self.kind == "explicit":
@@ -320,10 +327,10 @@ class Reference:
         return d2 - self.g(d1) * self.ratiop(y)
 
     def solve_grid(self, xs, ys, q_range, cfg):
-        """The sweep with per-kind line terms, each sample evaluating H."""
+        """The sweep with per-kind line levels, each sample evaluating H."""
         by_column = self.kind == "scaled_y"
         lines = [
-            RootLine(self.line_terms(v), pq._combine, pq._SENSE, *q_range, cfg)
+            RootLine(self.line_level(v), *q_range, cfg)
             for v in (ys if by_column else xs)
         ]
 

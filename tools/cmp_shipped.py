@@ -23,7 +23,12 @@ seed, in a directory of their own.  It compares every file the solves
 wrote (field CSVs and reports) and each command's exit code, standard
 output and standard error.
 For a field CSV that differs it also prints each numeric column's largest
-absolute change and every status change between the trees.  Exit status:
+absolute change and every status change between the trees, and for any
+other output that differs (a report, an exit code, standard output or
+error) its first differing lines, old -> new.  The last lines give each
+field column's largest change over all fields and seeds, and the status
+changes in all, so a deliberate change of the numerics can be read off
+the output.  Exit status:
 0 when everything is byte-identical, 1 when anything differs, 2 on bad
 arguments.  Uses only the standard library.
 """
@@ -31,6 +36,7 @@ arguments.  Uses only the standard library.
 from __future__ import annotations
 
 import csv
+import difflib
 import functools
 import importlib.util
 import io
@@ -40,6 +46,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +58,7 @@ ORACLES = {  # oracle name -> its --param arguments, as perfbench passes them
 README_DIFFCHECK = ["asin(x/sqrt(q))", "q", "--n", "200", "--seed", "7"]
 DAMAGED_FIELD = "free_particle"  # an action field: x,t,q,S,p,status
 DAMAGED_LINES = (3, 1300)
+SHOWN_LINES = 5  # differing lines printed per output
 CELL_EDITS = {  # a class of malformed line: column -> new text of its cell
     "bad axis 1": {0: "0x"},
     "bad axis 2": {1: "1y"},
@@ -169,8 +177,9 @@ def solve_all(
     return out
 
 
-def field_drift(old: bytes, new: bytes) -> list[str]:
-    """Max |new - old| per numeric column of two field CSVs, and status changes.
+def field_drift(old: bytes, new: bytes) -> tuple[dict[str, float], Counter] | str:
+    """Max |new - old| per numeric column of two field CSVs, by column name,
+    and the status changes, or a message when their layouts differ.
 
     Rows are matched by position; an empty cell (a point without a value)
     is left out of its column's maximum.
@@ -179,10 +188,10 @@ def field_drift(old: bytes, new: bytes) -> list[str]:
     rows_new = list(csv.reader(io.StringIO(new.decode())))
     head = rows_old[0]
     if head != rows_new[0] or len(rows_old) != len(rows_new):
-        return [
+        return (
             f"layout differs: {len(rows_old) - 1} rows of {','.join(head)} vs "
             f"{len(rows_new) - 1} rows of {','.join(rows_new[0])}"
-        ]
+        )
     status = head.index("status")
     numeric = [k for k in range(len(head)) if k != status]
     drift = dict.fromkeys(numeric, 0.0)
@@ -193,11 +202,32 @@ def field_drift(old: bytes, new: bytes) -> list[str]:
         for k in numeric:
             if a[k] and b[k]:
                 drift[k] = max(drift[k], abs(float(b[k]) - float(a[k])))
+    return {head[k]: d for k, d in drift.items()}, moves
+
+
+def describe(drift: dict[str, float], moves: Counter) -> list[str]:
     changes = ", ".join(f"{was} -> {now}: {n}" for (was, now), n in sorted(moves.items()))
     return [
-        "max |diff|: " + ", ".join(f"{head[k]} {drift[k]:.3g}" for k in numeric),
+        "max |diff|: " + ", ".join(f"{name} {d:.3g}" for name, d in drift.items()),
         "status changes: " + (changes or "none"),
     ]
+
+
+def line_changes(old: bytes, new: bytes) -> list[str]:
+    """The first ``SHOWN_LINES`` differing lines of two text outputs, as
+    ``old -> new``; a line present on one side only pairs with ``(none)``."""
+    a = old.decode(errors="replace").splitlines()
+    b = new.decode(errors="replace").splitlines()
+    pairs = [
+        pair
+        for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+        if tag != "equal"
+        for pair in zip_longest(a[i1:i2], b[j1:j2], fillvalue="(none)")
+    ]
+    out = [f"{was} -> {now}" for was, now in pairs[:SHOWN_LINES]]
+    if len(pairs) > SHOWN_LINES:
+        out.append(f"... {len(pairs) - SHOWN_LINES} more")
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -226,15 +256,31 @@ def main(argv: list[str]) -> int:
                 results[k].update((prefix + name, data) for name, data in out.items())
     old, new = results
     differ = 0
+    drift: dict[str, float] = {}  # per field column, over every field compared
+    moves: Counter = Counter()
     for name in sorted(old.keys() | new.keys()):
         if old.get(name) == new.get(name):
             print(f"same    {name}")
+            continue
+        differ += 1
+        print(f"DIFFERS {name}")
+        if name not in old or name not in new:
+            continue
+        if name.endswith(".csv"):
+            found = field_drift(old[name], new[name])
+            if isinstance(found, str):
+                print(f"        {found}")
+                continue
+            for column, d in found[0].items():
+                drift[column] = max(drift.get(column, 0.0), d)
+            moves += found[1]
+            lines = describe(*found)
         else:
-            differ += 1
-            print(f"DIFFERS {name}")
-            if name.endswith(".csv") and name in old and name in new:
-                for line in field_drift(old[name], new[name]):
-                    print(f"        {line}")
+            lines = line_changes(old[name], new[name])
+        for line in lines:
+            print(f"        {line}")
+    for line in describe(drift, moves) if drift else ["max |diff|: none"]:
+        print(f"all fields, {line}")
     print(f"{len(configs)} configs, {len(seeds)} seeds, {differ} outputs differ")
     return 1 if differ else 0
 

@@ -6,7 +6,7 @@ Usage::
     python3 tools/quad_census.py [SRC]
 
 SRC is a directory holding an ``hjgen`` package whose row table has the
-inline kernel (``hj._RowTable.terms``) and whose roots are refined by
+inline kernel (``hj._RowTable.t_at``) and whose roots are refined by
 ``numerics._refine`` and ``numerics._brent`` (default: the ``src`` of this
 checkout).  The script solves every config in ``configs/`` in-process,
 serially, in a fresh temporary directory, and then evaluates the
@@ -23,14 +23,16 @@ quadratures) split by stage:
 - ``brent``: evaluations inside the Brent loop ``numerics._brent``;
 
 and the brackets refined per point (``_refine`` calls).  An evaluation
-is one call of ``hj._RowTable.terms`` inside ``hj.solve_grid``, or of
+is one call of ``hj._RowTable.t_at`` inside ``hj.solve_grid``, or of
 the problem's compiled phi' inside ``pq.solve_grid``; scan is the total
-less the refinement.  Then, for each run, it prints, per quadrature path,
+less the refinement.  It also prints how many of the solve's targets
+found no brackets by bisection and fell back to the full scan
+(``fields.RootLine.brackets`` returning ``None``).  Then, for each run, it prints, per quadrature path,
 how many quadratures ran and how they ended, the level at which they
 stopped, and the tanh-sinh nodes each visited:
 
 - ``constraint``: the dp/dq integral of the HJ root condition, summed over
-  an x row's node table (``hj._RowTable.terms``);
+  an x row's node table (``hj._RowTable.t_at``);
 - ``action``: the integral of p in the action taken by parts, over the same
   table (``hj._RowTable.momentum_integral`` under ``hj._action``);
 - ``separation``: the separated integral of sqrt((E - V)/a), the same
@@ -145,12 +147,12 @@ def installed(census, hj, numerics, reference):
             level_sum = reference.reference_level_sum(row, q, slope)
             replay(path, row.lo, row.hi, row.tol, level_sum, row._panels)
 
-    real_terms = hj._RowTable.terms
+    real_t_at = hj._RowTable.t_at
 
-    def terms(row, q):
+    def t_at(row, q):
         census.calls["constraint"] += 1
         try:
-            return real_terms(row, q)
+            return real_t_at(row, q)
         finally:
             try:
                 row.prob.generator_slope_at(q)  # G'(q) comes before the integral
@@ -195,7 +197,7 @@ def installed(census, hj, numerics, reference):
 
                 replay("generic", x0, x1, tol, level_sum)
 
-    patches.append((hj._RowTable, "terms", terms))
+    patches.append((hj._RowTable, "t_at", t_at))
     patches.append((hj._RowTable, "momentum_integral", momentum_integral))
     patches.append((hj, "_action", under(hj._action, "action")))
     patches.append((numerics, "integrate_adaptive", integrate_adaptive))
@@ -211,11 +213,13 @@ def installed(census, hj, numerics, reference):
 
 
 class RootCensus:
-    """Root-condition evaluations by stage, and brackets, over one solve."""
+    """Root-condition evaluations by stage, brackets and full-scan
+    fallbacks, over one solve."""
 
     def __init__(self):
         self.points = self.total = self.refine = self.brent = 0
         self.brackets = 0  # _refine calls
+        self.targets = self.fallbacks = 0  # RootLine.brackets calls, and those returning None
 
     def report(self):
         if not self.points:
@@ -226,15 +230,18 @@ class RootCensus:
         return (
             f"  roots: {n:,} points; evaluations/point {self.total / n:.3f} "
             f"(scan {scan / n:.3f}, probes {probes / n:.3f}, brent {self.brent / n:.3f}); "
-            f"brackets/point {self.brackets / n:.3f}"
+            f"brackets/point {self.brackets / n:.3f}\n"
+            f"  fallbacks: {self.fallbacks:,} of {self.targets:,} targets"
         )
 
 
 @contextlib.contextmanager
 def counting_roots(census, modules):
-    """Wrap the solvers' grid entry points, their root condition, the root
-    kernel and its Brent loop, counting the line terms each is passed."""
+    """Wrap the solvers' grid entry points, their root condition, the line
+    bisection, and the root kernel and its Brent loop, counting the line
+    level each is passed."""
     hj, pq, numerics = modules["hj"], modules["pq"], modules["numerics"]
+    fields = modules["fields"]
     active = [False]
     patches = []
 
@@ -263,25 +270,35 @@ def counting_roots(census, modules):
 
         return traced
 
-    real_terms = hj._RowTable.terms
+    real_t_at = hj._RowTable.t_at
 
-    def terms(row, q):
+    def t_at(row, q):
         if active[0]:
             census.total += 1
-        return real_terms(row, q)
+        return real_t_at(row, q)
+
+    real_brackets = fields.RootLine.brackets
+
+    def brackets(line, target):
+        found = real_brackets(line, target)
+        if active[0]:
+            census.targets += 1
+            census.fallbacks += found is None
+        return found
 
     real_refine, real_brent = numerics._refine, numerics._brent
 
-    def refine(line_terms, *args):
+    def refine(level, *args):
         census.brackets += 1
-        return real_refine(counted(line_terms, "refine"), *args)
+        return real_refine(counted(level, "refine"), *args)
 
-    def brent(line_terms, *args):
-        return real_brent(counted(line_terms, "brent"), *args)
+    def brent(level, *args):
+        return real_brent(counted(level, "brent"), *args)
 
     patches.append((hj, "solve_grid", solve_grid(hj.solve_grid)))
     patches.append((pq, "solve_grid", solve_grid(pq.solve_grid)))
-    patches.append((hj._RowTable, "terms", terms))
+    patches.append((hj._RowTable, "t_at", t_at))
+    patches.append((fields.RootLine, "brackets", brackets))
     patches.append((numerics, "_brent", brent))  # _refine finds it in its module
     for mod in modules.values():
         if getattr(mod, "_refine", None) is real_refine:
