@@ -179,6 +179,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_diffcheck(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     e = expr.parse(args.expr)
     names = sorted(expr.variables(e) | {args.var})
     f = expr.compile_function(e, tuple(names))

@@ -146,6 +146,13 @@ def _float_of(entry: _Entry, key: str) -> float:
         raise ConfigError(f"bad number for {key!r}: {entry.raw!r}", entry.line) from None
 
 
+def _finite_of(entry: _Entry, key: str) -> float:
+    value = _float_of(entry, key)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key!r} must be finite", entry.line)
+    return value
+
+
 def _int_of(entry: _Entry, key: str) -> int:
     if entry.quoted:
         raise ConfigError(f"{key!r} must be an unquoted integer", entry.line)
@@ -196,9 +203,9 @@ def _build_problem(section: _Section):
                 raise ConfigError("sigma must be +1 or -1", sigma_entry.line)
             sigma = 1 if sigma_entry.raw in ("1", "+1") else -1
         x0_entry = section.take("x0")
-        x0 = _float_of(x0_entry, "x0") if x0_entry is not None else 0.0
+        x0 = _finite_of(x0_entry, "x0") if x0_entry is not None else 0.0
         eps_entry = section.take("eps_adm")
-        eps = _float_of(eps_entry, "eps_adm") if eps_entry is not None else None
+        eps = _finite_of(eps_entry, "eps_adm") if eps_entry is not None else None
         try:
             return HJProblem(a, v, g, sigma=sigma, x0=x0, eps_adm=eps)
         except ValueError as exc:
@@ -241,16 +248,16 @@ def parse_config(text: str) -> RunConfig:
     grid_sec.finish()
 
     solver_sec = _Section("solver", raw_sections["solver"])
-    q_min = _float_of(solver_sec.require("q_min"), "q_min")
-    q_max = _float_of(solver_sec.require("q_max"), "q_max")
+    q_min = _finite_of(solver_sec.require("q_min"), "q_min")
+    q_max = _finite_of(solver_sec.require("q_max"), "q_max")
     if not q_min < q_max:
         raise ConfigError("q_min must be below q_max")
     defaults = SolverConfig()
     kwargs = {}
     for key, conv, default in (
-        ("root_tol", _float_of, defaults.root_tol),
-        ("resid_tol", _float_of, defaults.resid_tol),
-        ("quad_tol", _float_of, defaults.quad_tol),
+        ("root_tol", _finite_of, defaults.root_tol),
+        ("resid_tol", _finite_of, defaults.resid_tol),
+        ("quad_tol", _finite_of, defaults.quad_tol),
         ("max_iter", _int_of, defaults.max_iter),
         ("scan_points", _int_of, defaults.scan_points),
     ):

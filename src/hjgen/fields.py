@@ -8,14 +8,15 @@ tabulates the level once per line at its scan samples and splits the
 samples into monotone runs, so a target's brackets come from a bisection
 of each run, with g = target - level(q) taken only at the two samples of
 each crossing; a target equal to a sample's level takes the full scan
-instead.  :func:`sweep` walks the grid with warm starts and feeds each
-point a root predicted from its row's earlier roots, with Lagrange weights
-built once per axis.  A bracket is a (lo, hi, g_lo, g_hi) tuple, and each
-goes with the line's level to the float kernel
-:func:`hjgen.numerics._refine`, which probes the predicted root before
-Brent's method (Brent 1973) finishes the bracket; a target with one
-bracket, as every point of the shipped configs has, returns the kernel's
-root as is.
+instead.  :func:`sweep` takes one such line per grid row and walks each
+line with warm starts, feeding each point a root predicted from the
+line's earlier roots, with Lagrange weights built once per axis; a solver
+whose lines are columns sweeps the transposed grid.  A bracket is a (lo,
+hi, g_lo, g_hi) tuple, and each goes with the line's level to the float
+kernel :func:`hjgen.numerics._refine`, which probes the predicted root
+before Brent's method (Brent 1973) finishes the bracket; a target with
+one bracket, as every point of the shipped configs has, returns the
+kernel's root as is.
 
 The CSV kernels work on whole columns: :func:`write_field_csv` formats one
 grid row at a time, and :func:`read_field_csv` checks bounded blocks of
@@ -31,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .numerics import SolverConfig, _crossings, _refine, scan_abscissae
@@ -103,12 +104,6 @@ class ActionField(_Field2D):
     p: list[list[Optional[float]]]
 
 
-PointSolver = Callable[
-    [int, int, Optional[float], Optional[tuple[float, float]]],
-    tuple[Optional[float], Status, Optional[float]],
-]
-
-
 _HISTORY = 4  # roots a line's predictor extrapolates through
 
 
@@ -162,31 +157,36 @@ def _extend(history, root: Optional[float], slope: Optional[float]) -> None:
     del history[:-_HISTORY]
 
 
-def sweep(solve: PointSolver, axis1, axis2):
-    """Row-major continuation sweep over the axis1 x axis2 grid.
+def sweep(lines, axis1, axis2):
+    """Row-major continuation sweep over the axis1 x axis2 grid, one grid
+    line per row.
 
-    ``solve(i, j, warm, guess)`` returns ``(root, status, slope)``.  Each
-    point is warm-started from its left neighbour, first-column points
-    from the point in the previous row, and the origin runs cold.  ``guess``
-    is ``(predicted root, slope of g)`` extrapolated from the earlier roots
-    of the same sweep row (of column 0 for first-column points), or
-    ``None``.
+    ``lines[i]`` is row i's :class:`RootLine`, solved at every ``axis2``
+    coordinate, or ``None``, which marks the row ``domain_fail``.  Each
+    point is warm-started from the previous point of its line, first-column
+    points from the point in the previous row, and the origin runs cold.
+    The guess is ``(predicted root, slope of g)`` extrapolated from the
+    earlier roots of the same line (of column 0 for first-column points),
+    or ``None``.
     """
     n1, n2 = len(axis1), len(axis2)
     weights1, weights2 = _lagrange_weights(axis1), _lagrange_weights(axis2)
     q: list[list[Optional[float]]] = [[None] * n2 for _ in range(n1)]
     status = [[Status.NO_ROOT] * n2 for _ in range(n1)]
     column: list = []
-    for i in range(n1):
-        warm = q[i - 1][0] if i > 0 else None
+    for i, line in enumerate(lines):
+        if line is None:
+            status[i] = [Status.DOMAIN_FAIL] * n2
+            column.clear()
+            continue
         guess = _predict(column, weights1[i][len(column)])
-        q[i][0], status[i][0], slope = solve(i, 0, warm, guess)
+        q[i][0], status[i][0], slope = line.solve(axis2[0], q[i - 1][0] if i else None, guess)
         _extend(column, q[i][0], slope)
         history: list = []
         _extend(history, q[i][0], slope)
         for j in range(1, n2):
             guess = _predict(history, weights2[j][len(history)])
-            q[i][j], status[i][j], slope = solve(i, j, q[i][j - 1], guess)
+            q[i][j], status[i][j], slope = line.solve(axis2[j], q[i][j - 1], guess)
             _extend(history, q[i][j], slope)
     return q, status
 

@@ -113,8 +113,10 @@ class HJProblem:
         self.generator = expr.as_expr(self.generator)
         if self.sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
-        if self.eps_adm is not None and not self.eps_adm > 0:
-            raise ValueError("eps_adm must be positive")
+        if not math.isfinite(self.x0):
+            raise ValueError("x0 must be finite")
+        if self.eps_adm is not None and not 0 < self.eps_adm < math.inf:
+            raise ValueError("eps_adm must be positive and finite")
         # compiled closures for the quadrature / root-scan hot loops
         self._a_fn = expr.compile_function(self.kinetic, ("x",))
         self._v_fn = expr.compile_function(self.potential, ("x",))
@@ -136,13 +138,15 @@ class HJProblem:
     def generator_slope_at(self, q: float) -> float:
         return self._gp_fn(q)
 
-    def residual_row(self, x: float):
-        """The PDE residual a(x) d1^2 + V(x) - d2 at points (x, t), as
-        ``(t, d1, d2) -> r`` for partials d1 ~ S_x and d2 ~ S_t; a(x) and
+    lines_are_columns = False  # the grid lines are x rows
+
+    def residual_line(self, x: float):
+        """The PDE residual a(x) d1^2 + V(x) - d2 on the x row, as
+        ``(d1, d2) -> r`` for partials d1 ~ S_x and d2 ~ S_t; a(x) and
         V(x) are evaluated here, once."""
         a = self._a_fn(x)
         v = self._v_fn(x)
-        return lambda t, d1, d2: a * d1 * d1 + v - d2
+        return lambda d1, d2: a * d1 * d1 + v - d2
 
 
 def _coefficients(prob: HJProblem, x: float):
@@ -408,8 +412,8 @@ def solve_point(
     domain failure.  Continuation semantics match the first-order PDE
     solver.
     """
-    if not q_lo < q_hi:
-        raise ValueError("solve_point requires q_lo < q_hi")
+    if not -math.inf < q_lo < q_hi < math.inf:
+        raise ValueError("solve_point requires q_lo < q_hi, both finite")
     line = _root_line(_row_table(prob, x, cfg.quad_tol), q_lo, q_hi, cfg)
     if line is None:
         return None, Status.DOMAIN_FAIL
@@ -440,17 +444,10 @@ def solve_grid(
     xs = check_axis(x_grid)
     ts = check_axis(t_grid)
     q_lo, q_hi = q_range
-    if not q_lo < q_hi:
-        raise ValueError("solve_grid requires q_lo < q_hi")
+    if not -math.inf < q_lo < q_hi < math.inf:
+        raise ValueError("solve_grid requires q_lo < q_hi, both finite")
     rows = [_RowTable(prob, x, cfg.quad_tol) for x in xs]
-    lines = [_root_line(row, q_lo, q_hi, cfg) for row in rows]
-
-    def point(i, j, warm, guess):
-        if lines[i] is None:
-            return None, Status.DOMAIN_FAIL, None
-        return lines[i].solve(ts[j], warm, guess)
-
-    q, status = sweep(point, xs, ts)
+    q, status = sweep([_root_line(row, q_lo, q_hi, cfg) for row in rows], xs, ts)
     value: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     p: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     for i, x in enumerate(xs):

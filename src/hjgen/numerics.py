@@ -78,8 +78,8 @@ class SolverConfig:
     scan_points: int = 64
 
     def __post_init__(self):
-        if self.root_tol <= 0 or self.resid_tol <= 0 or self.quad_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < tol < math.inf for tol in (self.root_tol, self.resid_tol, self.quad_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.scan_points < 2:

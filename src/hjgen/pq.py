@@ -31,10 +31,15 @@ or each y column for scaled_y) as one :class:`~hjgen.fields.RootLine`
 inverting that level, with H(l) evaluated once per line and the level
 tabulated once per line at the scan samples; a point finds its brackets by
 bisection over those levels and evaluates the level only to refine them.
+The sweep walks each line in turn, so a root's warm start and prediction
+come from the earlier roots of its own line, and the residual is built
+once per line (:meth:`PQProblem.residual_line`);
+:attr:`PQProblem.lines_are_columns` says which lines those are.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,7 +77,7 @@ class PQProblem:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.phi is None:
             raise ValueError("phi is required")
-        line, root = ("y", "p") if self.kind == "scaled_y" else ("x", "q")
+        line, root = ("y", "p") if self.lines_are_columns else ("x", "q")
         if self.kind == "explicit":
             if self.f_of_q is None:
                 raise ValueError("explicit problems require f_of_q")
@@ -93,8 +98,13 @@ class PQProblem:
         self._phip_fn = expr.compile_function(expr.differentiate(self.phi, root), (root,))
 
     @property
+    def lines_are_columns(self) -> bool:
+        """Whether the grid lines are y columns (scaled_y), not x rows."""
+        return self.kind == "scaled_y"
+
+    @property
     def root_var(self) -> str:
-        return "p" if self.kind == "scaled_y" else "q"
+        return "p" if self.lines_are_columns else "q"
 
     @classmethod
     def explicit(cls, f_of_q, phi) -> "PQProblem":
@@ -116,19 +126,19 @@ class PQProblem:
         """H'(v): 1.0 for explicit problems."""
         return self._ratiop_fn(v)
 
-    def residual_row(self, x: float):
-        """The PDE residual u_l - H'(l) G(u_s) at points (x, y), as
-        ``(y, d1, d2) -> r`` for partials d1 ~ u_x and d2 ~ u_y.
+    def residual_line(self, v: float):
+        """The PDE residual u_l - H'(l) G(u_s) on the grid line at ``v`` (the
+        x row, or the y column when :attr:`lines_are_columns`), as
+        ``(d1, d2) -> r`` for partials d1 ~ u_x and d2 ~ u_y.
 
-        On row lines H'(x) is evaluated here, once; a DomainError from it
-        excludes the row.
+        H'(v) is evaluated here, once per line; a DomainError from it
+        excludes the line.
         """
         g = self._g_fn
-        if self.kind == "scaled_y":
-            slope = self._ratiop_fn
-            return lambda y, d1, d2: d2 - slope(y) * g(d1)
-        h_slope = self._ratiop_fn(x)
-        return lambda y, d1, d2: d1 - h_slope * g(d2)
+        h_slope = self._ratiop_fn(v)
+        if self.lines_are_columns:
+            return lambda d1, d2: d2 - h_slope * g(d1)
+        return lambda d1, d2: d1 - h_slope * g(d2)
 
 
 def _line_level(prob: PQProblem, h: float):
@@ -150,7 +160,7 @@ def _value(prob: PQProblem, h: float, s: float, q: float) -> float:
 
 def _line(prob: PQProblem, x: float, y: float):
     """(line coordinate, target) of the point (x, y)."""
-    return (y, x) if prob.kind == "scaled_y" else (x, y)
+    return (y, x) if prob.lines_are_columns else (x, y)
 
 
 def constraint(prob: PQProblem, x: float, y: float, q: float) -> float:
@@ -196,8 +206,8 @@ def solve_point(
     scan keeps the warm value (or the range midpoint when cold).  Domain
     failures never raise, they mark the point.
     """
-    if not q_lo < q_hi:
-        raise ValueError("solve_point requires q_lo < q_hi")
+    if not -math.inf < q_lo < q_hi < math.inf:
+        raise ValueError("solve_point requires q_lo < q_hi, both finite")
     v, target = _line(prob, x, y)
     line = _root_line(prob, v, q_lo, q_hi, cfg)
     if line is None:
@@ -214,35 +224,31 @@ def solve_grid(
 ) -> SolutionField:
     """Continuation sweep over the grid, one :class:`~hjgen.fields.RootLine` per line.
 
-    The lines are the x rows, or the y columns for scaled_y problems; each
-    line's H and scan samples are computed once, before the sweep, and H
-    serves both the condition and u.  A line where H raises is
-    ``domain_fail`` at every point.
+    The lines are the x rows, or the y columns for scaled_y problems, and
+    the sweep runs on the grid whose rows they are, (y, x) for scaled_y,
+    so every root continues along its own line; q, u and the statuses come
+    back on the (x, y) grid.  Each line's H and scan samples are computed
+    once, before the sweep, and H serves both the condition and u.  A line
+    where H raises is ``domain_fail`` at every point.
     """
     xs = check_axis(x_grid)
     ys = check_axis(y_grid)
     q_lo, q_hi = q_range
-    if not q_lo < q_hi:
-        raise ValueError("solve_grid requires q_lo < q_hi")
-    by_column = prob.kind == "scaled_y"
-    lines = [_root_line(prob, v, q_lo, q_hi, cfg) for v in (ys if by_column else xs)]
-
-    def point(i, j, warm, guess):
-        line = lines[j] if by_column else lines[i]
-        if line is None:
-            return None, Status.DOMAIN_FAIL, None
-        return line[1].solve(xs[i] if by_column else ys[j], warm, guess)
-
-    q, status = sweep(point, xs, ys)
-    value: list[list[Optional[float]]] = [[None] * len(ys) for _ in xs]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
+    if not -math.inf < q_lo < q_hi < math.inf:
+        raise ValueError("solve_grid requires q_lo < q_hi, both finite")
+    axis1, axis2 = (ys, xs) if prob.lines_are_columns else (xs, ys)
+    lines = [_root_line(prob, v, q_lo, q_hi, cfg) for v in axis1]
+    q, status = sweep([line and line[1] for line in lines], axis1, axis2)
+    value: list[list[Optional[float]]] = [[None] * len(axis2) for _ in axis1]
+    for i, line in enumerate(lines):
+        for j, s in enumerate(axis2):
             if q[i][j] is None:
                 continue
-            h, s = (lines[j][0], x) if by_column else (lines[i][0], y)
             try:
-                value[i][j] = _value(prob, h, s, q[i][j])
+                value[i][j] = _value(prob, line[0], s, q[i][j])
             except DomainError:
                 q[i][j] = None
                 status[i][j] = Status.DOMAIN_FAIL
+    if prob.lines_are_columns:
+        q, value, status = ([list(r) for r in zip(*grid)] for grid in (q, value, status))
     return SolutionField(xs, ys, q, value, status)

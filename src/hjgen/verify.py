@@ -13,9 +13,11 @@ solver tolerances tighten 100-fold (ROADMAP.md, open item 2).
 The differences are taken a grid row at a time (:func:`_row_partials`),
 summing each derivative node by node in the order a point-by-point sum
 would, so every value is the same to the bit.  The residual itself comes
-from the problem: its ``residual_row(x)`` evaluates the x-only parts (a(x)
-and V(x) for Hamilton-Jacobi fields, H'(x) for first-order row lines) once
-per row and returns the per-point residual.
+from the problem, one grid line at a time: its ``residual_line(v)``
+evaluates the line's coefficients (a(x) and V(x) for Hamilton-Jacobi
+fields, H'(v) for the first-order family) once and returns the per-point
+residual, and its ``lines_are_columns`` says whether v is a column's y (a
+scaled_y field) or a row's x.
 """
 
 from __future__ import annotations
@@ -119,41 +121,49 @@ def finite_diff_partials(field, i: int, j: int) -> Optional[tuple[float, float]]
 def residual_report(problem, field) -> ResidualReport:
     """PDE residual statistics over the interior value-bearing points.
 
-    The residual is the problem's ``residual_row``: a(x) d1^2 + V(x) - d2
+    The residual is the problem's ``residual_line``: a(x) d1^2 + V(x) - d2
     for Hamilton-Jacobi fields and u_l - H'(l) G(u_s) for the first-order
-    family (d1 - f(d2) when explicit); an object without one is a
-    :class:`TypeError`.  d1 and d2 are the module's centred differences.
-    Besides the points the module excludes, a point where the residual
-    raises a domain error is left out, and so is a row whose x-only part
-    raises.  ``worst_point`` is the first point of largest residual.
+    family (d1 - f(d2) when explicit); an object without it or without
+    ``lines_are_columns`` is a :class:`TypeError`.  Each interior line's
+    residual is built once.  d1 and d2 are the module's centred
+    differences.  Besides the points the module excludes, a point where the
+    residual raises a domain error is left out, and so is every point of a
+    line whose coefficient raises.  ``worst_point`` is the first point of
+    largest residual.
     """
     n1, n2 = field.shape
     if n1 < 3 or n2 < 3:
         raise ValueError("residual_report needs at least 3 points per axis")
     try:
-        row_fn = problem.residual_row
+        line_fn, by_column = problem.residual_line, problem.lines_are_columns
     except AttributeError:
         raise TypeError(f"unsupported problem type {type(problem)!r}") from None
+
+    def residual(v):
+        try:
+            return line_fn(v)
+        except DomainError:
+            return None
+
     k1 = min(3, (n1 - 1) // 2)
     k2 = min(3, (n2 - 1) // 2)
     weights1 = _axis_weights(field.axis1, k1)
     w2 = list(zip(*_axis_weights(field.axis2, k2)[k2 : n2 - k2]))
-    ys = field.axis2[k2 : n2 - k2]
+    if by_column:
+        point_fns = [residual(y) for y in field.axis2[k2 : n2 - k2]]
     worst = (0, 0)
     max_abs = -1.0
     total = 0.0
     count = 0
     for i in range(k1, n1 - k1):
+        if not by_column:
+            point_fns = [residual(field.axis1[i])] * (n2 - 2 * k2)
         d1s, d2s = _row_partials(field.value, i, weights1[i], w2, k2, n2 - k2)
-        try:
-            point_fn = row_fn(field.axis1[i])
-        except DomainError:
-            continue
-        for j, y, d1, d2 in zip(range(k2, n2 - k2), ys, d1s, d2s):
-            if d1 is None:
+        for j, point_fn, d1, d2 in zip(range(k2, n2 - k2), point_fns, d1s, d2s):
+            if d1 is None or point_fn is None:
                 continue
             try:
-                r = abs(point_fn(y, d1, d2))
+                r = abs(point_fn(d1, d2))
             except DomainError:
                 continue
             if r != r:

@@ -182,7 +182,8 @@ def test_verify_truncated_csv_exits_2(tmp_path):
     assert main(["verify", str(cfg), str(field)]) == 2
 
 
-POWER_PQ = pathlib.Path(__file__).resolve().parent.parent / "configs" / "power_pq.cfg"
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+POWER_PQ = CONFIGS / "power_pq.cfg"
 
 
 @pytest.mark.parametrize(
@@ -462,6 +463,37 @@ def test_diffcheck_variable_absent_from_the_expression(monkeypatch, capsys):
     assert main(["diffcheck", "3*q", "x"]) == 0
     assert compiles == [("q", "x"), ("q", "x")]
     assert capsys.readouterr().out == "diffcheck: 100 points, 0 mismatches\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_diffcheck_without_points_exits_2(capsys, n):
+    assert main(["diffcheck", "x^2", "x", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n" in captured.err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("root_tol = 1e-12", "root_tol = nan"),
+        ("x0 = 0", "x0 = nan"),
+        ("q_max = 6", "q_max = inf"),
+        ("quad_tol = 1e-10", "quad_tol = inf"),
+    ],
+)
+def test_solve_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, old, new):
+    # an input failure (exit 2) naming the key and its line, not a solve
+    # whose every point fails (exit 1)
+    text = (CONFIGS / "harmonic.cfg").read_text()
+    line = text.splitlines().index(old) + 1
+    cfg = tmp_path / "harmonic.cfg"
+    cfg.write_text(text.replace(old, new))
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", str(cfg)]) == 2
+    key = new.split(" = ")[0]
+    assert capsys.readouterr().err == f"error: line {line}: {key!r} must be finite\n"
+    assert not (tmp_path / "harmonic_field.csv").exists()
 
 
 def test_diffcheck_narrow_domain_exits_2(capsys):

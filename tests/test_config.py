@@ -139,6 +139,27 @@ def test_axis_validation():
         assert err.value.line == 9
 
 
+@pytest.mark.parametrize(
+    "key, old, line",
+    [
+        ("x0", "x0 = 0.25", 9),
+        ("eps_adm", "eps_adm = 1e-3", 10),
+        ("root_tol", "root_tol = 1e-11", 17),
+        ("resid_tol", None, 19),  # added after scan_points
+        ("quad_tol", None, 19),
+        ("q_min", "q_min = 0.05", 19),
+        ("q_max", "q_max = 6", 20),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_numbers_are_named_with_their_line(key, old, line, value):
+    if old is None:
+        text = HJ_TEXT.replace("scan_points = 12", f"scan_points = 12\n{key} = {value}")
+    else:
+        text = HJ_TEXT.replace(old, f"{key} = {value}")
+    _expect_error(text, f"{key!r} must be finite", line=line)
+
+
 def test_axis_min_max_count_points():
     # equispaced, with the last point max exactly
     cfg = parse_config(PQ_TEXT.replace("x = 0:1:3", "x = 0.1:0.7:7"))

@@ -445,20 +445,40 @@ def test_reader_names_the_reference_first_error(lines):
                 assert _outcome(read_field_csv, path) == want
 
 
-def test_sweep_warm_start_wiring():
-    calls = []
+class RecordingLine:
+    """A stand-in for a :class:`RootLine` as row ``i`` of a sweep: it records
+    each ``solve(target, warm, guess)`` call as ``(i, j, warm, guess)``, j
+    being the target's index on axis 2, and answers
+    ``result(i, j, warm, guess)``."""
 
+    def __init__(self, i, axis2, result, calls):
+        self.i, self.axis2, self.result, self.calls = i, list(axis2), result, calls
+
+    def solve(self, target, warm=None, guess=None):
+        j = self.axis2.index(target)
+        self.calls.append((self.i, j, warm, guess))
+        return self.result(self.i, j, warm, guess)
+
+
+def recording_lines(result, axis1, axis2):
+    """One :class:`RecordingLine` per row of the grid, and their shared call list."""
+    calls: list = []
+    return [RecordingLine(i, axis2, result, calls) for i in range(len(axis1))], calls
+
+
+def test_sweep_warm_start_wiring():
     def solver(i, j, warm, guess):
-        calls.append((i, j, warm))
         return 10.0 * i + j, Status.RESOLVED, 1.0
 
-    q, status = sweep(solver, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
-    assert [(i, j) for i, j, _ in calls] == [(i, j) for i in range(3) for j in range(4)]
-    warm = {(i, j): w for i, j, w in calls}
+    axis1, axis2 = [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]
+    lines, calls = recording_lines(solver, axis1, axis2)
+    q, status = sweep(lines, axis1, axis2)
+    assert [(i, j) for i, j, _, _ in calls] == [(i, j) for i in range(3) for j in range(4)]
+    warm = {(i, j): w for i, j, w, _ in calls}
     assert warm[(0, 0)] is None  # origin runs cold
     assert warm[(1, 0)] == q[0][0]  # first column from the previous row
     assert warm[(2, 0)] == q[1][0]
-    assert warm[(1, 2)] == q[1][1]  # everything else from the left neighbour
+    assert warm[(1, 2)] == q[1][1]  # everything else from the previous point of its line
     assert all(status[i][j] is Status.RESOLVED for i in range(3) for j in range(4))
 
 
@@ -470,9 +490,10 @@ def test_sweep_rows_independent_of_later_rows():
         return (warm or 0.0) + 0.5 * pred + i - j, Status.RESOLVED, 1.0 + j
 
     axis1, axis2 = [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0]
-    q, status = sweep(solver, axis1, axis2)
+    lines, _ = recording_lines(solver, axis1, axis2)
+    q, status = sweep(lines, axis1, axis2)
     for k in range(1, len(axis1)):
-        q_k, status_k = sweep(solver, axis1[:k], axis2)
+        q_k, status_k = sweep(lines[:k], axis1[:k], axis2)
         assert q_k == q[:k]
         assert status_k == status[:k]
 
@@ -480,21 +501,37 @@ def test_sweep_rows_independent_of_later_rows():
 def test_sweep_guesses_extrapolate_each_row():
     # roots linear in both coordinates, so any prediction from two or more
     # earlier roots of the same sweep line is exact
-    guesses = {}
-
     def solver(i, j, warm, guess):
-        guesses[(i, j)] = guess
         if (i, j) == (1, 1):
             return None, Status.NO_ROOT, None
         return 2.0 * i + 3.0 * j, Status.RESOLVED, 0.5 + i
 
-    sweep(solver, [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0])
+    axis1, axis2 = [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0]
+    lines, calls = recording_lines(solver, axis1, axis2)
+    sweep(lines, axis1, axis2)
+    guesses = {(i, j): guess for i, j, _, guess in calls}
     assert guesses[(0, 0)] is None  # the origin has no history
     assert guesses[(2, 0)] == (4.0, 1.5)  # down column 0
     assert guesses[(0, 1)] == (0.0, 0.5)  # one earlier root: held constant
     assert guesses[(2, 4)] == (16.0, 2.5)  # cubic through the last four
     assert guesses[(1, 2)] is None  # a point without a root breaks the line
     assert guesses[(1, 3)] == (8.0, 1.5)
+
+
+def test_sweep_none_line_fails_its_row_and_breaks_column_0():
+    def solver(i, j, warm, guess):
+        return 2.0 * i + 3.0 * j, Status.RESOLVED, 1.0
+
+    axis1, axis2 = [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0]
+    lines, calls = recording_lines(solver, axis1, axis2)
+    lines[1] = None
+    q, status = sweep(lines, axis1, axis2)
+    assert status[1] == [Status.DOMAIN_FAIL] * 3
+    assert q[1] == [None] * 3
+    assert all(i != 1 for i, _, _, _ in calls)  # a missing line is never solved
+    first = {i: (warm, guess) for i, j, warm, guess in calls if j == 0}
+    assert first[2] == (None, None)  # the failed row left no warm start or history
+    assert first[3] == (4.0, (4.0, 1.0))
 
 
 def reference_point(g, lo, hi, cfg, warm):
@@ -568,8 +605,7 @@ def test_line_solver_matches_point_reference(case):
     h, lo, hi, n, targets = case
     cfg = SolverConfig(scan_points=n)
     line = RootLine(h, lo, hi, cfg)
-    q, status = sweep(lambda i, j, warm, guess: line.solve(targets[j], warm, guess),
-                      [0.0], targets)
+    q, status = sweep([line], [0.0], targets)
     warm = None
     for j, t in enumerate(targets):
         g = lambda v, t=t: t - h(v)
@@ -760,14 +796,14 @@ def test_sweep_guesses_match_per_point_weights(axis1, axis2, data):
         (i, j): data.draw(_point_result)
         for i in range(len(axis1)) for j in range(len(axis2))
     }
-    guesses = {}
 
     def solver(i, j, warm, guess):
-        guesses[i, j] = guess
         root, slope = results[i, j]
         return root, Status.RESOLVED if root is not None else Status.NO_ROOT, slope
 
-    sweep(solver, axis1, axis2)
+    lines, calls = recording_lines(solver, axis1, axis2)
+    sweep(lines, axis1, axis2)
+    guesses = {(i, j): guess for i, j, _, guess in calls}
     # repr tells -0.0 from 0.0, so equal reprs mean equal bits
     assert repr(guesses) == repr(reference_guesses(results, axis1, axis2))
 

@@ -46,6 +46,22 @@ def test_problem_validation():
         hj.HJProblem("1", "0", "q", eps_adm=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_x0_and_eps_adm(value):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        hj.HJProblem("1", "x^2", "q^2/2", x0=value)
+    with pytest.raises(ValueError, match="eps_adm must be positive and finite"):
+        hj.HJProblem("1", "x^2", "q^2/2", eps_adm=value)
+
+
+@pytest.mark.parametrize("q_range", [(0.05, math.inf), (-math.inf, 6.0), (math.nan, 6.0), (0.05, math.nan)])
+def test_solvers_reject_a_non_finite_q_range(q_range):
+    with pytest.raises(ValueError, match="solve_grid requires q_lo < q_hi, both finite"):
+        hj.solve_grid(OSC, [0.1, 0.2], [0.2, 0.3], q_range, CFG)
+    with pytest.raises(ValueError, match="solve_point requires q_lo < q_hi, both finite"):
+        hj.solve_point(OSC, 0.1, 0.2, *q_range, CFG)
+
+
 def test_momentum_values():
     assert hj.momentum(FREE, 0.3, 4.0) == pytest.approx(2.0, abs=1e-15)
     osc = hj.HJProblem("1", "x^2", "0", sigma=1)

@@ -47,6 +47,13 @@ def test_config_validation():
         SolverConfig(scan_points=1)
 
 
+@pytest.mark.parametrize("key", ["root_tol", "resid_tol", "quad_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_tolerances(key, value):
+    with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+        SolverConfig(**{key: value})
+
+
 def test_integrate_polynomial():
     assert integrate_adaptive(lambda x: x * x, 0.0, 1.0, 1e-10) == pytest.approx(
         1.0 / 3.0, abs=1e-9

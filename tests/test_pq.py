@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,15 @@ def test_solve_grid_validates_range(prob):
     for q_range in ((5.0, 1.0), (3.0, 3.0)):
         with pytest.raises(ValueError, match="solve_grid requires q_lo < q_hi"):
             pq.solve_grid(prob, [0.5, 1.0], [0.0, 1.0], q_range, CFG)
+
+
+@pytest.mark.parametrize("q_range", [(0.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0), (0.0, math.nan)])
+def test_solvers_reject_a_non_finite_q_range(q_range):
+    prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
+    with pytest.raises(ValueError, match="solve_grid requires q_lo < q_hi, both finite"):
+        pq.solve_grid(prob, [0.5, 1.0], [0.0, 1.0], q_range, CFG)
+    with pytest.raises(ValueError, match="solve_point requires q_lo < q_hi, both finite"):
+        pq.solve_point(prob, 1.0, 1.0, *q_range, CFG)
 
 
 def test_solve_point_out_of_range():
@@ -254,19 +264,44 @@ def test_solve_grid_independent_of_earlier_solves():
 
 
 def test_scaled_y_column_lines_match_point_solves():
-    # scaled_y lines are y columns, each read by every row of the sweep; the
-    # field matches each point's own solve (scan plus Brent's method from
-    # the coarse bracket) to 1e-10
+    # scaled_y lines are y columns, each swept along x; the field matches
+    # each point's own solve (scan plus Brent's method from the coarse
+    # bracket) to 1e-10
     prob = pq.PQProblem.scaled_y("1 + y^2", "p^2", "p^2/2")
     xs, ys = axis(0.5, 1.0, 13), axis(0.0, 0.2, 11)
     field = pq.solve_grid(prob, xs, ys, (0.0, 25.0), CFG)
     assert field.resolved_fraction() == 1.0
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            warm = field.q[i][j - 1] if j else (field.q[i - 1][0] if i else None)
+            warm = field.q[i - 1][j] if i else (field.q[0][j - 1] if j else None)
             q, status = pq.solve_point(prob, x, y, 0.0, 25.0, CFG, warm)
             assert status is field.status[i][j]
             assert abs(q - field.q[i][j]) <= 1e-10
+
+
+def test_scaled_y_continues_along_its_lines():
+    # a y column's points after its first are warm-started from the previous
+    # root on the same column, q[i-1][j]; a column's first point from the
+    # first point of the column before
+    prob = pq.PQProblem.scaled_y("1 + y^2", "p^2", "p^2/2")
+    xs, ys = axis(0.5, 1.0, 7), axis(0.0, 0.2, 5)
+    calls = []
+    solve = RootLine.solve
+
+    def recorded(line, target, warm=None, guess=None):
+        calls.append((line, target, warm))
+        return solve(line, target, warm, guess)
+
+    with mock.patch.object(RootLine, "solve", recorded):
+        field = pq.solve_grid(prob, xs, ys, (0.0, 25.0), CFG)
+    assert field.resolved_fraction() == 1.0
+    column = {}  # each line object's column, in order of first use
+    for line, _, _ in calls:
+        column.setdefault(line, len(column))
+    assert len(calls) == len(xs) * len(ys)
+    for line, target, warm in calls:
+        i, j = xs.index(target), column[line]
+        assert warm == (field.q[i - 1][j] if i else (field.q[0][j - 1] if j else None))
 
 
 # --- the one family against the three per-kind formulas ---------------------
@@ -327,19 +362,14 @@ class Reference:
         return d2 - self.g(d1) * self.ratiop(y)
 
     def solve_grid(self, xs, ys, q_range, cfg):
-        """The sweep with per-kind line levels, each sample evaluating H."""
+        """The sweep with per-kind line levels, each sample evaluating H,
+        over the grid whose rows are the lines: (y, x) for scaled_y."""
         by_column = self.kind == "scaled_y"
-        lines = [
-            RootLine(self.line_level(v), *q_range, cfg)
-            for v in (ys if by_column else xs)
-        ]
-
-        def point(i, j, warm, guess):
-            if by_column:
-                return lines[j].solve(xs[i], warm, guess)
-            return lines[i].solve(ys[j], warm, guess)
-
-        q, status = sweep(point, xs, ys)
+        axis1, axis2 = (ys, xs) if by_column else (xs, ys)
+        lines = [RootLine(self.line_level(v), *q_range, cfg) for v in axis1]
+        q, status = sweep(lines, axis1, axis2)
+        if by_column:
+            q, status = [list(r) for r in zip(*q)], [list(r) for r in zip(*status)]
         value = [[None] * len(ys) for _ in xs]
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
@@ -395,7 +425,7 @@ def test_family_matches_the_per_kind_formulas(prob, x, y, q, d1, d2):
     ref = Reference(prob)
     assert _outcome(pq.constraint, prob, x, y, q) == _outcome(ref.constraint, x, y, q)
     assert _outcome(pq.solution_value, prob, x, y, q) == _outcome(ref.solution_value, x, y, q)
-    got = _outcome(lambda: prob.residual_row(x)(y, d1, d2))
+    got = _outcome(lambda: prob.residual_line(y if prob.lines_are_columns else x)(d1, d2))
     assert got == _outcome(ref.residual, x, y, d1, d2)
 
 

@@ -1,11 +1,16 @@
 import math
+import pathlib
 import random
 
 import pytest
 
 from hjgen import expr, hj, pq, verify
+from hjgen.config import load_config
 from hjgen.errors import DomainError, EmptyReportError
 from hjgen.fields import ActionField, SolutionField, Status
+
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def axis(lo, hi, n):
@@ -294,6 +299,20 @@ def test_residual_report_equals_point_by_point_reference(problem, grid):
                 verify.residual_report(prob, field)
             continue
         assert verify.residual_report(prob, field) == want
+
+
+def test_residual_report_builds_each_line_residual_once():
+    # scaled_y lines are y columns: H'(y) is evaluated once per interior
+    # column, not at every point, and the report is the point-by-point one
+    cfg = load_config(str(CONFIG_DIR / "scaled_y.cfg"))
+    prob = cfg.problem
+    field = pq.solve_grid(prob, cfg.axis1, cfg.axis2, cfg.q_range, cfg.solver)
+    calls = []
+    slope = prob._ratiop_fn
+    prob._ratiop_fn = lambda v: calls.append(v) or slope(v)
+    report = verify.residual_report(prob, field)
+    assert calls == list(field.axis2[3:-3])  # 35 interior columns of 41
+    assert report == residual_reference(prob, field)
 
 
 def test_residual_report_rejects_what_is_not_a_problem():
