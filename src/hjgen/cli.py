@@ -163,6 +163,8 @@ def _cmd_oracle(args) -> int:
         print(f"error: unknown oracle {args.name!r}; expected one of {', '.join(ORACLES)}",
               file=sys.stderr)
         return 2
+    if not math.isfinite(args.threshold):
+        raise ConfigError(f"--threshold must be finite, got {args.threshold!r}")
     field = read_field_csv(args.csv)
     params = _param_map(args.param)
     oracle = _oracle_fn(args.name, params, field)

@@ -280,10 +280,10 @@ def parse_config(text: str) -> RunConfig:
         report_path = entry.raw if entry is not None else None
         entry = out_sec.take("min_resolved")
         if entry is not None:
-            min_resolved = _float_of(entry, "min_resolved")
+            min_resolved = _finite_of(entry, "min_resolved")
         entry = out_sec.take("max_residual")
         if entry is not None:
-            max_residual = _float_of(entry, "max_residual")
+            max_residual = _finite_of(entry, "max_residual")
         out_sec.finish()
 
     return RunConfig(

@@ -47,10 +47,12 @@ each x row keeps one node table of c and V (:class:`_RowTable`), the one
 kernel of the solve: a quadrature at any q is one weighted sum per level,
 and :func:`solve_grid` takes each root's action on its row's table once,
 at the root.  The separated integral is sigma times the integral of p at
-q = E; that integral is t-free, so the table keeps it per q.  The per-point
-calls keep the problem's last table (:func:`_row_table`) for the next call
-on the same x and tolerance.  A quadrature that does not converge marks its
-point ``domain_fail``, like a domain error.
+q = E; that integral is t-free, so the table keeps it per q.  The calls at
+one point (:func:`constraint`, :func:`action_value` and
+:func:`separation_action`) keep the problem's last table
+(:func:`_row_table`) for the next call on the same x and tolerance; a
+root at one point is a 1 x 1 :func:`solve_grid`.  A quadrature that does
+not converge marks its point ``domain_fail``, like a domain error.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ __all__ = [
     "correction_integrand",
     "correction_term",
     "constraint",
-    "solve_point",
     "action_value",
     "solve_grid",
     "separation_action",
@@ -131,12 +132,6 @@ class HJProblem:
         if self.eps_adm is not None:
             return self.eps_adm
         return 1e-9 * (1.0 + abs(q))
-
-    def generator_at(self, q: float) -> float:
-        return self._g_fn(q)
-
-    def generator_slope_at(self, q: float) -> float:
-        return self._gp_fn(q)
 
     lines_are_columns = False  # the grid lines are x rows
 
@@ -329,7 +324,7 @@ class _RowTable:
 def correction_term(prob: HJProblem, x: float, q: float, cfg: SolverConfig) -> float:
     """F(x, q): quadrature of the correction integrand from x0, plus G(q)."""
     integral = integrate_adaptive(lambda s: correction_integrand(prob, s, q), prob.x0, x, cfg.quad_tol)
-    return integral + prob.generator_at(q)
+    return integral + prob._g_fn(q)
 
 
 def constraint(
@@ -348,7 +343,7 @@ def constraint(
     analytically and the direct path exists for that equivalence check.
     """
     if direct:
-        g_slope = prob.generator_slope_at(q)
+        g_slope = prob._gp_fn(q)
         h = 1e-6 * (1.0 + abs(q))
 
         def dq_integrand(s):
@@ -396,30 +391,6 @@ def _root_line(row: _RowTable, q_lo: float, q_hi: float, cfg: SolverConfig) -> O
     return RootLine(row.t_at, lo, q_hi, cfg)
 
 
-def solve_point(
-    prob: HJProblem,
-    x: float,
-    t: float,
-    q_lo: float,
-    q_hi: float,
-    cfg: SolverConfig,
-    warm: Optional[float] = None,
-):
-    """Locate the constraint root at one (x, t) point.
-
-    A one-target :class:`~hjgen.fields.RootLine` over the clipped scan
-    range, without a continuation predictor; an empty clipped range is a
-    domain failure.  Continuation semantics match the first-order PDE
-    solver.
-    """
-    if not -math.inf < q_lo < q_hi < math.inf:
-        raise ValueError("solve_point requires q_lo < q_hi, both finite")
-    line = _root_line(_row_table(prob, x, cfg.quad_tol), q_lo, q_hi, cfg)
-    if line is None:
-        return None, Status.DOMAIN_FAIL
-    return line.solve(t, warm)[:2]
-
-
 def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfig) -> float:
     """S = x p(x, q) + q t - F(x, q) at the resolved root q, taken by parts
     as x0 p(x0, q) + integral of p from x0 to x + q t - G(q)."""
@@ -430,7 +401,7 @@ def _action(row: _RowTable, t: float, q: float) -> float:
     prob = row.prob
     a, v = _base_coefficients(prob)
     base = prob.x0 * _momentum(prob, a, v, prob.x0, q)
-    return base + row.momentum_integral(q) + q * t - prob.generator_at(q)
+    return base + row.momentum_integral(q) + q * t - prob._g_fn(q)
 
 
 def solve_grid(
@@ -469,9 +440,11 @@ def _row_table(prob: HJProblem, x: float, tol: float) -> _RowTable:
     """The problem's last row table when it is for ``x`` and ``tol``, else a
     new one kept in its place.
 
-    One slot, not a table per x, for the per-point calls: callers that loop
-    t inside x share one table per row, and a finished row is freed when
-    the next one starts.
+    One slot, not a table per x, for :func:`constraint`,
+    :func:`action_value` and :func:`separation_action`, which take one
+    point each: callers that loop t inside x share one table per row, and a
+    finished row is freed when the next one starts.  :func:`solve_grid`
+    builds its own rows and leaves the slot alone.
     """
     row = prob._last_row
     if row is None or row.x != x or row.tol != tol:

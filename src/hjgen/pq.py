@@ -10,8 +10,8 @@ for an arbitrary user-chosen function phi; the condition picks r(x, y) for
 each choice of phi.  The three kinds name l, H and G:
 
 ``explicit``
-    p = f(q).  l = x, r = q, H(x) = x and G = f: the ``scaled_x`` family
-    with f(x) = 1.
+    p = f(q).  l = x, r = q and G = f: the ``scaled_x`` family with scale
+    1, so H(x) = x/1 = x.
 ``scaled_x``
     f(x) p = G(q), i.e. p = G(q)/f(x).  l = x, r = q and H(x) = x/f(x).
 ``scaled_y``
@@ -34,7 +34,8 @@ bisection over those levels and evaluates the level only to refine them.
 The sweep walks each line in turn, so a root's warm start and prediction
 come from the earlier roots of its own line, and the residual is built
 once per line (:meth:`PQProblem.residual_line`);
-:attr:`PQProblem.lines_are_columns` says which lines those are.
+:attr:`PQProblem.lines_are_columns` says which lines those are.  A root at
+one point is a 1 x 1 :func:`solve_grid`.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ from .errors import DomainError
 from .fields import RootLine, SolutionField, Status, check_axis, sweep
 from .numerics import SolverConfig
 
-__all__ = ["KINDS", "PQProblem", "constraint", "solve_point", "solution_value", "solve_grid"]
+__all__ = ["KINDS", "PQProblem", "constraint", "solution_value", "solve_grid"]
 
 KINDS = ("explicit", "scaled_x", "scaled_y")
+_ONE = expr.Num(1.0)  # an explicit problem's scale: x/1 is x and H' folds to 1
 
 
 @dataclass
@@ -59,41 +61,30 @@ class PQProblem:
     immutable once constructed.
 
     Use the :meth:`explicit`, :meth:`scaled_x` and :meth:`scaled_y`
-    constructors; fields irrelevant to a kind stay ``None``.  An explicit
-    problem's ``f_of_q`` is its G, with H(x) = x; a scaled problem's H is
-    its line coordinate over ``scale``.  The root variable is ``q`` for
-    explicit/scaled_x problems and ``p`` for scaled_y, whose lines are y
-    columns.
+    constructors.  H is the line coordinate over ``scale``; an explicit
+    problem is the scaled_x one whose scale is the literal 1 and whose G is
+    its f.  The root variable is ``q`` for explicit/scaled_x problems and
+    ``p`` for scaled_y, whose lines are y columns.
     """
 
     kind: str
-    f_of_q: Optional[expr.Expression] = None  # explicit branch f(q)
-    scale: Optional[expr.Expression] = None  # f(x) or h(y)
-    gfun: Optional[expr.Expression] = None  # G(q) or G(p)
+    scale: Optional[expr.Expression] = None  # f(x) or h(y); 1 for explicit problems
+    gfun: Optional[expr.Expression] = None  # G(q) or G(p); f(q) for explicit problems
     phi: Optional[expr.Expression] = None  # arbitrary function
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.phi is None:
-            raise ValueError("phi is required")
+        if self.scale is None or self.gfun is None or self.phi is None:
+            raise ValueError("problems require scale, gfun and phi")
+        if self.kind == "explicit" and self.scale != _ONE:
+            raise ValueError("explicit problems have scale 1")
         line, root = ("y", "p") if self.lines_are_columns else ("x", "q")
-        if self.kind == "explicit":
-            if self.f_of_q is None:
-                raise ValueError("explicit problems require f_of_q")
-            if self.scale is not None or self.gfun is not None:
-                raise ValueError("explicit problems carry only f_of_q and phi")
-            ratio, g = expr.Var(line), self.f_of_q
-        else:
-            if self.scale is None or self.gfun is None:
-                raise ValueError(f"{self.kind} problems require scale and gfun")
-            if self.f_of_q is not None:
-                raise ValueError(f"{self.kind} problems must not carry f_of_q")
-            ratio, g = expr.BinOp("/", expr.Var(line), self.scale), self.gfun
+        ratio = expr.BinOp("/", expr.Var(line), self.scale)
         self._ratio_fn = expr.compile_function(ratio, (line,))
         self._ratiop_fn = expr.compile_function(expr.differentiate(ratio, line), (line,))
-        self._g_fn = expr.compile_function(g, (root,))
-        self._gp_fn = expr.compile_function(expr.differentiate(g, root), (root,))
+        self._g_fn = expr.compile_function(self.gfun, (root,))
+        self._gp_fn = expr.compile_function(expr.differentiate(self.gfun, root), (root,))
         self._phi_fn = expr.compile_function(self.phi, (root,))
         self._phip_fn = expr.compile_function(expr.differentiate(self.phi, root), (root,))
 
@@ -102,29 +93,17 @@ class PQProblem:
         """Whether the grid lines are y columns (scaled_y), not x rows."""
         return self.kind == "scaled_y"
 
-    @property
-    def root_var(self) -> str:
-        return "p" if self.lines_are_columns else "q"
-
     @classmethod
-    def explicit(cls, f_of_q, phi) -> "PQProblem":
-        return cls("explicit", f_of_q=expr.as_expr(f_of_q), phi=expr.as_expr(phi))
+    def explicit(cls, f, phi) -> "PQProblem":
+        return cls("explicit", _ONE, expr.as_expr(f), expr.as_expr(phi))
 
     @classmethod
     def scaled_x(cls, scale, gfun, phi) -> "PQProblem":
-        return cls(
-            "scaled_x", scale=expr.as_expr(scale), gfun=expr.as_expr(gfun), phi=expr.as_expr(phi)
-        )
+        return cls("scaled_x", expr.as_expr(scale), expr.as_expr(gfun), expr.as_expr(phi))
 
     @classmethod
     def scaled_y(cls, scale, gfun, phi) -> "PQProblem":
-        return cls(
-            "scaled_y", scale=expr.as_expr(scale), gfun=expr.as_expr(gfun), phi=expr.as_expr(phi)
-        )
-
-    def ratio_slope_at(self, v: float) -> float:
-        """H'(v): 1.0 for explicit problems."""
-        return self._ratiop_fn(v)
+        return cls("scaled_y", expr.as_expr(scale), expr.as_expr(gfun), expr.as_expr(phi))
 
     def residual_line(self, v: float):
         """The PDE residual u_l - H'(l) G(u_s) on the grid line at ``v`` (the
@@ -186,33 +165,6 @@ def _root_line(prob: PQProblem, v: float, q_lo: float, q_hi: float, cfg: SolverC
     except DomainError:
         return None
     return h, RootLine(_line_level(prob, h), q_lo, q_hi, cfg)
-
-
-def solve_point(
-    prob: PQProblem,
-    x: float,
-    y: float,
-    q_lo: float,
-    q_hi: float,
-    cfg: SolverConfig,
-    warm: Optional[float] = None,
-):
-    """Locate the constraint root at one grid point.
-
-    Returns ``(root, status)`` from a one-target
-    :class:`~hjgen.fields.RootLine`, without a continuation predictor.
-    Several roots resolve to the one nearest ``warm`` (continuation) with
-    status ``multi_root``; a constraint that vanishes identically over the
-    scan keeps the warm value (or the range midpoint when cold).  Domain
-    failures never raise, they mark the point.
-    """
-    if not -math.inf < q_lo < q_hi < math.inf:
-        raise ValueError("solve_point requires q_lo < q_hi, both finite")
-    v, target = _line(prob, x, y)
-    line = _root_line(prob, v, q_lo, q_hi, cfg)
-    if line is None:
-        return None, Status.DOMAIN_FAIL
-    return line[1].solve(target, warm)[:2]
 
 
 def solve_grid(

@@ -378,6 +378,18 @@ def test_oracle_nan_deviation_fails(free_run, capsys):
     assert "max_abs_err: inf\n" in out and "status: FAIL\n" in out
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_oracle_non_finite_threshold_exits_2(free_run, capsys, threshold):
+    # a gate that no deviation can fail or pass is an input failure, not a
+    # comparison that ends in FAIL
+    _, field_path, _, _ = free_run
+    capsys.readouterr()
+    assert main(["oracle", "free_particle", str(field_path), "--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --threshold must be finite, got {float(threshold)!r}\n"
+
+
 def test_oracle_unknown_name_exits_2(free_run):
     _, field_path, _, _ = free_run
     assert main(["oracle", "wkb", str(field_path)]) == 2
@@ -480,6 +492,8 @@ def test_diffcheck_without_points_exits_2(capsys, n):
         ("x0 = 0", "x0 = nan"),
         ("q_max = 6", "q_max = inf"),
         ("quad_tol = 1e-10", "quad_tol = inf"),
+        ("max_residual = 5e-8", "max_residual = nan"),
+        ("min_resolved = 0.99", "min_resolved = inf"),
     ],
 )
 def test_solve_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, old, new):

@@ -2,6 +2,7 @@ import pytest
 
 from hjgen.config import load_config, parse_config
 from hjgen.errors import ConfigError
+from hjgen.expr import Num, parse
 from hjgen.hj import HJProblem
 from hjgen.pq import PQProblem
 
@@ -73,6 +74,8 @@ def test_parse_pq_config_with_defaults():
     cfg = parse_config(PQ_TEXT)
     assert isinstance(cfg.problem, PQProblem)
     assert cfg.problem.kind == "explicit"
+    # the f key is the scaled_x family's G under the scale 1
+    assert (cfg.problem.scale, cfg.problem.gfun) == (Num(1.0), parse("2*q - 1"))
     assert cfg.field_path is None
     assert cfg.min_resolved == 0.99
     assert cfg.max_residual == 1e-6
@@ -194,7 +197,8 @@ q_max = 5
 """
     cfg = parse_config(text)
     assert cfg.problem.kind == "scaled_y"
-    assert cfg.problem.root_var == "p"
+    assert cfg.problem.lines_are_columns  # the root variable is p
+    assert (cfg.problem.scale, cfg.problem.gfun) == (parse("2 + sin(y)"), parse("p^2"))
 
 
 def test_load_config_missing_file(tmp_path):

@@ -39,6 +39,23 @@ def axis(lo, hi, n):
     return [hi if i == n - 1 else lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+def solve_one(prob, x, t, q_range, cfg):
+    """(root, status) of the point (x, t), solved cold as a 1 x 1 grid."""
+    field = hj.solve_grid(prob, [x], [t], q_range, cfg)
+    return field.q[0][0], field.status[0][0]
+
+
+def line_solve(prob, x, t, q_range, cfg, warm=None):
+    """(root, status) at (x, t) from the RootLine of x's row, warm-started
+    at ``warm``, without a predictor; an empty clipped range is a domain
+    failure.  The row table is the problem's slot, as the one-point calls
+    use it."""
+    line = hj._root_line(hj._row_table(prob, x, cfg.quad_tol), *q_range, cfg)
+    if line is None:
+        return None, Status.DOMAIN_FAIL
+    return line.solve(t, warm)[:2]
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         hj.HJProblem("1", "0", "q", sigma=2)
@@ -58,8 +75,6 @@ def test_problem_rejects_non_finite_x0_and_eps_adm(value):
 def test_solvers_reject_a_non_finite_q_range(q_range):
     with pytest.raises(ValueError, match="solve_grid requires q_lo < q_hi, both finite"):
         hj.solve_grid(OSC, [0.1, 0.2], [0.2, 0.3], q_range, CFG)
-    with pytest.raises(ValueError, match="solve_point requires q_lo < q_hi, both finite"):
-        hj.solve_point(OSC, 0.1, 0.2, *q_range, CFG)
 
 
 def test_momentum_values():
@@ -137,7 +152,7 @@ def test_constraint_free_particle_closed_root():
 
 def test_constraint_oscillator_root_relation():
     # with G = q^2/2 the root obeys q = t + asin(x / sqrt(q)) / 2
-    q, status = hj.solve_point(OSC, 1.0, 0.5, 0.05, 6.0, CFG)
+    q, status = solve_one(OSC, 1.0, 0.5, (0.05, 6.0), CFG)
     assert status is Status.RESOLVED
     # scalar iteration oracle for the same fixed point
     ref = 1.2
@@ -174,24 +189,49 @@ def test_constraint_at_base_point_is_time_independent_of_x():
     assert g1 == pytest.approx(1.0 - 0.3, abs=1e-15)  # G'(q) - t
 
 
-def test_solve_point_free_particle_values():
-    q, status = hj.solve_point(FREE, 2.0, 0.0, 0.01, 20.0, CFG)
+def test_one_point_grid_free_particle_values():
+    q, status = solve_one(FREE, 2.0, 0.0, (0.01, 20.0), CFG)
     assert status is Status.RESOLVED and q == pytest.approx(1.0, abs=1e-10)
-    q, status = hj.solve_point(FREE, 1.0, 0.5, 0.01, 20.0, CFG)
+    q, status = solve_one(FREE, 1.0, 0.5, (0.01, 20.0), CFG)
     assert status is Status.RESOLVED and q == pytest.approx(1.0, abs=1e-10)
 
 
-def test_solve_point_validates_range():
+def test_one_point_grid_validates_range():
     with pytest.raises(ValueError):
-        hj.solve_point(FREE, 1.0, 0.0, 5.0, 5.0, CFG)
+        solve_one(FREE, 1.0, 0.0, (5.0, 5.0), CFG)
 
 
-def test_solve_point_degenerate_at_origin():
+def test_one_point_degenerate_at_origin():
     # at x = x0 = 0 the free-particle condition loses its q dependence
-    q, status = hj.solve_point(FREE, 0.0, 0.3, 0.01, 20.0, CFG)
+    q, status = solve_one(FREE, 0.0, 0.3, (0.01, 20.0), CFG)
     assert q is None and status is Status.NO_ROOT
-    q, status = hj.solve_point(FREE, 0.0, 1.0, 0.01, 20.0, CFG, warm=7.0)
+    q, status = line_solve(FREE, 0.0, 1.0, (0.01, 20.0), CFG, warm=7.0)
     assert status is Status.MULTI_ROOT and q == 7.0
+
+
+@pytest.mark.parametrize(
+    "prob, xs, ts, q_range, seen",
+    [
+        # roots below q_min near x = 0
+        (FREE, (0.0, 2.5), (0.0, 0.6), (0.01, 20.0), {Status.RESOLVED, Status.NO_ROOT}),
+        (OSC, (0.1, 0.6), (0.1, 0.6), (0.05, 6.0), {Status.RESOLVED}),
+        # rows with x^2 above q_max clip to an empty scan range
+        (OSC_G0, (0.3, 0.9), (0.0, 0.4), (0.01, 0.5), {Status.NO_ROOT, Status.DOMAIN_FAIL}),
+    ],
+    ids=["free_particle", "harmonic", "clipped_rows"],
+)
+def test_one_point_grid_is_the_cold_line_solve(prob, xs, ts, q_range, seen):
+    # a 1 x 1 solve_grid solves its point as its row's RootLine does cold
+    rng = random.Random(7)
+    statuses = set()
+    for _ in range(60):
+        x, t = rng.uniform(*xs), rng.uniform(*ts)
+        line = hj._root_line(hj._RowTable(prob, x, CFG.quad_tol), *q_range, CFG)
+        want = (None, Status.DOMAIN_FAIL) if line is None else line.solve(t)[:2]
+        got = solve_one(prob, x, t, q_range, CFG)
+        assert repr(got) == repr(want)
+        statuses.add(got[1])
+    assert statuses == seen
 
 
 def test_action_value_free_particle():
@@ -313,7 +353,7 @@ def test_calls_without_a_row_share_the_problem_row_table(monkeypatch):
     ts = axis(0.0, 0.4, 41)
     want_g = [hj._RowTable(prob, x, CFG.quad_tol).t_at(q) - t for t in ts]
     want_s = [hj._action(hj._RowTable(prob, x, CFG.quad_tol), t, q) for t in ts]
-    correction = reference_correction_integral(prob, x, q, CFG.quad_tol) + prob.generator_at(q)
+    correction = reference_correction_integral(prob, x, q, CFG.quad_tol) + prob._g_fn(q)
     for t, s in zip(ts, want_s):
         assert abs(s - (x * hj.momentum(prob, x, q) + q * t - correction)) <= 1e-13
     builds = collections.Counter()  # (panel lo, panel hi, level) built
@@ -357,7 +397,7 @@ def test_calls_alternating_tolerances_match_fresh_tables():
 
 
 def test_solve_grid_leaves_the_row_table_slot_alone():
-    # solve_grid builds its own rows; the slot serves the per-point calls
+    # solve_grid builds its own rows; the slot serves the one-point calls
     prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0, eps_adm=1e-3)
     field = hj.solve_grid(prob, axis(0.15, 0.45, 5), axis(0.2, 0.5, 5), (0.05, 6.0), CFG)
     assert field.resolved_fraction() == 1.0
@@ -482,7 +522,7 @@ def test_solve_grid_independent_of_the_row_table_slot():
         hj.solve_grid(used, xs[1::2], ts[::3], q_range, CFG)
         for q in (0.5, 1.5, 3.0):
             hj.action_value(used, xs[0], 0.3, q, CFG)
-        hj.solve_point(used, xs[0], ts[4], *q_range, CFG)
+        line_solve(used, xs[0], ts[4], q_range, CFG)
         field = hj.solve_grid(used, xs, ts, q_range, CFG)
         assert field.q == fresh.q
         assert field.value == fresh.value
@@ -491,16 +531,16 @@ def test_solve_grid_independent_of_the_row_table_slot():
 
 
 def point_loop(prob, xs, ts, q_range, cfg):
-    """solve_point at every point with the sweep's warm starts: a scan and
-    Brent's method from the coarse bracket, no row tables, no predictor."""
+    """Each point from its own line solve with the sweep's warm starts: a
+    scan and Brent's method from the coarse bracket, no predictor."""
     q = [[None] * len(ts) for _ in xs]
     status = [[None] * len(ts) for _ in xs]
     for i, x in enumerate(xs):
         warm = q[i - 1][0] if i > 0 else None
-        q[i][0], status[i][0] = hj.solve_point(prob, x, ts[0], *q_range, cfg, warm)
+        q[i][0], status[i][0] = line_solve(prob, x, ts[0], q_range, cfg, warm)
     for i, x in enumerate(xs):
         for j in range(1, len(ts)):
-            q[i][j], status[i][j] = hj.solve_point(prob, x, ts[j], *q_range, cfg, q[i][j - 1])
+            q[i][j], status[i][j] = line_solve(prob, x, ts[j], q_range, cfg, q[i][j - 1])
     return q, status
 
 
@@ -694,7 +734,7 @@ def reference_integral(row, q, slope):
 
 def reference_t_at(row, q):
     prob = row.prob
-    g_slope = prob.generator_slope_at(q)
+    g_slope = prob._gp_fn(q)
     integral = reference_integral(row, q, True)
     return g_slope - integral - prob.x0 * hj.momentum_partials(prob, prob.x0, q)[1]
 

@@ -10,7 +10,7 @@ from hjgen import expr, pq
 from hjgen.errors import DomainError
 from hjgen.fields import RootLine, Status, sweep
 from hjgen.numerics import SolverConfig, central_difference
-from hjgen.verify import finite_diff_partials
+from hjgen.verify import finite_diff_partials, residual_report
 
 CFG = SolverConfig(scan_points=24)
 
@@ -19,20 +19,38 @@ def axis(lo, hi, n):
     return [hi if i == n - 1 else lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+def solve_one(prob, x, y, q_range, cfg):
+    """(root, status) of the point (x, y), solved cold as a 1 x 1 grid."""
+    field = pq.solve_grid(prob, [x], [y], q_range, cfg)
+    return field.q[0][0], field.status[0][0]
+
+
+def line_solve(prob, x, y, q_range, cfg, warm=None):
+    """(root, status) at (x, y) from the RootLine of its grid line (the y
+    column for scaled_y), warm-started at ``warm``, without a predictor."""
+    v, target = (y, x) if prob.lines_are_columns else (x, y)
+    line = pq._root_line(prob, v, *q_range, cfg)
+    if line is None:
+        return None, Status.DOMAIN_FAIL
+    return line[1].solve(target, warm)[:2]
+
+
 def test_problem_field_validation():
     with pytest.raises(ValueError):
-        pq.PQProblem("weird", phi=expr.as_expr("q"))
+        pq.PQProblem("weird", expr.as_expr("1"), expr.as_expr("q"), expr.as_expr("q"))
     with pytest.raises(ValueError):
-        pq.PQProblem("explicit", phi=expr.as_expr("q"))  # missing f_of_q
-    with pytest.raises(ValueError):
+        pq.PQProblem("explicit", phi=expr.as_expr("q"))  # missing scale and gfun
+    with pytest.raises(ValueError, match="explicit problems have scale 1"):
         pq.PQProblem(
             "explicit",
-            f_of_q=expr.as_expr("q"),
+            scale=expr.as_expr("x"),
             phi=expr.as_expr("q"),
             gfun=expr.as_expr("q"),
         )
     with pytest.raises(ValueError):
         pq.PQProblem("scaled_x", scale=expr.as_expr("x"), phi=expr.as_expr("q"))
+    with pytest.raises(ValueError):
+        pq.PQProblem("scaled_y", scale=expr.as_expr("y"), gfun=expr.as_expr("p"))  # no phi
 
 
 def test_constraint_linear_case():
@@ -53,24 +71,24 @@ def test_constraint_degenerate_scaled_x():
         assert pq.constraint(prob, 5.0, 0.0, q) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_solve_point_linear_root():
+def test_one_point_grid_linear_root():
     prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
-    q, status = pq.solve_point(prob, 1.0, 1.0, 0.0, 10.0, CFG)
+    q, status = solve_one(prob, 1.0, 1.0, (0.0, 10.0), CFG)
     assert status is Status.RESOLVED
     assert q == pytest.approx(3.0, abs=1e-10)
 
 
-def test_solve_point_sqrt_closed_form():
+def test_one_point_grid_sqrt_closed_form():
     prob = pq.PQProblem.explicit("sqrt(q)", "q")
-    q, status = pq.solve_point(prob, 2.0, 0.5, 1e-6, 10.0, CFG)
+    q, status = solve_one(prob, 2.0, 0.5, (1e-6, 10.0), CFG)
     assert status is Status.RESOLVED
     assert q == pytest.approx(4.0, abs=1e-9)  # x^2 / (4 (1-y)^2)
 
 
-def test_solve_point_validates_range():
+def test_one_point_grid_validates_range():
     prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
     with pytest.raises(ValueError):
-        pq.solve_point(prob, 1.0, 1.0, 3.0, 3.0, CFG)
+        solve_one(prob, 1.0, 1.0, (3.0, 3.0), CFG)
 
 
 @pytest.mark.parametrize(
@@ -91,13 +109,11 @@ def test_solvers_reject_a_non_finite_q_range(q_range):
     prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
     with pytest.raises(ValueError, match="solve_grid requires q_lo < q_hi, both finite"):
         pq.solve_grid(prob, [0.5, 1.0], [0.0, 1.0], q_range, CFG)
-    with pytest.raises(ValueError, match="solve_point requires q_lo < q_hi, both finite"):
-        pq.solve_point(prob, 1.0, 1.0, *q_range, CFG)
 
 
-def test_solve_point_out_of_range():
+def test_one_point_grid_out_of_range():
     prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
-    q, status = pq.solve_point(prob, 1.0, 1.0, 10.0, 20.0, CFG)
+    q, status = solve_one(prob, 1.0, 1.0, (10.0, 20.0), CFG)
     assert q is None and status is Status.NO_ROOT
 
 
@@ -152,13 +168,13 @@ def test_solve_grid_all_no_root():
 def test_degenerate_constraint_keeps_warm_value():
     prob = pq.PQProblem.scaled_x("x", "q^2", "q^2")
     # y = 0 row: the condition vanishes identically
-    q, status = pq.solve_point(prob, 5.0, 0.0, 0.0, 10.0, CFG)
+    q, status = solve_one(prob, 5.0, 0.0, (0.0, 10.0), CFG)
     assert status is Status.MULTI_ROOT
     assert q == pytest.approx(5.0)  # cold start takes the range midpoint
-    q, status = pq.solve_point(prob, 5.0, 0.0, 0.0, 10.0, CFG, warm=2.25)
+    q, status = line_solve(prob, 5.0, 0.0, (0.0, 10.0), CFG, warm=2.25)
     assert status is Status.MULTI_ROOT and q == 2.25
     # y != 0: the condition is the non-zero constant y, no root anywhere
-    q, status = pq.solve_point(prob, 5.0, 0.7, 0.0, 10.0, CFG)
+    q, status = solve_one(prob, 5.0, 0.7, (0.0, 10.0), CFG)
     assert q is None and status is Status.NO_ROOT
 
 
@@ -168,17 +184,17 @@ def test_multi_root_continuation_picks_nearest():
     cfg = SolverConfig(scan_points=64)
     expected = [math.acos(-0.3), 2 * math.pi - math.acos(-0.3)]
     expected += [r + 2 * math.pi for r in expected]
-    q, status = pq.solve_point(prob, 1.0, 0.3, 0.0, 12.0, cfg, warm=4.0)
+    q, status = line_solve(prob, 1.0, 0.3, (0.0, 12.0), cfg, warm=4.0)
     assert status is Status.MULTI_ROOT
     assert q == pytest.approx(expected[1], abs=1e-9)
-    q, status = pq.solve_point(prob, 1.0, 0.3, 0.0, 12.0, cfg, warm=8.5)
+    q, status = line_solve(prob, 1.0, 0.3, (0.0, 12.0), cfg, warm=8.5)
     assert q == pytest.approx(expected[2], abs=1e-9)
 
 
 def test_domain_failure_marks_point():
     # sqrt branch: f'(q) fails for q < 0, whole range below zero
     prob = pq.PQProblem.explicit("sqrt(q)", "q")
-    q, status = pq.solve_point(prob, 1.0, 0.0, -10.0, -1.0, CFG)
+    q, status = solve_one(prob, 1.0, 0.0, (-10.0, -1.0), CFG)
     assert q is None and status is Status.DOMAIN_FAIL
 
 
@@ -212,7 +228,7 @@ def test_scaled_x_field_identities():
         for j in range(1, 40):
             ds = finite_diff_partials(field, i, j)
             q = field.q[i][j]
-            hp = prob.ratio_slope_at(field.axis1[i])
+            hp = prob._ratiop_fn(field.axis1[i])
             assert abs(ds[0] - hp * q * q) < 2e-3
             assert abs(ds[1] - q) < 2e-3
 
@@ -274,7 +290,7 @@ def test_scaled_y_column_lines_match_point_solves():
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             warm = field.q[i - 1][j] if i else (field.q[0][j - 1] if j else None)
-            q, status = pq.solve_point(prob, x, y, 0.0, 25.0, CFG, warm)
+            q, status = line_solve(prob, x, y, (0.0, 25.0), CFG, warm)
             assert status is field.status[i][j]
             assert abs(q - field.q[i][j]) <= 1e-10
 
@@ -314,10 +330,10 @@ class Reference:
     def __init__(self, prob):
         fn = expr.compile_function
         self.kind = prob.kind
-        root = prob.root_var
+        root = "p" if prob.kind == "scaled_y" else "q"
         if prob.kind == "explicit":
-            self.f = fn(prob.f_of_q, ("q",))
-            self.fp = fn(expr.differentiate(prob.f_of_q, "q"), ("q",))
+            self.f = fn(prob.gfun, ("q",))
+            self.fp = fn(expr.differentiate(prob.gfun, "q"), ("q",))
         else:
             axis = "x" if prob.kind == "scaled_x" else "y"
             ratio = expr.BinOp("/", expr.Var(axis), prob.scale)
@@ -452,8 +468,68 @@ def test_solve_grid_matches_the_per_kind_sweep(args, xs, ys, q_range):
 
 def test_explicit_ratio_slope_is_one():
     prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
+    assert prob.scale == expr.Num(1.0)
+    assert expr.differentiate(expr.BinOp("/", expr.Var("x"), prob.scale), "x") == expr.Num(1.0)
     for x in (0.0, -1.5, 0.5, 3.0):
-        assert prob.ratio_slope_at(x) == 1.0
+        assert prob._ratiop_fn(x) == 1.0
+        assert prob._ratio_fn(x) == x
+
+
+@pytest.mark.parametrize(
+    "f, phi, xs, ys, q_range",
+    [
+        ("2*q - 1", "q^2/2", axis(0.0, 1.0, 9), axis(0.0, 1.0, 9), (0.0, 10.0)),
+        ("sqrt(q)", "q", axis(0.5, 1.5, 9), axis(0.0, 0.5, 9), (1e-3, 10.0)),
+        ("sin(q)", "0", axis(0.2, 1.0, 7), axis(-0.5, 0.5, 7), (0.0, 12.0)),
+    ],
+    ids=["linear", "sqrt", "multi_root"],
+)
+def test_explicit_is_scaled_x_with_scale_one(f, phi, xs, ys, q_range):
+    # the explicit kind is the scaled_x problem whose scale is the literal 1:
+    # same roots, values, statuses and residual report, to the bit
+    explicit = pq.PQProblem.explicit(f, phi)
+    scaled = pq.PQProblem.scaled_x("1", f, phi)
+    assert (explicit.scale, explicit.gfun, explicit.phi) == (scaled.scale, scaled.gfun, scaled.phi)
+    got = pq.solve_grid(explicit, xs, ys, q_range, CFG)
+    want = pq.solve_grid(scaled, xs, ys, q_range, CFG)
+    assert repr(got.q) == repr(want.q)
+    assert repr(got.value) == repr(want.value)
+    assert got.status == want.status
+    assert repr(residual_report(explicit, got)) == repr(residual_report(scaled, want))
+
+
+_ALL = set(Status)
+
+
+@pytest.mark.parametrize(
+    "prob, q_range, seen",
+    [
+        (pq.PQProblem.explicit("sqrt(q)", "q^2/2"), (-1.0, 10.0), {Status.RESOLVED, Status.NO_ROOT}),
+        (pq.PQProblem.explicit("sin(q)", "0"), (0.0, 12.0), {Status.MULTI_ROOT, Status.NO_ROOT}),
+        # H raises on the line x = 0.5; ln(p) raises at a root p <= 0
+        (pq.PQProblem.scaled_x("x - 0.5", "q^2", "q^3/3"), (0.1, 5.0), _ALL),
+        (pq.PQProblem.scaled_y("1 + y^2", "ln(p)", "p^3/3"), (-1.0, 5.0), _ALL),
+    ],
+    ids=["explicit", "explicit_multi_root", "scaled_x", "scaled_y"],
+)
+def test_one_point_grid_is_the_cold_line_solve(prob, q_range, seen):
+    # a 1 x 1 solve_grid solves its point as its line's RootLine does cold,
+    # and a root whose value u raises is a domain failure
+    rng = random.Random(5)
+    statuses = set()
+    for _ in range(100):
+        x = rng.choice((0.5, rng.uniform(-1.0, 2.0)))
+        y = rng.choice((0.5, rng.uniform(-1.0, 2.0)))
+        want = line_solve(prob, x, y, q_range, CFG)
+        if want[0] is not None:
+            try:
+                pq.solution_value(prob, x, y, want[0])
+            except DomainError:
+                want = None, Status.DOMAIN_FAIL
+        got = solve_one(prob, x, y, q_range, CFG)
+        assert repr(got) == repr(want)
+        statuses.add(got[1])
+    assert statuses == seen
 
 
 @pytest.mark.parametrize("kind", ["scaled_x", "scaled_y"])
@@ -473,5 +549,5 @@ def test_line_where_ratio_raises_is_domain_fail_without_a_condition(kind):
     assert all(s is Status.DOMAIN_FAIL for row in field.status for s in row)
     assert all(v is None for row in field.q + field.value for v in row)
     assert calls == []
-    assert pq.solve_point(prob, 0.5, 0.5, 0.1, 5.0, CFG) == (None, Status.DOMAIN_FAIL)
+    assert solve_one(prob, 0.5, 0.5, (0.1, 5.0), CFG) == (None, Status.DOMAIN_FAIL)
     assert calls == []

@@ -214,7 +214,7 @@ def _reference_residual(problem):
         a, v = fn(problem.kinetic, ("x",)), fn(problem.potential, ("x",))
         return lambda x, y, d1, d2: a(x) * d1 * d1 + v(x) - d2
     if problem.kind == "explicit":
-        f = fn(problem.f_of_q, ("q",))
+        f = fn(problem.gfun, ("q",))
         return lambda x, y, d1, d2: d1 - f(d2)
     axis, root = ("x", "q") if problem.kind == "scaled_x" else ("y", "p")
     ratio = expr.BinOp("/", expr.Var(axis), problem.scale)

@@ -155,7 +155,7 @@ def installed(census, hj, numerics, reference):
             return real_t_at(row, q)
         finally:
             try:
-                row.prob.generator_slope_at(q)  # G'(q) comes before the integral
+                row.prob._gp_fn(q)  # G'(q) comes before the integral
             except Exception:
                 pass
             else:
