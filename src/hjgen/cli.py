@@ -113,9 +113,12 @@ def _param_float(params, key, default) -> float:
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"oracle parameter {key!r} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"oracle parameter {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def _oracle_fn(name: str, params: dict[str, str], field):

@@ -200,8 +200,12 @@ class RootLine:
     computed once, at construction; a sample that raises
     :class:`DomainError` or :class:`ConvergenceError` is left out.
     :meth:`solve` then finds a target's brackets from the stored levels
-    alone, so ``level`` runs only in the refinement.  :meth:`solve` does
-    not change the object.
+    alone, so ``level`` runs only in the refinement.  :meth:`solve`
+    changes only the line's counts of its work: the level evaluations
+    at predicted roots (``probes``) and in Brent's method (``brent``), the
+    brackets refined (``refined``) and the targets that took the full scan
+    (``fallbacks``); the scan evaluates the level ``scan_points + 1``
+    times.
 
     The levels are split into monotone runs (adjacent runs share their
     turning sample, and a flat step stays in the run it extends), and
@@ -210,13 +214,17 @@ class RootLine:
     bracket, not a subtraction per sample.
     """
 
-    __slots__ = ("level", "lo", "hi", "cfg", "samples", "_runs", "_bounds")
+    __slots__ = (
+        "level", "lo", "hi", "cfg", "samples", "_runs", "_bounds",
+        "probes", "brent", "refined", "fallbacks",
+    )
 
     def __init__(self, level, lo: float, hi: float, cfg: SolverConfig):
         if not lo < hi:
             raise ValueError("a root line requires lo < hi")
         self.level = level
         self.lo, self.hi, self.cfg = lo, hi, cfg
+        self.probes = self.brent = self.refined = self.fallbacks = 0
         self.samples = []
         for q in scan_abscissae(lo, hi, cfg.scan_points):
             try:
@@ -294,6 +302,7 @@ class RootLine:
         ref = warm if warm is not None else 0.5 * (self.lo + self.hi)
         brackets = self.brackets(target)
         if brackets is None:
+            self.fallbacks += 1
             samples = self.scan(target)
             if not samples:
                 return None, Status.DOMAIN_FAIL, None
@@ -305,10 +314,10 @@ class RootLine:
         try:
             if len(brackets) == 1:
                 lo, hi, g_lo, g_hi = brackets[0]
-                root, slope = _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg)
+                root, slope = _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg, self)
                 return root, Status.RESOLVED, slope
             found = sorted(
-                [_refine(level, target, *br, guess, cfg) for br in brackets],
+                [_refine(level, target, *br, guess, cfg, self) for br in brackets],
                 key=lambda r: r[0],
             )
         except (DomainError, ConvergenceError):
@@ -321,6 +330,21 @@ class RootLine:
             return unique[0][0], Status.RESOLVED, unique[0][1]
         root, slope = min(unique, key=lambda r: (abs(r[0] - ref), r[0]))
         return root, Status.MULTI_ROOT, slope
+
+
+def _count_lines(stats, lines, n2: int) -> None:
+    """Add a sweep's grid points and its lines' work to the
+    :class:`~hjgen.numerics.SolveStats` ``stats``; ``lines`` are the
+    sweep's, each solved at ``n2`` targets, or ``None``."""
+    stats.points += len(lines) * n2
+    for line in lines:
+        if line is not None:
+            stats.targets += n2
+            stats.scan += line.cfg.scan_points + 1
+            stats.probes += line.probes
+            stats.brent += line.brent
+            stats.refined += line.refined
+            stats.fallbacks += line.fallbacks
 
 
 def _monotone_runs(levels) -> list[tuple[int, int, list[float]]]:

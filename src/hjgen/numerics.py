@@ -33,6 +33,11 @@ over the table's levels (:class:`hjgen.hj._RowTable`);
 :func:`integrate_adaptive` serves :func:`hjgen.hj.correction_term`, the
 direct form of :func:`hjgen.hj.constraint` (``direct=True``, an
 equivalence check) and the public API.
+
+The grid lines and the row tables count their own work in integers, and
+a solve given a :class:`SolveStats` record adds those counts to it: level
+evaluations by stage, brackets, and the row tables' quadratures by the
+level at which they stopped.
 """
 
 from __future__ import annotations
@@ -40,13 +45,14 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "SolverConfig",
+    "SolveStats",
     "integrate_adaptive",
     "tanh_sinh_nodes",
     "scan_abscissae",
@@ -58,6 +64,9 @@ __all__ = [
 _T_MAX = 3.5
 _SPLIT_LEVEL = 6  # a panel not converged at this level is halved
 _MAX_SPLITS = 64  # halvings allowed in one quadrature, 449 wasted nodes each
+# the slots of a quadrature count after the stop levels 0.._SPLIT_LEVEL
+_SPLIT = _SPLIT_LEVEL + 1  # halved at least once, then returned
+_FAILED = _SPLIT_LEVEL + 2  # raised
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,46 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.scan_points < 2:
             raise ValueError("scan_points must be at least 2")
+
+
+@dataclass
+class SolveStats:
+    """Work counts of the grid solves given it as ``stats``
+    (:func:`hjgen.hj.solve_grid`, :func:`hjgen.pq.solve_grid`), summed.
+
+    Every grid line (:class:`hjgen.fields.RootLine`) and every
+    Hamilton-Jacobi row table counts its own work in integers as it goes,
+    and a solve given a record adds its lines' and tables' counts to it at
+    the end.  A level evaluation is one call of a line's level: a dp/dq
+    quadrature in the Hamilton-Jacobi solver, phi' and G' in the others.
+
+    points    -- grid points
+    targets   -- points on a line with a root condition; the others lie on
+                 a line without one and are ``domain_fail`` with no work
+    scan      -- level evaluations at the lines' scan samples
+    probes    -- level evaluations at predicted roots, before Brent's method
+    brent     -- level evaluations in Brent's method
+    refined   -- brackets refined
+    fallbacks -- targets whose brackets came from the full scan, not bisection
+    dpdq_quads, p_quads -- quadratures of dp/dq (one per Hamilton-Jacobi
+                 level evaluation) and of p (the action at a root) by how
+                 they ended: slot l <= 6 stopped at level l, slot 7 was
+                 halved and returned, slot 8 raised
+    dpdq_terms, p_terms -- merged table terms summed by the quadratures
+                 that returned
+    """
+
+    points: int = 0
+    targets: int = 0
+    scan: int = 0
+    probes: int = 0
+    brent: int = 0
+    refined: int = 0
+    fallbacks: int = 0
+    dpdq_quads: list[int] = field(default_factory=lambda: [0] * (_FAILED + 1))
+    p_quads: list[int] = field(default_factory=lambda: [0] * (_FAILED + 1))
+    dpdq_terms: int = 0
+    p_terms: int = 0
 
 
 def _sample(f: Callable[[float], float], x: float) -> float:
@@ -213,7 +262,7 @@ def _crossings(samples) -> list[tuple[float, float, float, float]]:
 _OVERSHOOT = 0.1
 
 
-def _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg):
+def _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg, tally):
     """Root of g(q) = target - level(q) in the bracket [lo, hi] with
     g(lo) = g_lo and g(hi) = g_hi, and the slope of g there.
 
@@ -229,6 +278,10 @@ def _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg):
     slope is the secant through the last evaluation and the latest earlier
     one at least about sqrt(eps) relative away, the bracket's ends
     included (closer, rounding would dominate it), or ``None``.
+
+    ``tally`` (a :class:`~hjgen.fields.RootLine` or a :class:`SolveStats`)
+    gets one more ``refined`` bracket, and its ``probes`` and ``brent``
+    grow by the evaluations each stage tried, those that raised included.
     """
     resid_tol = cfg.resid_tol
     seen = [(lo, g_lo), (hi, g_hi)]  # every (q, g) in order, for the slope
@@ -241,6 +294,7 @@ def _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg):
             try:
                 v = target - level(p)
             except (DomainError, ConvergenceError):
+                tally.probes += 1
                 break
             seen.append((p, v))
             if v != v:
@@ -255,8 +309,14 @@ def _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg):
             if not slope:
                 break
             p -= (1.0 + _OVERSHOOT) * v / slope
+    probes = len(seen) - 2
+    tally.refined += 1
+    tally.probes += probes
     if root is None:
-        root = _brent(level, target, lo, g_lo, hi, g_hi, cfg, seen)
+        try:
+            root = _brent(level, target, lo, g_lo, hi, g_hi, cfg, seen)
+        finally:
+            tally.brent += len(seen) - 2 - probes
     q1, v1 = seen[-1]
     limit = 1.5e-8 * (1.0 + abs(q1))
     for k in range(len(seen) - 2, -1, -1):
@@ -274,7 +334,8 @@ def _brent(level, target, a, fa, b, fb, cfg, seen):
     Returns at once when |g| <= resid_tol, at an end or an iterate, or when
     the enclosure [b, c] around the estimate b is within root_tol + 4 eps |b|.
     After ``cfg.max_iter`` evaluations it raises :class:`ConvergenceError`
-    carrying [b, c] as (lo, hi, g_lo, g_hi).  Appends each (q, g) to ``seen``.
+    carrying [b, c] as (lo, hi, g_lo, g_hi).  Appends each (q, g) to ``seen``,
+    and (q, NaN) for an evaluation that raises, before the error propagates.
     """
     resid_tol = cfg.resid_tol
     if abs(fa) <= resid_tol:
@@ -318,7 +379,11 @@ def _brent(level, target, a, fa, b, fb, cfg, seen):
             d = e = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = target - level(b)
+        try:
+            fb = target - level(b)
+        except (DomainError, ConvergenceError):
+            seen.append((b, math.nan))
+            raise
         seen.append((b, fb))
         if abs(fb) <= resid_tol:
             return b

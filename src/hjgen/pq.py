@@ -46,8 +46,8 @@ from typing import Optional
 
 from . import expr
 from .errors import DomainError
-from .fields import RootLine, SolutionField, Status, check_axis, sweep
-from .numerics import SolverConfig
+from .fields import RootLine, SolutionField, Status, _count_lines, check_axis, sweep
+from .numerics import SolverConfig, SolveStats
 
 __all__ = ["KINDS", "PQProblem", "constraint", "solution_value", "solve_grid"]
 
@@ -173,6 +173,7 @@ def solve_grid(
     y_grid,
     q_range: tuple[float, float],
     cfg: SolverConfig,
+    stats: Optional[SolveStats] = None,
 ) -> SolutionField:
     """Continuation sweep over the grid, one :class:`~hjgen.fields.RootLine` per line.
 
@@ -181,7 +182,9 @@ def solve_grid(
     so every root continues along its own line; q, u and the statuses come
     back on the (x, y) grid.  Each line's H and scan samples are computed
     once, before the sweep, and H serves both the condition and u.  A line
-    where H raises is ``domain_fail`` at every point.
+    where H raises is ``domain_fail`` at every point.  Given a
+    :class:`~hjgen.numerics.SolveStats`, the solve adds its points and its
+    lines' work to it.
     """
     xs = check_axis(x_grid)
     ys = check_axis(y_grid)
@@ -190,7 +193,10 @@ def solve_grid(
         raise ValueError("solve_grid requires q_lo < q_hi, both finite")
     axis1, axis2 = (ys, xs) if prob.lines_are_columns else (xs, ys)
     lines = [_root_line(prob, v, q_lo, q_hi, cfg) for v in axis1]
-    q, status = sweep([line and line[1] for line in lines], axis1, axis2)
+    root_lines = [line and line[1] for line in lines]
+    q, status = sweep(root_lines, axis1, axis2)
+    if stats is not None:
+        _count_lines(stats, root_lines, len(axis2))
     value: list[list[Optional[float]]] = [[None] * len(axis2) for _ in axis1]
     for i, line in enumerate(lines):
         for j, s in enumerate(axis2):

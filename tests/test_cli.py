@@ -361,12 +361,10 @@ def test_oracle_separation_matches_free_particle_closed_form(tmp_path):
 
 
 def test_oracle_nan_deviation_fails(free_run, capsys):
-    # a NaN deviation counts as infinite, from the oracle or from the field
+    # a NaN deviation from the field counts as infinite; a NaN oracle
+    # parameter is an input failure (test_oracle_non_finite_param_exits_2)
     _, field_path, _, _ = free_run
     capsys.readouterr()
-    assert main(["oracle", "free_particle", str(field_path), "--param", "C=nan"]) == 1
-    out = capsys.readouterr().out
-    assert "max_abs_err: inf\n" in out and "status: FAIL\n" in out
     lines = field_path.read_text().splitlines()
     target = 1 + 10 * 17 + 8  # the S value of point (10, 8) of the 21 x 17 grid
     cols = lines[target].split(",")
@@ -388,6 +386,28 @@ def test_oracle_non_finite_threshold_exits_2(free_run, capsys, threshold):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --threshold must be finite, got {float(threshold)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "name, param",
+    [
+        ("free_particle", "C=nan"),
+        ("free_particle", "a=nan"),
+        ("free_particle", "C=inf"),
+        ("free_particle", "a=inf"),
+        ("separation", "x0=inf"),
+        ("separation", "C=nan"),
+    ],
+)
+def test_oracle_non_finite_param_exits_2(free_run, capsys, name, param):
+    # rejected where it enters, naming the parameter, before any comparison
+    _, field_path, _, _ = free_run
+    capsys.readouterr()
+    assert main(["oracle", name, str(field_path), "--param", param]) == 2
+    key, raw = param.split("=")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: oracle parameter {key!r} must be finite, got {raw!r}\n"
 
 
 def test_oracle_unknown_name_exits_2(free_run):

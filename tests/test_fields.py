@@ -22,7 +22,7 @@ from hjgen.fields import (
     sweep,
     write_field_csv,
 )
-from hjgen.numerics import SolverConfig, _brent, _crossings, _refine, scan_abscissae
+from hjgen.numerics import SolverConfig, SolveStats, _brent, _crossings, _refine, scan_abscissae
 
 
 def _brent_on(g, lo, hi, g_lo, g_hi, cfg):
@@ -1002,7 +1002,8 @@ def _assert_kernel_matches(level, target, lo, hi, g_lo, g_hi, guess, cfg):
         calls.append(q)
         return level(q)
 
-    got = _refine_outcome(_refine, logged, target, lo, hi, g_lo, g_hi, guess, cfg)
+    tally = SolveStats()
+    got = _refine_outcome(_refine, logged, target, lo, hi, g_lo, g_hi, guess, cfg, tally)
     got_calls, calls[:] = calls[:], []
     want = _refine_outcome(
         reference_refine,
@@ -1013,6 +1014,8 @@ def _assert_kernel_matches(level, target, lo, hi, g_lo, g_hi, guess, cfg):
     )
     assert got == want
     assert repr(got_calls) == repr(calls)  # every probe and Brent iterate, bitwise
+    # the kernel counts every evaluation it tried, those that raised included
+    assert tally.probes + tally.brent == len(got_calls) and tally.refined == 1
 
 
 @settings(deadline=None, database=None, max_examples=400)
@@ -1028,7 +1031,7 @@ def test_refine_kernel_slope_after_a_nan_probe():
     level = lambda q: math.nan if q == 0.5e-6 else 0.3e-6 - q
     for guess in ((0.5e-6, 1.0), (0.5e-6, 0.0), (2e-6, 1.0), None):
         _assert_kernel_matches(level, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, guess, cfg)
-    root, slope = _refine(level, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, (0.5e-6, 1.0), cfg)
+    root, slope = _refine(level, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, (0.5e-6, 1.0), cfg, SolveStats())
     assert root == 0.0 and math.isnan(slope)
 
 

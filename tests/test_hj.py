@@ -17,6 +17,7 @@ from hjgen.numerics import (
     _MAX_SPLITS,
     _SPLIT_LEVEL,
     SolverConfig,
+    SolveStats,
     central_difference,
     integrate_adaptive,
     scan_abscissae,
@@ -883,3 +884,127 @@ def test_shipped_config_quadratures_per_point(monkeypatch, name, bound):
     field = hj.solve_grid(run.problem, run.axis1, run.axis2, run.q_range, run.solver)
     assert field.resolved_fraction() == 1.0
     assert quads[0] / (len(run.axis1) * len(run.axis2)) <= bound
+
+
+# --- the solve's own work counts against independent ones -----------------
+
+# a kink of V inside [x0, x] for x > 1/3: a panel holding it is halved
+KINKED = hj.HJProblem("1", "abs(x - 1/3)", "q^2/2", sigma=1, x0=0.0, eps_adm=1e-3)
+
+
+def recording_integrals(monkeypatch):
+    """Wrap the row tables' quadrature; each call appends (row, q, slope,
+    the type of the error it raised or None)."""
+    calls = []
+    real = hj._RowTable._integral
+
+    def recording(row, q, margin, slope):
+        try:
+            value = real(row, q, margin, slope)
+        except (DomainError, ConvergenceError) as exc:
+            calls.append((row, q, slope, type(exc)))
+            raise
+        calls.append((row, q, slope, None))
+        return value
+
+    monkeypatch.setattr(hj._RowTable, "_integral", recording)
+    return calls
+
+
+def replayed_counts(calls):
+    """The stats slots (p, dp/dq) and merged terms of ``calls``, each
+    quadrature replayed through the reference loop on a fresh table."""
+    quads = ([0] * 9, [0] * 9)
+    terms = [0, 0]
+    for row, q, slope, _ in calls:
+        fresh = hj._RowTable(row.prob, row.x, row.tol)
+        level_sum = reference_level_sum(fresh, q, slope)
+        visited = []
+
+        def counted(a, b, level):
+            visited.append((level, len(fresh._level(a, b, level)[2])))
+            return level_sum(a, b, level)
+
+        try:
+            tanh_sinh(counted, fresh.lo, fresh.hi, fresh.tol)
+        except (DomainError, ConvergenceError):
+            quads[slope][8] += 1
+            continue
+        levels = [level for level, _ in visited]
+        quads[slope][7 if levels.count(0) > 1 else max(levels)] += 1
+        terms[slope] += sum(n for _, n in visited)
+    return quads, terms
+
+
+def test_solve_stats_count_every_evaluation_and_quadrature(monkeypatch):
+    # harmonic: each level evaluation is one t_at call and one dp/dq
+    # quadrature, counted by the lines and the rows on their own
+    run = load_config(str(CONFIGS / "harmonic.cfg"))
+    args = (run.problem, run.axis1, run.axis2, run.q_range, run.solver)
+    plain = hj.solve_grid(*args)
+    t_at_calls = [0]
+    real_t_at = hj._RowTable.t_at
+
+    def counting_t_at(row, q):
+        t_at_calls[0] += 1
+        return real_t_at(row, q)
+
+    monkeypatch.setattr(hj._RowTable, "t_at", counting_t_at)
+    stats = SolveStats()
+    field = hj.solve_grid(*args, stats=stats)
+    points = len(run.axis1) * len(run.axis2)
+    assert stats.points == stats.targets == stats.refined == points
+    assert stats.scan == len(run.axis1) * (run.solver.scan_points + 1)
+    assert sum(stats.dpdq_quads) == t_at_calls[0] == stats.scan + stats.probes + stats.brent
+    assert sum(stats.p_quads) == points and stats.fallbacks == 0
+    assert stats.dpdq_quads[8] == stats.p_quads[8] == 0
+    # counting changes no output bit
+    for name in ("q", "value", "status", "p"):
+        assert repr(getattr(field, name)) == repr(getattr(plain, name))
+
+
+@pytest.mark.parametrize(
+    "prob, xs, ts, failing",
+    [
+        (KINKED, axis(0.4, 0.8, 5), axis(0.2, 0.4, 3), False),
+        (BUMP, [0.95, 1.0], axis(0.2, 0.5, 9), True),
+        (OSC, axis(0.15, 0.45, 5), axis(0.2, 0.5, 5), False),
+    ],
+    ids=["split", "admissibility_failures", "harmonic"],
+)
+def test_solve_stats_quadrature_slots_match_a_replay(monkeypatch, prob, xs, ts, failing):
+    calls = recording_integrals(monkeypatch)
+    stats = SolveStats()
+    hj.solve_grid(prob, xs, ts, (0.05, 6.0), CFG, stats=stats)
+    (p_quads, dpdq_quads), (p_terms, dpdq_terms) = replayed_counts(calls)
+    assert (stats.p_quads, stats.dpdq_quads) == (p_quads, dpdq_quads)
+    assert (stats.p_terms, stats.dpdq_terms) == (p_terms, dpdq_terms)
+    raised = sum(error is not None for *_, error in calls)
+    assert stats.dpdq_quads[8] + stats.p_quads[8] == raised
+    assert (raised > 0) == failing
+    if prob is KINKED:
+        assert stats.dpdq_quads[7] > sum(stats.dpdq_quads) // 2
+
+
+def test_solve_stats_count_a_forced_convergence_failure(monkeypatch):
+    # no halving allowed: every quadrature the kink would split raises
+    monkeypatch.setattr(hj, "_MAX_SPLITS", 0)
+    calls = recording_integrals(monkeypatch)
+    stats = SolveStats()
+    field = hj.solve_grid(KINKED, axis(0.4, 0.8, 5), axis(0.2, 0.4, 3), (0.05, 6.0), CFG, stats=stats)
+    raised = [error for *_, error in calls if error is not None]
+    assert raised and set(raised) == {ConvergenceError}
+    assert stats.dpdq_quads[8] + stats.p_quads[8] == len(raised)
+    assert stats.dpdq_quads[7] == stats.p_quads[7] == 0
+    assert all(s is Status.DOMAIN_FAIL for row in field.status for s in row)
+
+
+def test_solve_stats_add_up_over_solves():
+    stats = SolveStats()
+    for _ in range(2):
+        hj.solve_grid(OSC, axis(0.15, 0.45, 3), axis(0.2, 0.5, 4), (0.05, 6.0), CFG, stats=stats)
+    once = SolveStats()
+    hj.solve_grid(OSC, axis(0.15, 0.45, 3), axis(0.2, 0.5, 4), (0.05, 6.0), CFG, stats=once)
+    assert stats.points == 2 * once.points == 24
+    assert stats.dpdq_quads == [2 * n for n in once.dpdq_quads]
+    assert stats.p_terms == 2 * once.p_terms > 0

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 from unittest import mock
 
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjgen import expr, pq
+from hjgen.config import load_config
 from hjgen.errors import DomainError
 from hjgen.fields import RootLine, Status, sweep
-from hjgen.numerics import SolverConfig, central_difference
+from hjgen.numerics import SolverConfig, SolveStats, central_difference
 from hjgen.verify import finite_diff_partials, residual_report
 
 CFG = SolverConfig(scan_points=24)
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def axis(lo, hi, n):
@@ -551,3 +554,54 @@ def test_line_where_ratio_raises_is_domain_fail_without_a_condition(kind):
     assert calls == []
     assert solve_one(prob, 0.5, 0.5, (0.1, 5.0), CFG) == (None, Status.DOMAIN_FAIL)
     assert calls == []
+
+
+@pytest.mark.parametrize("name, fallbacks", [("power_pq", 0), ("linear_pq", 23)])
+def test_solve_stats_count_every_level_evaluation(monkeypatch, name, fallbacks):
+    # a level evaluation calls phi' once, a fallback is a target the line
+    # bisection leaves to the full scan, and counting changes no output bit
+    run = load_config(str(CONFIGS / f"{name}.cfg"))
+    args = (run.problem, run.axis1, run.axis2, run.q_range, run.solver)
+    plain = pq.solve_grid(*args)
+    calls = [0]
+    scanned = []
+    real, real_brackets = run.problem._phip_fn, RootLine.brackets
+
+    def counting(q):
+        calls[0] += 1
+        return real(q)
+
+    def brackets(line, target):
+        found = real_brackets(line, target)
+        scanned.append(found is None)
+        return found
+
+    monkeypatch.setattr(run.problem, "_phip_fn", counting)
+    monkeypatch.setattr(RootLine, "brackets", brackets)
+    stats = SolveStats()
+    field = pq.solve_grid(*args, stats=stats)
+    assert stats.scan + stats.probes + stats.brent == calls[0]
+    assert stats.fallbacks == sum(scanned) == fallbacks
+    assert stats.scan == len(run.axis1) * (run.solver.scan_points + 1)
+    assert stats.points == stats.targets == stats.refined == len(run.axis1) * len(run.axis2)
+    assert sum(stats.dpdq_quads) == sum(stats.p_quads) == 0
+    for name in ("q", "value", "status"):
+        assert repr(getattr(field, name)) == repr(getattr(plain, name))
+
+
+def test_solve_stats_count_both_brackets_of_a_two_root_point():
+    # level q^2 - x: the target y = 0.5 at x = 0.5 has the roots -1 and 1
+    stats = SolveStats()
+    field = pq.solve_grid(pq.PQProblem.explicit("q", "q^3/3"), [0.5], [0.5], (-2.0, 2.0), CFG, stats=stats)
+    assert field.status[0][0] is Status.MULTI_ROOT
+    assert stats.refined == 2 and stats.points == stats.targets == 1
+
+
+def test_solve_stats_leave_out_a_line_without_a_condition():
+    # H = y/h(y) raises at y = 0: that column's points are counted, not its work
+    prob = pq.PQProblem.scaled_y("y", "p", "p^2/2")
+    stats = SolveStats()
+    field = pq.solve_grid(prob, [0.1, 0.2], [0.0, 0.5], (-2.0, 2.0), CFG, stats=stats)
+    assert field.status[0][0] is Status.DOMAIN_FAIL
+    assert stats.points == 4 and stats.targets == 2
+    assert stats.scan == CFG.scan_points + 1
