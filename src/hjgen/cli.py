@@ -30,9 +30,9 @@ __all__ = ["main", "entrypoint"]
 ORACLES = ("free_particle", "harmonic", "separation")
 
 
-def _solve_field(cfg: RunConfig):
+def _solve_field(cfg: RunConfig, stats=None):
     solver = hj if cfg.is_hj else pq
-    return solver.solve_grid(cfg.problem, cfg.axis1, cfg.axis2, cfg.q_range, cfg.solver)
+    return solver.solve_grid(cfg.problem, cfg.axis1, cfg.axis2, cfg.q_range, cfg.solver, stats)
 
 
 def _report_text(cfg: RunConfig, field, report: ResidualReport | None) -> tuple[str, bool]:

@@ -204,7 +204,8 @@ def _base_coefficients(prob: HJProblem) -> tuple[float, float]:
     """a and V at x0, computed on first use and kept for the problem.
 
     A failure is not kept: its :class:`DomainError` is raised again at
-    every use, when a constraint is evaluated, never at construction.
+    every use, when a constraint is evaluated, never at construction.  The
+    per-root callers read the kept pair first and call this on a miss.
     """
     coefficients = prob._x0_coefficients
     if coefficients is None:
@@ -257,7 +258,7 @@ class _RowTable:
         g_slope = prob._gp_fn(q)
         margin = prob.margin(q)
         integral = self._integral(q, margin, True)
-        a, v = _base_coefficients(prob)
+        a, v = prob._x0_coefficients or _base_coefficients(prob)
         gap = q - v
         if gap < margin:
             raise DomainError("momentum argument below admissibility margin", where=prob.x0)
@@ -282,7 +283,6 @@ class _RowTable:
             return 0.0
         sqrt = math.sqrt
         lo, hi, panels = self.lo, self.hi, self._panels
-        quads = self.quads[slope]
         total = 0.0
         splits = split_terms = 0
         stack = [(lo, hi, self.tol, panels[lo, hi])]  # the leftmost panel is on top
@@ -325,13 +325,13 @@ class _RowTable:
                 if splits:  # the panel's share of a halved quadrature's terms
                     split_terms += sum(len(t) for _, _, t in levels[: level + 1])
         except (DomainError, ConvergenceError):
-            quads[_FAILED] += 1
+            self.quads[slope][_FAILED] += 1
             raise
         if splits:
-            quads[_SPLIT] += 1
+            self.quads[slope][_SPLIT] += 1
             self._split_terms[slope] += split_terms
         else:
-            quads[level] += 1
+            self.quads[slope][level] += 1
         return self.sign * total
 
     def add_counts(self, stats: SolveStats) -> None:
@@ -439,7 +439,7 @@ def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfi
 
 def _action(row: _RowTable, t: float, q: float) -> float:
     prob = row.prob
-    a, v = _base_coefficients(prob)
+    a, v = prob._x0_coefficients or _base_coefficients(prob)
     base = prob.x0 * _momentum(prob, a, v, prob.x0, q)
     return base + row.momentum_integral(q) + q * t - prob._g_fn(q)
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError
@@ -95,7 +95,6 @@ class SolverConfig:
             raise ValueError("scan_points must be at least 2")
 
 
-@dataclass
 class SolveStats:
     """Work counts of the grid solves given it as ``stats``
     (:func:`hjgen.hj.solve_grid`, :func:`hjgen.pq.solve_grid`), summed.
@@ -114,25 +113,26 @@ class SolveStats:
     brent     -- level evaluations in Brent's method
     refined   -- brackets refined
     fallbacks -- targets whose brackets came from the full scan, not bisection
-    dpdq_quads, p_quads -- quadratures of dp/dq (one per Hamilton-Jacobi
-                 level evaluation) and of p (the action at a root) by how
-                 they ended: slot l <= 6 stopped at level l, slot 7 was
-                 halved and returned, slot 8 raised
+    dpdq_quads, p_quads -- quadratures of dp/dq and of p (the action at a
+                 root) by how they ended: slot l <= 6 stopped at level l,
+                 slot 7 was halved and returned, slot 8 raised.  A
+                 Hamilton-Jacobi level evaluation runs at most one dp/dq
+                 quadrature: none on a row at x = x0, whose integral is 0,
+                 and none when G' or the admissibility margin raises first
     dpdq_terms, p_terms -- merged table terms summed by the quadratures
                  that returned
     """
 
-    points: int = 0
-    targets: int = 0
-    scan: int = 0
-    probes: int = 0
-    brent: int = 0
-    refined: int = 0
-    fallbacks: int = 0
-    dpdq_quads: list[int] = field(default_factory=lambda: [0] * (_FAILED + 1))
-    p_quads: list[int] = field(default_factory=lambda: [0] * (_FAILED + 1))
-    dpdq_terms: int = 0
-    p_terms: int = 0
+    __slots__ = (
+        "points", "targets", "scan", "probes", "brent", "refined", "fallbacks",
+        "dpdq_quads", "p_quads", "dpdq_terms", "p_terms",
+    )
+
+    def __init__(self):
+        self.points = self.targets = self.scan = self.probes = self.brent = 0
+        self.refined = self.fallbacks = self.dpdq_terms = self.p_terms = 0
+        self.dpdq_quads = [0] * (_FAILED + 1)
+        self.p_quads = [0] * (_FAILED + 1)
 
 
 def _sample(f: Callable[[float], float], x: float) -> float:
@@ -279,7 +279,8 @@ def _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg, tally):
     one at least about sqrt(eps) relative away, the bracket's ends
     included (closer, rounding would dominate it), or ``None``.
 
-    ``tally`` (a :class:`~hjgen.fields.RootLine` or a :class:`SolveStats`)
+    ``tally`` is the calling :class:`~hjgen.fields.RootLine`, or any
+    object with integer ``probes``, ``brent`` and ``refined`` counters: it
     gets one more ``refined`` bracket, and its ``probes`` and ``brent``
     grow by the evaluations each stage tried, those that raised included.
     """
@@ -309,14 +310,14 @@ def _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg, tally):
             if not slope:
                 break
             p -= (1.0 + _OVERSHOOT) * v / slope
-    probes = len(seen) - 2
     tally.refined += 1
-    tally.probes += probes
+    tally.probes += len(seen) - 2
     if root is None:
+        probed = len(seen)
         try:
             root = _brent(level, target, lo, g_lo, hi, g_hi, cfg, seen)
         finally:
-            tally.brent += len(seen) - 2 - probes
+            tally.brent += len(seen) - probed
     q1, v1 = seen[-1]
     limit = 1.5e-8 * (1.0 + abs(q1))
     for k in range(len(seen) - 2, -1, -1):

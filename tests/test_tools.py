@@ -26,8 +26,10 @@ def test_quad_census_runs_on_the_checkout():
     roots = [line for line in lines if line.startswith("  roots: ")]
     assert len(roots) == len(CONFIGS)
     assert not any(line.lstrip().startswith("generic:") for line in lines)
-    # every Hamilton-Jacobi level evaluation is one dp/dq quadrature, and the
-    # separated field runs one quadrature per x row through the row-table slot
+    # on the shipped Hamilton-Jacobi configs every level evaluation is one
+    # dp/dq quadrature (no row lies at x = x0, and neither G' nor the margin
+    # raises), and the separated field runs one quadrature per x row through
+    # the row-table slot
     for name in ("free_particle.cfg", "harmonic.cfg"):
         section = lines[lines.index(f"{name} (solve exit 0)") :]
         constraint = re.fullmatch(r"  constraint: ([\d,]+) quadratures \(ok \1\)", section[1])

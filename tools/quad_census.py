@@ -8,13 +8,13 @@ Usage::
 SRC is a directory holding an ``hjgen`` package with
 ``numerics.SolveStats`` (default: the ``src`` of this checkout); without
 one the script exits 2.  It solves every config in ``configs/``
-in-process, serially, by ``solve_grid`` with a ``SolveStats`` record, and
-prints the record; each header gives the exit code ``hjgen solve`` would
-return, and no file is written.  Then it evaluates the criterion-06
-separated field (``hj.separation_action`` for a = 1, V = x^2, E = 1 on
-81 x 41 points of [0.1, 0.8] x [0, 0.4], t looping inside x), reading
-after each x the counts of the row table its calls shared
-(``hj._row_table``).
+in-process, serially, through the solve of ``hjgen solve`` with a
+``SolveStats`` record, and prints the record; each header gives the exit
+code ``hjgen solve`` would return, and no file is written.  Then it
+evaluates the criterion-06 separated field (``hj.separation_action`` for
+a = 1, V = x^2, E = 1 on 81 x 41 points of [0.1, 0.8] x [0, 0.4], t
+looping inside x), reading after each x the counts of the row table its
+calls shared (``hj._row_table``).
 
 For each run it prints, per quadrature path, how many quadratures ran and
 how they ended (``ok``, or ``failed`` when one raised), the level at which
@@ -99,7 +99,7 @@ def main(argv):
     except ImportError:
         print(f"error: {src} holds no hjgen package with numerics.SolveStats", file=sys.stderr)
         return 2
-    from hjgen import cli, config, hj, numerics, pq
+    from hjgen import cli, config, hj, numerics
 
     nodes = list(accumulate(len(numerics.tanh_sinh_nodes(0.0, 1.0, k)) for k in range(7)))
     none = ([0] * 9, 0)
@@ -113,8 +113,7 @@ def main(argv):
     for path in sorted((ROOT / "configs").glob("*.cfg")):
         run = config.load_config(str(path))
         stats = SolveStats()
-        solver = hj if run.is_hj else pq
-        field = solver.solve_grid(run.problem, run.axis1, run.axis2, run.q_range, run.solver, stats=stats)
+        field = cli._solve_field(run, stats)
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli._emit_report(run, field, write_file=False)
         report(f"{path.name} (solve exit {code})", (stats.dpdq_quads, stats.dpdq_terms),
