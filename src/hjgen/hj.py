@@ -313,6 +313,12 @@ class _RowTable:
                     prev = estimate
                     estimate = 0.5 * prev + part
                     if abs(estimate - prev) <= panel_tol:
+                        if not splits:  # the whole segment converged
+                            # total is still 0.0, and 0.0 + estimate is
+                            # estimate bitwise: part, a sum begun at 0.0, is
+                            # never -0.0, so neither is 0.5 * prev + part
+                            self.quads[slope][level] += 1
+                            return self.sign * estimate
                         total += estimate
                         break
                 else:
@@ -322,16 +328,13 @@ class _RowTable:
                     m = 0.5 * (a + b)
                     stack.append((m, b, 0.5 * panel_tol, panels.setdefault((m, b), [])))
                     stack.append((a, m, 0.5 * panel_tol, panels.setdefault((a, m), [])))
-                if splits:  # the panel's share of a halved quadrature's terms
-                    split_terms += sum(len(t) for _, _, t in levels[: level + 1])
+                # a halved quadrature: the panel's share of its terms
+                split_terms += sum(len(t) for _, _, t in levels[: level + 1])
         except (DomainError, ConvergenceError):
             self.quads[slope][_FAILED] += 1
             raise
-        if splits:
-            self.quads[slope][_SPLIT] += 1
-            self._split_terms[slope] += split_terms
-        else:
-            self.quads[slope][level] += 1
+        self.quads[slope][_SPLIT] += 1
+        self._split_terms[slope] += split_terms
         return self.sign * total
 
     def add_counts(self, stats: SolveStats) -> None:

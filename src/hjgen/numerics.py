@@ -320,8 +320,7 @@ def _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg, tally):
             tally.brent += len(seen) - probed
     q1, v1 = seen[-1]
     limit = 1.5e-8 * (1.0 + abs(q1))
-    for k in range(len(seen) - 2, -1, -1):
-        q2, v2 = seen[k]
+    for q2, v2 in seen[-2::-1]:
         if abs(q1 - q2) >= limit:
             return root, (v1 - v2) / (q1 - q2)
     return root, None
