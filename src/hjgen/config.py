@@ -153,13 +153,23 @@ def _finite_of(entry: _Entry, key: str) -> float:
     return value
 
 
-def _int_of(entry: _Entry, key: str) -> int:
+def _positive_of(entry: _Entry, key: str) -> float:
+    value = _finite_of(entry, key)
+    if not value > 0.0:
+        raise ConfigError(f"{key!r} must be positive", entry.line)
+    return value
+
+
+def _int_of(entry: _Entry, key: str, least: int) -> int:
     if entry.quoted:
         raise ConfigError(f"{key!r} must be an unquoted integer", entry.line)
     try:
-        return int(entry.raw)
+        value = int(entry.raw)
     except ValueError:
         raise ConfigError(f"bad integer for {key!r}: {entry.raw!r}", entry.line) from None
+    if value < least:
+        raise ConfigError(f"{key!r} must be at least {least}", entry.line)
+    return value
 
 
 def _axis_of(entry: _Entry, key: str) -> tuple[float, ...]:
@@ -205,7 +215,7 @@ def _build_problem(section: _Section):
         x0_entry = section.take("x0")
         x0 = _finite_of(x0_entry, "x0") if x0_entry is not None else 0.0
         eps_entry = section.take("eps_adm")
-        eps = _finite_of(eps_entry, "eps_adm") if eps_entry is not None else None
+        eps = _positive_of(eps_entry, "eps_adm") if eps_entry is not None else None
         try:
             return HJProblem(a, v, g, sigma=sigma, x0=x0, eps_adm=eps)
         except ValueError as exc:
@@ -248,21 +258,20 @@ def parse_config(text: str) -> RunConfig:
     grid_sec.finish()
 
     solver_sec = _Section("solver", raw_sections["solver"])
-    q_min = _finite_of(solver_sec.require("q_min"), "q_min")
+    q_min_entry = solver_sec.require("q_min")
+    q_min = _finite_of(q_min_entry, "q_min")
     q_max = _finite_of(solver_sec.require("q_max"), "q_max")
     if not q_min < q_max:
-        raise ConfigError("q_min must be below q_max")
-    defaults = SolverConfig()
-    kwargs = {}
-    for key, conv, default in (
-        ("root_tol", _finite_of, defaults.root_tol),
-        ("resid_tol", _finite_of, defaults.resid_tol),
-        ("quad_tol", _finite_of, defaults.quad_tol),
-        ("max_iter", _int_of, defaults.max_iter),
-        ("scan_points", _int_of, defaults.scan_points),
-    ):
+        raise ConfigError("'q_min' must be below 'q_max'", q_min_entry.line)
+    kwargs = {}  # the keys left out take SolverConfig's defaults
+    for key in ("root_tol", "resid_tol", "quad_tol"):
         entry = solver_sec.take(key)
-        kwargs[key] = conv(entry, key) if entry is not None else default
+        if entry is not None:
+            kwargs[key] = _positive_of(entry, key)
+    for key, least in (("max_iter", 1), ("scan_points", 2)):
+        entry = solver_sec.take(key)
+        if entry is not None:
+            kwargs[key] = _int_of(entry, key, least)
     solver_sec.finish()
     try:
         solver = SolverConfig(**kwargs)

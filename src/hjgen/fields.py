@@ -9,14 +9,15 @@ samples into monotone runs, so a target's brackets come from a bisection
 of each run, with g = target - level(q) taken only at the two samples of
 each crossing; a target equal to a sample's level takes the full scan
 instead.  :func:`sweep` takes one such line per grid row and walks each
-line with warm starts, feeding each point a root predicted from the
-line's earlier roots, with Lagrange weights built once per axis; a solver
-whose lines are columns sweeps the transposed grid.  A bracket is a (lo,
-hi, g_lo, g_hi) tuple, and each goes with the line's level to the float
-kernel :func:`hjgen.numerics._refine`, which probes the predicted root
-before Brent's method (Brent 1973) finishes the bracket; a target with
-one bracket, as every point of the shipped configs has, returns the
-kernel's root as is.
+line with warm starts, feeding each point a root and a slope of its
+condition predicted from the line's earlier roots and slopes, with
+Lagrange weights built once per axis; a solver whose lines are columns
+sweeps the transposed grid.  A bracket is a (lo, hi, g_lo, g_hi) tuple,
+and each goes with the line's level to the float kernel
+:func:`hjgen.numerics._refine`, which probes the predicted root and the
+Newton step from it before Brent's method (Brent 1973) finishes the
+bracket, if it must; a target with one bracket, as every point of the
+shipped configs has, returns the kernel's root as is.
 
 The CSV kernels work on whole columns: :func:`write_field_csv` formats one
 grid row at a time, and :func:`read_field_csv` checks bounded blocks of
@@ -137,15 +138,17 @@ def _predict(history, weights) -> Optional[tuple[float, float]]:
     ``history`` holds up to ``_HISTORY`` (root, slope of g at the root)
     pairs, oldest first, and ``weights`` the Lagrange weights of their
     points at the next one (:func:`_lagrange_weights`); the prediction is
-    the polynomial through all of them (constant up to cubic), paired with
-    the latest slope.  ``None`` without history.
+    the polynomial through all the roots (constant up to cubic), paired
+    with the polynomial through all the slopes, taken with the same
+    weights.  ``None`` without history.
     """
     if not history:
         return None
-    guess = 0.0
-    for weight, (root, _) in zip(weights, history):
+    guess = slope = 0.0
+    for weight, (root, root_slope) in zip(weights, history):
         guess += weight * root
-    return guess, history[-1][1]
+        slope += weight * root_slope
+    return guess, slope
 
 
 def _extend(history, root: Optional[float], slope: Optional[float]) -> None:
@@ -166,8 +169,8 @@ def sweep(lines, axis1, axis2):
     point is warm-started from the previous point of its line, first-column
     points from the point in the previous row, and the origin runs cold.
     The guess is ``(predicted root, slope of g)`` extrapolated from the
-    earlier roots of the same line (of column 0 for first-column points),
-    or ``None``.
+    earlier roots and slopes of the same line (of column 0 for
+    first-column points), or ``None``.
     """
     n1, n2 = len(axis1), len(axis2)
     weights1, weights2 = _lagrange_weights(axis1), _lagrange_weights(axis2)
@@ -294,9 +297,10 @@ class RootLine:
         keeps the warm value (or the range midpoint when cold).  Domain and
         convergence failures never raise, they mark the point
         ``domain_fail``.  ``guess`` = (predicted root, slope of g there)
-        only narrows the bracket holding the prediction before Brent's
-        method refines it (:func:`hjgen.numerics._refine`); the slope is
-        ``None`` when no bracket was refined.
+        only aims the probes that narrow the bracket holding the
+        prediction, or land on its root, before Brent's method
+        (:func:`hjgen.numerics._refine`); the slope is ``None`` when no
+        bracket was refined.
         """
         cfg, level = self.cfg, self.level
         ref = warm if warm is not None else 0.5 * (self.lo + self.hi)

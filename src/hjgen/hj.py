@@ -27,11 +27,12 @@ alone, so on each x row g = 0 says t = t_at(q), a function of q alone
 :class:`~hjgen.fields.RootLine` inverting it at every t of the row:
 :func:`solve_grid` tabulates t_at at the row's scan samples once, each
 point finds its brackets by bisection over those levels, and t_at runs
-again only to refine a bracket.  The refinement starts from a root
-predicted by extrapolating the row's earlier roots along t and probed
-from both sides, and Brent's method finishes it.  The shipped configs
-take 3.67 (``free_particle``) and 3.49 (``harmonic``) quadratures per
-point, the scan's included; the rows and lines count them
+again only to refine a bracket.  The refinement probes a root, and the
+condition's slope there, extrapolated from the row's earlier roots and
+slopes along t; the Newton step from that probe usually lands on the
+root, and Brent's method finishes only when it does not.  The shipped
+configs take 2.81 (``free_particle``) and 2.58 (``harmonic``)
+quadratures per point, the scan's included; the rows and lines count them
 (:class:`~hjgen.numerics.SolveStats`).
 
 The action at a root is taken by parts: integrating x' dp/dx' in F gives

@@ -163,6 +163,21 @@ def test_non_finite_numbers_are_named_with_their_line(key, old, line, value):
     _expect_error(text, f"{key!r} must be finite", line=line)
 
 
+@pytest.mark.parametrize(
+    "old, new, message, line",
+    [
+        ("root_tol = 1e-11", "root_tol = 0", "'root_tol' must be positive", 17),
+        ("scan_points = 12", "scan_points = 1", "'scan_points' must be at least 2", 18),
+        ("scan_points = 12", "scan_points = 12\nmax_iter = 0", "'max_iter' must be at least 1", 19),
+        ("q_min = 0.05", "q_min = 7", "'q_min' must be below 'q_max'", 19),
+        ("eps_adm = 1e-3", "eps_adm = -1", "'eps_adm' must be positive", 10),
+    ],
+    ids=["root_tol", "scan_points", "max_iter", "q_min", "eps_adm"],
+)
+def test_out_of_range_values_are_named_with_their_line(old, new, message, line):
+    _expect_error(HJ_TEXT.replace(old, new), message, line=line)
+
+
 def test_axis_min_max_count_points():
     # equispaced, with the last point max exactly
     cfg = parse_config(PQ_TEXT.replace("x = 0:1:3", "x = 0.1:0.7:7"))

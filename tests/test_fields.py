@@ -500,23 +500,23 @@ def test_sweep_rows_independent_of_later_rows():
 
 
 def test_sweep_guesses_extrapolate_each_row():
-    # roots linear in both coordinates, so any prediction from two or more
-    # earlier roots of the same sweep line is exact
+    # roots and slopes linear in both coordinates, so any prediction from
+    # two or more earlier points of the same sweep line is exact
     def solver(i, j, warm, guess):
         if (i, j) == (1, 1):
             return None, Status.NO_ROOT, None
-        return 2.0 * i + 3.0 * j, Status.RESOLVED, 0.5 + i
+        return 2.0 * i + 3.0 * j, Status.RESOLVED, 0.5 + i + 0.25 * j
 
     axis1, axis2 = [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0]
     lines, calls = recording_lines(solver, axis1, axis2)
     sweep(lines, axis1, axis2)
     guesses = {(i, j): guess for i, j, _, guess in calls}
     assert guesses[(0, 0)] is None  # the origin has no history
-    assert guesses[(2, 0)] == (4.0, 1.5)  # down column 0
-    assert guesses[(0, 1)] == (0.0, 0.5)  # one earlier root: held constant
-    assert guesses[(2, 4)] == (16.0, 2.5)  # cubic through the last four
+    assert guesses[(2, 0)] == (4.0, 2.5)  # down column 0
+    assert guesses[(0, 1)] == (0.0, 0.5)  # one earlier point: held constant
+    assert guesses[(2, 4)] == (16.0, 3.5)  # cubic through the last four
     assert guesses[(1, 2)] is None  # a point without a root breaks the line
-    assert guesses[(1, 3)] == (8.0, 1.5)
+    assert guesses[(1, 3)] == (8.0, 2.0)
 
 
 def test_sweep_none_line_fails_its_row_and_breaks_column_0():
@@ -747,17 +747,19 @@ def test_linear_pq_tie_takes_the_full_scan():
 
 
 def reference_predict(history, coord):
-    """Lagrange weights computed at each call, over (coordinate, root, slope) triples."""
+    """Lagrange weights computed at each call, over (coordinate, root, slope)
+    triples, applied to the roots and to the slopes alike."""
     if not history:
         return None
-    guess = 0.0
-    for k, (ck, rk, _) in enumerate(history):
+    guess = slope = 0.0
+    for k, (ck, rk, sk) in enumerate(history):
         weight = 1.0
         for m, (cm, _, _) in enumerate(history):
             if m != k:
                 weight *= (coord - cm) / (ck - cm)
         guess += weight * rk
-    return guess, history[-1][2]
+        slope += weight * sk
+    return guess, slope
 
 
 def reference_guesses(results, axis1, axis2):
@@ -812,14 +814,12 @@ def test_sweep_guesses_match_per_point_weights(axis1, axis2, data):
 # --- the root kernel, against the probe-then-Brent pair it replaced -------
 
 
-_OVERSHOOT = 0.1
-
-
 def reference_refine(g, br, guess, cfg):
     """Brent's method on the bracket ``br`` = (lo, hi, g_lo, g_hi) after up
     to two probes, over a closure ``g``: the refinement the line solver ran
-    before :func:`numerics._refine`, kept as its bitwise reference.
-    Returns (root, slope of g)."""
+    before :func:`numerics._refine`, with the kernel's Newton probe and
+    secant spacing, kept as its bitwise reference.  Returns (root, slope
+    of g)."""
     lo, hi, g_lo, g_hi = br
     seen = [(lo, g_lo), (hi, g_hi)]
 
@@ -847,7 +847,7 @@ def reference_refine(g, br, guess, cfg):
                 hi, g_hi = p, v
             if not slope:
                 break
-            p -= (1.0 + _OVERSHOOT) * v / slope
+            p -= v / slope
     root = reference_brent(traced, (lo, hi, g_lo, g_hi), cfg)
     return root, reference_slope(seen)
 
@@ -855,7 +855,7 @@ def reference_refine(g, br, guess, cfg):
 def reference_slope(seen):
     q1, v1 = seen[-1]
     for q2, v2 in reversed(seen[:-1]):
-        if abs(q1 - q2) >= 1.5e-8 * (1.0 + abs(q1)):
+        if abs(q1 - q2) >= 1e-10 * (1.0 + abs(q1)):
             return (v1 - v2) / (q1 - q2)
     return None
 
@@ -1039,6 +1039,74 @@ def test_refine_kernel_slope_after_a_nan_probe():
         _assert_kernel_matches(level, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, guess, cfg)
     root, slope = _refine(level, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, (0.5e-6, 1.0), cfg, _tally())
     assert root == 0.0 and math.isnan(slope)
+
+
+# shapes increasing through 0 at 0, with their derivatives; each is also
+# monotone in floating point, being a composition of monotone roundings
+_MONOTONE_SHAPES = {
+    "line": (lambda x: x, lambda x: 1.0),
+    "cubic": (lambda x: x + x * x * x, lambda x: 1.0 + 3.0 * x * x),
+    "tanh": (math.tanh, lambda x: 1.0 - math.tanh(x) ** 2),
+    "atan": (math.atan, lambda x: 1.0 / (1.0 + x * x)),
+}
+
+
+@st.composite
+def _wild_guess_cases(draw):
+    """A strictly monotone level that crosses the target once in [lo, hi],
+    a guess (p, slope) that may be anywhere and aimed anyhow, and a
+    solver configuration."""
+    lo = draw(st.floats(-10.0, 10.0))
+    hi = lo + draw(st.floats(1e-6, 10.0))
+    root = lo + draw(st.floats(0.05, 0.95)) * (hi - lo)
+    shape, dshape = _MONOTONE_SHAPES[draw(st.sampled_from(sorted(_MONOTONE_SHAPES)))]
+    a = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(1e-3, 1e3))
+    k = draw(st.floats(1e-2, 1e2)) / (hi - lo)
+    target = draw(st.sampled_from((0.0, 1.0, -3.5)))
+    level = lambda q: target + a * shape(k * (q - root))
+    p = draw(st.one_of(
+        st.floats(lo, hi),  # inside, or on an end
+        st.floats(-30.0, 30.0),  # mostly outside
+        st.floats(-1e-9, 1e-9).map(lambda d: root + d),  # next to the root
+        st.just(math.nan),
+    ))
+    true_slope = -a * k * dshape(k * (p - root)) if p == p else 1.0
+    slope = draw(st.sampled_from((
+        0.0, -0.0, math.inf, -math.inf, math.nan,
+        true_slope, -true_slope, 1e6 * true_slope, 1e-6 * true_slope,
+    )))
+    cfg = SolverConfig(
+        root_tol=draw(st.sampled_from((1e-12, 1e-6))),
+        resid_tol=draw(st.sampled_from((1e-12, 1e-3))),
+    )
+    return level, target, lo, hi, (p, slope), cfg
+
+
+@settings(deadline=None, database=None, max_examples=400)
+@given(_wild_guess_cases())
+def test_refine_probes_never_pick_the_root(case):
+    # however wild the guess, the root meets Brent's stop rule in the
+    # initial bracket: the probes only change how fast it is found
+    level, target, lo, hi, guess, cfg = case
+    g = lambda q: target - level(q)
+    g_lo, g_hi = g(lo), g(hi)
+    assume(g_lo * g_hi < 0.0)
+    calls = []
+
+    def logged(q):
+        calls.append(q)
+        return level(q)
+
+    tally = _tally()
+    root, _ = _refine(logged, target, lo, hi, g_lo, g_hi, guess, cfg, tally)
+    assert lo <= root <= hi
+    # Brent's enclosure is at most root_tol + 4 eps |root| wide; g is
+    # monotone, so a sign change that close shows at that distance (the
+    # factor allows for rounding the bound)
+    reach = (cfg.root_tol + 4.0 * sys.float_info.epsilon * abs(root)) * (1.0 + 1e-9)
+    left, right = g(max(lo, root - reach)), g(min(hi, root + reach))
+    assert abs(g(root)) <= cfg.resid_tol or min(left, right) <= 0.0 <= max(left, right)
+    assert tally.probes + tally.brent == len(calls) and tally.refined == 1
 
 
 def test_brent_runs_the_reference_loop():

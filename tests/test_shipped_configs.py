@@ -4,8 +4,10 @@ import pathlib
 
 import pytest
 
-from hjgen.cli import main
+from hjgen.cli import _solve_field, main
+from hjgen.config import load_config
 from hjgen.fields import read_field_csv
+from hjgen.numerics import SolveStats
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -82,3 +84,26 @@ def test_scaled_y_config_passes_and_matches_closed_form(tmp_path, monkeypatch):
     assert main(
         ["verify", str(CONFIG_DIR / "scaled_y.cfg"), str(tmp_path / "scaled_y_field.csv")]
     ) == 0
+
+
+# Level evaluations per grid point (scan + probes + Brent) and full-scan
+# fallbacks of each shipped solve.  The counts are deterministic; each
+# ceiling is the measured mean plus about 3%, so a predictor or probe rule
+# that aims worse shows here.
+EVALUATIONS = {
+    "free_particle": (2.89, 0),
+    "harmonic": (2.65, 0),
+    "linear_pq": (2.12, 23),
+    "power_pq": (3.12, 0),
+    "scaled_x": (2.99, 0),
+    "scaled_y": (2.22, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATIONS))
+def test_shipped_solve_level_evaluations_per_point(name):
+    ceiling, fallbacks = EVALUATIONS[name]
+    stats = SolveStats()
+    _solve_field(load_config(str(CONFIG_DIR / f"{name}.cfg")), stats)
+    assert (stats.scan + stats.probes + stats.brent) / stats.points <= ceiling
+    assert stats.fallbacks == fallbacks
