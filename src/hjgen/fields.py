@@ -5,15 +5,14 @@ On every grid line each solver's root condition says that the target (t,
 y or x) equals a function of the root alone, the line's level, so a grid
 line is one function inverted at many targets.  :class:`RootLine`
 tabulates the level once per line at its scan samples and splits the
-samples into monotone runs, so a target's brackets come from a bisection
-of each run, with g = target - level(q) taken only at the two samples of
-each crossing; a target equal to a sample's level takes the full scan
-instead.  :func:`sweep` takes one such line per grid row and walks each
-line with warm starts, feeding each point a root and a slope of its
-condition predicted from the line's earlier roots and slopes, with
-Lagrange weights built once per axis; a solver whose lines are columns
-sweeps the transposed grid.  A bracket is a (lo, hi, g_lo, g_hi) tuple,
-and each goes with the line's level to the float kernel
+samples into monotone runs, so every target's brackets come from a
+bisection of each run, with g = target - level(q) taken only at the two
+samples of each crossing.  :func:`sweep` takes one such line per grid row
+and walks each line with warm starts, feeding each point a root and a
+slope of its condition predicted from the line's earlier roots and
+slopes, with Lagrange weights built once per axis; a solver whose lines
+are columns sweeps the transposed grid.  A bracket is a (lo, hi, g_lo,
+g_hi) tuple, and each goes with the line's level to the float kernel
 :func:`hjgen.numerics._refine`, which probes the predicted root and the
 Newton step from it before Brent's method (Brent 1973) finishes the
 bracket, if it must; a target with one bracket, as every point of the
@@ -29,14 +28,14 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from typing import Optional
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from .numerics import SolverConfig, _crossings, _refine, scan_abscissae
+from .numerics import SolverConfig, _refine, scan_abscissae
 
 __all__ = [
     "Status",
@@ -61,6 +60,8 @@ def check_axis(values) -> tuple[float, ...]:
     axis = tuple(float(v) for v in values)
     if not axis:
         raise ValueError("axis must not be empty")
+    if not all(map(math.isfinite, axis)):
+        raise ValueError("axis values must be finite")
     for a, b in zip(axis, axis[1:]):
         if not a < b:
             raise ValueError("axis values must be strictly increasing")
@@ -200,15 +201,14 @@ class RootLine:
     ``level`` is the line's function of the root alone, and a target's
     condition is g(q) = target - level(q), one subtraction.  The levels of
     the scan samples, over ``scan_points`` equal intervals of [lo, hi], are
-    computed once, at construction; a sample that raises
-    :class:`DomainError` or :class:`ConvergenceError` is left out.
-    :meth:`solve` then finds a target's brackets from the stored levels
-    alone, so ``level`` runs only in the refinement.  :meth:`solve`
+    computed once, at construction; a sample whose level raises
+    :class:`DomainError` or :class:`ConvergenceError`, or is NaN, is left
+    out.  :meth:`solve` then finds a target's brackets from the stored
+    levels alone, so ``level`` runs only in the refinement.  :meth:`solve`
     changes only the line's counts of its work: the level evaluations
-    at predicted roots (``probes``) and in Brent's method (``brent``), the
-    brackets refined (``refined``) and the targets that took the full scan
-    (``fallbacks``); the scan evaluates the level ``scan_points + 1``
-    times.
+    at predicted roots (``probes``) and in Brent's method (``brent``) and
+    the brackets refined (``refined``); the scan evaluates the level
+    ``scan_points + 1`` times.
 
     The levels are split into monotone runs (adjacent runs share their
     turning sample, and a flat step stays in the run it extends), and
@@ -219,7 +219,7 @@ class RootLine:
 
     __slots__ = (
         "level", "lo", "hi", "cfg", "samples", "_runs", "_bounds",
-        "probes", "brent", "refined", "fallbacks",
+        "probes", "brent", "refined",
     )
 
     def __init__(self, level, lo: float, hi: float, cfg: SolverConfig):
@@ -227,75 +227,59 @@ class RootLine:
             raise ValueError("a root line requires lo < hi")
         self.level = level
         self.lo, self.hi, self.cfg = lo, hi, cfg
-        self.probes = self.brent = self.refined = self.fallbacks = 0
+        self.probes = self.brent = self.refined = 0
         self.samples = []
         for q in scan_abscissae(lo, hi, cfg.scan_points):
             try:
-                self.samples.append((q, level(q)))
+                h = level(q)
             except (DomainError, ConvergenceError):
-                pass
+                continue
+            if h == h:
+                self.samples.append((q, h))
         levels = [h for _, h in self.samples]
-        self._runs = None  # no bisection: every target takes the full scan
-        if levels and all(map(math.isfinite, levels)):
-            self._bounds = min(levels), max(levels)
-            self._runs = _monotone_runs(levels)
+        self._runs = _monotone_runs(levels)
+        self._bounds = (min(levels), max(levels)) if levels else None
 
-    def scan(self, target: float) -> list[tuple[float, float]]:
-        """(q, g(q)) at the scan samples, in order, from the stored levels.
+    def brackets(self, target: float) -> list[tuple[float, float, float, float]]:
+        """The (lo, hi, g_lo, g_hi) of each bracket of the finite ``target``,
+        in order, by bisection over the monotone runs.
 
-        A sample whose g is NaN is left out, like one that raised.
-        """
-        out = []
-        for q, h in self.samples:
-            v = target - h
-            if v == v:
-                out.append((q, v))
-        return out
-
-    def brackets(self, target: float) -> Optional[list[tuple[float, float, float, float]]]:
-        """``_crossings(self.scan(target))``, the (lo, hi, g_lo, g_hi) of
-        each bracket, by bisection over the monotone runs, or ``None`` when
-        the scan's rules for a zero or for a vanishing g must decide.
+        A bracket is a pair of adjacent samples across which g changes
+        sign.  A zero at a sample closes the pair on its left, or opens the
+        line's first pair, so a root on the scan grid is reported once.
 
         The signs are exact.  With gradual underflow the computed t - h is
         zero only when t == h (D. Goldberg, "What every computer scientist
         should know about floating-point arithmetic", ACM Computing Surveys
         23, 1991), rounding keeps its sign, and it never increases as h
-        grows.  So a target equal to no level of a run splits the run, at
-        its insertion point, into samples of one sign and samples of the
-        other, and the crossing is the pair across that point, paired as
-        ``_crossings`` pairs it.  The result is ``None`` (the caller scans)
-        when the target equals a sample's level, when a level or the
-        target is not finite, and when every |t - h_k| <= ``resid_tol``,
-        which the smallest and the largest level decide.
+        grows, infinite h included.  So the target's insertion point splits
+        each run into samples of one sign, then zeros, if the target equals
+        some of its levels, then samples of the other sign, and the run's
+        one bracket, if any, is the pair that ends at the insertion point.
+        A run that starts on the target's level pairs its first zero only at
+        the line's first sample, so a zero at a turning sample is paired
+        once, by the run on its left.
         """
-        runs = self._runs
-        if runs is None or not math.isfinite(target):
-            return None
-        h_min, h_max = self._bounds
-        tol = self.cfg.resid_tol
-        if target - h_min <= tol and target - h_max >= -tol:
-            return None
         samples = self.samples
         out = []
-        for start, sign, keys in runs:
+        for start, sign, keys in self._runs:
             key = sign * target
             i = bisect_left(keys, key)
-            if i < len(keys):
-                if keys[i] == key:
-                    return None
-                if i:
-                    (q1, h1), (q2, h2) = samples[start + i - 1], samples[start + i]
-                    out.append((q1, q2, target - h1, target - h2))
+            if i == 0 == start and bisect_right(keys, key) == 1:
+                i = 1  # a zero at the line's first sample, and the next level differs
+            if 0 < i < len(keys):
+                (q1, h1), (q2, h2) = samples[start + i - 1], samples[start + i]
+                out.append((q1, q2, target - h1, target - h2))
         return out
 
     def solve(self, target: float, warm: Optional[float] = None, guess=None):
         """Root and status at one target, and the slope of g at the root.
 
         Several roots resolve to the one nearest ``warm`` (continuation)
-        with status ``multi_root``; a g that vanishes at every scan sample
-        keeps the warm value (or the range midpoint when cold).  Domain and
-        convergence failures never raise, they mark the point
+        with status ``multi_root``; a g within ``resid_tol`` of zero at
+        every scan sample keeps the warm value (or the range midpoint when
+        cold).  A line without samples, a non-finite target, and domain
+        and convergence failures never raise, they mark the point
         ``domain_fail``.  ``guess`` = (predicted root, slope of g there)
         only aims the probes that narrow the bracket holding the
         prediction, or land on its root, before Brent's method
@@ -303,16 +287,13 @@ class RootLine:
         bracket was refined.
         """
         cfg, level = self.cfg, self.level
+        if self._bounds is None or not math.isfinite(target):
+            return None, Status.DOMAIN_FAIL, None
         ref = warm if warm is not None else 0.5 * (self.lo + self.hi)
+        h_min, h_max = self._bounds
+        if target - h_min <= cfg.resid_tol and target - h_max >= -cfg.resid_tol:
+            return ref, Status.MULTI_ROOT, None
         brackets = self.brackets(target)
-        if brackets is None:
-            self.fallbacks += 1
-            samples = self.scan(target)
-            if not samples:
-                return None, Status.DOMAIN_FAIL, None
-            if all(abs(v) <= cfg.resid_tol for _, v in samples):
-                return ref, Status.MULTI_ROOT, None
-            brackets = _crossings(samples)
         if not brackets:
             return None, Status.NO_ROOT, None
         try:
@@ -348,7 +329,6 @@ def _count_lines(stats, lines, n2: int) -> None:
             stats.probes += line.probes
             stats.brent += line.brent
             stats.refined += line.refined
-            stats.fallbacks += line.fallbacks
 
 
 def _monotone_runs(levels) -> list[tuple[int, int, list[float]]]:

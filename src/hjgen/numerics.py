@@ -4,11 +4,8 @@ All operations are pure.  Functions passed in may raise
 :class:`~hjgen.errors.DomainError` at points outside their domain; the
 quadrature propagates it.  The bracket scan itself lives in
 :class:`hjgen.fields.RootLine`, which samples at :func:`scan_abscissae`
-and finds most targets' brackets by bisection over the samples' monotone
-runs; :func:`_crossings` pairs the samples where bisection cannot (a
-target on a sample's level, a non-finite level, a condition within
-``resid_tol`` of zero at every sample), and is the definition that
-bisection reproduces.
+and finds every target's brackets by bisection over the samples'
+monotone runs.
 
 Every grid point's root is refined by one kernel on plain floats,
 :func:`_refine`: the condition is evaluated as ``target - level(q)``
@@ -88,6 +85,9 @@ class SolverConfig:
     scan_points: int = 64
 
     def __post_init__(self):
+        for key in ("max_iter", "scan_points"):
+            if not isinstance(getattr(self, key), int):
+                raise ValueError(f"{key} must be an integer")
         if not all(0 < tol < math.inf for tol in (self.root_tol, self.resid_tol, self.quad_tol)):
             raise ValueError("tolerances must be positive and finite")
         if self.max_iter < 1:
@@ -113,7 +113,6 @@ class SolveStats:
     probes    -- level evaluations at predicted roots, before Brent's method
     brent     -- level evaluations in Brent's method
     refined   -- brackets refined
-    fallbacks -- targets whose brackets came from the full scan, not bisection
     dpdq_quads, p_quads -- quadratures of dp/dq and of p (the action at a
                  root) by how they ended: slot l <= 6 stopped at level l,
                  slot 7 was halved and returned, slot 8 raised.  A
@@ -125,13 +124,13 @@ class SolveStats:
     """
 
     __slots__ = (
-        "points", "targets", "scan", "probes", "brent", "refined", "fallbacks",
+        "points", "targets", "scan", "probes", "brent", "refined",
         "dpdq_quads", "p_quads", "dpdq_terms", "p_terms",
     )
 
     def __init__(self):
         self.points = self.targets = self.scan = self.probes = self.brent = 0
-        self.refined = self.fallbacks = self.dpdq_terms = self.p_terms = 0
+        self.refined = self.dpdq_terms = self.p_terms = 0
         self.dpdq_quads = [0] * (_FAILED + 1)
         self.p_quads = [0] * (_FAILED + 1)
 
@@ -238,25 +237,6 @@ def scan_abscissae(lo: float, hi: float, n: int) -> list[float]:
     points = [lo + span * i / n for i in range(n)]
     points.append(hi)
     return points
-
-
-def _crossings(samples) -> list[tuple[float, float, float, float]]:
-    """Adjacent (abscissa, value) sample pairs enclosing a sign change, each
-    as a (lo, hi, g_lo, g_hi) bracket.
-
-    A zero exactly at a sample closes the pair on its left, or opens the
-    very first pair, so a root hit by the scan grid is reported once.
-    """
-    out = []
-    for k, ((x1, v1), (x2, v2)) in enumerate(zip(samples, samples[1:])):
-        if (
-            (v1 < 0.0 < v2)
-            or (v2 < 0.0 < v1)
-            or (v2 == 0.0 and v1 != 0.0)
-            or (v1 == 0.0 and v2 != 0.0 and k == 0)
-        ):
-            out.append((x1, x2, v1, v2))
-    return out
 
 
 def _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg, tally):

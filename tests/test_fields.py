@@ -23,7 +23,8 @@ from hjgen.fields import (
     sweep,
     write_field_csv,
 )
-from hjgen.numerics import SolverConfig, _brent, _crossings, _refine, scan_abscissae
+from hjgen.numerics import SolverConfig, _brent, _refine, scan_abscissae
+from scan_reference import crossings, full_scan
 
 
 def _brent_on(g, lo, hi, g_lo, g_hi, cfg):
@@ -39,6 +40,9 @@ def test_check_axis():
         check_axis([0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         check_axis([1.0, 0.5])
+    for axis in ([math.nan], [0.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="axis values must be finite"):
+            check_axis(axis)
 
 
 def _toy_field():
@@ -538,14 +542,7 @@ def test_sweep_none_line_fails_its_row_and_breaks_column_0():
 def reference_point(g, lo, hi, cfg, warm):
     """One point solved on its own: the scan, then Brent's method from every
     coarse bracket, with the line solver's status rules."""
-    samples = []
-    for q in scan_abscissae(lo, hi, cfg.scan_points):
-        try:
-            v = g(q)
-        except (DomainError, ConvergenceError):
-            continue
-        if not math.isnan(v):
-            samples.append((q, v))
+    samples = full_scan(g, lo, hi, cfg.scan_points)
     if not samples:
         return None, Status.DOMAIN_FAIL
     ref = warm if warm is not None else 0.5 * (lo + hi)
@@ -553,7 +550,7 @@ def reference_point(g, lo, hi, cfg, warm):
         return ref, Status.MULTI_ROOT
     try:
         roots = sorted(
-            _brent_on(g, *br, cfg) for br in _crossings(samples)
+            _brent_on(g, *br, cfg) for br in crossings(samples)
         )
     except (DomainError, ConvergenceError):
         return None, Status.DOMAIN_FAIL
@@ -613,7 +610,7 @@ def test_line_solver_matches_point_reference(case):
         want, want_status = reference_point(g, lo, hi, cfg, warm)
         # conditioning: one sign change per coarse bracket, and a slope that
         # turns the resid_tol stop into a root error far below 1e-10
-        for b_lo, b_hi, _, _ in _crossings([(v, g(v)) for v in scan_abscissae(lo, hi, n)]):
+        for b_lo, b_hi, _, _ in crossings([(v, g(v)) for v in scan_abscissae(lo, hi, n)]):
             fine = [g(v) for v in scan_abscissae(b_lo, b_hi, 64)]
             assume(sum(1 for a, b in zip(fine, fine[1:]) if a * b < 0.0) <= 1)
         if want is not None:
@@ -627,22 +624,16 @@ def test_line_solver_matches_point_reference(case):
 
 # --- brackets by bisection, against the full scan -------------------------
 
+def reference_scan(line, target):
+    """g = target - level at the line's scan samples, every level evaluated
+    again, as :func:`scan_reference.full_scan` keeps them."""
+    return full_scan(lambda q: target - line.level(q), line.lo, line.hi, line.cfg.scan_points)
+
+
 def reference_brackets(line, target):
-    """Every stored level taken from the target, then paired, as the
-    (lo, hi, g_lo, g_hi) tuples :meth:`RootLine.brackets` returns."""
-    return _crossings(line.scan(target))
-
-
-def scan_decides(line, target):
-    """Whether :meth:`RootLine.brackets` leaves ``target`` to the full scan:
-    the target equals a sample's level, a level or the target is not
-    finite, or every |target - level| is within resid_tol."""
-    levels = [h for _, h in line.samples]
-    return (
-        target in levels
-        or not all(map(math.isfinite, levels + [target]))
-        or all(abs(target - h) <= line.cfg.resid_tol for h in levels)
-    )
+    """The full scan paired, as the (lo, hi, g_lo, g_hi) tuples
+    :meth:`RootLine.brackets` returns."""
+    return crossings(reference_scan(line, target))
 
 
 @st.composite
@@ -698,39 +689,76 @@ def _bracket_lines(draw):
 @settings(deadline=None, database=None, max_examples=300)
 @given(_bracket_lines())
 def test_bisection_brackets_equal_the_full_scan(case):
+    # the statuses that need no bracket follow the scan: no sample at all
+    # fails the point, and g within resid_tol at every sample keeps the
+    # cold reference, the range midpoint
     line, targets = case
     for t in targets:
-        got = line.brackets(t)
-        if scan_decides(line, t):
-            assert got is None
-        else:
-            assert got == reference_brackets(line, t)
+        if not math.isfinite(t):
+            assert line.solve(t) == (None, Status.DOMAIN_FAIL, None)
+            continue
+        scan = reference_scan(line, t)
+        assert line.brackets(t) == crossings(scan)
+        if not scan:
+            assert line.solve(t) == (None, Status.DOMAIN_FAIL, None)
+        elif all(abs(v) <= line.cfg.resid_tol for _, v in scan):
+            assert line.solve(t) == (0.5 * (line.lo + line.hi), Status.MULTI_ROOT, None)
 
 
-def test_bisection_brackets_on_a_wave_without_fallback():
+def test_bisection_brackets_on_a_wave():
     # sin over [0, 3 pi] in four runs: two crossings below 0, four above
     line = RootLine(math.sin, 0.0, 3.0 * math.pi, SolverConfig(scan_points=37))
-    for t, crossings in ((-0.93, 2), (-0.4, 2), (0.1, 4), (0.77, 4)):
+    for t, count in ((-0.93, 2), (-0.4, 2), (0.1, 4), (0.77, 4)):
         got = line.brackets(t)
-        assert got is not None and len(got) == crossings
+        assert len(got) == count
         assert got == reference_brackets(line, t)
 
 
-def test_neighbours_of_a_sample_level_bisect_without_the_scan():
+def test_sample_levels_and_their_neighbours_equal_the_full_scan():
     # the floats next to a sample's level differ from it, so every sign is
-    # exact and bisection pairs them; only the level itself takes the scan
+    # exact; the level itself is a zero, paired by the zero rules
     for level, lo, hi, n in ((lambda q: q - 0.4, 0.0, 10.0, 24), (math.sin, 0.0, 3.0 * math.pi, 37)):
         line = RootLine(level, lo, hi, SolverConfig(scan_points=n))
-        levels = [h for _, h in line.samples]
-        for h in levels[1:-1]:
-            assert line.brackets(h) is None
-            for t in (math.nextafter(h, -math.inf), math.nextafter(h, math.inf)):
-                if t not in levels:  # the wave's mirrored samples hold some
-                    got = line.brackets(t)
-                    assert got is not None and got == reference_brackets(line, t)
+        for h in [h for _, h in line.samples][1:-1]:
+            for t in (math.nextafter(h, -math.inf), h, math.nextafter(h, math.inf)):
+                assert line.brackets(t) == reference_brackets(line, t)
 
 
-def test_linear_pq_tie_takes_the_full_scan():
+def test_a_zero_at_the_first_sample_opens_the_first_pair():
+    # levels 0, 0.25, ..., 1 at q = 0, 0.25, ..., 1, rising or falling
+    for sign in (1.0, -1.0):
+        line = RootLine(lambda q: sign * q, 0.0, 1.0, SolverConfig(scan_points=4))
+        assert line.brackets(0.0) == [(0.0, 0.25, 0.0, -sign * 0.25)]
+        assert line.solve(0.0)[:2] == (0.0, Status.RESOLVED)
+    # unless the next level is the same: a plateau from q = 0 to 0.5
+    line = RootLine(lambda q: max(q, 0.5), 0.0, 1.0, SolverConfig(scan_points=4))
+    assert line.brackets(0.5) == []
+    assert line.solve(0.5)[:2] == (None, Status.NO_ROOT)
+
+
+def test_a_zero_at_a_turning_sample_is_one_bracket():
+    # levels -0.5, -0.25, 0, -0.25, -0.5: the runs share the sample at q = 0.5,
+    # and only the rising run on its left pairs it
+    line = RootLine(lambda q: -abs(q - 0.5), 0.0, 1.0, SolverConfig(scan_points=4))
+    assert line.brackets(0.0) == [(0.25, 0.5, 0.25, 0.0)]
+    assert line.solve(0.0)[:2] == (0.5, Status.RESOLVED)
+
+
+def test_a_plateau_on_the_target_closes_the_pair_on_its_left():
+    # levels 0, 0.5, 0.5, 0.5, 1: g is zero from q = 0.25 to 0.75
+    line = RootLine(lambda q: 0.5 if 0.2 < q < 0.8 else q, 0.0, 1.0, SolverConfig(scan_points=4))
+    assert [h for _, h in line.samples] == [0.0, 0.5, 0.5, 0.5, 1.0]
+    assert line.brackets(0.5) == [(0.0, 0.25, 0.5, 0.0)]
+    assert line.solve(0.5)[:2] == (0.25, Status.RESOLVED)
+
+
+def test_a_non_finite_target_fails_the_point():
+    line = RootLine(lambda q: q, 0.0, 1.0, SolverConfig(scan_points=4))
+    for t in (math.inf, -math.inf, math.nan):
+        assert line.solve(t) == (None, Status.DOMAIN_FAIL, None)
+
+
+def test_linear_pq_tie_bisects_to_the_pair_on_its_left():
     # on the shipped linear_pq grid the root 2x + y = 1.25 at (0.2, 0.85)
     # is a scan sample of [0, 10] in 24 intervals, so g is exactly 0 there
     from hjgen import pq
@@ -738,8 +766,8 @@ def test_linear_pq_tie_takes_the_full_scan():
     prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
     cfg = SolverConfig(root_tol=1e-12, resid_tol=1e-12, scan_points=24)
     line = RootLine(pq._line_level(prob, 0.2), 0.0, 10.0, cfg)
-    assert line.brackets(0.85) is None
-    assert reference_brackets(line, 0.85) == [(0.8333333333333334, 1.25, 0.41666666666666663, 0.0)]
+    assert line.brackets(0.85) == [(0.8333333333333334, 1.25, 0.41666666666666663, 0.0)]
+    assert reference_brackets(line, 0.85) == line.brackets(0.85)
     assert line.solve(0.85)[:2] == (1.25, Status.RESOLVED)
 
 

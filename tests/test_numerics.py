@@ -13,11 +13,11 @@ from hjgen.fields import RootLine, Status
 from hjgen.numerics import (
     SolverConfig,
     _brent,
-    _crossings,
     central_difference,
     integrate_adaptive,
     scan_abscissae,
 )
+from scan_reference import crossings, full_scan
 
 
 def root_line(g, lo, hi, n):
@@ -26,9 +26,11 @@ def root_line(g, lo, hi, n):
 
 
 def scan_brackets(g, lo, hi, n):
-    """The (lo, hi, g_lo, g_hi) sign-change brackets a line scan of g over
-    [lo, hi] finds."""
-    return _crossings(root_line(g, lo, hi, n).scan(0.0))
+    """The (lo, hi, g_lo, g_hi) sign-change brackets a line of g over
+    [lo, hi] finds at target 0, which the full scan of g gives too."""
+    found = root_line(g, lo, hi, n).brackets(0.0)
+    assert found == crossings(full_scan(g, lo, hi, n))
+    return found
 
 
 def brent(g, br, cfg):
@@ -45,6 +47,13 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(scan_points=1)
+
+
+@pytest.mark.parametrize("key, value", [("scan_points", 24.0), ("max_iter", 50.5), ("max_iter", "100")])
+def test_config_rejects_non_integer_counts(key, value):
+    # rejected at construction, not in the first solve that reaches them
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        SolverConfig(**{key: value})
 
 
 @pytest.mark.parametrize("key", ["root_tol", "resid_tol", "quad_tol"])

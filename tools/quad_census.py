@@ -41,9 +41,8 @@ configs, dp/dq quadratures) split by stage:
 - ``probes``: evaluations at a predicted root before Brent's method;
 - ``brent``: evaluations in Brent's method;
 
-the brackets refined per point, and how many of the solve's targets found
-no brackets by bisection and fell back to the full scan.  The package
-counts all of this itself; the script only reads the counts.
+and the brackets refined per point.  The package counts all of this
+itself; the script only reads the counts.
 """
 
 from __future__ import annotations
@@ -122,8 +121,7 @@ def main(argv):
         print(
             f"  roots: {n:,} points; evaluations/point {(stats.scan + stats.probes + stats.brent) / n:.3f} "
             f"(scan {stats.scan / n:.3f}, probes {stats.probes / n:.3f}, brent {stats.brent / n:.3f}); "
-            f"brackets/point {stats.refined / n:.3f}\n"
-            f"  fallbacks: {stats.fallbacks:,} of {stats.targets:,} targets"
+            f"brackets/point {stats.refined / n:.3f}"
         )
     stats = SolveStats()
     osc = hj.HJProblem("1", "x^2", "0", sigma=1, x0=0.0)
