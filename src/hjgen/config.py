@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ConfigError, ParseError
-from .expr import Expression, parse as parse_expr
+from .expr import Expression, parse as parse_expr, variables
 from .fields import check_axis
 from .hj import HJProblem
 from .numerics import SolverConfig, scan_abscissae
@@ -128,13 +128,19 @@ class _Section:
             raise ConfigError(f"unknown key {key!r} in [{self.name}]", entry.line)
 
 
-def _expr_of(entry: _Entry, key: str) -> Expression:
+def _expr_of(entry: _Entry, key: str, var: str) -> Expression:
+    """The expression of ``key``, a function of ``var`` alone."""
     if not entry.quoted:
         raise ConfigError(f"expression for {key!r} must be double-quoted", entry.line)
     try:
-        return parse_expr(entry.raw)
+        e = parse_expr(entry.raw)
     except ParseError as exc:
         raise ConfigError(f"in expression for {key!r}: {exc}", entry.line) from None
+    unbound = variables(e) - {var}
+    if unbound:
+        message = f"expression for {key!r} takes only {var}, not {min(unbound)!r}"
+        raise ConfigError(message, entry.line)
+    return e
 
 
 def _float_of(entry: _Entry, key: str) -> float:
@@ -203,9 +209,9 @@ def _build_problem(section: _Section):
     type_entry = section.require("type")
     kind = type_entry.raw
     if kind == "hj":
-        a = _expr_of(section.require("a"), "a")
-        v = _expr_of(section.require("V"), "V")
-        g = _expr_of(section.require("G"), "G")
+        a = _expr_of(section.require("a"), "a", "x")
+        v = _expr_of(section.require("V"), "V", "x")
+        g = _expr_of(section.require("G"), "G", "q")
         sigma_entry = section.take("sigma")
         sigma = 1
         if sigma_entry is not None:
@@ -216,27 +222,23 @@ def _build_problem(section: _Section):
         x0 = _finite_of(x0_entry, "x0") if x0_entry is not None else 0.0
         eps_entry = section.take("eps_adm")
         eps = _positive_of(eps_entry, "eps_adm") if eps_entry is not None else None
-        try:
-            return HJProblem(a, v, g, sigma=sigma, x0=x0, eps_adm=eps)
-        except ValueError as exc:
-            raise ConfigError(str(exc), type_entry.line) from None
+        return HJProblem(a, v, g, sigma=sigma, x0=x0, eps_adm=eps)
     if kind == "pq":
         pq_kind = section.require("kind").raw
-        try:
-            if pq_kind == "explicit":
-                return PQProblem.explicit(
-                    _expr_of(section.require("f"), "f"),
-                    _expr_of(section.require("phi"), "phi"),
-                )
-            if pq_kind in ("scaled_x", "scaled_y"):
-                ctor = PQProblem.scaled_x if pq_kind == "scaled_x" else PQProblem.scaled_y
-                return ctor(
-                    _expr_of(section.require("scale"), "scale"),
-                    _expr_of(section.require("G"), "G"),
-                    _expr_of(section.require("phi"), "phi"),
-                )
-        except ValueError as exc:
-            raise ConfigError(str(exc), type_entry.line) from None
+        if pq_kind == "explicit":
+            return PQProblem.explicit(
+                _expr_of(section.require("f"), "f", "q"),
+                _expr_of(section.require("phi"), "phi", "q"),
+            )
+        if pq_kind in ("scaled_x", "scaled_y"):
+            # a scaled_y problem's lines are y columns and its root is p
+            line, root = ("x", "q") if pq_kind == "scaled_x" else ("y", "p")
+            ctor = PQProblem.scaled_x if pq_kind == "scaled_x" else PQProblem.scaled_y
+            return ctor(
+                _expr_of(section.require("scale"), "scale", line),
+                _expr_of(section.require("G"), "G", root),
+                _expr_of(section.require("phi"), "phi", root),
+            )
         raise ConfigError(f"unknown pq kind {pq_kind!r}", type_entry.line)
     raise ConfigError(f"unknown problem type {kind!r}", type_entry.line)
 
@@ -273,10 +275,7 @@ def parse_config(text: str) -> RunConfig:
         if entry is not None:
             kwargs[key] = _int_of(entry, key, least)
     solver_sec.finish()
-    try:
-        solver = SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    solver = SolverConfig(**kwargs)
 
     field_path = report_path = None
     min_resolved = 0.99

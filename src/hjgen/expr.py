@@ -83,6 +83,9 @@ _NUMBER = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+_BINARY_LEVELS = ("+-", "*/")  # the binary operators, loosest first, bar "^"
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
@@ -104,25 +107,19 @@ class _Parser:
         if not self.accept(ch):
             raise ParseError(f"expected {ch!r}", self.pos)
 
-    def parse_expr(self) -> Expression:
-        e = self.parse_term()
+    def parse_expr(self, level: int = 0) -> Expression:
+        # a left-associative chain of level 0's "+-" over level 1's "*/" over
+        # unary operands; one frame per level, since the frames per nesting
+        # level set how deep a source the recursion limit admits
+        ops = _BINARY_LEVELS[level]
+        e = self.parse_expr(1) if level == 0 else self.parse_unary()
         while True:
-            if self.accept("+"):
-                e = BinOp("+", e, self.parse_term())
-            elif self.accept("-"):
-                e = BinOp("-", e, self.parse_term())
-            else:
+            self.skip_ws()
+            op = self.src[self.pos : self.pos + 1]
+            if not op or op not in ops:
                 return e
-
-    def parse_term(self) -> Expression:
-        e = self.parse_unary()
-        while True:
-            if self.accept("*"):
-                e = BinOp("*", e, self.parse_unary())
-            elif self.accept("/"):
-                e = BinOp("/", e, self.parse_unary())
-            else:
-                return e
+            self.pos += 1
+            e = BinOp(op, e, self.parse_expr(1) if level == 0 else self.parse_unary())
 
     def parse_unary(self) -> Expression:
         # every nesting of the grammar (parentheses, calls, "-", "^") passes

@@ -21,7 +21,8 @@ shipped configs has, returns the kernel's root as is.
 The CSV kernels work on whole columns: :func:`write_field_csv` formats one
 grid row at a time, and :func:`read_field_csv` checks bounded blocks of
 rows column by column with :func:`_columns`, which holds every line rule;
-a block that fails is bisected with the same checks to name its first bad line.
+the rows of a block that fails are checked one at a time to name its first
+bad line.
 """
 
 from __future__ import annotations
@@ -66,6 +67,16 @@ def check_axis(values) -> tuple[float, ...]:
         if not a < b:
             raise ValueError("axis values must be strictly increasing")
     return axis
+
+
+def _solve_inputs(axis1, axis2, q_range):
+    """A grid solve's checked axes and root range, ``(axis1, axis2, q_lo,
+    q_hi)``, or :class:`ValueError`: each is finite and increasing."""
+    axes = check_axis(axis1), check_axis(axis2)
+    q_lo, q_hi = q_range
+    if not -math.inf < q_lo < q_hi < math.inf:
+        raise ValueError("solve_grid requires q_lo < q_hi, both finite")
+    return (*axes, q_lo, q_hi)
 
 
 @dataclass
@@ -460,21 +471,13 @@ def _cell_floats(col, what: str) -> list[Optional[float]]:
 
 
 def _first_bad_row(rows, ncols: int) -> tuple[int, str]:
-    """The index and message of the first of ``rows`` that breaks a line rule.
-
-    The rules hold row by row, so with ``rows[:good]`` passing, the prefix
-    ``rows[:mid]`` fails exactly when ``rows[good:mid]`` does.
-    """
-    good, bad = 0, len(rows)  # rows[:good] pass the rules and rows[:bad] do not
-    while True:
-        mid = max((good + bad) // 2, good + 1)
+    """The index and message of the first of ``rows`` that breaks a line
+    rule; every rule holds row by row, so each row is checked alone."""
+    for k, row in enumerate(rows):
         try:
-            _columns(rows[good:mid], ncols)
-            good = mid
+            _columns([row], ncols)
         except ValueError as err:
-            if mid == good + 1:
-                return good, str(err)
-            bad = mid
+            return k, str(err)
 
 
 def _line_of(lines, k: int) -> int:

@@ -68,7 +68,7 @@ from typing import Optional
 
 from . import expr
 from .errors import ConvergenceError, DomainError
-from .fields import ActionField, RootLine, Status, _count_lines, check_axis, sweep
+from .fields import ActionField, RootLine, Status, _count_lines, _solve_inputs, sweep
 from .numerics import (
     _FAILED,
     _MAX_SPLITS,
@@ -461,11 +461,7 @@ def solve_grid(
     Given a :class:`~hjgen.numerics.SolveStats`, the solve adds its points,
     its lines' work and its row tables' quadratures to it.
     """
-    xs = check_axis(x_grid)
-    ts = check_axis(t_grid)
-    q_lo, q_hi = q_range
-    if not -math.inf < q_lo < q_hi < math.inf:
-        raise ValueError("solve_grid requires q_lo < q_hi, both finite")
+    xs, ts, q_lo, q_hi = _solve_inputs(x_grid, t_grid, q_range)
     rows = [_RowTable(prob, x, cfg.quad_tol) for x in xs]
     lines = [_root_line(row, q_lo, q_hi, cfg) for row in rows]
     q, status = sweep(lines, xs, ts)

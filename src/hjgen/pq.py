@@ -40,13 +40,12 @@ one point is a 1 x 1 :func:`solve_grid`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import expr
 from .errors import DomainError
-from .fields import RootLine, SolutionField, Status, _count_lines, check_axis, sweep
+from .fields import RootLine, SolutionField, Status, _count_lines, _solve_inputs, sweep
 from .numerics import SolverConfig, SolveStats
 
 __all__ = ["KINDS", "PQProblem", "constraint", "solution_value", "solve_grid"]
@@ -186,11 +185,7 @@ def solve_grid(
     :class:`~hjgen.numerics.SolveStats`, the solve adds its points and its
     lines' work to it.
     """
-    xs = check_axis(x_grid)
-    ys = check_axis(y_grid)
-    q_lo, q_hi = q_range
-    if not -math.inf < q_lo < q_hi < math.inf:
-        raise ValueError("solve_grid requires q_lo < q_hi, both finite")
+    xs, ys, q_lo, q_hi = _solve_inputs(x_grid, y_grid, q_range)
     axis1, axis2 = (ys, xs) if prob.lines_are_columns else (xs, ys)
     lines = [_root_line(prob, v, q_lo, q_hi, cfg) for v in axis1]
     root_lines = [line and line[1] for line in lines]

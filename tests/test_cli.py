@@ -1,3 +1,4 @@
+import os
 import pathlib
 import re
 import subprocess
@@ -8,6 +9,16 @@ import pytest
 from hjgen import cli
 from hjgen.cli import main
 from hjgen.fields import read_field_csv
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_module(*argv):
+    # ``python -m hjgen`` on this checkout's package, not on an installed copy
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    cmd = [sys.executable, "-m", "hjgen", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
 
 SMALL_FREE = """
 [problem]
@@ -115,6 +126,15 @@ def test_solve_bad_expression_exits_2(tmp_path, capsys):
     assert main(["solve", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "'V'" in err and "position" in err
+
+
+def test_solve_without_a_field_path_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "nofield.cfg"
+    text = SMALL_LINEAR.format(field=tmp_path / "f.csv", report=tmp_path / "r.txt")
+    cfg.write_text(text.replace(f"field = {tmp_path / 'f.csv'}\n", ""))
+    assert main(["solve", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: [output] must name a field CSV path for solve\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_solve_without_roots_exits_1(tmp_path, capsys):
@@ -557,19 +577,12 @@ def test_parser_is_built_once_and_shared_by_calls(free_run, capsys):
         code = main(argv)
         shared.append((code, capsys.readouterr().out))
     assert cli._parser.cache_info().misses == 1
-    fresh = [
-        subprocess.run([sys.executable, "-m", "hjgen", *argv], capture_output=True, text=True)
-        for argv in calls
-    ]
+    fresh = [_run_module(*argv) for argv in calls]
     assert shared == [(proc.returncode, proc.stdout) for proc in fresh]
     assert [code for code, _ in shared] == [2, 0, 2, 0]
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hjgen", "diffcheck", "q^2/2", "q", "--n", "20"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_module("diffcheck", "q^2/2", "q", "--n", "20")
     assert proc.returncode == 0
     assert "0 mismatches" in proc.stdout

@@ -171,10 +171,22 @@ def test_non_finite_numbers_are_named_with_their_line(key, old, line, value):
         ("scan_points = 12", "scan_points = 12\nmax_iter = 0", "'max_iter' must be at least 1", 19),
         ("q_min = 0.05", "q_min = 7", "'q_min' must be below 'q_max'", 19),
         ("eps_adm = 1e-3", "eps_adm = -1", "'eps_adm' must be positive", 10),
+        ("x0 = 0.25", 'x0 = "0.25"', "'x0' must be an unquoted number", 9),
+        ('V = "x^2"', "V = x^2", "expression for 'V' must be double-quoted", 6),
+        ("scan_points = 12", "scan_points = 12.5", "bad integer for 'scan_points': '12.5'", 18),
+        ("scan_points = 12", 'scan_points = "12"', "'scan_points' must be an unquoted integer", 18),
+        ("x = 0.1:0.5:5", "x = 0.1:0.5", "axis 'x' must be min:max:count", 13),
+        ('G = "q^2/2"', 'G = "q^2/2" x', "unexpected text after quoted value: 'x'", 7),
+        ("x0 = 0.25", "x0 =   # no value", "missing value", 9),
+        ("x0 = 0.25", "= 0.25", "missing key before '='", 9),
     ],
-    ids=["root_tol", "scan_points", "max_iter", "q_min", "eps_adm"],
+    ids=[
+        "root_tol", "scan_points", "max_iter", "q_min", "eps_adm",
+        "quoted_number", "unquoted_expression", "bad_integer", "quoted_integer",
+        "no_count", "text_after_quote", "no_value", "no_key",
+    ],
 )
-def test_out_of_range_values_are_named_with_their_line(old, new, message, line):
+def test_bad_values_are_named_with_their_line(old, new, message, line):
     _expect_error(HJ_TEXT.replace(old, new), message, line=line)
 
 
@@ -214,6 +226,41 @@ q_max = 5
     assert cfg.problem.kind == "scaled_y"
     assert cfg.problem.lines_are_columns  # the root variable is p
     assert (cfg.problem.scale, cfg.problem.gfun) == (parse("2 + sin(y)"), parse("p^2"))
+
+
+SCALED_TEXT = """
+[problem]
+type = pq
+kind = {kind}
+scale = "{scale}"
+G = "{G}"
+phi = "{phi}"
+
+[grid]
+x = 0:1:3
+y = 0:1:3
+
+[solver]
+q_min = 0
+q_max = 5
+"""
+
+
+@pytest.mark.parametrize(
+    "text, key, var, name, line",
+    [
+        (HJ_TEXT.replace('V = "x^2"', 'V = "y^2"'), "V", "x", "y", 6),
+        (HJ_TEXT.replace('G = "q^2/2"', 'G = "x*q"'), "G", "q", "x", 7),
+        (PQ_TEXT.replace('phi = "q^2/2"', 'phi = "p^2/2"'), "phi", "q", "p", 6),
+        (SCALED_TEXT.format(kind="scaled_x", scale="1 + y", G="q", phi="q"), "scale", "x", "y", 5),
+        (SCALED_TEXT.format(kind="scaled_y", scale="1 + y", G="q^2", phi="p"), "G", "p", "q", 6),
+    ],
+    ids=["hj", "hj_G", "explicit", "scaled_x", "scaled_y"],
+)
+def test_expression_of_a_foreign_variable_names_key_and_line(text, key, var, name, line):
+    # each key is a function of one variable: a and V of x, G of q, and a pq
+    # scale of its line coordinate, G and phi of its root
+    _expect_error(text, f"expression for {key!r} takes only {var}, not {name!r}", line=line)
 
 
 def test_load_config_missing_file(tmp_path):

@@ -296,6 +296,24 @@ def test_symbolic_derivative_matches_finite_difference():
             checked += 1
 
 
+@pytest.mark.parametrize(
+    "src, var", [("x^x", "x"), ("2^q", "q"), ("(1 + x^2)^q", "q"), ("q^(x/2)", "x")]
+)
+def test_variable_exponent_derivative_matches_finite_difference(src, var):
+    # an exponent that depends on var takes the rule b^e (e' ln b + e b'/b),
+    # not the power rule, which the random trees above never reach
+    e = expr.parse(src)
+    d = expr.differentiate(e, var)
+    assert "ln(" in expr.to_string(d)
+    rng = random.Random(11)
+    for _ in range(25):
+        point = {"x": rng.uniform(0.2, 2.5), "q": rng.uniform(0.2, 2.5)}
+        sample = lambda v: expr.evaluate(e, {**point, var: v})
+        sym = expr.evaluate(d, point)
+        fd = central_difference(sample, point[var], 1e-5 * (1.0 + point[var]))
+        assert abs(sym - fd) <= 1e-8 * (1.0 + abs(sym)), (src, point, sym, fd)
+
+
 def test_to_string_round_trip_value_identical():
     rng = random.Random(513)
     done = 0

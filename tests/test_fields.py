@@ -758,6 +758,21 @@ def test_a_non_finite_target_fails_the_point():
         assert line.solve(t) == (None, Status.DOMAIN_FAIL, None)
 
 
+def test_a_bracket_that_raises_in_refinement_fails_the_point():
+    # cos 6q on [0, 1] falls through 0 near 0.26 and rises through it near
+    # 0.785, where the level raises; the samples at q = k/8 all lie outside
+    # (0.76, 0.80), so only the second bracket's refinement meets the raise
+    def level(q):
+        if 0.76 < q < 0.80:
+            raise DomainError("level undefined")
+        return math.cos(6.0 * q)
+
+    line = RootLine(level, 0.0, 1.0, SolverConfig(scan_points=8))
+    assert [(lo, hi) for lo, hi, _, _ in line.brackets(0.0)] == [(0.25, 0.375), (0.75, 0.875)]
+    assert line.solve(0.0) == (None, Status.DOMAIN_FAIL, None)
+    assert line.solve(0.9)[1] == Status.MULTI_ROOT  # two roots, both outside the gap
+
+
 def test_linear_pq_tie_bisects_to_the_pair_on_its_left():
     # on the shipped linear_pq grid the root 2x + y = 1.25 at (0.2, 0.85)
     # is a scan sample of [0, 10] in 24 intervals, so g is exactly 0 there
@@ -1067,6 +1082,18 @@ def test_refine_kernel_slope_after_a_nan_probe():
         _assert_kernel_matches(level, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, guess, cfg)
     root, slope = _refine(level, 0.0, 0.0, 1e-6, -0.3e-6, 0.7e-6, (0.5e-6, 1.0), cfg, _tally())
     assert root == 0.0 and math.isnan(slope)
+
+
+def test_refine_kernel_has_no_slope_on_a_bracket_narrower_than_its_spacing():
+    # every evaluation lies within 1e-10 (1 + |q|) of the last one, so no
+    # secant is taken
+    lo, hi = 1.0, 1.0 + 1e-11
+    target = 1.0 + 4e-12
+    tally = _tally()
+    g_lo, g_hi = target - lo, target - hi
+    root, slope = _refine(lambda q: q, target, lo, hi, g_lo, g_hi, None, SolverConfig(), tally)
+    assert lo <= root <= hi and slope is None
+    assert tally.refined == 1
 
 
 # shapes increasing through 0 at 0, with their derivatives; each is also

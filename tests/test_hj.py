@@ -101,6 +101,13 @@ def test_momentum_admissibility():
         hj.momentum(bad_a, 0.0, 4.0)
 
 
+def test_non_finite_potential_is_a_domain_error():
+    # V = 1e300 * 1e300 * x overflows to inf at every x > 0
+    prob = hj.HJProblem("1", "1e300*1e300*x", "q")
+    with pytest.raises(DomainError, match="potential inf is not finite"):
+        hj.momentum(prob, 0.5, 1.0)
+
+
 def test_momentum_partials_flat_potential():
     dp_dx, dp_dq = hj.momentum_partials(FREE, 17.3, 4.0)
     assert dp_dx == 0.0
@@ -437,6 +444,18 @@ def test_solve_grid_free_particle_matches_closed_form():
                 x * x / (4.0 * (1.0 - t) ** 2), abs=1e-10
             )
             assert field.p[i][j] == hj.momentum(FREE, x, field.q[i][j])
+
+
+def test_a_row_whose_ceiling_raises_has_no_line():
+    # V = sqrt(x - 0.3) raises on the ceiling samples between x = 0.1 and
+    # x0 = 0.5, so that row has no root line: its points are domain_fail
+    # and the stats count them as points but not as targets
+    prob = hj.HJProblem("1", "sqrt(x - 0.3)", "q^2/2", x0=0.5)
+    assert hj._root_line(hj._RowTable(prob, 0.1, CFG.quad_tol), 0.0, 5.0, CFG) is None
+    stats = SolveStats()
+    field = hj.solve_grid(prob, [0.1, 0.4, 0.9], [0.5, 1.0], (0.0, 5.0), CFG, stats)
+    assert field.status == [[Status.DOMAIN_FAIL] * 2] + [[Status.RESOLVED] * 2] * 2
+    assert (stats.points, stats.targets) == (6, 4)
 
 
 def test_solve_grid_momentum_consistency():
