@@ -16,7 +16,6 @@ Sections::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ConfigError, ParseError
@@ -29,17 +28,28 @@ from .pq import PQProblem
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
 
-@dataclass
 class RunConfig:
-    problem: Union[PQProblem, HJProblem]
-    axis1: tuple[float, ...]  # x grid
-    axis2: tuple[float, ...]  # y or t grid
-    solver: SolverConfig
-    q_range: tuple[float, float]
-    field_path: Optional[str]
-    report_path: Optional[str]
-    min_resolved: float
-    max_residual: float
+    def __init__(
+        self,
+        problem: Union[PQProblem, HJProblem],
+        axis1: tuple[float, ...],  # x grid
+        axis2: tuple[float, ...],  # y or t grid
+        solver: SolverConfig,
+        q_range: tuple[float, float],
+        field_path: Optional[str],
+        report_path: Optional[str],
+        min_resolved: float,
+        max_residual: float,
+    ):
+        self.problem = problem
+        self.axis1 = axis1
+        self.axis2 = axis2
+        self.solver = solver
+        self.q_range = q_range
+        self.field_path = field_path
+        self.report_path = report_path
+        self.min_resolved = min_resolved
+        self.max_residual = max_residual
 
     @property
     def is_hj(self) -> bool:
@@ -61,8 +71,8 @@ def _split_value(value: str, line: int) -> tuple[str, bool]:
         end = value.find('"', 1)
         if end < 0:
             raise ConfigError("unterminated quoted expression", line)
-        rest = value[end + 1 :].strip()
-        if rest and not rest.startswith("#"):
+        rest = value[end + 1 :].split("#", 1)[0].strip()
+        if rest:
             raise ConfigError(f"unexpected text after quoted value: {rest!r}", line)
         return value[1:end], True
     cut = value.find("#")

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from types import FunctionType
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import DomainError, EvalError, ParseError
 
@@ -47,30 +46,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Num:
+# The expression nodes and the other value classes of the package are
+# written out by hand, not generated by the standard library's record
+# decorator: its module pulls in ``inspect``, ``ast`` and ``dis``, and with
+# the classes it built it took about a third of the package's import, which
+# every cold ``hjgen`` command pays.
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Expression"
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * / ^
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
+class Call(NamedTuple):
     func: str
     arg: "Expression"
 

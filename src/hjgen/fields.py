@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from typing import Optional
@@ -79,19 +78,32 @@ def _solve_inputs(axis1, axis2, q_range):
     return (*axes, q_lo, q_hi)
 
 
-@dataclass
 class _Field2D:
     """Per-point roots, solution values and statuses over a rectangular grid.
 
     ``q`` and ``value`` hold a float exactly where the status is
-    ``resolved`` or ``multi_root`` and ``None`` elsewhere.
+    ``resolved`` or ``multi_root`` and ``None`` elsewhere.  Two fields of
+    the same class are equal when all their attributes are.
     """
 
-    axis1: tuple[float, ...]
-    axis2: tuple[float, ...]
-    q: list[list[Optional[float]]]
-    value: list[list[Optional[float]]]
-    status: list[list[Status]]
+    def __init__(
+        self,
+        axis1: tuple[float, ...],
+        axis2: tuple[float, ...],
+        q: list[list[Optional[float]]],
+        value: list[list[Optional[float]]],
+        status: list[list[Status]],
+    ):
+        self.axis1 = axis1
+        self.axis2 = axis2
+        self.q = q
+        self.value = value
+        self.status = status
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -105,16 +117,16 @@ class _Field2D:
         return sum(row.count(Status.RESOLVED) for row in self.status) / (n1 * n2)
 
 
-@dataclass
 class SolutionField(_Field2D):
     """Field for the first-order PDE solvers: axes (x, y), value u."""
 
 
-@dataclass
 class ActionField(_Field2D):
     """Field for the Hamilton-Jacobi solver: axes (x, t), value S, momentum p."""
 
-    p: list[list[Optional[float]]]
+    def __init__(self, axis1, axis2, q, value, status, p: list[list[Optional[float]]]):
+        super().__init__(axis1, axis2, q, value, status)
+        self.p = p
 
 
 _HISTORY = 4  # roots a line's predictor extrapolates through

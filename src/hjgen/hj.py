@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
@@ -94,7 +93,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class HJProblem:
     """One Hamilton-Jacobi problem.  Its fields do not change after
     construction; it caches a and V at x0 (``_x0_coefficients``) and its
@@ -109,23 +107,27 @@ class HJProblem:
                  default 1e-9 * (1 + |q|) applies
     """
 
-    kinetic: expr.Expression
-    potential: expr.Expression
-    generator: expr.Expression
-    sigma: int = 1
-    x0: float = 0.0
-    eps_adm: Optional[float] = None
-
-    def __post_init__(self):
-        self.kinetic = expr.as_expr(self.kinetic)
-        self.potential = expr.as_expr(self.potential)
-        self.generator = expr.as_expr(self.generator)
-        if self.sigma not in (1, -1):
+    def __init__(
+        self,
+        kinetic: expr.Expression,
+        potential: expr.Expression,
+        generator: expr.Expression,
+        sigma: int = 1,
+        x0: float = 0.0,
+        eps_adm: Optional[float] = None,
+    ):
+        self.kinetic = expr.as_expr(kinetic)
+        self.potential = expr.as_expr(potential)
+        self.generator = expr.as_expr(generator)
+        if sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
-        if not math.isfinite(self.x0):
+        if not math.isfinite(x0):
             raise ValueError("x0 must be finite")
-        if self.eps_adm is not None and not 0 < self.eps_adm < math.inf:
+        if eps_adm is not None and not 0 < eps_adm < math.inf:
             raise ValueError("eps_adm must be positive and finite")
+        self.sigma = sigma
+        self.x0 = x0
+        self.eps_adm = eps_adm
         # compiled closures for the quadrature / root-scan hot loops
         self._a_fn = expr.compile_function(self.kinetic, ("x",))
         self._v_fn = expr.compile_function(self.potential, ("x",))

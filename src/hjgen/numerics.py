@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError
@@ -67,9 +66,9 @@ _SPLIT = _SPLIT_LEVEL + 1  # halved at least once, then returned
 _FAILED = _SPLIT_LEVEL + 2  # raised
 
 
-@dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances shared by the root finder and the quadrature.
+    """Tolerances shared by the root finder and the quadrature; immutable,
+    compared and hashed by value.
 
     root_tol  -- absolute tolerance on the root abscissa
     resid_tol -- tolerance on |g| at the returned root
@@ -78,22 +77,47 @@ class SolverConfig:
     scan_points -- number of intervals used by the bracket scan
     """
 
-    root_tol: float = 1e-12
-    resid_tol: float = 1e-12
-    max_iter: int = 100
-    quad_tol: float = 1e-10
-    scan_points: int = 64
-
-    def __post_init__(self):
-        for key in ("max_iter", "scan_points"):
-            if not isinstance(getattr(self, key), int):
+    def __init__(
+        self,
+        root_tol: float = 1e-12,
+        resid_tol: float = 1e-12,
+        max_iter: int = 100,
+        quad_tol: float = 1e-10,
+        scan_points: int = 64,
+    ):
+        for key, value in (("max_iter", max_iter), ("scan_points", scan_points)):
+            if not isinstance(value, int):
                 raise ValueError(f"{key} must be an integer")
-        if not all(0 < tol < math.inf for tol in (self.root_tol, self.resid_tol, self.quad_tol)):
+        if not all(0 < tol < math.inf for tol in (root_tol, resid_tol, quad_tol)):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_iter < 1:
+        if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.scan_points < 2:
+        if scan_points < 2:
             raise ValueError("scan_points must be at least 2")
+        vars(self).update(
+            root_tol=root_tol,
+            resid_tol=resid_tol,
+            max_iter=max_iter,
+            quad_tol=quad_tol,
+            scan_points=scan_points,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable SolverConfig")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable SolverConfig")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"SolverConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 class SolveStats:

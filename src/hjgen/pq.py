@@ -40,7 +40,6 @@ one point is a 1 x 1 :func:`solve_grid`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import expr
@@ -54,7 +53,6 @@ KINDS = ("explicit", "scaled_x", "scaled_y")
 _ONE = expr.Num(1.0)  # an explicit problem's scale: x/1 is x and H' folds to 1
 
 
-@dataclass
 class PQProblem:
     """One first-order PDE problem of the family u = H(l) G(r) + s r - phi(r);
     immutable once constructed.
@@ -66,18 +64,23 @@ class PQProblem:
     ``p`` for scaled_y, whose lines are y columns.
     """
 
-    kind: str
-    scale: Optional[expr.Expression] = None  # f(x) or h(y); 1 for explicit problems
-    gfun: Optional[expr.Expression] = None  # G(q) or G(p); f(q) for explicit problems
-    phi: Optional[expr.Expression] = None  # arbitrary function
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.scale is None or self.gfun is None or self.phi is None:
+    def __init__(
+        self,
+        kind: str,
+        scale: Optional[expr.Expression] = None,  # f(x) or h(y); 1 for explicit problems
+        gfun: Optional[expr.Expression] = None,  # G(q) or G(p); f(q) for explicit problems
+        phi: Optional[expr.Expression] = None,  # arbitrary function
+    ):
+        if kind not in KINDS:
+            raise ValueError(f"unknown problem kind {kind!r}")
+        if scale is None or gfun is None or phi is None:
             raise ValueError("problems require scale, gfun and phi")
-        if self.kind == "explicit" and self.scale != _ONE:
+        if kind == "explicit" and scale != _ONE:
             raise ValueError("explicit problems have scale 1")
+        self.kind = kind
+        self.scale = scale
+        self.gfun = gfun
+        self.phi = phi
         line, root = ("y", "p") if self.lines_are_columns else ("x", "q")
         ratio = expr.BinOp("/", expr.Var(line), self.scale)
         self._ratio_fn = expr.compile_function(ratio, (line,))

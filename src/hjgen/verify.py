@@ -23,16 +23,14 @@ scaled_y field) or a row's x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, EmptyReportError
 
 __all__ = ["ResidualReport", "finite_diff_partials", "residual_report", "compare_oracle"]
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     max_abs: float
     mean_abs: float
     worst_point: tuple[int, int]

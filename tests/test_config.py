@@ -176,7 +176,12 @@ def test_non_finite_numbers_are_named_with_their_line(key, old, line, value):
         ("scan_points = 12", "scan_points = 12.5", "bad integer for 'scan_points': '12.5'", 18),
         ("scan_points = 12", 'scan_points = "12"', "'scan_points' must be an unquoted integer", 18),
         ("x = 0.1:0.5:5", "x = 0.1:0.5", "axis 'x' must be min:max:count", 13),
-        ('G = "q^2/2"', 'G = "q^2/2" x', "unexpected text after quoted value: 'x'", 7),
+        (
+            'G = "q^2/2"',
+            'G = "q^2/2" x    # trailing comment',
+            "unexpected text after quoted value: 'x'",
+            7,
+        ),
         ("x0 = 0.25", "x0 =   # no value", "missing value", 9),
         ("x0 = 0.25", "= 0.25", "missing key before '='", 9),
     ],

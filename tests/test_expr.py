@@ -228,6 +228,29 @@ def test_constant_shift_folds_away():
     assert base == shifted
 
 
+@pytest.mark.parametrize(
+    "node, field",
+    [
+        (Num(1.0), "value"),
+        (Var("x"), "name"),
+        (Neg(Var("x")), "arg"),
+        (BinOp("+", Num(1.0), Var("x")), "left"),
+        (Call("sin", Var("x")), "func"),
+    ],
+)
+def test_nodes_are_immutable(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, Num(2.0))
+
+
+def test_equal_trees_hash_equal():
+    # trees serve as dictionary keys: equal ones must find the same entry
+    a, b = expr.parse("sin(x) + 2*q^-x"), expr.parse("sin(x) + 2*q^-x")
+    assert a is not b and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, expr.parse("sin(x) + 2*q^x")}) == 2
+
+
 def _random_expr(rng, depth):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:

@@ -63,6 +63,32 @@ def test_config_rejects_non_finite_tolerances(key, value):
         SolverConfig(**{key: value})
 
 
+def test_config_defaults_and_keywords():
+    cfg = SolverConfig()
+    assert (cfg.root_tol, cfg.resid_tol, cfg.max_iter, cfg.quad_tol, cfg.scan_points) == (
+        1e-12, 1e-12, 100, 1e-10, 64,
+    )
+    tight = SolverConfig(quad_tol=1e-13, scan_points=16)
+    assert (tight.root_tol, tight.max_iter, tight.quad_tol, tight.scan_points) == (1e-12, 100, 1e-13, 16)
+    assert repr(tight) == (
+        "SolverConfig(root_tol=1e-12, resid_tol=1e-12, max_iter=100, quad_tol=1e-13, scan_points=16)"
+    )
+
+
+def test_config_is_an_immutable_value():
+    cfg = SolverConfig(scan_points=16)
+    for name in ("root_tol", "scan_points"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(cfg, name)
+    assert cfg.scan_points == 16
+    twin = SolverConfig(1e-12, 1e-12, 100, 1e-10, 16)
+    assert twin is not cfg and twin == cfg
+    assert hash(twin) == hash(cfg)
+    assert cfg != SolverConfig() and cfg != (1e-12, 1e-12, 100, 1e-10, 16)
+
+
 def test_integrate_polynomial():
     assert integrate_adaptive(lambda x: x * x, 0.0, 1.0, 1e-10) == pytest.approx(
         1.0 / 3.0, abs=1e-9

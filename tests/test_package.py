@@ -64,6 +64,8 @@ def test_imports_only_the_standard_library():
     assert proc.returncode == 0, proc.stderr
     added = proc.stdout.split()
     assert "hjgen.cli" in added
+    # start-up cost: dataclasses pulls in inspect, ast, dis and tokenize
+    assert "dataclasses" not in added and "inspect" not in added
     foreign = [
         name for name in added
         if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "hjgen"

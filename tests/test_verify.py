@@ -60,6 +60,18 @@ def test_partials_free_particle_closed_form():
     assert d2 == pytest.approx(x * x / (4 * (1 - t) ** 2), rel=1e-3)
 
 
+def test_residual_report_is_an_immutable_value():
+    report = verify.ResidualReport(1e-9, 2e-10, (2, 3), 0.5, 1e-3)
+    assert repr(report) == (
+        "ResidualReport(max_abs=1e-09, mean_abs=2e-10, worst_point=(2, 3),"
+        " resolved_fraction=0.5, h_used=0.001)"
+    )
+    with pytest.raises(AttributeError):
+        report.max_abs = 0.0
+    twin = verify.ResidualReport(1e-9, 2e-10, (2, 3), 0.5, 1e-3)
+    assert twin == report and hash(twin) == hash(report)
+
+
 def test_residual_report_exact_linear_solution():
     # u = (2x + y)^2/2 - x solves the linear problem exactly; quadratic data
     # keeps the differencing exact, so only roundoff remains
