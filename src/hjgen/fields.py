@@ -8,15 +8,19 @@ tabulates the level once per line at its scan samples and splits the
 samples into monotone runs, so every target's brackets come from a
 bisection of each run, with g = target - level(q) taken only at the two
 samples of each crossing.  :func:`sweep` takes one such line per grid row
-and walks each line with warm starts, feeding each point a root and a
-slope of its condition predicted from the line's earlier roots and
-slopes, with Lagrange weights built once per axis; a solver whose lines
-are columns sweeps the transposed grid.  A bracket is a (lo, hi, g_lo,
-g_hi) tuple, and each goes with the line's level to the float kernel
-:func:`hjgen.numerics._refine`, which probes the predicted root and the
-Newton step from it before Brent's method (Brent 1973) finishes the
-bracket, if it must; a target with one bracket, as every point of the
-shipped configs has, returns the kernel's root as is.
+and makes one call per line, :meth:`RootLine.solve_row`, with the line's
+targets, its first point's warm start and guess, and the Lagrange weights
+of the axis, built once; the sweep keeps only column 0's continuation.
+The line walks its targets in one loop with its state in locals, warm
+starting each point from the root before it and feeding it a root and a
+slope of its condition predicted from the line's earlier roots and slopes.
+A solver whose lines are columns sweeps the transposed grid.  A bracket
+is a (lo, hi, g_lo, g_hi) tuple, and each goes with the line's level to
+the float kernel :func:`hjgen.numerics._refine`, which probes the
+predicted root and the Newton step from it before Brent's method (Brent
+1973) finishes the bracket, if it must; a target with one bracket, as
+every point of the shipped configs has, returns the kernel's root as is,
+and one with several goes to :func:`_nearest`.
 
 The CSV kernels work on whole columns: :func:`write_field_csv` formats one
 grid row at a time, and :func:`read_field_csv` checks bounded blocks of
@@ -136,7 +140,7 @@ def _lagrange_weights(axis) -> list[list[tuple[float, ...]]]:
     """``table[j][n]``: the Lagrange weights at ``axis[j]`` through ``axis[j - n : j]``.
 
     A sweep line's history is always its last n <= ``_HISTORY`` consecutive
-    points, since a point without a root clears it (:func:`_extend`), so
+    points, since a point without a root clears it, so
     the weights depend only on (j, n) and are built once per axis.
     """
     table = []
@@ -157,14 +161,15 @@ def _lagrange_weights(axis) -> list[list[tuple[float, ...]]]:
 
 
 def _predict(history, weights) -> Optional[tuple[float, float]]:
-    """Extrapolate the earlier roots of a sweep line to the next point.
+    """Extrapolate the earlier roots of column 0 to the next row's first point.
 
     ``history`` holds up to ``_HISTORY`` (root, slope of g at the root)
     pairs, oldest first, and ``weights`` the Lagrange weights of their
     points at the next one (:func:`_lagrange_weights`); the prediction is
     the polynomial through all the roots (constant up to cubic), paired
     with the polynomial through all the slopes, taken with the same
-    weights.  ``None`` without history.
+    weights.  ``None`` without history.  :meth:`RootLine.solve_row` predicts
+    along its line with the same operations, inline.
     """
     if not history:
         return None
@@ -175,18 +180,9 @@ def _predict(history, weights) -> Optional[tuple[float, float]]:
     return guess, slope
 
 
-def _extend(history, root: Optional[float], slope: Optional[float]) -> None:
-    # a point without a refined root breaks the line's continuation
-    if root is None or slope is None:
-        history.clear()
-        return
-    history.append((root, slope))
-    del history[:-_HISTORY]
-
-
 def sweep(lines, axis1, axis2):
-    """Row-major continuation sweep over the axis1 x axis2 grid, one grid
-    line per row.
+    """Row-major continuation sweep over the axis1 x axis2 grid, one call of
+    :meth:`RootLine.solve_row` per grid row.
 
     ``lines[i]`` is row i's :class:`RootLine`, solved at every ``axis2``
     coordinate, or ``None``, which marks the row ``domain_fail``.  Each
@@ -194,27 +190,26 @@ def sweep(lines, axis1, axis2):
     points from the point in the previous row, and the origin runs cold.
     The guess is ``(predicted root, slope of g)`` extrapolated from the
     earlier roots and slopes of the same line (of column 0 for
-    first-column points), or ``None``.
+    first-column points), or ``None``; the sweep keeps column 0's history,
+    and each line its own.
     """
-    n1, n2 = len(axis1), len(axis2)
+    n2 = len(axis2)
     weights1, weights2 = _lagrange_weights(axis1), _lagrange_weights(axis2)
-    q: list[list[Optional[float]]] = [[None] * n2 for _ in range(n1)]
-    status = [[Status.NO_ROOT] * n2 for _ in range(n1)]
-    column: list = []
+    q, status = [], []  # the rows' roots and statuses
+    column: list = []  # (root, slope) of column 0's last points, as in RootLine.solve_row
     for i, line in enumerate(lines):
         if line is None:
-            status[i] = [Status.DOMAIN_FAIL] * n2
-            column.clear()
-            continue
-        guess = _predict(column, weights1[i][len(column)])
-        q[i][0], status[i][0], slope = line.solve(axis2[0], q[i - 1][0] if i else None, guess)
-        _extend(column, q[i][0], slope)
-        history: list = []
-        _extend(history, q[i][0], slope)
-        for j in range(1, n2):
-            guess = _predict(history, weights2[j][len(history)])
-            q[i][j], status[i][j], slope = line.solve(axis2[j], q[i][j - 1], guess)
-            _extend(history, q[i][j], slope)
+            roots, statuses, slopes = [None] * n2, [Status.DOMAIN_FAIL] * n2, [None] * n2
+        else:
+            guess = _predict(column, weights1[i][len(column)])
+            roots, statuses, slopes = line.solve_row(axis2, weights2, q[i - 1][0] if i else None, guess)
+        q.append(roots)
+        status.append(statuses)
+        if roots[0] is None or slopes[0] is None:
+            column.clear()  # a point without a refined root breaks the continuation
+        else:
+            column.append((roots[0], slopes[0]))
+            del column[:-_HISTORY]
     return q, status
 
 
@@ -226,12 +221,13 @@ class RootLine:
     the scan samples, over ``scan_points`` equal intervals of [lo, hi], are
     computed once, at construction; a sample whose level raises
     :class:`DomainError` or :class:`ConvergenceError`, or is NaN, is left
-    out.  :meth:`solve` then finds a target's brackets from the stored
-    levels alone, so ``level`` runs only in the refinement.  :meth:`solve`
-    changes only the line's counts of its work: the level evaluations
-    at predicted roots (``probes``) and in Brent's method (``brent``) and
-    the brackets refined (``refined``); the scan evaluates the level
-    ``scan_points + 1`` times.
+    out.  :meth:`solve_row` then solves the line's targets in one call,
+    finding each target's brackets from the stored levels alone, so
+    ``level`` runs only in the refinement; :meth:`solve` is that call on one
+    target.  Solving changes only the line's counts of its work: the level
+    evaluations at predicted roots (``probes``) and in Brent's method
+    (``brent``) and the brackets refined (``refined``); the scan evaluates
+    the level ``scan_points + 1`` times.
 
     The levels are split into monotone runs (adjacent runs share their
     turning sample, and a flat step stays in the run it extends), and
@@ -296,48 +292,91 @@ class RootLine:
         return out
 
     def solve(self, target: float, warm: Optional[float] = None, guess=None):
-        """Root and status at one target, and the slope of g at the root.
+        """Root and status at one target, and the slope of g at the root:
+        :meth:`solve_row` on that one target."""
+        # the row's one (root, status, slope)
+        return next(zip(*self.solve_row((target,), ((),), warm, guess)))
 
-        Several roots resolve to the one nearest ``warm`` (continuation)
-        with status ``multi_root``; a g within ``resid_tol`` of zero at
-        every scan sample keeps the warm value (or the range midpoint when
-        cold).  A line without samples, a non-finite target, and domain
-        and convergence failures never raise, they mark the point
-        ``domain_fail``.  ``guess`` = (predicted root, slope of g there)
-        only aims the probes that narrow the bracket holding the
+    def solve_row(self, targets, weights, warm: Optional[float] = None, guess=None):
+        """Roots, statuses and slopes of g at the roots at ``targets``, in
+        order, as three lists.
+
+        Each point is warm-started from the root before it, the first from
+        ``warm``.  Several roots resolve to the one nearest the warm start
+        (continuation) with status ``multi_root``; a g within ``resid_tol``
+        of zero at every scan sample keeps the warm start (or the range
+        midpoint when cold).  A line without samples, a non-finite target,
+        and domain and convergence failures never raise, they mark the
+        point ``domain_fail``.  A guess = (predicted root, slope of g
+        there) only aims the probes that narrow the bracket holding the
         prediction, or land on its root, before Brent's method
-        (:func:`hjgen.numerics._refine`); the slope is ``None`` when no
-        bracket was refined.
+        (:func:`hjgen.numerics._refine`).  The first point takes ``guess``;
+        each later one extrapolates the line's last n <= ``_HISTORY`` roots
+        and slopes with ``weights[j][n]``, the Lagrange weights at target j
+        (:func:`_lagrange_weights`), and a point without a root and a slope
+        clears that history.  A slope is ``None`` when no bracket was
+        refined.
         """
-        cfg, level = self.cfg, self.level
-        if self._bounds is None or not math.isfinite(target):
-            return None, Status.DOMAIN_FAIL, None
-        ref = warm if warm is not None else 0.5 * (self.lo + self.hi)
+        n = len(targets)
+        roots, statuses, slopes = [None] * n, [Status.DOMAIN_FAIL] * n, [None] * n
+        if self._bounds is None:
+            return roots, statuses, slopes
+        # the per-point names are locals, and the one-bracket call below
+        # passes its bracket unpacked: a starred call took about 5% of a
+        # linear_pq sweep
+        cfg, level, brackets = self.cfg, self.level, self.brackets
+        resid_tol, isfinite, resolved = cfg.resid_tol, math.isfinite, Status.RESOLVED
         h_min, h_max = self._bounds
-        if target - h_min <= cfg.resid_tol and target - h_max >= -cfg.resid_tol:
-            return ref, Status.MULTI_ROOT, None
-        brackets = self.brackets(target)
-        if not brackets:
-            return None, Status.NO_ROOT, None
-        try:
-            if len(brackets) == 1:
-                lo, hi, g_lo, g_hi = brackets[0]
-                root, slope = _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg, self)
-                return root, Status.RESOLVED, slope
-            found = sorted(
-                [_refine(level, target, *br, guess, cfg, self) for br in brackets],
-                key=lambda r: r[0],
-            )
-        except (DomainError, ConvergenceError):
-            return None, Status.DOMAIN_FAIL, None
-        unique = [found[0]]
-        for r in found[1:]:
-            if abs(r[0] - unique[-1][0]) > 10.0 * cfg.root_tol * (1.0 + abs(unique[-1][0])):
-                unique.append(r)
-        if len(unique) == 1:
-            return unique[0][0], Status.RESOLVED, unique[0][1]
-        root, slope = min(unique, key=lambda r: (abs(r[0] - ref), r[0]))
-        return root, Status.MULTI_ROOT, slope
+        mid = 0.5 * (self.lo + self.hi)
+        history: list = []  # (root, slope) of the line's last points
+        for j, target in enumerate(targets):
+            if j:
+                warm, guess = root, None
+                if history:
+                    guess = slope = 0.0
+                    for weight, (r, s) in zip(weights[j][len(history)], history):
+                        guess += weight * r
+                        slope += weight * s
+                    guess = guess, slope
+            root = slope = None
+            # a non-finite target meets neither test below, and fails
+            if target - h_min <= resid_tol and target - h_max >= -resid_tol:
+                root, statuses[j] = mid if warm is None else warm, Status.MULTI_ROOT
+            elif isfinite(target):
+                found = brackets(target)
+                try:
+                    if len(found) == 1:
+                        lo, hi, g_lo, g_hi = found[0]
+                        root, slope = _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg, self)
+                        statuses[j] = resolved
+                    elif not found:
+                        statuses[j] = Status.NO_ROOT
+                    else:
+                        found = [_refine(level, target, *br, guess, cfg, self) for br in found]
+                        root, slope, statuses[j] = _nearest(found, mid if warm is None else warm, cfg)
+                except (DomainError, ConvergenceError):
+                    pass
+            roots[j], slopes[j] = root, slope
+            if root is None or slope is None:
+                history.clear()
+            else:
+                history.append((root, slope))
+                del history[:-_HISTORY]
+        return roots, statuses, slopes
+
+
+def _nearest(found, ref: float, cfg: SolverConfig):
+    """(root, slope, status) of a target with several refined brackets:
+    ``found`` holds each bracket's (root, slope).  Roots within 10
+    ``root_tol`` (1 + |root|) of the one before are one root; of several,
+    the one nearest ``ref`` is ``multi_root``."""
+    found.sort(key=lambda r: r[0])
+    unique = [found[0]]
+    for r in found[1:]:
+        if abs(r[0] - unique[-1][0]) > 10.0 * cfg.root_tol * (1.0 + abs(unique[-1][0])):
+            unique.append(r)
+    root, slope = min(unique, key=lambda r: (abs(r[0] - ref), r[0]))
+    return root, slope, Status.RESOLVED if len(unique) == 1 else Status.MULTI_ROOT
 
 
 def _count_lines(stats, lines, n2: int) -> None:

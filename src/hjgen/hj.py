@@ -47,14 +47,18 @@ crowd toward the segment's ends, where dp/dq has its inverse-square-root
 layer near a turning point.  Their integrands are c / sqrt(q - V) and
 2 c sqrt(q - V) with c = sigma w / (2 sqrt(a)) at a node of weight w, so
 each x row keeps one node table of c and V (:class:`_RowTable`), the one
-kernel of the solve: a quadrature at any q is one weighted sum per level,
-and :func:`solve_grid` takes each root's action on its row's table once,
-at the root.  The separated integral is sigma times the integral of p at
-q = E; that integral is t-free, so the table keeps it per q.  The calls at
-one point (:func:`constraint`, :func:`action_value` and
-:func:`separation_action`) keep the problem's last table
-(:func:`_row_table`) for the next call on the same x and tolerance; a
-root at one point is a 1 x 1 :func:`solve_grid`.  A quadrature that does
+kernel of the solve: a quadrature at any q walks the whole segment's
+levels in a plain loop, one weighted sum per level, and only a segment not
+converged by level 6 goes on to halved panels.  :func:`solve_grid` takes
+each root's S and p in one pass (:func:`_action`): one admissibility
+margin serves x0 p(x0, q), the integral of p, one quadrature of the row's
+table, and p itself.  The separated integral is sigma times the integral
+of p at q = E; that integral is t-free, so the table keeps it per q for
+:func:`separation_action`, whose calls repeat q.  The calls at one point
+(:func:`constraint`, :func:`action_value` and :func:`separation_action`)
+keep the problem's last table (:func:`_row_table`) for the next call on
+the same x and tolerance; a root at one point is a 1 x 1
+:func:`solve_grid`.  A quadrature that does
 not converge marks its point ``domain_fail``, like a domain error.
 """
 
@@ -165,10 +169,10 @@ def _coefficients(prob: HJProblem, x: float):
     return a, v
 
 
-def _gap(prob: HJProblem, v: float, x: float, q: float) -> float:
-    """q - V for V = V(x), once it clears the admissibility margin."""
+def _gap(v: float, x: float, q: float, margin: float) -> float:
+    """q - V for V = V(x), once it clears the admissibility ``margin``."""
     gap = q - v
-    if gap < prob.margin(q):
+    if gap < margin:
         raise DomainError("momentum argument below admissibility margin", where=x)
     return gap
 
@@ -176,12 +180,7 @@ def _gap(prob: HJProblem, v: float, x: float, q: float) -> float:
 def momentum(prob: HJProblem, x: float, q: float) -> float:
     """p(x, q) = sigma * sqrt((q - V(x)) / a(x))."""
     a, v = _coefficients(prob, x)
-    return _momentum(prob, a, v, x, q)
-
-
-def _momentum(prob: HJProblem, a: float, v: float, x: float, q: float) -> float:
-    # p from a = a(x) and v = V(x), taken once by a caller that loops over q
-    return prob.sigma * math.sqrt(_gap(prob, v, x, q) / a)
+    return prob.sigma * math.sqrt(_gap(v, x, q, prob.margin(q)) / a)
 
 
 def momentum_partials(prob: HJProblem, x: float, q: float) -> tuple[float, float]:
@@ -194,7 +193,7 @@ def momentum_partials(prob: HJProblem, x: float, q: float) -> tuple[float, float
     caller's quadrature / root tolerances.
     """
     a, v = _coefficients(prob, x)
-    gap = _gap(prob, v, x, q)
+    gap = _gap(v, x, q, prob.margin(q))
     a_p = prob._ap_fn(x)
     v_p = prob._vp_fn(x)
     root = math.sqrt(a * gap)
@@ -228,9 +227,11 @@ class _RowTable:
     The panels are those nested tanh-sinh visits on the segment: the whole
     segment, and the halves of a panel not converged by level 6.  Each
     panel keeps a list of its levels, appended on first use and then
-    serving every q of the row.  A level holds the terms (V, c) with
-    c = sigma w / (2 sqrt(a)) at a node of weight w: the dp/dq integral sums
-    c / sqrt(q - V) and the integral of p sums 2 c sqrt(q - V).  Nodes with
+    serving every q of the row; a quadrature walks the whole segment's list
+    first and enters a stack of halves only when that has not converged.
+    A level holds the terms (V, c) with c = sigma w / (2 sqrt(a)) at a node
+    of weight w: the dp/dq integral sums c / sqrt(q - V) and the integral
+    of p sums 2 c sqrt(q - V).  Nodes with
     equal V are merged by summing their coefficients, which is exact; a
     flat potential leaves one term per level.  Admissibility is checked
     once per level against the level's largest V.  The action is taken by
@@ -239,7 +240,8 @@ class _RowTable:
     :meth:`add_counts` reports them to a :class:`~hjgen.numerics.SolveStats`.
     """
 
-    __slots__ = ("prob", "x", "tol", "lo", "hi", "sign", "_panels", "_momentum", "quads", "_split_terms")
+    __slots__ = ("prob", "x", "tol", "lo", "hi", "sign", "_at_x", "_levels", "_panels", "_momentum",
+                 "quads", "_split_terms")
 
     def __init__(self, prob: HJProblem, x: float, tol: float):
         self.prob = prob
@@ -247,8 +249,11 @@ class _RowTable:
         self.tol = tol
         self.lo, self.hi = min(prob.x0, x), max(prob.x0, x)
         self.sign = 1.0 if x >= prob.x0 else -1.0
-        # (panel lo, panel hi) -> [(max V, its abscissa, merged terms) per level]
-        self._panels: dict = {(self.lo, self.hi): []}
+        self._at_x = None  # (a, V) at x, for p at the row's roots
+        # the whole segment's levels, and each panel's by (lo, hi), as
+        # [(max V, its abscissa, merged terms) per level]
+        self._levels: list = []
+        self._panels: dict = {(self.lo, self.hi): self._levels}
         self._momentum: dict = {}  # q -> momentum integral
         # quadratures of p and of dp/dq, indexed by the slope flag: slot
         # l <= _SPLIT_LEVEL stopped at level l, then _SPLIT and _FAILED
@@ -281,17 +286,18 @@ class _RowTable:
     def _integral(self, q: float, margin: float, slope: bool) -> float:
         # nested tanh-sinh over the panels' level lists, with the stop rule,
         # halving and float operations of numerics.integrate_adaptive; a
-        # level's terms are added left to right from 0.0
+        # level's terms are added left to right from 0.0.  The whole
+        # segment's levels come first, in a plain loop, and a stack of
+        # halves only when it has not converged by level 6.
         if self.lo == self.hi:
             return 0.0
         sqrt = math.sqrt
-        lo, hi, panels = self.lo, self.hi, self._panels
+        a, b, panel_tol, levels = self.lo, self.hi, self.tol, self._levels
+        stack = []  # the halves still to integrate; the leftmost is on top
         total = 0.0
         splits = split_terms = 0
-        stack = [(lo, hi, self.tol, panels[lo, hi])]  # the leftmost panel is on top
         try:
-            while stack:
-                a, b, panel_tol, levels = stack.pop()
+            while True:
                 for level in range(_SPLIT_LEVEL + 1):
                     try:
                         vmax, where, terms = levels[level]
@@ -329,10 +335,13 @@ class _RowTable:
                     if splits > _MAX_SPLITS:
                         raise ConvergenceError(f"quadrature not converged after {_MAX_SPLITS} halvings")
                     m = 0.5 * (a + b)
-                    stack.append((m, b, 0.5 * panel_tol, panels.setdefault((m, b), [])))
-                    stack.append((a, m, 0.5 * panel_tol, panels.setdefault((a, m), [])))
+                    stack.append((m, b, 0.5 * panel_tol, self._panels.setdefault((m, b), [])))
+                    stack.append((a, m, 0.5 * panel_tol, self._panels.setdefault((a, m), [])))
                 # a halved quadrature: the panel's share of its terms
                 split_terms += sum(len(t) for _, _, t in levels[: level + 1])
+                if not stack:
+                    break
+                a, b, panel_tol, levels = stack.pop()
         except (DomainError, ConvergenceError):
             self.quads[slope][_FAILED] += 1
             raise
@@ -345,7 +354,7 @@ class _RowTable:
         returned summed, to ``stats``."""
         # one that stopped at level l without halving summed the whole
         # segment's levels 0..l
-        summed = list(accumulate(len(terms) for _, _, terms in self._panels[self.lo, self.hi]))
+        summed = list(accumulate(len(terms) for _, _, terms in self._levels))
         p_terms, dpdq_terms = (
             split + sum(map(operator.mul, quads, summed))
             for quads, split in zip(self.quads, self._split_terms)
@@ -443,11 +452,19 @@ def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfi
     return _action(_row_table(prob, x, cfg.quad_tol), t, q)
 
 
-def _action(row: _RowTable, t: float, q: float) -> float:
+def _action(row: _RowTable, t: float, q: float, with_p: bool = False):
+    """S at the root q of ``row``'s x and time t, or ``(S, p(x, q))`` with
+    ``with_p``, in one pass: one admissibility margin serves x0 p(x0, q),
+    the integral of p (one quadrature of the row's table) and p."""
     prob = row.prob
+    margin = prob.margin(q)
     a, v = prob._x0_coefficients or _base_coefficients(prob)
-    base = prob.x0 * _momentum(prob, a, v, prob.x0, q)
-    return base + row.momentum_integral(q) + q * t - prob._g_fn(q)
+    base = prob.x0 * (prob.sigma * math.sqrt(_gap(v, prob.x0, q, margin) / a))
+    action = base + row._integral(q, margin, False) + q * t - prob._g_fn(q)
+    if not with_p:
+        return action
+    a, v = row._at_x = row._at_x or _coefficients(prob, row.x)
+    return action, prob.sigma * math.sqrt(_gap(v, row.x, q, margin) / a)
 
 
 def solve_grid(
@@ -469,15 +486,12 @@ def solve_grid(
     q, status = sweep(lines, xs, ts)
     value: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     p: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
-    for i, x in enumerate(xs):
-        coefficients = None  # a and V at x, for every p of the row
+    for i, row in enumerate(rows):
         for j, t in enumerate(ts):
             if q[i][j] is None:
                 continue
             try:
-                action = _action(rows[i], t, q[i][j])
-                coefficients = coefficients or _coefficients(prob, x)
-                value[i][j], p[i][j] = action, _momentum(prob, *coefficients, x, q[i][j])
+                value[i][j], p[i][j] = _action(row, t, q[i][j], True)
             except (DomainError, ConvergenceError):
                 q[i][j] = None
                 status[i][j] = Status.DOMAIN_FAIL

@@ -450,19 +450,41 @@ def test_reader_names_the_reference_first_error(lines):
                 assert _outcome(read_field_csv, path) == want
 
 
-class RecordingLine:
-    """A stand-in for a :class:`RootLine` as row ``i`` of a sweep: it records
-    each ``solve(target, warm, guess)`` call as ``(i, j, warm, guess)``, j
-    being the target's index on axis 2, and answers
-    ``result(i, j, warm, guess)``."""
+MID = 1e9  # the recording lines' midpoint, the reference of a cold point
+
+
+class RecordingLine(RootLine):
+    """A :class:`RootLine` as row ``i`` of a sweep, whose own
+    :meth:`RootLine.solve_row` walks the row, with each point's refinement
+    scripted and recorded.
+
+    Every target has two brackets, so each point's refined brackets and its
+    warm start (the reference :func:`fields._nearest` is given, ``MID`` when
+    cold) reach ``_nearest``.  The stand-in ``_refine`` returns the
+    point's index j and guess, and the stand-in ``_nearest`` records
+    ``(i, j, warm, guess)`` and answers ``result(i, j, warm, guess)``.
+    """
 
     def __init__(self, i, axis2, result, calls):
+        super().__init__(lambda q: q, MID - 1.0, MID + 1.0, SolverConfig(scan_points=2))
         self.i, self.axis2, self.result, self.calls = i, list(axis2), result, calls
 
-    def solve(self, target, warm=None, guess=None):
-        j = self.axis2.index(target)
-        self.calls.append((self.i, j, warm, guess))
-        return self.result(self.i, j, warm, guess)
+    def brackets(self, target):
+        return [(self.i, self.axis2.index(target), 0.0, 0.0)] * 2
+
+    def solve_row(self, targets, weights, warm=None, guess=None):
+        def refine(level, target, i, j, g_lo, g_hi, guess, cfg, tally):
+            return j, guess
+
+        def nearest(found, ref, cfg):
+            j, guess = found[0]
+            warm = None if ref == MID else ref
+            self.calls.append((self.i, j, warm, guess))
+            root, status, slope = self.result(self.i, j, warm, guess)
+            return root, slope, status
+
+        with mock.patch.object(fields, "_refine", refine), mock.patch.object(fields, "_nearest", nearest):
+            return super().solve_row(targets, weights, warm, guess)
 
 
 def recording_lines(result, axis1, axis2):

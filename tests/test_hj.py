@@ -34,6 +34,8 @@ OSC_G0 = hj.HJProblem("1", "x^2", "0", sigma=1, x0=0.0)
 # a bump of width 0.02 that the 33-point ceiling scan undersamples on some
 # rows, so scan samples just above the sampled ceiling raise DomainError
 BUMP = hj.HJProblem("1", "exp(-((x - 0.61)/0.02)^2)", "q^2/2", sigma=1, x0=0.0, eps_adm=1e-3)
+# a kink of V inside [x0, x] for x > 1/3: a panel holding it is halved
+KINKED = hj.HJProblem("1", "abs(x - 1/3)", "q^2/2", sigma=1, x0=0.0, eps_adm=1e-3)
 
 
 def axis(lo, hi, n):
@@ -444,6 +446,37 @@ def test_solve_grid_free_particle_matches_closed_form():
                 x * x / (4.0 * (1.0 - t) ** 2), abs=1e-10
             )
             assert field.p[i][j] == hj.momentum(FREE, x, field.q[i][j])
+
+
+@pytest.mark.parametrize(
+    "prob, xs, ts",
+    [
+        (OSC, axis(0.15, 0.45, 7), axis(0.2, 0.5, 9)),
+        (BUMP, axis(0.5, 0.9, 9), axis(0.5, 1.5, 7)),
+        (KINKED, axis(0.4, 0.8, 5), axis(0.2, 0.4, 3)),
+    ],
+    ids=["harmonic", "failing_margin", "split_panels"],
+)
+def test_solve_grid_stores_the_one_point_action_and_momentum(prob, xs, ts):
+    # the grid takes S and p at each root in one pass over its row's table;
+    # action_value and momentum take them one point at a time, and every
+    # stored pair is theirs to the bit (repr tells -0.0 from 0.0)
+    stats = SolveStats()
+    field = hj.solve_grid(prob, xs, ts, (0.05, 6.0), CFG, stats=stats)
+    stored = 0
+    for i, x in enumerate(xs):
+        for j, t in enumerate(ts):
+            q = field.q[i][j]
+            if field.value[i][j] is None:
+                continue
+            stored += 1
+            assert repr(field.value[i][j]) == repr(hj.action_value(prob, x, t, q, CFG))
+            assert repr(field.p[i][j]) == repr(hj.momentum(prob, x, q))
+    assert stored >= len(ts)
+    # the cases reach what they are named for: scan samples whose dp/dq
+    # quadrature fails the margin, and p quadratures on halved panels
+    assert (stats.dpdq_quads[8] > 0) == (prob is BUMP)
+    assert (stats.p_quads[7] > 0) == (prob is not OSC)
 
 
 def test_a_row_whose_ceiling_raises_has_no_line():
@@ -913,9 +946,6 @@ def test_shipped_config_quadratures_per_point(monkeypatch, name, bound):
 
 
 # --- the solve's own work counts against independent ones -----------------
-
-# a kink of V inside [x0, x] for x > 1/3: a panel holding it is halved
-KINKED = hj.HJProblem("1", "abs(x - 1/3)", "q^2/2", sigma=1, x0=0.0, eps_adm=1e-3)
 
 
 def recording_integrals(monkeypatch):

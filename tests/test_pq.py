@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjgen import expr, pq
+from hjgen import expr, fields, pq
 from hjgen.config import load_config
 from hjgen.errors import DomainError
 from hjgen.fields import RootLine, Status, sweep
@@ -309,17 +309,25 @@ def test_scaled_y_column_lines_match_point_solves():
 def test_scaled_y_continues_along_its_lines():
     # a y column's points after its first are warm-started from the previous
     # root on the same column, q[i-1][j]; a column's first point from the
-    # first point of the column before
+    # first point of the column before.  Each bracket is handed out twice,
+    # so every point's warm start (its line's midpoint when cold) reaches
+    # fields._nearest, whose calls are recorded with the point's line and
+    # target; the two copies refine to one root, which _nearest keeps
     prob = pq.PQProblem.scaled_y("1 + y^2", "p^2", "p^2/2")
     xs, ys = axis(0.5, 1.0, 7), axis(0.0, 0.2, 5)
     calls = []
-    solve = RootLine.solve
+    point = []  # the (line, target) whose brackets were taken last
+    brackets, nearest = RootLine.brackets, fields._nearest
 
-    def recorded(line, target, warm=None, guess=None):
-        calls.append((line, target, warm))
-        return solve(line, target, warm, guess)
+    def doubled(line, target):
+        point[:] = [line, target]
+        return [br for br in brackets(line, target) for _ in range(2)]
 
-    with mock.patch.object(RootLine, "solve", recorded):
+    def recorded(found, ref, cfg):
+        calls.append((*point, ref))
+        return nearest(found, ref, cfg)
+
+    with mock.patch.object(RootLine, "brackets", doubled), mock.patch.object(fields, "_nearest", recorded):
         field = pq.solve_grid(prob, xs, ys, (0.0, 25.0), CFG)
     assert field.resolved_fraction() == 1.0
     column = {}  # each line object's column, in order of first use
@@ -328,7 +336,8 @@ def test_scaled_y_continues_along_its_lines():
     assert len(calls) == len(xs) * len(ys)
     for line, target, warm in calls:
         i, j = xs.index(target), column[line]
-        assert warm == (field.q[i - 1][j] if i else (field.q[0][j - 1] if j else None))
+        want = field.q[i - 1][j] if i else (field.q[0][j - 1] if j else None)
+        assert warm == (0.5 * (line.lo + line.hi) if want is None else want)
 
 
 # --- the one family against the three per-kind formulas ---------------------

@@ -104,3 +104,60 @@ def test_shipped_solve_level_evaluations_per_point(name):
     stats = SolveStats()
     _solve_field(load_config(str(CONFIG_DIR / f"{name}.cfg")), stats)
     assert (stats.scan + stats.probes + stats.brent) / stats.points <= EVALUATIONS[name]
+
+
+# The SolveStats record of each shipped solve, every count exact: a change
+# meant to leave the numerics alone must leave the work alone too, and one
+# that adds or drops a level evaluation, a bracket, a quadrature or a
+# merged table term fails here.
+SOLVE_STATS = {
+    "free_particle": {
+        "points": 3111, "targets": 3111, "scan": 1525,
+        "probes": 6201, "brent": 1006, "refined": 3111,
+        "dpdq_quads": [0, 0, 0, 8732, 0, 0, 0, 0, 0],
+        "p_quads": [0, 0, 0, 3111, 0, 0, 0, 0, 0],
+        "dpdq_terms": 34928, "p_terms": 12444,
+    },
+    "harmonic": {
+        "points": 1681, "targets": 1681, "scan": 697,
+        "probes": 3360, "brent": 275, "refined": 1681,
+        "dpdq_quads": [0, 0, 0, 4300, 32, 0, 0, 0, 0],
+        "p_quads": [0, 0, 0, 1681, 0, 0, 0, 0, 0],
+        "dpdq_terms": 248652, "p_terms": 95817,
+    },
+    "linear_pq": {
+        "points": 1681, "targets": 1681, "scan": 1025,
+        "probes": 2423, "brent": 5, "refined": 1681,
+        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_terms": 0, "p_terms": 0,
+    },
+    "power_pq": {
+        "points": 1681, "targets": 1681, "scan": 1025,
+        "probes": 3342, "brent": 729, "refined": 1681,
+        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_terms": 0, "p_terms": 0,
+    },
+    "scaled_x": {
+        "points": 1681, "targets": 1681, "scan": 1025,
+        "probes": 3356, "brent": 504, "refined": 1681,
+        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_terms": 0, "p_terms": 0,
+    },
+    "scaled_y": {
+        "points": 1681, "targets": 1681, "scan": 1025,
+        "probes": 2577, "brent": 18, "refined": 1681,
+        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_terms": 0, "p_terms": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_STATS))
+def test_shipped_solve_stats_are_pinned(name):
+    stats = SolveStats()
+    _solve_field(load_config(str(CONFIG_DIR / f"{name}.cfg")), stats)
+    assert {key: getattr(stats, key) for key in SolveStats.__slots__} == SOLVE_STATS[name]

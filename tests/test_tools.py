@@ -1,9 +1,13 @@
 """Smoke tests of the scripts in tools/ against this checkout's package."""
 
+import importlib.util
+import json
 import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = sorted(path.name for path in (ROOT / "configs").glob("*.cfg"))
@@ -59,3 +63,121 @@ def test_quad_census_needs_a_package_that_counts(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "SolveStats" in proc.stderr
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_quartiles_interpolate():
+    bench = load_tool("bench_pairs")
+    assert bench.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert bench.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert bench.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+
+
+def test_bench_pairs_gain_needs_nine_wins_in_ten_and_a_move_past_the_iqr():
+    bench = load_tool("bench_pairs")
+    old = [2.0 + 0.01 * k for k in range(10)]  # median 2.045, IQR 0.045
+    # every pair won by 0.05: the median moves 0.05 > 0.045
+    result = bench.compare(old, [v - 0.05 for v in old], "lower", 0.25)
+    assert (result["wins"], result["pairs"], result["gain"], result["regression"]) == (10, 10, True, False)
+    assert abs(result["change"] - (-0.05 / 2.045)) < 1e-12
+    # every pair won, but by less than the old spread
+    assert not bench.compare(old, [v - 0.04 for v in old], "lower", 0.25)["gain"]
+    # 9 of 10 pairs won by far is a gain; 8 of 10 is not
+    nine = [v - 1.0 for v in old[:9]] + [old[9] + 1.0]
+    assert bench.compare(old, nine, "lower", 0.25)["wins"] == 9
+    assert bench.compare(old, nine, "lower", 0.25)["gain"]
+    eight = [v - 1.0 for v in old[:8]] + [v + 1.0 for v in old[8:]]
+    assert not bench.compare(old, eight, "lower", 0.25)["gain"]
+    # a tie is not a win
+    assert bench.compare(old, list(old), "lower", 0.25)["wins"] == 0
+    # higher is better: the same runs read the other way round
+    up = bench.compare(old, [v + 0.05 for v in old], "higher", 0.25)
+    assert (up["wins"], up["gain"], up["regression"]) == (10, True, False)
+
+
+def test_bench_pairs_regression_is_the_median_past_the_bound():
+    bench = load_tool("bench_pairs")
+    old = [1.0, 1.1, 0.9, 1.0, 1.0]  # median 1.0
+    assert not bench.compare(old, [1.25] * 5, "lower", 0.25)["regression"]
+    assert bench.compare(old, [1.26] * 5, "lower", 0.25)["regression"]
+    # one run far out does not move the median past the bound
+    assert not bench.compare(old, [1.0, 1.0, 9.0, 1.0, 1.0], "lower", 0.25)["regression"]
+    assert bench.compare(old, [0.74] * 5, "higher", 0.25)["regression"]
+    assert not bench.compare(old, [0.75] * 5, "higher", 0.25)["regression"]
+    with pytest.raises(ValueError):
+        bench.compare(old, old[:4], "lower", 0.25)
+
+
+def test_bench_pairs_report_names_both_verdicts():
+    bench = load_tool("bench_pairs")
+    old = [2.0 + 0.01 * k for k in range(10)]
+    lines = bench.report("cpu_per_ref", "ratio", bench.compare(old, [v - 0.05 for v in old], "lower", 0.25))
+    assert lines[0].startswith("cpu_per_ref (ratio): old 2.045 [2.0225, 2.0675]  new 1.995")
+    assert "new better in 10/10 pairs" in lines[0]
+    assert lines[1] == "  gain: met (10/10 wins, 9 needed; median moved 0.05, old IQR 0.045)"
+    assert lines[2] == "  regression: none"
+
+
+def test_bench_pairs_rejects_a_directory_without_a_benchmark(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), str(tmp_path), str(ROOT),
+         "--workload", "hj_free_particle", "--pairs", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "has no perfbench/run.py" in proc.stderr
+
+
+FAKE_RUN = '''
+import json, pathlib, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+here = pathlib.Path(__file__).resolve().parent.parent
+with open(here.parent / "log", "a") as log:
+    log.write(f"{here.name} {args['--workload']} {args['--seed']} {args['--seconds']} {args['--trace']}\\n")
+value = float(args["--seed"]) + (0.5 if here.name == "old" else 0.0)
+print("info " + json.dumps({"cpu_s": value / 10, "wall_s": value / 5, "ref_s": 0.1}))
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {"cpu_per_ref": {"value": value, "unit": "ratio"}}}))
+'''
+
+
+def test_bench_pairs_alternates_the_sides_over_seeded_pairs(tmp_path):
+    # stand-in checkouts whose run.py logs its arguments and reads 0.5 lower on NEW
+    declared = {"run_seconds": 7, "end_to_end": [
+        {"name": "cpu_per_ref", "unit": "ratio", "better": "lower", "bound": 0.25}]}
+    for side in ("old", "new"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(declared))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), str(tmp_path / "old"),
+         str(tmp_path / "new"), "--workload", "w", "--pairs", "3", "--json", str(tmp_path / "runs.json")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "log").read_text().splitlines() == [
+        "old w 1 7 0", "new w 1 7 0", "new w 2 7 0", "old w 2 7 0", "old w 3 7 0", "new w 3 7 0",
+    ]
+    out = proc.stdout.splitlines()
+    assert out[0] == "pair 1 (old first): cpu_per_ref 1.5 -> 1"
+    summary = "cpu_per_ref (ratio): old 2.5 [2, 3]  new 2 [1.5, 2.5]  change -20.0%  new better in 3/3 pairs"
+    assert summary in out
+    # the medians moved 0.5, no more than the old IQR of 1: no gain, no regression
+    assert "  gain: not met (3/3 wins, 3 needed; median moved 0.5, old IQR 1)" in out
+    assert (
+        "old: 0 of 12 operations failed; every run correct: True; "
+        "medians: cpu_s 0.25 s, wall_s 0.5 s, ref_s 0.1 s"
+    ) in out
+    runs = json.loads((tmp_path / "runs.json").read_text())
+    assert [r["metrics"]["cpu_per_ref"]["value"] for r in runs["new"]] == [1.0, 2.0, 3.0]
+    assert [r["info"]["wall_s"] for r in runs["new"]] == [0.2, 0.4, 0.6]
