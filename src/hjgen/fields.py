@@ -161,15 +161,14 @@ def _lagrange_weights(axis) -> list[list[tuple[float, ...]]]:
 
 
 def _predict(history, weights) -> Optional[tuple[float, float]]:
-    """Extrapolate the earlier roots of column 0 to the next row's first point.
+    """Extrapolate the earlier roots of a sweep line to the next point.
 
     ``history`` holds up to ``_HISTORY`` (root, slope of g at the root)
     pairs, oldest first, and ``weights`` the Lagrange weights of their
     points at the next one (:func:`_lagrange_weights`); the prediction is
     the polynomial through all the roots (constant up to cubic), paired
     with the polynomial through all the slopes, taken with the same
-    weights.  ``None`` without history.  :meth:`RootLine.solve_row` predicts
-    along its line with the same operations, inline.
+    weights.  ``None`` without history.
     """
     if not history:
         return None
@@ -178,6 +177,15 @@ def _predict(history, weights) -> Optional[tuple[float, float]]:
         guess += weight * root
         slope += weight * root_slope
     return guess, slope
+
+
+def _extend(history, root: Optional[float], slope: Optional[float]) -> None:
+    # a point without a refined root breaks the line's continuation
+    if root is None or slope is None:
+        history.clear()
+        return
+    history.append((root, slope))
+    del history[:-_HISTORY]
 
 
 def sweep(lines, axis1, axis2):
@@ -196,7 +204,7 @@ def sweep(lines, axis1, axis2):
     n2 = len(axis2)
     weights1, weights2 = _lagrange_weights(axis1), _lagrange_weights(axis2)
     q, status = [], []  # the rows' roots and statuses
-    column: list = []  # (root, slope) of column 0's last points, as in RootLine.solve_row
+    column: list = []  # (root, slope) of column 0's last points
     for i, line in enumerate(lines):
         if line is None:
             roots, statuses, slopes = [None] * n2, [Status.DOMAIN_FAIL] * n2, [None] * n2
@@ -205,11 +213,7 @@ def sweep(lines, axis1, axis2):
             roots, statuses, slopes = line.solve_row(axis2, weights2, q[i - 1][0] if i else None, guess)
         q.append(roots)
         status.append(statuses)
-        if roots[0] is None or slopes[0] is None:
-            column.clear()  # a point without a refined root breaks the continuation
-        else:
-            column.append((roots[0], slopes[0]))
-            del column[:-_HISTORY]
+        _extend(column, roots[0], slopes[0])
     return q, status
 
 
@@ -331,13 +335,7 @@ class RootLine:
         history: list = []  # (root, slope) of the line's last points
         for j, target in enumerate(targets):
             if j:
-                warm, guess = root, None
-                if history:
-                    guess = slope = 0.0
-                    for weight, (r, s) in zip(weights[j][len(history)], history):
-                        guess += weight * r
-                        slope += weight * s
-                    guess = guess, slope
+                warm, guess = root, _predict(history, weights[j][len(history)])
             root = slope = None
             # a non-finite target meets neither test below, and fails
             if target - h_min <= resid_tol and target - h_max >= -resid_tol:
@@ -357,11 +355,7 @@ class RootLine:
                 except (DomainError, ConvergenceError):
                     pass
             roots[j], slopes[j] = root, slope
-            if root is None or slope is None:
-                history.clear()
-            else:
-                history.append((root, slope))
-                del history[:-_HISTORY]
+            _extend(history, root, slope)
         return roots, statuses, slopes
 
 

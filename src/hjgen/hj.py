@@ -50,16 +50,17 @@ each x row keeps one node table of c and V (:class:`_RowTable`), the one
 kernel of the solve: a quadrature at any q walks the whole segment's
 levels in a plain loop, one weighted sum per level, and only a segment not
 converged by level 6 goes on to halved panels.  :func:`solve_grid` takes
-each root's S and p in one pass (:func:`_action`): one admissibility
-margin serves x0 p(x0, q), the integral of p, one quadrature of the row's
-table, and p itself.  The separated integral is sigma times the integral
-of p at q = E; that integral is t-free, so the table keeps it per q for
-:func:`separation_action`, whose calls repeat q.  The calls at one point
-(:func:`constraint`, :func:`action_value` and :func:`separation_action`)
-keep the problem's last table (:func:`_row_table`) for the next call on
-the same x and tolerance; a root at one point is a 1 x 1
-:func:`solve_grid`.  A quadrature that does
-not converge marks its point ``domain_fail``, like a domain error.
+each root's S in one pass (:func:`_action`): one admissibility margin
+serves x0 p(x0, q) and the integral of p, one quadrature of the row's
+table; p comes from a and V at x, taken once per row.  The separated
+integral is sigma times the integral of p at q = E; that integral is
+t-free, so the table keeps it per q for :func:`separation_action`, whose
+calls repeat q.  The calls at one point (:func:`constraint`,
+:func:`action_value` and :func:`separation_action`) keep the problem's
+last table (:func:`_row_table`) for the next call on the same x and
+tolerance; a root at one point is a 1 x 1 :func:`solve_grid`.  A
+quadrature that does not converge marks its point ``domain_fail``, like a
+domain error.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ class _RowTable:
     :meth:`add_counts` reports them to a :class:`~hjgen.numerics.SolveStats`.
     """
 
-    __slots__ = ("prob", "x", "tol", "lo", "hi", "sign", "_at_x", "_levels", "_panels", "_momentum",
-                 "quads", "_split_terms")
+    __slots__ = ("prob", "x", "tol", "lo", "hi", "sign", "_levels", "_panels", "_momentum", "quads",
+                 "_split_terms")
 
     def __init__(self, prob: HJProblem, x: float, tol: float):
         self.prob = prob
@@ -249,7 +250,6 @@ class _RowTable:
         self.tol = tol
         self.lo, self.hi = min(prob.x0, x), max(prob.x0, x)
         self.sign = 1.0 if x >= prob.x0 else -1.0
-        self._at_x = None  # (a, V) at x, for p at the row's roots
         # the whole segment's levels, and each panel's by (lo, hi), as
         # [(max V, its abscissa, merged terms) per level]
         self._levels: list = []
@@ -452,19 +452,15 @@ def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfi
     return _action(_row_table(prob, x, cfg.quad_tol), t, q)
 
 
-def _action(row: _RowTable, t: float, q: float, with_p: bool = False):
-    """S at the root q of ``row``'s x and time t, or ``(S, p(x, q))`` with
-    ``with_p``, in one pass: one admissibility margin serves x0 p(x0, q),
-    the integral of p (one quadrature of the row's table) and p."""
+def _action(row: _RowTable, t: float, q: float) -> float:
+    """S at the root q of ``row``'s x and time t: one admissibility margin
+    serves x0 p(x0, q) and the integral of p, one quadrature of the row's
+    table."""
     prob = row.prob
     margin = prob.margin(q)
     a, v = prob._x0_coefficients or _base_coefficients(prob)
     base = prob.x0 * (prob.sigma * math.sqrt(_gap(v, prob.x0, q, margin) / a))
-    action = base + row._integral(q, margin, False) + q * t - prob._g_fn(q)
-    if not with_p:
-        return action
-    a, v = row._at_x = row._at_x or _coefficients(prob, row.x)
-    return action, prob.sigma * math.sqrt(_gap(v, row.x, q, margin) / a)
+    return base + row._integral(q, margin, False) + q * t - prob._g_fn(q)
 
 
 def solve_grid(
@@ -487,11 +483,14 @@ def solve_grid(
     value: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     p: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
     for i, row in enumerate(rows):
+        coefficients = None  # a and V at the row's x, for every p of the row
         for j, t in enumerate(ts):
             if q[i][j] is None:
                 continue
             try:
-                value[i][j], p[i][j] = _action(row, t, q[i][j], True)
+                value[i][j] = _action(row, t, q[i][j])
+                a, v = coefficients = coefficients or _coefficients(prob, row.x)
+                p[i][j] = prob.sigma * math.sqrt(_gap(v, row.x, q[i][j], prob.margin(q[i][j])) / a)
             except (DomainError, ConvergenceError):
                 q[i][j] = None
                 status[i][j] = Status.DOMAIN_FAIL

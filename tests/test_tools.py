@@ -84,7 +84,7 @@ def test_bench_pairs_gain_needs_nine_wins_in_ten_and_a_move_past_the_iqr():
     old = [2.0 + 0.01 * k for k in range(10)]  # median 2.045, IQR 0.045
     # every pair won by 0.05: the median moves 0.05 > 0.045
     result = bench.compare(old, [v - 0.05 for v in old], "lower", 0.25)
-    assert (result["wins"], result["pairs"], result["gain"], result["regression"]) == (10, 10, True, False)
+    assert (result["wins"], result["pairs"], result["gain"], result["regression"]) == (10, 10, True, "none")
     assert abs(result["change"] - (-0.05 / 2.045)) < 1e-12
     # every pair won, but by less than the old spread
     assert not bench.compare(old, [v - 0.04 for v in old], "lower", 0.25)["gain"]
@@ -98,20 +98,40 @@ def test_bench_pairs_gain_needs_nine_wins_in_ten_and_a_move_past_the_iqr():
     assert bench.compare(old, list(old), "lower", 0.25)["wins"] == 0
     # higher is better: the same runs read the other way round
     up = bench.compare(old, [v + 0.05 for v in old], "higher", 0.25)
-    assert (up["wins"], up["gain"], up["regression"]) == (10, True, False)
+    assert (up["wins"], up["gain"], up["regression"]) == (10, True, "none")
+    # a larger share of failed operations cancels the gain; an equal one does not
+    failing = bench.compare(old, [v - 0.05 for v in old], "lower", 0.25, (0.01, 0.02))
+    assert (failing["gain"], failing["more_failed"]) == (False, True)
+    assert bench.compare(old, [v - 0.05 for v in old], "lower", 0.25, (0.01, 0.01))["gain"]
 
 
 def test_bench_pairs_regression_is_the_median_past_the_bound():
     bench = load_tool("bench_pairs")
-    old = [1.0, 1.1, 0.9, 1.0, 1.0]  # median 1.0
-    assert not bench.compare(old, [1.25] * 5, "lower", 0.25)["regression"]
-    assert bench.compare(old, [1.26] * 5, "lower", 0.25)["regression"]
+    old = [1.0, 1.1, 0.9, 1.0, 1.0]  # median 1.0, IQR 0
+    assert bench.compare(old, [1.25] * 5, "lower", 0.25)["regression"] == "none"
+    assert bench.compare(old, [1.26] * 5, "lower", 0.25)["regression"] == "yes"
     # one run far out does not move the median past the bound
-    assert not bench.compare(old, [1.0, 1.0, 9.0, 1.0, 1.0], "lower", 0.25)["regression"]
-    assert bench.compare(old, [0.74] * 5, "higher", 0.25)["regression"]
-    assert not bench.compare(old, [0.75] * 5, "higher", 0.25)["regression"]
+    assert bench.compare(old, [1.0, 1.0, 9.0, 1.0, 1.0], "lower", 0.25)["regression"] == "none"
+    assert bench.compare(old, [0.74] * 5, "higher", 0.25)["regression"] == "yes"
+    assert bench.compare(old, [0.75] * 5, "higher", 0.25)["regression"] == "none"
     with pytest.raises(ValueError):
         bench.compare(old, old[:4], "lower", 0.25)
+
+
+def test_bench_pairs_spread_wider_than_the_bound_is_unresolved():
+    bench = load_tool("bench_pairs")
+    wide = [0.6, 0.8, 1.0, 1.2, 1.4]  # median 1.0, IQR 0.4 > 0.25 of the median
+    # a median within the bound, on a spread wider than it: unresolved
+    assert bench.compare(wide, [1.1] * 5, "lower", 0.25)["regression"] == "unresolved"
+    assert bench.compare(wide, [0.9] * 5, "lower", 0.25)["regression"] == "unresolved"
+    # the same on the new side's spread
+    steady = [1.0] * 5
+    assert bench.compare(steady, wide, "lower", 0.25)["regression"] == "unresolved"
+    # unless every new run is better than every old run
+    assert bench.compare(wide, [0.55] * 5, "lower", 0.25)["regression"] == "none"
+    assert bench.compare(wide, [1.45] * 5, "higher", 0.25)["regression"] == "none"
+    # a median past the bound is a regression however wide the spread
+    assert bench.compare(wide, [1.3] * 5, "lower", 0.25)["regression"] == "yes"
 
 
 def test_bench_pairs_report_names_both_verdicts():
@@ -121,7 +141,11 @@ def test_bench_pairs_report_names_both_verdicts():
     assert lines[0].startswith("cpu_per_ref (ratio): old 2.045 [2.0225, 2.0675]  new 1.995")
     assert "new better in 10/10 pairs" in lines[0]
     assert lines[1] == "  gain: met (10/10 wins, 9 needed; median moved 0.05, old IQR 0.045)"
-    assert lines[2] == "  regression: none"
+    assert lines[2] == "  regression: none (new IQR 0.045)"
+    failing = bench.compare(old, [v - 0.05 for v in old], "lower", 0.25, (0.0, 0.5))
+    assert bench.report("cpu_per_ref", "ratio", failing)[1] == (
+        "  gain: not met (10/10 wins, 9 needed; median moved 0.05, old IQR 0.045; more operations failed)"
+    )
 
 
 def test_bench_pairs_rejects_a_directory_without_a_benchmark(tmp_path):
@@ -149,35 +173,52 @@ print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
 '''
 
 
-def test_bench_pairs_alternates_the_sides_over_seeded_pairs(tmp_path):
-    # stand-in checkouts whose run.py logs its arguments and reads 0.5 lower on NEW
+def stand_in_checkouts(tmp_path, run_py: str):
     declared = {"run_seconds": 7, "end_to_end": [
         {"name": "cpu_per_ref", "unit": "ratio", "better": "lower", "bound": 0.25}]}
     for side in ("old", "new"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tmp_path / side / "perfbench" / "run.py").write_text(run_py)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(declared))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), str(tmp_path / "old"),
-         str(tmp_path / "new"), "--workload", "w", "--pairs", "3", "--json", str(tmp_path / "runs.json")],
+         str(tmp_path / "new"), "--workload", "w", "--pairs", "3"],
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_bench_pairs_alternates_the_sides_over_seeded_pairs(tmp_path):
+    # stand-in checkouts whose run.py logs its arguments and reads 0.5 lower on NEW
+    proc = stand_in_checkouts(tmp_path, FAKE_RUN)
     assert proc.returncode == 0, proc.stderr
+    # the run length is BENCHMARK.json's run_seconds on both sides
     assert (tmp_path / "log").read_text().splitlines() == [
         "old w 1 7 0", "new w 1 7 0", "new w 2 7 0", "old w 2 7 0", "old w 3 7 0", "new w 3 7 0",
     ]
     out = proc.stdout.splitlines()
-    assert out[0] == "pair 1 (old first): cpu_per_ref 1.5 -> 1"
+    assert out[:3] == [
+        "pair 1 (old first): cpu_per_ref 1.5 -> 1",
+        "pair 2 (new first): cpu_per_ref 2.5 -> 2",
+        "pair 3 (old first): cpu_per_ref 3.5 -> 3",
+    ]
     summary = "cpu_per_ref (ratio): old 2.5 [2, 3]  new 2 [1.5, 2.5]  change -20.0%  new better in 3/3 pairs"
     assert summary in out
-    # the medians moved 0.5, no more than the old IQR of 1: no gain, no regression
+    # the medians moved 0.5, no more than the old IQR of 1: no gain; that IQR
+    # is wider than the bound of 0.625 and the runs overlap: unresolved
     assert "  gain: not met (3/3 wins, 3 needed; median moved 0.5, old IQR 1)" in out
-    assert (
-        "old: 0 of 12 operations failed; every run correct: True; "
-        "medians: cpu_s 0.25 s, wall_s 0.5 s, ref_s 0.1 s"
-    ) in out
-    runs = json.loads((tmp_path / "runs.json").read_text())
-    assert [r["metrics"]["cpu_per_ref"]["value"] for r in runs["new"]] == [1.0, 2.0, 3.0]
-    assert [r["info"]["wall_s"] for r in runs["new"]] == [0.2, 0.4, 0.6]
+    assert "  regression: unresolved (new IQR 1)" in out
+    assert "old: 0 of 12 operations failed; every run correct: True" in out
+    assert "new: 0 of 12 operations failed; every run correct: True" in out
+    # the pass times are k / 10 and k / 5 on NEW against (k + 0.5) / 10 and
+    # (k + 0.5) / 5 on OLD: ratios 1/1.5, 2/2.5, 3/3.5, of median 0.8
+    assert out[-1] == "new/old within a pair, median: cpu_s 0.8, wall_s 0.8, ref_s 1"
+
+
+def test_bench_pairs_fails_on_a_run_without_a_result_line(tmp_path):
+    proc = stand_in_checkouts(tmp_path, "")  # a run.py that prints nothing
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "printed no result line" in proc.stderr
+    assert "Traceback" not in proc.stderr

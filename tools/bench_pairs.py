@@ -2,31 +2,36 @@
 
 Usage::
 
-    python3 tools/bench_pairs.py OLD NEW --workload W --pairs N [--seconds S] [--json PATH]
+    python3 tools/bench_pairs.py OLD NEW --workload W --pairs N
 
 OLD and NEW are checkouts (for example ``git archive`` exports of two
 commits), each with its own ``perfbench/run.py``.  Pair k (k = 1..N) runs
 ``perfbench/run.py --workload W --seed k --seconds S --trace 0`` of each
 checkout, one after the other; odd pairs run OLD first and even pairs NEW
 first, so a drift of the machine over a pair lands on each side equally
-often.  ``S`` defaults to ``run_seconds`` of OLD's ``BENCHMARK.json``.
+often.  ``S`` is ``run_seconds`` of OLD's ``BENCHMARK.json``, the same on
+both sides.
 
 For each end-to-end metric that OLD's ``BENCHMARK.json`` declares, it
 prints each side's median and quartiles, the change of the median, and the
 number of pairs in which NEW was better.  Then two verdicts per metric:
 
-- **gain**: met when NEW wins at least 9 of every 10 pairs and the medians
-  differ, NEW's way, by more than OLD's interquartile range;
-- **regression**: none when NEW's median is worse than OLD's by at most
-  the metric's ``bound``, a fraction of OLD's median.
+- **gain**: met when NEW wins at least 9 of every 10 pairs, the medians
+  differ, NEW's way, by more than OLD's interquartile range, and NEW's
+  share of failed operations is no larger than OLD's;
+- **regression**: ``yes`` when NEW's median is worse than OLD's by more
+  than the metric's ``bound``, a fraction of OLD's median; else
+  ``unresolved`` when either side's interquartile range is wider than that
+  bound and not every NEW run is better than every OLD run; else ``none``.
 
-It also prints each side's share of failed operations, and the medians of
-the pass times ``cpu_s`` and ``wall_s`` and of the reference job's ``ref_s``
-that the ratios divide.  With ``--json`` it writes every run's result and
-``info`` line there.  It writes nothing else: each run writes
-only below its own checkout's ``.perfbench_work/``.  Exit status: 0 when
-every run gave a result, 1 when one did not, 2 on bad arguments.  Uses only
-the standard library.
+It also prints each side's share of failed operations, and the median
+over pairs of NEW's time over OLD's for the pass times ``cpu_s`` and
+``wall_s`` and the reference job's ``ref_s`` that the ratios divide: taken
+within each pair, so the machine's speed, which drifts between pairs,
+cancels, and a ratio moved by the reference job alone shows.  It writes no
+file: each run writes only below its own checkout's ``.perfbench_work/``.
+Exit status: 0 when every run gave a result, 1 when one did not, 2 on bad
+arguments.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -45,7 +50,8 @@ GAIN_WINS = (9, 10)  # a claimed gain wins at least 9 of every 10 pairs
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one ``--trace 0`` run of ``checkout``'s benchmark,
     with the run's ``info`` line (pass and reference-job times) under
-    ``"info"``."""
+    ``"info"``; :class:`RuntimeError` when the run fails or prints no
+    result."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
@@ -53,7 +59,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr.strip()}")
     lines = proc.stdout.splitlines()
     info = [line[len("info "):] for line in lines if line.startswith("info ")]
-    return {**json.loads(lines[-1]), "info": json.loads(info[-1]) if info else None}
+    try:
+        return {**json.loads(lines[-1]), "info": json.loads(info[-1]) if info else None}
+    except (IndexError, ValueError):
+        raise RuntimeError(f"{' '.join(cmd)} printed no result line") from None
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -65,12 +74,13 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(old, new, better: str, bound: float) -> dict:
+def compare(old, new, better: str, bound: float, fail_shares=(0.0, 0.0)) -> dict:
     """The summary and the verdicts of one metric over paired runs.
 
     ``old[k]`` and ``new[k]`` are the two sides' values in pair k;
-    ``better`` is ``"lower"`` or ``"higher"``, and ``bound`` the fraction of
-    OLD's median by which NEW's may be worse without a regression.
+    ``better`` is ``"lower"`` or ``"higher"``, ``bound`` the fraction of
+    OLD's median by which NEW's may be worse without a regression, and
+    ``fail_shares`` the (OLD, NEW) shares of failed operations over all runs.
     """
     if len(old) != len(new) or not old:
         raise ValueError("need the same positive number of runs on both sides")
@@ -79,14 +89,23 @@ def compare(old, new, better: str, bound: float) -> dict:
     o1, o2, o3 = quartiles(old)
     n1, n2, n3 = quartiles(new)
     gain = sign * (o2 - n2)  # how far NEW's median is better, in the metric's unit
+    allowed = bound * abs(o2)
+    if -gain > allowed:
+        regression = "yes"
+    elif max(o3 - o1, n3 - n1) > allowed and max(sign * b for b in new) >= min(sign * a for a in old):
+        regression = "unresolved"  # the spread hides a move of the bound's size
+    else:
+        regression = "none"
     return {
         "old": (o1, o2, o3),
         "new": (n1, n2, n3),
         "change": (n2 - o2) / o2 if o2 else math.nan,
         "wins": wins,
         "pairs": len(old),
-        "gain": GAIN_WINS[1] * wins >= GAIN_WINS[0] * len(old) and gain > o3 - o1,
-        "regression": -gain > bound * abs(o2),
+        "more_failed": fail_shares[1] > fail_shares[0],
+        "gain": (GAIN_WINS[1] * wins >= GAIN_WINS[0] * len(old) and gain > o3 - o1
+                 and fail_shares[1] <= fail_shares[0]),
+        "regression": regression,
     }
 
 
@@ -98,12 +117,13 @@ def report(name: str, unit: str, result: dict) -> list[str]:
     need = -(-GAIN_WINS[0] * pairs // GAIN_WINS[1])
     spread = o3 - o1
     moved = abs(n2 - o2)
+    failed = "; more operations failed" if result["more_failed"] else ""
     return [
         f"{name} ({unit}): old {o2:.6g} [{o1:.6g}, {o3:.6g}]  new {n2:.6g} [{n1:.6g}, {n3:.6g}]"
         f"  change {100.0 * result['change']:+.1f}%  new better in {wins}/{pairs} pairs",
         f"  gain: {'met' if result['gain'] else 'not met'} ({wins}/{pairs} wins, {need} needed;"
-        f" median moved {moved:.6g}, old IQR {spread:.6g})",
-        f"  regression: {'YES' if result['regression'] else 'none'}",
+        f" median moved {moved:.6g}, old IQR {spread:.6g}{failed})",
+        f"  regression: {result['regression']} (new IQR {n3 - n1:.6g})",
     ]
 
 
@@ -113,8 +133,6 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float)
-    parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
     for checkout in (old, new):
@@ -123,7 +141,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     declared = json.loads((old / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
+    seconds = declared["run_seconds"]
 
     runs = {"old": [], "new": []}
     for seed in range(1, args.pairs + 1):
@@ -132,7 +150,7 @@ def main(argv=None) -> int:
             checkout = old if side == "old" else new
             try:
                 result = run_once(checkout, args.workload, seed, seconds)
-            except (RuntimeError, ValueError) as exc:
+            except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
             runs[side].append(result)
@@ -145,25 +163,24 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}: {args.pairs} pairs, seeds 1..{args.pairs}, {seconds:g} s per run")
     print(f"old {old}\nnew {new}")
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
+    attempted = {side: sum(r["attempted"] for r in runs[side]) for side in runs}
+    shares = tuple(failed[side] / max(attempted[side], 1) for side in runs)
     for m in declared["end_to_end"]:
         name = m["name"]
         old_values = [r["metrics"][name]["value"] for r in runs["old"]]
         new_values = [r["metrics"][name]["value"] for r in runs["new"]]
-        result = compare(old_values, new_values, m["better"], m["bound"])
+        result = compare(old_values, new_values, m["better"], m["bound"], shares)
         print("\n".join(report(name, m["unit"], result)))
     for side in runs:
-        failed = sum(r["failed"] for r in runs[side])
-        attempted = sum(r["attempted"] for r in runs[side])
         correct = all(r["correct"] for r in runs[side])
-        times = ", ".join(
-            f"{key} {statistics.median(r['info'][key] for r in runs[side]):.6g} s"
-            for key in ("cpu_s", "wall_s", "ref_s")
-            if all(r["info"] and key in r["info"] for r in runs[side])
-        )
-        print(f"{side}: {failed} of {attempted} operations failed; every run correct: {correct}"
-              f"; medians: {times or 'not reported'}")
-    if args.json:
-        args.json.write_text(json.dumps({"workload": args.workload, "seconds": seconds, **runs}, indent=1))
+        print(f"{side}: {failed[side]} of {attempted[side]} operations failed; every run correct: {correct}")
+    times = ", ".join(
+        f"{key} {statistics.median(b['info'][key] / a['info'][key] for a, b in zip(runs['old'], runs['new'])):.4g}"
+        for key in ("cpu_s", "wall_s", "ref_s")
+        if all(r["info"] and r["info"].get(key) for r in runs["old"] + runs["new"])
+    )
+    print(f"new/old within a pair, median: {times or 'not reported'}")
     return 0
 
 
