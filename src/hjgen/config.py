@@ -16,6 +16,7 @@ Sections::
 from __future__ import annotations
 
 import math
+import os
 from typing import Optional, Union
 
 from .errors import ConfigError, ParseError
@@ -57,9 +58,10 @@ class RunConfig:
 
 
 class _Entry:
-    __slots__ = ("raw", "quoted", "line")
+    __slots__ = ("key", "raw", "quoted", "line")
 
-    def __init__(self, raw: str, quoted: bool, line: int):
+    def __init__(self, key: str, raw: str, quoted: bool, line: int):
+        self.key = key
         self.raw = raw
         self.quoted = quoted
         self.line = line
@@ -83,9 +85,38 @@ def _split_value(value: str, line: int) -> tuple[str, bool]:
     return value, False
 
 
-def _scan_sections(text: str) -> dict[str, dict[str, _Entry]]:
-    sections: dict[str, dict[str, _Entry]] = {}
-    current: Optional[str] = None
+class _Section:
+    """One section's entries by key, in file order; :meth:`finish` names the
+    first key that no reader took."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.entries: dict[str, _Entry] = {}
+        self.taken: set[str] = set()
+
+    def take(self, key: str, read, *args, default=None):
+        """``read(entry, *args)`` of the entry of ``key``, or ``default``
+        when the section has none."""
+        entry = self.entries.get(key)
+        if entry is None:
+            return default
+        self.taken.add(key)
+        return read(entry, *args)
+
+    def require(self, key: str, read, *args):
+        if key not in self.entries:
+            raise ConfigError(f"[{self.name}] is missing required key {key!r}")
+        return self.take(key, read, *args)
+
+    def finish(self):
+        for key, entry in self.entries.items():
+            if key not in self.taken:
+                raise ConfigError(f"unknown key {key!r} in [{self.name}]", entry.line)
+
+
+def _scan_sections(text: str) -> dict[str, _Section]:
+    sections: dict[str, _Section] = {}
+    current: Optional[_Section] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -101,8 +132,7 @@ def _scan_sections(text: str) -> dict[str, dict[str, _Entry]]:
                 raise ConfigError(f"unknown section {name!r}", lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section {name!r}", lineno)
-            sections[name] = {}
-            current = name
+            current = sections[name] = _Section(name)
             continue
         if current is None:
             raise ConfigError("key outside any [section]", lineno)
@@ -112,84 +142,82 @@ def _scan_sections(text: str) -> dict[str, dict[str, _Entry]]:
         key = key.strip()
         if not key:
             raise ConfigError("missing key before '='", lineno)
-        if key in sections[current]:
+        if key in current.entries:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        val, quoted = _split_value(value, lineno)
-        sections[current][key] = _Entry(val, quoted, lineno)
+        current.entries[key] = _Entry(key, *_split_value(value, lineno), lineno)
     return sections
 
 
-class _Section:
-    def __init__(self, name: str, entries: dict[str, _Entry]):
-        self.name = name
-        self.entries = dict(entries)
-
-    def take(self, key: str) -> Optional[_Entry]:
-        return self.entries.pop(key, None)
-
-    def require(self, key: str) -> _Entry:
-        entry = self.entries.pop(key, None)
-        if entry is None:
-            raise ConfigError(f"[{self.name}] is missing required key {key!r}")
-        return entry
-
-    def finish(self):
-        for key, entry in self.entries.items():
-            raise ConfigError(f"unknown key {key!r} in [{self.name}]", entry.line)
+# Readers: each turns an entry into its value or raises a ConfigError that
+# names the entry's key and line.
 
 
-def _expr_of(entry: _Entry, key: str, var: str) -> Expression:
-    """The expression of ``key``, a function of ``var`` alone."""
+def _raw_of(entry: _Entry) -> str:
+    return entry.raw
+
+
+def _expr_of(entry: _Entry, var: str) -> Expression:
+    """The entry's expression, a function of ``var`` alone."""
     if not entry.quoted:
-        raise ConfigError(f"expression for {key!r} must be double-quoted", entry.line)
+        raise ConfigError(f"expression for {entry.key!r} must be double-quoted", entry.line)
     try:
         e = parse_expr(entry.raw)
     except ParseError as exc:
-        raise ConfigError(f"in expression for {key!r}: {exc}", entry.line) from None
+        raise ConfigError(f"in expression for {entry.key!r}: {exc}", entry.line) from None
     unbound = variables(e) - {var}
     if unbound:
-        message = f"expression for {key!r} takes only {var}, not {min(unbound)!r}"
+        message = f"expression for {entry.key!r} takes only {var}, not {min(unbound)!r}"
         raise ConfigError(message, entry.line)
     return e
 
 
-def _float_of(entry: _Entry, key: str) -> float:
+def _finite_of(entry: _Entry) -> float:
     if entry.quoted:
-        raise ConfigError(f"{key!r} must be an unquoted number", entry.line)
+        raise ConfigError(f"{entry.key!r} must be an unquoted number", entry.line)
     try:
-        return float(entry.raw)
+        value = float(entry.raw)
     except ValueError:
-        raise ConfigError(f"bad number for {key!r}: {entry.raw!r}", entry.line) from None
-
-
-def _finite_of(entry: _Entry, key: str) -> float:
-    value = _float_of(entry, key)
+        raise ConfigError(f"bad number for {entry.key!r}: {entry.raw!r}", entry.line) from None
     if not math.isfinite(value):
-        raise ConfigError(f"{key!r} must be finite", entry.line)
+        raise ConfigError(f"{entry.key!r} must be finite", entry.line)
     return value
 
 
-def _positive_of(entry: _Entry, key: str) -> float:
-    value = _finite_of(entry, key)
+def _positive_of(entry: _Entry) -> float:
+    value = _finite_of(entry)
     if not value > 0.0:
-        raise ConfigError(f"{key!r} must be positive", entry.line)
+        raise ConfigError(f"{entry.key!r} must be positive", entry.line)
     return value
 
 
-def _int_of(entry: _Entry, key: str, least: int) -> int:
+def _int_of(entry: _Entry, least: int) -> int:
     if entry.quoted:
-        raise ConfigError(f"{key!r} must be an unquoted integer", entry.line)
+        raise ConfigError(f"{entry.key!r} must be an unquoted integer", entry.line)
     try:
         value = int(entry.raw)
     except ValueError:
-        raise ConfigError(f"bad integer for {key!r}: {entry.raw!r}", entry.line) from None
+        raise ConfigError(f"bad integer for {entry.key!r}: {entry.raw!r}", entry.line) from None
     if value < least:
-        raise ConfigError(f"{key!r} must be at least {least}", entry.line)
+        raise ConfigError(f"{entry.key!r} must be at least {least}", entry.line)
     return value
 
 
-def _axis_of(entry: _Entry, key: str) -> tuple[float, ...]:
-    raw = entry.raw
+def _sigma_of(entry: _Entry) -> int:
+    if entry.raw not in ("1", "+1", "-1"):
+        raise ConfigError("sigma must be +1 or -1", entry.line)
+    return -1 if entry.raw == "-1" else 1
+
+
+def _report_of(entry: _Entry, field_path: Optional[str]) -> str:
+    """The report path, which must not be the field CSV's: the report would
+    overwrite the field."""
+    if field_path is not None and os.path.realpath(entry.raw) == os.path.realpath(field_path):
+        raise ConfigError("'report' names the same file as 'field'", entry.line)
+    return entry.raw
+
+
+def _axis_of(entry: _Entry) -> tuple[float, ...]:
+    key, raw = entry.key, entry.raw
     if entry.quoted:
         raise ConfigError(f"axis {key!r} must be unquoted", entry.line)
     try:
@@ -215,105 +243,77 @@ def _axis_of(entry: _Entry, key: str) -> tuple[float, ...]:
         raise ConfigError(f"axis {key!r} must be strictly increasing", entry.line) from None
 
 
+# pq kind -> (constructor, its expression keys in argument order, each with
+# the one variable it takes); a scaled_y problem's lines are y columns and
+# its root is p
+_PQ_KINDS = {
+    "explicit": (PQProblem.explicit, (("f", "q"), ("phi", "q"))),
+    "scaled_x": (PQProblem.scaled_x, (("scale", "x"), ("G", "q"), ("phi", "q"))),
+    "scaled_y": (PQProblem.scaled_y, (("scale", "y"), ("G", "p"), ("phi", "p"))),
+}
+# the [solver] keys besides the scan range, in the order they are read:
+# (key, reader, the reader's arguments)
+_SOLVER_KEYS = (
+    ("root_tol", _positive_of), ("resid_tol", _positive_of), ("quad_tol", _positive_of),
+    ("max_iter", _int_of, 1), ("scan_points", _int_of, 2),
+)
+
+
 def _build_problem(section: _Section):
-    type_entry = section.require("type")
-    kind = type_entry.raw
+    kind = section.require("type", _raw_of)
     if kind == "hj":
-        a = _expr_of(section.require("a"), "a", "x")
-        v = _expr_of(section.require("V"), "V", "x")
-        g = _expr_of(section.require("G"), "G", "q")
-        sigma_entry = section.take("sigma")
-        sigma = 1
-        if sigma_entry is not None:
-            if sigma_entry.raw not in ("1", "+1", "-1"):
-                raise ConfigError("sigma must be +1 or -1", sigma_entry.line)
-            sigma = 1 if sigma_entry.raw in ("1", "+1") else -1
-        x0_entry = section.take("x0")
-        x0 = _finite_of(x0_entry, "x0") if x0_entry is not None else 0.0
-        eps_entry = section.take("eps_adm")
-        eps = _positive_of(eps_entry, "eps_adm") if eps_entry is not None else None
-        return HJProblem(a, v, g, sigma=sigma, x0=x0, eps_adm=eps)
-    if kind == "pq":
-        pq_kind = section.require("kind").raw
-        if pq_kind == "explicit":
-            return PQProblem.explicit(
-                _expr_of(section.require("f"), "f", "q"),
-                _expr_of(section.require("phi"), "phi", "q"),
-            )
-        if pq_kind in ("scaled_x", "scaled_y"):
-            # a scaled_y problem's lines are y columns and its root is p
-            line, root = ("x", "q") if pq_kind == "scaled_x" else ("y", "p")
-            ctor = PQProblem.scaled_x if pq_kind == "scaled_x" else PQProblem.scaled_y
-            return ctor(
-                _expr_of(section.require("scale"), "scale", line),
-                _expr_of(section.require("G"), "G", root),
-                _expr_of(section.require("phi"), "phi", root),
-            )
-        raise ConfigError(f"unknown pq kind {pq_kind!r}", type_entry.line)
-    raise ConfigError(f"unknown problem type {kind!r}", type_entry.line)
+        return HJProblem(
+            section.require("a", _expr_of, "x"),
+            section.require("V", _expr_of, "x"),
+            section.require("G", _expr_of, "q"),
+            sigma=section.take("sigma", _sigma_of, default=1),
+            x0=section.take("x0", _finite_of, default=0.0),
+            eps_adm=section.take("eps_adm", _positive_of),
+        )
+    if kind != "pq":
+        raise ConfigError(f"unknown problem type {kind!r}", section.entries["type"].line)
+    pq_kind = section.require("kind", _raw_of)
+    if pq_kind not in _PQ_KINDS:
+        raise ConfigError(f"unknown pq kind {pq_kind!r}", section.entries["type"].line)
+    ctor, keys = _PQ_KINDS[pq_kind]
+    return ctor(*[section.require(key, _expr_of, var) for key, var in keys])
 
 
 def parse_config(text: str) -> RunConfig:
-    raw_sections = _scan_sections(text)
+    sections = _scan_sections(text)
     for name in ("problem", "grid", "solver"):
-        if name not in raw_sections:
+        if name not in sections:
             raise ConfigError(f"missing [{name}] section")
 
-    problem_sec = _Section("problem", raw_sections["problem"])
+    problem_sec = sections["problem"]
     problem = _build_problem(problem_sec)
     problem_sec.finish()
 
-    grid_sec = _Section("grid", raw_sections["grid"])
-    axis1 = _axis_of(grid_sec.require("x"), "x")
-    second = "t" if isinstance(problem, HJProblem) else "y"
-    axis2 = _axis_of(grid_sec.require(second), second)
-    grid_sec.finish()
+    grid = sections["grid"]
+    axis1 = grid.require("x", _axis_of)
+    axis2 = grid.require("t" if isinstance(problem, HJProblem) else "y", _axis_of)
+    grid.finish()
 
-    solver_sec = _Section("solver", raw_sections["solver"])
-    q_min_entry = solver_sec.require("q_min")
-    q_min = _finite_of(q_min_entry, "q_min")
-    q_max = _finite_of(solver_sec.require("q_max"), "q_max")
+    solver = sections["solver"]
+    q_min = solver.require("q_min", _finite_of)
+    q_max = solver.require("q_max", _finite_of)
     if not q_min < q_max:
-        raise ConfigError("'q_min' must be below 'q_max'", q_min_entry.line)
-    kwargs = {}  # the keys left out take SolverConfig's defaults
-    for key in ("root_tol", "resid_tol", "quad_tol"):
-        entry = solver_sec.take(key)
-        if entry is not None:
-            kwargs[key] = _positive_of(entry, key)
-    for key, least in (("max_iter", 1), ("scan_points", 2)):
-        entry = solver_sec.take(key)
-        if entry is not None:
-            kwargs[key] = _int_of(entry, key, least)
-    solver_sec.finish()
-    solver = SolverConfig(**kwargs)
+        raise ConfigError("'q_min' must be below 'q_max'", solver.entries["q_min"].line)
+    read = {key: solver.take(key, *reader) for key, *reader in _SOLVER_KEYS}
+    solver.finish()
+    # the keys left out take SolverConfig's defaults
+    solver_cfg = SolverConfig(**{key: value for key, value in read.items() if value is not None})
 
-    field_path = report_path = None
-    min_resolved = 0.99
-    max_residual = 1e-6
-    if "output" in raw_sections:
-        out_sec = _Section("output", raw_sections["output"])
-        entry = out_sec.take("field")
-        field_path = entry.raw if entry is not None else None
-        entry = out_sec.take("report")
-        report_path = entry.raw if entry is not None else None
-        entry = out_sec.take("min_resolved")
-        if entry is not None:
-            min_resolved = _finite_of(entry, "min_resolved")
-        entry = out_sec.take("max_residual")
-        if entry is not None:
-            max_residual = _finite_of(entry, "max_residual")
-        out_sec.finish()
+    out = sections.get("output", _Section("output"))
+    field_path = out.take("field", _raw_of)
+    report_path = out.take("report", _report_of, field_path)
+    min_resolved = out.take("min_resolved", _finite_of, default=0.99)
+    max_residual = out.take("max_residual", _finite_of, default=1e-6)
+    out.finish()
 
     return RunConfig(
-        problem=problem,
-        axis1=axis1,
-        axis2=axis2,
-        solver=solver,
-        q_range=(q_min, q_max),
-        field_path=field_path,
-        report_path=report_path,
-        min_resolved=min_resolved,
-        max_residual=max_residual,
+        problem, axis1, axis2, solver_cfg, (q_min, q_max),
+        field_path, report_path, min_resolved, max_residual,
     )
 
 

@@ -1,5 +1,9 @@
+import os
+
 import pytest
 
+from hjgen import pq
+from hjgen.cli import main
 from hjgen.config import load_config, parse_config
 from hjgen.errors import ConfigError
 from hjgen.expr import Num, parse
@@ -152,6 +156,8 @@ def test_axis_validation():
         ("quad_tol", None, 19),
         ("q_min", "q_min = 0.05", 19),
         ("q_max", "q_max = 6", 20),
+        ("min_resolved", "min_resolved = 0.95", 25),
+        ("max_residual", "max_residual = 1e-3", 26),
     ],
 )
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
@@ -184,15 +190,119 @@ def test_non_finite_numbers_are_named_with_their_line(key, old, line, value):
         ),
         ("x0 = 0.25", "x0 =   # no value", "missing value", 9),
         ("x0 = 0.25", "= 0.25", "missing key before '='", 9),
+        ("min_resolved = 0.95", "min_resolved = most", "bad number for 'min_resolved': 'most'", 25),
+        ("max_residual = 1e-3", "max_residual = 1e", "bad number for 'max_residual': '1e'", 26),
+        ("field = out.csv", "field =", "missing value", 23),
+        ("report = out.txt", "report =   # no value", "missing value", 24),
     ],
     ids=[
         "root_tol", "scan_points", "max_iter", "q_min", "eps_adm",
         "quoted_number", "unquoted_expression", "bad_integer", "quoted_integer",
         "no_count", "text_after_quote", "no_value", "no_key",
+        "min_resolved", "max_residual", "no_field", "no_report",
     ],
 )
 def test_bad_values_are_named_with_their_line(old, new, message, line):
     _expect_error(HJ_TEXT.replace(old, new), message, line=line)
+
+
+# The HJ keys spread over the sections in the reverse of the order they are
+# read, each section with a comment line that an edit turns into an unknown key
+READ_ORDER_TEXT = """[output]
+# output extra
+max_residual = 1e-3
+min_resolved = 0.95
+report = out.txt
+field = out.csv
+[solver]
+# solver extra
+scan_points = 12
+max_iter = 50
+quad_tol = 1e-10
+resid_tol = 1e-12
+root_tol = 1e-11
+q_max = 6
+q_min = 0.05
+[grid]
+# grid extra
+t = 0.0:0.4:5
+x = 0.1:0.5:5
+[problem]
+# problem extra
+eps_adm = 1e-3
+x0 = 0.25
+sigma = -1
+G = "q^2/2"
+V = "x^2"
+a = "1"
+type = hj
+"""
+# (old, new, message, line) in the order parse_config finds the errors; the
+# edits after an error apply before it, so the q_max edit sees the range edit
+READ_ORDER = [
+    ('a = "1"', 'a = "y"', "expression for 'a' takes only x, not 'y'", 27),
+    ('V = "x^2"', "V = x^2", "expression for 'V' must be double-quoted", 26),
+    ('G = "q^2/2"', 'G = "q^^2"', "in expression for 'G'", 25),
+    ("sigma = -1", "sigma = 2", "sigma must be +1 or -1", 24),
+    ("x0 = 0.25", "x0 = nan", "'x0' must be finite", 23),
+    ("eps_adm = 1e-3", "eps_adm = 0", "'eps_adm' must be positive", 22),
+    ("# problem extra", "extra = 1", "unknown key 'extra' in [problem]", 21),
+    ("x = 0.1:0.5:5", "x = 0.1:0.5", "axis 'x' must be min:max:count", 19),
+    ("t = 0.0:0.4:5", "t = 0:inf:5", "axis 't' values must be finite", 18),
+    ("# grid extra", "extra = 1", "unknown key 'extra' in [grid]", 17),
+    ("q_min = 0.05", "q_min = one", "bad number for 'q_min': 'one'", 15),
+    ("q_max = 0.05", "q_max = nan", "'q_max' must be finite", 14),
+    ("q_max = 6", "q_max = 0.05", "'q_min' must be below 'q_max'", 15),
+    ("root_tol = 1e-11", "root_tol = -1", "'root_tol' must be positive", 13),
+    ("resid_tol = 1e-12", 'resid_tol = "1"', "'resid_tol' must be an unquoted number", 12),
+    ("quad_tol = 1e-10", "quad_tol = inf", "'quad_tol' must be finite", 11),
+    ("max_iter = 50", "max_iter = 0", "'max_iter' must be at least 1", 10),
+    ("scan_points = 12", "scan_points = 1.5", "bad integer for 'scan_points': '1.5'", 9),
+    ("# solver extra", "extra = 1", "unknown key 'extra' in [solver]", 8),
+    ("report = out.txt", "report = ./out.csv", "'report' names the same file as 'field'", 5),
+    ("min_resolved = 0.95", "min_resolved = nan", "'min_resolved' must be finite", 4),
+    ("max_residual = 1e-3", "max_residual = most", "bad number for 'max_residual': 'most'", 3),
+    ("# output extra", "extra = 1", "unknown key 'extra' in [output]", 2),
+]
+
+
+@pytest.mark.parametrize("first", range(len(READ_ORDER) + 1))
+def test_errors_are_found_in_reading_order(first):
+    # with the errors from ``first`` on, the first of them is the one raised,
+    # whatever the order of the sections and keys in the file
+    text = READ_ORDER_TEXT
+    for old, new, _, _ in reversed(READ_ORDER[first:]):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    if first == len(READ_ORDER):
+        assert parse_config(text).problem.sigma == -1
+    else:
+        _expect_error(text, READ_ORDER[first][2], line=READ_ORDER[first][3])
+
+
+@pytest.mark.parametrize("report", ["out.csv", "./out.csv", "sub/../out.csv", "link.csv"])
+def test_report_and_field_must_be_different_files(report, tmp_path, monkeypatch):
+    # the report would overwrite the field, and the solve still passed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.csv").write_text("")
+    os.symlink("out.csv", tmp_path / "link.csv")
+    text = HJ_TEXT.replace("report = out.txt", f"report = {report}")
+    _expect_error(text, "'report' names the same file as 'field'", line=24)
+
+
+def test_solve_rejects_a_report_on_the_field_before_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "same.cfg"
+    cfg.write_text(PQ_TEXT + "[output]\nfield = f.csv\nreport = f.csv\n")
+    assert main(["solve", str(cfg)]) == 2
+    err = "error: line 17: 'report' names the same file as 'field'\n"
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("sigma, value", [("1", 1), ("+1", 1), ("-1", -1)])
+def test_sigma_signs(sigma, value):
+    assert parse_config(HJ_TEXT.replace("sigma = -1", f"sigma = {sigma}")).problem.sigma == value
 
 
 def test_axis_min_max_count_points():
@@ -266,6 +376,33 @@ def test_expression_of_a_foreign_variable_names_key_and_line(text, key, var, nam
     # each key is a function of one variable: a and V of x, G of q, and a pq
     # scale of its line coordinate, G and phi of its root
     _expect_error(text, f"expression for {key!r} takes only {var}, not {name!r}", line=line)
+
+
+def test_kinds_table_covers_the_pq_kinds():
+    from hjgen.config import _PQ_KINDS
+
+    assert tuple(_PQ_KINDS) == pq.KINDS
+
+
+@pytest.mark.parametrize(
+    "kind, key, line",
+    [("explicit", "f", 5), ("explicit", "phi", 6)]
+    + [
+        (kind, key, line)
+        for kind in ("scaled_x", "scaled_y")
+        for key, line in (("scale", 5), ("G", 6), ("phi", 7))
+    ],
+)
+def test_pq_expression_keys_must_be_quoted(kind, key, line):
+    if kind == "explicit":
+        text = PQ_TEXT
+    else:
+        root = "p" if kind == "scaled_y" else "q"
+        text = SCALED_TEXT.format(kind=kind, scale="1", G=root, phi=root)
+    # the key's line with its quotes taken off
+    old = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
+    text = text.replace(old, old.replace('"', ""))
+    _expect_error(text, f"expression for {key!r} must be double-quoted", line=line)
 
 
 def test_load_config_missing_file(tmp_path):

@@ -222,3 +222,28 @@ def test_bench_pairs_fails_on_a_run_without_a_result_line(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "printed no result line" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cmp_shipped_damaged_configs_are_config_errors():
+    # every damaged copy is a config error but those that quote a word or
+    # drop [output], which parse; none is the same-path case
+    from hjgen.config import parse_config
+    from hjgen.errors import ConfigError
+
+    cmp = load_tool("cmp_shipped")
+    parsed = []
+    for cfg in cmp.DAMAGED_CONFIGS:
+        copies = cmp.damaged_configs((ROOT / "configs" / cfg).read_text())
+        assert len(set(copies.values())) == len(copies)
+        for name, text in copies.items():
+            try:
+                parse_config(text)
+            except ConfigError as err:
+                assert "same file" not in str(err)
+            else:
+                parsed.append((cfg, name))
+    both = ("[output] removed", "type quoted", "field quoted", "report quoted")
+    assert sorted(parsed) == sorted(
+        [(cfg, name) for cfg in cmp.DAMAGED_CONFIGS for name in both]
+        + [("free_particle.cfg", "sigma quoted"), ("scaled_y.cfg", "kind quoted")]
+    )

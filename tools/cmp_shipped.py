@@ -16,7 +16,9 @@ README's example and on each distinct quoted expression of the configs,
 against x and against q, and ``hjgen verify`` of ``free_particle.cfg`` on
 damaged copies of its field: each class of malformed line or grid in line
 3 and again in line 1300, past the reader's first block of 512 lines, and
-a few damaged files.  Each SEED (a perfbench seed, a non-negative
+a few damaged files; and ``hjgen solve`` on damaged copies of
+``free_particle.cfg`` and ``scaled_y.cfg`` (see :func:`damaged_configs`),
+comparing the config errors.  Each SEED (a perfbench seed, a non-negative
 integer) adds the same solves, verifies and oracle checks on the configs
 with their grids shifted as ``perfbench/inputs.py`` shifts them for that
 seed, in a directory of their own.  It compares every file the solves
@@ -42,6 +44,7 @@ import importlib.util
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -75,6 +78,11 @@ CELL_EDITS = {  # a class of malformed line: column -> new text of its cell
     "axis 1 below its first value": {0: "-1"},
     "axis 2 below its first value": {1: "-1"},
 }
+DAMAGED_CONFIGS = ("free_particle.cfg", "scaled_y.cfg")  # a Hamilton-Jacobi and a pq config
+REQUIRED_KEYS = {  # the keys a config of its kind cannot leave out
+    "type", "kind", "a", "V", "G", "f", "scale", "phi", "x", "t", "y", "q_min", "q_max",
+}
+INT_MINIMA = {"max_iter": 1, "scan_points": 2}
 
 
 def diffchecks(configs: list[Path]) -> list[list[str]]:
@@ -125,6 +133,55 @@ def damaged(lines: list[str]) -> dict[str, list[str]]:
     return out
 
 
+def damaged_configs(text: str) -> dict[str, str]:
+    """Name -> the text of a damaged copy of the config ``text``: each
+    section removed, an unknown key in each section, each required key
+    removed, each key repeated, each expression unquoted, unparsable and
+    given a foreign variable, each unquoted value quoted, each number and
+    axis set to ``nan`` and to a non-number, the problem type and pq kind
+    set to an unknown word, each integer and axis count set below its
+    minimum, and an unknown section."""
+    lines = text.splitlines()
+    out = {}
+
+    def edit(k: int, *new: str, end: int | None = None) -> str:
+        # the text with lines k up to ``end`` (one line by default) replaced by ``new``
+        kept = lines[:k] + list(new) + lines[(k + 1 if end is None else end) :]
+        return "".join(f"{line}\n" for line in kept)
+
+    headers = [k for k, line in enumerate(lines) if line.startswith("[")]
+    for k, end in zip(headers, headers[1:] + [len(lines)]):
+        out[f"{lines[k]} removed"] = edit(k, end=end)
+        out[f"unknown key in {lines[k]}"] = edit(k, lines[k], "extra = 1")
+    for k, line in enumerate(lines):
+        m = re.fullmatch(r"(\w+) = (.*)", line)
+        if m is None:
+            continue
+        key, value = m.groups()
+        if key in REQUIRED_KEYS:
+            out[f"{key} removed"] = edit(k)
+        out[f"{key} repeated"] = edit(k, line, line)
+        if value.startswith('"'):
+            expr = value[1:-1]
+            out[f"{key} unquoted"] = edit(k, f"{key} = {expr}")
+            out[f"{key} unparsable"] = edit(k, f'{key} = "{expr})"')
+            out[f"{key} with a foreign variable"] = edit(k, f'{key} = "({expr}) + t*y"')
+            continue
+        out[f"{key} quoted"] = edit(k, f'{key} = "{value}"')
+        axis = key in ("x", "t", "y")
+        if axis or re.fullmatch(r"[-+.\de]+", value):
+            out[f"{key} nan"] = edit(k, f"{key} = nan")
+            out[f"{key} not a number"] = edit(k, f"{key} = one")
+        elif key in ("type", "kind"):
+            out[f"{key} unknown"] = edit(k, f"{key} = wave")
+        if key in INT_MINIMA:
+            out[f"{key} below its minimum"] = edit(k, f"{key} = {INT_MINIMA[key] - 1}")
+        if axis:
+            out[f"{key} count below its minimum"] = edit(k, f"{key} = {value.rsplit(':', 1)[0]}:1")
+    out["unknown section"] = edit(len(lines), "[extra]", "k = 1")
+    return out
+
+
 def seeded_configs(seed: int) -> dict[str, str]:
     """Config file name -> text, each grid shifted as the benchmark shifts it for ``seed``."""
     return {
@@ -145,10 +202,10 @@ def solve_all(
     env = dict(os.environ, PYTHONPATH=str(src))
     out: dict[str, bytes] = {}
 
-    def run(name: str, args: list[str], codes=(0, 1)) -> None:
+    def run(name: str, args: list[str], codes=(0, 1), cwd: Path = work) -> None:
         proc = subprocess.run(
             [sys.executable, "-m", "hjgen", *args],
-            cwd=work, env=env, capture_output=True, check=False,
+            cwd=cwd, env=env, capture_output=True, check=False,
         )
         out[f"{name}: exit code"] = str(proc.returncode).encode()
         out[f"{name}: stdout"] = proc.stdout
@@ -171,6 +228,15 @@ def solve_all(
             path.write_text("".join(f"{line}\n" for line in lines))
             run(f"verify damaged {name}", ["verify", f"{DAMAGED_FIELD}.cfg", path.name], (2,))
         path.unlink()
+        # in a directory of their own: a copy that parses writes its field there
+        where = work / "damaged configs"
+        where.mkdir()
+        path = where / "damaged.cfg"
+        for cfg in DAMAGED_CONFIGS:
+            for name, text in damaged_configs((CONFIGS / cfg).read_text()).items():
+                path.write_text(text)
+                run(f"solve damaged {cfg}: {name}", ["solve", path.name], (0, 2), where)
+        shutil.rmtree(where)
     for path in sorted(work.iterdir()):
         if path.suffix != ".cfg":
             out[path.name] = path.read_bytes()
