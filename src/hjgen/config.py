@@ -274,7 +274,7 @@ def _build_problem(section: _Section):
         raise ConfigError(f"unknown problem type {kind!r}", section.entries["type"].line)
     pq_kind = section.require("kind", _raw_of)
     if pq_kind not in _PQ_KINDS:
-        raise ConfigError(f"unknown pq kind {pq_kind!r}", section.entries["type"].line)
+        raise ConfigError(f"unknown pq kind {pq_kind!r}", section.entries["kind"].line)
     ctor, keys = _PQ_KINDS[pq_kind]
     return ctor(*[section.require(key, _expr_of, var) for key, var in keys])
 

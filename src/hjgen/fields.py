@@ -3,14 +3,18 @@ and CSV serialization.
 
 On every grid line each solver's root condition says that the target (t,
 y or x) equals a function of the root alone, the line's level, so a grid
-line is one function inverted at many targets.  :class:`RootLine`
-tabulates the level once per line at its scan samples and splits the
-samples into monotone runs, so every target's brackets come from a
-bisection of each run, with g = target - level(q) taken only at the two
-samples of each crossing.  :func:`sweep` takes one such line per grid row
-and makes one call per line, :meth:`RootLine.solve_row`, with the line's
-targets, its first point's warm start and guess, and the Lagrange weights
-of the axis, built once; the sweep keeps only column 0's continuation.
+line is one function inverted at many targets.  :class:`RootLine` takes
+the level's values at its scan samples from its caller, who computes them
+once per line (:func:`level_samples`, as the Hamilton-Jacobi rows do) or
+once per solve from parts every line shares (the pq solver's table of G'
+and phi'), and splits the samples into monotone runs, so every target's
+brackets come from a bisection of each run, with g = target - level(q)
+taken only at the two samples of each crossing.  :func:`sweep` takes one
+such line per grid row and makes one call per line,
+:meth:`RootLine.solve_row`, with the line's targets, its first point's
+warm start and guess, and the axis's Lagrange weights, each (point,
+history length) entry built when a line first reads it
+(:class:`_LagrangeWeights`); the sweep keeps only column 0's continuation.
 The line walks its targets in one loop with its state in locals, warm
 starting each point from the root before it and feeding it a root and a
 slope of its condition predicted from the line's earlier roots and slopes.
@@ -48,6 +52,7 @@ __all__ = [
     "check_axis",
     "sweep",
     "RootLine",
+    "level_samples",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -136,28 +141,34 @@ class ActionField(_Field2D):
 _HISTORY = 4  # roots a line's predictor extrapolates through
 
 
-def _lagrange_weights(axis) -> list[list[tuple[float, ...]]]:
-    """``table[j][n]``: the Lagrange weights at ``axis[j]`` through ``axis[j - n : j]``.
+class _LagrangeWeights(dict):
+    """``weights[j, n]``: the Lagrange weights at ``axis[j]`` through
+    ``axis[j - n : j]``, built at first use.
 
     A sweep line's history is always its last n <= ``_HISTORY`` consecutive
-    points, since a point without a root clears it, so
-    the weights depend only on (j, n) and are built once per axis.
+    points, since a point without a root clears it, so the weights depend
+    only on (j, n); a sweep reads almost only n = min(j, ``_HISTORY``), so
+    each entry is built when a line first asks for it.
     """
-    table = []
-    for j, coord in enumerate(axis):
-        by_n = [()]
-        for n in range(1, min(j, _HISTORY) + 1):
-            nodes = axis[j - n : j]
-            weights = []
-            for k, ck in enumerate(nodes):
-                weight = 1.0
-                for m, cm in enumerate(nodes):
-                    if m != k:
-                        weight *= (coord - cm) / (ck - cm)
-                weights.append(weight)
-            by_n.append(tuple(weights))
-        table.append(by_n)
-    return table
+
+    __slots__ = ("axis",)
+
+    def __init__(self, axis):
+        super().__init__()
+        self.axis = axis
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[float, ...]:
+        j, n = key
+        coord, nodes = self.axis[j], self.axis[j - n : j]
+        weights = []
+        for k, ck in enumerate(nodes):
+            weight = 1.0
+            for m, cm in enumerate(nodes):
+                if m != k:
+                    weight *= (coord - cm) / (ck - cm)
+            weights.append(weight)
+        self[key] = entry = tuple(weights)
+        return entry
 
 
 def _predict(history, weights) -> Optional[tuple[float, float]]:
@@ -165,7 +176,7 @@ def _predict(history, weights) -> Optional[tuple[float, float]]:
 
     ``history`` holds up to ``_HISTORY`` (root, slope of g at the root)
     pairs, oldest first, and ``weights`` the Lagrange weights of their
-    points at the next one (:func:`_lagrange_weights`); the prediction is
+    points at the next one (:class:`_LagrangeWeights`); the prediction is
     the polynomial through all the roots (constant up to cubic), paired
     with the polynomial through all the slopes, taken with the same
     weights.  ``None`` without history.
@@ -202,14 +213,14 @@ def sweep(lines, axis1, axis2):
     and each line its own.
     """
     n2 = len(axis2)
-    weights1, weights2 = _lagrange_weights(axis1), _lagrange_weights(axis2)
+    weights1, weights2 = _LagrangeWeights(axis1), _LagrangeWeights(axis2)
     q, status = [], []  # the rows' roots and statuses
     column: list = []  # (root, slope) of column 0's last points
     for i, line in enumerate(lines):
         if line is None:
             roots, statuses, slopes = [None] * n2, [Status.DOMAIN_FAIL] * n2, [None] * n2
         else:
-            guess = _predict(column, weights1[i][len(column)])
+            guess = _predict(column, weights1[i, len(column)])
             roots, statuses, slopes = line.solve_row(axis2, weights2, q[i - 1][0] if i else None, guess)
         q.append(roots)
         status.append(statuses)
@@ -217,21 +228,37 @@ def sweep(lines, axis1, axis2):
     return q, status
 
 
+def level_samples(level, lo: float, hi: float, cfg: SolverConfig) -> list[tuple[float, float]]:
+    """(q, level(q)) at the ``cfg.scan_points + 1`` scan samples of [lo, hi],
+    in order, a :class:`RootLine`'s samples; a sample whose level raises
+    :class:`DomainError` or :class:`ConvergenceError`, or is NaN, is left
+    out."""
+    samples = []
+    for q in scan_abscissae(lo, hi, cfg.scan_points):
+        try:
+            h = level(q)
+        except (DomainError, ConvergenceError):
+            continue
+        if h == h:
+            samples.append((q, h))
+    return samples
+
+
 class RootLine:
     """One grid line's root condition, level(q) = target, inverted at many targets.
 
     ``level`` is the line's function of the root alone, and a target's
-    condition is g(q) = target - level(q), one subtraction.  The levels of
-    the scan samples, over ``scan_points`` equal intervals of [lo, hi], are
-    computed once, at construction; a sample whose level raises
-    :class:`DomainError` or :class:`ConvergenceError`, or is NaN, is left
-    out.  :meth:`solve_row` then solves the line's targets in one call,
-    finding each target's brackets from the stored levels alone, so
-    ``level`` runs only in the refinement; :meth:`solve` is that call on one
-    target.  Solving changes only the line's counts of its work: the level
+    condition is g(q) = target - level(q), one subtraction.  ``samples``
+    holds (q, level(q)) at the scan samples over ``scan_points`` equal
+    intervals of [lo, hi], in order and without NaN levels, as
+    :func:`level_samples` takes them; the caller computes them, so lines
+    that share the level's parts can share their evaluation too.
+    :meth:`solve_row` then solves the line's targets in one call, finding
+    each target's brackets from the stored levels alone, so ``level`` runs
+    only in the refinement; :meth:`solve` is that call on one target.
+    Solving changes only the line's counts of its work: the level
     evaluations at predicted roots (``probes``) and in Brent's method
-    (``brent``) and the brackets refined (``refined``); the scan evaluates
-    the level ``scan_points + 1`` times.
+    (``brent``) and the brackets refined (``refined``).
 
     The levels are split into monotone runs (adjacent runs share their
     turning sample, and a flat step stays in the run it extends), and
@@ -245,21 +272,14 @@ class RootLine:
         "probes", "brent", "refined",
     )
 
-    def __init__(self, level, lo: float, hi: float, cfg: SolverConfig):
+    def __init__(self, level, samples: list[tuple[float, float]], lo: float, hi: float, cfg: SolverConfig):
         if not lo < hi:
             raise ValueError("a root line requires lo < hi")
         self.level = level
         self.lo, self.hi, self.cfg = lo, hi, cfg
         self.probes = self.brent = self.refined = 0
-        self.samples = []
-        for q in scan_abscissae(lo, hi, cfg.scan_points):
-            try:
-                h = level(q)
-            except (DomainError, ConvergenceError):
-                continue
-            if h == h:
-                self.samples.append((q, h))
-        levels = [h for _, h in self.samples]
+        self.samples = samples
+        levels = [h for _, h in samples]
         self._runs = _monotone_runs(levels)
         self._bounds = (min(levels), max(levels)) if levels else None
 
@@ -299,7 +319,7 @@ class RootLine:
         """Root and status at one target, and the slope of g at the root:
         :meth:`solve_row` on that one target."""
         # the row's one (root, status, slope)
-        return next(zip(*self.solve_row((target,), ((),), warm, guess)))
+        return next(zip(*self.solve_row((target,), _LagrangeWeights((target,)), warm, guess)))
 
     def solve_row(self, targets, weights, warm: Optional[float] = None, guess=None):
         """Roots, statuses and slopes of g at the roots at ``targets``, in
@@ -316,8 +336,8 @@ class RootLine:
         prediction, or land on its root, before Brent's method
         (:func:`hjgen.numerics._refine`).  The first point takes ``guess``;
         each later one extrapolates the line's last n <= ``_HISTORY`` roots
-        and slopes with ``weights[j][n]``, the Lagrange weights at target j
-        (:func:`_lagrange_weights`), and a point without a root and a slope
+        and slopes with ``weights[j, n]``, the Lagrange weights at target j
+        (:class:`_LagrangeWeights`), and a point without a root and a slope
         clears that history.  A slope is ``None`` when no bracket was
         refined.
         """
@@ -335,7 +355,7 @@ class RootLine:
         history: list = []  # (root, slope) of the line's last points
         for j, target in enumerate(targets):
             if j:
-                warm, guess = root, _predict(history, weights[j][len(history)])
+                warm, guess = root, _predict(history, weights[j, len(history)])
             root = slope = None
             # a non-finite target meets neither test below, and fails
             if target - h_min <= resid_tol and target - h_max >= -resid_tol:
@@ -373,15 +393,16 @@ def _nearest(found, ref: float, cfg: SolverConfig):
     return root, slope, Status.RESOLVED if len(unique) == 1 else Status.MULTI_ROOT
 
 
-def _count_lines(stats, lines, n2: int) -> None:
+def _count_lines(stats, lines, n2: int, scan: int) -> None:
     """Add a sweep's grid points and its lines' work to the
     :class:`~hjgen.numerics.SolveStats` ``stats``; ``lines`` are the
-    sweep's, each solved at ``n2`` targets, or ``None``."""
+    sweep's, each solved at ``n2`` targets, or ``None``, and ``scan`` is
+    the number of level evaluations that computed their samples."""
     stats.points += len(lines) * n2
+    stats.scan += scan
     for line in lines:
         if line is not None:
             stats.targets += n2
-            stats.scan += line.cfg.scan_points + 1
             stats.probes += line.probes
             stats.brent += line.brent
             stats.refined += line.refined

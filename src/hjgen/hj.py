@@ -72,7 +72,7 @@ from typing import Optional
 
 from . import expr
 from .errors import ConvergenceError, DomainError
-from .fields import ActionField, RootLine, Status, _count_lines, _solve_inputs, sweep
+from .fields import ActionField, RootLine, Status, _count_lines, _solve_inputs, level_samples, sweep
 from .numerics import (
     _FAILED,
     _MAX_SPLITS,
@@ -443,7 +443,7 @@ def _root_line(row: _RowTable, q_lo: float, q_hi: float, cfg: SolverConfig) -> O
     lo = _scan_floor(row.prob, ceiling, q_lo)
     if not lo < q_hi:
         return None
-    return RootLine(row.t_at, lo, q_hi, cfg)
+    return RootLine(row.t_at, level_samples(row.t_at, lo, q_hi, cfg), lo, q_hi, cfg)
 
 
 def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfig) -> float:
@@ -495,7 +495,8 @@ def solve_grid(
                 q[i][j] = None
                 status[i][j] = Status.DOMAIN_FAIL
     if stats is not None:
-        _count_lines(stats, lines, len(ts))
+        scanned = len(lines) - lines.count(None)  # each row scans its own level
+        _count_lines(stats, lines, len(ts), scanned * (cfg.scan_points + 1))
         for row in rows:
             row.add_counts(stats)
     return ActionField(xs, ts, q, value, status, p)

@@ -128,12 +128,15 @@ class SolveStats:
     Hamilton-Jacobi row table counts its own work in integers as it goes,
     and a solve given a record adds its lines' and tables' counts to it at
     the end.  A level evaluation is one call of a line's level: a dp/dq
-    quadrature in the Hamilton-Jacobi solver, phi' and G' in the others.
+    quadrature in the Hamilton-Jacobi solver, one call of the level
+    kernel, or of the (G', phi') kernel at a scan sample, in the others.
 
     points    -- grid points
     targets   -- points on a line with a root condition; the others lie on
                  a line without one and are ``domain_fail`` with no work
-    scan      -- level evaluations at the lines' scan samples
+    scan      -- level evaluations at the scan samples: ``scan_points + 1``
+                 per Hamilton-Jacobi row with a root condition, and per pq
+                 solve with one, whose lines share one table of G' and phi'
     probes    -- level evaluations at predicted roots, before Brent's method
     brent     -- level evaluations in Brent's method
     refined   -- brackets refined

@@ -26,12 +26,16 @@ a stationarity condition and the PDE identities u_x, u_y follow wherever a
 root is found.
 
 The condition says s = phi'(r) - H(l) G'(r), a function of the root alone
-on each grid line, so :func:`solve_grid` solves each grid line (each x row,
-or each y column for scaled_y) as one :class:`~hjgen.fields.RootLine`
-inverting that level, with H(l) evaluated once per line and the level
-tabulated once per line at the scan samples; a point finds its brackets by
-bisection over those levels and evaluates the level only to refine them.
-The sweep walks each line in turn, so a root's warm start and prediction
+on each grid line, and every line's level is the same two functions of r,
+G' and phi', combined affinely in H.  So :func:`solve_grid` tabulates
+(G', phi') once per solve at the scan samples, and each grid line (each x
+row, or each y column for scaled_y) is one :class:`~hjgen.fields.RootLine`
+whose samples are phi' - H G' of that table, with H(l) evaluated once per
+line; a point finds its brackets by bisection over those levels and
+evaluates the level only to refine them.  Each evaluation is one frame of
+a kernel compiled from the fused expression trees (:class:`PQProblem`):
+the table's (G', phi') pair, and per point the level, the value u and the
+residual, with H (or H') bound once per line.  The sweep walks each line in turn, so a root's warm start and prediction
 come from the earlier roots of its own line, and the residual is built
 once per line (:meth:`PQProblem.residual_line`);
 :attr:`PQProblem.lines_are_columns` says which lines those are.  A root at
@@ -40,17 +44,22 @@ one point is a 1 x 1 :func:`solve_grid`.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from . import expr
 from .errors import DomainError
 from .fields import RootLine, SolutionField, Status, _count_lines, _solve_inputs, sweep
-from .numerics import SolverConfig, SolveStats
+from .numerics import SolverConfig, SolveStats, scan_abscissae
 
 __all__ = ["KINDS", "PQProblem", "constraint", "solution_value", "solve_grid"]
 
 KINDS = ("explicit", "scaled_x", "scaled_y")
 _ONE = expr.Num(1.0)  # an explicit problem's scale: x/1 is x and H' folds to 1
+# The kernels' own variables: H (H' in the residual), the coordinate s and
+# the partial u_l.  Each starts with a digit, as no parsed name does, so a G
+# or phi that names a variable besides its root stays unbound.
+_H, _S, _D = "0h", "0s", "0d"
 
 
 class PQProblem:
@@ -62,6 +71,27 @@ class PQProblem:
     problem is the scaled_x one whose scale is the literal 1 and whose G is
     its f.  The root variable is ``q`` for explicit/scaled_x problems and
     ``p`` for scaled_y, whose lines are y columns.
+
+    Construction compiles six functions with
+    :func:`hjgen.expr.compile_function`: H and H' of the line coordinate,
+    and four kernels, each fused from the expression trees into one
+    function, that take H (or H') first, so a line binds it once:
+
+    ``_level_fn(h, r)``
+        phi'(r) - h G'(r), built as -(h G') + phi', which rounds to the
+        same bits and evaluates G' first;
+    ``_slopes_fn(r)``
+        the pair (G'(r), phi'(r));
+    ``_value_fn(h, s, r)``
+        u = h G(r) + s r - phi(r);
+    ``_residual_fn(h', d1, d2)``
+        d1 - h' G(d2), or d2 - h' G(d1) for scaled_y.
+
+    Each returns the bits, and raises the :class:`DomainError`, of its
+    parts compiled one by one and called in turn, the first part's error
+    first.  One case words its error otherwise: a part that raises after
+    an earlier part passed NaN to asin or acos names that asin or acos, as
+    within any one compiled expression.
     """
 
     def __init__(
@@ -83,12 +113,22 @@ class PQProblem:
         self.phi = phi
         line, root = ("y", "p") if self.lines_are_columns else ("x", "q")
         ratio = expr.BinOp("/", expr.Var(line), self.scale)
-        self._ratio_fn = expr.compile_function(ratio, (line,))
-        self._ratiop_fn = expr.compile_function(expr.differentiate(ratio, line), (line,))
-        self._g_fn = expr.compile_function(self.gfun, (root,))
-        self._gp_fn = expr.compile_function(expr.differentiate(self.gfun, root), (root,))
-        self._phi_fn = expr.compile_function(self.phi, (root,))
-        self._phip_fn = expr.compile_function(expr.differentiate(self.phi, root), (root,))
+        compile_function, BinOp, Var = expr.compile_function, expr.BinOp, expr.Var
+        self._ratio_fn = compile_function(ratio, (line,))
+        self._ratiop_fn = compile_function(expr.differentiate(ratio, line), (line,))
+        g_slope = expr.differentiate(self.gfun, root)
+        phi_slope = expr.differentiate(self.phi, root)
+        level = BinOp("+", expr.Neg(BinOp("*", Var(_H), g_slope)), phi_slope)
+        self._level_fn = compile_function(level, (_H, root))
+        # a BinOp's operator is written between its operands, and Python
+        # reads "G' , phi'" as the tuple of the two
+        self._slopes_fn = compile_function(BinOp(",", g_slope, phi_slope), (root,))
+        scaled_g = BinOp("*", Var(_H), self.gfun)
+        value = BinOp("-", BinOp("+", scaled_g, BinOp("*", Var(_S), Var(root))), self.phi)
+        self._value_fn = compile_function(value, (_H, _S, root))
+        # d1 ~ u_x and d2 ~ u_y: u_l is d2 on a y column
+        partials = (root, _D) if self.lines_are_columns else (_D, root)
+        self._residual_fn = compile_function(BinOp("-", Var(_D), scaled_g), (_H, *partials))
 
     @property
     def lines_are_columns(self) -> bool:
@@ -112,31 +152,10 @@ class PQProblem:
         x row, or the y column when :attr:`lines_are_columns`), as
         ``(d1, d2) -> r`` for partials d1 ~ u_x and d2 ~ u_y.
 
-        H'(v) is evaluated here, once per line; a DomainError from it
-        excludes the line.
+        H'(v) is evaluated here, once per line, and bound into the residual
+        kernel; a DomainError from it excludes the line.
         """
-        g = self._g_fn
-        h_slope = self._ratiop_fn(v)
-        if self.lines_are_columns:
-            return lambda d1, d2: d2 - h_slope * g(d1)
-        return lambda d1, d2: d1 - h_slope * g(d2)
-
-
-def _line_level(prob: PQProblem, h: float):
-    """The level phi'(q) - h G'(q) of the line where H = ``h``, the target s
-    at which q is a root, as a function of q; G' runs first."""
-    g_slope, phi_slope = prob._gp_fn, prob._phip_fn
-
-    def level(q):
-        slope_term = h * g_slope(q)
-        return phi_slope(q) - slope_term
-
-    return level
-
-
-def _value(prob: PQProblem, h: float, s: float, q: float) -> float:
-    """u = H G(q) + s q - phi(q) on a line where H = ``h``."""
-    return h * prob._g_fn(q) + s * q - prob._phi_fn(q)
+        return partial(self._residual_fn, self._ratiop_fn(v))
 
 
 def _line(prob: PQProblem, x: float, y: float):
@@ -150,23 +169,51 @@ def constraint(prob: PQProblem, x: float, y: float, q: float) -> float:
     For scaled_y problems ``q`` is the momentum-like root variable p.
     """
     v, target = _line(prob, x, y)
-    return target - _line_level(prob, prob._ratio_fn(v))(q)
+    return target - prob._level_fn(prob._ratio_fn(v), q)
 
 
 def solution_value(prob: PQProblem, x: float, y: float, q: float) -> float:
     """Solution value u at (x, y) for the root ``q`` (p for scaled_y)."""
     v, s = _line(prob, x, y)
-    return _value(prob, prob._ratio_fn(v), s, q)
+    return prob._value_fn(prob._ratio_fn(v), s, q)
 
 
-def _root_line(prob: PQProblem, v: float, q_lo: float, q_hi: float, cfg: SolverConfig):
-    """(H(v), the :class:`~hjgen.fields.RootLine` of the line at ``v``), or
-    ``None`` (a domain failure of every point of the line) when H raises."""
-    try:
-        h = prob._ratio_fn(v)
-    except DomainError:
-        return None
-    return h, RootLine(_line_level(prob, h), q_lo, q_hi, cfg)
+def _scan_table(prob: PQProblem, q_lo: float, q_hi: float, cfg: SolverConfig):
+    """(q, G'(q), phi'(q)) at the scan samples of [q_lo, q_hi], in order; a
+    sample where G' or phi' raises is left out."""
+    slopes, table = prob._slopes_fn, []
+    for q in scan_abscissae(q_lo, q_hi, cfg.scan_points):
+        try:
+            table.append((q, *slopes(q)))
+        except DomainError:
+            continue
+    return table
+
+
+def _line_samples(table, h: float) -> list[tuple[float, float]]:
+    """The samples (q, phi'(q) - h G'(q)) of the line where H = ``h``, from
+    the problem's scan table, without NaN levels (a 0 * inf slope term)."""
+    samples = [(q, phi_slope - h * g_slope) for q, g_slope, phi_slope in table]
+    return [sample for sample in samples if sample[1] == sample[1]]
+
+
+def _root_lines(prob: PQProblem, axis1, q_lo: float, q_hi: float, cfg: SolverConfig):
+    """(lines, scanned): per coordinate v of ``axis1``, (H(v), the
+    :class:`~hjgen.fields.RootLine` of the line at v), or ``None`` (a
+    domain failure of every point of the line) where H raises; and whether
+    the scan table was built, which happens at the first line whose H
+    evaluates."""
+    level, table, lines = prob._level_fn, None, []
+    for v in axis1:
+        try:
+            h = prob._ratio_fn(v)
+        except DomainError:
+            lines.append(None)
+            continue
+        if table is None:
+            table = _scan_table(prob, q_lo, q_hi, cfg)
+        lines.append((h, RootLine(partial(level, h), _line_samples(table, h), q_lo, q_hi, cfg)))
+    return lines, table is not None
 
 
 def solve_grid(
@@ -182,29 +229,34 @@ def solve_grid(
     The lines are the x rows, or the y columns for scaled_y problems, and
     the sweep runs on the grid whose rows they are, (y, x) for scaled_y,
     so every root continues along its own line; q, u and the statuses come
-    back on the (x, y) grid.  Each line's H and scan samples are computed
-    once, before the sweep, and H serves both the condition and u.  A line
+    back on the (x, y) grid.  Each line's H is computed once, before the
+    sweep, and its samples come from the solve's one scan table of G' and
+    phi'; H serves the condition and u, each a kernel bound to it.  A line
     where H raises is ``domain_fail`` at every point.  Given a
     :class:`~hjgen.numerics.SolveStats`, the solve adds its points and its
-    lines' work to it.
+    lines' work to it, the table's ``scan_points + 1`` evaluations as its
+    scan.
     """
     xs, ys, q_lo, q_hi = _solve_inputs(x_grid, y_grid, q_range)
     axis1, axis2 = (ys, xs) if prob.lines_are_columns else (xs, ys)
-    lines = [_root_line(prob, v, q_lo, q_hi, cfg) for v in axis1]
+    lines, scanned = _root_lines(prob, axis1, q_lo, q_hi, cfg)
     root_lines = [line and line[1] for line in lines]
     q, status = sweep(root_lines, axis1, axis2)
     if stats is not None:
-        _count_lines(stats, root_lines, len(axis2))
+        _count_lines(stats, root_lines, len(axis2), scanned * (cfg.scan_points + 1))
     value: list[list[Optional[float]]] = [[None] * len(axis2) for _ in axis1]
-    for i, line in enumerate(lines):
+    for line, q_row, value_row, status_row in zip(lines, q, value, status):
+        if line is None:
+            continue  # a domain failure at every point
+        u = partial(prob._value_fn, line[0])
         for j, s in enumerate(axis2):
-            if q[i][j] is None:
+            if q_row[j] is None:
                 continue
             try:
-                value[i][j] = _value(prob, line[0], s, q[i][j])
+                value_row[j] = u(s, q_row[j])
             except DomainError:
-                q[i][j] = None
-                status[i][j] = Status.DOMAIN_FAIL
+                q_row[j] = None
+                status_row[j] = Status.DOMAIN_FAIL
     if prob.lines_are_columns:
         q, value, status = ([list(r) for r in zip(*grid)] for grid in (q, value, status))
     return SolutionField(xs, ys, q, value, status)

@@ -2,7 +2,14 @@
 against: the condition at every scan sample, paired where it changes sign."""
 
 from hjgen.errors import ConvergenceError, DomainError
+from hjgen.fields import RootLine, level_samples
 from hjgen.numerics import scan_abscissae
+
+
+def scanned_line(level, lo, hi, cfg):
+    """The :class:`RootLine` of ``level`` over [lo, hi] whose samples are
+    its own level's scan, as a line that shares no table takes them."""
+    return RootLine(level, level_samples(level, lo, hi, cfg), lo, hi, cfg)
 
 
 def full_scan(g, lo, hi, n):

@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import pytest
 
@@ -9,6 +10,8 @@ from hjgen.errors import ConfigError
 from hjgen.expr import Num, parse
 from hjgen.hj import HJProblem
 from hjgen.pq import PQProblem
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 HJ_TEXT = """
 # sample
@@ -129,6 +132,16 @@ def test_missing_required_pieces():
     _expect_error(PQ_TEXT.replace("q_min = 0\n", ""), "q_min")
     _expect_error(PQ_TEXT.replace("kind = explicit", "kind = odd"), "unknown pq kind")
     _expect_error(HJ_TEXT.replace("type = hj", "type = wave"), "unknown problem type")
+
+
+def test_unknown_pq_kind_names_the_kind_line(tmp_path, monkeypatch, capsys):
+    # scaled_y.cfg names its type on line 6 and its kind on line 7
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "scaled_y.cfg"
+    cfg.write_text((CONFIGS / "scaled_y.cfg").read_text().replace("kind = scaled_y", "kind = wave"))
+    assert main(["solve", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: line 7: unknown pq kind 'wave'\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_axis_validation():

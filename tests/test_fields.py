@@ -19,12 +19,13 @@ from hjgen.fields import (
     SolutionField,
     Status,
     check_axis,
+    level_samples,
     read_field_csv,
     sweep,
     write_field_csv,
 )
 from hjgen.numerics import SolverConfig, _brent, _refine, scan_abscissae
-from scan_reference import crossings, full_scan
+from scan_reference import crossings, full_scan, scanned_line
 
 
 def _brent_on(g, lo, hi, g_lo, g_hi, cfg):
@@ -466,7 +467,8 @@ class RecordingLine(RootLine):
     """
 
     def __init__(self, i, axis2, result, calls):
-        super().__init__(lambda q: q, MID - 1.0, MID + 1.0, SolverConfig(scan_points=2))
+        level, cfg = (lambda q: q), SolverConfig(scan_points=2)
+        super().__init__(level, level_samples(level, MID - 1.0, MID + 1.0, cfg), MID - 1.0, MID + 1.0, cfg)
         self.i, self.axis2, self.result, self.calls = i, list(axis2), result, calls
 
     def brackets(self, target):
@@ -624,7 +626,7 @@ def _lines(draw):
 def test_line_solver_matches_point_reference(case):
     h, lo, hi, n, targets = case
     cfg = SolverConfig(scan_points=n)
-    line = RootLine(h, lo, hi, cfg)
+    line = scanned_line(h, lo, hi, cfg)
     q, status = sweep([line], [0.0], targets)
     warm = None
     for j, t in enumerate(targets):
@@ -698,7 +700,7 @@ def _bracket_lines(draw):
     cfg = SolverConfig(
         scan_points=draw(st.integers(2, 40)), resid_tol=draw(st.sampled_from((1e-12, 0.1)))
     )
-    line = RootLine(lambda q: level(q) + scale * math.cos(3.0 * q), lo, hi, cfg)
+    line = scanned_line(lambda q: level(q) + scale * math.cos(3.0 * q), lo, hi, cfg)
     levels = [h for _, h in line.samples if math.isfinite(h)] or [0.0]
     t_lo, t_hi = min(levels) - 0.5, max(levels) + 0.5
     targets = draw(st.lists(st.floats(t_lo, t_hi), max_size=12))
@@ -729,7 +731,7 @@ def test_bisection_brackets_equal_the_full_scan(case):
 
 def test_bisection_brackets_on_a_wave():
     # sin over [0, 3 pi] in four runs: two crossings below 0, four above
-    line = RootLine(math.sin, 0.0, 3.0 * math.pi, SolverConfig(scan_points=37))
+    line = scanned_line(math.sin, 0.0, 3.0 * math.pi, SolverConfig(scan_points=37))
     for t, count in ((-0.93, 2), (-0.4, 2), (0.1, 4), (0.77, 4)):
         got = line.brackets(t)
         assert len(got) == count
@@ -740,7 +742,7 @@ def test_sample_levels_and_their_neighbours_equal_the_full_scan():
     # the floats next to a sample's level differ from it, so every sign is
     # exact; the level itself is a zero, paired by the zero rules
     for level, lo, hi, n in ((lambda q: q - 0.4, 0.0, 10.0, 24), (math.sin, 0.0, 3.0 * math.pi, 37)):
-        line = RootLine(level, lo, hi, SolverConfig(scan_points=n))
+        line = scanned_line(level, lo, hi, SolverConfig(scan_points=n))
         for h in [h for _, h in line.samples][1:-1]:
             for t in (math.nextafter(h, -math.inf), h, math.nextafter(h, math.inf)):
                 assert line.brackets(t) == reference_brackets(line, t)
@@ -749,11 +751,11 @@ def test_sample_levels_and_their_neighbours_equal_the_full_scan():
 def test_a_zero_at_the_first_sample_opens_the_first_pair():
     # levels 0, 0.25, ..., 1 at q = 0, 0.25, ..., 1, rising or falling
     for sign in (1.0, -1.0):
-        line = RootLine(lambda q: sign * q, 0.0, 1.0, SolverConfig(scan_points=4))
+        line = scanned_line(lambda q: sign * q, 0.0, 1.0, SolverConfig(scan_points=4))
         assert line.brackets(0.0) == [(0.0, 0.25, 0.0, -sign * 0.25)]
         assert line.solve(0.0)[:2] == (0.0, Status.RESOLVED)
     # unless the next level is the same: a plateau from q = 0 to 0.5
-    line = RootLine(lambda q: max(q, 0.5), 0.0, 1.0, SolverConfig(scan_points=4))
+    line = scanned_line(lambda q: max(q, 0.5), 0.0, 1.0, SolverConfig(scan_points=4))
     assert line.brackets(0.5) == []
     assert line.solve(0.5)[:2] == (None, Status.NO_ROOT)
 
@@ -761,21 +763,21 @@ def test_a_zero_at_the_first_sample_opens_the_first_pair():
 def test_a_zero_at_a_turning_sample_is_one_bracket():
     # levels -0.5, -0.25, 0, -0.25, -0.5: the runs share the sample at q = 0.5,
     # and only the rising run on its left pairs it
-    line = RootLine(lambda q: -abs(q - 0.5), 0.0, 1.0, SolverConfig(scan_points=4))
+    line = scanned_line(lambda q: -abs(q - 0.5), 0.0, 1.0, SolverConfig(scan_points=4))
     assert line.brackets(0.0) == [(0.25, 0.5, 0.25, 0.0)]
     assert line.solve(0.0)[:2] == (0.5, Status.RESOLVED)
 
 
 def test_a_plateau_on_the_target_closes_the_pair_on_its_left():
     # levels 0, 0.5, 0.5, 0.5, 1: g is zero from q = 0.25 to 0.75
-    line = RootLine(lambda q: 0.5 if 0.2 < q < 0.8 else q, 0.0, 1.0, SolverConfig(scan_points=4))
+    line = scanned_line(lambda q: 0.5 if 0.2 < q < 0.8 else q, 0.0, 1.0, SolverConfig(scan_points=4))
     assert [h for _, h in line.samples] == [0.0, 0.5, 0.5, 0.5, 1.0]
     assert line.brackets(0.5) == [(0.0, 0.25, 0.5, 0.0)]
     assert line.solve(0.5)[:2] == (0.25, Status.RESOLVED)
 
 
 def test_a_non_finite_target_fails_the_point():
-    line = RootLine(lambda q: q, 0.0, 1.0, SolverConfig(scan_points=4))
+    line = scanned_line(lambda q: q, 0.0, 1.0, SolverConfig(scan_points=4))
     for t in (math.inf, -math.inf, math.nan):
         assert line.solve(t) == (None, Status.DOMAIN_FAIL, None)
 
@@ -789,7 +791,7 @@ def test_a_bracket_that_raises_in_refinement_fails_the_point():
             raise DomainError("level undefined")
         return math.cos(6.0 * q)
 
-    line = RootLine(level, 0.0, 1.0, SolverConfig(scan_points=8))
+    line = scanned_line(level, 0.0, 1.0, SolverConfig(scan_points=8))
     assert [(lo, hi) for lo, hi, _, _ in line.brackets(0.0)] == [(0.25, 0.375), (0.75, 0.875)]
     assert line.solve(0.0) == (None, Status.DOMAIN_FAIL, None)
     assert line.solve(0.9)[1] == Status.MULTI_ROOT  # two roots, both outside the gap
@@ -802,7 +804,7 @@ def test_linear_pq_tie_bisects_to_the_pair_on_its_left():
 
     prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
     cfg = SolverConfig(root_tol=1e-12, resid_tol=1e-12, scan_points=24)
-    line = RootLine(pq._line_level(prob, 0.2), 0.0, 10.0, cfg)
+    (_, line), = pq._root_lines(prob, [0.2], 0.0, 10.0, cfg)[0]
     assert line.brackets(0.85) == [(0.8333333333333334, 1.25, 0.41666666666666663, 0.0)]
     assert reference_brackets(line, 0.85) == line.brackets(0.85)
     assert line.solve(0.85)[:2] == (1.25, Status.RESOLVED)
@@ -1198,3 +1200,37 @@ def test_brent_runs_the_reference_loop():
         got_out = _refine_outcome(_brent, level, 0.0, lo, g_lo, hi, g_hi, cfg, [])
         want_out = _refine_outcome(reference_brent, lambda q: want.append(q) or g(q), br, cfg)
         assert got_out == want_out and repr(got) == repr(want)
+
+
+def eager_lagrange_weights(axis):
+    """``table[j][n]``: the weights at ``axis[j]`` through ``axis[j - n : j]``
+    for every n <= min(j, 4), all built up front."""
+    table = []
+    for j, coord in enumerate(axis):
+        by_n = [()]
+        for n in range(1, min(j, 4) + 1):
+            nodes = axis[j - n : j]
+            weights = []
+            for k, ck in enumerate(nodes):
+                weight = 1.0
+                for m, cm in enumerate(nodes):
+                    if m != k:
+                        weight *= (coord - cm) / (ck - cm)
+                weights.append(weight)
+            by_n.append(tuple(weights))
+        table.append(by_n)
+    return table
+
+
+@settings(deadline=None, database=None)
+@given(_uneven_axis, st.randoms(use_true_random=False))
+def test_lazy_weight_entries_equal_the_eager_table(axis, rng):
+    # entries are built in any order, each when first read, and kept
+    eager = eager_lagrange_weights(axis)
+    keys = [(j, n) for j in range(len(axis)) for n in range(min(j, 4) + 1)]
+    rng.shuffle(keys)
+    lazy = fields._LagrangeWeights(axis)
+    for j, n in keys:
+        assert repr(lazy[j, n]) == repr(eager[j][n])
+    assert len(lazy) == len(keys)
+    assert all(lazy[key] is lazy[key] for key in keys)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hjgen.config import load_config
 from hjgen.errors import ConvergenceError, DomainError
-from hjgen.fields import RootLine, Status
+from hjgen.fields import Status
 from hjgen.numerics import (
     SolverConfig,
     _brent,
@@ -17,12 +17,12 @@ from hjgen.numerics import (
     integrate_adaptive,
     scan_abscissae,
 )
-from scan_reference import crossings, full_scan
+from scan_reference import crossings, full_scan, scanned_line
 
 
 def root_line(g, lo, hi, n):
     """A line whose root condition at target 0 is g itself: its level is -g."""
-    return RootLine(lambda q: -g(q), lo, hi, SolverConfig(scan_points=n))
+    return scanned_line(lambda q: -g(q), lo, hi, SolverConfig(scan_points=n))
 
 
 def scan_brackets(g, lo, hi, n):

@@ -1,3 +1,5 @@
+import collections
+import functools
 import math
 import pathlib
 import random
@@ -13,6 +15,7 @@ from hjgen.errors import DomainError
 from hjgen.fields import RootLine, Status, sweep
 from hjgen.numerics import SolverConfig, SolveStats, central_difference
 from hjgen.verify import finite_diff_partials, residual_report
+from scan_reference import scanned_line
 
 CFG = SolverConfig(scan_points=24)
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -32,7 +35,7 @@ def line_solve(prob, x, y, q_range, cfg, warm=None):
     """(root, status) at (x, y) from the RootLine of its grid line (the y
     column for scaled_y), warm-started at ``warm``, without a predictor."""
     v, target = (y, x) if prob.lines_are_columns else (x, y)
-    line = pq._root_line(prob, v, *q_range, cfg)
+    (line,), _ = pq._root_lines(prob, [v], *q_range, cfg)
     if line is None:
         return None, Status.DOMAIN_FAIL
     return line[1].solve(target, warm)[:2]
@@ -402,7 +405,7 @@ class Reference:
         over the grid whose rows are the lines: (y, x) for scaled_y."""
         by_column = self.kind == "scaled_y"
         axis1, axis2 = (ys, xs) if by_column else (xs, ys)
-        lines = [RootLine(self.line_level(v), *q_range, cfg) for v in axis1]
+        lines = [scanned_line(self.line_level(v), *q_range, cfg) for v in axis1]
         q, status = sweep(lines, axis1, axis2)
         if by_column:
             q, status = [list(r) for r in zip(*q)], [list(r) for r in zip(*status)]
@@ -554,15 +557,17 @@ def test_one_point_grid_is_the_cold_line_solve(prob, q_range, seen):
 
 @pytest.mark.parametrize("kind", ["scaled_x", "scaled_y"])
 def test_line_where_ratio_raises_is_domain_fail_without_a_condition(kind):
-    # the scale vanishes on the line 0.5, so H = 0.5/0 raises there
+    # the scale vanishes on the line 0.5, so H = 0.5/0 raises there, and no
+    # kernel of the condition or the value runs: not even the scan table's
     line = "y" if kind == "scaled_y" else "x"
     prob = getattr(pq.PQProblem, kind)(f"{line} - 0.5", "p^2" if line == "y" else "q^2", "0")
     calls = []
 
     def counted(fn):
-        return lambda q: calls.append(q) or fn(q)
+        return lambda *args: calls.append(args) or fn(*args)
 
-    prob._gp_fn, prob._phip_fn = counted(prob._gp_fn), counted(prob._phip_fn)
+    for name in ("_level_fn", "_slopes_fn", "_value_fn"):
+        setattr(prob, name, counted(getattr(prob, name)))
     coords = axis(0.0, 1.0, 5)
     xs, ys = (coords, [0.5]) if kind == "scaled_y" else ([0.5], coords)
     field = pq.solve_grid(prob, xs, ys, (0.1, 5.0), CFG)
@@ -575,22 +580,29 @@ def test_line_where_ratio_raises_is_domain_fail_without_a_condition(kind):
 
 @pytest.mark.parametrize("name", ["power_pq", "linear_pq"])
 def test_solve_stats_count_every_level_evaluation(monkeypatch, name):
-    # a level evaluation calls phi' once, and counting changes no output bit
+    # the scan table calls the (G', phi') kernel once per sample, for the
+    # whole solve, and the refinement calls the level kernel; counting the
+    # calls changes no output bit
     run = load_config(str(CONFIGS / f"{name}.cfg"))
     args = (run.problem, run.axis1, run.axis2, run.q_range, run.solver)
     plain = pq.solve_grid(*args)
-    calls = [0]
-    real = run.problem._phip_fn
+    calls = collections.Counter()
 
-    def counting(q):
-        calls[0] += 1
-        return real(q)
+    def counting(kernel):
+        real = getattr(run.problem, kernel)
 
-    monkeypatch.setattr(run.problem, "_phip_fn", counting)
+        def counted(*args):
+            calls[kernel] += 1
+            return real(*args)
+
+        monkeypatch.setattr(run.problem, kernel, counted)
+
+    counting("_slopes_fn")
+    counting("_level_fn")
     stats = SolveStats()
     field = pq.solve_grid(*args, stats=stats)
-    assert stats.scan + stats.probes + stats.brent == calls[0]
-    assert stats.scan == len(run.axis1) * (run.solver.scan_points + 1)
+    assert stats.scan + stats.probes + stats.brent == calls["_slopes_fn"] + calls["_level_fn"]
+    assert stats.scan == calls["_slopes_fn"] == run.solver.scan_points + 1
     assert stats.points == stats.targets == stats.refined == len(run.axis1) * len(run.axis2)
     assert sum(stats.dpdq_quads) == sum(stats.p_quads) == 0
     for name in ("q", "value", "status"):
@@ -613,3 +625,126 @@ def test_solve_stats_leave_out_a_line_without_a_condition():
     assert field.status[0][0] is Status.DOMAIN_FAIL
     assert stats.points == 4 and stats.targets == 2
     assert stats.scan == CFG.scan_points + 1
+
+
+# --- the fused kernels, against the compositions they replaced ------------
+
+
+def composed_kernels(prob):
+    """The four kernels as compositions of G, G', phi and phi' compiled one
+    by one, each called in its own frame, the way the problem evaluated
+    them before its kernels were fused."""
+    fn = expr.compile_function
+    root = "p" if prob.lines_are_columns else "q"
+    g, phi = fn(prob.gfun, (root,)), fn(prob.phi, (root,))
+    g_slope = fn(expr.differentiate(prob.gfun, root), (root,))
+    phi_slope = fn(expr.differentiate(prob.phi, root), (root,))
+
+    def level(h, r):
+        slope_term = h * g_slope(r)
+        return phi_slope(r) - slope_term
+
+    def residual(h_slope, d1, d2):
+        if prob.lines_are_columns:
+            return d2 - h_slope * g(d1)
+        return d1 - h_slope * g(d2)
+
+    return {
+        "_level_fn": level,
+        "_slopes_fn": lambda r: (g_slope(r), phi_slope(r)),
+        "_value_fn": lambda h, s, r: h * g(r) + s * r - phi(r),
+        "_residual_fn": residual,
+    }
+
+
+def _kernel_outcome(fn, *args):
+    """``repr`` of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
+def _kernel_problems():
+    """The shipped pq configs' problems, then sqrt, ln and 1/q branches, and
+    problems whose G' raises, whose phi' raises, and whose G' and phi'
+    both raise, each below q = 1 or below 0."""
+    shipped = [load_config(str(CONFIGS / f"{name}.cfg")).problem for name in
+               ("linear_pq", "power_pq", "scaled_x", "scaled_y")]
+    return shipped + [
+        pq.PQProblem.explicit("sqrt(q)", "q^2/2"),
+        pq.PQProblem.scaled_x("1 + x^2", "ln(q)", "q^3/3"),
+        pq.PQProblem.scaled_y("2 + sin(y)", "1/p", "ln(p)"),
+        pq.PQProblem.explicit("sqrt(q - 1)", "q^2/2"),
+        pq.PQProblem.explicit("q^2", "(q - 1)^1.5"),
+        pq.PQProblem.explicit("sqrt(q)", "(q - 1)^1.5"),
+    ]
+
+
+def test_fused_kernels_equal_the_composed_functions_bitwise():
+    rng = random.Random(29)
+    coords = [0.0, -0.0, 0.5, 1.0, -1.0, 2.0] + [rng.uniform(-3.0, 3.0) for _ in range(60)]
+    coefficients = [0.0, 1.0, -0.5, math.inf] + [rng.uniform(-3.0, 3.0) for _ in range(8)]
+    raised = set()
+    for prob in _kernel_problems():
+        composed = composed_kernels(prob)
+        for r in coords:
+            for h in coefficients:
+                s, d = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+                for name, args in (
+                    ("_level_fn", (h, r)), ("_slopes_fn", (r,)), ("_value_fn", (h, s, r)),
+                    ("_residual_fn", (h, d, r)), ("_residual_fn", (h, r, d)),
+                ):
+                    want = _kernel_outcome(composed[name], *args)
+                    assert _kernel_outcome(getattr(prob, name), *args) == want
+                    if isinstance(want, tuple):
+                        raised.add(want)
+    # each failing part raised, and with both raising G' (a sqrt) wins
+    assert ("DomainError", "sqrt argument -0.5 is negative") in raised  # G' of sqrt(q - 1) at 0.5
+    assert ("DomainError", "negative base -0.5 with non-integer exponent 0.5") in raised  # phi'
+    both = pq.PQProblem.explicit("sqrt(q)", "(q - 1)^1.5")
+    with pytest.raises(DomainError, match="sqrt argument -1.0 is negative"):
+        both._level_fn(1.0, -1.0)
+    with pytest.raises(DomainError, match="sqrt argument -1.0 is negative"):
+        both._slopes_fn(-1.0)
+
+
+@pytest.mark.parametrize("kind", pq.KINDS)
+def test_a_problem_compiles_six_functions(kind):
+    # H, H' and the four kernels, so loading a config compiles no more
+    # than it did with G, G', phi and phi' compiled one by one
+    args = {"explicit": ("sqrt(q)", "q"), "scaled_x": ("1 + x^2", "q^2", "q^3/3"),
+            "scaled_y": ("1", "p^2", "p^2/2")}[kind]
+    with mock.patch.object(expr, "_function", wraps=expr._function) as compiled:
+        getattr(pq.PQProblem, kind)(*args)
+    assert compiled.call_count <= 6
+
+
+# --- the scan table every line of a solve shares --------------------------
+
+
+@pytest.mark.parametrize(
+    "prob, xs, q_range, counts",
+    [
+        # G' raises on the 5 samples below q = 0
+        (pq.PQProblem.explicit("sqrt(q)", "q"), axis(0.5, 1.5, 3), (-1.0, 4.0), [20] * 3),
+        # G' overflows to inf from q = 1 on: 0 * inf is a NaN level on the
+        # line x = 0, and the other lines keep their infinite levels
+        (pq.PQProblem.explicit("1e308*q^2", "q^2/2"), axis(0.0, 1.0, 3), (0.0, 2.0), [11, 25, 25]),
+        # G' = 1/p raises at the sample p = 0 alone
+        (pq.PQProblem.scaled_y("1 + y^2", "ln(p)", "p^3/3"), axis(0.0, 0.2, 3), (-1.0, 5.0), [24] * 3),
+        (load_config(str(CONFIGS / "scaled_x.cfg")).problem, axis(0.5, 1.5, 3), (0.1, 5.0), [25] * 3),
+    ],
+    ids=["g_slope_raises", "nan_level", "scaled_y_ln", "scaled_x"],
+)
+def test_every_line_samples_its_own_level(prob, xs, q_range, counts):
+    lines, scanned = pq._root_lines(prob, xs, *q_range, CFG)
+    assert scanned
+    for h, line in lines:
+        assert repr(line.samples) == repr(fields.level_samples(line.level, *q_range, CFG))
+        # and the level the samples come from is the composed one
+        old = functools.partial(composed_kernels(prob)["_level_fn"], h)
+        assert repr(line.samples) == repr(fields.level_samples(old, *q_range, CFG))
+    assert [len(line.samples) for _, line in lines] == counts
+    if counts[0] == 11:
+        assert -math.inf in [level for _, level in lines[1][1].samples]

@@ -126,28 +126,28 @@ SOLVE_STATS = {
         "dpdq_terms": 248652, "p_terms": 95817,
     },
     "linear_pq": {
-        "points": 1681, "targets": 1681, "scan": 1025,
+        "points": 1681, "targets": 1681, "scan": 25,
         "probes": 2423, "brent": 5, "refined": 1681,
         "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
         "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
         "dpdq_terms": 0, "p_terms": 0,
     },
     "power_pq": {
-        "points": 1681, "targets": 1681, "scan": 1025,
+        "points": 1681, "targets": 1681, "scan": 25,
         "probes": 3342, "brent": 729, "refined": 1681,
         "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
         "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
         "dpdq_terms": 0, "p_terms": 0,
     },
     "scaled_x": {
-        "points": 1681, "targets": 1681, "scan": 1025,
+        "points": 1681, "targets": 1681, "scan": 25,
         "probes": 3356, "brent": 504, "refined": 1681,
         "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
         "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
         "dpdq_terms": 0, "p_terms": 0,
     },
     "scaled_y": {
-        "points": 1681, "targets": 1681, "scan": 1025,
+        "points": 1681, "targets": 1681, "scan": 25,
         "probes": 2577, "brent": 18, "refined": 1681,
         "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
         "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
