@@ -163,9 +163,7 @@ def _oracle_fn(name: str, params: dict[str, str], field):
 
 def _cmd_oracle(args) -> int:
     if args.name not in ORACLES:
-        print(f"error: unknown oracle {args.name!r}; expected one of {', '.join(ORACLES)}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown oracle {args.name!r}; expected one of {', '.join(ORACLES)}")
     if not math.isfinite(args.threshold):
         raise ConfigError(f"--threshold must be finite, got {args.threshold!r}")
     field = read_field_csv(args.csv)

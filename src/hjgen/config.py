@@ -153,6 +153,14 @@ def _scan_sections(text: str) -> dict[str, _Section]:
 
 
 def _raw_of(entry: _Entry) -> str:
+    """A path, quoted or not: quoting is how a path holds ``#``."""
+    return entry.raw
+
+
+def _word_of(entry: _Entry) -> str:
+    """A keyword, unquoted like a number."""
+    if entry.quoted:
+        raise ConfigError(f"{entry.key!r} must be unquoted", entry.line)
     return entry.raw
 
 
@@ -203,9 +211,10 @@ def _int_of(entry: _Entry, least: int) -> int:
 
 
 def _sigma_of(entry: _Entry) -> int:
-    if entry.raw not in ("1", "+1", "-1"):
+    sign = _word_of(entry)
+    if sign not in ("1", "+1", "-1"):
         raise ConfigError("sigma must be +1 or -1", entry.line)
-    return -1 if entry.raw == "-1" else 1
+    return -1 if sign == "-1" else 1
 
 
 def _report_of(entry: _Entry, field_path: Optional[str]) -> str:
@@ -260,7 +269,7 @@ _SOLVER_KEYS = (
 
 
 def _build_problem(section: _Section):
-    kind = section.require("type", _raw_of)
+    kind = section.require("type", _word_of)
     if kind == "hj":
         return HJProblem(
             section.require("a", _expr_of, "x"),
@@ -272,7 +281,7 @@ def _build_problem(section: _Section):
         )
     if kind != "pq":
         raise ConfigError(f"unknown problem type {kind!r}", section.entries["type"].line)
-    pq_kind = section.require("kind", _raw_of)
+    pq_kind = section.require("kind", _word_of)
     if pq_kind not in _PQ_KINDS:
         raise ConfigError(f"unknown pq kind {pq_kind!r}", section.entries["kind"].line)
     ctor, keys = _PQ_KINDS[pq_kind]

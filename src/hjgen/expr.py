@@ -39,7 +39,6 @@ __all__ = [
     "as_expr",
     "evaluate",
     "differentiate",
-    "depends_on",
     "variables",
     "to_string",
     "compile_function",
@@ -193,14 +192,15 @@ def as_expr(e: Union[str, Expression]) -> Expression:
 
 
 def _power_value(base: float, expo: float) -> float:
-    if base < 0.0 and expo != math.floor(expo):
-        raise DomainError(f"negative base {base!r} with non-integer exponent {expo!r}")
-    if base == 0.0 and expo < 0.0:
-        raise DomainError("zero base with negative exponent")
+    """``math.pow``, its error worded by the sign of the base."""
     try:
         return math.pow(base, expo)
     except OverflowError:
         raise DomainError("overflow in power") from None
+    except ValueError:
+        if base < 0.0:
+            raise DomainError(f"negative base {base!r} with non-integer exponent {expo!r}") from None
+        raise DomainError("zero base with negative exponent") from None
 
 
 def evaluate(e: Expression, bindings: Mapping[str, float]) -> float:
@@ -221,10 +221,6 @@ def evaluate(e: Expression, bindings: Mapping[str, float]) -> float:
     except KeyError as exc:
         raise EvalError(f"unbound variable {exc.args[0]!r}") from None
     return _function(_emit(e), params)(*values)
-
-
-def depends_on(e: Expression, var: str) -> bool:
-    return var in variables(e)
 
 
 def variables(e: Expression) -> frozenset[str]:
@@ -379,7 +375,7 @@ def _derivative(e: Expression, var: str) -> Expression:
             return _div(_sub(_mul(dl, right), _mul(left, dr)), _mul(right, right))
         case BinOp(op="^", left=base, right=expo):
             db = _derivative(base, var)
-            # _collect, not depends_on: a RecursionError in it must reach
+            # _collect, not variables: a RecursionError in it must reach
             # differentiate's _walk, which names the whole tree's depth
             if var not in _collect(expo, set()):
                 # plain power rule; also valid for negative bases with
@@ -416,30 +412,22 @@ def _derivative(e: Expression, var: str) -> Expression:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _exp(a: float) -> float:
-    try:
-        return math.exp(a)
-    except OverflowError:
-        raise DomainError("overflow in exp") from None
-
-
-def _checked(fn, admits, message: str):
-    """``fn`` behind an argument check; ``message % a`` names a rejected ``a``."""
+def _checked(fn, message: str):
+    """``fn``, the ValueError or OverflowError it raises at ``a`` worded as
+    a :class:`DomainError` of ``message.format(a)``."""
     def checked(a: float) -> float:
-        if not admits(a):
-            raise DomainError(message % (a,))
-        return fn(a)
+        try:
+            return fn(a)
+        except (ValueError, OverflowError):
+            raise DomainError(message.format(a)) from None
 
     return checked
 
 
 def _domain_error(exc: Exception, checked, *values: float) -> DomainError:
     """The :class:`DomainError` for the math error ``exc`` a fast build
-    raised at ``values``, worded by its ``checked`` build.
-
-    The checked build fails wherever the fast one does, at or before the
-    same operation; math's message stands when it has none.
-    """
+    raised at ``values``, worded by its ``checked`` build, which fails at
+    the same call; math's message stands where that call has no words."""
     message = str(exc)
     try:
         checked(*values)
@@ -454,18 +442,17 @@ def _domain_error(exc: Exception, checked, *values: float) -> DomainError:
 
 # What the emitted names call.  The fast build runs math directly and
 # catches _errors; the checked build, run only to word a fast build's math
-# error, checks each argument first (NaN fails only asin's and acos's
-# checks) and catches nothing.
+# error, wraps each math call with words for its error and catches nothing.
 _FAST = {f"_{f}": getattr(math, f) for f in FUNCTIONS if f not in ("ln", "abs")}
 _FAST.update(_ln=math.log, _abs=abs, _pow=math.pow, _inf=math.inf, _nan=math.nan)
 _FAST.update(_errors=(ValueError, ZeroDivisionError, OverflowError), _domain_error=_domain_error)
 _CHECKED = {
     **_FAST,
-    "_asin": _checked(math.asin, lambda a: -1.0 <= a <= 1.0, "asin argument %r outside [-1, 1]"),
-    "_acos": _checked(math.acos, lambda a: -1.0 <= a <= 1.0, "acos argument %r outside [-1, 1]"),
-    "_ln": _checked(math.log, lambda a: not a <= 0.0, "ln argument %r must be positive"),
-    "_sqrt": _checked(math.sqrt, lambda a: not a < 0.0, "sqrt argument %r is negative"),
-    "_exp": _exp,
+    "_asin": _checked(math.asin, "asin argument {!r} outside [-1, 1]"),
+    "_acos": _checked(math.acos, "acos argument {!r} outside [-1, 1]"),
+    "_ln": _checked(math.log, "ln argument {!r} must be positive"),
+    "_sqrt": _checked(math.sqrt, "sqrt argument {!r} is negative"),
+    "_exp": _checked(math.exp, "overflow in exp"),
     "_pow": _power_value,
     "_errors": (),
 }
@@ -529,9 +516,9 @@ def compile_function(e: Expression, params: tuple[str, ...]):
 
     Every variable of ``e`` must appear in ``params``.  A math error
     (ValueError, OverflowError, ZeroDivisionError) is raised as
-    :class:`DomainError` naming the operation and its argument, e.g.
-    ``ln argument -0.25 must be positive`` or ``division by zero``; math's
-    own message when no argument check applies, as for ``sin(inf)``.  An
+    :class:`DomainError` naming the call math rejected, with its argument,
+    e.g. ``ln argument -0.25 must be positive`` or ``division by zero``;
+    math's own message where that call has no words, as for ``sin(inf)``.  An
     expression whose calls and parentheses nest deeper than Python's
     compiler accepts, or whose tree is too deep to walk, raises
     :class:`ParseError` naming the depth.  The function returned is the

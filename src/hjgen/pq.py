@@ -89,9 +89,7 @@ class PQProblem:
 
     Each returns the bits, and raises the :class:`DomainError`, of its
     parts compiled one by one and called in turn, the first part's error
-    first.  One case words its error otherwise: a part that raises after
-    an earlier part passed NaN to asin or acos names that asin or acos, as
-    within any one compiled expression.
+    first.
     """
 
     def __init__(

@@ -430,9 +430,14 @@ def test_oracle_non_finite_param_exits_2(free_run, capsys, name, param):
     assert captured.err == f"error: oracle parameter {key!r} must be finite, got {raw!r}\n"
 
 
-def test_oracle_unknown_name_exits_2(free_run):
+def test_oracle_unknown_name_exits_2(free_run, capsys):
     _, field_path, _, _ = free_run
+    capsys.readouterr()
     assert main(["oracle", "wkb", str(field_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = "error: unknown oracle 'wkb'; expected one of free_particle, harmonic, separation\n"
+    assert captured.err == expected
 
 
 def test_oracle_bad_param_exits_2(free_run):

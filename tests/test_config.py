@@ -313,6 +313,20 @@ def test_solve_rejects_a_report_on_the_field_before_writing(tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize(
+    "text, old, new, key, line",
+    [
+        (HJ_TEXT, "type = hj", 'type = "hj"', "type", 4),
+        (HJ_TEXT, "sigma = -1", 'sigma = "-1"', "sigma", 8),
+        (PQ_TEXT, "kind = explicit", 'kind = "explicit"', "kind", 4),
+    ],
+    ids=["type", "sigma", "kind"],
+)
+def test_quoted_keywords_are_named_with_their_line(text, old, new, key, line):
+    # a keyword is unquoted like a number; only a path may be quoted
+    _expect_error(text.replace(old, new), f"{key!r} must be unquoted", line=line)
+
+
 @pytest.mark.parametrize("sigma, value", [("1", 1), ("+1", 1), ("-1", -1)])
 def test_sigma_signs(sigma, value):
     assert parse_config(HJ_TEXT.replace("sigma = -1", f"sigma = {sigma}")).problem.sigma == value

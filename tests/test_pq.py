@@ -709,6 +709,14 @@ def test_fused_kernels_equal_the_composed_functions_bitwise():
         both._slopes_fn(-1.0)
 
 
+def test_fused_kernel_names_the_call_math_rejected():
+    # math takes asin(NaN) in G, so phi's sqrt is the call that fails
+    prob = pq.PQProblem.explicit("asin(q*1e308*10 - q*1e308*10)", "sqrt(-q)")
+    with pytest.raises(DomainError) as err:
+        prob._value_fn(1.0, 1.0, 1.0)
+    assert str(err.value) == "sqrt argument -1.0 is negative"
+
+
 @pytest.mark.parametrize("kind", pq.KINDS)
 def test_a_problem_compiles_six_functions(kind):
     # H, H' and the four kernels, so loading a config compiles no more

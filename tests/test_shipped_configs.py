@@ -4,10 +4,12 @@ import pathlib
 
 import pytest
 
+from hjgen import hj, pq
 from hjgen.cli import _solve_field, main
 from hjgen.config import load_config
 from hjgen.fields import read_field_csv
 from hjgen.numerics import SolveStats
+from hjgen.pq import PQProblem
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -31,6 +33,22 @@ def test_free_particle_config_passes_and_matches_oracle(tmp_path, monkeypatch):
             "--param", "C=1",
         ]
     ) == 0
+
+
+def test_free_particle_is_the_pq_family_of_sqrt_q():
+    # a = 1, V = 0, G = q puts S = sqrt(q) x + q t - q at the root of
+    # x / (2 sqrt(q)) + t - 1 = 0, the explicit pq family with f = sqrt(q)
+    # and phi = q; both families solve the same grid, range and solver
+    cfg = load_config(str(CONFIG_DIR / "free_particle.cfg"))
+    hj_field = hj.solve_grid(cfg.problem, cfg.axis1, cfg.axis2, cfg.q_range, cfg.solver)
+    prob = PQProblem.explicit("sqrt(q)", "q")
+    pq_field = pq.solve_grid(prob, cfg.axis1, cfg.axis2, cfg.q_range, cfg.solver)
+    assert pq_field.status == hj_field.status
+    cells = [(i, j) for i in range(len(cfg.axis1)) for j in range(len(cfg.axis2))
+             if hj_field.q[i][j] is not None]
+    assert cells
+    assert max(abs(pq_field.q[i][j] - hj_field.q[i][j]) for i, j in cells) <= 1e-11
+    assert max(abs(pq_field.value[i][j] - hj_field.value[i][j]) for i, j in cells) <= 1e-13
 
 
 def test_harmonic_config_passes(tmp_path, monkeypatch):
