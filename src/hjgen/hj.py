@@ -41,15 +41,22 @@ Physics*, vol. II, ch. II)
 
     S = x0 p(x0, q) + integral of p(x', q) dx' + q t - G(q).
 
-Both integrals over [x0, x], of dp/dq and of p, use nested tanh-sinh
-quadrature (Takahasi & Mori, 1974; see :mod:`hjgen.numerics`), whose nodes
-crowd toward the segment's ends, where dp/dq has its inverse-square-root
-layer near a turning point.  Their integrands are c / sqrt(q - V) and
-2 c sqrt(q - V) with c = sigma w / (2 sqrt(a)) at a node of weight w, so
-each x row keeps one node table of c and V (:class:`_RowTable`), the one
-kernel of the solve: a quadrature at any q walks the whole segment's
-levels in a plain loop, one weighted sum per level, and only a segment not
-converged by level 6 goes on to halved panels.  :func:`solve_grid` takes
+Both integrals over [x0, x], of dp/dq and of p, have the integrands
+c / sqrt(q - V) and 2 c sqrt(q - V) with c = sigma w / (2 sqrt(a)) at a
+node of weight w, so each x row keeps node tables of c and V
+(:class:`_RowTable`), the one kernel of the solve.  A quadrature at any q
+first sums the row's nested Clenshaw-Curtis table (Clenshaw & Curtis,
+*Numer. Math.* 2, 1960) of orders 8 and 16 in one plain loop, and of
+order 32 when those do not agree; where q is clear of the row's turning
+point the integrands are analytic on the segment, and these orders
+converge (Trefethen, *SIAM Rev.* 50, 2008, compares the two rules).  Any
+other outcome falls back to nested tanh-sinh (Takahasi & Mori, 1974; see
+:mod:`hjgen.numerics`), whose nodes crowd toward the segment's ends, where
+dp/dq has its inverse-square-root layer near a turning point: it walks the
+whole segment's levels, one weighted sum per level, and only a segment
+not converged by level 6 goes on to halved panels.  On ``harmonic`` 0.7%
+of the dp/dq quadratures fall back, and ``free_particle``'s flat V merges
+each order to one term.  :func:`solve_grid` takes
 each root's S in one pass (:func:`_action`): one admissibility margin
 serves x0 p(x0, q) and the integral of p, one quadrature of the row's
 table; p comes from a and V at x, taken once per row.  The separated
@@ -74,12 +81,15 @@ from . import expr
 from .errors import ConvergenceError, DomainError
 from .fields import ActionField, RootLine, Status, _count_lines, _solve_inputs, level_samples, sweep
 from .numerics import (
+    _CC16,
+    _CC32,
     _FAILED,
     _MAX_SPLITS,
     _SPLIT,
     _SPLIT_LEVEL,
     SolverConfig,
     SolveStats,
+    clenshaw_curtis_nodes,
     integrate_adaptive,
     scan_abscissae,
     tanh_sinh_nodes,
@@ -221,28 +231,50 @@ def correction_integrand(prob: HJProblem, x: float, q: float) -> float:
     return x * momentum_partials(prob, x, q)[0]
 
 
-class _RowTable:
-    """Tanh-sinh node data of one x row's quadrature segment [x0, x], for
-    quadratures to the absolute tolerance ``tol``.
+# Clenshaw-Curtis is tried only where q - max V is at least this share of
+# V's range over the row: nearer a turning point the nested estimates
+# converge slowly and can agree by chance (an oscillator row's integral of
+# p stopped at n = 16 with error 1.3e-10 at tol 1e-10 and a share of 0.007)
+_TURNING_CLEARANCE = 0.3
+# the table of a row where a node raised: no q clears its max V
+_NO_TABLE = (math.inf, math.inf, (), ())
 
-    The panels are those nested tanh-sinh visits on the segment: the whole
-    segment, and the halves of a panel not converged by level 6.  Each
-    panel keeps a list of its levels, appended on first use and then
-    serving every q of the row; a quadrature walks the whole segment's list
-    first and enters a stack of halves only when that has not converged.
-    A level holds the terms (V, c) with c = sigma w / (2 sqrt(a)) at a node
+
+class _RowTable:
+    """Quadrature node data of one x row's segment [x0, x], for quadratures
+    to the absolute tolerance ``tol``.
+
+    A quadrature tries the row's Clenshaw-Curtis table first.  Built on
+    the row's first quadrature, it holds a and V at the 33 Chebyshev points
+    of order n = 32, the segment's ends among them.  One pass over the 17
+    points of n = 16 sums the estimates I_8 and I_16; I_16 is returned when
+    |I_16 - I_8| <= tol, else I_32 when |I_32 - I_16| <= tol.  Every other
+    outcome falls back to nested tanh-sinh, whose nodes crowd toward the
+    segment's ends and never reach them: a node where a or V raises; q
+    below the table's max V plus the admissibility margin, or plus
+    ``_TURNING_CLEARANCE`` times V's range over the table (a turning point
+    near the segment); a non-finite sum; or no convergence by n = 32.  So
+    every error a quadrature raises is the tanh-sinh path's, and a
+    :class:`DomainError` of the margin names the max-V node of that path's
+    first level below it.
+
+    The tanh-sinh panels are the whole segment and the halves of a panel
+    not converged by level 6, each with a list of its levels, appended on
+    first use and then serving every q of the row.
+
+    Every table holds terms (V, c) with c = sigma w / (2 sqrt(a)) at a node
     of weight w: the dp/dq integral sums c / sqrt(q - V) and the integral
-    of p sums 2 c sqrt(q - V).  Nodes with
-    equal V are merged by summing their coefficients, which is exact; a
-    flat potential leaves one term per level.  Admissibility is checked
-    once per level against the level's largest V.  The action is taken by
-    parts, so no table holds F's integrand, and only a and V are evaluated.
-    Each quadrature adds one to ``quads``, in the slot of how it ended;
-    :meth:`add_counts` reports them to a :class:`~hjgen.numerics.SolveStats`.
+    of p sums 2 c sqrt(q - V).  Nodes with equal V are merged by summing
+    their coefficients, which is exact; a flat potential leaves one term
+    per table.  Admissibility is checked once per table against its
+    largest V.  The action is taken by parts, so no table holds F's
+    integrand, and only a and V are evaluated.  Each quadrature adds one to
+    ``quads``, in the slot of how it ended; :meth:`add_counts` reports them
+    to a :class:`~hjgen.numerics.SolveStats`.
     """
 
-    __slots__ = ("prob", "x", "tol", "lo", "hi", "sign", "_levels", "_panels", "_momentum", "quads",
-                 "_split_terms")
+    __slots__ = ("prob", "x", "tol", "lo", "hi", "sign", "_chebyshev", "_levels", "_panels", "_momentum",
+                 "quads", "_fallback_terms", "_split_terms")
 
     def __init__(self, prob: HJProblem, x: float, tol: float):
         self.prob = prob
@@ -250,14 +282,16 @@ class _RowTable:
         self.tol = tol
         self.lo, self.hi = min(prob.x0, x), max(prob.x0, x)
         self.sign = 1.0 if x >= prob.x0 else -1.0
-        # the whole segment's levels, and each panel's by (lo, hi), as
-        # [(max V, its abscissa, merged terms) per level]
+        self._chebyshev = None  # see _clenshaw_curtis
+        # the whole segment's tanh-sinh levels, and each panel's by
+        # (lo, hi), as [(max V, its abscissa, merged terms) per level]
         self._levels: list = []
         self._panels: dict = {(self.lo, self.hi): self._levels}
         self._momentum: dict = {}  # q -> momentum integral
-        # quadratures of p and of dp/dq, indexed by the slope flag: slot
-        # l <= _SPLIT_LEVEL stopped at level l, then _SPLIT and _FAILED
-        self.quads = ([0] * (_FAILED + 1), [0] * (_FAILED + 1))
+        # quadratures of p and of dp/dq, indexed by the slope flag, in the
+        # slots of SolveStats.dpdq_quads
+        self.quads = ([0] * (_CC32 + 1), [0] * (_CC32 + 1))
+        self._fallback_terms = [0, 0]  # Clenshaw-Curtis terms the fallbacks summed
         self._split_terms = [0, 0]  # merged terms the halved ones summed
 
     def t_at(self, q: float) -> float:
@@ -284,13 +318,57 @@ class _RowTable:
         return value
 
     def _integral(self, q: float, margin: float, slope: bool) -> float:
+        # Clenshaw-Curtis on the row's table, each order's terms added left
+        # to right from 0.0; then, on any failure, the tanh-sinh path
+        if self.lo == self.hi:
+            return 0.0
+        table = self._chebyshev
+        if table is None:
+            table = self._chebyshev = self._clenshaw_curtis()
+        summed = 0  # the Clenshaw-Curtis terms summed before a fallback
+        vmax, clearance, coarse, fine = table
+        gap = q - vmax
+        if gap >= margin and gap >= clearance:
+            sqrt = math.sqrt
+            i8 = i16 = 0.0
+            if slope:
+                for v, c8, c16 in coarse:
+                    r = sqrt(q - v)
+                    i8 += c8 / r
+                    i16 += c16 / r
+            else:
+                for v, c8, c16 in coarse:
+                    r = sqrt(q - v)
+                    i8 += c8 * r
+                    i16 += c16 * r
+                i8 *= 2.0
+                i16 *= 2.0
+            # a non-finite sum never meets either stop test
+            if abs(i16 - i8) <= self.tol:
+                self.quads[slope][_CC16] += 1
+                return self.sign * i16
+            i32 = 0.0
+            if slope:
+                for v, c in fine:
+                    i32 += c / sqrt(q - v)
+            else:
+                for v, c in fine:
+                    i32 += c * sqrt(q - v)
+                i32 *= 2.0
+            if abs(i32 - i16) <= self.tol:
+                self.quads[slope][_CC32] += 1
+                return self.sign * i32
+            summed = len(coarse) + len(fine)
+        value = self._tanh_sinh(q, margin, slope)
+        self._fallback_terms[slope] += summed
+        return value
+
+    def _tanh_sinh(self, q: float, margin: float, slope: bool) -> float:
         # nested tanh-sinh over the panels' level lists, with the stop rule,
         # halving and float operations of numerics.integrate_adaptive; a
         # level's terms are added left to right from 0.0.  The whole
         # segment's levels come first, in a plain loop, and a stack of
         # halves only when it has not converged by level 6.
-        if self.lo == self.hi:
-            return 0.0
         sqrt = math.sqrt
         a, b, panel_tol, levels = self.lo, self.hi, self.tol, self._levels
         stack = []  # the halves still to integrate; the leftmost is on top
@@ -350,19 +428,62 @@ class _RowTable:
         return self.sign * total
 
     def add_counts(self, stats: SolveStats) -> None:
-        """Add the table's quadratures, and the merged terms those that
-        returned summed, to ``stats``."""
+        """Add the table's quadratures, and the merged terms of each rule
+        those that returned summed, to ``stats``."""
         # one that stopped at level l without halving summed the whole
-        # segment's levels 0..l
+        # segment's levels 0..l, and one that stopped at n = 16 or n = 32
+        # the Clenshaw-Curtis terms of n = 16, or of both orders
         summed = list(accumulate(len(terms) for _, _, terms in self._levels))
+        _, _, coarse, fine = self._chebyshev or _NO_TABLE
+        coarse = len(coarse)
+        fine = coarse + len(fine)
         p_terms, dpdq_terms = (
             split + sum(map(operator.mul, quads, summed))
             for quads, split in zip(self.quads, self._split_terms)
         )
+        p_cc, dpdq_cc = (
+            fallback + quads[_CC16] * coarse + quads[_CC32] * fine
+            for quads, fallback in zip(self.quads, self._fallback_terms)
+        )
         stats.p_terms += p_terms
         stats.dpdq_terms += dpdq_terms
+        stats.p_cc_terms += p_cc
+        stats.dpdq_cc_terms += dpdq_cc
         for into, quads in zip((stats.p_quads, stats.dpdq_quads), self.quads):
             into[:] = map(operator.add, into, quads)
+
+    def _clenshaw_curtis(self):
+        """The row's Clenshaw-Curtis table, or ``_NO_TABLE`` when a or V
+        raises at one of its 33 points.
+
+        The table is (max V, clearance, terms of n = 16, terms of n = 32),
+        the extremes of V taken over all 33 points.  The first terms are
+        (V, c8, c16) of the 17 points of n = 16, with c8 = 0 at those that
+        n = 8 lacks, and the second (V, c32); equal V are merged in each, in
+        node order from x0's side.
+        """
+        prob = self.prob
+        sqrt = math.sqrt
+        nodes = clenshaw_curtis_nodes(self.lo, self.hi, 32)
+        try:
+            coefficients = [_coefficients(prob, s) for s, _ in nodes]
+        except DomainError:
+            return _NO_TABLE
+        w16 = [w for _, w in clenshaw_curtis_nodes(self.lo, self.hi, 16)]
+        w8 = [w for _, w in clenshaw_curtis_nodes(self.lo, self.hi, 8)]
+        coarse: dict[float, tuple[float, float]] = {}
+        for k, (av, v) in enumerate(coefficients[::2]):
+            c8 = 0.0 if k % 2 else 0.5 * prob.sigma * w8[k // 2] / sqrt(av)
+            m8, m16 = coarse.get(v, (0.0, 0.0))
+            coarse[v] = (m8 + c8, m16 + 0.5 * prob.sigma * w16[k] / sqrt(av))
+        fine: dict[float, float] = {}
+        for (av, v), (_, w) in zip(coefficients, nodes):
+            fine[v] = fine.get(v, 0.0) + 0.5 * prob.sigma * w / sqrt(av)
+        vmax = max(fine)
+        return (
+            vmax, _TURNING_CLEARANCE * (vmax - min(fine)),
+            tuple((v, c8, c16) for v, (c8, c16) in coarse.items()), tuple(fine.items()),
+        )
 
     def _level(self, lo: float, hi: float, level: int):
         prob = self.prob
@@ -525,8 +646,10 @@ def separation_action(
 
     This is the dq = 0 member of the family, with the constant ``energy``
     in place of the root q; the same admissibility margin applies along the
-    quadrature segment, checked per tanh-sinh level against its largest V,
-    so a :class:`DomainError` names that level's max-V node.  The integral
+    quadrature segment.  A q that does not clear it at every node of the
+    row's Clenshaw-Curtis table falls back to tanh-sinh, which checks it
+    per level against the level's largest V, so a :class:`DomainError`
+    names that level's max-V node.  The integral
     is sigma times the x row's :meth:`_RowTable.momentum_integral` at q = E,
     one quadrature per (x, energy) however many t the row holds, when the
     calls for one x come together.

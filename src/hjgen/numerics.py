@@ -25,9 +25,13 @@ the new nodes; :func:`integrate_adaptive` runs the levels and the stop
 rule on a callable integrand, and :func:`tanh_sinh_nodes` gives a level's
 nodes on one panel, so a caller can tabulate them and evaluate many
 integrands over one segment as weighted sums.  The node tables are built
-on first use, not at import.  Every integral the Hamilton-Jacobi solve and
-the separated solution take is such a table sum, run by the same stop rule
-over the table's levels (:class:`hjgen.hj._RowTable`);
+on first use, not at import.  :func:`clenshaw_curtis_nodes` gives the
+nested Clenshaw-Curtis rule (Clenshaw & Curtis, Numer. Math. 2, 1960),
+whose weights are also built on first use.  Every integral the
+Hamilton-Jacobi solve and the separated solution take is a sum over a
+row's tables of these nodes: Clenshaw-Curtis of orders 8, 16 and 32
+first, and on any failure tanh-sinh, run by the same stop rule over the
+table's levels (:class:`hjgen.hj._RowTable`);
 :func:`integrate_adaptive` serves :func:`hjgen.hj.correction_term`, the
 direct form of :func:`hjgen.hj.constraint` (``direct=True``, an
 equivalence check) and the public API.
@@ -35,7 +39,7 @@ equivalence check) and the public API.
 The grid lines and the row tables count their own work in integers, and
 a solve given a :class:`SolveStats` record adds those counts to it: level
 evaluations by stage, brackets, and the row tables' quadratures by the
-level at which they stopped.
+rule, order or level at which they stopped.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ __all__ = [
     "SolveStats",
     "integrate_adaptive",
     "tanh_sinh_nodes",
+    "clenshaw_curtis_nodes",
     "scan_abscissae",
     "central_difference",
 ]
@@ -64,6 +69,9 @@ _MAX_SPLITS = 64  # halvings allowed in one quadrature, 449 wasted nodes each
 # the slots of a quadrature count after the stop levels 0.._SPLIT_LEVEL
 _SPLIT = _SPLIT_LEVEL + 1  # halved at least once, then returned
 _FAILED = _SPLIT_LEVEL + 2  # raised
+# then the row tables' Clenshaw-Curtis stops at n = 16 and n = 32
+_CC16 = _SPLIT_LEVEL + 3
+_CC32 = _SPLIT_LEVEL + 4
 
 
 class SolverConfig:
@@ -141,25 +149,30 @@ class SolveStats:
     brent     -- level evaluations in Brent's method
     refined   -- brackets refined
     dpdq_quads, p_quads -- quadratures of dp/dq and of p (the action at a
-                 root) by how they ended: slot l <= 6 stopped at level l,
-                 slot 7 was halved and returned, slot 8 raised.  A
-                 Hamilton-Jacobi level evaluation runs at most one dp/dq
-                 quadrature: none on a row at x = x0, whose integral is 0,
-                 and none when G' or the admissibility margin raises first
-    dpdq_terms, p_terms -- merged table terms summed by the quadratures
-                 that returned
+                 root) by how they ended.  Slots 9 and 10 stopped on the
+                 row's Clenshaw-Curtis table at n = 16 and n = 32; the
+                 others fell back to tanh-sinh, where slot l <= 6 stopped
+                 at level l, slot 7 was halved and returned, and slot 8
+                 raised.  A Hamilton-Jacobi level evaluation runs at most
+                 one dp/dq quadrature: none on a row at x = x0, whose
+                 integral is 0, and none when G' or the admissibility
+                 margin raises first
+    dpdq_cc_terms, p_cc_terms -- merged Clenshaw-Curtis table terms summed
+                 by the quadratures that returned, fallbacks included
+    dpdq_terms, p_terms -- merged tanh-sinh table terms summed by the
+                 quadratures that returned
     """
 
     __slots__ = (
         "points", "targets", "scan", "probes", "brent", "refined",
-        "dpdq_quads", "p_quads", "dpdq_terms", "p_terms",
+        "dpdq_quads", "p_quads", "dpdq_cc_terms", "p_cc_terms", "dpdq_terms", "p_terms",
     )
 
     def __init__(self):
         self.points = self.targets = self.scan = self.probes = self.brent = 0
-        self.refined = self.dpdq_terms = self.p_terms = 0
-        self.dpdq_quads = [0] * (_FAILED + 1)
-        self.p_quads = [0] * (_FAILED + 1)
+        self.refined = self.dpdq_cc_terms = self.p_cc_terms = self.dpdq_terms = self.p_terms = 0
+        self.dpdq_quads = [0] * (_CC32 + 1)
+        self.p_quads = [0] * (_CC32 + 1)
 
 
 def _sample(f: Callable[[float], float], x: float) -> float:
@@ -201,6 +214,38 @@ def tanh_sinh_nodes(lo: float, hi: float, level: int) -> list[tuple[float, float
         nodes.append((lo + hw * d, hw * w))
         if d != 1.0:
             nodes.append((hi - hw * d, hw * w))
+    return nodes
+
+
+@functools.cache
+def _clenshaw_curtis_offsets(n: int) -> tuple[tuple[float, float], ...]:
+    """The nodes k = 0..n/2 of the Clenshaw-Curtis rule of even order n
+    on [-1, 1], as (d, w): node k lies d = 1 - cos(k pi / n) half-widths
+    from its end, and w = (c / n) (1 - sum over j = 1..n/2 of
+    b cos(2 j k pi / n) / (4 j^2 - 1)), with c = 1 at k = 0 and 2
+    elsewhere, and b = 1 at j = n/2 and 2 elsewhere."""
+    out = []
+    for k in range(n // 2 + 1):
+        total = 0.0
+        for j in range(1, n // 2 + 1):
+            total += (1.0 if 2 * j == n else 2.0) * math.cos(2 * j * k * math.pi / n) / (4 * j * j - 1)
+        d = 1.0 if 2 * k == n else 2.0 * math.sin(k * math.pi / (2 * n)) ** 2
+        out.append((d, (1.0 if k == 0 else 2.0) / n * (1.0 - total)))
+    return tuple(out)
+
+
+def clenshaw_curtis_nodes(lo: float, hi: float, n: int) -> list[tuple[float, float]]:
+    """(abscissa, weight) of the n + 1 nodes of the Clenshaw-Curtis rule of
+    even order n on [lo, hi], from lo to hi; the ends are nodes.
+
+    The nodes of order n/2 are every second one of these, so a caller can
+    nest the orders on one tabulation.  The weights carry the half-width,
+    so the rule's estimate is the weighted sum of the integrand.
+    """
+    hw = 0.5 * (hi - lo)
+    offsets = _clenshaw_curtis_offsets(n)
+    nodes = [(lo + hw * d, hw * w) for d, w in offsets]
+    nodes += [(hi - hw * d, hw * w) for d, w in reversed(offsets[:-1])]
     return nodes
 
 

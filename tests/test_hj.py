@@ -14,6 +14,8 @@ from hjgen.config import load_config
 from hjgen.errors import ConvergenceError, DomainError
 from hjgen.fields import Status
 from hjgen.numerics import (
+    _CC16,
+    _CC32,
     _MAX_SPLITS,
     _SPLIT_LEVEL,
     SolverConfig,
@@ -332,26 +334,27 @@ def test_separation_action_matches_callable_quadrature(prob, energy, x):
 
 def test_separation_action_one_quadrature_per_row(monkeypatch):
     prob = hj.HJProblem("1", "x^2", "0", sigma=1, x0=0.0)
-    levels = collections.Counter()  # (row x, panel lo, panel hi, level) built
+    tables = collections.Counter()  # row x of each Clenshaw-Curtis table built
     quads = [0]
-    real_level, real_integral = hj._RowTable._level, hj._RowTable._integral
+    real_table, real_integral = hj._RowTable._clenshaw_curtis, hj._RowTable._integral
 
-    def counting_level(row, lo, hi, level):
-        levels[(row.x, lo, hi, level)] += 1
-        return real_level(row, lo, hi, level)
+    def counting_table(row):
+        tables[row.x] += 1
+        return real_table(row)
 
     def counting_integral(*args):
         quads[0] += 1
         return real_integral(*args)
 
-    monkeypatch.setattr(hj._RowTable, "_level", counting_level)
+    monkeypatch.setattr(hj._RowTable, "_clenshaw_curtis", counting_table)
     monkeypatch.setattr(hj._RowTable, "_integral", counting_integral)
     ts = axis(0.0, 0.4, 41)
     values = [hj.separation_action(prob, 1.0, 0.7, t, CFG) for t in ts]
     assert quads[0] == 1
-    assert len(levels) >= 2 and set(levels.values()) == {1}
-    row = prob._last_row  # the levels built are the row's one panel list
-    assert list(row._panels) == [(0.0, 0.7)] and len(row._panels[0.0, 0.7]) == len(levels)
+    assert tables == {0.7: 1}
+    row = prob._last_row  # the one quadrature stopped on the row's table
+    assert row._chebyshev and sum(row.quads[0][_CC16:]) == sum(row.quads[0]) == 1
+    assert list(row._panels) == [(0.0, 0.7)] and row._panels[0.0, 0.7] == []
     assert values == [values[0] + 1.0 * t for t in ts]
     # a table is per tolerance and keeps its value per energy: another of
     # either is a new quadrature
@@ -362,8 +365,8 @@ def test_separation_action_one_quadrature_per_row(monkeypatch):
 
 
 def test_calls_without_a_row_share_the_problem_row_table(monkeypatch):
-    # constraint and action_value at many t of one x build each tanh-sinh
-    # level of the row once, and agree bitwise with a fresh table per call;
+    # constraint and action_value at many t of one x build the row's
+    # Clenshaw-Curtis table once, and agree bitwise with a fresh table per call;
     # the action agrees with x p + q t - F, F from the correction integral
     prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0)
     x, q = 0.7, 2.0
@@ -373,18 +376,23 @@ def test_calls_without_a_row_share_the_problem_row_table(monkeypatch):
     correction = reference_correction_integral(prob, x, q, CFG.quad_tol) + prob._g_fn(q)
     for t, s in zip(ts, want_s):
         assert abs(s - (x * hj.momentum(prob, x, q) + q * t - correction)) <= 1e-13
-    builds = collections.Counter()  # (panel lo, panel hi, level) built
-    real = hj._RowTable._level
+    builds = collections.Counter()  # tables built: Clenshaw-Curtis, tanh-sinh levels
+    real_table, real_level = hj._RowTable._clenshaw_curtis, hj._RowTable._level
 
-    def counting(row, lo, hi, level):
-        builds[(lo, hi, level)] += 1
-        return real(row, lo, hi, level)
+    def counting_table(row):
+        builds["clenshaw_curtis"] += 1
+        return real_table(row)
 
-    monkeypatch.setattr(hj._RowTable, "_level", counting)
+    def counting_level(row, lo, hi, level):
+        builds["tanh_sinh"] += 1
+        return real_level(row, lo, hi, level)
+
+    monkeypatch.setattr(hj._RowTable, "_clenshaw_curtis", counting_table)
+    monkeypatch.setattr(hj._RowTable, "_level", counting_level)
     assert [hj.constraint(prob, x, t, q, CFG) for t in ts] == want_g
     assert [hj.action_value(prob, x, t, q, CFG) for t in ts] == want_s
-    assert set(builds.values()) == {1}
-    assert len(builds) <= 10  # a fresh table per call builds 4 levels per call
+    # a fresh table per call builds one Clenshaw-Curtis table per call
+    assert builds == {"clenshaw_curtis": 1}
 
 
 def test_calls_alternating_tolerances_match_fresh_tables():
@@ -697,8 +705,26 @@ def test_row_table_merges_equal_potential_nodes_exactly(prob, x, distinct):
     # V is constant (flat) or even on a segment symmetric about 0 (even)
     row = hj._RowTable(prob, x, CFG.quad_tol)
     q = 2.0
+    integrands = (
+        (lambda s: hj.momentum_partials(prob, s, q)[1], lambda terms: sum(c / math.sqrt(q - v) for v, c in terms)),
+        (lambda s: hj.momentum(prob, s, q), lambda terms: 2.0 * sum(c * math.sqrt(q - v) for v, c in terms)),
+    )
     row.t_at(q)
     row.momentum_integral(q)
+    # the Clenshaw-Curtis table: orders 8 and 16 on its 17 points, 32 on 33
+    vmax, clearance, coarse, fine = row._chebyshev
+    tables = []
+    for n, terms, column in ((8, coarse, 1), (16, coarse, 2), (32, fine, 1)):
+        nodes = chebyshev_rule(row.lo, row.hi, n)
+        points = nodes if n > 8 else chebyshev_rule(row.lo, row.hi, 16)
+        assert len(terms) == distinct(len(points))
+        assert [v for v, *_ in terms] == list(dict.fromkeys(prob._v_fn(s) for s, _ in points))
+        tables.append((nodes, [(term[0], term[column]) for term in terms]))
+    values = [prob._v_fn(s) for s, _ in chebyshev_rule(row.lo, row.hi, 32)]
+    assert vmax == max(values)
+    assert clearance == hj._TURNING_CLEARANCE * (max(values) - min(values))
+    # the tanh-sinh levels, built by the fallback path run on its own
+    row._tanh_sinh(q, prob.margin(q), True)
     levels = [
         (lo, hi, level, data)
         for (lo, hi), built in row._panels.items()
@@ -709,18 +735,11 @@ def test_row_table_merges_equal_potential_nodes_exactly(prob, x, distinct):
         nodes = tanh_sinh_nodes(lo, hi, level)
         assert len(terms) == distinct(len(nodes))
         assert vmax == max(prob._v_fn(s) for s, _ in nodes)
-        for integrand, value in (
-            (
-                lambda s: hj.momentum_partials(prob, s, q)[1],
-                sum(c / math.sqrt(q - v) for v, c in terms),
-            ),
-            (
-                lambda s: hj.momentum(prob, s, q),
-                2.0 * sum(c * math.sqrt(q - v) for v, c in terms),
-            ),
-        ):
+        tables.append((nodes, terms))
+    for nodes, terms in tables:
+        for integrand, merged in integrands:
             unmerged = math.fsum(w * integrand(s) for s, w in nodes)
-            assert value == pytest.approx(unmerged, rel=1e-15, abs=1e-300)
+            assert merged(terms) == pytest.approx(unmerged, rel=1e-15, abs=1e-300)
 
 
 # --- the row kernel against the closure path it replaced ------------------
@@ -786,10 +805,85 @@ def reference_level_sum(row, q, slope):
     return level_sum
 
 
-def reference_integral(row, q, slope):
+def chebyshev_rule(lo, hi, n):
+    """(abscissa, weight) of the Clenshaw-Curtis rule of even order n on
+    [lo, hi], from lo to hi, written out from the cosine formula apart from
+    the package's: node k at cos(k pi / n), placed as 2 sin^2(k pi / 2n)
+    half-widths from its nearer end (1 at the centre), with weight
+    (c / n) (1 - sum_j b cos(2 j k pi / n) / (4 j^2 - 1)) times the
+    half-width, c = 1 at the ends and 2 elsewhere, b = 1 at j = n/2 and 2
+    elsewhere."""
+    hw = 0.5 * (hi - lo)
+    half = []
+    for k in range(n // 2 + 1):
+        cosines = 0.0
+        for j in range(1, n // 2 + 1):
+            cosines += (1.0 if 2 * j == n else 2.0) * math.cos(2 * j * k * math.pi / n) / (4 * j * j - 1)
+        d = 1.0 if 2 * k == n else 2.0 * math.sin(k * math.pi / (2 * n)) ** 2
+        half.append((d, hw * ((1.0 if k == 0 else 2.0) / n * (1.0 - cosines))))
+    return [(lo + hw * d, w) for d, w in half] + [(hi - hw * d, w) for d, w in half[-2::-1]]
+
+
+def reference_clenshaw_curtis(row, q, slope):
+    """The Clenshaw-Curtis stage of ``row``'s quadrature at q, rebuilt from
+    :func:`chebyshev_rule`: (value, stats slot, terms summed), value
+    ``None`` when the stage gives way to tanh-sinh.  Orders 8 and 16 share
+    the 17 points of n = 16, merged by V into (c8, c16); n = 32 merges its
+    33 points into c32.  A point where a or V raises, q below the largest
+    V of the 33 points plus the margin or plus ``_TURNING_CLEARANCE`` times
+    their range of V, or no stop by n = 32 give way."""
+    prob = row.prob
+    margin = prob.margin(q)
+    points = chebyshev_rule(row.lo, row.hi, 32)
+    try:
+        coefficients = [hj._coefficients(prob, s) for s, _ in points]
+    except DomainError:
+        return None, None, 0
+    w8 = [w for _, w in chebyshev_rule(row.lo, row.hi, 8)]
+    w16 = [w for _, w in chebyshev_rule(row.lo, row.hi, 16)]
+    coarse = {}
+    for k, (av, v) in enumerate(coefficients[::2]):
+        c8 = 0.0 if k % 2 else 0.5 * prob.sigma * w8[k // 2] / math.sqrt(av)
+        m8, m16 = coarse.get(v, (0.0, 0.0))
+        coarse[v] = (m8 + c8, m16 + 0.5 * prob.sigma * w16[k] / math.sqrt(av))
+    fine = {}
+    for (av, v), (_, w) in zip(coefficients, points):
+        fine[v] = fine.get(v, 0.0) + 0.5 * prob.sigma * w / math.sqrt(av)
+
+    def estimate(terms):
+        if slope:
+            return _fold([c / math.sqrt(q - v) for v, c in terms])
+        return 2.0 * _fold([c * math.sqrt(q - v) for v, c in terms])
+
+    vmax = max(v for _, v in coefficients)
+    vmin = min(v for _, v in coefficients)
+    if q - vmax < margin or q - vmax < hj._TURNING_CLEARANCE * (vmax - vmin):
+        return None, None, 0
+    i8 = estimate((v, c8) for v, (c8, _) in coarse.items())
+    i16 = estimate((v, c16) for v, (_, c16) in coarse.items())
+    if abs(i16 - i8) <= row.tol:
+        return i16, _CC16, len(coarse)
+    i32 = estimate(fine.items())
+    if abs(i32 - i16) <= row.tol:
+        return i32, _CC32, len(coarse) + len(fine)
+    return None, None, len(coarse) + len(fine)
+
+
+def tanh_sinh_integral(row, q, slope):
+    """The row integral by nested tanh-sinh alone: the row table's path
+    before it tried Clenshaw-Curtis first, and its fallback since."""
     if row.lo == row.hi:
         return 0.0
     return row.sign * tanh_sinh(reference_level_sum(row, q, slope), row.lo, row.hi, row.tol)
+
+
+def reference_integral(row, q, slope):
+    if row.lo == row.hi:
+        return 0.0
+    value = reference_clenshaw_curtis(row, q, slope)[0]
+    if value is not None:
+        return row.sign * value
+    return tanh_sinh_integral(row, q, slope)
 
 
 def reference_t_at(row, q):
@@ -896,6 +990,106 @@ def test_row_kernel_gives_up_after_the_last_halving():
     assert len(row._panels) == 1 + 2 * _MAX_SPLITS
 
 
+@settings(deadline=None, database=None, max_examples=200)
+@given(
+    name=st.sampled_from(sorted(ROW_PROBLEMS)),
+    sigma=st.sampled_from([1, -1]),
+    x=st.floats(-1.2, 1.2),
+    gap=st.floats(1e-7, 4.0),
+)
+def test_row_integrals_match_integrate_adaptive(name, sigma, x, gap):
+    # whichever rule stops, both row integrals agree with tanh-sinh on the
+    # callable integrands, to 1e-13 or, past 1, 1e-13 of the integral (a
+    # small gap under a flat V makes dp/dq's integral 1.6e3, where 1e-13
+    # is below an ulp); every V here peaks at an end of the segment, a
+    # scan sample, so q clears the margin at every node of either rule
+    kinetic, potential, x0 = ROW_PROBLEMS[name]
+    prob = hj.HJProblem(kinetic, potential, "q^2/2", sigma=sigma, x0=x0)
+    q = max(prob._v_fn(s) for s in scan_abscissae(min(x0, x), max(x0, x), 64)) + gap
+    row = hj._RowTable(prob, x, CFG.quad_tol)
+    want = integrate_adaptive(lambda s: hj.momentum_partials(prob, s, q)[1], x0, x, CFG.quad_tol)
+    assert abs(row._integral(q, prob.margin(q), True) - want) <= 1e-13 * max(1.0, abs(want))
+    want = integrate_adaptive(lambda s: hj.momentum(prob, s, q), x0, x, CFG.quad_tol)
+    assert abs(row.momentum_integral(q) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def fell_back(row, slope):
+    """Whether every quadrature of ``row`` in the ``slope`` slots ended on
+    the tanh-sinh path (slots 0-8), and at least one ran."""
+    quads = row.quads[slope]
+    return sum(quads[:_CC16]) > 0 and sum(quads[_CC16:]) == 0
+
+
+def test_a_node_that_raises_falls_back():
+    # a = x^2 vanishes at x0 = 0, an end of the segment and so a
+    # Clenshaw-Curtis node: the table is abandoned, and tanh-sinh, which
+    # never samples an end, gives up after its last halving as before
+    prob = hj.HJProblem("x^2", "0", "q", x0=0.0)
+    for slope in (True, False):
+        row = hj._RowTable(prob, 0.5, CFG.quad_tol)
+        want = outcome(tanh_sinh_integral, hj._RowTable(prob, 0.5, CFG.quad_tol), 2.0, slope)
+        assert want[0] == "ConvergenceError"
+        assert outcome(row._integral, 2.0, prob.margin(2.0), slope) == want
+        assert row._chebyshev is hj._NO_TABLE and row.quads[slope][8] == 1
+
+
+def test_nodes_below_the_margin_fall_back():
+    # on BUMP's row at x = 0.95 the 17 points of n = 16 miss the bump and
+    # the 33 of n = 32 do not: q between their largest V clears the margin
+    # at every point of n = 16 but not at all of n = 32, and each
+    # quadrature is the tanh-sinh path's, as is one below both
+    row = hj._RowTable(BUMP, 0.95, CFG.quad_tol)
+    row.t_at(2.0)
+    vmax, _, coarse, _ = row._chebyshev
+    vmax16 = max(v for v, _, _ in coarse)
+    assert vmax16 < 0.05 and vmax > 0.95
+    for q in axis(vmax16 + 0.1, vmax - 0.01, 9) + [vmax16 - 0.01]:
+        for slope in (True, False):
+            row = hj._RowTable(BUMP, 0.95, CFG.quad_tol)
+            want = outcome(tanh_sinh_integral, hj._RowTable(BUMP, 0.95, CFG.quad_tol), q, slope)
+            assert outcome(row._integral, q, BUMP.margin(q), slope) == want
+            assert sum(row.quads[slope][_CC16:]) == 0
+
+
+def test_bump_statuses_are_the_tanh_sinh_paths(monkeypatch):
+    # BUMP's grid meets nodes below the margin on several rows; with the
+    # Clenshaw-Curtis table abandoned on every row the solve is the
+    # tanh-sinh path alone, and every status is the same
+    args = (BUMP, axis(0.5, 1.1, 13), axis(0.2, 1.5, 9), (0.05, 6.0), CFG)
+    stats = SolveStats()
+    field = hj.solve_grid(*args, stats=stats)
+    # some quadratures stop on the table, and some fall back and raise
+    assert sum(stats.dpdq_quads[_CC16:]) and stats.dpdq_quads[8]
+    monkeypatch.setattr(hj._RowTable, "_clenshaw_curtis", lambda row: hj._NO_TABLE)
+    want = hj.solve_grid(*args)
+    assert field.status == want.status
+    assert {s for row in want.status for s in row} == {Status.RESOLVED, Status.NO_ROOT}
+
+
+def test_an_endpoint_layer_falls_back():
+    # q - V(x) = 2e-9 at the row's own x: dp/dq has an inverse-square-root
+    # layer there that n = 32 does not resolve, so tanh-sinh takes it, to the bit
+    x, q = 0.9, 0.81 + 2e-9
+    for slope in (True, False):
+        row = hj._RowTable(OSC_G0, x, CFG.quad_tol)
+        want = tanh_sinh_integral(hj._RowTable(OSC_G0, x, CFG.quad_tol), q, slope)
+        assert repr(row._integral(q, OSC_G0.margin(q), slope)) == repr(want)
+        assert fell_back(row, slope)
+
+
+@pytest.mark.parametrize("q, slope", [(1e308, False), (1e-300, True)], ids=["momentum", "slope"])
+def test_a_non_finite_sum_falls_back(q, slope):
+    # a = 1e-320 makes c about 1e160: p at q = 1e308 and dp/dq at
+    # q = 1e-300 overflow, so no order stops, and the tanh-sinh path gives
+    # what it gave before: a DomainError for p, an infinite dp/dq integral
+    prob = hj.HJProblem("1e-320", "0", "q", x0=0.0, eps_adm=1e-310)
+    row = hj._RowTable(prob, 1.0, CFG.quad_tol)
+    want = outcome(tanh_sinh_integral, hj._RowTable(prob, 1.0, CFG.quad_tol), q, slope)
+    assert want == (("DomainError", "non-finite integrand value (at 0.5)", 0.5) if not slope else "inf")
+    assert outcome(row._integral, q, prob.margin(q), slope) == want
+    assert row._chebyshev is not hj._NO_TABLE and fell_back(row, slope)
+
+
 def test_action_by_parts_matches_the_correction_form():
     # a' != 0: the by-parts action never evaluates a', the correction
     # integrand s dp/dx does, through integrate_adaptive
@@ -969,11 +1163,18 @@ def recording_integrals(monkeypatch):
 
 def replayed_counts(calls):
     """The stats slots (p, dp/dq) and merged terms of ``calls``, each
-    quadrature replayed through the reference loop on a fresh table."""
-    quads = ([0] * 9, [0] * 9)
-    terms = [0, 0]
+    quadrature replayed on a fresh table through the reference loops:
+    Clenshaw-Curtis first, then tanh-sinh.  Terms are (Clenshaw-Curtis,
+    tanh-sinh) pairs of (p, dp/dq) counts."""
+    quads = ([0] * 11, [0] * 11)
+    cc_terms, terms = [0, 0], [0, 0]
     for row, q, slope, _ in calls:
         fresh = hj._RowTable(row.prob, row.x, row.tol)
+        value, slot, summed = reference_clenshaw_curtis(fresh, q, slope)
+        if value is not None:
+            quads[slope][slot] += 1
+            cc_terms[slope] += summed
+            continue
         level_sum = reference_level_sum(fresh, q, slope)
         visited = []
 
@@ -989,7 +1190,8 @@ def replayed_counts(calls):
         levels = [level for level, _ in visited]
         quads[slope][7 if levels.count(0) > 1 else max(levels)] += 1
         terms[slope] += sum(n for _, n in visited)
-    return quads, terms
+        cc_terms[slope] += summed
+    return quads, (cc_terms, terms)
 
 
 def test_solve_stats_count_every_evaluation_and_quadrature(monkeypatch):
@@ -1032,14 +1234,18 @@ def test_solve_stats_quadrature_slots_match_a_replay(monkeypatch, prob, xs, ts, 
     calls = recording_integrals(monkeypatch)
     stats = SolveStats()
     hj.solve_grid(prob, xs, ts, (0.05, 6.0), CFG, stats=stats)
-    (p_quads, dpdq_quads), (p_terms, dpdq_terms) = replayed_counts(calls)
+    (p_quads, dpdq_quads), ((p_cc, dpdq_cc), (p_terms, dpdq_terms)) = replayed_counts(calls)
     assert (stats.p_quads, stats.dpdq_quads) == (p_quads, dpdq_quads)
+    assert (stats.p_cc_terms, stats.dpdq_cc_terms) == (p_cc, dpdq_cc)
     assert (stats.p_terms, stats.dpdq_terms) == (p_terms, dpdq_terms)
     raised = sum(error is not None for *_, error in calls)
     assert stats.dpdq_quads[8] + stats.p_quads[8] == raised
     assert (raised > 0) == failing
     if prob is KINKED:
         assert stats.dpdq_quads[7] > sum(stats.dpdq_quads) // 2
+    if prob is OSC:  # both orders stop, and some quadratures fall back
+        assert stats.dpdq_quads[_CC16] and stats.dpdq_quads[_CC32]
+        assert 0 < sum(stats.dpdq_quads[:_CC16]) < sum(stats.dpdq_quads) // 10
 
 
 def test_solve_stats_count_a_forced_convergence_failure(monkeypatch):
@@ -1063,4 +1269,5 @@ def test_solve_stats_add_up_over_solves():
     hj.solve_grid(OSC, axis(0.15, 0.45, 3), axis(0.2, 0.5, 4), (0.05, 6.0), CFG, stats=once)
     assert stats.points == 2 * once.points == 24
     assert stats.dpdq_quads == [2 * n for n in once.dpdq_quads]
-    assert stats.p_terms == 2 * once.p_terms > 0
+    assert stats.p_cc_terms == 2 * once.p_cc_terms > 0
+    assert stats.p_terms == 2 * once.p_terms

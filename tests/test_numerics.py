@@ -14,6 +14,7 @@ from hjgen.numerics import (
     SolverConfig,
     _brent,
     central_difference,
+    clenshaw_curtis_nodes,
     integrate_adaptive,
     scan_abscissae,
 )
@@ -375,3 +376,18 @@ def test_scan_matches_grid_sign_changes_for_random_polynomials():
         found = len(scan_brackets(g, lo, hi, n))
         assert found >= changes
         assert found <= changes + zeros + 1
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 32])
+def test_clenshaw_curtis_nodes_integrate_polynomials_and_nest(n):
+    # order n is exact for polynomials of degree n + 1 (n even), its ends
+    # are nodes, and every second node is one of order n/2
+    lo, hi = -0.3, 1.7
+    nodes = clenshaw_curtis_nodes(lo, hi, n)
+    assert len(nodes) == n + 1 and nodes[0][0] == lo and nodes[-1][0] == hi
+    assert [s for s, _ in nodes] == sorted(s for s, _ in nodes)
+    for k in range(n + 2):
+        want = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+        assert math.fsum(w * s**k for s, w in nodes) == pytest.approx(want, rel=1e-13)
+    if n > 2:
+        assert [s for s, _ in nodes[::2]] == [s for s, _ in clenshaw_curtis_nodes(lo, hi, n // 2)]

@@ -71,3 +71,21 @@ def test_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "hjgen"
     ]
     assert foreign == []
+
+
+def test_no_quadrature_weights_are_computed_at_import():
+    # the tanh-sinh and Clenshaw-Curtis weights are cached on first use;
+    # loading the package and a config computes none of them
+    root = str(pathlib.Path(hjgen.__file__).resolve().parent.parent)
+    config = pathlib.Path(root).parent / "configs" / "harmonic.cfg"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {root!r})\n"
+        "from hjgen import config, numerics\n"
+        f"config.load_config({str(config)!r})\n"
+        "print(numerics._level_offsets.cache_info().currsize, "
+        "numerics._clenshaw_curtis_offsets.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]

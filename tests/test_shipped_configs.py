@@ -131,44 +131,50 @@ def test_shipped_solve_level_evaluations_per_point(name):
 SOLVE_STATS = {
     "free_particle": {
         "points": 3111, "targets": 3111, "scan": 1525,
-        "probes": 6201, "brent": 1006, "refined": 3111,
-        "dpdq_quads": [0, 0, 0, 8732, 0, 0, 0, 0, 0],
-        "p_quads": [0, 0, 0, 3111, 0, 0, 0, 0, 0],
-        "dpdq_terms": 34928, "p_terms": 12444,
+        "probes": 6202, "brent": 1008, "refined": 3111,
+        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 8735, 0],
+        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 3111, 0],
+        "dpdq_cc_terms": 8735, "p_cc_terms": 3111,
+        "dpdq_terms": 0, "p_terms": 0,
     },
     "harmonic": {
         "points": 1681, "targets": 1681, "scan": 697,
         "probes": 3360, "brent": 275, "refined": 1681,
-        "dpdq_quads": [0, 0, 0, 4300, 32, 0, 0, 0, 0],
-        "p_quads": [0, 0, 0, 1681, 0, 0, 0, 0, 0],
-        "dpdq_terms": 248652, "p_terms": 95817,
+        "dpdq_quads": [0, 0, 0, 0, 32, 0, 0, 0, 0, 3679, 621],
+        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 1646, 35],
+        "dpdq_cc_terms": 93643, "p_cc_terms": 29732,
+        "dpdq_terms": 3552, "p_terms": 0,
     },
     "linear_pq": {
         "points": 1681, "targets": 1681, "scan": 25,
         "probes": 2423, "brent": 5, "refined": 1681,
-        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
-        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_cc_terms": 0, "p_cc_terms": 0,
         "dpdq_terms": 0, "p_terms": 0,
     },
     "power_pq": {
         "points": 1681, "targets": 1681, "scan": 25,
         "probes": 3342, "brent": 729, "refined": 1681,
-        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
-        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_cc_terms": 0, "p_cc_terms": 0,
         "dpdq_terms": 0, "p_terms": 0,
     },
     "scaled_x": {
         "points": 1681, "targets": 1681, "scan": 25,
         "probes": 3356, "brent": 504, "refined": 1681,
-        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
-        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_cc_terms": 0, "p_cc_terms": 0,
         "dpdq_terms": 0, "p_terms": 0,
     },
     "scaled_y": {
         "points": 1681, "targets": 1681, "scan": 25,
         "probes": 2577, "brent": 18, "refined": 1681,
-        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
-        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "dpdq_cc_terms": 0, "p_cc_terms": 0,
         "dpdq_terms": 0, "p_terms": 0,
     },
 }

@@ -45,6 +45,10 @@ def test_quad_census_runs_on_the_checkout():
         points = int(counts[1].replace(",", ""))
         # the mean is printed to 3 decimals
         assert abs(int(constraint[1].replace(",", "")) - points * float(counts[2])) <= points * 5e-4
+        # the row tables stop on Clenshaw-Curtis: at most 2% fall back
+        rule = re.fullmatch(r"    rule: Clenshaw-Curtis n=16 [\d,]+ \([\d.]+%\), n=32 [\d,]+ \([\d.]+%\),"
+                            r" tanh-sinh fallbacks [\d,]+ \(([\d.]+)%\)", section[2])
+        assert float(rule[1]) <= 2.0
     separated = lines[lines.index("criterion-06 separated field (81 x 41)") :]
     assert any(re.match(r"  separation: 81 quadratures \(ok 81\)", line) for line in separated)
 
@@ -214,6 +218,33 @@ def test_bench_pairs_alternates_the_sides_over_seeded_pairs(tmp_path):
     # the pass times are k / 10 and k / 5 on NEW against (k + 0.5) / 10 and
     # (k + 0.5) / 5 on OLD: ratios 1/1.5, 2/2.5, 3/3.5, of median 0.8
     assert out[-1] == "new/old within a pair, median: cpu_s 0.8, wall_s 0.8, ref_s 1"
+
+
+def test_bench_pairs_reads_setup_s_within_pairs(tmp_path):
+    # runs whose info lines carry cold-start samples: NEW's are 0.9 of
+    # OLD's in every pair, so the within-pair setup_s ratio is 0.9 however
+    # far the pairs' own times swing; the pooled quartiles are each side's
+    run_py = FAKE_RUN.replace(
+        '"ref_s": 0.1}',
+        '"ref_s": 0.1, "setup_s_samples": [s * (0.9 if here.name == \'new\' else 1.0) '
+        'for s in (0.01 * float(args["--seed"]), 0.02 * float(args["--seed"]))]}',
+    )
+    proc = stand_in_checkouts(tmp_path, run_py)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    # OLD's six samples are 0.01, 0.02, 0.02, 0.04, 0.03, 0.06
+    assert "old setup_s, 6 cold starts pooled: median 0.025 [0.02, 0.0375] s" in out
+    assert "new setup_s, 6 cold starts pooled: median 0.0225 [0.018, 0.03375] s" in out
+    assert out[-1] == "new/old within a pair, median: cpu_s 0.8, wall_s 0.8, ref_s 1, setup_s 0.9"
+
+
+def test_bench_pairs_info_time_takes_the_median_cold_start():
+    bench = load_tool("bench_pairs")
+    run = {"info": {"cpu_s": 2.0, "setup_s_samples": [0.03, 0.01, 0.02]}}
+    assert bench.info_time(run, "cpu_s") == 2.0
+    assert bench.info_time(run, "setup_s") == 0.02
+    assert bench.info_time(run, "ref_s") is None
+    assert bench.info_time({"info": None}, "setup_s") is None
 
 
 def test_bench_pairs_fails_on_a_run_without_a_result_line(tmp_path):

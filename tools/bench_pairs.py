@@ -24,11 +24,15 @@ number of pairs in which NEW was better.  Then two verdicts per metric:
   ``unresolved`` when either side's interquartile range is wider than that
   bound and not every NEW run is better than every OLD run; else ``none``.
 
-It also prints each side's share of failed operations, and the median
-over pairs of NEW's time over OLD's for the pass times ``cpu_s`` and
-``wall_s`` and the reference job's ``ref_s`` that the ratios divide: taken
-within each pair, so the machine's speed, which drifts between pairs,
-cancels, and a ratio moved by the reference job alone shows.  It writes no
+It also prints each side's share of failed operations; each side's
+median and quartiles of the cold-start times pooled over all its runs
+(the ``setup_s_samples`` of the runs' ``info`` lines, whose per-run median
+is ``setup_s``); and the median over pairs of NEW's time over OLD's for
+the pass times ``cpu_s`` and ``wall_s``, the reference job's ``ref_s`` that
+the ratios divide, and ``setup_s``: taken within each pair, so the
+machine's speed, which drifts between pairs, cancels, a ratio moved by the
+reference job alone shows, and so does a cold start that did not move
+while the run medians of ``setup_s`` swing.  It writes no
 file: each run writes only below its own checkout's ``.perfbench_work/``.
 Exit status: 0 when every run gave a result, 1 when one did not, 2 on bad
 arguments.  Uses only the standard library.
@@ -63,6 +67,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return {**json.loads(lines[-1]), "info": json.loads(info[-1]) if info else None}
     except (IndexError, ValueError):
         raise RuntimeError(f"{' '.join(cmd)} printed no result line") from None
+
+
+def info_time(run: dict, key: str):
+    """``key`` of a run's ``info`` line: a time, or for ``setup_s`` the
+    median of the run's cold-start samples; ``None`` when it is missing."""
+    info = run["info"] or {}
+    if key == "setup_s":
+        samples = info.get("setup_s_samples")
+        return statistics.median(samples) if samples else None
+    return info.get(key)
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -175,12 +189,17 @@ def main(argv=None) -> int:
     for side in runs:
         correct = all(r["correct"] for r in runs[side])
         print(f"{side}: {failed[side]} of {attempted[side]} operations failed; every run correct: {correct}")
-    times = ", ".join(
-        f"{key} {statistics.median(b['info'][key] / a['info'][key] for a, b in zip(runs['old'], runs['new'])):.4g}"
-        for key in ("cpu_s", "wall_s", "ref_s")
-        if all(r["info"] and r["info"].get(key) for r in runs["old"] + runs["new"])
-    )
-    print(f"new/old within a pair, median: {times or 'not reported'}")
+    for side in runs:
+        pooled = [s for r in runs[side] for s in (r["info"] or {}).get("setup_s_samples") or ()]
+        if pooled:
+            q1, q2, q3 = quartiles(pooled)
+            print(f"{side} setup_s, {len(pooled)} cold starts pooled: median {q2:.6g} [{q1:.6g}, {q3:.6g}] s")
+    ratios = []
+    for key in ("cpu_s", "wall_s", "ref_s", "setup_s"):
+        pairs = [(info_time(a, key), info_time(b, key)) for a, b in zip(runs["old"], runs["new"])]
+        if all(a and b for a, b in pairs):
+            ratios.append(f"{key} {statistics.median(b / a for a, b in pairs):.4g}")
+    print(f"new/old within a pair, median: {', '.join(ratios) or 'not reported'}")
     return 0
 
 

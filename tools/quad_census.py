@@ -1,5 +1,5 @@
-"""Count root-condition evaluations per grid point, and tanh-sinh levels
-and nodes per quadrature, on the shipped configs.
+"""Count root-condition evaluations per grid point, and the quadrature
+rules, levels and nodes per quadrature, on the shipped configs.
 
 Usage::
 
@@ -17,8 +17,11 @@ looping inside x), reading after each x the counts of the row table its
 calls shared (``hj._row_table``).
 
 For each run it prints, per quadrature path, how many quadratures ran and
-how they ended (``ok``, or ``failed`` when one raised), the level at which
-those that returned stopped, and the tanh-sinh nodes they visited:
+how they ended (``ok``, or ``failed`` when one raised), and which rule
+took them: a row table tries Clenshaw-Curtis first and stops at n = 16 or
+n = 32, or falls back to tanh-sinh.  For the fallbacks that returned it
+prints the tanh-sinh level at which they stopped and the tanh-sinh nodes
+they visited.  The paths are:
 
 - ``constraint``: the dp/dq integral of the Hamilton-Jacobi root
   condition, one per level evaluation;
@@ -31,11 +34,13 @@ those that returned stopped, and the tanh-sinh nodes they visited:
 
 A node is one tanh-sinh abscissa whatever the number of merged terms it
 ended up in, and each path also prints the mean number of merged terms a
-quadrature summed, which is what it costs per q.  A quadrature whose panel
-did not converge by level 6 is halved and reported as ``split``; its
-nodes are not counted.  For each solve it then prints the mean number of
-root-condition evaluations per grid point (for the Hamilton-Jacobi
-configs, dp/dq quadratures) split by stage:
+quadrature summed, of both rules and of each, which is what it costs per
+q.  A fallback whose panel did not converge by level 6 is halved and
+reported as ``split``; its nodes are not counted.  A package from before
+the Clenshaw-Curtis rule reports every quadrature as a fallback.  For each
+solve it then prints the mean number of root-condition evaluations per
+grid point (for the Hamilton-Jacobi configs, dp/dq quadratures) split by
+stage:
 
 - ``scan``: the bracket scan's samples;
 - ``probes``: evaluations at a predicted root before Brent's method;
@@ -61,29 +66,43 @@ def _histogram(counter, total):
     return ", ".join(f"{k}: {counter[k]:,} ({100.0 * counter[k] / total:.1f}%)" for k in keys)
 
 
-def quadratures(path, quads, terms, nodes, served=""):
-    """The report lines of one path's quadrature slots (stop levels 0-6,
-    split, failed) and merged terms; ``nodes[l]``: nodes through level l."""
-    *returned, failed = quads
-    total = sum(quads)
+def _path(stats, name):
+    """(slots, Clenshaw-Curtis terms, tanh-sinh terms) of the ``dpdq`` or
+    ``p`` path; an older record has no Clenshaw-Curtis terms."""
+    return getattr(stats, f"{name}_quads"), getattr(stats, f"{name}_cc_terms", 0), getattr(stats, f"{name}_terms")
+
+
+def quadratures(path, quads, cc_terms, terms, nodes, served=""):
+    """The report lines of one path's quadrature slots (tanh-sinh stop
+    levels 0-6, split, failed, then Clenshaw-Curtis n = 16 and n = 32) and
+    merged terms of each rule; ``nodes[l]``: tanh-sinh nodes through level l."""
+    fallback, (cc16, cc32) = quads[:9], (list(quads[9:]) + [0, 0])[:2]
+    *returned, failed = fallback
+    total = sum(fallback) + cc16 + cc32
     if not total:
         return [f"  {path}: 0 quadratures{served}"]
     ok = total - failed
     ends = ", ".join(f"{k} {n:,}" for k, n in (("ok", ok), ("failed", failed)) if n)
     lines = [f"  {path}: {total:,} quadratures ({ends}){served}"]
+    rules = (("Clenshaw-Curtis n=16", cc16), ("n=32", cc32), ("tanh-sinh fallbacks", sum(fallback)))
+    lines.append("    rule: " + ", ".join(f"{k} {n:,} ({100.0 * n / total:.1f}%)" for k, n in rules))
     if not ok:
         return lines
     *stops, split = returned
     levels = {level: n for level, n in enumerate(stops) if n}
     sized = {nodes[level]: n for level, n in levels.items()}
     halved = {"split": split} if split else {}
-    lines.append("    stop level: " + _histogram({**levels, **halved}, ok))
-    summary = ""
-    if sized:
-        mean = sum(k * n for k, n in sized.items()) / sum(sized.values())
-        summary = f"mean {mean:.2f}, max {max(sized)}; "
-    lines.append(f"    nodes/quad: {summary}" + _histogram({**sized, **halved}, ok))
-    lines.append(f"    merged terms/quad: mean {terms / ok:.2f}")
+    if levels or halved:
+        lines.append("    fallback stop level: " + _histogram({**levels, **halved}, sum(returned)))
+        summary = ""
+        if sized:
+            mean = sum(k * n for k, n in sized.items()) / sum(sized.values())
+            summary = f"mean {mean:.2f}, max {max(sized)}; "
+        lines.append(f"    fallback nodes/quad: {summary}" + _histogram({**sized, **halved}, sum(returned)))
+    lines.append(
+        f"    merged terms/quad: mean {(cc_terms + terms) / ok:.2f}"
+        f" (Clenshaw-Curtis {cc_terms / ok:.2f}, tanh-sinh {terms / ok:.2f})"
+    )
     return lines
 
 
@@ -101,7 +120,7 @@ def main(argv):
     from hjgen import cli, config, hj, numerics
 
     nodes = list(accumulate(len(numerics.tanh_sinh_nodes(0.0, 1.0, k)) for k in range(7)))
-    none = ([0] * 9, 0)
+    none = ([0] * 11, 0, 0)
 
     def report(title, constraint=none, action=none, separation=none, served=""):
         lines = [title, *quadratures("constraint", *constraint, nodes)]
@@ -115,8 +134,7 @@ def main(argv):
         field = cli._solve_field(run, stats)
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli._emit_report(run, field, write_file=False)
-        report(f"{path.name} (solve exit {code})", (stats.dpdq_quads, stats.dpdq_terms),
-               (stats.p_quads, stats.p_terms))
+        report(f"{path.name} (solve exit {code})", _path(stats, "dpdq"), _path(stats, "p"))
         n = stats.points
         print(
             f"  roots: {n:,} points; evaluations/point {(stats.scan + stats.probes + stats.brent) / n:.3f} "
@@ -132,7 +150,7 @@ def main(argv):
             hj.separation_action(osc, 1.0, x, 0.4 * j / 40, solver)
         hj._row_table(osc, x, solver.quad_tol).add_counts(stats)
     calls, ran = 81 * 41, sum(stats.p_quads)
-    report("criterion-06 separated field (81 x 41)", separation=(stats.p_quads, stats.p_terms),
+    report("criterion-06 separated field (81 x 41)", separation=_path(stats, "p"),
            served=f"; {calls - ran:,} of {calls:,} calls ran no quadrature")
     return 0
 
