@@ -18,10 +18,10 @@ import math
 import random
 import sys
 
-from . import expr, hj, pq
+from . import expr, hj
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, EmptyReportError, EvalError, HjgenError
-from .fields import ActionField, read_field_csv, write_field_csv
+from .fields import ActionField, read_field_csv, solve_grid, write_field_csv
 from .numerics import SolverConfig, central_difference
 from .verify import ResidualReport, compare_oracle, residual_report
 
@@ -31,8 +31,7 @@ ORACLES = ("free_particle", "harmonic", "separation")
 
 
 def _solve_field(cfg: RunConfig, stats=None):
-    solver = hj if cfg.is_hj else pq
-    return solver.solve_grid(cfg.problem, cfg.axis1, cfg.axis2, cfg.q_range, cfg.solver, stats)
+    return solve_grid(cfg.problem, cfg.axis1, cfg.axis2, cfg.q_range, cfg.solver, stats)
 
 
 def _report_text(cfg: RunConfig, field, report: ResidualReport | None) -> tuple[str, bool]:

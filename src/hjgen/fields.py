@@ -1,26 +1,43 @@
-"""Grid solution containers, the continuation sweep, the line root solver,
-and CSV serialization.
+"""Grid solution containers, the grid solve, the continuation sweep, the
+line root solver, and CSV serialization.
 
-On every grid line each solver's root condition says that the target (t,
+On every grid line each family's root condition says that the target (t,
 y or x) equals a function of the root alone, the line's level, so a grid
-line is one function inverted at many targets.  :class:`RootLine` takes
-the level's values at its scan samples from its caller, who computes them
-once per line (:func:`level_samples`, as the Hamilton-Jacobi rows do) or
-once per solve from parts every line shares (the pq solver's table of G'
-and phi'), and splits the samples into monotone runs, so every target's
-brackets come from a bisection of each run, with g = target - level(q)
-taken only at the two samples of each crossing.  :func:`sweep` takes one
-such line per grid row and makes one call per line,
-:meth:`RootLine.solve_row`, with the line's targets, its first point's
-warm start and guess, and the axis's Lagrange weights, each (point,
-history length) entry built when a line first reads it
+line is one function inverted at many targets, and both families solve
+through one function, :func:`solve_grid`.  A problem (an
+:class:`~hjgen.hj.HJProblem` or a :class:`~hjgen.pq.PQProblem`) gives it
+three things:
+
+- ``lines_are_columns``: whether its lines are the grid's rows or its
+  columns;
+- ``lines(line axis, q_lo, q_hi, cfg)``: each line's (:class:`RootLine`,
+  value kernel) pair, or ``None`` for a line that fails at every point,
+  and a function that adds the family's own counts to a
+  :class:`~hjgen.numerics.SolveStats`;
+- ``field(axis1, axis2, q, values, status)``: the family's field from the
+  roots, the kernels' values and the statuses.
+
+:func:`solve_grid` checks its inputs, sweeps the grid whose rows the lines
+are, takes each root's value with its line's kernel (a kernel that raises
+marks its point ``domain_fail``), counts, and transposes column lines back
+to the (axis1, axis2) grid.
+
+:class:`RootLine` takes the level's values at its scan samples from its
+caller, who computes them once per line (:func:`level_samples`, as the
+Hamilton-Jacobi rows do) or once per solve from parts every line shares
+(the pq solver's table of G' and phi'), and splits the samples into
+monotone runs, so every target's brackets come from a bisection of each
+run, with g = target - level(q) taken only at the two samples of each
+crossing.  :func:`sweep` takes one such line per grid row and makes one
+call per line, :meth:`RootLine.solve_row`, with the line's targets, its
+first point's warm start and guess, and the axis's Lagrange weights, each
+(point, history length) entry built when a line first reads it
 (:class:`_LagrangeWeights`); the sweep keeps only column 0's continuation.
 The line walks its targets in one loop with its state in locals, warm
 starting each point from the root before it and feeding it a root and a
 slope of its condition predicted from the line's earlier roots and slopes.
-A solver whose lines are columns sweeps the transposed grid.  A bracket
-is a (lo, hi, g_lo, g_hi) tuple, and each goes with the line's level to
-the float kernel :func:`hjgen.numerics._refine`, which probes the
+A bracket is a (lo, hi, g_lo, g_hi) tuple, and each goes with the line's
+level to the float kernel :func:`hjgen.numerics._refine`, which probes the
 predicted root and the Newton step from it before Brent's method (Brent
 1973) finishes the bracket, if it must; a target with one bracket, as
 every point of the shipped configs has, returns the kernel's root as is,
@@ -51,6 +68,7 @@ __all__ = [
     "ActionField",
     "check_axis",
     "sweep",
+    "solve_grid",
     "RootLine",
     "level_samples",
     "write_field_csv",
@@ -75,16 +93,6 @@ def check_axis(values) -> tuple[float, ...]:
         if not a < b:
             raise ValueError("axis values must be strictly increasing")
     return axis
-
-
-def _solve_inputs(axis1, axis2, q_range):
-    """A grid solve's checked axes and root range, ``(axis1, axis2, q_lo,
-    q_hi)``, or :class:`ValueError`: each is finite and increasing."""
-    axes = check_axis(axis1), check_axis(axis2)
-    q_lo, q_hi = q_range
-    if not -math.inf < q_lo < q_hi < math.inf:
-        raise ValueError("solve_grid requires q_lo < q_hi, both finite")
-    return (*axes, q_lo, q_hi)
 
 
 class _Field2D:
@@ -226,6 +234,62 @@ def sweep(lines, axis1, axis2):
         status.append(statuses)
         _extend(column, roots[0], slopes[0])
     return q, status
+
+
+def solve_grid(problem, axis1, axis2, q_range: tuple[float, float], cfg: SolverConfig, stats=None):
+    """The field of ``problem`` over the axis1 x axis2 grid, its roots in
+    ``q_range``: one continuation sweep over the problem's grid lines.
+
+    The lines are the axis1 rows, or the axis2 columns when
+    ``problem.lines_are_columns``; ``problem.lines(line axis, q_lo, q_hi,
+    cfg)`` gives each line as a (:class:`RootLine`, value kernel) pair, or
+    ``None`` for a line that fails at every point, and a function that adds
+    the family's own counts to a :class:`~hjgen.numerics.SolveStats`.  The
+    sweep runs on the grid whose rows the lines are, so every root continues
+    along its own line, and the kernel then takes each root's value as
+    ``kernel(target, root)``; a kernel that raises :class:`DomainError` or
+    :class:`ConvergenceError` makes its point ``domain_fail``.  Roots,
+    values and statuses come back on the axis1 x axis2 grid, through
+    ``problem.field(axis1, axis2, q, values, status)``.  Both axes must be
+    finite and increasing, and the range finite with q_lo < q_hi.  Given a
+    ``stats`` record, the solve adds its points, its lines' work, the
+    family's counts and its points per status to it.
+    """
+    axis1, axis2 = check_axis(axis1), check_axis(axis2)
+    q_lo, q_hi = q_range
+    if not -math.inf < q_lo < q_hi < math.inf:
+        raise ValueError("solve_grid requires q_lo < q_hi, both finite")
+    columns = problem.lines_are_columns
+    line_axis, targets = (axis2, axis1) if columns else (axis1, axis2)
+    lines, count = problem.lines(line_axis, q_lo, q_hi, cfg)
+    q, status = sweep([line and line[0] for line in lines], line_axis, targets)
+    values: list[list] = [[None] * len(targets) for _ in lines]
+    for line, q_row, value_row, status_row in zip(lines, q, values, status):
+        if line is None:
+            continue  # a domain failure at every point
+        kernel = line[1]
+        for j, target in enumerate(targets):
+            if q_row[j] is None:
+                continue
+            try:
+                value_row[j] = kernel(target, q_row[j])
+            except (DomainError, ConvergenceError):
+                q_row[j] = None
+                status_row[j] = Status.DOMAIN_FAIL
+    if stats is not None:
+        n = len(targets)
+        stats.points += len(lines) * n
+        for line in filter(None, lines):
+            stats.targets += n
+            stats.probes += line[0].probes
+            stats.brent += line[0].brent
+            stats.refined += line[0].refined
+        count(stats)
+        for s in Status:
+            stats.statuses[s.value] = stats.statuses.get(s.value, 0) + sum(row.count(s) for row in status)
+    if columns:
+        q, values, status = ([list(r) for r in zip(*grid)] for grid in (q, values, status))
+    return problem.field(axis1, axis2, q, values, status)
 
 
 def level_samples(level, lo: float, hi: float, cfg: SolverConfig) -> list[tuple[float, float]]:
@@ -391,21 +455,6 @@ def _nearest(found, ref: float, cfg: SolverConfig):
             unique.append(r)
     root, slope = min(unique, key=lambda r: (abs(r[0] - ref), r[0]))
     return root, slope, Status.RESOLVED if len(unique) == 1 else Status.MULTI_ROOT
-
-
-def _count_lines(stats, lines, n2: int, scan: int) -> None:
-    """Add a sweep's grid points and its lines' work to the
-    :class:`~hjgen.numerics.SolveStats` ``stats``; ``lines`` are the
-    sweep's, each solved at ``n2`` targets, or ``None``, and ``scan`` is
-    the number of level evaluations that computed their samples."""
-    stats.points += len(lines) * n2
-    stats.scan += scan
-    for line in lines:
-        if line is not None:
-            stats.targets += n2
-            stats.probes += line.probes
-            stats.brent += line.brent
-            stats.refined += line.refined
 
 
 def _monotone_runs(levels) -> list[tuple[int, int, list[float]]]:

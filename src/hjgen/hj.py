@@ -24,16 +24,17 @@ only through E t.
 Time enters g only additively, and the clipped scan range depends on x
 alone, so on each x row g = 0 says t = t_at(q), a function of q alone
 (:meth:`_RowTable.t_at`), and the row is one
-:class:`~hjgen.fields.RootLine` inverting it at every t of the row:
-:func:`solve_grid` tabulates t_at at the row's scan samples once, each
-point finds its brackets by bisection over those levels, and t_at runs
-again only to refine a bracket.  The refinement probes a root, and the
-condition's slope there, extrapolated from the row's earlier roots and
-slopes along t; the Newton step from that probe usually lands on the
-root, and Brent's method finishes only when it does not.  The shipped
-configs take 2.81 (``free_particle``) and 2.58 (``harmonic``)
-quadratures per point, the scan's included; the rows and lines count them
-(:class:`~hjgen.numerics.SolveStats`).
+:class:`~hjgen.fields.RootLine` inverting it at every t of the row
+(:meth:`HJProblem.lines` gives the rows to the grid solve,
+:func:`hjgen.fields.solve_grid`): the line tabulates t_at at the row's
+scan samples once, each point finds its brackets by bisection over those
+levels, and t_at runs again only to refine a bracket.  The refinement
+probes a root, and the condition's slope there, extrapolated from the
+row's earlier roots and slopes along t; the Newton step from that probe
+usually lands on the root, and Brent's method finishes only when it does
+not.  The shipped configs take 2.81 (``free_particle``) and 2.58
+(``harmonic``) quadratures per point, the scan's included; the rows and
+lines count them (:class:`~hjgen.numerics.SolveStats`).
 
 The action at a root is taken by parts: integrating x' dp/dx' in F gives
 the complete-integral form (Courant & Hilbert, *Methods of Mathematical
@@ -52,43 +53,44 @@ point the integrands are analytic on the segment, and these orders
 converge (Trefethen, *SIAM Rev.* 50, 2008, compares the two rules).  Any
 other outcome falls back to nested tanh-sinh (Takahasi & Mori, 1974; see
 :mod:`hjgen.numerics`), whose nodes crowd toward the segment's ends, where
-dp/dq has its inverse-square-root layer near a turning point: it walks the
-whole segment's levels, one weighted sum per level, and only a segment
-not converged by level 6 goes on to halved panels.  On ``harmonic`` 0.7%
-of the dp/dq quadratures fall back, and ``free_particle``'s flat V merges
-each order to one term.  :func:`solve_grid` takes
-each root's S in one pass (:func:`_action`): one admissibility margin
-serves x0 p(x0, q) and the integral of p, one quadrature of the row's
-table; p comes from a and V at x, taken once per row.  The separated
+dp/dq has its inverse-square-root layer near a turning point: the loop of
+:func:`hjgen.numerics.integrate_adaptive` walks the whole segment's
+levels, one weighted sum of the row's level table each, and only a
+segment not converged by level 6 goes on to halved panels.  On
+``harmonic`` 0.7% of the dp/dq quadratures fall back, and
+``free_particle``'s flat V merges each order to one term.  Each row's value kernel (:func:`_action`) takes
+a root's S and p in one pass: one admissibility margin serves
+x0 p(x0, q), the integral of p (one quadrature of the row's table) and
+p(x, q), from a and V at x, taken once per row.  The separated
 integral is sigma times the integral of p at q = E; that integral is
 t-free, so the table keeps it per q for :func:`separation_action`, whose
 calls repeat q.  The calls at one point (:func:`constraint`,
 :func:`action_value` and :func:`separation_action`) keep the problem's
 last table (:func:`_row_table`) for the next call on the same x and
-tolerance; a root at one point is a 1 x 1 :func:`solve_grid`.  A
-quadrature that does not converge marks its point ``domain_fail``, like a
-domain error.
+tolerance; a root at one point is a 1 x 1 grid solve.  A quadrature
+that does not converge marks its point ``domain_fail``, like a domain
+error.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 from itertools import accumulate
 from typing import Optional
 
 from . import expr
 from .errors import ConvergenceError, DomainError
-from .fields import ActionField, RootLine, Status, _count_lines, _solve_inputs, level_samples, sweep
+from .fields import ActionField, RootLine, level_samples, solve_grid
 from .numerics import (
     _CC16,
     _CC32,
     _FAILED,
-    _MAX_SPLITS,
     _SPLIT,
-    _SPLIT_LEVEL,
     SolverConfig,
     SolveStats,
+    _nested,
     clenshaw_curtis_nodes,
     integrate_adaptive,
     scan_abscissae,
@@ -167,6 +169,36 @@ class HJProblem:
         a = self._a_fn(x)
         v = self._v_fn(x)
         return lambda d1, d2: a * d1 * d1 + v - d2
+
+    def lines(self, xs, q_lo: float, q_hi: float, cfg: SolverConfig):
+        """(lines, count) of a grid solve (:func:`hjgen.fields.solve_grid`)
+        over the x rows ``xs``.
+
+        Each row gets a :class:`_RowTable`, and its line is the row's
+        :func:`_root_line` with the value kernel (t, q) -> (S, p) of
+        :func:`_action`, or ``None`` where the row has no root line.
+        ``count(stats)`` adds the ``scan_points + 1`` scan samples of each
+        row with a line and every row table's quadratures.
+        """
+        rows = [_RowTable(self, x, cfg.quad_tol) for x in xs]
+        lines = []
+        for row in rows:
+            line = _root_line(row, q_lo, q_hi, cfg)
+            lines.append(None if line is None else (line, partial(_action, row, True)))
+
+        def count(stats: SolveStats) -> None:
+            stats.scan += (len(lines) - lines.count(None)) * (cfg.scan_points + 1)
+            for row in rows:
+                row.add_counts(stats)
+
+        return lines, count
+
+    def field(self, xs, ts, q, values, status) -> ActionField:
+        """The :class:`~hjgen.fields.ActionField` of a grid solve whose
+        values are (S, p) pairs, or ``None`` where no value was taken."""
+        value = [[v and v[0] for v in row] for row in values]
+        p = [[v and v[1] for v in row] for row in values]
+        return ActionField(xs, ts, q, value, status, p)
 
 
 def _coefficients(prob: HJProblem, x: float):
@@ -259,8 +291,9 @@ class _RowTable:
     first level below it.
 
     The tanh-sinh panels are the whole segment and the halves of a panel
-    not converged by level 6, each with a list of its levels, appended on
-    first use and then serving every q of the row.
+    not converged by level 6 that the quadrature reached, each with a list
+    of its levels, appended on first use and then serving every q of the
+    row; :func:`hjgen.numerics._nested` runs the levels and the halving.
 
     Every table holds terms (V, c) with c = sigma w / (2 sqrt(a)) at a node
     of weight w: the dp/dq integral sums c / sqrt(q - V) and the integral
@@ -274,7 +307,7 @@ class _RowTable:
     """
 
     __slots__ = ("prob", "x", "tol", "lo", "hi", "sign", "_chebyshev", "_levels", "_panels", "_momentum",
-                 "quads", "_fallback_terms", "_split_terms")
+                 "quads", "_fallback_terms", "_split_terms", "_x_coefficients")
 
     def __init__(self, prob: HJProblem, x: float, tol: float):
         self.prob = prob
@@ -293,6 +326,7 @@ class _RowTable:
         self.quads = ([0] * (_CC32 + 1), [0] * (_CC32 + 1))
         self._fallback_terms = [0, 0]  # Clenshaw-Curtis terms the fallbacks summed
         self._split_terms = [0, 0]  # merged terms the halved ones summed
+        self._x_coefficients: Optional[tuple[float, float]] = None  # a and V at x, see _action
 
     def t_at(self, q: float) -> float:
         """The t at which q is a root: G'(q) - integral of dp/dq - x0 dp/dq(x0, q)."""
@@ -364,68 +398,42 @@ class _RowTable:
         return value
 
     def _tanh_sinh(self, q: float, margin: float, slope: bool) -> float:
-        # nested tanh-sinh over the panels' level lists, with the stop rule,
-        # halving and float operations of numerics.integrate_adaptive; a
-        # level's terms are added left to right from 0.0.  The whole
-        # segment's levels come first, in a plain loop, and a stack of
-        # halves only when it has not converged by level 6.
-        sqrt = math.sqrt
-        a, b, panel_tol, levels = self.lo, self.hi, self.tol, self._levels
-        stack = []  # the halves still to integrate; the leftmost is on top
-        total = 0.0
-        splits = split_terms = 0
+        # nested tanh-sinh (numerics._nested) over the panels' level lists,
+        # each panel's list made on its first visit; a level's terms are
+        # added left to right from 0.0
+        sqrt, panels, build = math.sqrt, self._panels, self._level
+        summed = 0  # merged terms of every level summed, for a halved quadrature
+
+        def level_sum(a, b, level):
+            nonlocal summed
+            levels = panels.setdefault((a, b), [])
+            if level == len(levels):
+                levels.append(build(a, b, level))
+            vmax, where, terms = levels[level]
+            if q - vmax < margin:
+                raise DomainError("momentum argument below admissibility margin", where=where)
+            part = 0.0
+            if slope:
+                for v, c in terms:
+                    part += c / sqrt(q - v)
+            else:
+                for v, c in terms:
+                    part += c * sqrt(q - v)
+                part *= 2.0
+                if not math.isfinite(part):
+                    raise DomainError("non-finite integrand value", where=where)
+            summed += len(terms)
+            return part
+
         try:
-            while True:
-                for level in range(_SPLIT_LEVEL + 1):
-                    try:
-                        vmax, where, terms = levels[level]
-                    except IndexError:
-                        vmax, where, terms = self._level(a, b, level)
-                        levels.append((vmax, where, terms))
-                    if q - vmax < margin:
-                        raise DomainError("momentum argument below admissibility margin", where=where)
-                    part = 0.0
-                    if slope:
-                        for v, c in terms:
-                            part += c / sqrt(q - v)
-                    else:
-                        for v, c in terms:
-                            part += c * sqrt(q - v)
-                        part *= 2.0
-                        if not math.isfinite(part):
-                            raise DomainError("non-finite integrand value", where=where)
-                    if not level:
-                        estimate = part
-                        continue
-                    prev = estimate
-                    estimate = 0.5 * prev + part
-                    if abs(estimate - prev) <= panel_tol:
-                        if not splits:  # the whole segment converged
-                            # total is still 0.0, and 0.0 + estimate is
-                            # estimate bitwise: part, a sum begun at 0.0, is
-                            # never -0.0, so neither is 0.5 * prev + part
-                            self.quads[slope][level] += 1
-                            return self.sign * estimate
-                        total += estimate
-                        break
-                else:
-                    splits += 1
-                    if splits > _MAX_SPLITS:
-                        raise ConvergenceError(f"quadrature not converged after {_MAX_SPLITS} halvings")
-                    m = 0.5 * (a + b)
-                    stack.append((m, b, 0.5 * panel_tol, self._panels.setdefault((m, b), [])))
-                    stack.append((a, m, 0.5 * panel_tol, self._panels.setdefault((a, m), [])))
-                # a halved quadrature: the panel's share of its terms
-                split_terms += sum(len(t) for _, _, t in levels[: level + 1])
-                if not stack:
-                    break
-                a, b, panel_tol, levels = stack.pop()
+            value, stop = _nested(level_sum, self.lo, self.hi, self.tol)
         except (DomainError, ConvergenceError):
             self.quads[slope][_FAILED] += 1
             raise
-        self.quads[slope][_SPLIT] += 1
-        self._split_terms[slope] += split_terms
-        return self.sign * total
+        self.quads[slope][stop] += 1
+        if stop == _SPLIT:
+            self._split_terms[slope] += summed
+        return self.sign * value
 
     def add_counts(self, stats: SolveStats) -> None:
         """Add the table's quadratures, and the merged terms of each rule
@@ -570,57 +578,23 @@ def _root_line(row: _RowTable, q_lo: float, q_hi: float, cfg: SolverConfig) -> O
 def action_value(prob: HJProblem, x: float, t: float, q: float, cfg: SolverConfig) -> float:
     """S = x p(x, q) + q t - F(x, q) at the resolved root q, taken by parts
     as x0 p(x0, q) + integral of p from x0 to x + q t - G(q)."""
-    return _action(_row_table(prob, x, cfg.quad_tol), t, q)
+    return _action(_row_table(prob, x, cfg.quad_tol), False, t, q)
 
 
-def _action(row: _RowTable, t: float, q: float) -> float:
-    """S at the root q of ``row``'s x and time t: one admissibility margin
-    serves x0 p(x0, q) and the integral of p, one quadrature of the row's
-    table."""
+def _action(row: _RowTable, momentum: bool, t: float, q: float):
+    """S at the root q of ``row``'s x and time t, or with ``momentum`` the
+    pair (S, p): one admissibility margin serves x0 p(x0, q), the integral
+    of p (one quadrature of the row's table) and p(x, q), whose a and V at
+    x the row keeps from the first call that takes them."""
     prob = row.prob
     margin = prob.margin(q)
     a, v = prob._x0_coefficients or _base_coefficients(prob)
     base = prob.x0 * (prob.sigma * math.sqrt(_gap(v, prob.x0, q, margin) / a))
-    return base + row._integral(q, margin, False) + q * t - prob._g_fn(q)
-
-
-def solve_grid(
-    prob: HJProblem,
-    x_grid,
-    t_grid,
-    q_range: tuple[float, float],
-    cfg: SolverConfig,
-    stats: Optional[SolveStats] = None,
-) -> ActionField:
-    """Warm-started sweep producing the action field S, roots q and momenta p.
-
-    Given a :class:`~hjgen.numerics.SolveStats`, the solve adds its points,
-    its lines' work and its row tables' quadratures to it.
-    """
-    xs, ts, q_lo, q_hi = _solve_inputs(x_grid, t_grid, q_range)
-    rows = [_RowTable(prob, x, cfg.quad_tol) for x in xs]
-    lines = [_root_line(row, q_lo, q_hi, cfg) for row in rows]
-    q, status = sweep(lines, xs, ts)
-    value: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
-    p: list[list[Optional[float]]] = [[None] * len(ts) for _ in xs]
-    for i, row in enumerate(rows):
-        coefficients = None  # a and V at the row's x, for every p of the row
-        for j, t in enumerate(ts):
-            if q[i][j] is None:
-                continue
-            try:
-                value[i][j] = _action(row, t, q[i][j])
-                a, v = coefficients = coefficients or _coefficients(prob, row.x)
-                p[i][j] = prob.sigma * math.sqrt(_gap(v, row.x, q[i][j], prob.margin(q[i][j])) / a)
-            except (DomainError, ConvergenceError):
-                q[i][j] = None
-                status[i][j] = Status.DOMAIN_FAIL
-    if stats is not None:
-        scanned = len(lines) - lines.count(None)  # each row scans its own level
-        _count_lines(stats, lines, len(ts), scanned * (cfg.scan_points + 1))
-        for row in rows:
-            row.add_counts(stats)
-    return ActionField(xs, ts, q, value, status, p)
+    action = base + row._integral(q, margin, False) + q * t - prob._g_fn(q)
+    if not momentum:
+        return action
+    a, v = row._x_coefficients = row._x_coefficients or _coefficients(prob, row.x)
+    return action, prob.sigma * math.sqrt(_gap(v, row.x, q, margin) / a)
 
 
 def _row_table(prob: HJProblem, x: float, tol: float) -> _RowTable:
@@ -630,8 +604,8 @@ def _row_table(prob: HJProblem, x: float, tol: float) -> _RowTable:
     One slot, not a table per x, for :func:`constraint`,
     :func:`action_value` and :func:`separation_action`, which take one
     point each: callers that loop t inside x share one table per row, and a
-    finished row is freed when the next one starts.  :func:`solve_grid`
-    builds its own rows and leaves the slot alone.
+    finished row is freed when the next one starts.  A grid solve builds
+    its own rows (:meth:`HJProblem.lines`) and leaves the slot alone.
     """
     row = prob._last_row
     if row is None or row.x != x or row.tol != tol:

@@ -21,17 +21,19 @@ the substitution s = tanh((pi/2) sinh t) crowds the nodes double-
 exponentially toward both ends of a panel, so integrands with a steep but
 bounded layer at an end, like the momentum slope near a turning point,
 converge in a few levels.  Level l halves the step to 2**-l and adds only
-the new nodes; :func:`integrate_adaptive` runs the levels and the stop
-rule on a callable integrand, and :func:`tanh_sinh_nodes` gives a level's
-nodes on one panel, so a caller can tabulate them and evaluate many
-integrands over one segment as weighted sums.  The node tables are built
-on first use, not at import.  :func:`clenshaw_curtis_nodes` gives the
-nested Clenshaw-Curtis rule (Clenshaw & Curtis, Numer. Math. 2, 1960),
-whose weights are also built on first use.  Every integral the
+the new nodes.  One loop, :func:`_nested`, runs the levels, the stop rule
+and the halving over a callback that sums one level on one panel:
+:func:`integrate_adaptive` passes it a sum over a callable integrand, and
+a caller that tabulates the nodes of :func:`tanh_sinh_nodes` passes it
+weighted sums over its tables, so it can evaluate many integrands over one
+segment.  The node tables are built on first use, not at import.
+:func:`clenshaw_curtis_nodes` gives the nested Clenshaw-Curtis rule
+(Clenshaw & Curtis, Numer. Math. 2, 1960), whose weights are also built
+on first use.  Every integral the
 Hamilton-Jacobi solve and the separated solution take is a sum over a
 row's tables of these nodes: Clenshaw-Curtis of orders 8, 16 and 32
-first, and on any failure tanh-sinh, run by the same stop rule over the
-table's levels (:class:`hjgen.hj._RowTable`);
+first, and on any failure tanh-sinh, whose level sums read the table's
+levels (:class:`hjgen.hj._RowTable`);
 :func:`integrate_adaptive` serves :func:`hjgen.hj.correction_term`, the
 direct form of :func:`hjgen.hj.constraint` (``direct=True``, an
 equivalence check) and the public API.
@@ -130,7 +132,7 @@ class SolverConfig:
 
 class SolveStats:
     """Work counts of the grid solves given it as ``stats``
-    (:func:`hjgen.hj.solve_grid`, :func:`hjgen.pq.solve_grid`), summed.
+    (:func:`hjgen.fields.solve_grid`), summed.
 
     Every grid line (:class:`hjgen.fields.RootLine`) and every
     Hamilton-Jacobi row table counts its own work in integers as it goes,
@@ -161,11 +163,13 @@ class SolveStats:
                  by the quadratures that returned, fallbacks included
     dpdq_terms, p_terms -- merged tanh-sinh table terms summed by the
                  quadratures that returned
+    statuses  -- grid points per status, keyed by the
+                 :class:`~hjgen.fields.Status` value
     """
 
     __slots__ = (
         "points", "targets", "scan", "probes", "brent", "refined",
-        "dpdq_quads", "p_quads", "dpdq_cc_terms", "p_cc_terms", "dpdq_terms", "p_terms",
+        "dpdq_quads", "p_quads", "dpdq_cc_terms", "p_cc_terms", "dpdq_terms", "p_terms", "statuses",
     )
 
     def __init__(self):
@@ -173,6 +177,7 @@ class SolveStats:
         self.refined = self.dpdq_cc_terms = self.p_cc_terms = self.dpdq_terms = self.p_terms = 0
         self.dpdq_quads = [0] * (_CC32 + 1)
         self.p_quads = [0] * (_CC32 + 1)
+        self.statuses: dict[str, int] = {}
 
 
 def _sample(f: Callable[[float], float], x: float) -> float:
@@ -277,9 +282,22 @@ def integrate_adaptive(
     def level_sum(a, b, level):
         return sum(w * _sample(f, s) for s, w in tanh_sinh_nodes(a, b, level))
 
+    return _nested(level_sum, x0, x1, tol)[0]
+
+
+def _nested(level_sum, lo: float, hi: float, tol: float) -> tuple[float, int]:
+    """(integral, stop) of nested tanh-sinh on [lo, hi] to absolute ``tol``,
+    with ``level_sum(a, b, l)`` the weighted integrand sum over the nodes
+    level l adds on the panel [a, b]; ``stop`` is the level at which the
+    whole segment converged, or ``_SPLIT`` once it was halved.
+
+    The stop rule, halving and ``_MAX_SPLITS`` cap of
+    :func:`integrate_adaptive`; the panels' integrals are added left to
+    right from 0.0, and errors of ``level_sum`` propagate.
+    """
     total = 0.0
     splits = 0
-    panels = [(x0, x1, tol)]  # a stack; the leftmost panel is on top
+    panels = [(lo, hi, tol)]  # a stack; the leftmost panel is on top
     while panels:
         a, b, panel_tol = panels.pop()
         estimate = level_sum(a, b, 0)
@@ -296,7 +314,7 @@ def integrate_adaptive(
             m = 0.5 * (a + b)
             panels.append((m, b, 0.5 * panel_tol))
             panels.append((a, m, 0.5 * panel_tol))
-    return total
+    return total, _SPLIT if splits else level
 
 
 def scan_abscissae(lo: float, hi: float, n: int) -> list[float]:

@@ -27,19 +27,19 @@ root is found.
 
 The condition says s = phi'(r) - H(l) G'(r), a function of the root alone
 on each grid line, and every line's level is the same two functions of r,
-G' and phi', combined affinely in H.  So :func:`solve_grid` tabulates
-(G', phi') once per solve at the scan samples, and each grid line (each x
-row, or each y column for scaled_y) is one :class:`~hjgen.fields.RootLine`
-whose samples are phi' - H G' of that table, with H(l) evaluated once per
-line; a point finds its brackets by bisection over those levels and
-evaluates the level only to refine them.  Each evaluation is one frame of
-a kernel compiled from the fused expression trees (:class:`PQProblem`):
-the table's (G', phi') pair, and per point the level, the value u and the
-residual, with H (or H') bound once per line.  The sweep walks each line in turn, so a root's warm start and prediction
-come from the earlier roots of its own line, and the residual is built
-once per line (:meth:`PQProblem.residual_line`);
-:attr:`PQProblem.lines_are_columns` says which lines those are.  A root at
-one point is a 1 x 1 :func:`solve_grid`.
+G' and phi', combined affinely in H.  So the lines a grid solve
+(:func:`hjgen.fields.solve_grid`) gets from :meth:`PQProblem.lines` share
+one table of (G', phi') at the scan samples, and each grid line (each x
+row, or each y column for scaled_y, as
+:attr:`PQProblem.lines_are_columns` says) is one
+:class:`~hjgen.fields.RootLine` whose samples are phi' - H G' of that
+table, with H(l) evaluated once per line; a point finds its brackets by
+bisection over those levels and evaluates the level only to refine them.
+Each evaluation is one frame of a kernel compiled from the fused
+expression trees (:class:`PQProblem`): the table's (G', phi') pair, and
+per point the level, the value u and the residual, each bound once per
+line to H (the residual to H', :meth:`PQProblem.residual_line`).  A root
+at one point is a 1 x 1 grid solve.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Optional
 
 from . import expr
 from .errors import DomainError
-from .fields import RootLine, SolutionField, Status, _count_lines, _solve_inputs, sweep
+from .fields import RootLine, SolutionField, solve_grid
 from .numerics import SolverConfig, SolveStats, scan_abscissae
 
 __all__ = ["KINDS", "PQProblem", "constraint", "solution_value", "solve_grid"]
@@ -155,6 +155,35 @@ class PQProblem:
         """
         return partial(self._residual_fn, self._ratiop_fn(v))
 
+    def lines(self, axis, q_lo: float, q_hi: float, cfg: SolverConfig):
+        """(lines, count) of a grid solve (:func:`hjgen.fields.solve_grid`):
+        per coordinate v of the line axis ``axis``, the line's
+        :class:`~hjgen.fields.RootLine` and value kernel (s, r) -> u, both
+        bound to H(v), or ``None`` (a domain failure of every point of the
+        line) where H raises.  The lines' samples come from one scan table
+        of G' and phi', built at the first line whose H evaluates, and
+        ``count(stats)`` adds its ``scan_points + 1`` evaluations as the
+        scan."""
+        level, table, lines = self._level_fn, None, []
+        for v in axis:
+            try:
+                h = self._ratio_fn(v)
+            except DomainError:
+                lines.append(None)
+                continue
+            if table is None:
+                table = _scan_table(self, q_lo, q_hi, cfg)
+            line = RootLine(partial(level, h), _line_samples(table, h), q_lo, q_hi, cfg)
+            lines.append((line, partial(self._value_fn, h)))
+        scan = 0 if table is None else cfg.scan_points + 1
+
+        def count(stats: SolveStats) -> None:
+            stats.scan += scan
+
+        return lines, count
+
+    field = SolutionField  # a grid solve's values are the u at its roots
+
 
 def _line(prob: PQProblem, x: float, y: float):
     """(line coordinate, target) of the point (x, y)."""
@@ -193,68 +222,3 @@ def _line_samples(table, h: float) -> list[tuple[float, float]]:
     the problem's scan table, without NaN levels (a 0 * inf slope term)."""
     samples = [(q, phi_slope - h * g_slope) for q, g_slope, phi_slope in table]
     return [sample for sample in samples if sample[1] == sample[1]]
-
-
-def _root_lines(prob: PQProblem, axis1, q_lo: float, q_hi: float, cfg: SolverConfig):
-    """(lines, scanned): per coordinate v of ``axis1``, (H(v), the
-    :class:`~hjgen.fields.RootLine` of the line at v), or ``None`` (a
-    domain failure of every point of the line) where H raises; and whether
-    the scan table was built, which happens at the first line whose H
-    evaluates."""
-    level, table, lines = prob._level_fn, None, []
-    for v in axis1:
-        try:
-            h = prob._ratio_fn(v)
-        except DomainError:
-            lines.append(None)
-            continue
-        if table is None:
-            table = _scan_table(prob, q_lo, q_hi, cfg)
-        lines.append((h, RootLine(partial(level, h), _line_samples(table, h), q_lo, q_hi, cfg)))
-    return lines, table is not None
-
-
-def solve_grid(
-    prob: PQProblem,
-    x_grid,
-    y_grid,
-    q_range: tuple[float, float],
-    cfg: SolverConfig,
-    stats: Optional[SolveStats] = None,
-) -> SolutionField:
-    """Continuation sweep over the grid, one :class:`~hjgen.fields.RootLine` per line.
-
-    The lines are the x rows, or the y columns for scaled_y problems, and
-    the sweep runs on the grid whose rows they are, (y, x) for scaled_y,
-    so every root continues along its own line; q, u and the statuses come
-    back on the (x, y) grid.  Each line's H is computed once, before the
-    sweep, and its samples come from the solve's one scan table of G' and
-    phi'; H serves the condition and u, each a kernel bound to it.  A line
-    where H raises is ``domain_fail`` at every point.  Given a
-    :class:`~hjgen.numerics.SolveStats`, the solve adds its points and its
-    lines' work to it, the table's ``scan_points + 1`` evaluations as its
-    scan.
-    """
-    xs, ys, q_lo, q_hi = _solve_inputs(x_grid, y_grid, q_range)
-    axis1, axis2 = (ys, xs) if prob.lines_are_columns else (xs, ys)
-    lines, scanned = _root_lines(prob, axis1, q_lo, q_hi, cfg)
-    root_lines = [line and line[1] for line in lines]
-    q, status = sweep(root_lines, axis1, axis2)
-    if stats is not None:
-        _count_lines(stats, root_lines, len(axis2), scanned * (cfg.scan_points + 1))
-    value: list[list[Optional[float]]] = [[None] * len(axis2) for _ in axis1]
-    for line, q_row, value_row, status_row in zip(lines, q, value, status):
-        if line is None:
-            continue  # a domain failure at every point
-        u = partial(prob._value_fn, line[0])
-        for j, s in enumerate(axis2):
-            if q_row[j] is None:
-                continue
-            try:
-                value_row[j] = u(s, q_row[j])
-            except DomainError:
-                q_row[j] = None
-                status_row[j] = Status.DOMAIN_FAIL
-    if prob.lines_are_columns:
-        q, value, status = ([list(r) for r in zip(*grid)] for grid in (q, value, status))
-    return SolutionField(xs, ys, q, value, status)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hjgen import fields
+from hjgen import fields, hj, pq
 from hjgen.errors import ConfigError, ConvergenceError, DomainError
 from hjgen.fields import (
     _STATUS,
@@ -24,7 +24,7 @@ from hjgen.fields import (
     sweep,
     write_field_csv,
 )
-from hjgen.numerics import SolverConfig, _brent, _refine, scan_abscissae
+from hjgen.numerics import SolverConfig, SolveStats, _brent, _refine, scan_abscissae
 from scan_reference import crossings, full_scan, scanned_line
 
 
@@ -563,6 +563,77 @@ def test_sweep_none_line_fails_its_row_and_breaks_column_0():
     assert first[3] == (4.0, (4.0, 1.0))
 
 
+class ColumnProblem:
+    """A problem whose grid lines are columns: on the column at y the level
+    is q itself, so each point's root is its x, and the value kernel gives
+    10 x + y, but raises DomainError at (2, 0) and ConvergenceError at
+    (3, 1); the column y = 0.5 has no root line."""
+
+    lines_are_columns = True
+
+    def __init__(self):
+        self.calls = []  # (line axis, q_lo, q_hi) of each lines() call
+        self.root_lines = []
+        self.kernel_calls = []
+
+    def lines(self, axis, q_lo, q_hi, cfg):
+        self.calls.append((axis, q_lo, q_hi))
+        lines = []
+        for y in axis:
+            if y == 0.5:
+                lines.append(None)
+                continue
+            line = RootLine(float, level_samples(float, q_lo, q_hi, cfg), q_lo, q_hi, cfg)
+            self.root_lines.append(line)
+            lines.append((line, lambda x, q, y=y: self.value(x, y, q)))
+
+        def count(stats):
+            stats.scan += 1000
+
+        return lines, count
+
+    def value(self, x, y, q):
+        self.kernel_calls.append((x, y))
+        if (x, y) == (2.0, 0.0):
+            raise DomainError("value undefined", where=q)
+        if (x, y) == (3.0, 1.0):
+            raise ConvergenceError("value not converged")
+        return 10.0 * x + y
+
+    field = SolutionField
+
+
+def test_solve_grid_runs_the_problem_lines_and_kernels():
+    cfg = SolverConfig(scan_points=8)
+    xs, ys = [1.0, 2.0, 3.0], [0.0, 0.5, 1.0]
+    prob = ColumnProblem()
+    stats = SolveStats()
+    field = fields.solve_grid(prob, xs, ys, (0.0, 10.0), cfg, stats)
+    assert prob.calls == [((0.0, 0.5, 1.0), 0.0, 10.0)]  # the columns' axis
+    # every root is found, and each kernel runs at its own column's points
+    assert sorted(prob.kernel_calls) == [(x, y) for x in xs for y in (0.0, 1.0)]
+    fail, ok = Status.DOMAIN_FAIL, Status.RESOLVED
+    # back on the (x, y) grid: the missing column and both kernel errors fail
+    assert field.status == [[ok, fail, ok], [fail, fail, ok], [ok, fail, fail]]
+    assert field.q == [[1.0, None, 1.0], [None, None, 2.0], [3.0, None, None]]
+    assert field.value == [[10.0, None, 11.0], [None, None, 21.0], [30.0, None, None]]
+    assert (field.axis1, field.axis2) == (tuple(xs), tuple(ys))
+    assert (stats.points, stats.targets, stats.scan) == (9, 6, 1000)
+    lines = prob.root_lines
+    assert stats.refined == sum(line.refined for line in lines) == 6
+    assert stats.probes == sum(line.probes for line in lines)
+    assert stats.brent == sum(line.brent for line in lines)
+    assert stats.statuses == {"resolved": 4, "no_root": 0, "multi_root": 0, "domain_fail": 5}
+    # a solve without a record solves alike, and a second record adds up
+    assert fields.solve_grid(ColumnProblem(), xs, ys, (0.0, 10.0), cfg) == field
+    fields.solve_grid(ColumnProblem(), xs, ys, (0.0, 10.0), cfg, stats)
+    assert stats.statuses == {"resolved": 8, "no_root": 0, "multi_root": 0, "domain_fail": 10}
+
+
+def test_both_families_solve_through_one_function():
+    assert hj.solve_grid is pq.solve_grid is fields.solve_grid
+
+
 def reference_point(g, lo, hi, cfg, warm):
     """One point solved on its own: the scan, then Brent's method from every
     coarse bracket, with the line solver's status rules."""
@@ -800,11 +871,9 @@ def test_a_bracket_that_raises_in_refinement_fails_the_point():
 def test_linear_pq_tie_bisects_to_the_pair_on_its_left():
     # on the shipped linear_pq grid the root 2x + y = 1.25 at (0.2, 0.85)
     # is a scan sample of [0, 10] in 24 intervals, so g is exactly 0 there
-    from hjgen import pq
-
     prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
     cfg = SolverConfig(root_tol=1e-12, resid_tol=1e-12, scan_points=24)
-    (_, line), = pq._root_lines(prob, [0.2], 0.0, 10.0, cfg)[0]
+    (line, _), = prob.lines([0.2], 0.0, 10.0, cfg)[0]
     assert line.brackets(0.85) == [(0.8333333333333334, 1.25, 0.41666666666666663, 0.0)]
     assert reference_brackets(line, 0.85) == line.brackets(0.85)
     assert line.solve(0.85)[:2] == (1.25, Status.RESOLVED)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjgen import hj
+from hjgen import hj, numerics
 from hjgen.config import load_config
 from hjgen.errors import ConvergenceError, DomainError
 from hjgen.fields import Status
@@ -372,7 +372,7 @@ def test_calls_without_a_row_share_the_problem_row_table(monkeypatch):
     x, q = 0.7, 2.0
     ts = axis(0.0, 0.4, 41)
     want_g = [hj._RowTable(prob, x, CFG.quad_tol).t_at(q) - t for t in ts]
-    want_s = [hj._action(hj._RowTable(prob, x, CFG.quad_tol), t, q) for t in ts]
+    want_s = [hj._action(hj._RowTable(prob, x, CFG.quad_tol), False, t, q) for t in ts]
     correction = reference_correction_integral(prob, x, q, CFG.quad_tol) + prob._g_fn(q)
     for t, s in zip(ts, want_s):
         assert abs(s - (x * hj.momentum(prob, x, q) + q * t - correction)) <= 1e-13
@@ -406,7 +406,7 @@ def test_calls_alternating_tolerances_match_fresh_tables():
         row = hj._RowTable(prob, x, cfg.quad_tol)
         want[cfg.quad_tol] = (
             row.t_at(q) - t,
-            hj._action(row, t, q),
+            hj._action(row, False, t, q),
             prob.sigma * hj._RowTable(prob, x, cfg.quad_tol).momentum_integral(1.0) + 1.0 * t,
         )
     assert want[cfgs[0].quad_tol] != want[cfgs[1].quad_tol]
@@ -986,8 +986,9 @@ def test_row_kernel_gives_up_after_the_last_halving():
             kernel(2.0)
         with pytest.raises(ConvergenceError):
             reference_integral(hj._RowTable(prob, 0.5, CFG.quad_tol), 2.0, slope)
-    # each halving adds the two halves of the panel at x0
-    assert len(row._panels) == 1 + 2 * _MAX_SPLITS
+    # the whole segment, then each halving's left half, the panel at x0,
+    # which is visited and fails again; the right halves are never reached
+    assert len(row._panels) == 1 + _MAX_SPLITS
 
 
 @settings(deadline=None, database=None, max_examples=200)
@@ -1250,7 +1251,7 @@ def test_solve_stats_quadrature_slots_match_a_replay(monkeypatch, prob, xs, ts, 
 
 def test_solve_stats_count_a_forced_convergence_failure(monkeypatch):
     # no halving allowed: every quadrature the kink would split raises
-    monkeypatch.setattr(hj, "_MAX_SPLITS", 0)
+    monkeypatch.setattr(numerics, "_MAX_SPLITS", 0)
     calls = recording_integrals(monkeypatch)
     stats = SolveStats()
     field = hj.solve_grid(KINKED, axis(0.4, 0.8, 5), axis(0.2, 0.4, 3), (0.05, 6.0), CFG, stats=stats)

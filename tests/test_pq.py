@@ -35,10 +35,10 @@ def line_solve(prob, x, y, q_range, cfg, warm=None):
     """(root, status) at (x, y) from the RootLine of its grid line (the y
     column for scaled_y), warm-started at ``warm``, without a predictor."""
     v, target = (y, x) if prob.lines_are_columns else (x, y)
-    (line,), _ = pq._root_lines(prob, [v], *q_range, cfg)
+    (line,), _ = prob.lines([v], *q_range, cfg)
     if line is None:
         return None, Status.DOMAIN_FAIL
-    return line[1].solve(target, warm)[:2]
+    return line[0].solve(target, warm)[:2]
 
 
 def test_problem_field_validation():
@@ -746,13 +746,18 @@ def test_a_problem_compiles_six_functions(kind):
     ids=["g_slope_raises", "nan_level", "scaled_y_ln", "scaled_x"],
 )
 def test_every_line_samples_its_own_level(prob, xs, q_range, counts):
-    lines, scanned = pq._root_lines(prob, xs, *q_range, CFG)
-    assert scanned
-    for h, line in lines:
+    lines, count = prob.lines(xs, *q_range, CFG)
+    stats = SolveStats()
+    count(stats)
+    assert stats.scan == CFG.scan_points + 1  # the one table, built once
+    for line, value in lines:
+        # the level and the value kernel are bound to the same H
+        h = line.level.args[0]
+        assert value.args == (h,)
         assert repr(line.samples) == repr(fields.level_samples(line.level, *q_range, CFG))
         # and the level the samples come from is the composed one
         old = functools.partial(composed_kernels(prob)["_level_fn"], h)
         assert repr(line.samples) == repr(fields.level_samples(old, *q_range, CFG))
-    assert [len(line.samples) for _, line in lines] == counts
+    assert [len(line.samples) for line, _ in lines] == counts
     if counts[0] == 11:
-        assert -math.inf in [level for _, level in lines[1][1].samples]
+        assert -math.inf in [level for _, level in lines[1][0].samples]

@@ -126,8 +126,8 @@ def test_shipped_solve_level_evaluations_per_point(name):
 
 # The SolveStats record of each shipped solve, every count exact: a change
 # meant to leave the numerics alone must leave the work alone too, and one
-# that adds or drops a level evaluation, a bracket, a quadrature or a
-# merged table term fails here.
+# that adds or drops a level evaluation, a bracket, a quadrature, a merged
+# table term or a point of some status fails here.
 SOLVE_STATS = {
     "free_particle": {
         "points": 3111, "targets": 3111, "scan": 1525,
@@ -136,6 +136,7 @@ SOLVE_STATS = {
         "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 3111, 0],
         "dpdq_cc_terms": 8735, "p_cc_terms": 3111,
         "dpdq_terms": 0, "p_terms": 0,
+        "statuses": {"resolved": 3111, "no_root": 0, "multi_root": 0, "domain_fail": 0},
     },
     "harmonic": {
         "points": 1681, "targets": 1681, "scan": 697,
@@ -144,6 +145,7 @@ SOLVE_STATS = {
         "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 1646, 35],
         "dpdq_cc_terms": 93643, "p_cc_terms": 29732,
         "dpdq_terms": 3552, "p_terms": 0,
+        "statuses": {"resolved": 1681, "no_root": 0, "multi_root": 0, "domain_fail": 0},
     },
     "linear_pq": {
         "points": 1681, "targets": 1681, "scan": 25,
@@ -152,6 +154,7 @@ SOLVE_STATS = {
         "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         "dpdq_cc_terms": 0, "p_cc_terms": 0,
         "dpdq_terms": 0, "p_terms": 0,
+        "statuses": {"resolved": 1681, "no_root": 0, "multi_root": 0, "domain_fail": 0},
     },
     "power_pq": {
         "points": 1681, "targets": 1681, "scan": 25,
@@ -160,6 +163,7 @@ SOLVE_STATS = {
         "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         "dpdq_cc_terms": 0, "p_cc_terms": 0,
         "dpdq_terms": 0, "p_terms": 0,
+        "statuses": {"resolved": 1681, "no_root": 0, "multi_root": 0, "domain_fail": 0},
     },
     "scaled_x": {
         "points": 1681, "targets": 1681, "scan": 25,
@@ -168,6 +172,7 @@ SOLVE_STATS = {
         "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         "dpdq_cc_terms": 0, "p_cc_terms": 0,
         "dpdq_terms": 0, "p_terms": 0,
+        "statuses": {"resolved": 1681, "no_root": 0, "multi_root": 0, "domain_fail": 0},
     },
     "scaled_y": {
         "points": 1681, "targets": 1681, "scan": 25,
@@ -176,6 +181,7 @@ SOLVE_STATS = {
         "p_quads": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         "dpdq_cc_terms": 0, "p_cc_terms": 0,
         "dpdq_terms": 0, "p_terms": 0,
+        "statuses": {"resolved": 1681, "no_root": 0, "multi_root": 0, "domain_fail": 0},
     },
 }
 

@@ -29,6 +29,12 @@ def test_quad_census_runs_on_the_checkout():
     assert headers[len(CONFIGS):] == ["criterion-06 separated field (81 x 41)"]
     roots = [line for line in lines if line.startswith("  roots: ")]
     assert len(roots) == len(CONFIGS)
+    # each solve's status histogram follows its roots line, and every
+    # shipped point resolves
+    for line in roots:
+        statuses = lines[lines.index(line) + 1]
+        points = re.match(r"  roots: ([\d,]+) points", line)[1]
+        assert statuses == f"  statuses: resolved {points}, no_root 0, multi_root 0, domain_fail 0"
     assert not any(line.lstrip().startswith("generic:") for line in lines)
     # on the shipped Hamilton-Jacobi configs every level evaluation is one
     # dp/dq quadrature (no row lies at x = x0, and neither G' nor the margin
@@ -275,3 +281,51 @@ def test_cmp_shipped_damaged_configs_are_config_errors():
                 parsed.append((cfg, name))
     both = ("[output] removed", "field quoted", "report quoted")
     assert sorted(parsed) == sorted((cfg, name) for cfg in cmp.DAMAGED_CONFIGS for name in both)
+
+
+CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+import math  # a comment after code
+
+# a comment line
+
+
+class Box:
+    """A class docstring."""
+
+    def area(self, w,
+             h):
+        """A function docstring."""
+        text = """not a docstring,
+        so both its lines are code"""
+        return (w *
+                h)
+'''
+
+
+def test_code_lines_leaves_out_docstrings_comments_and_blanks(tmp_path):
+    # code: import, class, the two lines of def, both lines of the
+    # assigned string and both lines of the return
+    tool = load_tool("code_lines")
+    assert tool.code_lines(CODE_LINES_FIXTURE) == 8
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["     1  b.py", "     8  pkg/a.py", "     9  total"]
+
+
+def test_code_lines_counts_the_checkout():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *modules, total = proc.stdout.splitlines()
+    assert "hjgen/fields.py" in {line.split()[1] for line in modules}
+    assert int(total.split()[0]) == sum(int(line.split()[0]) for line in modules) > 0

@@ -46,8 +46,8 @@ stage:
 - ``probes``: evaluations at a predicted root before Brent's method;
 - ``brent``: evaluations in Brent's method;
 
-and the brackets refined per point.  The package counts all of this
-itself; the script only reads the counts.
+and the brackets refined per point, then its grid points per status.
+The package counts all of this itself; the script only reads the counts.
 """
 
 from __future__ import annotations
@@ -141,6 +141,9 @@ def main(argv):
             f"(scan {stats.scan / n:.3f}, probes {stats.probes / n:.3f}, brent {stats.brent / n:.3f}); "
             f"brackets/point {stats.refined / n:.3f}"
         )
+        statuses = getattr(stats, "statuses", None)  # an older record has none
+        if statuses:
+            print("  statuses: " + ", ".join(f"{k} {v:,}" for k, v in statuses.items()))
     stats = SolveStats()
     osc = hj.HJProblem("1", "x^2", "0", sigma=1, x0=0.0)
     solver = numerics.SolverConfig(quad_tol=1e-10)
