@@ -58,18 +58,18 @@ dp/dq has its inverse-square-root layer near a turning point: the loop of
 levels, one weighted sum of the row's level table each, and only a
 segment not converged by level 6 goes on to halved panels.  On
 ``harmonic`` 0.7% of the dp/dq quadratures fall back, and
-``free_particle``'s flat V merges each order to one term.  Each row's value kernel (:func:`_action`) takes
-a root's S and p in one pass: one admissibility margin serves
-x0 p(x0, q), the integral of p (one quadrature of the row's table) and
-p(x, q), from a and V at x, taken once per row.  The separated
-integral is sigma times the integral of p at q = E; that integral is
-t-free, so the table keeps it per q for :func:`separation_action`, whose
-calls repeat q.  The calls at one point (:func:`constraint`,
-:func:`action_value` and :func:`separation_action`) keep the problem's
-last table (:func:`_row_table`) for the next call on the same x and
-tolerance; a root at one point is a 1 x 1 grid solve.  A quadrature
-that does not converge marks its point ``domain_fail``, like a domain
-error.
+``free_particle``'s flat V merges each order to one term.  Each row's
+value kernel (:func:`_action`) takes a root's S and p in one pass: one
+admissibility margin serves x0 p(x0, q), the integral of p (one
+quadrature of the row's table) and p(x, q), from a and V at x, taken
+once per row.  The separated integral is sigma times the integral of p
+at q = E; that integral is t-free, so the table keeps it per q for
+:func:`separation_action`, whose calls repeat q.  The calls at one point
+(:func:`constraint`, :func:`action_value` and :func:`separation_action`)
+keep the problem's last table (:func:`_row_table`) for the next call on
+the same x and tolerance; a root at one point is a 1 x 1 grid solve.  A
+quadrature that does not converge marks its point ``domain_fail``, like
+a domain error.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from __future__ import annotations
 import math
 import operator
 from functools import partial
-from itertools import accumulate
 from typing import Optional
 
 from . import expr
@@ -87,7 +86,6 @@ from .numerics import (
     _CC16,
     _CC32,
     _FAILED,
-    _SPLIT,
     SolverConfig,
     SolveStats,
     _nested,
@@ -291,9 +289,11 @@ class _RowTable:
     first level below it.
 
     The tanh-sinh panels are the whole segment and the halves of a panel
-    not converged by level 6 that the quadrature reached, each with a list
-    of its levels, appended on first use and then serving every q of the
-    row; :func:`hjgen.numerics._nested` runs the levels and the halving.
+    not converged by level 6 that a fallback reached.  A panel gets its
+    list of levels on its first visit, each level appended on first use
+    and then serving every q of the row, so a row no fallback reached has
+    no panel; :func:`hjgen.numerics._nested` runs the levels and the
+    halving.
 
     Every table holds terms (V, c) with c = sigma w / (2 sqrt(a)) at a node
     of weight w: the dp/dq integral sums c / sqrt(q - V) and the integral
@@ -302,12 +302,15 @@ class _RowTable:
     per table.  Admissibility is checked once per table against its
     largest V.  The action is taken by parts, so no table holds F's
     integrand, and only a and V are evaluated.  Each quadrature adds one to
-    ``quads``, in the slot of how it ended; :meth:`add_counts` reports them
-    to a :class:`~hjgen.numerics.SolveStats`.
+    ``quads``, in the slot of how it ended.  A fallback that returns adds
+    the merged tanh-sinh terms it summed, counted as it sums them; the
+    Clenshaw-Curtis terms of the quadratures that stopped on the table are
+    the slot counts times the table's sizes.  :meth:`add_counts` reports
+    all of them to a :class:`~hjgen.numerics.SolveStats`.
     """
 
-    __slots__ = ("prob", "x", "tol", "lo", "hi", "sign", "_chebyshev", "_levels", "_panels", "_momentum",
-                 "quads", "_fallback_terms", "_split_terms", "_x_coefficients")
+    __slots__ = ("prob", "x", "tol", "lo", "hi", "sign", "_chebyshev", "_panels", "_momentum",
+                 "quads", "_fallback_terms", "_tanh_sinh_terms", "_x_coefficients")
 
     def __init__(self, prob: HJProblem, x: float, tol: float):
         self.prob = prob
@@ -316,16 +319,15 @@ class _RowTable:
         self.lo, self.hi = min(prob.x0, x), max(prob.x0, x)
         self.sign = 1.0 if x >= prob.x0 else -1.0
         self._chebyshev = None  # see _clenshaw_curtis
-        # the whole segment's tanh-sinh levels, and each panel's by
-        # (lo, hi), as [(max V, its abscissa, merged terms) per level]
-        self._levels: list = []
-        self._panels: dict = {(self.lo, self.hi): self._levels}
+        # each visited panel's tanh-sinh levels by (lo, hi), as
+        # [(max V, its abscissa, merged terms) per level]
+        self._panels: dict = {}
         self._momentum: dict = {}  # q -> momentum integral
         # quadratures of p and of dp/dq, indexed by the slope flag, in the
         # slots of SolveStats.dpdq_quads
         self.quads = ([0] * (_CC32 + 1), [0] * (_CC32 + 1))
         self._fallback_terms = [0, 0]  # Clenshaw-Curtis terms the fallbacks summed
-        self._split_terms = [0, 0]  # merged terms the halved ones summed
+        self._tanh_sinh_terms = [0, 0]  # merged terms the returned fallbacks summed
         self._x_coefficients: Optional[tuple[float, float]] = None  # a and V at x, see _action
 
     def t_at(self, q: float) -> float:
@@ -402,7 +404,7 @@ class _RowTable:
         # each panel's list made on its first visit; a level's terms are
         # added left to right from 0.0
         sqrt, panels, build = math.sqrt, self._panels, self._level
-        summed = 0  # merged terms of every level summed, for a halved quadrature
+        summed = 0  # merged terms of every level summed
 
         def level_sum(a, b, level):
             nonlocal summed
@@ -431,30 +433,23 @@ class _RowTable:
             self.quads[slope][_FAILED] += 1
             raise
         self.quads[slope][stop] += 1
-        if stop == _SPLIT:
-            self._split_terms[slope] += summed
+        self._tanh_sinh_terms[slope] += summed
         return self.sign * value
 
     def add_counts(self, stats: SolveStats) -> None:
         """Add the table's quadratures, and the merged terms of each rule
         those that returned summed, to ``stats``."""
-        # one that stopped at level l without halving summed the whole
-        # segment's levels 0..l, and one that stopped at n = 16 or n = 32
-        # the Clenshaw-Curtis terms of n = 16, or of both orders
-        summed = list(accumulate(len(terms) for _, _, terms in self._levels))
+        # one that stopped at n = 16 or n = 32 summed the Clenshaw-Curtis
+        # terms of n = 16, or of both orders
         _, _, coarse, fine = self._chebyshev or _NO_TABLE
         coarse = len(coarse)
         fine = coarse + len(fine)
-        p_terms, dpdq_terms = (
-            split + sum(map(operator.mul, quads, summed))
-            for quads, split in zip(self.quads, self._split_terms)
-        )
         p_cc, dpdq_cc = (
             fallback + quads[_CC16] * coarse + quads[_CC32] * fine
             for quads, fallback in zip(self.quads, self._fallback_terms)
         )
-        stats.p_terms += p_terms
-        stats.dpdq_terms += dpdq_terms
+        stats.p_terms += self._tanh_sinh_terms[0]
+        stats.dpdq_terms += self._tanh_sinh_terms[1]
         stats.p_cc_terms += p_cc
         stats.dpdq_cc_terms += dpdq_cc
         for into, quads in zip((stats.p_quads, stats.dpdq_quads), self.quads):

@@ -127,11 +127,13 @@ def residual_report(problem, field) -> ResidualReport:
     differences.  Besides the points the module excludes, a point where the
     residual raises a domain error is left out, and so is every point of a
     line whose coefficient raises.  ``worst_point`` is the first point of
-    largest residual.
+    largest residual.  A field with no usable interior point, among them
+    one with fewer than 3 points on an axis, raises
+    :class:`~hjgen.errors.EmptyReportError`.
     """
     n1, n2 = field.shape
     if n1 < 3 or n2 < 3:
-        raise ValueError("residual_report needs at least 3 points per axis")
+        raise EmptyReportError("residual_report needs at least 3 points per axis")
     try:
         line_fn, by_column = problem.residual_line, problem.lines_are_columns
     except AttributeError:

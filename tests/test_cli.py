@@ -227,6 +227,23 @@ def test_verify_rejects_a_nan_root_or_axis(tmp_path, monkeypatch, capsys, line, 
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
 
+def test_two_point_axis_has_no_interior_point(tmp_path, monkeypatch, capsys):
+    # a grid with 2 points on t has no interior point: solve writes the
+    # field and a FAIL report, and verify of that field fails the same way
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "harmonic.cfg"
+    text = (CONFIGS / "harmonic.cfg").read_text()
+    cfg.write_text(text.replace("t = 0.2:0.6:41", "t = 0.2:0.6:2"))
+    assert main(["solve", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    assert "residual: no usable interior point" in out and "status: FAIL" in out
+    assert (tmp_path / "harmonic_report.txt").read_text() == out
+    field = tmp_path / "harmonic_field.csv"
+    assert read_field_csv(str(field)).shape == (41, 2)
+    assert main(["verify", str(cfg), str(field)]) == 1
+    assert capsys.readouterr().out == out
+
+
 FREE_PARTICLE = POWER_PQ.with_name("free_particle.cfg")
 
 

@@ -8,7 +8,7 @@ from hjgen import hj, pq
 from hjgen.cli import _solve_field, main
 from hjgen.config import load_config
 from hjgen.fields import read_field_csv
-from hjgen.numerics import SolveStats
+from hjgen.numerics import SolverConfig, SolveStats
 from hjgen.pq import PQProblem
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -191,3 +191,20 @@ def test_shipped_solve_stats_are_pinned(name):
     stats = SolveStats()
     _solve_field(load_config(str(CONFIG_DIR / f"{name}.cfg")), stats)
     assert {key: getattr(stats, key) for key in SolveStats.__slots__} == SOLVE_STATS[name]
+
+
+def test_separated_field_work_is_pinned():
+    # the criterion-06 separated field (a = 1, V = x^2, E = 1 on 81 x 41
+    # points, t looping inside x), read after each x through the row table
+    # its calls shared: every quadrature stops on the Clenshaw-Curtis table
+    osc = hj.HJProblem("1", "x^2", "0", sigma=1, x0=0.0)
+    solver = SolverConfig(quad_tol=1e-10)
+    stats = SolveStats()
+    for i in range(81):
+        x = 0.1 + 0.7 * i / 80
+        for j in range(41):
+            hj.separation_action(osc, 1.0, x, 0.4 * j / 40, solver)
+        hj._row_table(osc, x, solver.quad_tol).add_counts(stats)
+    assert stats.p_quads == [0] * 9 + [58, 23]
+    assert (stats.p_cc_terms, stats.p_terms) == (2136, 0)
+    assert stats.dpdq_quads == [0] * 11 and stats.dpdq_cc_terms == stats.dpdq_terms == 0

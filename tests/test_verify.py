@@ -113,7 +113,7 @@ def test_residual_report_empty_and_too_small():
     with pytest.raises(EmptyReportError):
         verify.residual_report(prob, SolutionField(xs, ys, q, u, st))
     small = _field_from(axis(0, 1, 2), axis(0, 1, 5), lambda x, y: x)
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyReportError, match="at least 3 points"):
         verify.residual_report(prob, small)
 
 
@@ -147,7 +147,7 @@ def test_residual_report_five_point_axis_uses_five_nodes():
 
 def test_residual_report_two_point_axis_raises():
     prob = pq.PQProblem.explicit("q", "q")
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyReportError, match="at least 3 points"):
         verify.residual_report(prob, _field_from(UNEVEN, (0.0, 1.0), lambda x, y: x + y))
 
 
