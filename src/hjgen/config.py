@@ -237,7 +237,11 @@ def _axis_of(entry: _Entry) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise ValueError
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 2 or not lo < hi:
+            if count < 2:
+                raise ConfigError(f"axis {key!r} needs at least 2 points", entry.line)
+            if lo >= hi:
+                raise ConfigError(f"axis {key!r} needs min < max", entry.line)
+            if not lo < hi:  # a NaN end
                 raise ValueError
             points = scan_abscissae(lo, hi, count - 1)
     except ValueError:

@@ -28,20 +28,28 @@ Hamilton-Jacobi rows do) or once per solve from parts every line shares
 (the pq solver's table of G' and phi'), and splits the samples into
 monotone runs, so every target's brackets come from a bisection of each
 run, with g = target - level(q) taken only at the two samples of each
-crossing.  :func:`sweep` takes one such line per grid row and makes one
-call per line, :meth:`RootLine.solve_row`, with the line's targets, its
-first point's warm start and guess, and the axis's Lagrange weights, each
-(point, history length) entry built when a line first reads it
-(:class:`_LagrangeWeights`); the sweep keeps only column 0's continuation.
-The line walks its targets in one loop with its state in locals, warm
-starting each point from the root before it and feeding it a root and a
-slope of its condition predicted from the line's earlier roots and slopes.
-A bracket is a (lo, hi, g_lo, g_hi) tuple, and each goes with the line's
-level to the float kernel :func:`hjgen.numerics._refine`, which probes the
-predicted root and the Newton step from it before Brent's method (Brent
-1973) finishes the bracket, if it must; a target with one bracket, as
-every point of the shipped configs has, returns the kernel's root as is,
-and one with several goes to :func:`_nearest`.
+crossing.  A line's level returns its exact slope beside its value from
+the same evaluation, (level(q), level'(q)); the samples keep only the
+level.  :func:`sweep` takes one such line per grid row and makes one call
+per line, :meth:`RootLine.solve_row`, with the line's targets, its first
+point's warm start and guess, and the axis's Hermite weights, each (point,
+history length) entry built when a line first reads it
+(:class:`_Weights`); the sweep keeps only column 0's continuation, a
+Lagrange extrapolation of its roots, since a line's slope says nothing
+about the next line.  The line walks its targets in one loop with its
+state in locals, warm starting each point from the root before it and
+feeding it a root predicted by Hermite extrapolation (degree 7) through
+the line's last four roots and their exact derivatives d root / d target
+= 1 / level'.  A bracket is a (lo, hi, g_lo, g_hi) tuple, and each goes
+with the line's level to the float kernel :func:`hjgen.numerics._refine`,
+which probes the predicted root and the Newton step from it, each with
+the slope the probe itself returned, before Brent's method (Brent 1973)
+finishes the bracket, if it must.  The root found, a probe's or Brent's,
+is polished by one Newton step g / level' with its own evaluation's slope
+and clamped into its enclosure, so the history the next prediction reads
+is accurate to rounding, at no extra evaluation.  A target with one
+bracket, as every point of the shipped configs has, returns the kernel's
+root as is, and one with several goes to :func:`_nearest`.
 
 The CSV kernels work on whole columns: :func:`write_field_csv` formats one
 grid row at a time, and :func:`read_field_csv` checks bounded blocks of
@@ -149,61 +157,76 @@ class ActionField(_Field2D):
 _HISTORY = 4  # roots a line's predictor extrapolates through
 
 
-class _LagrangeWeights(dict):
-    """``weights[j, n]``: the Lagrange weights at ``axis[j]`` through
-    ``axis[j - n : j]``, built at first use.
+class _Weights(dict):
+    """``weights[j, n]``: the weights at ``axis[j]`` through the n points
+    ``axis[j - n : j]``, one (a, b) pair per point, built at first use.
 
+    The polynomial through values y_k and derivatives y'_k at those points
+    takes the value sum of a_k y_k + b_k y'_k at ``axis[j]``.  With
+    ``hermite`` the weights are Hermite's, degree 2n - 1, with L_k the
+    Lagrange basis polynomial of point c_k and x = ``axis[j]``:
+
+        a_k = (1 - 2 L_k'(c_k) (x - c_k)) L_k(x)^2,   b_k = (x - c_k) L_k(x)^2;
+
+    without it they are Lagrange's, a_k = L_k(x), degree n - 1, with b = 0.
     A sweep line's history is always its last n <= ``_HISTORY`` consecutive
     points, since a point without a root clears it, so the weights depend
     only on (j, n); a sweep reads almost only n = min(j, ``_HISTORY``), so
     each entry is built when a line first asks for it.
     """
 
-    __slots__ = ("axis",)
+    __slots__ = ("axis", "hermite")
 
-    def __init__(self, axis):
+    def __init__(self, axis, hermite: bool):
         super().__init__()
         self.axis = axis
+        self.hermite = hermite
 
-    def __missing__(self, key: tuple[int, int]) -> tuple[float, ...]:
+    def __missing__(self, key: tuple[int, int]) -> tuple[tuple[float, float], ...]:
         j, n = key
         coord, nodes = self.axis[j], self.axis[j - n : j]
         weights = []
         for k, ck in enumerate(nodes):
-            weight = 1.0
+            basis = 1.0  # L_k(x)
+            rate = 0.0  # L_k'(c_k)
             for m, cm in enumerate(nodes):
                 if m != k:
-                    weight *= (coord - cm) / (ck - cm)
-            weights.append(weight)
+                    basis *= (coord - cm) / (ck - cm)
+                    rate += 1.0 / (ck - cm)
+            if self.hermite:
+                square = basis * basis
+                weights.append(((1.0 - 2.0 * rate * (coord - ck)) * square, (coord - ck) * square))
+            else:
+                weights.append((basis, 0.0))
         self[key] = entry = tuple(weights)
         return entry
 
 
-def _predict(history, weights) -> Optional[tuple[float, float]]:
+def _predict(history, weights) -> Optional[float]:
     """Extrapolate the earlier roots of a sweep line to the next point.
 
-    ``history`` holds up to ``_HISTORY`` (root, slope of g at the root)
-    pairs, oldest first, and ``weights`` the Lagrange weights of their
-    points at the next one (:class:`_LagrangeWeights`); the prediction is
-    the polynomial through all the roots (constant up to cubic), paired
-    with the polynomial through all the slopes, taken with the same
-    weights.  ``None`` without history.
+    ``history`` holds up to ``_HISTORY`` (root, d root / d target) pairs,
+    oldest first, and ``weights`` their points' weights at the next one
+    (:class:`_Weights`); the prediction is the Hermite polynomial through
+    the roots and their derivatives, or the Lagrange one through the roots
+    alone.  ``None`` without history.
     """
     if not history:
         return None
-    guess = slope = 0.0
-    for weight, (root, root_slope) in zip(weights, history):
-        guess += weight * root
-        slope += weight * root_slope
-    return guess, slope
+    guess = 0.0
+    for (a, b), (root, rate) in zip(weights, history):
+        guess += a * root + b * rate
+    return guess
 
 
 def _extend(history, root: Optional[float], slope: Optional[float]) -> None:
-    # a point without a refined root breaks the line's continuation
-    if root is None or slope is None:
+    """Append a root and d root / d target = 1 / ``slope``, the level's
+    slope there, to a line's history, which keeps the last ``_HISTORY``."""
+    # a point without a root and a usable slope breaks the line's continuation
+    if root is None or slope is None or not 0.0 < abs(slope) < math.inf:
         history.clear()
         return
-    history.append((root, slope))
+    history.append((root, 1.0 / slope))
     del history[:-_HISTORY]
 
 
@@ -215,15 +238,14 @@ def sweep(lines, axis1, axis2):
     coordinate, or ``None``, which marks the row ``domain_fail``.  Each
     point is warm-started from the previous point of its line, first-column
     points from the point in the previous row, and the origin runs cold.
-    The guess is ``(predicted root, slope of g)`` extrapolated from the
-    earlier roots and slopes of the same line (of column 0 for
-    first-column points), or ``None``; the sweep keeps column 0's history,
-    and each line its own.
+    Each line predicts its own roots by Hermite extrapolation along axis2;
+    a first-column point's guess is the Lagrange extrapolation of column
+    0's earlier roots, which has no slope along axis1, or ``None``.
     """
     n2 = len(axis2)
-    weights1, weights2 = _LagrangeWeights(axis1), _LagrangeWeights(axis2)
+    weights1, weights2 = _Weights(axis1, False), _Weights(axis2, True)
     q, status = [], []  # the rows' roots and statuses
-    column: list = []  # (root, slope) of column 0's last points
+    column: list = []  # column 0's last points, as a line keeps them; b = 0 ignores the rates
     for i, line in enumerate(lines):
         if line is None:
             roots, statuses, slopes = [None] * n2, [Status.DOMAIN_FAIL] * n2, [None] * n2
@@ -282,6 +304,7 @@ def solve_grid(problem, axis1, axis2, q_range: tuple[float, float], cfg: SolverC
         for line in filter(None, lines):
             stats.targets += n
             stats.probes += line[0].probes
+            stats.landed += line[0].landed
             stats.brent += line[0].brent
             stats.refined += line[0].refined
         count(stats)
@@ -294,13 +317,14 @@ def solve_grid(problem, axis1, axis2, q_range: tuple[float, float], cfg: SolverC
 
 def level_samples(level, lo: float, hi: float, cfg: SolverConfig) -> list[tuple[float, float]]:
     """(q, level(q)) at the ``cfg.scan_points + 1`` scan samples of [lo, hi],
-    in order, a :class:`RootLine`'s samples; a sample whose level raises
-    :class:`DomainError` or :class:`ConvergenceError`, or is NaN, is left
-    out."""
+    in order, a :class:`RootLine`'s samples; ``level`` returns the pair
+    (level, level'), of which only the level is kept.  A sample whose level
+    raises :class:`DomainError` or :class:`ConvergenceError`, or is NaN, is
+    left out."""
     samples = []
     for q in scan_abscissae(lo, hi, cfg.scan_points):
         try:
-            h = level(q)
+            h = level(q)[0]
         except (DomainError, ConvergenceError):
             continue
         if h == h:
@@ -311,8 +335,9 @@ def level_samples(level, lo: float, hi: float, cfg: SolverConfig) -> list[tuple[
 class RootLine:
     """One grid line's root condition, level(q) = target, inverted at many targets.
 
-    ``level`` is the line's function of the root alone, and a target's
-    condition is g(q) = target - level(q), one subtraction.  ``samples``
+    ``level`` is the line's function of the root alone, returning the pair
+    (level(q), level'(q)) from one evaluation, and a target's condition is
+    g(q) = target - level(q), one subtraction.  ``samples``
     holds (q, level(q)) at the scan samples over ``scan_points`` equal
     intervals of [lo, hi], in order and without NaN levels, as
     :func:`level_samples` takes them; the caller computes them, so lines
@@ -322,7 +347,8 @@ class RootLine:
     only in the refinement; :meth:`solve` is that call on one target.
     Solving changes only the line's counts of its work: the level
     evaluations at predicted roots (``probes``) and in Brent's method
-    (``brent``) and the brackets refined (``refined``).
+    (``brent``), the brackets refined (``refined``), and the points whose
+    first probe landed on the root (``landed``).
 
     The levels are split into monotone runs (adjacent runs share their
     turning sample, and a flat step stays in the run it extends), and
@@ -333,7 +359,7 @@ class RootLine:
 
     __slots__ = (
         "level", "lo", "hi", "cfg", "samples", "_runs", "_bounds",
-        "probes", "brent", "refined",
+        "probes", "landed", "brent", "refined",
     )
 
     def __init__(self, level, samples: list[tuple[float, float]], lo: float, hi: float, cfg: SolverConfig):
@@ -341,7 +367,7 @@ class RootLine:
             raise ValueError("a root line requires lo < hi")
         self.level = level
         self.lo, self.hi, self.cfg = lo, hi, cfg
-        self.probes = self.brent = self.refined = 0
+        self.probes = self.landed = self.brent = self.refined = 0
         self.samples = samples
         levels = [h for _, h in samples]
         self._runs = _monotone_runs(levels)
@@ -380,14 +406,14 @@ class RootLine:
         return out
 
     def solve(self, target: float, warm: Optional[float] = None, guess=None):
-        """Root and status at one target, and the slope of g at the root:
-        :meth:`solve_row` on that one target."""
+        """Root and status at one target, and the level's slope at the root:
+        :meth:`solve_row` on that one target, which reads no weights."""
         # the row's one (root, status, slope)
-        return next(zip(*self.solve_row((target,), _LagrangeWeights((target,)), warm, guess)))
+        return next(zip(*self.solve_row((target,), None, warm, guess)))
 
     def solve_row(self, targets, weights, warm: Optional[float] = None, guess=None):
-        """Roots, statuses and slopes of g at the roots at ``targets``, in
-        order, as three lists.
+        """Roots, statuses and the level's slopes at the roots at
+        ``targets``, in order, as three lists.
 
         Each point is warm-started from the root before it, the first from
         ``warm``.  Several roots resolve to the one nearest the warm start
@@ -395,15 +421,15 @@ class RootLine:
         of zero at every scan sample keeps the warm start (or the range
         midpoint when cold).  A line without samples, a non-finite target,
         and domain and convergence failures never raise, they mark the
-        point ``domain_fail``.  A guess = (predicted root, slope of g
-        there) only aims the probes that narrow the bracket holding the
-        prediction, or land on its root, before Brent's method
-        (:func:`hjgen.numerics._refine`).  The first point takes ``guess``;
-        each later one extrapolates the line's last n <= ``_HISTORY`` roots
-        and slopes with ``weights[j, n]``, the Lagrange weights at target j
-        (:class:`_LagrangeWeights`), and a point without a root and a slope
-        clears that history.  A slope is ``None`` when no bracket was
-        refined.
+        point ``domain_fail``.  A guess, a predicted root, only aims the
+        probes that narrow the bracket holding the prediction, or land on
+        its root, before Brent's method (:func:`hjgen.numerics._refine`).
+        The first point takes ``guess``; each later one extrapolates the
+        line's last n <= ``_HISTORY`` roots, and their derivatives
+        d root / d target = 1 / level', with ``weights[j, n]``, the Hermite
+        weights at target j (:class:`_Weights`), and a point without a root
+        and a usable slope clears that history.  A slope is ``None`` when no
+        bracket was refined, or when the root is a scan sample.
         """
         n = len(targets)
         roots, statuses, slopes = [None] * n, [Status.DOMAIN_FAIL] * n, [None] * n
@@ -416,7 +442,7 @@ class RootLine:
         resid_tol, isfinite, resolved = cfg.resid_tol, math.isfinite, Status.RESOLVED
         h_min, h_max = self._bounds
         mid = 0.5 * (self.lo + self.hi)
-        history: list = []  # (root, slope) of the line's last points
+        history: list = []  # (root, d root / d target) of the line's last points
         for j, target in enumerate(targets):
             if j:
                 warm, guess = root, _predict(history, weights[j, len(history)])

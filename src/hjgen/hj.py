@@ -28,13 +28,17 @@ alone, so on each x row g = 0 says t = t_at(q), a function of q alone
 (:meth:`HJProblem.lines` gives the rows to the grid solve,
 :func:`hjgen.fields.solve_grid`): the line tabulates t_at at the row's
 scan samples once, each point finds its brackets by bisection over those
-levels, and t_at runs again only to refine a bracket.  The refinement
-probes a root, and the condition's slope there, extrapolated from the
-row's earlier roots and slopes along t; the Newton step from that probe
-usually lands on the root, and Brent's method finishes only when it does
-not.  The shipped configs take 2.81 (``free_particle``) and 2.58
-(``harmonic``) quadratures per point, the scan's included; the rows and
-lines count them (:class:`~hjgen.numerics.SolveStats`).
+levels, and t_at runs again only to refine a bracket.  t_at returns its
+exact slope in q beside t from the same pass: G''(q), plus half the
+quadrature of c / (r z), z = q - V and r = sqrt(z), summed beside c / r
+on the same nodes, plus the x0 term's derivative.  The refinement probes
+a root extrapolated from the row's earlier roots along t, by Hermite
+extrapolation through those roots and their slopes 1 / t_at'; the
+Newton step from that probe, with the slope the probe returned, usually
+lands on the root if the probe did not, and Brent's method finishes only
+when it does not.  The shipped configs take 2.39 (``free_particle``) and
+1.57 (``harmonic``) quadratures per point, the scan's included; the rows
+and lines count them (:class:`~hjgen.numerics.SolveStats`).
 
 The action at a root is taken by parts: integrating x' dp/dx' in F gives
 the complete-integral form (Courant & Hilbert, *Methods of Mathematical
@@ -149,7 +153,10 @@ class HJProblem:
         self._ap_fn = expr.compile_function(expr.differentiate(self.kinetic, "x"), ("x",))
         self._vp_fn = expr.compile_function(expr.differentiate(self.potential, "x"), ("x",))
         self._g_fn = expr.compile_function(self.generator, ("q",))
-        self._gp_fn = expr.compile_function(expr.differentiate(self.generator, "q"), ("q",))
+        # (G', G'') in one frame, as the level and its slope need them
+        g_slope = expr.differentiate(self.generator, "q")
+        g_slopes = expr.BinOp(",", g_slope, expr.differentiate(g_slope, "q"))
+        self._g_slopes_fn = expr.compile_function(g_slopes, ("q",))
         self._x0_coefficients: Optional[tuple[float, float]] = None
         self._last_row: Optional[_RowTable] = None  # see _row_table
 
@@ -330,17 +337,21 @@ class _RowTable:
         self._tanh_sinh_terms = [0, 0]  # merged terms the returned fallbacks summed
         self._x_coefficients: Optional[tuple[float, float]] = None  # a and V at x, see _action
 
-    def t_at(self, q: float) -> float:
-        """The t at which q is a root: G'(q) - integral of dp/dq - x0 dp/dq(x0, q)."""
+    def t_at(self, q: float) -> tuple[float, float]:
+        """The t at which q is a root, G'(q) - integral of dp/dq - x0 dp/dq(x0, q),
+        and its slope in q from the same pass: G''(q), plus half the
+        integral from x0 to x of sigma (q - V)^(-3/2) / (2 sqrt(a)), plus
+        x0 dp/dq(x0, q) / (2 (q - V(x0))), the x0 term's derivative."""
         prob = self.prob
-        g_slope = prob._gp_fn(q)
+        g_slope, g_curve = prob._g_slopes_fn(q)
         margin = prob.margin(q)
-        integral = self._integral(q, margin, True)
+        integral, derivative = self._integral(q, margin, True)
         a, v = prob._x0_coefficients or _base_coefficients(prob)
         gap = q - v
         if gap < margin:
             raise DomainError("momentum argument below admissibility margin", where=prob.x0)
-        return g_slope - integral - prob.x0 * (prob.sigma / (2.0 * math.sqrt(a * gap)))
+        base = prob.x0 * (prob.sigma / (2.0 * math.sqrt(a * gap)))
+        return g_slope - integral - base, g_curve + 0.5 * derivative + base / (2.0 * gap)
 
     def momentum_integral(self, q: float) -> float:
         """Integral of p(s, q) over s from x0 to x.
@@ -353,11 +364,15 @@ class _RowTable:
             value = self._momentum[q] = self._integral(q, self.prob.margin(q), False)
         return value
 
-    def _integral(self, q: float, margin: float, slope: bool) -> float:
+    def _integral(self, q: float, margin: float, slope: bool):
+        """The integral of p, or with ``slope`` the pair of the integral of
+        dp/dq and the sum its q-derivative takes, with z = q - V and
+        r = sqrt(z), the quadrature of c / (r z) beside that of c / r on the
+        same nodes, which the stop rule does not see."""
         # Clenshaw-Curtis on the row's table, each order's terms added left
         # to right from 0.0; then, on any failure, the tanh-sinh path
         if self.lo == self.hi:
-            return 0.0
+            return (0.0, 0.0) if slope else 0.0
         table = self._chebyshev
         if table is None:
             table = self._chebyshev = self._clenshaw_curtis()
@@ -365,13 +380,16 @@ class _RowTable:
         vmax, clearance, coarse, fine = table
         gap = q - vmax
         if gap >= margin and gap >= clearance:
-            sqrt = math.sqrt
-            i8 = i16 = 0.0
+            sqrt, sign = math.sqrt, self.sign
+            i8 = i16 = d = 0.0
             if slope:
                 for v, c8, c16 in coarse:
-                    r = sqrt(q - v)
+                    z = q - v
+                    r = sqrt(z)
                     i8 += c8 / r
-                    i16 += c16 / r
+                    u = c16 / r
+                    i16 += u
+                    d += u / z
             else:
                 for v, c8, c16 in coarse:
                     r = sqrt(q - v)
@@ -382,27 +400,31 @@ class _RowTable:
             # a non-finite sum never meets either stop test
             if abs(i16 - i8) <= self.tol:
                 self.quads[slope][_CC16] += 1
-                return self.sign * i16
-            i32 = 0.0
+                return (sign * i16, sign * d) if slope else sign * i16
+            i32 = d = 0.0
             if slope:
                 for v, c in fine:
-                    i32 += c / sqrt(q - v)
+                    z = q - v
+                    u = c / sqrt(z)
+                    i32 += u
+                    d += u / z
             else:
                 for v, c in fine:
                     i32 += c * sqrt(q - v)
                 i32 *= 2.0
             if abs(i32 - i16) <= self.tol:
                 self.quads[slope][_CC32] += 1
-                return self.sign * i32
+                return (sign * i32, sign * d) if slope else sign * i32
             summed = len(coarse) + len(fine)
         value = self._tanh_sinh(q, margin, slope)
         self._fallback_terms[slope] += summed
         return value
 
-    def _tanh_sinh(self, q: float, margin: float, slope: bool) -> float:
+    def _tanh_sinh(self, q: float, margin: float, slope: bool):
         # nested tanh-sinh (numerics._nested) over the panels' level lists,
         # each panel's list made on its first visit; a level's terms are
-        # added left to right from 0.0
+        # added left to right from 0.0, and with ``slope`` the sum of
+        # c / (r z) is carried beside that of c / r, as in _integral
         sqrt, panels, build = math.sqrt, self._panels, self._level
         summed = 0  # merged terms of every level summed
 
@@ -414,10 +436,13 @@ class _RowTable:
             vmax, where, terms = levels[level]
             if q - vmax < margin:
                 raise DomainError("momentum argument below admissibility margin", where=where)
-            part = 0.0
+            part = d = 0.0
             if slope:
                 for v, c in terms:
-                    part += c / sqrt(q - v)
+                    z = q - v
+                    u = c / sqrt(z)
+                    part += u
+                    d += u / z
             else:
                 for v, c in terms:
                     part += c * sqrt(q - v)
@@ -425,16 +450,16 @@ class _RowTable:
                 if not math.isfinite(part):
                     raise DomainError("non-finite integrand value", where=where)
             summed += len(terms)
-            return part
+            return part, d
 
         try:
-            value, stop = _nested(level_sum, self.lo, self.hi, self.tol)
+            value, d, stop = _nested(level_sum, self.lo, self.hi, self.tol)
         except (DomainError, ConvergenceError):
             self.quads[slope][_FAILED] += 1
             raise
         self.quads[slope][stop] += 1
         self._tanh_sinh_terms[slope] += summed
-        return self.sign * value
+        return (self.sign * value, self.sign * d) if slope else self.sign * value
 
     def add_counts(self, stats: SolveStats) -> None:
         """Add the table's quadratures, and the merged terms of each rule
@@ -522,7 +547,7 @@ def constraint(
     analytically and the direct path exists for that equivalence check.
     """
     if direct:
-        g_slope = prob._gp_fn(q)
+        g_slope = prob._g_slopes_fn(q)[0]
         h = 1e-6 * (1.0 + abs(q))
 
         def dq_integrand(s):
@@ -533,7 +558,7 @@ def constraint(
 
         integral = integrate_adaptive(dq_integrand, prob.x0, x, cfg.quad_tol)
         return integral + g_slope - t - x * momentum_partials(prob, x, q)[1]
-    return _row_table(prob, x, cfg.quad_tol).t_at(q) - t
+    return _row_table(prob, x, cfg.quad_tol).t_at(q)[0] - t
 
 
 def _potential_ceiling(prob: HJProblem, x: float) -> float:

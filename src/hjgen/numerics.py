@@ -8,12 +8,14 @@ and finds every target's brackets by bisection over the samples'
 monotone runs.
 
 Every grid point's root is refined by one kernel on plain floats,
-:func:`_refine`: the condition is evaluated as ``target - level(q)``
-straight from the grid line's level, a probe at a predicted root and one
-at the Newton step from it usually land on the root and otherwise narrow
-the (lo, hi, g_lo, g_hi) bracket, and Brent's method (:func:`_brent`)
-finishes it, with no closure, bracket object or frame beyond ``level``
-between the loop and an evaluation.
+:func:`_refine`: the grid line's level returns its value and its exact
+slope from one evaluation, the condition is ``target - level(q)``, a
+probe at a predicted root and one at the Newton step from it usually land
+on the root and otherwise narrow the (lo, hi, g_lo, g_hi) bracket, and
+Brent's method (:func:`_brent`) finishes it, with no closure, bracket
+object or frame beyond ``level`` between the loop and an evaluation.  The
+root found is polished by one Newton step with the slope its evaluation
+returned, at no further cost.
 
 Quadrature is nested tanh-sinh (H. Takahasi and M. Mori, "Double
 exponential formulas for numerical integration", Publ. RIMS 9, 1974):
@@ -148,6 +150,7 @@ class SolveStats:
                  per Hamilton-Jacobi row with a root condition, and per pq
                  solve with one, whose lines share one table of G' and phi'
     probes    -- level evaluations at predicted roots, before Brent's method
+    landed    -- points whose first probe landed within ``resid_tol``
     brent     -- level evaluations in Brent's method
     refined   -- brackets refined
     dpdq_quads, p_quads -- quadratures of dp/dq and of p (the action at a
@@ -168,12 +171,12 @@ class SolveStats:
     """
 
     __slots__ = (
-        "points", "targets", "scan", "probes", "brent", "refined",
+        "points", "targets", "scan", "probes", "landed", "brent", "refined",
         "dpdq_quads", "p_quads", "dpdq_cc_terms", "p_cc_terms", "dpdq_terms", "p_terms", "statuses",
     )
 
     def __init__(self):
-        self.points = self.targets = self.scan = self.probes = self.brent = 0
+        self.points = self.targets = self.scan = self.probes = self.landed = self.brent = 0
         self.refined = self.dpdq_cc_terms = self.p_cc_terms = self.dpdq_terms = self.p_terms = 0
         self.dpdq_quads = [0] * (_CC32 + 1)
         self.p_quads = [0] * (_CC32 + 1)
@@ -280,32 +283,38 @@ def integrate_adaptive(
         return -integrate_adaptive(f, x1, x0, tol)
 
     def level_sum(a, b, level):
-        return sum(w * _sample(f, s) for s, w in tanh_sinh_nodes(a, b, level))
+        return sum(w * _sample(f, s) for s, w in tanh_sinh_nodes(a, b, level)), 0.0
 
     return _nested(level_sum, x0, x1, tol)[0]
 
 
-def _nested(level_sum, lo: float, hi: float, tol: float) -> tuple[float, int]:
-    """(integral, stop) of nested tanh-sinh on [lo, hi] to absolute ``tol``,
-    with ``level_sum(a, b, l)`` the weighted integrand sum over the nodes
-    level l adds on the panel [a, b]; ``stop`` is the level at which the
-    whole segment converged, or ``_SPLIT`` once it was halved.
+def _nested(level_sum, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
+    """(integral, second integral, stop) of nested tanh-sinh on [lo, hi] to
+    absolute ``tol``, with ``level_sum(a, b, l)`` the pair of weighted sums
+    of two integrands over the nodes level l adds on the panel [a, b];
+    ``stop`` is the level at which the whole segment converged, or
+    ``_SPLIT`` once it was halved.
 
     The stop rule, halving and ``_MAX_SPLITS`` cap of
-    :func:`integrate_adaptive`; the panels' integrals are added left to
+    :func:`integrate_adaptive`, which the first integral alone decides; the
+    second, such as the first's derivative in a parameter, is summed with
+    the same weights and levels.  The panels' integrals are added left to
     right from 0.0, and errors of ``level_sum`` propagate.
     """
-    total = 0.0
+    total = second = 0.0
     splits = 0
     panels = [(lo, hi, tol)]  # a stack; the leftmost panel is on top
     while panels:
         a, b, panel_tol = panels.pop()
-        estimate = level_sum(a, b, 0)
+        estimate, other = level_sum(a, b, 0)
         for level in range(1, _SPLIT_LEVEL + 1):
             prev = estimate
-            estimate = 0.5 * prev + level_sum(a, b, level)
+            part, other_part = level_sum(a, b, level)
+            estimate = 0.5 * prev + part
+            other = 0.5 * other + other_part
             if abs(estimate - prev) <= panel_tol:
                 total += estimate
+                second += other
                 break
         else:
             splits += 1
@@ -314,7 +323,7 @@ def _nested(level_sum, lo: float, hi: float, tol: float) -> tuple[float, int]:
             m = 0.5 * (a + b)
             panels.append((m, b, 0.5 * panel_tol))
             panels.append((a, m, 0.5 * panel_tol))
-    return total, _SPLIT if splits else level
+    return total, second, _SPLIT if splits else level
 
 
 def scan_abscissae(lo: float, hi: float, n: int) -> list[float]:
@@ -331,111 +340,103 @@ def scan_abscissae(lo: float, hi: float, n: int) -> list[float]:
 
 def _refine(level, target, lo, hi, g_lo, g_hi, guess, cfg, tally):
     """Root of g(q) = target - level(q) in the bracket [lo, hi] with
-    g(lo) = g_lo and g(hi) = g_hi, and the slope of g there.
+    g(lo) = g_lo and g(hi) = g_hi, and the level's slope there.
 
-    The kernel of every grid point's root, on plain floats.  With a
-    predicted root ``guess`` = (p, slope of g) and p strictly inside the
-    bracket, g is probed at p, then at the Newton step from p with the
-    guessed slope; each probe replaces the end of the enclosure whose sign
-    it shares.  A probe within ``resid_tol`` of zero is the root, and
+    The kernel of every grid point's root, on plain floats.  ``level``
+    returns the pair (level(q), level'(q)) from one evaluation.  With a
+    predicted root ``guess`` strictly inside the bracket, g is probed
+    there, then at the Newton step from that probe with the slope it
+    returned; each probe replaces the end of the enclosure whose sign it
+    shares.  A probe within ``resid_tol`` of zero is the root, and
     otherwise :func:`_brent` runs on the tightest enclosure, so the probes
     change how fast the root is found, never which root.  A probe that
     raises :class:`DomainError` or :class:`ConvergenceError`, or is NaN,
-    ends the probing; an error in Brent's method propagates.
+    ends the probing, and so does a slope that is zero, infinite, NaN or
+    ``None``; an error in Brent's method propagates.
 
-    The slope is the secant through the last evaluation and the latest
-    earlier one at least 1e-10 (1 + |q|) away, the bracket's ends included,
-    or ``None``.  Rounding the two levels moves that secant by about
-    eps |level| / 1e-10 = 2e-6 |level|.  A quadrature's error at a fixed
-    stop level is a smooth function of q and mostly cancels in the
-    difference; only a change of stop level between the two points moves
-    it by up to ``quad_tol`` / 1e-10.  On the shipped configs
-    spacings from 1e-9 down to 3e-11 give the same evaluation counts
-    within 0.6%.  At 1e-12 rounding adds up to 1.1 Brent evaluations per
-    point; at sqrt(eps) = 1.5e-8 the secant skips a second probe that
-    landed within that of the first and reaches back to a scan sample,
-    which adds 0.55 per point on ``harmonic``.  The slope only aims the
-    next point's probe inside its bracket, so a poor slope costs
-    evaluations, never a root.
+    The root found is polished by one Newton step, g / level', with the
+    slope its own evaluation returned and no new evaluation, and clamped
+    into the enclosure it was found in: the probe's, or the bracket Brent's
+    method started from.  A root without a usable slope, such as a scan
+    sample, is returned as found.  The slope returned is that level', or
+    ``None``.
 
     ``tally`` is the calling :class:`~hjgen.fields.RootLine`, or any
-    object with integer ``probes``, ``brent`` and ``refined`` counters: it
-    gets one more ``refined`` bracket, and its ``probes`` and ``brent``
-    grow by the evaluations each stage tried, those that raised included.
+    object with integer ``probes``, ``landed``, ``brent`` and ``refined``
+    counters: it gets one more ``refined`` bracket, one more ``landed``
+    when the first probe is the root, and its ``probes`` and ``brent`` grow
+    by the evaluations each stage tried, those that raised included.
     """
     resid_tol = cfg.resid_tol
-    seen = [(lo, g_lo), (hi, g_hi)]  # every (q, g) in order, for the slope
+    tally.refined += 1
+    d_lo = d_hi = None  # the level's slopes at the ends: none at a scan sample
     root = None
     if guess is not None and abs(g_lo) > resid_tol and abs(g_hi) > resid_tol:
-        p, slope = guess
-        for _ in range(2):
+        p = guess
+        for probe in range(2):
             if not lo < p < hi:
                 break
+            tally.probes += 1
             try:
-                v = target - level(p)
+                h, slope = level(p)
             except (DomainError, ConvergenceError):
-                tally.probes += 1
                 break
-            seen.append((p, v))
+            v = target - h
             if v != v:
                 break
             if abs(v) <= resid_tol:
+                if not probe:
+                    tally.landed += 1
                 root = p
                 break
             if (v < 0.0) == (g_lo < 0.0):
-                lo, g_lo = p, v
+                lo, g_lo, d_lo = p, v, slope
             else:
-                hi, g_hi = p, v
-            if not slope:
+                hi, g_hi, d_hi = p, v, slope
+            if slope is None or not 0.0 < abs(slope) < math.inf:
                 break
-            p -= v / slope
-    tally.refined += 1
-    tally.probes += len(seen) - 2
+            p += v / slope
     if root is None:
-        probed = len(seen)
-        try:
-            root = _brent(level, target, lo, g_lo, hi, g_hi, cfg, seen)
-        finally:
-            tally.brent += len(seen) - probed
-    q1, v1 = seen[-1]
-    limit = 1e-10 * (1.0 + abs(q1))
-    for q2, v2 in seen[-2::-1]:
-        if abs(q1 - q2) >= limit:
-            return root, (v1 - v2) / (q1 - q2)
-    return root, None
+        root, v, slope = _brent(level, target, lo, g_lo, d_lo, hi, g_hi, d_hi, cfg, tally)
+    # the polish: one Newton step with the root's own slope, kept in [lo, hi]
+    if slope is not None and 0.0 < abs(slope) < math.inf:
+        root = min(max(root + v / slope, lo), hi)
+    return root, slope
 
 
-def _brent(level, target, a, fa, b, fb, cfg, seen):
-    """Root of g(q) = target - level(q) in [a, b], fa = g(a) and
-    fb = g(b), by Brent's method (R. P. Brent, *Algorithms for Minimization
-    without Derivatives*, 1973, ch. 4), which never leaves the bracket.
+def _brent(level, target, a, fa, da, b, fb, db, cfg, tally):
+    """(root, g, level') of g(q) = target - level(q) in [a, b], with
+    fa = g(a), fb = g(b) and da, db the level's slopes there (or ``None``),
+    by Brent's method (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4), which never leaves the bracket.  ``level``
+    returns (level(q), level'(q)), and each point carries its slope along.
 
     Returns at once when |g| <= resid_tol, at an end or an iterate, or when
     the enclosure [b, c] around the estimate b is within root_tol + 4 eps |b|.
     After ``cfg.max_iter`` evaluations it raises :class:`ConvergenceError`
-    carrying [b, c] as (lo, hi, g_lo, g_hi).  Appends each (q, g) to ``seen``,
-    and (q, NaN) for an evaluation that raises, before the error propagates.
+    carrying [b, c] as (lo, hi, g_lo, g_hi).  Adds one to ``tally.brent``
+    per evaluation, one that raises included.
     """
     resid_tol = cfg.resid_tol
     if abs(fa) <= resid_tol:
-        return a
+        return a, fa, da
     if abs(fb) <= resid_tol:
-        return b
+        return b, fb, db
     eps = sys.float_info.epsilon
     half_tol = 0.5 * cfg.root_tol
     # b: best estimate; c: the opposite-signed end of the enclosure [b, c];
     # a: the previous b.  d is the last step and e the one before it.
-    c, fc = a, fa
+    c, fc, dc = a, fa, da
     d = e = b - a
     for _ in range(cfg.max_iter):
         if abs(fc) < abs(fb):
-            a, fa = b, fb
-            b, fb = c, fc
-            c, fc = a, fa
+            a, fa, da = b, fb, db
+            b, fb, db = c, fc, dc
+            c, fc, dc = a, fa, da
         tol = 2.0 * eps * abs(b) + half_tol
         m = 0.5 * (c - b)
         if abs(m) <= tol:
-            return b
+            return b, fb, db
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:  # secant
@@ -456,18 +457,15 @@ def _brent(level, target, a, fa, b, fb, cfg, seen):
                 d = e = m
         else:
             d = e = m
-        a, fa = b, fb
+        a, fa, da = b, fb, db
         b += d if abs(d) > tol else math.copysign(tol, m)
-        try:
-            fb = target - level(b)
-        except (DomainError, ConvergenceError):
-            seen.append((b, math.nan))
-            raise
-        seen.append((b, fb))
+        tally.brent += 1
+        h, db = level(b)
+        fb = target - h
         if abs(fb) <= resid_tol:
-            return b
+            return b, fb, db
         if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
+            c, fc, dc = a, fa, da
             d = e = b - a
     raise ConvergenceError(
         f"root not isolated after {cfg.max_iter} iterations",

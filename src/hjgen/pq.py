@@ -37,9 +37,11 @@ table, with H(l) evaluated once per line; a point finds its brackets by
 bisection over those levels and evaluates the level only to refine them.
 Each evaluation is one frame of a kernel compiled from the fused
 expression trees (:class:`PQProblem`): the table's (G', phi') pair, and
-per point the level, the value u and the residual, each bound once per
-line to H (the residual to H', :meth:`PQProblem.residual_line`).  A root
-at one point is a 1 x 1 grid solve.
+per point the level with its exact slope phi'' - H G'' (the root
+finder's Newton steps, polish and Hermite prediction use it), the value u
+and the residual, each bound once per line to H (the residual to H',
+:meth:`PQProblem.residual_line`).  A root at one point is a 1 x 1 grid
+solve.
 """
 
 from __future__ import annotations
@@ -55,7 +57,13 @@ from .numerics import SolverConfig, SolveStats, scan_abscissae
 __all__ = ["KINDS", "PQProblem", "constraint", "solution_value", "solve_grid"]
 
 KINDS = ("explicit", "scaled_x", "scaled_y")
-_ONE = expr.Num(1.0)  # an explicit problem's scale: x/1 is x and H' folds to 1
+_ONE = expr.Num(1.0)  # an explicit problem's scale: x/1 is x and H' is 1
+
+
+def _unit(v: float) -> float:
+    """H' of an explicit problem, whose H is x/1."""
+    return 1.0
+
 # The kernels' own variables: H (H' in the residual), the coordinate s and
 # the partial u_l.  Each starts with a digit, as no parsed name does, so a G
 # or phi that names a variable besides its root stays unbound.
@@ -74,12 +82,15 @@ class PQProblem:
 
     Construction compiles six functions with
     :func:`hjgen.expr.compile_function`: H and H' of the line coordinate,
-    and four kernels, each fused from the expression trees into one
-    function, that take H (or H') first, so a line binds it once:
+    which an explicit problem binds instead to the identity and the
+    constant 1 (x/1 is x exactly), and four kernels, each fused from the
+    expression trees into one function, that take H (or H') first, so a
+    line binds it once:
 
     ``_level_fn(h, r)``
-        phi'(r) - h G'(r), built as -(h G') + phi', which rounds to the
-        same bits and evaluates G' first;
+        the line's level and its slope, the pair (phi'(r) - h G'(r),
+        phi''(r) - h G''(r)), each built as -(h G) + phi, which rounds to
+        the same bits and evaluates G first;
     ``_slopes_fn(r)``
         the pair (G'(r), phi'(r));
     ``_value_fn(h, s, r)``
@@ -110,16 +121,25 @@ class PQProblem:
         self.gfun = gfun
         self.phi = phi
         line, root = ("y", "p") if self.lines_are_columns else ("x", "q")
-        ratio = expr.BinOp("/", expr.Var(line), self.scale)
-        compile_function, BinOp, Var = expr.compile_function, expr.BinOp, expr.Var
-        self._ratio_fn = compile_function(ratio, (line,))
-        self._ratiop_fn = compile_function(expr.differentiate(ratio, line), (line,))
-        g_slope = expr.differentiate(self.gfun, root)
-        phi_slope = expr.differentiate(self.phi, root)
-        level = BinOp("+", expr.Neg(BinOp("*", Var(_H), g_slope)), phi_slope)
-        self._level_fn = compile_function(level, (_H, root))
+        compile_function, differentiate, BinOp, Var = (
+            expr.compile_function, expr.differentiate, expr.BinOp, expr.Var
+        )
+        if kind == "explicit":
+            self._ratio_fn, self._ratiop_fn = float, _unit
+        else:
+            ratio = BinOp("/", Var(line), self.scale)
+            self._ratio_fn = compile_function(ratio, (line,))
+            self._ratiop_fn = compile_function(differentiate(ratio, line), (line,))
+        g_slope = differentiate(self.gfun, root)
+        phi_slope = differentiate(self.phi, root)
+
+        def level(g, phi):  # phi - h g, evaluating g first
+            return BinOp("+", expr.Neg(BinOp("*", Var(_H), g)), phi)
+
+        level_slope = level(differentiate(g_slope, root), differentiate(phi_slope, root))
         # a BinOp's operator is written between its operands, and Python
-        # reads "G' , phi'" as the tuple of the two
+        # reads "a , b" as the tuple of the two
+        self._level_fn = compile_function(BinOp(",", level(g_slope, phi_slope), level_slope), (_H, root))
         self._slopes_fn = compile_function(BinOp(",", g_slope, phi_slope), (root,))
         scaled_g = BinOp("*", Var(_H), self.gfun)
         value = BinOp("-", BinOp("+", scaled_g, BinOp("*", Var(_S), Var(root))), self.phi)
@@ -196,7 +216,7 @@ def constraint(prob: PQProblem, x: float, y: float, q: float) -> float:
     For scaled_y problems ``q`` is the momentum-like root variable p.
     """
     v, target = _line(prob, x, y)
-    return target - prob._level_fn(prob._ratio_fn(v), q)
+    return target - prob._level_fn(prob._ratio_fn(v), q)[0]
 
 
 def solution_value(prob: PQProblem, x: float, y: float, q: float) -> float:

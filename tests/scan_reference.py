@@ -44,3 +44,10 @@ def crossings(samples):
         ):
             out.append((x1, x2, v1, v2))
     return out
+
+
+def sloped(level, slope=None):
+    """``level`` as a line's level: the pair (level(q), slope(q)), or
+    (level(q), None) without ``slope``, which leaves every root to Brent's
+    method."""
+    return lambda q: (level(q), None if slope is None else slope(q))

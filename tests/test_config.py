@@ -160,6 +160,23 @@ def test_axis_validation():
 
 
 @pytest.mark.parametrize(
+    "axis, message",
+    [
+        ("0:1:1", "axis 'x' needs at least 2 points"),
+        ("0:1:0", "axis 'x' needs at least 2 points"),
+        ("0:1:-3", "axis 'x' needs at least 2 points"),
+        ("1:0:3", "axis 'x' needs min < max"),
+        ("0.5:0.5:3", "axis 'x' needs min < max"),
+    ],
+)
+def test_a_well_formed_axis_range_names_the_rule_it_breaks(axis, message):
+    # the spec parses, so the format message would mislead
+    with pytest.raises(ConfigError) as err:
+        parse_config(PQ_TEXT.replace("x = 0:1:3", f"x = {axis}"))
+    assert str(err.value) == f"line 9: {message}" and err.value.line == 9
+
+
+@pytest.mark.parametrize(
     "key, old, line",
     [
         ("x0", "x0 = 0.25", 9),

@@ -371,7 +371,7 @@ def test_calls_without_a_row_share_the_problem_row_table(monkeypatch):
     prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=0.0)
     x, q = 0.7, 2.0
     ts = axis(0.0, 0.4, 41)
-    want_g = [hj._RowTable(prob, x, CFG.quad_tol).t_at(q) - t for t in ts]
+    want_g = [hj._RowTable(prob, x, CFG.quad_tol).t_at(q)[0] - t for t in ts]
     want_s = [hj._action(hj._RowTable(prob, x, CFG.quad_tol), False, t, q) for t in ts]
     correction = reference_correction_integral(prob, x, q, CFG.quad_tol) + prob._g_fn(q)
     for t, s in zip(ts, want_s):
@@ -405,7 +405,7 @@ def test_calls_alternating_tolerances_match_fresh_tables():
     for cfg in cfgs:
         row = hj._RowTable(prob, x, cfg.quad_tol)
         want[cfg.quad_tol] = (
-            row.t_at(q) - t,
+            row.t_at(q)[0] - t,
             hj._action(row, False, t, q),
             prob.sigma * hj._RowTable(prob, x, cfg.quad_tol).momentum_integral(1.0) + 1.0 * t,
         )
@@ -695,7 +695,7 @@ def test_bump_roots_below_its_peak_are_not_resolved():
 def test_row_table_matches_integrate_adaptive(prob, x, q, falls_back):
     row = hj._RowTable(prob, x, CFG.quad_tol)
     want = integrate_adaptive(lambda s: hj.momentum_partials(prob, s, q)[1], prob.x0, x, CFG.quad_tol)
-    assert abs(row._integral(q, prob.margin(q), True) - want) <= 1e-13
+    assert abs(row._integral(q, prob.margin(q), True)[0] - want) <= 1e-13
     want = integrate_adaptive(lambda s: hj.momentum(prob, s, q), prob.x0, x, CFG.quad_tol)
     assert abs(row.momentum_integral(q) - want) <= 1e-13
     # the turning-point layer falls back to tanh-sinh, which converges on
@@ -893,9 +893,21 @@ def reference_integral(row, q, slope):
     return tanh_sinh_integral(row, q, slope)
 
 
+def level_of(row, q):
+    """The t of ``row``'s level at q, without the slope beside it."""
+    return row.t_at(q)[0]
+
+
+def row_integral(row, q, slope):
+    """``row``'s integral at q, of dp/dq without the q-derivative the
+    kernel sums beside it, or of p, as the references give it."""
+    value = row._integral(q, row.prob.margin(q), slope)
+    return value[0] if slope else value
+
+
 def reference_t_at(row, q):
     prob = row.prob
-    g_slope = prob._gp_fn(q)
+    g_slope = prob._g_slopes_fn(q)[0]
     integral = reference_integral(row, q, True)
     return g_slope - integral - prob.x0 * hj.momentum_partials(prob, prob.x0, q)[1]
 
@@ -964,7 +976,7 @@ def test_row_kernel_matches_the_closure_path_bitwise(name, sigma, x, gap, tol):
     want_p = outcome(reference_integral, hj._RowTable(prob, x, tol), q, False)
     row = hj._RowTable(prob, x, tol)
     for _ in range(2):  # built on the first call, read back on the second
-        assert outcome(row.t_at, q) == want_t
+        assert outcome(level_of, row, q) == want_t
         assert outcome(row.momentum_integral, q) == want_p
     assert outcome(hj._RowTable(prob, x, tol).momentum_integral, q) == want_p
 
@@ -976,11 +988,46 @@ def test_row_kernel_halves_panels_like_the_closure_path():
     prob = hj.HJProblem("1", "abs(x - 0.3) + abs(x + 0.4)", "q^2/2", x0=0.0)
     for x, q in ((1.0, 2.2), (-0.9, 1.8), (0.7, 1.5 + 1e-6)):
         row = hj._RowTable(prob, x, CFG.quad_tol)
-        got = (row.t_at(q), row.momentum_integral(q))
+        got = (row.t_at(q)[0], row.momentum_integral(q))
         assert len(row._panels) > 1
         fresh = hj._RowTable(prob, x, CFG.quad_tol)
         want = (reference_t_at(fresh, q), reference_integral(fresh, q, False))
         assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.2])
+@pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.9, -0.7])
+@pytest.mark.parametrize("share", [1.05, 1.5, 5.0, 20.0])
+def test_row_level_slope_is_the_closed_form_derivative(x0, x, share):
+    # the harmonic level with a = 1, V = x^2, G = q^2/2 in closed form:
+    # t(q) = q - (asin(x/sqrt q) - asin(x0/sqrt q))/2 - x0/(2 sqrt(q - x0^2)),
+    # so t'(q) = 1 + x/(4 q r(x)) - x0/(4 q r(x0)) + x0/(4 r(x0)^3), with
+    # r(s) = sqrt(q - s^2).  q is ``share`` times V's largest value on the
+    # segment, plus 0.01: with x0 = 0, 1.05 falls back to tanh-sinh, 1.5
+    # stops at n = 32, 5 and 20 at n = 16
+    prob = hj.HJProblem("1", "x^2", "q^2/2", sigma=1, x0=x0)
+    q = share * max(x * x, x0 * x0) + 0.01
+    r, r0 = math.sqrt(q - x * x), math.sqrt(q - x0 * x0)
+    slope = 1.0 + x / (4.0 * q * r) - x0 / (4.0 * q * r0) + x0 / (4.0 * r0**3)
+    row = hj._RowTable(prob, x, CFG.quad_tol)
+    t, got = row.t_at(q)
+    level = q - 0.5 * (math.asin(x / math.sqrt(q)) - math.asin(x0 / math.sqrt(q))) - 0.5 * x0 / r0
+    assert t == pytest.approx(level, abs=1e-10)
+    assert got == pytest.approx(slope, rel=1e-9)
+
+
+def test_row_level_slope_after_the_last_halving_is_summed_like_the_level():
+    # V's kinks at -0.4 and 0.3 make the tanh-sinh fallback halve panels;
+    # the slope it carries with the same weights is the level's derivative
+    prob = hj.HJProblem("1", "abs(x - 0.3) + abs(x + 0.4)", "q^2/2", x0=0.0)
+    for x, q in ((1.0, 2.2), (-0.9, 1.8)):
+        row = hj._RowTable(prob, x, CFG.quad_tol)
+        _, got = row.t_at(q)
+        assert len(row._panels) > 1
+        h = 1e-5
+        fine = hj._RowTable(prob, x, 1e-13)
+        want = (level_of(fine, q + h) - level_of(fine, q - h)) / (2.0 * h)
+        assert got == pytest.approx(want, rel=1e-6)
 
 
 def test_row_kernel_gives_up_after_the_last_halving():
@@ -1016,7 +1063,7 @@ def test_row_integrals_match_integrate_adaptive(name, sigma, x, gap):
     q = max(prob._v_fn(s) for s in scan_abscissae(min(x0, x), max(x0, x), 64)) + gap
     row = hj._RowTable(prob, x, CFG.quad_tol)
     want = integrate_adaptive(lambda s: hj.momentum_partials(prob, s, q)[1], x0, x, CFG.quad_tol)
-    assert abs(row._integral(q, prob.margin(q), True) - want) <= 1e-13 * max(1.0, abs(want))
+    assert abs(row._integral(q, prob.margin(q), True)[0] - want) <= 1e-13 * max(1.0, abs(want))
     want = integrate_adaptive(lambda s: hj.momentum(prob, s, q), x0, x, CFG.quad_tol)
     assert abs(row.momentum_integral(q) - want) <= 1e-13 * max(1.0, abs(want))
 
@@ -1037,7 +1084,7 @@ def test_a_node_that_raises_falls_back():
         row = hj._RowTable(prob, 0.5, CFG.quad_tol)
         want = outcome(tanh_sinh_integral, hj._RowTable(prob, 0.5, CFG.quad_tol), 2.0, slope)
         assert want[0] == "ConvergenceError"
-        assert outcome(row._integral, 2.0, prob.margin(2.0), slope) == want
+        assert outcome(row_integral, row, 2.0, slope) == want
         assert row._chebyshev is hj._NO_TABLE and row.quads[slope][8] == 1
 
 
@@ -1055,7 +1102,7 @@ def test_nodes_below_the_margin_fall_back():
         for slope in (True, False):
             row = hj._RowTable(BUMP, 0.95, CFG.quad_tol)
             want = outcome(tanh_sinh_integral, hj._RowTable(BUMP, 0.95, CFG.quad_tol), q, slope)
-            assert outcome(row._integral, q, BUMP.margin(q), slope) == want
+            assert outcome(row_integral, row, q, slope) == want
             assert sum(row.quads[slope][_CC16:]) == 0
 
 
@@ -1081,7 +1128,7 @@ def test_an_endpoint_layer_falls_back():
     for slope in (True, False):
         row = hj._RowTable(OSC_G0, x, CFG.quad_tol)
         want = tanh_sinh_integral(hj._RowTable(OSC_G0, x, CFG.quad_tol), q, slope)
-        assert repr(row._integral(q, OSC_G0.margin(q), slope)) == repr(want)
+        assert repr(row_integral(row, q, slope)) == repr(want)
         assert fell_back(row, slope)
 
 
@@ -1094,7 +1141,7 @@ def test_a_non_finite_sum_falls_back(q, slope):
     row = hj._RowTable(prob, 1.0, CFG.quad_tol)
     want = outcome(tanh_sinh_integral, hj._RowTable(prob, 1.0, CFG.quad_tol), q, slope)
     assert want == (("DomainError", "non-finite integrand value (at 0.5)", 0.5) if not slope else "inf")
-    assert outcome(row._integral, q, prob.margin(q), slope) == want
+    assert outcome(row_integral, row, q, slope) == want
     assert row._chebyshev is not hj._NO_TABLE and fell_back(row, slope)
 
 

@@ -2,6 +2,7 @@ import math
 import pathlib
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,12 +19,13 @@ from hjgen.numerics import (
     integrate_adaptive,
     scan_abscissae,
 )
-from scan_reference import crossings, full_scan, scanned_line
+from scan_reference import crossings, full_scan, scanned_line, sloped
 
 
 def root_line(g, lo, hi, n):
-    """A line whose root condition at target 0 is g itself: its level is -g."""
-    return scanned_line(lambda q: -g(q), lo, hi, SolverConfig(scan_points=n))
+    """A line whose root condition at target 0 is g itself: its level is -g,
+    returned without a slope, so its roots come from Brent's method alone."""
+    return scanned_line(sloped(lambda q: -g(q)), lo, hi, SolverConfig(scan_points=n))
 
 
 def scan_brackets(g, lo, hi, n):
@@ -36,9 +38,11 @@ def scan_brackets(g, lo, hi, n):
 
 def brent(g, br, cfg):
     """Brent's method on g over the bracket br = (lo, hi, g_lo, g_hi): the
-    kernel's loop at target 0 with the level -g, so each value is g's."""
+    kernel's loop at target 0 with the level -g and no slopes, so each value
+    is g's; its root."""
     lo, hi, g_lo, g_hi = br
-    return _brent(lambda q: -g(q), 0.0, lo, g_lo, hi, g_hi, cfg, [])
+    tally = SimpleNamespace(brent=0)
+    return _brent(lambda q: (-g(q), None), 0.0, lo, g_lo, None, hi, g_hi, None, cfg, tally)[0]
 
 
 def test_config_validation():

@@ -354,37 +354,47 @@ class Reference:
         fn = expr.compile_function
         self.kind = prob.kind
         root = "p" if prob.kind == "scaled_y" else "q"
+        d = expr.differentiate
         if prob.kind == "explicit":
             self.f = fn(prob.gfun, ("q",))
-            self.fp = fn(expr.differentiate(prob.gfun, "q"), ("q",))
+            self.fp = fn(d(prob.gfun, "q"), ("q",))
+            self.fpp = fn(d(d(prob.gfun, "q"), "q"), ("q",))
         else:
             axis = "x" if prob.kind == "scaled_x" else "y"
             ratio = expr.BinOp("/", expr.Var(axis), prob.scale)
             self.ratio = fn(ratio, (axis,))
-            self.ratiop = fn(expr.differentiate(ratio, axis), (axis,))
+            self.ratiop = fn(d(ratio, axis), (axis,))
             self.g = fn(prob.gfun, (root,))
-            self.gp = fn(expr.differentiate(prob.gfun, root), (root,))
+            self.gp = fn(d(prob.gfun, root), (root,))
+            self.gpp = fn(d(d(prob.gfun, root), root), (root,))
         self.phi = fn(prob.phi, (root,))
-        self.phip = fn(expr.differentiate(prob.phi, root), (root,))
+        self.phip = fn(d(prob.phi, root), (root,))
+        self.phipp = fn(d(d(prob.phi, root), root), (root,))
 
     def line_level(self, v):
-        """The target at which q is a root, phi'(q) less the slope term."""
+        """The target at which q is a root, phi'(q) less the slope term,
+        and its slope in q, phi''(q) less the curvature term."""
         if self.kind == "explicit":
             slope_term = lambda q: v * self.fp(q)
+            curve_term = lambda q: v * self.fpp(q)
         elif self.kind == "scaled_x":
             slope_term = lambda q: self.ratio(v) * self.gp(q)
+            curve_term = lambda q: self.ratio(v) * self.gpp(q)
         else:
             slope_term = lambda q: self.gp(q) * self.ratio(v)
+            curve_term = lambda q: self.gpp(q) * self.ratio(v)
 
         def level(q):
             term = slope_term(q)
-            return self.phip(q) - term
+            value = self.phip(q) - term
+            term = curve_term(q)
+            return value, self.phipp(q) - term
 
         return level
 
     def constraint(self, x, y, q):
         v, target = (y, x) if self.kind == "scaled_y" else (x, y)
-        return target - self.line_level(v)(q)
+        return target - self.line_level(v)(q)[0]
 
     def solution_value(self, x, y, q):
         if self.kind == "explicit":
@@ -631,18 +641,24 @@ def test_solve_stats_leave_out_a_line_without_a_condition():
 
 
 def composed_kernels(prob):
-    """The four kernels as compositions of G, G', phi and phi' compiled one
-    by one, each called in its own frame, the way the problem evaluated
-    them before its kernels were fused."""
+    """The four kernels as compositions of G, G', G'', phi, phi' and phi''
+    compiled one by one, each called in its own frame, the way the problem
+    evaluated them before its kernels were fused: the level kernel's first
+    element is phi' - h G', as the level was before it returned its slope,
+    and its second phi'' - h G''."""
     fn = expr.compile_function
     root = "p" if prob.lines_are_columns else "q"
     g, phi = fn(prob.gfun, (root,)), fn(prob.phi, (root,))
     g_slope = fn(expr.differentiate(prob.gfun, root), (root,))
     phi_slope = fn(expr.differentiate(prob.phi, root), (root,))
+    g_curve = fn(expr.differentiate(expr.differentiate(prob.gfun, root), root), (root,))
+    phi_curve = fn(expr.differentiate(expr.differentiate(prob.phi, root), root), (root,))
 
     def level(h, r):
         slope_term = h * g_slope(r)
-        return phi_slope(r) - slope_term
+        value = phi_slope(r) - slope_term
+        curve_term = h * g_curve(r)
+        return value, phi_curve(r) - curve_term
 
     def residual(h_slope, d1, d2):
         if prob.lines_are_columns:
@@ -726,6 +742,18 @@ def test_a_problem_compiles_six_functions(kind):
     with mock.patch.object(expr, "_function", wraps=expr._function) as compiled:
         getattr(pq.PQProblem, kind)(*args)
     assert compiled.call_count <= 6
+    # an explicit problem's H = x/1 and H' = 1 are bound, not compiled
+    assert compiled.call_count == (4 if kind == "explicit" else 6)
+
+
+def test_explicit_binds_the_ratio_bits_of_x_over_one():
+    prob = pq.PQProblem.explicit("2*q - 1", "q^2/2")
+    ratio = expr.BinOp("/", expr.Var("x"), prob.scale)
+    compiled = expr.compile_function(ratio, ("x",))
+    compiled_slope = expr.compile_function(expr.differentiate(ratio, "x"), ("x",))
+    for x in (0.0, -0.0, 0.5, -1.5, 1e-310, 1e308, math.inf, math.nan, 3):
+        assert repr(prob._ratio_fn(x)) == repr(compiled(x))
+        assert repr(prob._ratiop_fn(x)) == repr(compiled_slope(x))
 
 
 # --- the scan table every line of a solve shares --------------------------

@@ -46,7 +46,9 @@ stage:
 - ``probes``: evaluations at a predicted root before Brent's method;
 - ``brent``: evaluations in Brent's method;
 
-and the brackets refined per point, then its grid points per status.
+then the points whose first probe landed within ``resid_tol`` (``first
+probe landed``; a package that does not count them prints none), the
+brackets refined per point, and its grid points per status.
 The package counts all of this itself; the script only reads the counts.
 """
 
@@ -136,10 +138,12 @@ def main(argv):
             code = cli._emit_report(run, field, write_file=False)
         report(f"{path.name} (solve exit {code})", _path(stats, "dpdq"), _path(stats, "p"))
         n = stats.points
+        landed = getattr(stats, "landed", None)  # an older record does not count them
         print(
             f"  roots: {n:,} points; evaluations/point {(stats.scan + stats.probes + stats.brent) / n:.3f} "
             f"(scan {stats.scan / n:.3f}, probes {stats.probes / n:.3f}, brent {stats.brent / n:.3f}); "
-            f"brackets/point {stats.refined / n:.3f}"
+            + ("" if landed is None else f"first probe landed {landed:,} ({100.0 * landed / n:.1f}%); ")
+            + f"brackets/point {stats.refined / n:.3f}"
         )
         statuses = getattr(stats, "statuses", None)  # an older record has none
         if statuses:
